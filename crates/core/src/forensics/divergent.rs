@@ -41,9 +41,9 @@ pub fn frame_census(disk: &DiskImage) -> (usize, usize) {
     let Some(raw) = divergent_file(disk) else {
         return (0, 0);
     };
-    let frames = carve_all_frames(raw);
-    let sealed = frames.iter().filter(|(_, s, _)| *s).count();
-    (frames.len(), sealed)
+    carve_all_frames(raw).fold((0, 0), |(total, sealed), (_, s, _)| {
+        (total + 1, sealed + usize::from(s))
+    })
 }
 
 /// Key-holder recovery: decodes every sidecar frame with `key_holder`'s
@@ -55,7 +55,6 @@ pub fn recover_with_key(disk: &DiskImage, key_holder: &Db) -> Vec<BinlogEvent> {
         return Vec::new();
     };
     carve_all_frames(raw)
-        .into_iter()
         .filter_map(|(_, sealed, p)| key_holder.decode_binlog_frame(sealed, p).ok())
         .collect()
 }

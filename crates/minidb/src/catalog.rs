@@ -3,6 +3,8 @@
 
 use std::collections::BTreeMap;
 
+use mdb_trace::codec::{put_str16, put_u16, put_u32, Reader};
+
 use crate::error::{DbError, DbResult};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::value::ColumnType;
@@ -61,15 +63,15 @@ impl Catalog {
     /// Serializes and writes the catalog to disk.
     pub fn persist(&self, vdisk: &mut VDisk) {
         let mut out = Vec::new();
-        out.extend_from_slice(&self.next_table_id.to_le_bytes());
-        out.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
+        put_u32(&mut out, self.next_table_id);
+        put_u32(&mut out, self.tables.len() as u32);
         for t in self.tables.values() {
-            write_str(&mut out, &t.schema.name);
-            out.extend_from_slice(&t.id.to_le_bytes());
-            write_str(&mut out, &t.file);
-            out.extend_from_slice(&(t.schema.columns.len() as u16).to_le_bytes());
+            put_str16(&mut out, &t.schema.name);
+            put_u32(&mut out, t.id);
+            put_str16(&mut out, &t.file);
+            put_u16(&mut out, t.schema.columns.len() as u16);
             for c in &t.schema.columns {
-                write_str(&mut out, &c.name);
+                put_str16(&mut out, &c.name);
                 out.push(match c.ty {
                     ColumnType::Int => 1,
                     ColumnType::Text => 2,
@@ -77,11 +79,11 @@ impl Catalog {
                 });
                 out.push(c.primary_key as u8);
             }
-            out.extend_from_slice(&(t.indexes.len() as u16).to_le_bytes());
+            put_u16(&mut out, t.indexes.len() as u16);
             for ix in &t.indexes {
-                write_str(&mut out, &ix.name);
-                write_str(&mut out, &ix.file);
-                out.extend_from_slice(&(ix.column_idx as u16).to_le_bytes());
+                put_str16(&mut out, &ix.name);
+                put_str16(&mut out, &ix.file);
+                put_u16(&mut out, ix.column_idx as u16);
             }
         }
         vdisk.write(CATALOG_FILE, out);
@@ -92,37 +94,37 @@ impl Catalog {
         let Some(buf) = vdisk.read(CATALOG_FILE) else {
             return Ok(Catalog::default());
         };
-        let mut pos = 0;
-        let next_table_id = read_u32(buf, &mut pos)?;
-        let n_tables = read_u32(buf, &mut pos)? as usize;
+        let mut r = Reader::new(buf);
+        let next_table_id = r.u32()?;
+        let n_tables = r.u32()? as usize;
         let mut tables = BTreeMap::new();
         for _ in 0..n_tables {
-            let name = read_str(buf, &mut pos)?;
-            let id = read_u32(buf, &mut pos)?;
-            let file = read_str(buf, &mut pos)?;
-            let n_cols = read_u16(buf, &mut pos)? as usize;
+            let name = r.str16()?;
+            let id = r.u32()?;
+            let file = r.str16()?;
+            let n_cols = r.u16()? as usize;
             let mut columns = Vec::with_capacity(n_cols);
             for _ in 0..n_cols {
-                let cname = read_str(buf, &mut pos)?;
-                let ty = match read_u8(buf, &mut pos)? {
+                let cname = r.str16()?;
+                let ty = match r.u8()? {
                     1 => ColumnType::Int,
                     2 => ColumnType::Text,
                     3 => ColumnType::Bytes,
                     t => return Err(DbError::Storage(format!("bad column type tag {t}"))),
                 };
-                let pk = read_u8(buf, &mut pos)? != 0;
+                let pk = r.u8()? != 0;
                 columns.push(ColumnDef {
                     name: cname,
                     ty,
                     primary_key: pk,
                 });
             }
-            let n_idx = read_u16(buf, &mut pos)? as usize;
+            let n_idx = r.u16()? as usize;
             let mut indexes = Vec::with_capacity(n_idx);
             for _ in 0..n_idx {
-                let iname = read_str(buf, &mut pos)?;
-                let ifile = read_str(buf, &mut pos)?;
-                let column_idx = read_u16(buf, &mut pos)? as usize;
+                let iname = r.str16()?;
+                let ifile = r.str16()?;
+                let column_idx = r.u16()? as usize;
                 indexes.push(IndexDef {
                     name: iname,
                     file: ifile,
@@ -145,44 +147,6 @@ impl Catalog {
             next_table_id,
         })
     }
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_u8(buf: &[u8], pos: &mut usize) -> DbResult<u8> {
-    let b = *buf
-        .get(*pos)
-        .ok_or_else(|| DbError::Storage("truncated catalog".into()))?;
-    *pos += 1;
-    Ok(b)
-}
-
-fn read_u16(buf: &[u8], pos: &mut usize) -> DbResult<u16> {
-    let bytes = buf
-        .get(*pos..*pos + 2)
-        .ok_or_else(|| DbError::Storage("truncated catalog".into()))?;
-    *pos += 2;
-    Ok(u16::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn read_u32(buf: &[u8], pos: &mut usize) -> DbResult<u32> {
-    let bytes = buf
-        .get(*pos..*pos + 4)
-        .ok_or_else(|| DbError::Storage("truncated catalog".into()))?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn read_str(buf: &[u8], pos: &mut usize) -> DbResult<String> {
-    let len = read_u16(buf, pos)? as usize;
-    let bytes = buf
-        .get(*pos..*pos + len)
-        .ok_or_else(|| DbError::Storage("truncated catalog".into()))?;
-    *pos += len;
-    String::from_utf8(bytes.to_vec()).map_err(|_| DbError::Storage("catalog not utf8".into()))
 }
 
 #[cfg(test)]

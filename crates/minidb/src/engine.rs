@@ -2458,19 +2458,11 @@ impl DbInner {
         let Some(buf) = self.vdisk.read(CHECKPOINT_FILE) else {
             return (0, Default::default());
         };
-        if buf.len() < 12 {
+        let mut r = mdb_trace::codec::Reader::new(buf);
+        let (Ok(lsn), Ok(n)) = (r.u64(), r.u32()) else {
             return (0, Default::default());
-        }
-        let lsn = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-        let n = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-        let mut active = std::collections::HashSet::new();
-        for i in 0..n {
-            let off = 12 + i * 8;
-            if let Some(bytes) = buf.get(off..off + 8) {
-                active.insert(u64::from_le_bytes(bytes.try_into().unwrap()));
-            }
-        }
-        (lsn, active)
+        };
+        (lsn, (0..n).map_while(|_| r.u64().ok()).collect())
     }
 
     fn insert_row(

@@ -54,3 +54,10 @@ impl std::error::Error for DbError {}
 
 /// Convenience alias used across the crate.
 pub type DbResult<T> = Result<T, DbError>;
+
+/// A short or malformed on-disk / on-wire record is a storage error.
+impl From<mdb_trace::codec::ReadError> for DbError {
+    fn from(e: mdb_trace::codec::ReadError) -> Self {
+        DbError::Storage(e.to_string())
+    }
+}

@@ -23,6 +23,8 @@
 
 use std::collections::BTreeMap;
 
+use mdb_trace::codec::{put_bytes64, put_i64, put_u32, put_u64, Reader};
+
 use crate::error::{DbError, DbResult};
 use crate::mvcc::Version;
 use crate::observability::{DigestStats, ProcessEntry, StatementEvent};
@@ -31,200 +33,138 @@ use crate::snapshot::{DiskImage, MemoryImage, SystemImage, VersionChain, ZoneMap
 
 const MAGIC: &[u8; 8] = b"EDBSNAP6";
 
-fn w_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    w_u64(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-fn w_str(out: &mut Vec<u8>, s: &str) {
-    w_bytes(out, s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> DbResult<&'a [u8]> {
-        let b = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| DbError::Storage("truncated snapshot".into()))?;
-        self.pos += n;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> DbResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> DbResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> DbResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> DbResult<Vec<u8>> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len() {
-            return Err(DbError::Storage("snapshot length overflow".into()));
-        }
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn str(&mut self) -> DbResult<String> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| DbError::Storage("snapshot string not utf8".into()))
-    }
-}
-
 impl SystemImage {
     /// Serializes the image to the `EDBSNAP6` container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        w_i64(&mut out, self.captured_at);
+        put_i64(&mut out, self.captured_at);
         // Disk.
-        w_u32(&mut out, self.disk.files.len() as u32);
+        put_u32(&mut out, self.disk.files.len() as u32);
         for (name, data) in &self.disk.files {
-            w_str(&mut out, name);
-            w_bytes(&mut out, data);
+            put_bytes64(&mut out, name.as_bytes());
+            put_bytes64(&mut out, data);
         }
         // Memory.
         let m = &self.memory;
-        w_bytes(&mut out, &m.heap);
-        w_u32(&mut out, m.cached_queries.len() as u32);
+        put_bytes64(&mut out, &m.heap);
+        put_u32(&mut out, m.cached_queries.len() as u32);
         for q in &m.cached_queries {
-            w_str(&mut out, q);
+            put_bytes64(&mut out, q.as_bytes());
         }
-        w_u32(&mut out, m.cached_pages.len() as u32);
+        put_u32(&mut out, m.cached_pages.len() as u32);
         for (f, p) in &m.cached_pages {
-            w_str(&mut out, f);
-            w_u32(&mut out, *p);
+            put_bytes64(&mut out, f.as_bytes());
+            put_u32(&mut out, *p);
         }
-        w_u32(&mut out, m.page_access_counts.len() as u32);
+        put_u32(&mut out, m.page_access_counts.len() as u32);
         for ((f, p), c) in &m.page_access_counts {
-            w_str(&mut out, f);
-            w_u32(&mut out, *p);
-            w_u64(&mut out, *c);
+            put_bytes64(&mut out, f.as_bytes());
+            put_u32(&mut out, *p);
+            put_u64(&mut out, *c);
         }
-        w_u32(&mut out, m.adaptive_hash_keys.len() as u32);
+        put_u32(&mut out, m.adaptive_hash_keys.len() as u32);
         for (k, (f, p)) in &m.adaptive_hash_keys {
-            w_bytes(&mut out, k);
-            w_str(&mut out, f);
-            w_u32(&mut out, *p);
+            put_bytes64(&mut out, k);
+            put_bytes64(&mut out, f.as_bytes());
+            put_u32(&mut out, *p);
         }
         for events in [&m.statements_current, &m.statements_history] {
-            w_u32(&mut out, events.len() as u32);
+            put_u32(&mut out, events.len() as u32);
             for e in events.iter() {
-                w_u64(&mut out, e.thread_id);
-                w_u64(&mut out, e.event_id);
-                w_str(&mut out, &e.sql_text);
-                w_str(&mut out, &e.digest);
-                w_i64(&mut out, e.timestamp);
-                w_u64(&mut out, e.rows_examined);
-                w_u64(&mut out, e.rows_returned);
+                put_u64(&mut out, e.thread_id);
+                put_u64(&mut out, e.event_id);
+                put_bytes64(&mut out, e.sql_text.as_bytes());
+                put_bytes64(&mut out, e.digest.as_bytes());
+                put_i64(&mut out, e.timestamp);
+                put_u64(&mut out, e.rows_examined);
+                put_u64(&mut out, e.rows_returned);
             }
         }
-        w_u32(&mut out, m.digest_summary.len() as u32);
+        put_u32(&mut out, m.digest_summary.len() as u32);
         for d in &m.digest_summary {
-            w_str(&mut out, &d.digest);
-            w_u64(&mut out, d.count_star);
-            w_u64(&mut out, d.sum_rows_examined);
-            w_u64(&mut out, d.sum_rows_returned);
-            w_i64(&mut out, d.first_seen);
-            w_i64(&mut out, d.last_seen);
+            put_bytes64(&mut out, d.digest.as_bytes());
+            put_u64(&mut out, d.count_star);
+            put_u64(&mut out, d.sum_rows_examined);
+            put_u64(&mut out, d.sum_rows_returned);
+            put_i64(&mut out, d.first_seen);
+            put_i64(&mut out, d.last_seen);
         }
-        w_u32(&mut out, m.processlist.len() as u32);
+        put_u32(&mut out, m.processlist.len() as u32);
         for p in &m.processlist {
-            w_u64(&mut out, p.id);
-            w_str(&mut out, &p.user);
-            w_i64(&mut out, p.connect_time);
+            put_u64(&mut out, p.id);
+            put_bytes64(&mut out, p.user.as_bytes());
+            put_i64(&mut out, p.connect_time);
             match &p.current_query {
                 Some(q) => {
                     out.push(1);
-                    w_str(&mut out, q);
+                    put_bytes64(&mut out, q.as_bytes());
                 }
                 None => out.push(0),
             }
         }
         let ms = &m.metrics;
-        w_u32(&mut out, ms.counters.len() as u32);
+        put_u32(&mut out, ms.counters.len() as u32);
         for (name, v) in &ms.counters {
-            w_str(&mut out, name);
-            w_u64(&mut out, *v);
+            put_bytes64(&mut out, name.as_bytes());
+            put_u64(&mut out, *v);
         }
-        w_u32(&mut out, ms.gauges.len() as u32);
+        put_u32(&mut out, ms.gauges.len() as u32);
         for (name, v) in &ms.gauges {
-            w_str(&mut out, name);
-            w_i64(&mut out, *v);
+            put_bytes64(&mut out, name.as_bytes());
+            put_i64(&mut out, *v);
         }
-        w_u32(&mut out, ms.histograms.len() as u32);
+        put_u32(&mut out, ms.histograms.len() as u32);
         for h in &ms.histograms {
-            w_str(&mut out, &h.name);
-            w_u64(&mut out, h.count);
-            w_u64(&mut out, h.sum);
-            w_u32(&mut out, h.buckets.len() as u32);
+            put_bytes64(&mut out, h.name.as_bytes());
+            put_u64(&mut out, h.count);
+            put_u64(&mut out, h.sum);
+            put_u32(&mut out, h.buckets.len() as u32);
             for (idx, n) in &h.buckets {
                 out.push(*idx);
-                w_u64(&mut out, *n);
+                put_u64(&mut out, *n);
             }
-            w_u32(&mut out, h.exemplars.len() as u32);
+            put_u32(&mut out, h.exemplars.len() as u32);
             for (idx, tid, val) in &h.exemplars {
                 out.push(*idx);
                 out.extend_from_slice(&tid.to_le_bytes());
-                w_u64(&mut out, *val);
+                put_u64(&mut out, *val);
             }
         }
         // The flight-recorder ring, reusing the mdb-trace payload wire
         // format (same bytes the slow-log carver understands).
-        w_u32(&mut out, m.query_traces.len() as u32);
+        put_u32(&mut out, m.query_traces.len() as u32);
         for t in &m.query_traces {
             let mut payload = Vec::new();
             mdb_trace::record::encode_payload(t, &mut payload);
-            w_bytes(&mut out, &payload);
+            put_bytes64(&mut out, &payload);
         }
         // The zone-map mirrors: per-page plaintext min/max bounds.
-        w_u32(&mut out, m.zone_maps.len() as u32);
+        put_u32(&mut out, m.zone_maps.len() as u32);
         for z in &m.zone_maps {
-            w_str(&mut out, &z.file);
-            w_u32(&mut out, z.page_no);
-            w_u64(&mut out, z.rows);
-            w_u32(&mut out, z.columns.len() as u32);
+            put_bytes64(&mut out, z.file.as_bytes());
+            put_u32(&mut out, z.page_no);
+            put_u64(&mut out, z.rows);
+            put_u32(&mut out, z.columns.len() as u32);
             for (col, min, max) in &z.columns {
-                w_u32(&mut out, *col as u32);
-                w_i64(&mut out, *min);
-                w_i64(&mut out, *max);
+                put_u32(&mut out, *col as u32);
+                put_i64(&mut out, *min);
+                put_i64(&mut out, *max);
             }
         }
         // The MVCC version chains: per-row supersession history.
-        w_u32(&mut out, m.version_chains.len() as u32);
+        put_u32(&mut out, m.version_chains.len() as u32);
         for c in &m.version_chains {
-            w_str(&mut out, &c.table);
-            w_u64(&mut out, c.row_id);
-            w_u32(&mut out, c.versions.len() as u32);
+            put_bytes64(&mut out, c.table.as_bytes());
+            put_u64(&mut out, c.row_id);
+            put_u32(&mut out, c.versions.len() as u32);
             for v in &c.versions {
                 out.push(v.state);
                 out.push(v.op);
-                w_u64(&mut out, v.xmin);
-                w_u64(&mut out, v.xmax);
-                w_u64(&mut out, v.offset as u64);
-                w_bytes(&mut out, &v.row.encode());
+                put_u64(&mut out, v.xmin);
+                put_u64(&mut out, v.xmax);
+                put_u64(&mut out, v.offset as u64);
+                put_bytes64(&mut out, &v.row.encode());
             }
         }
         out
@@ -232,7 +172,7 @@ impl SystemImage {
 
     /// Parses an `EDBSNAP6` container.
     pub fn from_bytes(buf: &[u8]) -> DbResult<SystemImage> {
-        let mut r = Reader { buf, pos: 0 };
+        let mut r = Reader::new(buf);
         if r.take(8)? != MAGIC {
             return Err(DbError::Storage("not an EDBSNAP6 image".into()));
         }
@@ -240,32 +180,32 @@ impl SystemImage {
         let n_files = r.u32()? as usize;
         let mut files = BTreeMap::new();
         for _ in 0..n_files {
-            let name = r.str()?;
-            let data = r.bytes()?;
+            let name = r.str64()?;
+            let data = r.bytes64()?.to_vec();
             files.insert(name, data);
         }
-        let heap = r.bytes()?;
+        let heap = r.bytes64()?.to_vec();
         let mut cached_queries = Vec::new();
         for _ in 0..r.u32()? {
-            cached_queries.push(r.str()?);
+            cached_queries.push(r.str64()?);
         }
         let mut cached_pages = Vec::new();
         for _ in 0..r.u32()? {
-            let f = r.str()?;
+            let f = r.str64()?;
             let p = r.u32()?;
             cached_pages.push((f, p));
         }
         let mut page_access_counts = Vec::new();
         for _ in 0..r.u32()? {
-            let f = r.str()?;
+            let f = r.str64()?;
             let p = r.u32()?;
             let c = r.u64()?;
             page_access_counts.push(((f, p), c));
         }
         let mut adaptive_hash_keys = Vec::new();
         for _ in 0..r.u32()? {
-            let k = r.bytes()?;
-            let f = r.str()?;
+            let k = r.bytes64()?.to_vec();
+            let f = r.str64()?;
             let p = r.u32()?;
             adaptive_hash_keys.push((k, (f, p)));
         }
@@ -275,8 +215,8 @@ impl SystemImage {
                 out.push(StatementEvent {
                     thread_id: r.u64()?,
                     event_id: r.u64()?,
-                    sql_text: r.str()?,
-                    digest: r.str()?,
+                    sql_text: r.str64()?,
+                    digest: r.str64()?,
                     timestamp: r.i64()?,
                     rows_examined: r.u64()?,
                     rows_returned: r.u64()?,
@@ -290,7 +230,7 @@ impl SystemImage {
         let mut digest_summary = Vec::new();
         for _ in 0..r.u32()? {
             digest_summary.push(DigestStats {
-                digest: r.str()?,
+                digest: r.str64()?,
                 count_star: r.u64()?,
                 sum_rows_examined: r.u64()?,
                 sum_rows_returned: r.u64()?,
@@ -301,11 +241,11 @@ impl SystemImage {
         let mut processlist = Vec::new();
         for _ in 0..r.u32()? {
             let id = r.u64()?;
-            let user = r.str()?;
+            let user = r.str64()?;
             let connect_time = r.i64()?;
-            let current_query = match r.take(1)?[0] {
+            let current_query = match r.u8()? {
                 0 => None,
-                _ => Some(r.str()?),
+                _ => Some(r.str64()?),
             };
             processlist.push(ProcessEntry {
                 id,
@@ -316,29 +256,29 @@ impl SystemImage {
         }
         let mut metrics = mdb_telemetry::MetricsSnapshot::default();
         for _ in 0..r.u32()? {
-            let name = r.str()?;
+            let name = r.str64()?;
             let v = r.u64()?;
             metrics.counters.push((name, v));
         }
         for _ in 0..r.u32()? {
-            let name = r.str()?;
+            let name = r.str64()?;
             let v = r.i64()?;
             metrics.gauges.push((name, v));
         }
         for _ in 0..r.u32()? {
-            let name = r.str()?;
+            let name = r.str64()?;
             let count = r.u64()?;
             let sum = r.u64()?;
             let mut buckets = Vec::new();
             for _ in 0..r.u32()? {
-                let idx = r.take(1)?[0];
+                let idx = r.u8()?;
                 let n = r.u64()?;
                 buckets.push((idx, n));
             }
             let mut exemplars = Vec::new();
             for _ in 0..r.u32()? {
-                let idx = r.take(1)?[0];
-                let tid = u128::from_le_bytes(r.take(16)?.try_into().unwrap());
+                let idx = r.u8()?;
+                let tid = r.u128()?;
                 let val = r.u64()?;
                 exemplars.push((idx, tid, val));
             }
@@ -352,8 +292,8 @@ impl SystemImage {
         }
         let mut query_traces = Vec::new();
         for _ in 0..r.u32()? {
-            let payload = r.bytes()?;
-            let (t, consumed) = mdb_trace::record::decode_payload(&payload)
+            let payload = r.bytes64()?;
+            let (t, consumed) = mdb_trace::record::decode_payload(payload)
                 .ok_or_else(|| DbError::Storage("bad trace record in snapshot".into()))?;
             if consumed != payload.len() {
                 return Err(DbError::Storage("trailing bytes in trace record".into()));
@@ -362,7 +302,7 @@ impl SystemImage {
         }
         let mut zone_maps = Vec::new();
         for _ in 0..r.u32()? {
-            let file = r.str()?;
+            let file = r.str64()?;
             let page_no = r.u32()?;
             let rows = r.u64()?;
             let mut columns = Vec::new();
@@ -381,16 +321,16 @@ impl SystemImage {
         }
         let mut version_chains = Vec::new();
         for _ in 0..r.u32()? {
-            let table = r.str()?;
+            let table = r.str64()?;
             let row_id = r.u64()?;
             let mut versions = Vec::new();
             for _ in 0..r.u32()? {
-                let state = r.take(1)?[0];
-                let op = r.take(1)?[0];
+                let state = r.u8()?;
+                let op = r.u8()?;
                 let xmin = r.u64()?;
                 let xmax = r.u64()?;
                 let offset = r.u64()? as usize;
-                let row = Row::decode(&r.bytes()?)?;
+                let row = Row::decode(r.bytes64()?)?;
                 versions.push(Version {
                     xmin,
                     xmax,
@@ -406,7 +346,7 @@ impl SystemImage {
                 versions,
             });
         }
-        if r.pos != buf.len() {
+        if r.remaining() != 0 {
             return Err(DbError::Storage("trailing bytes in snapshot".into()));
         }
         Ok(SystemImage {

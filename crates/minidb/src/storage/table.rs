@@ -425,15 +425,16 @@ impl TableHeap {
         row_bytes: &[u8],
     ) -> DbResult<()> {
         self.ensure_page(bufpool, vdisk, page_no)?;
-        let applied = bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| {
-            let mut p = Page::new(buf);
-            if p.lsn() >= lsn {
-                return Ok(false);
-            }
-            p.insert_at(slot, row_bytes)?;
-            p.set_lsn(lsn);
-            Ok(true)
-        })??;
+        let applied =
+            bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| -> DbResult<bool> {
+                let mut p = Page::new(buf);
+                if p.lsn() >= lsn {
+                    return Ok(false);
+                }
+                p.insert_at(slot, row_bytes)?;
+                p.set_lsn(lsn);
+                Ok(true)
+            })??;
         if applied {
             self.zonemap.remove(&page_no);
         }
@@ -458,7 +459,7 @@ impl TableHeap {
         row_bytes: &[u8],
     ) -> DbResult<()> {
         self.ensure_page(bufpool, vdisk, page_no)?;
-        bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| {
+        bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| -> DbResult<()> {
             let mut p = Page::new(buf);
             if p.lsn() >= lsn {
                 return Ok(());
@@ -483,7 +484,7 @@ impl TableHeap {
         slot: SlotNo,
     ) -> DbResult<()> {
         self.ensure_page(bufpool, vdisk, page_no)?;
-        bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| {
+        bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| -> DbResult<()> {
             let mut p = Page::new(buf);
             if p.lsn() >= lsn {
                 return Ok(());

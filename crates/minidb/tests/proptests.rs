@@ -1,5 +1,7 @@
 //! Property-based tests for the storage substrate: model equivalence for
-//! the B+ tree, encoding round-trips, WAL carving, and digest invariance.
+//! the B+ tree, encoding round-trips, sealed-frame authentication, and
+//! digest invariance. Frame-level carving properties live in
+//! `framing.rs`.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -11,7 +13,7 @@ use minidb::storage::btree::BTree;
 use minidb::storage::shardpool::ShardedBufferPool;
 use minidb::value::Value;
 use minidb::vdisk::VDisk;
-use minidb::wal::{carve_frames, frame, BinlogEvent, RedoRecord, UndoRecord};
+use minidb::wal::{carve_frames, BinlogEvent, RedoRecord, UndoRecord};
 use proptest::prelude::*;
 
 /// One randomly generated statement for the zone-map equivalence test:
@@ -133,29 +135,6 @@ proptest! {
     }
 
     #[test]
-    fn carving_recovers_all_frames_through_garbage(
-        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..12),
-        garbage in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        // Interleave frames with garbage that contains no frame magic.
-        let clean: Vec<u8> = garbage
-            .iter()
-            .map(|&b| if b == 0xDE { 0xDD } else { b })
-            .collect();
-        let mut raw = Vec::new();
-        for p in &payloads {
-            raw.extend_from_slice(&clean);
-            raw.extend_from_slice(&frame(p));
-        }
-        raw.extend_from_slice(&clean);
-        let found = carve_frames(&raw);
-        prop_assert_eq!(found.len(), payloads.len());
-        for ((_, got), want) in found.iter().zip(&payloads) {
-            prop_assert_eq!(*got, want.as_slice());
-        }
-    }
-
-    #[test]
     fn binlog_event_round_trips_unicode_statements(
         lsn in any::<u64>(),
         txn in any::<u64>(),
@@ -175,153 +154,6 @@ proptest! {
         let b = BinlogEvent { lsn, txn, timestamp: ts, statement: stmt, ctx };
         let encoded = b.encode();
         prop_assert_eq!(BinlogEvent::decode(&encoded).unwrap(), b);
-    }
-
-    #[test]
-    fn carving_a_wrapped_suffix_recovers_exactly_the_surviving_frames(
-        payloads in proptest::collection::vec(
-            // No 0xDE byte in payloads, so a cut mid-payload cannot forge
-            // a frame magic and derail the scan.
-            proptest::collection::vec(any::<u8>().prop_map(|b| if b == 0xDE { 0xDD } else { b }), 0..32),
-            1..12,
-        ),
-        cut_frac in 0.0f64..1.0,
-    ) {
-        // Circular-wrap model: the oldest bytes are overwritten, so the
-        // readable region is an arbitrary suffix of the append stream.
-        // A frame whose header was clipped must be skipped; every frame
-        // that starts at or after the cut must survive verbatim.
-        let mut raw = Vec::new();
-        let mut starts = Vec::new();
-        for p in &payloads {
-            starts.push(raw.len());
-            raw.extend_from_slice(&frame(p));
-        }
-        let cut = (cut_frac * raw.len() as f64) as usize;
-        let surviving: Vec<&Vec<u8>> = payloads
-            .iter()
-            .zip(&starts)
-            .filter(|(_, &s)| s >= cut)
-            .map(|(p, _)| p)
-            .collect();
-        let found = carve_frames(&raw[cut..]);
-        prop_assert_eq!(found.len(), surviving.len());
-        for ((_, got), want) in found.iter().zip(&surviving) {
-            prop_assert_eq!(*got, want.as_slice());
-        }
-    }
-
-    #[test]
-    fn carving_survives_random_corruption(
-        payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..32),
-            1..10,
-        ),
-        corrupt_at_frac in 0.0f64..1.0,
-        corruption in proptest::collection::vec(any::<u8>(), 1..24),
-    ) {
-        // Overwrite a random slice with random bytes (torn write / bad
-        // sector). The carver must not panic, and every frame that lies
-        // entirely before the corrupted range is still recovered verbatim
-        // (the scan is deterministic up to the first damaged byte).
-        let mut raw = Vec::new();
-        let mut ends = Vec::new();
-        for p in &payloads {
-            raw.extend_from_slice(&frame(p));
-            ends.push(raw.len());
-        }
-        let at = (corrupt_at_frac * raw.len() as f64) as usize;
-        for (i, b) in corruption.iter().enumerate() {
-            if at + i < raw.len() {
-                raw[at + i] = *b;
-            }
-        }
-        let found = carve_frames(&raw);
-        let intact: Vec<&Vec<u8>> = payloads
-            .iter()
-            .zip(&ends)
-            .filter(|(_, &e)| e <= at)
-            .map(|(p, _)| p)
-            .collect();
-        prop_assert!(found.len() >= intact.len());
-        for ((_, got), want) in found.iter().zip(&intact) {
-            prop_assert_eq!(*got, want.as_slice());
-        }
-    }
-
-    #[test]
-    fn trace_records_round_trip_through_truncation_and_corruption(
-        stmts in proptest::collection::vec(("\\PC{0,48}", 0u64..10_000, 0u64..500), 1..8),
-        cut_frac in 0.0f64..1.0,
-        flip_frac in 0.0f64..1.0,
-        flip_bit in 0u8..8,
-    ) {
-        // The slow log is a stream of self-delimiting, checksummed trace
-        // records. Build one from arbitrary statement texts (which may
-        // themselves contain the record magic), then check the carver
-        // against truncation and single-byte corruption.
-        let mut raw = Vec::new();
-        let mut spans = Vec::new(); // (start, end) of each record
-        let mut traces = Vec::new();
-        for (i, (stmt, dur, rows)) in stmts.iter().enumerate() {
-            let mut b = mdb_trace::TraceBuilder::new(i as u64, 1_500_000_000 + i as i64, stmt, "d?");
-            b.begin("parse");
-            b.end(5);
-            b.begin("scan");
-            b.attr("rows_examined", *rows);
-            b.table("customers");
-            b.end_elastic();
-            let t = b.finish(dur + 10);
-            let start = raw.len();
-            raw.extend_from_slice(&mdb_trace::record::encode_record(&t));
-            spans.push((start, raw.len()));
-            traces.push(t);
-        }
-
-        // 1. The intact stream carves back to exactly the input.
-        let carved = mdb_trace::record::carve(&raw);
-        prop_assert_eq!(carved.len(), traces.len());
-        for (c, want) in carved.iter().zip(&traces) {
-            prop_assert_eq!(&c.trace, want);
-        }
-
-        // 2. Truncation (log rotated / partially overwritten): every
-        // record that ends at or before the cut survives verbatim.
-        let cut = (cut_frac * raw.len() as f64) as usize;
-        let carved = mdb_trace::record::carve(&raw[..cut]);
-        let intact: Vec<&mdb_trace::StatementTrace> = traces
-            .iter()
-            .zip(&spans)
-            .filter(|(_, &(_, e))| e <= cut)
-            .map(|(t, _)| t)
-            .collect();
-        prop_assert_eq!(carved.len(), intact.len());
-        for (c, want) in carved.iter().zip(&intact) {
-            prop_assert_eq!(&&c.trace, want);
-        }
-
-        // 3. A single flipped bit mid-stream fails that record's CRC but
-        // costs at most one record; all others still carve verbatim.
-        let mut damaged = raw.clone();
-        let at = ((flip_frac * raw.len() as f64) as usize).min(raw.len() - 1);
-        damaged[at] ^= 1u8 << flip_bit;
-        let carved = mdb_trace::record::carve(&damaged);
-        prop_assert!(carved.len() >= traces.len() - 1, "at most one record lost");
-        let hit = spans.iter().position(|&(s, e)| s <= at && at < e);
-        for c in &carved {
-            let matches_original = traces.iter().any(|t| t == &c.trace);
-            // Any surviving record must be one of the originals, except
-            // possibly the damaged one if the flip landed in a slack
-            // position that still validates (it cannot: CRC covers the
-            // whole payload and header; a magic-byte flip just hides it).
-            if let Some(h) = hit {
-                if c.trace != traces[h] {
-                    prop_assert!(matches_original);
-                }
-            } else {
-                prop_assert!(matches_original);
-            }
-        }
     }
 
     #[test]
@@ -504,34 +336,6 @@ proptest! {
         }
         // The keyless plaintext carver sees nothing in the same bytes.
         prop_assert_eq!(carve_frames(&image).len(), 0);
-    }
-
-    /// Truncating a sealed image at an arbitrary byte loses only the
-    /// tail: every frame wholly inside the prefix still opens, and no
-    /// torn frame ever opens as a different payload.
-    #[test]
-    fn sealed_image_truncation_keeps_the_intact_prefix(
-        payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 1..64), 1..8),
-        cut_seed in any::<u64>(),
-    ) {
-        let crypto = minidb::wal::WalCrypto::new([9u8; 32], 1);
-        let mut image = Vec::new();
-        let mut ends = Vec::new();
-        for (i, p) in payloads.iter().enumerate() {
-            let sealed = crypto.seal(edb_crypto::logenc::STREAM_UNDO, i as u64, p);
-            image.extend_from_slice(&minidb::wal::frame_enc(&sealed));
-            ends.push(image.len());
-        }
-        let cut = (cut_seed as usize) % (image.len() + 1);
-        let whole = ends.iter().filter(|&&e| e <= cut).count();
-        let carved = minidb::wal::carve_enc_frames(&image[..cut]);
-        prop_assert_eq!(carved.len(), whole, "cut at {} of {}", cut, image.len());
-        for (i, (_, sealed)) in carved.iter().enumerate() {
-            let (_, _, seq, plain) = crypto.open(sealed).expect("intact prefix opens");
-            prop_assert_eq!(seq, i as u64);
-            prop_assert_eq!(&plain, &payloads[i]);
-        }
     }
 
     /// Flipping one bit anywhere in a sealed image loses at most two

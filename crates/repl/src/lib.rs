@@ -82,5 +82,11 @@ impl From<DbError> for ReplError {
     }
 }
 
+impl From<mdb_trace::codec::ReadError> for ReplError {
+    fn from(e: mdb_trace::codec::ReadError) -> Self {
+        ReplError::Protocol(e.to_string())
+    }
+}
+
 /// Convenience alias used across the crate.
 pub type ReplResult<T> = Result<T, ReplError>;

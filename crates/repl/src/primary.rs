@@ -17,7 +17,7 @@ use minidb::Db;
 use parking_lot::Mutex;
 
 use crate::transport::Transport;
-use crate::wire::{SequencedEvent, WireMessage};
+use crate::wire::{fit_events_to_frame, SequencedEvent, WireMessage};
 use crate::{ReplError, ReplResult};
 
 /// Max events shipped per [`WireMessage::Events`] batch.
@@ -130,7 +130,7 @@ fn session(
         }
         // Ship raw frame payloads: on an `encrypted_wal` primary these
         // are sealed records, so the stream is ciphertext end-to-end.
-        let (events, new_next) = db.binlog_frames_from(next, BATCH);
+        let (events, _) = db.binlog_frames_from(next, BATCH);
         if events.is_empty() {
             transport.send(&WireMessage::Heartbeat {
                 primary_seq: db.binlog_next_seq(),
@@ -140,7 +140,7 @@ fn session(
             std::thread::sleep(IDLE_POLL);
             continue;
         }
-        let batch: Vec<SequencedEvent> = events
+        let mut batch: Vec<SequencedEvent> = events
             .into_iter()
             .map(|(seq, sealed, payload)| SequencedEvent {
                 seq,
@@ -148,12 +148,13 @@ fn session(
                 payload,
             })
             .collect();
+        // Large statements close the batch early; the rest ships next turn.
+        let encoded_len = fit_events_to_frame(&mut batch);
         let n = batch.len() as u64;
-        let msg = WireMessage::Events { events: batch };
-        metrics.bytes_sent.add(msg.encode().len() as u64);
-        transport.send(&msg)?;
+        metrics.bytes_sent.add(encoded_len as u64);
+        transport.send(&WireMessage::Events { events: batch })?;
         metrics.events_sent.add(n);
-        next = new_next;
+        next += n;
     }
     Ok(())
 }

@@ -12,6 +12,7 @@
 //! sequence numbers so a restarted replica recovers its resume position
 //! from its own disk, without asking the primary.
 
+use mdb_trace::codec::{self, put_u64, Reader};
 use minidb::wal::{carve_all_frames, frame, frame_enc};
 use minidb::Db;
 
@@ -53,9 +54,17 @@ pub fn append_event(db: &Db, ev: &SequencedEvent) -> usize {
 /// Called when a stream (re)positions: initial attach and purge gaps.
 pub fn append_index_entry(db: &Db, seq: u64, offset: u64) {
     let mut rec = Vec::with_capacity(16);
-    rec.extend_from_slice(&seq.to_le_bytes());
-    rec.extend_from_slice(&offset.to_le_bytes());
+    put_u64(&mut rec, seq);
+    put_u64(&mut rec, offset);
     db.append_server_file(RELAY_INDEX, &rec);
+}
+
+/// The last complete `(start_seq, byte_offset)` entry of the index.
+fn last_anchor(db: &Db) -> Option<(u64, u64)> {
+    let index = db.read_server_file(RELAY_INDEX)?;
+    let last = (index.len() / 16).checked_sub(1)? * 16;
+    let mut r = Reader::new(&index[last..]);
+    Some((r.u64().ok()?, r.u64().ok()?))
 }
 
 /// Recovers `(next_seq, relay_len)` from the replica's own disk: the last
@@ -63,20 +72,13 @@ pub fn append_index_entry(db: &Db, seq: u64, offset: u64) {
 /// frames carved past that offset yields the next sequence to request.
 /// Returns `None` when no index entry exists (fresh replica).
 pub fn recover_position(db: &Db) -> Option<(u64, u64)> {
-    let index = db.read_server_file(RELAY_INDEX)?;
-    if index.len() < 16 {
-        return None;
-    }
-    let last = &index[(index.len() / 16 - 1) * 16..];
-    let anchor_seq = u64::from_le_bytes(last[..8].try_into().unwrap());
-    let anchor_off = u64::from_le_bytes(last[8..16].try_into().unwrap());
+    let (anchor_seq, anchor_off) = last_anchor(db)?;
     let relay = db.read_server_file(RELAY_FILE).unwrap_or_default();
     let tail = relay.get(anchor_off as usize..).unwrap_or(&[]);
     // Count every frame the replica can decode: plaintext events and —
     // when this replica holds the log key — sealed records too. Each
     // frame is decoded under the codec its own magic declares.
     let applied = carve_all_frames(tail)
-        .iter()
         .filter(|(_, sealed, p)| db.decode_binlog_frame(*sealed, p).is_ok())
         .count() as u64;
     Some((anchor_seq + applied, relay.len() as u64))
@@ -98,19 +100,7 @@ pub fn repair_torn_tail(db: &Db) -> usize {
     let Some(raw) = db.read_server_file(RELAY_FILE) else {
         return 0;
     };
-    let plain = minidb::wal::RECORD_MAGIC.to_le_bytes();
-    let sealed = minidb::wal::ENC_RECORD_MAGIC.to_le_bytes();
-    let mut end = 0usize;
-    while end + 8 <= raw.len() {
-        if raw[end..end + 4] != plain && raw[end..end + 4] != sealed {
-            break;
-        }
-        let len = u32::from_le_bytes(raw[end + 4..end + 8].try_into().unwrap()) as usize;
-        if len >= (1 << 24) || end + 8 + len > raw.len() {
-            break;
-        }
-        end += 8 + len;
-    }
+    let end = codec::walk(&codec::RELAY, &raw).last().map_or(0, |f| f.end);
     let torn = raw.len() - end;
     if torn > 0 {
         db.write_server_file(RELAY_FILE, &raw[..end]);
@@ -123,8 +113,8 @@ pub fn repair_torn_tail(db: &Db) -> usize {
 /// position rides along as the tiebreaker [`applied_position`] uses.
 pub fn write_applied_mark(db: &Db, applied_next: u64) {
     let mut rec = Vec::with_capacity(16);
-    rec.extend_from_slice(&applied_next.to_le_bytes());
-    rec.extend_from_slice(&db.binlog_next_seq().to_le_bytes());
+    put_u64(&mut rec, applied_next);
+    put_u64(&mut rec, db.binlog_next_seq());
     db.write_server_file(RELAY_INFO, &rec);
 }
 
@@ -137,11 +127,11 @@ pub fn write_applied_mark(db: &Db, applied_next: u64) {
 /// Returns `None` until the first mark is written.
 pub fn applied_position(db: &Db) -> Option<u64> {
     let raw = db.read_server_file(RELAY_INFO)?;
-    if raw.len() != 16 {
+    let mut r = Reader::new(&raw);
+    let (marked, own_at_mark) = (r.u64().ok()?, r.u64().ok()?);
+    if r.remaining() != 0 {
         return None;
     }
-    let marked = u64::from_le_bytes(raw[..8].try_into().unwrap());
-    let own_at_mark = u64::from_le_bytes(raw[8..16].try_into().unwrap());
     Some(marked + db.binlog_next_seq().saturating_sub(own_at_mark))
 }
 
@@ -165,18 +155,11 @@ pub fn replay_unapplied(db: &Db) -> usize {
         return 0;
     }
     let missing = (relay_next - applied_next) as usize;
-    let index = db.read_server_file(RELAY_INDEX).unwrap_or_default();
-    let anchor_off = if index.len() >= 16 {
-        let last = &index[(index.len() / 16 - 1) * 16..];
-        u64::from_le_bytes(last[8..16].try_into().unwrap())
-    } else {
-        0
-    };
+    let anchor_off = last_anchor(db).map_or(0, |(_, off)| off);
     let relay = db.read_server_file(RELAY_FILE).unwrap_or_default();
     let tail = relay.get(anchor_off as usize..).unwrap_or(&[]);
     let decoded: Vec<_> = carve_all_frames(tail)
-        .iter()
-        .filter_map(|(_, sealed, p)| db.decode_binlog_frame(*sealed, p).ok())
+        .filter_map(|(_, sealed, p)| db.decode_binlog_frame(sealed, p).ok())
         .collect();
     let mut replayed = 0usize;
     for event in decoded.iter().skip(decoded.len().saturating_sub(missing)) {

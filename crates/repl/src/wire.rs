@@ -6,7 +6,8 @@
 //! capture of the replication stream carves with the exact same tooling
 //! as a stolen binlog file — the stream *is* the binlog, in flight.
 
-use minidb::wal::{frame, BinlogEvent, RECORD_MAGIC};
+use mdb_trace::codec::{self, put_bytes32, put_i64, put_u32, put_u64, Reader, StreamDecoder};
+use minidb::wal::BinlogEvent;
 
 use crate::{ReplError, ReplResult};
 
@@ -54,6 +55,26 @@ impl SequencedEvent {
     }
 }
 
+/// Cuts `events` to the longest prefix (never empty) whose
+/// [`WireMessage::Events`] encoding fits one frame, and returns that
+/// encoding's length. Without the cut, a batch of large statements
+/// would frame past [`codec::MAX_PAYLOAD`] and the replica's decoder
+/// would — correctly — discard it as a corrupt header.
+pub fn fit_events_to_frame(events: &mut Vec<SequencedEvent>) -> usize {
+    let mut size = 1 + 4; // tag + count
+    let mut keep = 0;
+    for e in events.iter() {
+        let grown = size + 8 + 1 + 4 + e.payload.len();
+        if keep > 0 && grown > codec::MAX_PAYLOAD {
+            break;
+        }
+        size = grown;
+        keep += 1;
+    }
+    events.truncate(keep);
+    size
+}
+
 /// Message type tags on the wire.
 const TAG_HANDSHAKE: u8 = 1;
 const TAG_EVENTS: u8 = 2;
@@ -91,42 +112,6 @@ pub enum WireMessage {
     },
 }
 
-fn w_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> ReplResult<&'a [u8]> {
-        let b = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| ReplError::Protocol("truncated message".into()))?;
-        self.pos += n;
-        Ok(b)
-    }
-
-    fn u8(&mut self) -> ReplResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> ReplResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> ReplResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> ReplResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 impl WireMessage {
     /// Serializes the message payload (without framing).
     pub fn encode(&self) -> Vec<u8> {
@@ -137,17 +122,16 @@ impl WireMessage {
                 next_seq,
             } => {
                 out.push(TAG_HANDSHAKE);
-                w_u64(&mut out, *replica_id);
-                w_u64(&mut out, *next_seq);
+                put_u64(&mut out, *replica_id);
+                put_u64(&mut out, *next_seq);
             }
             WireMessage::Events { events } => {
                 out.push(TAG_EVENTS);
-                out.extend_from_slice(&(events.len() as u32).to_le_bytes());
+                put_u32(&mut out, events.len() as u32);
                 for e in events {
-                    w_u64(&mut out, e.seq);
+                    put_u64(&mut out, e.seq);
                     out.push(e.sealed as u8);
-                    out.extend_from_slice(&(e.payload.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&e.payload);
+                    put_bytes32(&mut out, &e.payload);
                 }
             }
             WireMessage::Heartbeat {
@@ -155,12 +139,12 @@ impl WireMessage {
                 timestamp,
             } => {
                 out.push(TAG_HEARTBEAT);
-                w_u64(&mut out, *primary_seq);
-                out.extend_from_slice(&timestamp.to_le_bytes());
+                put_u64(&mut out, *primary_seq);
+                put_i64(&mut out, *timestamp);
             }
             WireMessage::Purged { purged_to } => {
                 out.push(TAG_PURGED);
-                w_u64(&mut out, *purged_to);
+                put_u64(&mut out, *purged_to);
             }
         }
         out
@@ -168,7 +152,7 @@ impl WireMessage {
 
     /// Parses a message payload.
     pub fn decode(buf: &[u8]) -> ReplResult<WireMessage> {
-        let mut c = Cursor { buf, pos: 0 };
+        let mut c = Reader::new(buf);
         let msg = match c.u8()? {
             TAG_HANDSHAKE => WireMessage::Handshake {
                 replica_id: c.u64()?,
@@ -188,10 +172,9 @@ impl WireMessage {
                             )));
                         }
                     };
-                    let len = c.u32()? as usize;
                     // The payload stays opaque on the wire: it may be a
                     // sealed record only the replica's key can open.
-                    let payload = c.take(len)?.to_vec();
+                    let payload = c.bytes32()?.to_vec();
                     events.push(SequencedEvent {
                         seq,
                         sealed,
@@ -211,7 +194,7 @@ impl WireMessage {
                 return Err(ReplError::Protocol(format!("unknown message tag {other}")));
             }
         };
-        if c.pos != buf.len() {
+        if c.remaining() != 0 {
             return Err(ReplError::Protocol("trailing bytes in message".into()));
         }
         Ok(msg)
@@ -219,53 +202,39 @@ impl WireMessage {
 
     /// Frames the encoded message for a byte-stream transport.
     pub fn to_frame(&self) -> Vec<u8> {
-        frame(&self.encode())
+        codec::REPL_WIRE.encode(false, 0, &self.encode())
     }
 }
 
 /// Incremental frame parser for byte-stream transports: feed raw bytes,
-/// pop whole messages. Resyncs on the frame magic after garbage.
-#[derive(Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
+/// pop whole messages. The typed face of a [`StreamDecoder`] over
+/// [`codec::REPL_WIRE`]: it resyncs on the frame magic after garbage
+/// and treats a length past [`codec::MAX_PAYLOAD`] as garbage too, so a
+/// corrupt header cannot stall the stream while the buffer balloons.
+pub struct FrameDecoder(StreamDecoder);
+
+impl Default for FrameDecoder {
+    fn default() -> Self {
+        FrameDecoder(StreamDecoder::new(&codec::REPL_WIRE))
+    }
 }
 
 impl FrameDecoder {
     /// Appends raw bytes from the stream.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.0.feed(bytes);
     }
 
     /// Pops the next complete message, if one is buffered.
     pub fn next_message(&mut self) -> ReplResult<Option<WireMessage>> {
-        let magic = RECORD_MAGIC.to_le_bytes();
-        // Drop garbage before the next magic (a resync after a cut),
-        // keeping up to 3 trailing bytes that may be a magic prefix
-        // still arriving.
-        let start = self
-            .buf
-            .windows(4)
-            .position(|w| w == magic)
-            .unwrap_or_else(|| {
-                let keep = (1..4.min(self.buf.len() + 1))
-                    .rev()
-                    .find(|&k| magic.starts_with(&self.buf[self.buf.len() - k..]))
-                    .unwrap_or(0);
-                self.buf.len() - keep
-            });
-        if start > 0 {
-            self.buf.drain(..start);
-        }
-        if self.buf.len() < 8 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[4..8].try_into().unwrap()) as usize;
-        if self.buf.len() < 8 + len {
-            return Ok(None);
-        }
-        let msg = WireMessage::decode(&self.buf[8..8 + len]);
-        self.buf.drain(..8 + len);
-        msg.map(Some)
+        // REPL_WIRE carries no CRC, so `next_frame` cannot fail.
+        let frame = self.0.next_frame().ok().flatten();
+        frame.map(|f| WireMessage::decode(f.payload)).transpose()
+    }
+
+    /// Bytes currently buffered (diagnostics).
+    pub fn buffered(&self) -> usize {
+        self.0.buffered()
     }
 }
 
@@ -341,36 +310,61 @@ mod tests {
     }
 
     #[test]
-    fn frame_decoder_reassembles_split_frames() {
-        let a = WireMessage::Heartbeat {
-            primary_seq: 5,
-            timestamp: 10,
-        };
-        let b = WireMessage::Events {
-            events: vec![ev(5)],
-        };
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&a.to_frame());
-        stream.extend_from_slice(&b.to_frame());
+    fn oversized_length_field_is_garbage_not_a_stall() {
+        // `D1DEC0DE FFFFFFFF`: a corrupt (or hostile) header. Waiting
+        // for 4 GiB of "payload" would stall the replica while its
+        // buffer balloons; the cap makes it garbage to resync past.
+        let (a, b) = (
+            WireMessage::Purged { purged_to: 9 },
+            WireMessage::Events {
+                events: vec![ev(5)],
+            },
+        );
         let mut dec = FrameDecoder::default();
-        // Feed one byte at a time: messages appear only when complete.
-        let mut got = Vec::new();
-        for byte in stream {
-            dec.feed(&[byte]);
-            while let Some(m) = dec.next_message().unwrap() {
-                got.push(m);
-            }
+        dec.feed(&[0xDE, 0xC0, 0xDE, 0xD1, 0xFF, 0xFF, 0xFF, 0xFF]);
+        dec.feed(&a.to_frame());
+        dec.feed(&b.to_frame());
+        assert_eq!(dec.next_message().unwrap(), Some(a));
+        assert_eq!(dec.next_message().unwrap(), Some(b));
+        assert_eq!(dec.next_message().unwrap(), None);
+        assert_eq!(dec.buffered(), 0);
+        // And a peer that keeps streaming after such a header cannot
+        // grow the buffer: nothing frame-like is ever retained.
+        dec.feed(&[0xDE, 0xC0, 0xDE, 0xD1, 0xFF, 0xFF, 0xFF, 0xFF]);
+        for _ in 0..64 {
+            dec.feed(&[0x55; 4096]);
+            assert_eq!(dec.next_message().unwrap(), None);
+            assert!(dec.buffered() < 4);
         }
-        assert_eq!(got, vec![a, b]);
     }
 
     #[test]
-    fn frame_decoder_resyncs_after_garbage() {
-        let m = WireMessage::Purged { purged_to: 9 };
+    fn event_batches_close_before_the_frame_cap() {
+        let big = |seq| SequencedEvent {
+            seq,
+            sealed: true,
+            payload: vec![0xAB; 6 << 20],
+        };
+        // Three 6 MiB events would frame past the 16 MiB cap: ship two.
+        let mut batch = vec![big(0), big(1), big(2)];
+        let encoded_len = fit_events_to_frame(&mut batch);
+        assert_eq!(batch.len(), 2);
+        assert!(encoded_len <= codec::MAX_PAYLOAD);
+        let msg = WireMessage::Events { events: batch };
+        assert_eq!(msg.encode().len(), encoded_len);
         let mut dec = FrameDecoder::default();
-        dec.feed(&[0xAA, 0xBB, 0xCC]);
-        dec.feed(&m.to_frame());
-        assert_eq!(dec.next_message().unwrap(), Some(m));
-        assert_eq!(dec.next_message().unwrap(), None);
+        dec.feed(&msg.to_frame());
+        assert_eq!(dec.next_message().unwrap(), Some(msg));
+        // A small batch is untouched, and a batch is never cut to nothing.
+        let mut small = vec![ev(1), ev(2), ev(3)];
+        fit_events_to_frame(&mut small);
+        assert_eq!(small.len(), 3);
+        let mut lone = vec![SequencedEvent {
+            seq: 0,
+            sealed: false,
+            payload: vec![0; codec::MAX_PAYLOAD],
+        }];
+        fit_events_to_frame(&mut lone);
+        assert_eq!(lone.len(), 1);
     }
 }

@@ -150,7 +150,7 @@ fn accept_loop(
 }
 
 fn send(stream: &mut TcpStream, msg: &WireMessage) -> std::io::Result<()> {
-    stream.write_all(&msg.to_frame())
+    stream.write_all(&msg.to_reply_frame())
 }
 
 fn to_wire(r: QueryResult) -> WireMessage {

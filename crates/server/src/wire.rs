@@ -22,32 +22,27 @@
 //! client fleets).
 //!
 //! The framing deliberately mirrors the binlog's (`magic || len ||
-//! payload`, [`minidb::wal::frame`]) with a CRC-32 trailer bolted on —
-//! the same integrity check the trace log uses
-//! ([`mdb_trace::record::crc32`]). The consequence the threat-model
-//! cares about: a packet capture of the SQL session carves with the
-//! same resync loop as a stolen log file. Statement text crosses this
+//! payload`, [`minidb::wal::frame`]) with a CRC-32 trailer bolted on;
+//! both are descriptions ([`codec::SERVER`], [`codec::WAL`]) handed to
+//! the one frame layer in [`mdb_trace::codec`]. The consequence the
+//! threat-model cares about: a packet capture of the SQL session
+//! carves with the same resync loop as a stolen log file — literally. Statement text crosses this
 //! channel verbatim, before any EDB layer touches the rows — and in
 //! v2, so does the trace id that joins the capture to every other
 //! node's logs (the E19 surface).
 
+use mdb_trace::codec::{self, put_bytes32, put_i64, put_u32, put_u64, Reader, StreamDecoder};
 use mdb_trace::TraceContext;
 use minidb::value::Value;
 
-/// v1 frame magic: `b"MSRV"` — **M**iniDB **S**e**RV**er.
-pub const FRAME_MAGIC: [u8; 4] = *b"MSRV";
+/// Upper bound on one frame's payload — the cap every frame format
+/// shares. Decoders treat a longer claim as garbage; the server's
+/// sender refuses to frame a longer reply.
+pub const MAX_FRAME_LEN: usize = codec::MAX_PAYLOAD;
 
-/// v2 frame magic: a v2 frame carries a trace-context slot before the
-/// message payload.
-pub const FRAME_MAGIC_V2: [u8; 4] = *b"MSV2";
-
-/// Upper bound on one frame's payload; longer claims are treated as
-/// garbage so a corrupt length field cannot balloon the decode buffer.
-pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
-
-/// CRC-32 (IEEE), re-exported from the trace log's record format so
-/// both logs checksum identically.
-pub use mdb_trace::record::crc32;
+/// CRC-32 (IEEE), re-exported from the shared codec so every log and
+/// wire format checksums identically.
+pub use mdb_trace::codec::crc32;
 
 /// Wire-protocol decode error.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,6 +68,21 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<codec::ReadError> for WireError {
+    fn from(e: codec::ReadError) -> Self {
+        WireError::Protocol(e.to_string())
+    }
+}
+
+impl From<codec::CrcMismatch> for WireError {
+    fn from(e: codec::CrcMismatch) -> Self {
+        WireError::Crc {
+            expected: e.expected,
+            found: e.found,
+        }
+    }
+}
 
 type WireResult<T> = Result<T, WireError>;
 
@@ -158,87 +168,32 @@ pub enum WireMessage {
     Bye,
 }
 
-fn w_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_str(out: &mut Vec<u8>, s: &str) {
-    w_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn w_value(out: &mut Vec<u8>, v: &Value) {
+fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.push(VTAG_NULL),
         Value::Int(i) => {
             out.push(VTAG_INT);
-            out.extend_from_slice(&i.to_le_bytes());
+            put_i64(out, *i);
         }
         Value::Text(s) => {
             out.push(VTAG_TEXT);
-            w_str(out, s);
+            put_bytes32(out, s.as_bytes());
         }
         Value::Bytes(b) => {
             out.push(VTAG_BYTES);
-            w_u32(out, b.len() as u32);
-            out.extend_from_slice(b);
+            put_bytes32(out, b);
         }
     }
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> WireResult<&'a [u8]> {
-        let b = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| WireError::Protocol("truncated message".into()))?;
-        self.pos += n;
-        Ok(b)
-    }
-
-    fn u8(&mut self) -> WireResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> WireResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> WireResult<String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| WireError::Protocol("invalid utf-8 in string".into()))
-    }
-
-    fn value(&mut self) -> WireResult<Value> {
-        Ok(match self.u8()? {
-            VTAG_NULL => Value::Null,
-            VTAG_INT => Value::Int(self.i64()?),
-            VTAG_TEXT => Value::Text(self.str()?),
-            VTAG_BYTES => {
-                let n = self.u32()? as usize;
-                Value::Bytes(self.take(n)?.to_vec())
-            }
-            other => return Err(WireError::Protocol(format!("unknown value tag {other}"))),
-        })
-    }
+fn value(c: &mut Reader) -> WireResult<Value> {
+    Ok(match c.u8()? {
+        VTAG_NULL => Value::Null,
+        VTAG_INT => Value::Int(c.i64()?),
+        VTAG_TEXT => Value::Text(c.str32()?),
+        VTAG_BYTES => Value::Bytes(c.bytes32()?.to_vec()),
+        other => return Err(WireError::Protocol(format!("unknown value tag {other}"))),
+    })
 }
 
 impl WireMessage {
@@ -248,47 +203,47 @@ impl WireMessage {
         match self {
             WireMessage::Hello { user } => {
                 out.push(TAG_HELLO);
-                w_str(&mut out, user);
+                put_bytes32(&mut out, user.as_bytes());
             }
             WireMessage::Query { sql } => {
                 out.push(TAG_QUERY);
-                w_str(&mut out, sql);
+                put_bytes32(&mut out, sql.as_bytes());
             }
             WireMessage::Prepare { name, sql } => {
                 out.push(TAG_PREPARE);
-                w_str(&mut out, name);
-                w_str(&mut out, sql);
+                put_bytes32(&mut out, name.as_bytes());
+                put_bytes32(&mut out, sql.as_bytes());
             }
             WireMessage::ExecutePrepared { name } => {
                 out.push(TAG_EXECUTE_PREPARED);
-                w_str(&mut out, name);
+                put_bytes32(&mut out, name.as_bytes());
             }
             WireMessage::Trace => out.push(TAG_TRACE),
             WireMessage::Quit => out.push(TAG_QUIT),
             WireMessage::Greeting { session_id, server } => {
                 out.push(TAG_GREETING);
-                w_u64(&mut out, *session_id);
-                w_str(&mut out, server);
+                put_u64(&mut out, *session_id);
+                put_bytes32(&mut out, server.as_bytes());
             }
             WireMessage::Result(rs) => {
                 out.push(TAG_RESULT);
-                w_u32(&mut out, rs.columns.len() as u32);
+                put_u32(&mut out, rs.columns.len() as u32);
                 for c in &rs.columns {
-                    w_str(&mut out, c);
+                    put_bytes32(&mut out, c.as_bytes());
                 }
-                w_u32(&mut out, rs.rows.len() as u32);
+                put_u32(&mut out, rs.rows.len() as u32);
                 for row in &rs.rows {
-                    w_u32(&mut out, row.len() as u32);
+                    put_u32(&mut out, row.len() as u32);
                     for v in row {
-                        w_value(&mut out, v);
+                        put_value(&mut out, v);
                     }
                 }
-                w_u64(&mut out, rs.rows_examined);
-                w_u64(&mut out, rs.rows_affected);
+                put_u64(&mut out, rs.rows_examined);
+                put_u64(&mut out, rs.rows_affected);
             }
             WireMessage::Error { message } => {
                 out.push(TAG_ERROR);
-                w_str(&mut out, message);
+                put_bytes32(&mut out, message.as_bytes());
             }
             WireMessage::Bye => out.push(TAG_BYE),
         }
@@ -297,26 +252,26 @@ impl WireMessage {
 
     /// Parses a message payload.
     pub fn decode(buf: &[u8]) -> WireResult<WireMessage> {
-        let mut c = Cursor { buf, pos: 0 };
+        let mut c = Reader::new(buf);
         let msg = match c.u8()? {
-            TAG_HELLO => WireMessage::Hello { user: c.str()? },
-            TAG_QUERY => WireMessage::Query { sql: c.str()? },
+            TAG_HELLO => WireMessage::Hello { user: c.str32()? },
+            TAG_QUERY => WireMessage::Query { sql: c.str32()? },
             TAG_PREPARE => WireMessage::Prepare {
-                name: c.str()?,
-                sql: c.str()?,
+                name: c.str32()?,
+                sql: c.str32()?,
             },
-            TAG_EXECUTE_PREPARED => WireMessage::ExecutePrepared { name: c.str()? },
+            TAG_EXECUTE_PREPARED => WireMessage::ExecutePrepared { name: c.str32()? },
             TAG_TRACE => WireMessage::Trace,
             TAG_QUIT => WireMessage::Quit,
             TAG_GREETING => WireMessage::Greeting {
                 session_id: c.u64()?,
-                server: c.str()?,
+                server: c.str32()?,
             },
             TAG_RESULT => {
                 let ncols = c.u32()? as usize;
                 let mut columns = Vec::with_capacity(ncols.min(1024));
                 for _ in 0..ncols {
-                    columns.push(c.str()?);
+                    columns.push(c.str32()?);
                 }
                 let nrows = c.u32()? as usize;
                 let mut rows = Vec::with_capacity(nrows.min(1024));
@@ -324,7 +279,7 @@ impl WireMessage {
                     let width = c.u32()? as usize;
                     let mut row = Vec::with_capacity(width.min(1024));
                     for _ in 0..width {
-                        row.push(c.value()?);
+                        row.push(value(&mut c)?);
                     }
                     rows.push(row);
                 }
@@ -335,13 +290,15 @@ impl WireMessage {
                     rows_affected: c.u64()?,
                 })
             }
-            TAG_ERROR => WireMessage::Error { message: c.str()? },
+            TAG_ERROR => WireMessage::Error {
+                message: c.str32()?,
+            },
             TAG_BYE => WireMessage::Bye,
             other => {
                 return Err(WireError::Protocol(format!("unknown message tag {other}")));
             }
         };
-        if c.pos != buf.len() {
+        if c.remaining() != 0 {
             return Err(WireError::Protocol("trailing bytes in message".into()));
         }
         Ok(msg)
@@ -350,13 +307,21 @@ impl WireMessage {
     /// Frames the encoded message as a v1 frame:
     /// `magic || len || payload || crc32(payload)`.
     pub fn to_frame(&self) -> Vec<u8> {
+        codec::SERVER.encode(false, 0, &self.encode())
+    }
+
+    /// [`Self::to_frame`] for replies built from unbounded data (a
+    /// result set). A payload past [`MAX_FRAME_LEN`] would be discarded
+    /// by the peer's decoder as a corrupt header, leaving the client
+    /// blocked on a reply that never parses — so it is replaced by a
+    /// [`WireMessage::Error`] frame instead.
+    pub fn to_reply_frame(&self) -> Vec<u8> {
         let payload = self.encode();
-        let mut out = Vec::with_capacity(payload.len() + 12);
-        out.extend_from_slice(&FRAME_MAGIC);
-        w_u32(&mut out, payload.len() as u32);
-        out.extend_from_slice(&payload);
-        w_u32(&mut out, crc32(&payload));
-        out
+        if payload.len() > MAX_FRAME_LEN {
+            let message = "result exceeds frame limit".into();
+            return WireMessage::Error { message }.to_frame();
+        }
+        codec::SERVER.encode(false, 0, &payload)
     }
 }
 
@@ -388,65 +353,44 @@ impl Envelope {
         payload.push(1u8);
         ctx.encode(&mut payload);
         payload.extend_from_slice(&self.msg.encode());
-        let mut out = Vec::with_capacity(payload.len() + 12);
-        out.extend_from_slice(&FRAME_MAGIC_V2);
-        w_u32(&mut out, payload.len() as u32);
-        out.extend_from_slice(&payload);
-        w_u32(&mut out, crc32(&payload));
-        out
+        codec::SERVER.encode(true, 0, &payload)
     }
 
     /// Parses a v2 frame payload (context slot + message).
     fn decode_v2(payload: &[u8]) -> WireResult<Envelope> {
-        let (&flag, rest) = payload
-            .split_first()
-            .ok_or_else(|| WireError::Protocol("empty v2 payload".into()))?;
-        match flag {
-            0 => Ok(Envelope {
-                msg: WireMessage::decode(rest)?,
-                ctx: None,
-            }),
-            1 => {
-                if rest.len() < TraceContext::WIRE_LEN {
-                    return Err(WireError::Protocol("truncated trace context".into()));
-                }
-                let ctx = TraceContext::decode(rest)
-                    .ok_or_else(|| WireError::Protocol("bad trace context".into()))?;
-                Ok(Envelope {
-                    msg: WireMessage::decode(&rest[TraceContext::WIRE_LEN..])?,
-                    ctx: Some(ctx),
-                })
-            }
-            other => Err(WireError::Protocol(format!("unknown ctx flag {other}"))),
-        }
+        let mut r = Reader::new(payload);
+        let ctx = match r.u8()? {
+            0 => None,
+            1 => Some(
+                TraceContext::decode(r.take(TraceContext::WIRE_LEN)?)
+                    .ok_or_else(|| WireError::Protocol("bad trace context".into()))?,
+            ),
+            other => return Err(WireError::Protocol(format!("unknown ctx flag {other}"))),
+        };
+        let msg = WireMessage::decode(&payload[r.pos()..])?;
+        Ok(Envelope { msg, ctx })
     }
 }
 
 /// Incremental frame parser: feed raw stream bytes, pop whole
-/// envelopes. Resyncs on either frame magic (v1 `MSRV`, v2 `MSV2`)
-/// after garbage or a mid-frame cut, exactly like the binlog carver
-/// and the replication decoder — the wire stream is designed to be
-/// carvable, and one stream may interleave protocol versions.
-#[derive(Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-}
+/// envelopes. The typed face of a [`StreamDecoder`] over
+/// [`codec::SERVER`]: it resyncs on either frame magic (v1 `MSRV`, v2
+/// `MSV2`) after garbage or a mid-frame cut with the same loop that
+/// carves a binlog or decodes the replication stream — the wire stream
+/// is designed to be carvable, and one stream may interleave protocol
+/// versions.
+pub struct FrameDecoder(StreamDecoder);
 
-/// Whether the last `keep` bytes of `buf` are a prefix of either magic.
-fn magic_prefix_keep(buf: &[u8]) -> usize {
-    (1..4.min(buf.len() + 1))
-        .rev()
-        .find(|&k| {
-            let tail = &buf[buf.len() - k..];
-            FRAME_MAGIC.starts_with(tail) || FRAME_MAGIC_V2.starts_with(tail)
-        })
-        .unwrap_or(0)
+impl Default for FrameDecoder {
+    fn default() -> Self {
+        FrameDecoder(StreamDecoder::new(&codec::SERVER))
+    }
 }
 
 impl FrameDecoder {
     /// Appends raw bytes from the stream.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.0.feed(bytes);
     }
 
     /// Pops the next complete message, if one is buffered, discarding
@@ -457,55 +401,24 @@ impl FrameDecoder {
 
     /// Pops the next complete envelope, if one is buffered.
     ///
-    /// A frame whose CRC trailer mismatches (or whose length field is
-    /// absurd) is rejected with an error; the decoder then resyncs past
-    /// that magic, so subsequent intact frames still decode.
+    /// A frame whose CRC trailer mismatches is rejected with an error
+    /// (one whose length field is absurd, silently); the decoder then
+    /// resyncs past that magic, so subsequent intact frames still
+    /// decode.
     pub fn next_envelope(&mut self) -> WireResult<Option<Envelope>> {
-        loop {
-            // Drop garbage before the next magic (either version),
-            // keeping up to 3 trailing bytes that may be a magic
-            // prefix still arriving.
-            let start = self
-                .buf
-                .windows(4)
-                .position(|w| w == FRAME_MAGIC || w == FRAME_MAGIC_V2)
-                .unwrap_or_else(|| self.buf.len() - magic_prefix_keep(&self.buf));
-            if start > 0 {
-                self.buf.drain(..start);
-            }
-            if self.buf.len() < 8 {
-                return Ok(None);
-            }
-            let v2 = self.buf[..4] == FRAME_MAGIC_V2;
-            let len = u32::from_le_bytes(self.buf[4..8].try_into().unwrap()) as usize;
-            if len > MAX_FRAME_LEN {
-                // A corrupt length field: skip this magic and resync.
-                self.buf.drain(..4);
-                continue;
-            }
-            if self.buf.len() < 12 + len {
-                return Ok(None);
-            }
-            let payload = &self.buf[8..8 + len];
-            let expected = crc32(payload);
-            let found = u32::from_le_bytes(self.buf[8 + len..12 + len].try_into().unwrap());
-            if found != expected {
-                self.buf.drain(..4);
-                return Err(WireError::Crc { expected, found });
-            }
-            let env = if v2 {
-                Envelope::decode_v2(payload)
-            } else {
-                WireMessage::decode(payload).map(Envelope::plain)
-            };
-            self.buf.drain(..12 + len);
-            return env.map(Some);
+        let Some(frame) = self.0.next_frame()? else {
+            return Ok(None);
+        };
+        if frame.alt {
+            Envelope::decode_v2(frame.payload).map(Some)
+        } else {
+            Ok(Some(Envelope::plain(WireMessage::decode(frame.payload)?)))
         }
     }
 
     /// Bytes currently buffered (diagnostics).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.0.buffered()
     }
 }
 
@@ -568,36 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_decoder_reassembles_split_frames() {
-        let a = WireMessage::Query {
-            sql: "BEGIN".into(),
-        };
-        let b = sample_result();
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&a.to_frame());
-        stream.extend_from_slice(&b.to_frame());
-        let mut dec = FrameDecoder::default();
-        let mut got = Vec::new();
-        for byte in stream {
-            dec.feed(&[byte]);
-            while let Some(m) = dec.next_message().unwrap() {
-                got.push(m);
-            }
-        }
-        assert_eq!(got, vec![a, b]);
-    }
-
-    #[test]
-    fn frame_decoder_resyncs_after_garbage() {
-        let m = WireMessage::Quit;
-        let mut dec = FrameDecoder::default();
-        dec.feed(&[0xAA, 0xBB, 0xCC]);
-        dec.feed(&m.to_frame());
-        assert_eq!(dec.next_message().unwrap(), Some(m));
-        assert_eq!(dec.next_message().unwrap(), None);
-    }
-
-    #[test]
     fn v2_envelope_round_trips_with_and_without_context() {
         let ctx = TraceContext {
             trace_id: 0xFEED_F00D,
@@ -613,7 +496,7 @@ mod tests {
         let plain = Envelope::plain(WireMessage::Bye);
         // Context-free envelopes emit byte-identical v1 frames.
         assert_eq!(plain.to_frame(), WireMessage::Bye.to_frame());
-        assert_eq!(&traced.to_frame()[..4], &FRAME_MAGIC_V2);
+        assert_eq!(&traced.to_frame()[..4], b"MSV2");
         let mut dec = FrameDecoder::default();
         dec.feed(&traced.to_frame());
         dec.feed(&plain.to_frame());
@@ -666,5 +549,32 @@ mod tests {
         dec.feed(&good.to_frame());
         assert!(matches!(dec.next_message(), Err(WireError::Crc { .. })));
         assert_eq!(dec.next_message().unwrap(), Some(good));
+    }
+
+    #[test]
+    fn over_cap_replies_become_an_error_frame() {
+        // Error payload = tag + u32 length + text.
+        let reply = |payload_len: usize| WireMessage::Error {
+            message: "x".repeat(payload_len - 5),
+        };
+        let mut dec = FrameDecoder::default();
+        // Exactly at the cap the reply ships as itself and decodes.
+        let at_cap = reply(MAX_FRAME_LEN);
+        assert_eq!(at_cap.encode().len(), MAX_FRAME_LEN);
+        dec.feed(&at_cap.to_reply_frame());
+        assert_eq!(dec.next_message().unwrap(), Some(at_cap));
+        // One byte more and the unchecked frame is garbage to the
+        // peer's decoder — the client would block on it forever…
+        let over = reply(MAX_FRAME_LEN + 1);
+        dec.feed(&over.to_frame());
+        assert_eq!(dec.next_message().unwrap(), None);
+        // …so the server's send path answers with an Error instead.
+        dec.feed(&over.to_reply_frame());
+        assert_eq!(
+            dec.next_message().unwrap(),
+            Some(WireMessage::Error {
+                message: "result exceeds frame limit".into()
+            })
+        );
     }
 }

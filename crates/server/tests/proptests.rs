@@ -1,9 +1,11 @@
-//! Property-based tests for the server wire protocol: unicode
-//! round-trips, chunked reassembly, mid-stream cuts with resync, CRC
-//! corruption rejection, and mixed v1/v2 (trace-context) streams.
+//! Property-based tests for the server wire protocol's messages:
+//! unicode round-trips and mixed v1/v2 (trace-context) streams through
+//! the typed decoder. Frame-level properties (chunking, cuts, CRC
+//! rejection, resync) live in the one framing suite,
+//! `crates/minidb/tests/framing.rs`.
 
 use mdb_server::wire::Envelope;
-use mdb_server::{FrameDecoder, WireError, WireMessage, WireResultSet};
+use mdb_server::{FrameDecoder, WireMessage, WireResultSet};
 use mdb_trace::TraceContext;
 use minidb::value::Value;
 use proptest::prelude::*;
@@ -73,87 +75,6 @@ proptest! {
     }
 
     #[test]
-    fn chunked_streams_reassemble(
-        msgs in proptest::collection::vec(arb_message(), 1..6),
-        chunk in 1usize..17,
-    ) {
-        let mut stream = Vec::new();
-        for m in &msgs {
-            stream.extend_from_slice(&m.to_frame());
-        }
-        let mut dec = FrameDecoder::default();
-        let mut got = Vec::new();
-        for piece in stream.chunks(chunk) {
-            dec.feed(piece);
-            while let Some(m) = dec.next_message().unwrap() {
-                got.push(m);
-            }
-        }
-        prop_assert_eq!(got, msgs);
-    }
-
-    #[test]
-    fn mid_stream_cut_resyncs_to_next_frame(
-        a in arb_message(),
-        b in arb_message(),
-        cut_frac in 0u8..=100,
-    ) {
-        // Transmit a prefix of frame A (a connection cut mid-frame),
-        // then an intact frame B: B must always be recovered.
-        let fa = a.to_frame();
-        let cut = (fa.len() * cut_frac as usize) / 100;
-        let mut stream = fa[..cut].to_vec();
-        stream.extend_from_slice(&b.to_frame());
-        // Trailing traffic: the decoder only discovers the cut once
-        // enough bytes arrive to cover the truncated frame's claimed
-        // length — a stream parser cannot detect a cut from silence.
-        stream.extend_from_slice(&vec![0u8; fa.len() + 16]);
-        let mut dec = FrameDecoder::default();
-        dec.feed(&stream);
-        let mut got = Vec::new();
-        loop {
-            match dec.next_message() {
-                Ok(Some(m)) => got.push(m),
-                Ok(None) => break,
-                Err(_) => continue, // the cut may surface as a CRC error
-            }
-        }
-        prop_assert!(got.contains(&b), "B lost after cut at {}/{}", cut, fa.len());
-    }
-
-    #[test]
-    fn corrupted_payload_byte_is_rejected_then_resynced(
-        a in arb_message(),
-        b in arb_message(),
-        flip in any::<u16>(),
-        bit in 0u8..8,
-    ) {
-        let mut fa = a.to_frame();
-        let payload_len = fa.len() - 12;
-        prop_assume!(payload_len > 0);
-        let pos = 8 + (flip as usize % payload_len);
-        fa[pos] ^= 1 << bit;
-        let mut dec = FrameDecoder::default();
-        dec.feed(&fa);
-        dec.feed(&b.to_frame());
-        // The corrupt frame must never decode as a message; B must
-        // still arrive.
-        let mut got = Vec::new();
-        let mut crc_errors = 0;
-        loop {
-            match dec.next_message() {
-                Ok(Some(m)) => got.push(m),
-                Ok(None) => break,
-                Err(WireError::Crc { .. }) => crc_errors += 1,
-                Err(WireError::Protocol(_)) => {}
-            }
-        }
-        prop_assert!(crc_errors >= 1, "payload corruption must fail the CRC");
-        prop_assert!(got.contains(&b));
-        prop_assert!(!got.contains(&a) || a == b, "corrupt frame decoded");
-    }
-
-    #[test]
     fn mixed_v1_v2_streams_decode_in_order(
         envs in proptest::collection::vec(arb_envelope(), 1..8),
         chunk in 1usize..17,
@@ -192,29 +113,4 @@ proptest! {
         prop_assert_eq!(dec.next_message().unwrap(), None);
     }
 
-    #[test]
-    fn cut_v2_frame_resyncs_onto_either_version(
-        a in arb_envelope(),
-        b in arb_envelope(),
-        cut_frac in 0u8..=100,
-    ) {
-        // A mid-frame cut in either protocol version must not take the
-        // decoder's ability to resync onto the *other* version with it.
-        let fa = a.to_frame();
-        let cut = (fa.len() * cut_frac as usize) / 100;
-        let mut stream = fa[..cut].to_vec();
-        stream.extend_from_slice(&b.to_frame());
-        stream.extend_from_slice(&vec![0u8; fa.len() + 16]);
-        let mut dec = FrameDecoder::default();
-        dec.feed(&stream);
-        let mut got = Vec::new();
-        loop {
-            match dec.next_envelope() {
-                Ok(Some(e)) => got.push(e),
-                Ok(None) => break,
-                Err(_) => continue, // the cut may surface as a CRC error
-            }
-        }
-        prop_assert!(got.contains(&b), "B lost after cut at {}/{}", cut, fa.len());
-    }
 }

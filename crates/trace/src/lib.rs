@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub mod chrome;
+pub mod codec;
 pub mod merge;
 pub mod record;
 
@@ -162,15 +163,11 @@ impl TraceContext {
     /// Decodes the wire form from the first [`WIRE_LEN`](Self::WIRE_LEN)
     /// bytes of `buf`.
     pub fn decode(buf: &[u8]) -> Option<TraceContext> {
-        if buf.len() < Self::WIRE_LEN {
-            return None;
-        }
-        let trace_id = u128::from_le_bytes(buf[..16].try_into().ok()?);
-        let span_id = u64::from_le_bytes(buf[16..24].try_into().ok()?);
+        let mut r = codec::Reader::new(buf);
         Some(TraceContext {
-            trace_id,
-            span_id,
-            sampled: buf[24] & 1 != 0,
+            trace_id: r.u128().ok()?,
+            span_id: r.u64().ok()?,
+            sampled: r.u8().ok()? & 1 != 0,
         })
     }
 }

@@ -3,6 +3,7 @@
 //!
 //! ```text
 //! record  = magic "MTRC" | version u8 | payload_len u32 LE | payload | crc32 u32 LE
+//!           (the shared frame layer: [`crate::codec::TRACE`])
 //! payload = conn_id u64 | started i64 | total_us u64 | trace_id u64
 //!           | statement str | digest str
 //!           | tables:  u16 n, n × str
@@ -27,80 +28,57 @@
 //! from a stolen disk. Decoding is bounded (string/fan-out/depth caps)
 //! so carving adversarial bytes stays cheap.
 
+use crate::codec::{self, put_i64, put_str16, put_u16, put_u64, Reader};
 use crate::{Span, StatementTrace, TraceContext};
 
-/// Record preamble.
-pub const MAGIC: [u8; 4] = *b"MTRC";
 /// Current format version (v2: node identity + distributed context).
 pub const VERSION: u8 = 2;
 /// The pre-xtrace format, still carvable.
 pub const VERSION_V1: u8 = 1;
 
-/// Decode caps: longest string, widest fan-out, deepest nesting.
-const MAX_STR: usize = 1 << 20;
+/// Decode caps: widest fan-out, deepest nesting.
 const MAX_FANOUT: usize = 4096;
 const MAX_DEPTH: usize = 64;
 
-/// CRC-32 (IEEE 802.3, reflected), bitwise — zero-dependency and fast
-/// enough for log-append volumes.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+/// CRC-32 (IEEE), re-exported from the shared codec.
+pub use crate::codec::crc32;
+
+/// Writes a `u16` element count, saturating like the `take` beside it.
+fn put_count(out: &mut Vec<u8>, n: usize) {
+    put_u16(out, n.min(u16::MAX as usize) as u16);
 }
 
-fn w_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_str(out: &mut Vec<u8>, s: &str) {
-    let b = s.as_bytes();
-    let n = b.len().min(u16::MAX as usize);
-    w_u16(out, n as u16);
-    out.extend_from_slice(&b[..n]);
-}
-
-fn w_span(out: &mut Vec<u8>, s: &Span) {
-    w_str(out, &s.name);
-    w_u64(out, s.start_us);
-    w_u64(out, s.dur_us);
-    w_u16(out, s.attrs.len().min(u16::MAX as usize) as u16);
+fn put_span(out: &mut Vec<u8>, s: &Span) {
+    put_str16(out, &s.name);
+    put_u64(out, s.start_us);
+    put_u64(out, s.dur_us);
+    put_count(out, s.attrs.len());
     for (k, v) in s.attrs.iter().take(u16::MAX as usize) {
-        w_str(out, k);
-        w_u64(out, *v);
+        put_str16(out, k);
+        put_u64(out, *v);
     }
-    w_u16(out, s.children.len().min(u16::MAX as usize) as u16);
+    put_count(out, s.children.len());
     for c in s.children.iter().take(u16::MAX as usize) {
-        w_span(out, c);
+        put_span(out, c);
     }
 }
 
 /// Serializes just the payload (no framing). Shared with the snapshot
 /// container, which frames sections itself.
 pub fn encode_payload(t: &StatementTrace, out: &mut Vec<u8>) {
-    w_u64(out, t.conn_id);
-    out.extend_from_slice(&t.started_unix.to_le_bytes());
-    w_u64(out, t.total_us);
-    w_u64(out, t.trace_id);
-    w_str(out, &t.statement);
-    w_str(out, &t.digest);
-    w_u16(out, t.tables.len().min(u16::MAX as usize) as u16);
+    put_u64(out, t.conn_id);
+    put_i64(out, t.started_unix);
+    put_u64(out, t.total_us);
+    put_u64(out, t.trace_id);
+    put_str16(out, &t.statement);
+    put_str16(out, &t.digest);
+    put_count(out, t.tables.len());
     for tab in t.tables.iter().take(u16::MAX as usize) {
-        w_str(out, tab);
+        put_str16(out, tab);
     }
-    w_span(out, &t.root);
+    put_span(out, &t.root);
     // v2 tail: node identity + optional distributed context.
-    w_str(out, &t.node);
+    put_str16(out, &t.node);
     match &t.ctx {
         Some(ctx) => {
             out.push(1);
@@ -115,100 +93,55 @@ pub fn encode_payload(t: &StatementTrace, out: &mut Vec<u8>) {
 pub fn encode_record(t: &StatementTrace) -> Vec<u8> {
     let mut payload = Vec::new();
     encode_payload(t, &mut payload);
-    let mut out = Vec::with_capacity(payload.len() + 13);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out[MAGIC.len()..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    codec::TRACE.encode(false, VERSION, &payload)
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Reads a `u16` element count, rejecting absurd fan-outs.
+fn count(r: &mut Reader) -> Option<usize> {
+    let n = r.u16().ok()? as usize;
+    (n <= MAX_FANOUT).then_some(n)
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let b = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(b)
+fn span(r: &mut Reader, depth: usize) -> Option<Span> {
+    if depth > MAX_DEPTH {
+        return None;
     }
-
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
+    let name = r.str16().ok()?;
+    let start_us = r.u64().ok()?;
+    let dur_us = r.u64().ok()?;
+    let n_attrs = count(r)?;
+    let mut attrs = Vec::with_capacity(n_attrs.min(64));
+    for _ in 0..n_attrs {
+        attrs.push((r.str16().ok()?, r.u64().ok()?));
     }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    let n_children = count(r)?;
+    let mut children = Vec::with_capacity(n_children.min(64));
+    for _ in 0..n_children {
+        children.push(span(r, depth + 1)?);
     }
-
-    fn i64(&mut self) -> Option<i64> {
-        Some(i64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let n = self.u16()? as usize;
-        if n > MAX_STR {
-            return None;
-        }
-        String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
-
-    fn span(&mut self, depth: usize) -> Option<Span> {
-        if depth > MAX_DEPTH {
-            return None;
-        }
-        let name = self.str()?;
-        let start_us = self.u64()?;
-        let dur_us = self.u64()?;
-        let n_attrs = self.u16()? as usize;
-        if n_attrs > MAX_FANOUT {
-            return None;
-        }
-        let mut attrs = Vec::with_capacity(n_attrs.min(64));
-        for _ in 0..n_attrs {
-            let k = self.str()?;
-            let v = self.u64()?;
-            attrs.push((k, v));
-        }
-        let n_children = self.u16()? as usize;
-        if n_children > MAX_FANOUT {
-            return None;
-        }
-        let mut children = Vec::with_capacity(n_children.min(64));
-        for _ in 0..n_children {
-            children.push(self.span(depth + 1)?);
-        }
-        Some(Span {
-            name,
-            start_us,
-            dur_us,
-            attrs,
-            children,
-        })
-    }
+    Some(Span {
+        name,
+        start_us,
+        dur_us,
+        attrs,
+        children,
+    })
 }
 
 /// Decodes the fields shared by every payload version.
 fn decode_common(r: &mut Reader) -> Option<StatementTrace> {
-    let conn_id = r.u64()?;
-    let started_unix = r.i64()?;
-    let total_us = r.u64()?;
-    let trace_id = r.u64()?;
-    let statement = r.str()?;
-    let digest = r.str()?;
-    let n_tables = r.u16()? as usize;
-    if n_tables > MAX_FANOUT {
-        return None;
-    }
+    let conn_id = r.u64().ok()?;
+    let started_unix = r.i64().ok()?;
+    let total_us = r.u64().ok()?;
+    let trace_id = r.u64().ok()?;
+    let statement = r.str16().ok()?;
+    let digest = r.str16().ok()?;
+    let n_tables = count(r)?;
     let mut tables = Vec::with_capacity(n_tables.min(64));
     for _ in 0..n_tables {
-        tables.push(r.str()?);
+        tables.push(r.str16().ok()?);
     }
-    let root = r.span(0)?;
+    let root = span(r, 0)?;
     Some(StatementTrace {
         trace_id,
         conn_id,
@@ -226,22 +159,22 @@ fn decode_common(r: &mut Reader) -> Option<StatementTrace> {
 /// Deserializes a v2 payload produced by [`encode_payload`]. Returns
 /// the trace and the number of bytes consumed; `None` on malformation.
 pub fn decode_payload(buf: &[u8]) -> Option<(StatementTrace, usize)> {
-    let mut r = Reader { buf, pos: 0 };
+    let mut r = Reader::new(buf);
     let mut t = decode_common(&mut r)?;
-    t.node = r.str()?;
-    t.ctx = match r.take(1)?[0] {
+    t.node = r.str16().ok()?;
+    t.ctx = match r.u8().ok()? {
         0 => None,
-        1 => Some(TraceContext::decode(r.take(TraceContext::WIRE_LEN)?)?),
+        1 => Some(TraceContext::decode(r.take(TraceContext::WIRE_LEN).ok()?)?),
         _ => return None,
     };
-    Some((t, r.pos))
+    Some((t, r.pos()))
 }
 
 /// Deserializes a v1 payload (no node, no context).
 pub fn decode_payload_v1(buf: &[u8]) -> Option<(StatementTrace, usize)> {
-    let mut r = Reader { buf, pos: 0 };
+    let mut r = Reader::new(buf);
     let t = decode_common(&mut r)?;
-    Some((t, r.pos))
+    Some((t, r.pos()))
 }
 
 /// One record recovered by [`carve`], with its byte offset in the input.
@@ -258,51 +191,18 @@ pub struct CarvedRecord {
 /// only if its version, length, CRC, and payload all check out, so a
 /// flipped byte costs at most the record it lands in.
 pub fn carve(raw: &[u8]) -> Vec<CarvedRecord> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i + MAGIC.len() + 9 <= raw.len() {
-        if raw[i..i + MAGIC.len()] != MAGIC {
-            i += 1;
-            continue;
-        }
-        match try_decode_at(raw, i) {
-            Some((trace, consumed)) => {
-                out.push(CarvedRecord { offset: i, trace });
-                i += consumed;
-            }
-            None => i += 1,
-        }
-    }
-    out
-}
-
-/// Attempts to decode one full record starting at `offset`; returns the
-/// trace and total framed length on success.
-fn try_decode_at(raw: &[u8], offset: usize) -> Option<(StatementTrace, usize)> {
-    let body = &raw[offset + MAGIC.len()..];
-    if body.len() < 9 {
-        return None;
-    }
-    let version = body[0];
-    if version != VERSION && version != VERSION_V1 {
-        return None;
-    }
-    let len = u32::from_le_bytes(body[1..5].try_into().ok()?) as usize;
-    let framed = body.get(..5 + len + 4)?;
-    let stored_crc = u32::from_le_bytes(framed[5 + len..].try_into().ok()?);
-    if crc32(&framed[..5 + len]) != stored_crc {
-        return None;
-    }
-    let payload = &framed[5..5 + len];
-    let (trace, consumed) = if version == VERSION {
-        decode_payload(payload)?
-    } else {
-        decode_payload_v1(payload)?
-    };
-    if consumed != len {
-        return None;
-    }
-    Some((trace, MAGIC.len() + 5 + len + 4))
+    codec::scan(&codec::TRACE, raw)
+        .filter_map(|f| {
+            let (trace, consumed) = match f.version {
+                VERSION => decode_payload(f.payload)?,
+                _ => decode_payload_v1(f.payload)?,
+            };
+            (consumed == f.payload.len()).then_some(CarvedRecord {
+                offset: f.offset,
+                trace,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -336,48 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn carve_concatenated_with_leading_noise() {
-        let mut buf = b"some textual noise\n".to_vec();
-        let traces: Vec<StatementTrace> = (0..4).map(sample).collect();
-        for t in &traces {
-            buf.extend_from_slice(&encode_record(t));
-            buf.extend_from_slice(b"||"); // Inter-record garbage.
-        }
-        let carved = carve(&buf);
-        assert_eq!(carved.len(), 4);
-        for (c, t) in carved.iter().zip(&traces) {
-            assert_eq!(&c.trace, t);
-        }
-    }
-
-    #[test]
-    fn truncation_drops_only_the_tail_record() {
-        let mut buf = Vec::new();
-        for i in 0..3 {
-            buf.extend_from_slice(&encode_record(&sample(i)));
-        }
-        let cut = buf.len() - 5; // Mid final record.
-        let carved = carve(&buf[..cut]);
-        assert_eq!(carved.len(), 2);
-    }
-
-    #[test]
-    fn corruption_is_contained_by_the_crc() {
-        let mut buf = Vec::new();
-        for i in 0..3 {
-            buf.extend_from_slice(&encode_record(&sample(i)));
-        }
-        let mid = buf.len() / 2; // Lands in the middle record.
-        buf[mid] ^= 0xFF;
-        let carved = carve(&buf);
-        assert_eq!(carved.len(), 2, "exactly the hit record is lost");
-        let originals: Vec<StatementTrace> = (0..3).map(sample).collect();
-        for c in &carved {
-            assert!(originals.contains(&c.trace), "no fabricated records");
-        }
-    }
-
-    #[test]
     fn embedded_magic_inside_a_statement_does_not_confuse_the_carver() {
         let t = StatementTrace::minimal(1, 0, "SELECT 'MTRC' FROM t -- MTRC", "d", 10, 0);
         let mut buf = encode_record(&t);
@@ -385,12 +243,6 @@ mod tests {
         let carved = carve(&buf);
         assert_eq!(carved.len(), 2);
         assert_eq!(carved[0].trace.statement, "SELECT 'MTRC' FROM t -- MTRC");
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // IEEE CRC-32 of "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     /// Frames a payload as a v1 record (what a pre-xtrace slow log
@@ -404,14 +256,7 @@ mod tests {
         // Strip the v2 tail: node str (2-byte len + bytes) + flag byte.
         let tail = 2 + bare.node.len() + 1;
         payload.truncate(payload.len() - tail);
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION_V1);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        let crc = crc32(&out[MAGIC.len()..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        codec::TRACE.encode(false, VERSION_V1, &payload)
     }
 
     #[test]
