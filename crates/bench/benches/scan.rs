@@ -1,7 +1,8 @@
-//! Scan-path benchmarks: materialize-everything full scans vs
-//! zone-map-pruned streaming scans, 1% selectivity over an unindexed
-//! column (the `scanbench` fixture). The pruned path's win is the
-//! tentpole claim: >= 5x throughput at 100k rows.
+//! Scan-path benchmarks over the `scanbench` fixture, one per access
+//! path of the scan kernel: full scans vs zone-map-pruned scans at 1%
+//! selectivity over an unindexed column, an equality nothing can prune
+//! (every row filtered, one kept: the evaluator's per-row cost), and a
+//! 200-row primary-key range (index walk + page-batched heap fetch).
 
 use std::time::Duration;
 
@@ -26,12 +27,29 @@ fn bench_scan(c: &mut Criterion) {
             });
         });
 
+        let mut q = 0usize;
+        g.bench_with_input(BenchmarkId::new("full_eq", rows), &rows, |b, &rows| {
+            b.iter(|| {
+                full_conn.execute(&scanbench::eq_query(rows, q)).unwrap();
+                q += 1;
+            });
+        });
+
         let pruned_db = scanbench::build_db(rows, true);
         let pruned_conn = pruned_db.connect("bench");
         let mut q = 0usize;
         g.bench_with_input(BenchmarkId::new("pruned", rows), &rows, |b, &rows| {
             b.iter(|| {
                 pruned_conn.execute(&scanbench::query(rows, q)).unwrap();
+                q += 1;
+            });
+        });
+
+        let mut q = 0usize;
+        g.bench_with_input(BenchmarkId::new("pk_range", rows), &rows, |b, &rows| {
+            b.iter(|| {
+                let sql = scanbench::pk_range_query(rows, q);
+                pruned_conn.execute(&sql).unwrap();
                 q += 1;
             });
         });

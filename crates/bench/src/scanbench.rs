@@ -56,6 +56,28 @@ pub fn query(rows: usize, q: usize) -> String {
     )
 }
 
+/// The `q`-th equality predicate over `ts`: one row out of `rows`. On
+/// the zone-maps-off fixture nothing can prune it, so every row's `ts`
+/// is compared — the per-row cost of the predicate evaluator, with no
+/// result to materialize.
+pub fn eq_query(rows: usize, q: usize) -> String {
+    let hit = (q * 7919 % rows) as i64 * STEP;
+    format!("SELECT id, ts FROM events WHERE ts = {hit}")
+}
+
+/// Rows a [`pk_range_query`] returns.
+pub const PK_RANGE_ROWS: usize = 200;
+
+/// The `q`-th [`PK_RANGE_ROWS`]-row primary-key range: a B+ tree descent
+/// and leaf walk, then the heap rows, which sit on one or two pages.
+pub fn pk_range_query(rows: usize, q: usize) -> String {
+    let lo = q * 7919 % (rows - PK_RANGE_ROWS);
+    format!(
+        "SELECT id, ts, note FROM events WHERE id >= {lo} AND id < {}",
+        lo + PK_RANGE_ROWS
+    )
+}
+
 /// One measured scan configuration.
 #[derive(Clone, Debug)]
 pub struct ScanMeasurement {

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use crate::heap::HeapPtr;
-use crate::storage::bufpool::PageKey;
+use crate::storage::PageKey;
 use crate::value::Value;
 
 /// A cached result set.

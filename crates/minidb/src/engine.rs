@@ -15,13 +15,14 @@ use crate::group_commit::GroupCommitPipeline;
 use crate::heap::HeapArena;
 use crate::mvcc::{VersionStore, OP_DELETE, OP_UPDATE};
 use crate::observability::{PerfSchema, ProcessList, ReplicaStatus};
+use crate::predicate::Predicate;
 use crate::row::{Row, RowId};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::sql::ast::{CmpOp, Expr, SelectItem, SelectStmt, Statement};
 use crate::sql::{digest_text, parse_statement};
 use crate::storage::btree::BTree;
 use crate::storage::shardpool::ShardedBufferPool;
-use crate::storage::table::{TableHeap, UpdatePlacement};
+use crate::storage::table::{ScanSink, TableHeap, UpdatePlacement};
 use crate::value::Value;
 use crate::vdisk::VDisk;
 use crate::wal::{BinlogEvent, OpKind, RedoRecord, UndoRecord, Wal};
@@ -1625,9 +1626,9 @@ impl DbInner {
         // Backfill from existing rows.
         let rt = self
             .runtime
-            .get(&ltable)
+            .get_mut(&ltable)
             .ok_or_else(|| DbError::UnknownTable(ltable.clone()))?;
-        let (rows, _) = rt.heap.scan(&self.bufpool, &mut self.vdisk)?;
+        let rows = rt.heap.scan(&self.bufpool, &mut self.vdisk)?;
         for row in &rows {
             bt.insert(
                 &self.bufpool,
@@ -1815,13 +1816,13 @@ impl DbInner {
         visible.sort_by_key(|r| r.id);
         self.trace_attr("rows_visible", visible.len() as u64);
         self.trace_end_elastic();
+        let pred = sel
+            .where_clause
+            .as_ref()
+            .map(|w| Predicate::compile(w, &def.schema, &self.functions));
         let mut rows = Vec::with_capacity(visible.len());
         for r in visible {
-            let keep = match sel.where_clause.as_ref() {
-                Some(pred) => self.eval_truthy(pred, &def.schema, &r)?,
-                None => true,
-            };
-            if keep {
+            if pred.as_ref().map_or(Ok(true), |p| p.holds(&r))? {
                 rows.push(r);
             }
         }
@@ -1992,16 +1993,17 @@ impl DbInner {
                 })
                 .collect(),
         )?;
+        let pred = sel
+            .where_clause
+            .as_ref()
+            .map(|w| Predicate::compile(w, &schema_like, &self.functions));
         let mut kept = Vec::new();
         let examined = rows.len() as u64;
         for values in rows {
             let row = Row { id: 0, values };
-            if let Some(w) = &sel.where_clause {
-                if !self.eval_truthy(w, &schema_like, &row)? {
-                    continue;
-                }
+            if pred.as_ref().map_or(Ok(true), |p| p.holds(&row))? {
+                kept.push(row);
             }
-            kept.push(row);
         }
         if let Some((col, desc)) = &sel.order_by {
             let idx = schema_like.column_index(col)?;
@@ -2045,6 +2047,11 @@ impl DbInner {
     ) -> DbResult<(Vec<Row>, u64)> {
         self.trace_begin("plan");
         let plan = where_clause.map(|w| plan_scan(def, w)).unwrap_or_default();
+        // When the index bounds *are* the predicate, re-running the
+        // filter per row is pure overhead — there is none to compile.
+        let pred = where_clause
+            .filter(|_| !plan.guaranteed)
+            .map(|w| Predicate::compile(w, &def.schema, &self.functions));
         self.trace_attr("index_used", plan.index.is_some() as u64);
         let cost = self.stage_cost();
         self.trace_end(cost);
@@ -2053,20 +2060,15 @@ impl DbInner {
         self.trace_begin("scan");
         let hits0 = self.metrics.bufpool_hits.get();
         let misses0 = self.metrics.bufpool_misses.get();
-        if !self.runtime.contains_key(&def.schema.name) {
-            return Err(DbError::UnknownTable(def.schema.name.clone()));
-        }
-        let limit = limit.map(|l| l as usize);
-        let mut kept: Vec<Row> = Vec::new();
-        let mut examined: u64 = 0;
-        let mut pages_pruned: u64 = 0;
-        let mut pages_decoded: u64 = 0;
-        let done = |kept: &Vec<Row>| matches!(limit, Some(l) if kept.len() >= l);
-
-        match plan.index {
+        let rt = self
+            .runtime
+            .get_mut(&def.schema.name)
+            .ok_or_else(|| DbError::UnknownTable(def.schema.name.clone()))?;
+        let mut sink = ScanSink::new(pred.as_ref(), needed, limit.map(|l| l as usize));
+        // `(pages_pruned, pages_decoded)` of a heap scan.
+        let scan_pages = match plan.index {
             Some(ip) => {
-                let rt = self.runtime.get(&def.schema.name).expect("checked");
-                let bt = rt.btrees[ip.index_pos].clone();
+                let bt = &rt.btrees[ip.index_pos];
                 let lit = ip.bounds.sample_key();
                 let (lo, hi) = (ip.bounds.lo, ip.bounds.hi);
                 let found = bt.search_range(&self.bufpool, &mut self.vdisk, lo, hi)?;
@@ -2078,83 +2080,35 @@ impl DbInner {
                     self.adaptive_hash
                         .record_search((bt.file.clone(), *leaf), &key_bytes);
                 }
-                for rid in &found.row_ids {
-                    if done(&kept) {
-                        break;
-                    }
-                    let row = {
-                        let rt = self.runtime.get(&def.schema.name).expect("checked");
-                        rt.heap.read(&self.bufpool, &mut self.vdisk, *rid)?
-                    };
-                    examined += 1;
-                    // When the index bounds *are* the predicate, re-running
-                    // the filter per row is pure overhead — skip it.
-                    if plan.guaranteed {
-                        kept.push(row);
-                    } else {
-                        match where_clause {
-                            Some(w) => {
-                                if self.eval_truthy(w, &def.schema, &row)? {
-                                    kept.push(row);
-                                }
-                            }
-                            None => kept.push(row),
-                        }
-                    }
-                }
+                rt.heap
+                    .fetch_into(&self.bufpool, &mut self.vdisk, &found.row_ids, &mut sink)?;
+                None
             }
             None => {
                 // Streaming heap scan: one page at a time, consulting the
                 // zone map first so non-matching pages are never decoded.
-                let file = self.runtime[&def.schema.name].heap.file.clone();
-                let n_pages = ShardedBufferPool::page_count(&self.vdisk, &file);
-                let zone_maps = self.config.zone_maps_enabled;
-                'pages: for page_no in 0..n_pages {
-                    if done(&kept) {
-                        break;
-                    }
-                    if zone_maps {
-                        if let Some((col, lo, hi)) = &plan.prune {
-                            let rt = self.runtime.get_mut(&def.schema.name).expect("checked");
-                            if rt.heap.page_prunable(
-                                &self.bufpool,
-                                &mut self.vdisk,
-                                page_no,
-                                *col as u16,
-                                lo,
-                                hi,
-                            )? {
-                                pages_pruned += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    pages_decoded += 1;
-                    let page_rows = {
-                        let rt = self.runtime.get(&def.schema.name).expect("checked");
-                        rt.heap
-                            .read_page_rows(&self.bufpool, &mut self.vdisk, page_no, needed)?
-                    };
-                    for row in page_rows {
-                        examined += 1;
-                        match where_clause {
-                            Some(w) => {
-                                if self.eval_truthy(w, &def.schema, &row)? {
-                                    kept.push(row);
-                                }
-                            }
-                            None => kept.push(row),
-                        }
-                        if done(&kept) {
-                            break 'pages;
-                        }
-                    }
-                }
-                self.metrics.scan_pages_pruned.add(pages_pruned);
-                self.metrics.scan_pages_decoded.add(pages_decoded);
-                self.trace_attr("pages_pruned", pages_pruned);
-                self.trace_attr("pages_decoded", pages_decoded);
+                let prune = plan
+                    .prune
+                    .filter(|_| self.config.zone_maps_enabled)
+                    .map(|(col, lo, hi)| (col as u16, lo, hi));
+                Some(rt.heap.scan_into(
+                    &self.bufpool,
+                    &mut self.vdisk,
+                    prune.as_ref(),
+                    &mut sink,
+                )?)
             }
+        };
+        let ScanSink {
+            rows: kept,
+            examined,
+            ..
+        } = sink;
+        if let Some((pages_pruned, pages_decoded)) = scan_pages {
+            self.metrics.scan_pages_pruned.add(pages_pruned);
+            self.metrics.scan_pages_decoded.add(pages_decoded);
+            self.trace_attr("pages_pruned", pages_pruned);
+            self.trace_attr("pages_decoded", pages_decoded);
         }
 
         // Buffer-pool I/O nested under the scan: the hit/miss deltas of
@@ -2227,9 +2181,19 @@ impl DbInner {
                 _ => unreachable!("aggregates handled above"),
             }
         }
+        // The rows are ours and about to be dropped: move each value out
+        // unless the select list names a column twice.
+        let distinct = proj.iter().enumerate().all(|(n, i)| !proj[..n].contains(i));
         let out = rows
             .into_iter()
-            .map(|r| proj.iter().map(|&i| r.values[i].clone()).collect())
+            .map(|mut r| {
+                proj.iter()
+                    .map(|&i| match distinct {
+                        true => std::mem::replace(&mut r.values[i], Value::Null),
+                        false => r.values[i].clone(),
+                    })
+                    .collect()
+            })
             .collect();
         Ok(QueryResult {
             columns,
@@ -2881,8 +2845,11 @@ impl DbInner {
         for def in &defs {
             let mut btrees = Vec::new();
             let rows = {
-                let rt = self.runtime.get(&def.schema.name).expect("opened above");
-                rt.heap.scan(&self.bufpool, &mut self.vdisk)?.0
+                let rt = self
+                    .runtime
+                    .get_mut(&def.schema.name)
+                    .expect("opened above");
+                rt.heap.scan(&self.bufpool, &mut self.vdisk)?
             };
             for ix in &def.indexes {
                 self.vdisk.remove(&ix.file);
@@ -2946,63 +2913,6 @@ impl DbInner {
         out.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
         out
     }
-
-    fn eval_truthy(&mut self, e: &Expr, schema: &TableSchema, row: &Row) -> DbResult<bool> {
-        Ok(matches!(
-            self.eval(e, schema, row)?,
-            Value::Int(v) if v != 0
-        ))
-    }
-
-    fn eval(&mut self, e: &Expr, schema: &TableSchema, row: &Row) -> DbResult<Value> {
-        match e {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Column(c) => {
-                let idx = schema.column_index(c)?;
-                Ok(row.values[idx].clone())
-            }
-            Expr::Cmp(l, op, r) => {
-                let lv = self.eval(l, schema, row)?;
-                let rv = self.eval(r, schema, row)?;
-                let b = match lv.sql_cmp(&rv) {
-                    None => false, // NULL comparisons are not-true.
-                    Some(o) => match op {
-                        CmpOp::Eq => o.is_eq(),
-                        CmpOp::Ne => o.is_ne(),
-                        CmpOp::Lt => o.is_lt(),
-                        CmpOp::Le => o.is_le(),
-                        CmpOp::Gt => o.is_gt(),
-                        CmpOp::Ge => o.is_ge(),
-                    },
-                };
-                Ok(Value::Int(b as i64))
-            }
-            Expr::And(l, r) => {
-                let b = self.eval_truthy(l, schema, row)? && self.eval_truthy(r, schema, row)?;
-                Ok(Value::Int(b as i64))
-            }
-            Expr::Or(l, r) => {
-                let b = self.eval_truthy(l, schema, row)? || self.eval_truthy(r, schema, row)?;
-                Ok(Value::Int(b as i64))
-            }
-            Expr::Not(x) => {
-                let b = !self.eval_truthy(x, schema, row)?;
-                Ok(Value::Int(b as i64))
-            }
-            Expr::Func(name, args) => {
-                let f = self
-                    .functions
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| DbError::UnknownFunction(name.clone()))?;
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval(a, schema, row)?);
-                }
-                f(&argv)
-            }
-        }
-    }
 }
 
 /// Finds sargable conjuncts (`Column op Literal`) over an indexed column
@@ -3020,7 +2930,7 @@ struct ScanPlan {
     /// into them, no residual filter remains, and the range provably
     /// excludes stored NULL keys (NULL sorts below every value, so this
     /// requires a bounded, non-NULL lower bound). Only then may the
-    /// executor skip `eval_truthy` on fetched rows.
+    /// executor skip the per-row filter on fetched rows.
     guaranteed: bool,
     /// Zone-map prune spec for the heap path: `(column ordinal, lo, hi)`
     /// over INT bounds. Pages whose synopsis range is disjoint from it

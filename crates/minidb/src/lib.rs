@@ -8,7 +8,7 @@
 //! * **§3 logs on disk** — circular undo/redo logs with byte-level row
 //!   images and LSNs ([`wal`]), a timestamped statement binlog, a slow
 //!   query log, an optional general query log, and the buffer-pool LRU
-//!   dump file ([`storage::bufpool`]).
+//!   dump file ([`storage::shardpool`]).
 //! * **§4 diagnostic tables** — `performance_schema` statement digests,
 //!   per-thread statement history, and `information_schema.processlist`,
 //!   all reachable through plain SQL ([`observability`]).
@@ -42,6 +42,7 @@ pub mod group_commit;
 pub mod heap;
 pub mod mvcc;
 pub mod observability;
+pub mod predicate;
 pub mod row;
 pub mod schema;
 pub mod snapshot;

@@ -12,6 +12,10 @@ use crate::value::Value;
 /// primary key (InnoDB's implicit `DB_ROW_ID` analogue).
 pub type RowId = u64;
 
+/// Bytes of the `(id u64, column count u16)` header every encoded row
+/// starts with; the first value's tag follows.
+pub const ROW_HEADER_LEN: usize = 10;
+
 /// A materialized row.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Row {
@@ -43,18 +47,21 @@ impl Row {
         Ok(row)
     }
 
+    /// Reads the `(id, column count)` header at the start of `buf`.
+    pub fn decode_header(buf: &[u8]) -> DbResult<(RowId, usize)> {
+        let id = buf
+            .first_chunk::<8>()
+            .ok_or_else(|| DbError::Storage("truncated row id".into()))?;
+        let n = buf[8..]
+            .first_chunk::<2>()
+            .ok_or_else(|| DbError::Storage("truncated column count".into()))?;
+        Ok((u64::from_le_bytes(*id), u16::from_le_bytes(*n) as usize))
+    }
+
     /// Decodes a row starting at `buf[*pos..]`, advancing `pos`.
     pub fn decode_at(buf: &[u8], pos: &mut usize) -> DbResult<Row> {
-        let id_bytes = buf
-            .get(*pos..*pos + 8)
-            .ok_or_else(|| DbError::Storage("truncated row id".into()))?;
-        let id = u64::from_le_bytes(id_bytes.try_into().unwrap());
-        *pos += 8;
-        let n_bytes = buf
-            .get(*pos..*pos + 2)
-            .ok_or_else(|| DbError::Storage("truncated column count".into()))?;
-        let n = u16::from_le_bytes(n_bytes.try_into().unwrap()) as usize;
-        *pos += 2;
+        let (id, n) = Self::decode_header(buf.get(*pos..).unwrap_or_default())?;
+        *pos += ROW_HEADER_LEN;
         let mut values = Vec::with_capacity(n);
         for _ in 0..n {
             values.push(Value::decode(buf, pos)?);
@@ -72,17 +79,8 @@ impl Row {
         let Some(needed) = needed else {
             return Self::decode(buf);
         };
-        let mut pos = 0;
-        let id_bytes = buf
-            .get(..8)
-            .ok_or_else(|| DbError::Storage("truncated row id".into()))?;
-        let id = u64::from_le_bytes(id_bytes.try_into().unwrap());
-        pos += 8;
-        let n_bytes = buf
-            .get(pos..pos + 2)
-            .ok_or_else(|| DbError::Storage("truncated column count".into()))?;
-        let n = u16::from_le_bytes(n_bytes.try_into().unwrap()) as usize;
-        pos += 2;
+        let (id, n) = Self::decode_header(buf)?;
+        let mut pos = ROW_HEADER_LEN;
         let mut values = Vec::with_capacity(n);
         for i in 0..n {
             if needed.get(i).copied().unwrap_or(false) {

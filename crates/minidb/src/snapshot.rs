@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use crate::engine::Db;
 use crate::observability::{DigestStats, ProcessEntry, StatementEvent};
-use crate::storage::bufpool::PageKey;
+use crate::storage::PageKey;
 use crate::wal::{BINLOG_FILE, REDO_FILE, UNDO_FILE};
 
 /// One page's zone-map synopsis as captured in a memory image: the

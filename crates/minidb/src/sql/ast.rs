@@ -19,6 +19,20 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// Whether an ordering of the two operands satisfies the operator.
+    pub fn holds(self, o: core::cmp::Ordering) -> bool {
+        match self {
+            CmpOp::Eq => o.is_eq(),
+            CmpOp::Ne => o.is_ne(),
+            CmpOp::Lt => o.is_lt(),
+            CmpOp::Le => o.is_le(),
+            CmpOp::Gt => o.is_gt(),
+            CmpOp::Ge => o.is_ge(),
+        }
+    }
+}
+
 /// A scalar expression (used in `WHERE` and `SET`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Expr {

@@ -177,11 +177,10 @@ impl BTree {
         vdisk: &mut VDisk,
         page_no: u32,
     ) -> DbResult<Node> {
-        let bytes = bufpool.with_page(vdisk, &self.file, page_no, |b| {
+        bufpool.with_page(vdisk, &self.file, page_no, |b| {
             let len = u16::from_le_bytes([b[NODE_OFF], b[NODE_OFF + 1]]) as usize;
-            b[NODE_OFF + 2..NODE_OFF + 2 + len].to_vec()
-        })?;
-        Node::decode(&bytes)
+            Node::decode(&b[NODE_OFF + 2..NODE_OFF + 2 + len])
+        })?
     }
 
     fn store_node(

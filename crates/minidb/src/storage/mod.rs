@@ -2,13 +2,13 @@
 //! B+ tree indexes.
 
 pub mod btree;
-pub mod bufpool;
 pub mod page;
 pub mod shardpool;
 pub mod table;
 
 pub use btree::{BTree, SearchResult};
-pub use bufpool::{BufferPool, PageKey, ACCESS_COUNTS_CAP, DUMP_FILE};
 pub use page::{ColumnStats, Page, PageRef, PageSynopsis, SlotNo, PAGE_SIZE, SYN_MAX_COLS};
-pub use shardpool::{PageBacking, ShardedBufferPool, DEFAULT_SHARDS};
-pub use table::{TableHeap, UpdatePlacement};
+pub use shardpool::{
+    PageBacking, PageKey, ShardedBufferPool, ACCESS_COUNTS_CAP, DEFAULT_SHARDS, DUMP_FILE,
+};
+pub use table::{ScanSink, TableHeap, UpdatePlacement};

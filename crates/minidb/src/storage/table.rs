@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use std::ops::Bound;
 
 use crate::error::{DbError, DbResult};
+use crate::predicate::{EncodedRow, Predicate};
 use crate::row::{Row, RowId};
 use crate::storage::page::{Page, PageRef, PageSynopsis, SlotNo};
 use crate::storage::shardpool::ShardedBufferPool;
@@ -53,6 +54,58 @@ fn int_cols(row: &Row) -> Vec<(u16, i64)> {
             _ => None,
         })
         .collect()
+}
+
+/// Where a scan's rows go: the filter a row must pass, the columns to
+/// materialize of the rows that do, and how many to stop at. Both
+/// kernels ([`TableHeap::scan_into`], [`TableHeap::fetch_into`]) offer
+/// it encoded cells; only survivors are ever decoded.
+pub struct ScanSink<'a> {
+    pred: Option<&'a Predicate>,
+    needed: Option<&'a [bool]>,
+    limit: Option<usize>,
+    /// Rows that passed the filter, in the order offered.
+    pub rows: Vec<Row>,
+    /// Rows offered, passed or not (`rows_examined`).
+    pub examined: u64,
+}
+
+impl<'a> ScanSink<'a> {
+    /// A sink keeping the rows `pred` holds of (`None` = all), with the
+    /// columns flagged in `needed` materialized and the rest left NULL
+    /// (`None` = all), up to `limit` rows (`None` = no limit).
+    pub fn new(
+        pred: Option<&'a Predicate>,
+        needed: Option<&'a [bool]>,
+        limit: Option<usize>,
+    ) -> ScanSink<'a> {
+        ScanSink {
+            pred,
+            needed,
+            limit,
+            rows: Vec::new(),
+            examined: 0,
+        }
+    }
+
+    /// Whether the limit is reached; a full sink must be offered nothing.
+    pub fn full(&self) -> bool {
+        self.limit.is_some_and(|l| self.rows.len() >= l)
+    }
+
+    /// Examines one encoded row: evaluates the filter on its bytes and
+    /// materializes it only if it passes.
+    fn offer(&mut self, cell: &[u8]) -> DbResult<()> {
+        self.examined += 1;
+        let keep = match self.pred {
+            Some(p) => p.holds(&EncodedRow::new(cell)?)?,
+            None => true,
+        };
+        if keep {
+            self.rows.push(Row::decode_partial(cell, self.needed)?);
+        }
+        Ok(())
+    }
 }
 
 /// A table heap plus its in-memory row locator (rebuilt on open).
@@ -159,6 +212,11 @@ impl TableHeap {
         self.locations.get(&row_id).copied()
     }
 
+    fn located(&self, row_id: RowId) -> DbResult<(u32, SlotNo)> {
+        self.locate(row_id)
+            .ok_or_else(|| DbError::Storage(format!("row {row_id} not found")))
+    }
+
     /// Inserts an encoded row, returning its placement. The row's id must
     /// be fresh (allocate via [`Self::allocate_row_id`]).
     pub fn insert(
@@ -208,9 +266,7 @@ impl TableHeap {
         vdisk: &mut VDisk,
         row_id: RowId,
     ) -> DbResult<Row> {
-        let (page_no, slot) = self
-            .locate(row_id)
-            .ok_or_else(|| DbError::Storage(format!("row {row_id} not found")))?;
+        let (page_no, slot) = self.located(row_id)?;
         let row = bufpool.with_page(vdisk, &self.file, page_no, |buf| {
             PageRef::new(buf).get(slot).map(Row::decode)
         })?;
@@ -248,9 +304,7 @@ impl TableHeap {
         vdisk: &mut VDisk,
         row: &Row,
     ) -> DbResult<UpdatePlacement> {
-        let (page_no, slot) = self
-            .locate(row.id)
-            .ok_or_else(|| DbError::Storage(format!("row {} not found", row.id)))?;
+        let (page_no, slot) = self.located(row.id)?;
         let bytes = row.encode();
         let zm = self.zone_maps;
         let cols = if zm { int_cols(row) } else { Vec::new() };
@@ -289,50 +343,99 @@ impl TableHeap {
         vdisk: &mut VDisk,
         row_id: RowId,
     ) -> DbResult<(u32, SlotNo)> {
-        let (page_no, slot) = self
-            .locate(row_id)
-            .ok_or_else(|| DbError::Storage(format!("row {row_id} not found")))?;
+        let (page_no, slot) = self.located(row_id)?;
         self.page_delete(bufpool, vdisk, page_no, slot)?;
         self.locations.remove(&row_id);
         Ok((page_no, slot))
     }
 
-    /// Full scan in (page, slot) order; returns rows and the pages read.
-    pub fn scan(
-        &self,
-        bufpool: &ShardedBufferPool,
-        vdisk: &mut VDisk,
-    ) -> DbResult<(Vec<Row>, Vec<u32>)> {
-        let mut rows = Vec::new();
-        let mut pages = Vec::new();
-        let n_pages = ShardedBufferPool::page_count(vdisk, &self.file);
-        for page_no in 0..n_pages {
-            pages.push(page_no);
-            let page_rows = self.read_page_rows(bufpool, vdisk, page_no, None)?;
-            rows.extend(page_rows);
-        }
-        Ok((rows, pages))
+    /// Every live row, fully materialized, in (page, slot) order.
+    pub fn scan(&mut self, bufpool: &ShardedBufferPool, vdisk: &mut VDisk) -> DbResult<Vec<Row>> {
+        let mut sink = ScanSink::new(None, None, None);
+        self.scan_into(bufpool, vdisk, None, &mut sink)?;
+        Ok(sink.rows)
     }
 
-    /// Decodes the live rows of one page, in slot order, materializing
-    /// only the columns in `needed` (`None` = all). This is the unit of
-    /// work of the streaming scan executor: one page in, its rows out,
-    /// no whole-table materialization.
-    pub fn read_page_rows(
+    /// The heap-order scan kernel: visits pages in order, one
+    /// `with_page` each, and offers every live cell to `sink` in slot
+    /// order, stopping once the sink is full. With a `prune` spec
+    /// (`(column, lo, hi)` over an INT column) the zone map is consulted
+    /// first and excluded pages are never loaded. Returns
+    /// `(pages_pruned, pages_decoded)`.
+    pub fn scan_into(
+        &mut self,
+        bufpool: &ShardedBufferPool,
+        vdisk: &mut VDisk,
+        prune: Option<&(u16, Bound<i64>, Bound<i64>)>,
+        sink: &mut ScanSink<'_>,
+    ) -> DbResult<(u64, u64)> {
+        let (mut pruned, mut decoded) = (0, 0);
+        for page_no in 0..ShardedBufferPool::page_count(vdisk, &self.file) {
+            if sink.full() {
+                break;
+            }
+            if let Some((col, lo, hi)) = prune {
+                if self.page_prunable(bufpool, vdisk, page_no, *col, lo, hi)? {
+                    pruned += 1;
+                    continue;
+                }
+            }
+            decoded += 1;
+            bufpool.with_page(vdisk, &self.file, page_no, |buf| {
+                for (_, cell) in PageRef::new(buf).iter() {
+                    sink.offer(cell)?;
+                    if sink.full() {
+                        break;
+                    }
+                }
+                Ok::<_, DbError>(())
+            })??;
+        }
+        Ok((pruned, decoded))
+    }
+
+    /// The index-order fetch kernel: offers the rows `row_ids` name to
+    /// `sink`, in that order, stopping once the sink is full. Each run
+    /// of consecutive ids that live on one page costs one
+    /// [`ShardedBufferPool::with_page_run`], accounted for as one access
+    /// per row fetched — what a `read` per row leaves behind.
+    pub fn fetch_into(
         &self,
         bufpool: &ShardedBufferPool,
         vdisk: &mut VDisk,
-        page_no: u32,
-        needed: Option<&[bool]>,
-    ) -> DbResult<Vec<Row>> {
-        bufpool.with_page(vdisk, &self.file, page_no, |buf| {
-            let r = PageRef::new(buf);
-            let mut rows = Vec::with_capacity(r.n_slots() as usize);
-            for (_, bytes) in r.iter() {
-                rows.push(Row::decode_partial(bytes, needed)?);
+        row_ids: &[RowId],
+        sink: &mut ScanSink<'_>,
+    ) -> DbResult<()> {
+        let mut ids = row_ids.iter().copied().peekable();
+        while let Some(&first) = ids.peek() {
+            if sink.full() {
+                break;
             }
-            Ok(rows)
-        })?
+            let (page_no, _) = self.located(first)?;
+            bufpool.with_page_run(vdisk, &self.file, page_no, |buf| {
+                let page = PageRef::new(buf);
+                let mut fetched = 0;
+                // An id that is not (or no longer) on this page ends the
+                // run; the outer loop deals with it.
+                while let Some((_, slot)) = ids
+                    .peek()
+                    .and_then(|id| self.locate(*id))
+                    .filter(|(p, _)| *p == page_no)
+                {
+                    ids.next();
+                    fetched += 1;
+                    let offered = page
+                        .get(slot)
+                        .ok_or_else(|| DbError::Storage("locator points at tombstone".into()))
+                        .and_then(|cell| sink.offer(cell));
+                    if offered.is_err() || sink.full() {
+                        return (offered, fetched);
+                    }
+                }
+                (Ok(()), fetched)
+            })??;
+        }
+        Ok(())
     }
 
     /// Whether the zone map proves `page_no` holds no row with INT
@@ -538,12 +641,7 @@ mod tests {
             h.insert(&bp, &mut vd, &row(id, i)).unwrap();
         }
         assert!(ShardedBufferPool::page_count(&vd, "t.ibd") > 1);
-        let (rows, pages) = h.scan(&bp, &mut vd).unwrap();
-        assert_eq!(rows.len(), 2000);
-        assert_eq!(
-            pages.len() as u32,
-            ShardedBufferPool::page_count(&vd, "t.ibd")
-        );
+        assert_eq!(h.scan(&bp, &mut vd).unwrap().len(), 2000);
     }
 
     #[test]
@@ -711,19 +809,54 @@ mod tests {
     }
 
     #[test]
-    fn read_page_rows_projects() {
+    fn sink_projects_and_stops_at_its_limit() {
         let (bp, mut vd, mut h) = setup();
         for n in 0..3 {
             let id = h.allocate_row_id();
             h.insert(&bp, &mut vd, &row(id, n)).unwrap();
         }
-        let rows = h
-            .read_page_rows(&bp, &mut vd, 0, Some(&[true, false]))
-            .unwrap();
-        assert_eq!(rows.len(), 3);
-        for (i, r) in rows.iter().enumerate() {
+        let mut sink = ScanSink::new(None, Some(&[true, false]), Some(2));
+        let pages = h.scan_into(&bp, &mut vd, None, &mut sink).unwrap();
+        assert_eq!(pages, (0, 1));
+        assert_eq!(sink.examined, 2, "the third row is never looked at");
+        for (i, r) in sink.rows.iter().enumerate() {
             assert_eq!(r.values[0], Value::Int(i as i64));
             assert_eq!(r.values[1], Value::Null, "unneeded column not materialized");
         }
+        // A sink that starts full touches no page.
+        let before = bp.access_count("t.ibd", 0);
+        let mut none = ScanSink::new(None, None, Some(0));
+        h.scan_into(&bp, &mut vd, None, &mut none).unwrap();
+        h.fetch_into(&bp, &mut vd, &[1, 2, 3], &mut none).unwrap();
+        assert_eq!((none.examined, bp.access_count("t.ibd", 0)), (0, before));
+    }
+
+    #[test]
+    fn fetch_batches_runs_but_counts_rows() {
+        let (bp, mut vd, mut h) = setup();
+        for n in 0..1500 {
+            let id = h.allocate_row_id();
+            h.insert(&bp, &mut vd, &row(id, n)).unwrap();
+        }
+        let last = h.row_count() as RowId;
+        assert_ne!(h.locate(1).unwrap().0, h.locate(last).unwrap().0);
+        // Page 0, page N, page 0 again: three runs, five accesses, and
+        // index order (not page order) in the output.
+        let ids = [1, 2, last, 3, 4];
+        let (p0, pn) = (h.locate(1).unwrap().0, h.locate(last).unwrap().0);
+        let before = (bp.access_count("t.ibd", p0), bp.access_count("t.ibd", pn));
+        let mut sink = ScanSink::new(None, None, None);
+        h.fetch_into(&bp, &mut vd, &ids, &mut sink).unwrap();
+        let got: Vec<RowId> = sink.rows.iter().map(|r| r.id).collect();
+        assert_eq!(got, ids);
+        assert_eq!(sink.examined, 5);
+        assert_eq!(bp.access_count("t.ibd", p0), before.0 + 4);
+        assert_eq!(bp.access_count("t.ibd", pn), before.1 + 1);
+        // An unknown id fails the fetch, after the rows before it.
+        let mut sink = ScanSink::new(None, None, None);
+        assert!(h
+            .fetch_into(&bp, &mut vd, &[1, 9_999, 2], &mut sink)
+            .is_err());
+        assert_eq!(sink.examined, 1);
     }
 }

@@ -93,68 +93,55 @@ impl Value {
         }
     }
 
-    /// Decodes a value from `buf[*pos..]`, advancing `pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> DbResult<Value> {
-        let tag = *buf
-            .get(*pos)
-            .ok_or_else(|| DbError::Storage("truncated value tag".into()))?;
-        *pos += 1;
-        match tag {
-            0 => Ok(Value::Null),
-            1 => {
-                let bytes = buf
-                    .get(*pos..*pos + 8)
-                    .ok_or_else(|| DbError::Storage("truncated int".into()))?;
-                *pos += 8;
-                Ok(Value::Int(i64::from_le_bytes(bytes.try_into().unwrap())))
-            }
+    /// Splits one encoded value off `buf[*pos..]`, advancing `pos`:
+    /// its tag and its body (empty for NULL, 8 bytes for INT, the
+    /// payload for TEXT/BYTES). Every reader of the encoding goes
+    /// through here, so every bounds check lives here.
+    ///
+    /// This and its two callers are forced inline: they are the inner
+    /// loop of every scan (see `predicate::EncodedRow::column`).
+    #[inline(always)]
+    fn split<'a>(buf: &'a [u8], pos: &mut usize) -> DbResult<(u8, &'a [u8])> {
+        let rest = buf.get(*pos..).unwrap_or_default();
+        let (&tag, rest) = rest.split_first().ok_or_else(|| truncated("value tag"))?;
+        let (head, len) = match tag {
+            0 => (0, 0),
+            1 => (0, 8),
             2 | 3 => {
-                let len_bytes = buf
-                    .get(*pos..*pos + 4)
-                    .ok_or_else(|| DbError::Storage("truncated length".into()))?;
-                let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-                *pos += 4;
-                let body = buf
-                    .get(*pos..*pos + len)
-                    .ok_or_else(|| DbError::Storage("truncated body".into()))?;
-                *pos += len;
-                if tag == 2 {
-                    let s = std::str::from_utf8(body)
-                        .map_err(|_| DbError::Storage("invalid utf8 in text value".into()))?;
-                    Ok(Value::Text(s.to_string()))
-                } else {
-                    Ok(Value::Bytes(body.to_vec()))
-                }
-            }
-            t => Err(DbError::Storage(format!("unknown value tag {t}"))),
-        }
-    }
-
-    /// Advances `pos` past one encoded value without materializing it —
-    /// no allocation, no UTF-8 validation. The projection-pushdown scan
-    /// path uses this to step over columns the query never reads.
-    pub fn skip(buf: &[u8], pos: &mut usize) -> DbResult<()> {
-        let tag = *buf
-            .get(*pos)
-            .ok_or_else(|| DbError::Storage("truncated value tag".into()))?;
-        *pos += 1;
-        let body = match tag {
-            0 => 0,
-            1 => 8,
-            2 | 3 => {
-                let len_bytes = buf
-                    .get(*pos..*pos + 4)
-                    .ok_or_else(|| DbError::Storage("truncated length".into()))?;
-                *pos += 4;
-                u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize
+                let len = rest.first_chunk().ok_or_else(|| truncated("length"))?;
+                (4, u32::from_le_bytes(*len) as usize)
             }
             t => return Err(DbError::Storage(format!("unknown value tag {t}"))),
         };
-        if buf.len() < *pos + body {
-            return Err(DbError::Storage("truncated body".into()));
-        }
-        *pos += body;
-        Ok(())
+        let body = rest[head..].get(..len).ok_or_else(|| truncated("body"))?;
+        *pos += 1 + head + len;
+        Ok((tag, body))
+    }
+
+    /// Decodes a value from `buf[*pos..]`, advancing `pos`.
+    #[inline(always)]
+    pub fn decode(buf: &[u8], pos: &mut usize) -> DbResult<Value> {
+        let (tag, body) = Self::split(buf, pos)?;
+        Ok(match tag {
+            0 => Value::Null,
+            1 => Value::Int(i64::from_le_bytes(
+                *body.first_chunk().expect("split sizes an INT body"),
+            )),
+            2 => Value::Text(
+                std::str::from_utf8(body)
+                    .map_err(|_| DbError::Storage("invalid utf8 in text value".into()))?
+                    .to_string(),
+            ),
+            _ => Value::Bytes(body.to_vec()),
+        })
+    }
+
+    /// Advances `pos` past one encoded value without materializing it —
+    /// no allocation, no UTF-8 validation. The scan path uses this to
+    /// step over columns the query never reads.
+    #[inline(always)]
+    pub fn skip(buf: &[u8], pos: &mut usize) -> DbResult<()> {
+        Self::split(buf, pos).map(|_| ())
     }
 
     /// SQL three-valued comparison: `None` when either side is NULL.
@@ -178,6 +165,11 @@ impl Value {
             Value::Bytes(_) => 3,
         }
     }
+}
+
+#[cold]
+fn truncated(what: &str) -> DbError {
+    DbError::Storage(format!("truncated {what}"))
 }
 
 impl fmt::Display for Value {

@@ -1,0 +1,282 @@
+//! Golden access-path test: the leakage surfaces a fixed statement
+//! stream leaves behind are part of the scan path's contract.
+//!
+//! The paper's point is that buffer-pool recency, access counters and
+//! scan counters *are* the leak, so the executor may batch its work but
+//! must account for it exactly as the row-at-a-time executor did. Every
+//! expected value below was captured by running this file, unchanged,
+//! against the commit before the page-at-a-time scan kernel (PR 12,
+//! `20c92a5`). A scan-path change that moves any of them has changed
+//! what a snapshot attacker sees.
+
+use minidb::engine::{Connection, Db, DbConfig};
+use minidb::storage::DUMP_FILE;
+
+/// splitmix64: the stream must not depend on any crate's generator.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> i64 {
+        (self.next() % n) as i64
+    }
+}
+
+/// FNV-1a over the debug rendering of a surface.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const EV_ROWS: i64 = 3_000;
+const TAG_ROWS: i64 = 1_200;
+
+/// What the stream's answers fold into.
+#[derive(Default)]
+struct Answers {
+    rows_examined: u64,
+    rows_returned: u64,
+    text: String,
+}
+
+impl Answers {
+    fn run(&mut self, conn: &Connection, sql: &str) {
+        use std::fmt::Write;
+        match conn.execute(sql) {
+            Ok(r) => {
+                self.rows_examined += r.rows_examined;
+                self.rows_returned += r.rows.len() as u64;
+                write!(
+                    self.text,
+                    "{:?}|{}|{};",
+                    r.rows, r.rows_examined, r.rows_affected
+                )
+                .unwrap();
+            }
+            Err(e) => write!(self.text, "ERR {e};").unwrap(),
+        }
+    }
+}
+
+fn load(conn: &Connection) {
+    conn.execute("CREATE TABLE ev (id INT PRIMARY KEY, ts INT, grp INT, v TEXT)")
+        .unwrap();
+    conn.execute("CREATE TABLE tag (id INT PRIMARY KEY, k INT, note TEXT)")
+        .unwrap();
+    conn.execute("CREATE INDEX tag_k ON tag (k)").unwrap();
+    for start in (0..EV_ROWS).step_by(100) {
+        let values: Vec<String> = (start..start + 100)
+            .map(|i| format!("({i}, {}, {}, 'payload-{i:08}')", 1_000 + i * 10, i % 15))
+            .collect();
+        conn.execute(&format!("INSERT INTO ev VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+    for start in (0..TAG_ROWS).step_by(100) {
+        let values: Vec<String> = (start..start + 100)
+            .map(|i| {
+                let note = if i % 9 == 0 {
+                    "NULL".to_string()
+                } else {
+                    format!("'n{}'", i % 7)
+                };
+                format!("({i}, {}, {note})", i % 17)
+            })
+            .collect();
+        conn.execute(&format!("INSERT INTO tag VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+}
+
+/// One statement of the measured stream. `a` runs autocommit, `b`
+/// holds transactions open so `a`'s reads take the snapshot path too.
+fn step(rng: &mut Rng, a: &Connection, b: &Connection, out: &mut Answers, next_id: &mut i64) {
+    let id = rng.below(EV_ROWS as u64 - 200);
+    match rng.below(20) {
+        0..=3 => out.run(
+            a,
+            &format!(
+                "SELECT id, grp, v FROM ev WHERE id >= {id} AND id < {}",
+                id + 150
+            ),
+        ),
+        4..=5 => out.run(
+            a,
+            &format!(
+                "SELECT id, v FROM ev WHERE ts >= {} AND ts < {}",
+                1_000 + id * 10,
+                1_000 + (id + 120) * 10
+            ),
+        ),
+        6 => out.run(a, &format!("SELECT id, ts FROM ev WHERE grp = {}", id % 15)),
+        7 => out.run(
+            a,
+            &format!(
+                "SELECT * FROM ev WHERE grp = {} AND ts > {} LIMIT 7",
+                id % 15,
+                id * 5
+            ),
+        ),
+        8 => out.run(
+            a,
+            &format!("SELECT id FROM ev WHERE id >= {id} LIMIT {}", id % 40),
+        ),
+        9..=10 => out.run(
+            a,
+            &format!(
+                "SELECT id, note FROM tag WHERE k >= {} AND k <= {} AND note != 'n3'",
+                id % 17,
+                id % 17 + 2
+            ),
+        ),
+        11 => out.run(
+            a,
+            &format!("SELECT COUNT(*) FROM tag WHERE k = {} LIMIT 30", id % 17),
+        ),
+        12 => out.run(
+            a,
+            &format!(
+                "SELECT id, k FROM tag WHERE NOT (k < {} OR note = 'n1') ORDER BY k DESC LIMIT 25",
+                id % 17
+            ),
+        ),
+        13 => out.run(
+            a,
+            &format!(
+                "UPDATE ev SET grp = {} WHERE id >= {id} AND id < {}",
+                id % 15,
+                id + 20
+            ),
+        ),
+        14 => out.run(
+            a,
+            // A longer payload moves the rows off their pages, so later
+            // index ranges stop visiting the heap in page order.
+            &format!(
+                "UPDATE ev SET v = 'moved-{id}-{}' WHERE ts >= {} AND ts < {}",
+                "x".repeat((id % 30) as usize),
+                1_000 + id * 10,
+                1_000 + (id + 8) * 10
+            ),
+        ),
+        15 => out.run(a, &format!("DELETE FROM ev WHERE id = {id}")),
+        16 => {
+            out.run(
+                a,
+                &format!(
+                    "INSERT INTO ev VALUES ({}, {}, {}, 'late-{id}')",
+                    *next_id,
+                    1_000 + *next_id * 10,
+                    *next_id % 15
+                ),
+            );
+            *next_id += 1;
+        }
+        17 => {
+            out.run(b, "BEGIN");
+            out.run(
+                b,
+                &format!(
+                    "SELECT id, grp FROM ev WHERE id >= {id} AND id < {}",
+                    id + 30
+                ),
+            );
+            out.run(
+                b,
+                &format!("UPDATE tag SET note = 'txn' WHERE id = {}", id % TAG_ROWS),
+            );
+            // `b` now has unstamped writes: `a` reads through the
+            // version chains.
+            out.run(
+                a,
+                &format!("SELECT id FROM ev WHERE grp = {} LIMIT 5", id % 15),
+            );
+            out.run(b, "COMMIT");
+        }
+        18 => out.run(
+            a,
+            &format!(
+                "EXPLAIN ANALYZE SELECT id FROM ev WHERE ts >= {} AND ts < {}",
+                id * 10,
+                id * 10 + 900
+            ),
+        ),
+        _ => out.run(
+            a,
+            &format!(
+                "EXPLAIN ANALYZE SELECT id, note FROM tag WHERE k = {} AND id > {id}",
+                id % 17
+            ),
+        ),
+    }
+}
+
+#[test]
+fn seeded_stream_leaves_the_parent_commits_access_path() {
+    let db = Db::open(DbConfig {
+        buffer_pool_pages: 24,
+        bufpool_shards: 4,
+        bufpool_dump_interval: 64,
+        ..DbConfig::default()
+    });
+    let a = db.connect("a");
+    let b = db.connect("b");
+    load(&a);
+    let mut rng = Rng(0x5EED_0013);
+    let mut out = Answers::default();
+    let mut next_id = EV_ROWS;
+    for _ in 0..400 {
+        step(&mut rng, &a, &b, &mut out, &mut next_id);
+    }
+
+    let mem = db.memory_image();
+    let counter = |name: &str| mem.metrics.counter(name).unwrap_or(0);
+    let shards: Vec<(u64, u64)> = (0..4)
+        .map(|i| {
+            (
+                counter(&format!("bufpool.shard{i}.hits")),
+                counter(&format!("bufpool.shard{i}.misses")),
+            )
+        })
+        .collect();
+    let dump = db
+        .disk_image()
+        .file(DUMP_FILE)
+        .map(<[u8]>::to_vec)
+        .unwrap_or_default();
+
+    let got = format!(
+        "rows_examined={} rows_returned={} errors={} answers={:016x}\n\
+         hits={} misses={} evictions={} shards={:?}\n\
+         pages_pruned={} pages_decoded={}\n\
+         access_counts={:016x} lru_order={:016x} adaptive_hash={:016x} dump={:016x}",
+        out.rows_examined,
+        out.rows_returned,
+        out.text.matches("ERR ").count(),
+        fnv(&out.text),
+        counter("bufpool.hits"),
+        counter("bufpool.misses"),
+        counter("bufpool.evictions"),
+        shards,
+        counter("scan.pages_pruned"),
+        counter("scan.pages_decoded"),
+        fnv(&format!("{:?}", mem.page_access_counts)),
+        fnv(&format!("{:?}", mem.cached_pages)),
+        fnv(&format!("{:?}", mem.adaptive_hash_keys)),
+        fnv(&String::from_utf8_lossy(&dump)),
+    );
+    let want = "rows_examined=245418 rows_returned=30558 errors=0 answers=3e753083c1326363\n\
+                hits=75444 misses=5619 evictions=5962 \
+                shards=[(13915, 1226), (18362, 1529), (25372, 1444), (17795, 1420)]\n\
+                pages_pruned=757 pages_decoded=863\n\
+                access_counts=2b11586fde6ecaed lru_order=873759ede923d2a6 \
+                adaptive_hash=13c66eb8db230224 dump=397fbb3551d904fd";
+    assert_eq!(got, want);
+}
