@@ -1707,50 +1707,118 @@ impl DbInner {
             let (txn_id, snapshot) = (t.id, t.snapshot_csn);
             return self.select_snapshot(txn_id, snapshot, sel);
         }
-        // Autocommit reads while some transaction has unstamped writes:
-        // resolve read-committed (latest CSN, txn id 0 matches no owner)
-        // so another session's uncommitted heap images stay invisible.
-        if self.mvcc.has_pending() {
-            let snapshot = self.next_csn - 1;
-            return self.select_snapshot(0, snapshot, sel);
-        }
-        // Query cache: exact-text hits skip execution entirely.
-        if let Some(hit) = self.query_cache.get(sql) {
-            self.metrics.query_cache_hits.inc();
-            self.trace_begin("query_cache");
-            self.trace_attr("hit", 1);
-            self.trace_end_elastic();
-            return Ok(QueryResult {
-                columns: hit.columns,
-                rows: hit.rows,
-                rows_examined: 0,
-                rows_affected: 0,
-            });
+        // Autocommit reads are read-committed: the latest heap minus the
+        // rows of *this table* an open transaction has written. With no
+        // such row (the usual case, and always for a transaction on
+        // another table) the heap is the committed state.
+        let overlay = self.mvcc.uncommitted(&sel.table);
+        let heap_is_committed = overlay.is_empty();
+        // Query cache: exact-text hits skip execution entirely. Entries
+        // only ever hold committed state (writes invalidate, and a read
+        // beside an overlay neither looks up nor inserts).
+        if heap_is_committed {
+            if let Some(hit) = self.query_cache.get(sql) {
+                self.metrics.query_cache_hits.inc();
+                self.trace_begin("query_cache");
+                self.trace_attr("hit", 1);
+                self.trace_end_elastic();
+                return Ok(QueryResult {
+                    columns: hit.columns,
+                    rows: hit.rows,
+                    rows_examined: 0,
+                    rows_affected: 0,
+                });
+            }
         }
         let table = sel.table.clone();
         let def = self.catalog.get(&table)?.clone();
         self.record_table_access(&def.schema.name);
         // Pushdowns: LIMIT may short-circuit the scan only when result
-        // order is scan order (no ORDER BY — the truncate below already
-        // runs before projection, so aggregates see the same rows either
-        // way). The projection mask covers every column the query can
-        // read: select list, WHERE, ORDER BY.
-        let push_limit = if sel.order_by.is_none() {
+        // order is scan order (no ORDER BY — the truncate in the tail
+        // already runs before projection, so aggregates see the same rows
+        // either way) and the scan's rows are the result's (no overlay:
+        // a dropped dirty row must not have used up the limit). The
+        // projection mask covers every column the query can read: select
+        // list, WHERE, ORDER BY.
+        let push_limit = if sel.order_by.is_none() && heap_is_committed {
             sel.limit
         } else {
             None
         };
         let needed = needed_columns(&def.schema, &sel);
-        let (mut rows, examined) = self.fetch_rows(
+        let (mut rows, mut examined) = self.fetch_rows(
             &def,
             sel.where_clause.as_ref(),
             push_limit,
             needed.as_deref(),
         )?;
+        if !heap_is_committed {
+            examined +=
+                self.patch_uncommitted(&def.schema, sel.where_clause.as_ref(), overlay, &mut rows)?;
+        }
+        let result = self.finish_select(&def.schema, &sel, rows, examined)?;
+        if heap_is_committed {
+            // Cache the result (user tables only).
+            let text_ptr = self.heap.alloc_str(sql);
+            let freed = self.query_cache.insert(
+                sql,
+                vec![def.schema.name.clone()],
+                CachedResult {
+                    columns: result.columns.clone(),
+                    rows: result.rows.clone(),
+                },
+                text_ptr,
+            );
+            for p in freed {
+                self.heap.free(p);
+            }
+        }
+        Ok(result)
+    }
 
-        // ORDER BY before projection.
+    /// Turns a scan of the latest heap into the read-committed answer:
+    /// drops every row an open transaction owns (its uncommitted image,
+    /// which the scan matched against WHERE), adds each one's last
+    /// committed image if *that* passes WHERE, and orders by row id.
+    /// Returns the rows it resolved, which count as examined.
+    fn patch_uncommitted(
+        &mut self,
+        schema: &TableSchema,
+        where_clause: Option<&Expr>,
+        overlay: Vec<(u64, Option<Row>)>,
+        rows: &mut Vec<Row>,
+    ) -> DbResult<u64> {
+        self.trace_begin("mvcc_visibility");
+        // The scan may have skipped compiling WHERE (index bounds
+        // guaranteed it); a committed image did not come through it.
+        let pred = where_clause.map(|w| Predicate::compile(w, schema, &self.functions));
+        rows.retain(|r| overlay.binary_search_by_key(&r.id, |(id, _)| *id).is_err());
+        let patched = overlay.len() as u64;
+        self.trace_attr("rows_patched", patched);
+        for image in overlay.into_iter().filter_map(|(_, committed)| committed) {
+            if pred.as_ref().map_or(Ok(true), |p| p.holds(&image))? {
+                rows.push(image);
+            }
+        }
+        rows.sort_by_key(|r| r.id);
+        // A fixed stage: the scan stays the elastic one, the per-row
+        // work was its.
+        let cost = self.stage_cost();
+        self.trace_end(cost);
+        Ok(patched)
+    }
+
+    /// The tail every SELECT shares: ORDER BY, then LIMIT, then the
+    /// projection (aggregates included).
+    fn finish_select(
+        &self,
+        schema: &TableSchema,
+        sel: &SelectStmt,
+        mut rows: Vec<Row>,
+        rows_examined: u64,
+    ) -> DbResult<QueryResult> {
         if let Some((col, desc)) = &sel.order_by {
-            let idx = def.schema.column_index(col)?;
+            let idx = schema.column_index(col)?;
             rows.sort_by(|a, b| {
                 let o = a.values[idx].cmp(&b.values[idx]);
                 if *desc {
@@ -1763,27 +1831,11 @@ impl DbInner {
         if let Some(limit) = sel.limit {
             rows.truncate(limit as usize);
         }
-
-        let result = self.project(&def.schema, &sel.items, rows)?;
-        let result = QueryResult {
-            rows_examined: examined,
+        let result = self.project(schema, &sel.items, rows)?;
+        Ok(QueryResult {
+            rows_examined,
             ..result
-        };
-        // Cache the result (user tables only).
-        let text_ptr = self.heap.alloc_str(sql);
-        let freed = self.query_cache.insert(
-            sql,
-            vec![def.schema.name.clone()],
-            CachedResult {
-                columns: result.columns.clone(),
-                rows: result.rows.clone(),
-            },
-            text_ptr,
-        );
-        for p in freed {
-            self.heap.free(p);
-        }
-        Ok(result)
+        })
     }
 
     /// Snapshot-isolated SELECT: full scan, then per-row visibility
@@ -1826,25 +1878,7 @@ impl DbInner {
                 rows.push(r);
             }
         }
-        if let Some((col, desc)) = &sel.order_by {
-            let idx = def.schema.column_index(col)?;
-            rows.sort_by(|a, b| {
-                let o = a.values[idx].cmp(&b.values[idx]);
-                if *desc {
-                    o.reverse()
-                } else {
-                    o
-                }
-            });
-        }
-        if let Some(limit) = sel.limit {
-            rows.truncate(limit as usize);
-        }
-        let result = self.project(&def.schema, &sel.items, rows)?;
-        Ok(QueryResult {
-            rows_examined: examined,
-            ..result
-        })
+        self.finish_select(&def.schema, &sel, rows, examined)
     }
 
     fn select_virtual(&mut self, schema: String, sel: SelectStmt) -> DbResult<QueryResult> {
@@ -2005,25 +2039,7 @@ impl DbInner {
                 kept.push(row);
             }
         }
-        if let Some((col, desc)) = &sel.order_by {
-            let idx = schema_like.column_index(col)?;
-            kept.sort_by(|a, b| {
-                let o = a.values[idx].cmp(&b.values[idx]);
-                if *desc {
-                    o.reverse()
-                } else {
-                    o
-                }
-            });
-        }
-        if let Some(limit) = sel.limit {
-            kept.truncate(limit as usize);
-        }
-        let res = self.project(&schema_like, &sel.items, kept)?;
-        Ok(QueryResult {
-            rows_examined: examined,
-            ..res
-        })
+        self.finish_select(&schema_like, &sel, kept, examined)
     }
 
     /// Fetches the rows of a table that satisfy `where_clause`, using an
@@ -2318,7 +2334,7 @@ impl DbInner {
                         &old,
                         OP_UPDATE,
                         txn_id,
-                    );
+                    )?;
                     self.update_row(txn_id, &def, &old, &new_row, undo_written)?;
                 }
                 self.trace_attr("rows_affected", affected);
@@ -2349,7 +2365,7 @@ impl DbInner {
                         &old,
                         OP_DELETE,
                         txn_id,
-                    );
+                    )?;
                     self.delete_row(txn_id, &def, &old, undo_written)?;
                 }
                 self.trace_attr("rows_affected", affected);

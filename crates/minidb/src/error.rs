@@ -23,6 +23,11 @@ pub enum DbError {
     Eval(String),
     /// Transaction API misuse (nested BEGIN, COMMIT without BEGIN...).
     Txn(String),
+    /// UPDATE/DELETE reached a row that another open transaction has
+    /// written and not yet committed or rolled back (first updater
+    /// wins); the statement is undone and may be retried once that
+    /// transaction ends.
+    WriteConflict(String),
     /// The engine was asked to run a statement after a simulated crash.
     Crashed,
     /// A write statement arrived on a read-only server (a replica); only
@@ -42,6 +47,7 @@ impl fmt::Display for DbError {
             DbError::UnknownFunction(m) => write!(f, "unknown function: {m}"),
             DbError::Eval(m) => write!(f, "evaluation error: {m}"),
             DbError::Txn(m) => write!(f, "transaction error: {m}"),
+            DbError::WriteConflict(m) => write!(f, "write conflict: {m}"),
             DbError::Crashed => write!(f, "engine is in crashed state; recover first"),
             DbError::ReadOnly => {
                 write!(f, "server is read-only (replica); writes go to the primary")

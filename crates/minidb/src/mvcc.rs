@@ -41,6 +41,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::error::{DbError, DbResult};
 use crate::row::Row;
 use crate::vdisk::VDisk;
 
@@ -96,8 +97,9 @@ enum Pending {
         offset: usize,
         op: u8,
         /// The displaced image was itself written by this same
-        /// transaction — at commit its window collapses to empty
-        /// (intermediate images are never snapshot-visible).
+        /// transaction: no reader but that transaction ever sees it —
+        /// not while pending ([`VersionStore::chain_visible`]), and at
+        /// commit its window collapses to empty.
         intra_txn: bool,
     },
     /// A freshly inserted heap row awaiting its xmin at commit.
@@ -144,6 +146,12 @@ impl VersionStore {
 
     /// Archives `old_row` as a before-image: the current heap image of
     /// `(table, old_row.id)` is being superseded by `txn` via `op`.
+    ///
+    /// First updater wins: when that image is another open
+    /// transaction's uncommitted write, nothing is recorded and the
+    /// caller must leave the row alone — superseding it would archive a
+    /// dirty image as history, and the owner's rollback would then
+    /// restore its pre-image over this (acknowledged) write.
     pub fn record_supersession(
         &mut self,
         vdisk: &mut VDisk,
@@ -151,9 +159,17 @@ impl VersionStore {
         old_row: &Row,
         op: u8,
         txn: u64,
-    ) {
+    ) -> DbResult<()> {
         let key = (table.to_string(), old_row.id);
-        let intra_txn = self.pending_owner.get(&key) == Some(&txn);
+        let intra_txn = match self.pending_owner.get(&key) {
+            Some(&owner) if owner != txn => {
+                return Err(DbError::WriteConflict(format!(
+                    "row {} of {table} has an uncommitted write by transaction {owner}",
+                    old_row.id
+                )))
+            }
+            owner => owner.is_some(),
+        };
         let xmin = self.row_xmin.get(&key).copied().unwrap_or(0);
         let offset = vdisk.len(VERSIONS_FILE);
         let rec = encode_record(STATE_PENDING, op, xmin, 0, &key, old_row);
@@ -176,6 +192,7 @@ impl VersionStore {
                 intra_txn,
             });
         self.pending_owner.insert(key, txn);
+        Ok(())
     }
 
     /// Notes a freshly inserted heap row: its xmin is stamped at commit,
@@ -254,7 +271,12 @@ impl VersionStore {
         }
         for stamp in undone.into_iter().rev() {
             match stamp {
-                Pending::Supersede { key, offset, .. } => {
+                Pending::Supersede {
+                    key,
+                    offset,
+                    intra_txn,
+                    ..
+                } => {
                     let restored = self.find_version(&key, offset).map(|v| {
                         v.state = STATE_ABORTED;
                         v.xmin
@@ -267,7 +289,12 @@ impl VersionStore {
                             self.row_xmin.insert(key.clone(), xmin);
                         }
                     }
-                    self.pending_owner.remove(&key);
+                    // A statement rollback may undo only the later of
+                    // the transaction's writes to this row; the restored
+                    // image is then still its own uncommitted one.
+                    if !intra_txn {
+                        self.pending_owner.remove(&key);
+                    }
                 }
                 Pending::NewRow { key } => {
                     self.row_xmin.remove(&key);
@@ -277,9 +304,29 @@ impl VersionStore {
         }
     }
 
+    /// Whether the pending version at `offset` archived an image its
+    /// own transaction had written — the transaction's stamp list
+    /// knows; the version record (and so the `MVER` bytes) does not.
+    fn displaced_own_write(&self, key: &Key, offset: usize) -> bool {
+        let stamps = self
+            .pending_owner
+            .get(key)
+            .and_then(|owner| self.pending.get(owner));
+        stamps.into_iter().flatten().any(
+            |s| matches!(s, Pending::Supersede { offset: o, intra_txn: true, .. } if *o == offset),
+        )
+    }
+
+    /// The image of `key` a reader at `snapshot` sees in the chain. Of a
+    /// chain's pending versions only the oldest — the one the open
+    /// transaction's *first* write displaced — is a committed image;
+    /// the later ones are that transaction's own intermediate images.
     fn chain_visible(&self, key: &Key, snapshot: u64) -> Option<Row> {
         for v in self.chains.get(key)?.iter().rev() {
             if v.state == STATE_ABORTED || v.state == STATE_VACUUMED {
+                continue;
+            }
+            if v.state == STATE_PENDING && self.displaced_own_write(key, v.offset) {
                 continue;
             }
             if v.xmin <= snapshot && (v.xmax == 0 || v.xmax > snapshot) {
@@ -416,11 +463,22 @@ impl VersionStore {
         self.pending.clear();
     }
 
-    /// Whether any transaction currently has unstamped writes — the
-    /// signal that plain reads need read-committed resolution instead of
-    /// trusting the heap.
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty() || !self.pending_owner.is_empty()
+    /// The uncommitted overlay of `table`: every row whose current heap
+    /// image (or absence from the heap) is an open transaction's write,
+    /// with its last *committed* image — `None` for an uncommitted
+    /// INSERT, the pre-image for an uncommitted UPDATE or DELETE.
+    /// Read-committed is the latest heap minus this overlay. Ordered by
+    /// row id; empty (and allocation-free) when no transaction has
+    /// written to `table`.
+    pub fn uncommitted(&self, table: &str) -> Vec<(u64, Option<Row>)> {
+        let mut overlay: Vec<_> = self
+            .pending_owner
+            .keys()
+            .filter(|key| key.0 == table)
+            .map(|key| (key.1, self.chain_visible(key, u64::MAX)))
+            .collect();
+        overlay.sort_unstable_by_key(|(id, _)| *id);
+        overlay
     }
 
     /// Total archived versions across all chains.
@@ -455,7 +513,8 @@ mod tests {
         vs.record_insert("t", 1, 10);
         vs.commit(&mut vd, 10, 1);
         // Superseded at CSN 2.
-        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 11);
+        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 11)
+            .unwrap();
         vs.commit(&mut vd, 11, 2);
         let chain = &vs.chains()[&("t".to_string(), 1)];
         assert_eq!(chain.len(), 1);
@@ -483,7 +542,8 @@ mod tests {
         let mut vd = VDisk::new();
         vs.record_insert("t", 1, 10);
         vs.commit(&mut vd, 10, 1);
-        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 11);
+        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 11)
+            .unwrap();
         vs.abort(&mut vd, 11);
         // The heap row (restored to the old image by undo) is visible
         // again at any snapshot >= 1.
@@ -499,7 +559,8 @@ mod tests {
         let mut vd = VDisk::new();
         vs.record_insert("t", 1, 10);
         vs.commit(&mut vd, 10, 1);
-        vs.record_supersession(&mut vd, "t", &row(1, 7), OP_DELETE, 11);
+        vs.record_supersession(&mut vd, "t", &row(1, 7), OP_DELETE, 11)
+            .unwrap();
         vs.commit(&mut vd, 11, 2);
         let live = HashSet::new();
         let back = vs.resurrect_deleted("t", &live, 1, 99);
@@ -515,7 +576,8 @@ mod tests {
         vs.record_insert("t", 1, 10);
         vs.commit(&mut vd, 10, 1);
         for (i, n) in [(0u64, 100i64), (1, 200), (2, 300)] {
-            vs.record_supersession(&mut vd, "t", &row(1, n), OP_UPDATE, 20 + i);
+            vs.record_supersession(&mut vd, "t", &row(1, n), OP_UPDATE, 20 + i)
+                .unwrap();
             vs.commit(&mut vd, 20 + i, 2 + i);
         }
         assert_eq!(vs.version_count(), 3);
@@ -536,9 +598,11 @@ mod tests {
         let mut vd = VDisk::new();
         vs.record_insert("t", 1, 10);
         vs.commit(&mut vd, 10, 1);
-        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 11);
+        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 11)
+            .unwrap();
         vs.commit(&mut vd, 11, 2);
-        vs.record_supersession(&mut vd, "t", &row(1, 200), OP_UPDATE, 12);
+        vs.record_supersession(&mut vd, "t", &row(1, 200), OP_UPDATE, 12)
+            .unwrap();
         vs.commit(&mut vd, 12, 3);
         // A snapshot at CSN 2 still needs the second image (xmax 3).
         let (reclaimed, remaining) = vs.vacuum(&mut vd, 2, false);
@@ -558,11 +622,89 @@ mod tests {
         vs.commit(&mut vd, 10, 1);
         // One txn updates the row twice: the intermediate image's
         // window must collapse at commit.
-        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 11);
-        vs.record_supersession(&mut vd, "t", &row(1, 150), OP_UPDATE, 11);
+        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 11)
+            .unwrap();
+        vs.record_supersession(&mut vd, "t", &row(1, 150), OP_UPDATE, 11)
+            .unwrap();
+        // While pending, too: both records are `(xmin 1, xmax 0)`, but
+        // only the older one is a committed image.
+        let visible = vs.visible_row("t", row(1, 200), 1, 99).unwrap();
+        assert_eq!(visible.values[0], Value::Int(100));
+        assert_eq!(vs.uncommitted("t"), vec![(1, Some(row(1, 100)))]);
         vs.commit(&mut vd, 11, 2);
+        assert!(vs.uncommitted("t").is_empty());
         // Snapshot 1: the original image, not the intermediate.
         let visible = vs.visible_row("t", row(1, 200), 1, 99).unwrap();
         assert_eq!(visible.values[0], Value::Int(100));
+    }
+
+    #[test]
+    fn overlay_holds_the_last_committed_image_per_table() {
+        let mut vs = VersionStore::default();
+        let mut vd = VDisk::new();
+        for id in [1, 2] {
+            vs.record_insert("t", id, 10);
+        }
+        vs.record_insert("other", 1, 10);
+        vs.commit(&mut vd, 10, 1);
+        assert!(vs.uncommitted("t").is_empty());
+        // One open transaction: an insert it then updates, an update, a
+        // delete; another table's rows are not this table's overlay.
+        vs.record_insert("t", 3, 11);
+        vs.record_supersession(&mut vd, "t", &row(3, 30), OP_UPDATE, 11)
+            .unwrap();
+        vs.record_supersession(&mut vd, "t", &row(2, 20), OP_UPDATE, 11)
+            .unwrap();
+        vs.record_supersession(&mut vd, "t", &row(1, 10), OP_DELETE, 11)
+            .unwrap();
+        vs.record_supersession(&mut vd, "other", &row(1, 5), OP_UPDATE, 12)
+            .unwrap();
+        assert_eq!(
+            vs.uncommitted("t"),
+            vec![(1, Some(row(1, 10))), (2, Some(row(2, 20))), (3, None)]
+        );
+        vs.abort(&mut vd, 11);
+        assert!(vs.uncommitted("t").is_empty());
+        assert_eq!(vs.uncommitted("other").len(), 1);
+    }
+
+    #[test]
+    fn first_updater_wins() {
+        let mut vs = VersionStore::default();
+        let mut vd = VDisk::new();
+        vs.record_insert("t", 1, 10);
+        vs.commit(&mut vd, 10, 1);
+        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 11)
+            .unwrap();
+        let len = vd.len(VERSIONS_FILE);
+        let err = vs.record_supersession(&mut vd, "t", &row(1, 200), OP_UPDATE, 12);
+        assert!(matches!(err, Err(DbError::WriteConflict(_))), "{err:?}");
+        assert_eq!(
+            vd.len(VERSIONS_FILE),
+            len,
+            "a refused write archives nothing"
+        );
+        assert_eq!(vs.pending_mark(12), 0);
+        vs.abort(&mut vd, 11);
+        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 12)
+            .unwrap();
+    }
+
+    #[test]
+    fn statement_rollback_keeps_the_transactions_earlier_write_owned() {
+        let mut vs = VersionStore::default();
+        let mut vd = VDisk::new();
+        vs.record_insert("t", 1, 10);
+        vs.commit(&mut vd, 10, 1);
+        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 11)
+            .unwrap();
+        let mark = vs.pending_mark(11);
+        vs.record_supersession(&mut vd, "t", &row(1, 150), OP_UPDATE, 11)
+            .unwrap();
+        vs.abort_from(&mut vd, 11, mark);
+        // The heap holds 150 again: still transaction 11's, not history.
+        let visible = vs.visible_row("t", row(1, 150), 1, 99).unwrap();
+        assert_eq!(visible.values[0], Value::Int(100));
+        assert_eq!(vs.uncommitted("t"), vec![(1, Some(row(1, 100)))]);
     }
 }

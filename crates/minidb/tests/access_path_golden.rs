@@ -3,11 +3,20 @@
 //!
 //! The paper's point is that buffer-pool recency, access counters and
 //! scan counters *are* the leak, so the executor may batch its work but
-//! must account for it exactly as the row-at-a-time executor did. Every
-//! expected value below was captured by running this file, unchanged,
-//! against the commit before the page-at-a-time scan kernel (PR 12,
-//! `20c92a5`). A scan-path change that moves any of them has changed
+//! must account for it exactly as the row-at-a-time executor did. A
+//! scan-path change that moves any expected value below has changed
 //! what a snapshot attacker sees.
+//!
+//! The stream runs in two variants ([`Stream`]). With no transaction
+//! anywhere, every expected value was captured by running this file,
+//! unchanged, against the parent of the read-committed overlay (PR 13,
+//! `72f28ca`): a read with nothing uncommitted on its table takes the
+//! parent's path byte for byte. With session `b` holding a transaction
+//! on `tag` open while `a` reads `ev`, the values are this commit's own
+//! — the parent sent that read through a full scan and version walk —
+//! and `a`'s `ev` answers must not differ from the first variant's: a
+//! transaction on another table is invisible to a read, in its rows and
+//! in what it examined.
 
 use minidb::engine::{Connection, Db, DbConfig};
 use minidb::storage::DUMP_FILE;
@@ -39,12 +48,24 @@ fn fnv(text: &str) -> u64 {
 const EV_ROWS: i64 = 3_000;
 const TAG_ROWS: i64 = 1_200;
 
+/// Whether session `b`'s statements run inside `BEGIN … COMMIT`.
+#[derive(Clone, Copy, PartialEq)]
+enum Stream {
+    /// As written: `a` reads `ev` while `b` has an uncommitted write on
+    /// `tag`.
+    Mixed,
+    /// The same statements with `b`'s `BEGIN` and `COMMIT` left out.
+    NoTransaction,
+}
+
 /// What the stream's answers fold into.
 #[derive(Default)]
 struct Answers {
     rows_examined: u64,
     rows_returned: u64,
     text: String,
+    /// The part of `text` that session `a`'s SELECTs on `ev` wrote.
+    ev_reads: String,
 }
 
 impl Answers {
@@ -63,6 +84,13 @@ impl Answers {
             }
             Err(e) => write!(self.text, "ERR {e};").unwrap(),
         }
+    }
+
+    /// [`Self::run`] for a SELECT on `ev` by session `a`.
+    fn read_ev(&mut self, a: &Connection, sql: &str) {
+        let from = self.text.len();
+        self.run(a, sql);
+        self.ev_reads.push_str(&self.text[from..]);
     }
 }
 
@@ -95,19 +123,27 @@ fn load(conn: &Connection) {
     }
 }
 
-/// One statement of the measured stream. `a` runs autocommit, `b`
-/// holds transactions open so `a`'s reads take the snapshot path too.
-fn step(rng: &mut Rng, a: &Connection, b: &Connection, out: &mut Answers, next_id: &mut i64) {
+/// One statement of the measured stream. `a` runs autocommit; `b`
+/// holds a transaction on `tag` open across one of `a`'s reads of `ev`
+/// ([`Stream::Mixed`]).
+fn step(
+    stream: Stream,
+    rng: &mut Rng,
+    a: &Connection,
+    b: &Connection,
+    out: &mut Answers,
+    next_id: &mut i64,
+) {
     let id = rng.below(EV_ROWS as u64 - 200);
     match rng.below(20) {
-        0..=3 => out.run(
+        0..=3 => out.read_ev(
             a,
             &format!(
                 "SELECT id, grp, v FROM ev WHERE id >= {id} AND id < {}",
                 id + 150
             ),
         ),
-        4..=5 => out.run(
+        4..=5 => out.read_ev(
             a,
             &format!(
                 "SELECT id, v FROM ev WHERE ts >= {} AND ts < {}",
@@ -115,8 +151,8 @@ fn step(rng: &mut Rng, a: &Connection, b: &Connection, out: &mut Answers, next_i
                 1_000 + (id + 120) * 10
             ),
         ),
-        6 => out.run(a, &format!("SELECT id, ts FROM ev WHERE grp = {}", id % 15)),
-        7 => out.run(
+        6 => out.read_ev(a, &format!("SELECT id, ts FROM ev WHERE grp = {}", id % 15)),
+        7 => out.read_ev(
             a,
             &format!(
                 "SELECT * FROM ev WHERE grp = {} AND ts > {} LIMIT 7",
@@ -124,7 +160,7 @@ fn step(rng: &mut Rng, a: &Connection, b: &Connection, out: &mut Answers, next_i
                 id * 5
             ),
         ),
-        8 => out.run(
+        8 => out.read_ev(
             a,
             &format!("SELECT id FROM ev WHERE id >= {id} LIMIT {}", id % 40),
         ),
@@ -180,7 +216,10 @@ fn step(rng: &mut Rng, a: &Connection, b: &Connection, out: &mut Answers, next_i
             *next_id += 1;
         }
         17 => {
-            out.run(b, "BEGIN");
+            let in_txn = stream == Stream::Mixed;
+            if in_txn {
+                out.run(b, "BEGIN");
+            }
             out.run(
                 b,
                 &format!(
@@ -192,13 +231,17 @@ fn step(rng: &mut Rng, a: &Connection, b: &Connection, out: &mut Answers, next_i
                 b,
                 &format!("UPDATE tag SET note = 'txn' WHERE id = {}", id % TAG_ROWS),
             );
-            // `b` now has unstamped writes: `a` reads through the
-            // version chains.
-            out.run(
+            // `b`'s write is to `tag`: `ev` has no uncommitted row, so
+            // this is the read it would be with no transaction open, and
+            // returns the first five in scan order. (The parent's detour
+            // returned the first five by row id; both are valid.)
+            out.read_ev(
                 a,
                 &format!("SELECT id FROM ev WHERE grp = {} LIMIT 5", id % 15),
             );
-            out.run(b, "COMMIT");
+            if in_txn {
+                out.run(b, "COMMIT");
+            }
         }
         18 => out.run(
             a,
@@ -218,8 +261,9 @@ fn step(rng: &mut Rng, a: &Connection, b: &Connection, out: &mut Answers, next_i
     }
 }
 
-#[test]
-fn seeded_stream_leaves_the_parent_commits_access_path() {
+/// Runs the seeded stream; returns every surface it left, rendered,
+/// and session `a`'s `ev` answers.
+fn run_stream(stream: Stream) -> (String, String) {
     let db = Db::open(DbConfig {
         buffer_pool_pages: 24,
         bufpool_shards: 4,
@@ -233,7 +277,7 @@ fn seeded_stream_leaves_the_parent_commits_access_path() {
     let mut out = Answers::default();
     let mut next_id = EV_ROWS;
     for _ in 0..400 {
-        step(&mut rng, &a, &b, &mut out, &mut next_id);
+        step(stream, &mut rng, &a, &b, &mut out, &mut next_id);
     }
 
     let mem = db.memory_image();
@@ -252,7 +296,7 @@ fn seeded_stream_leaves_the_parent_commits_access_path() {
         .map(<[u8]>::to_vec)
         .unwrap_or_default();
 
-    let got = format!(
+    let surfaces = format!(
         "rows_examined={} rows_returned={} errors={} answers={:016x}\n\
          hits={} misses={} evictions={} shards={:?}\n\
          pages_pruned={} pages_decoded={}\n\
@@ -272,11 +316,37 @@ fn seeded_stream_leaves_the_parent_commits_access_path() {
         fnv(&format!("{:?}", mem.adaptive_hash_keys)),
         fnv(&String::from_utf8_lossy(&dump)),
     );
-    let want = "rows_examined=245418 rows_returned=30558 errors=0 answers=3e753083c1326363\n\
-                hits=75444 misses=5619 evictions=5962 \
-                shards=[(13915, 1226), (18362, 1529), (25372, 1444), (17795, 1420)]\n\
-                pages_pruned=757 pages_decoded=863\n\
-                access_counts=2b11586fde6ecaed lru_order=873759ede923d2a6 \
-                adaptive_hash=13c66eb8db230224 dump=397fbb3551d904fd";
+    (surfaces, out.ev_reads)
+}
+
+#[test]
+fn no_transaction_stream_leaves_the_parent_commits_access_path() {
+    let (got, _) = run_stream(Stream::NoTransaction);
+    let want = "rows_examined=156858 rows_returned=30558 errors=0 answers=acec77441c238a57\n\
+                hits=75659 misses=5591 evictions=5934 \
+                shards=[(13935, 1223), (18357, 1513), (25448, 1436), (17919, 1419)]\n\
+                pages_pruned=757 pages_decoded=517\n\
+                access_counts=3fb3bddb37f6c375 lru_order=873759ede923d2a6 \
+                adaptive_hash=13c66eb8db230224 dump=e5c2dc67b031e481";
     assert_eq!(got, want);
+}
+
+#[test]
+fn transaction_on_another_table_is_invisible_to_a_read() {
+    let (got, ev_reads) = run_stream(Stream::Mixed);
+    // `b`'s own read of `ev` inside its transaction is a snapshot read
+    // (a full scan and version walk, by design), which is what the pool
+    // and scan counters have over the other variant's.
+    let want = "rows_examined=201374 rows_returned=30558 errors=0 answers=f258b609ddd914b1\n\
+                hits=75277 misses=5620 evictions=5963 \
+                shards=[(13882, 1228), (18319, 1527), (25327, 1444), (17749, 1421)]\n\
+                pages_pruned=757 pages_decoded=697\n\
+                access_counts=bce59aea50ddaa30 lru_order=873759ede923d2a6 \
+                adaptive_hash=13c66eb8db230224 dump=2c07806b7225b17f";
+    assert_eq!(got, want);
+    let (_, without) = run_stream(Stream::NoTransaction);
+    assert!(
+        ev_reads == without,
+        "`a`'s ev answers changed because `b` had a transaction open on `tag`"
+    );
 }

@@ -870,6 +870,161 @@ fn mvcc_uncommitted_writes_invisible_to_others_but_own() {
     assert_eq!(r.rows[0][0], Value::Int(77));
 }
 
+/// `SELECT age … WHERE id = 2` as `conn` sees it: autocommit
+/// (read-committed), then inside its own `BEGIN … COMMIT` (snapshot).
+fn age_of_2(conn: &minidb::engine::Connection) -> [Value; 2] {
+    let read = || {
+        let r = conn
+            .execute("SELECT age FROM customers WHERE id = 2")
+            .unwrap();
+        assert_eq!(r.rows.len(), 1);
+        r.rows[0][0].clone()
+    };
+    let autocommit = read();
+    conn.execute("BEGIN").unwrap();
+    let snapshot = read();
+    conn.execute("COMMIT").unwrap();
+    [autocommit, snapshot]
+}
+
+#[test]
+fn mvcc_intermediate_images_of_an_open_transaction_are_invisible() {
+    let db = db();
+    setup_customers(&db);
+    let a = db.connect("a");
+    let b = db.connect("b");
+    let committed = [Value::Int(25), Value::Int(25)];
+
+    a.execute("BEGIN").unwrap();
+    a.execute("UPDATE customers SET age = 1 WHERE id = 2")
+        .unwrap();
+    assert_eq!(age_of_2(&b), committed, "first uncommitted write");
+    // The second write archives A's own first image; it is pending like
+    // the committed pre-image below it, but it is nobody's history.
+    a.execute("UPDATE customers SET age = 2 WHERE id = 2")
+        .unwrap();
+    assert_eq!(age_of_2(&b), committed, "intermediate image leaked");
+    a.execute("DELETE FROM customers WHERE id = 2").unwrap();
+    assert_eq!(age_of_2(&b), committed, "uncommitted delete");
+    a.execute("ROLLBACK").unwrap();
+    assert_eq!(age_of_2(&b), committed, "after rollback");
+
+    // An INSERT superseded in its own transaction has no committed image.
+    a.execute("BEGIN").unwrap();
+    a.execute("INSERT INTO customers VALUES (6, 'TX', 50)")
+        .unwrap();
+    a.execute("UPDATE customers SET age = 51 WHERE id = 6")
+        .unwrap();
+    for sql in [
+        "SELECT age FROM customers WHERE id = 6",
+        "SELECT age FROM customers WHERE age >= 50 AND age < 60",
+    ] {
+        assert!(b.execute(sql).unwrap().rows.is_empty(), "{sql}");
+    }
+    a.execute("COMMIT").unwrap();
+    let r = b.execute("SELECT age FROM customers WHERE id = 6").unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(51)]]);
+}
+
+#[test]
+fn mvcc_statement_rollback_keeps_earlier_uncommitted_writes_hidden() {
+    let db = db();
+    setup_customers(&db);
+    let a = db.connect("a");
+    let b = db.connect("b");
+    a.execute("BEGIN").unwrap();
+    a.execute("UPDATE customers SET age = 1 WHERE id = 2")
+        .unwrap();
+    // Moves row 2 to key 9, then row 3 onto the same key, and is undone
+    // as a statement; A's first write to row 2 still stands.
+    assert!(a
+        .execute("UPDATE customers SET id = 9 WHERE id >= 2")
+        .is_err());
+    let r = a.execute("SELECT age FROM customers WHERE id = 2").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(1), "own write survives");
+    assert_eq!(age_of_2(&b), [Value::Int(25), Value::Int(25)]);
+    a.execute("COMMIT").unwrap();
+    assert_eq!(age_of_2(&b), [Value::Int(1), Value::Int(1)]);
+}
+
+/// Every row of `customers`, on `db` and on a replica rebuilt from
+/// nothing but `db`'s binlog.
+fn customers_here_and_replayed(db: &Db) -> [Vec<Vec<Value>>; 2] {
+    let dump = |db: &Db| {
+        db.connect("audit")
+            .execute("SELECT * FROM customers ORDER BY id")
+            .unwrap()
+            .rows
+    };
+    let replica = Db::open(DbConfig::default());
+    let (events, _) = db.binlog_events_from(0, usize::MAX);
+    for (_, ev) in events {
+        replica
+            .apply_replicated(&ev.statement, ev.timestamp)
+            .unwrap();
+    }
+    [dump(db), dump(&replica)]
+}
+
+#[test]
+fn mvcc_write_to_a_row_another_transaction_owns_is_a_conflict() {
+    use minidb::DbError;
+    for a_ends_with in ["ROLLBACK", "COMMIT"] {
+        let db = db();
+        setup_customers(&db);
+        let a = db.connect("a");
+        let b = db.connect("b");
+        a.execute("BEGIN").unwrap();
+        a.execute("UPDATE customers SET age = 1 WHERE id = 2")
+            .unwrap();
+
+        // First updater wins: B is refused, and refused whole — row 1,
+        // which its statement reached first, is put back.
+        for sql in [
+            "UPDATE customers SET age = 7 WHERE id = 2",
+            "UPDATE customers SET age = 7 WHERE id <= 2",
+            "DELETE FROM customers WHERE id <= 2",
+        ] {
+            let err = b.execute(sql).unwrap_err();
+            assert!(matches!(err, DbError::WriteConflict(_)), "{sql}: {err}");
+        }
+        // ... also from inside a transaction of its own, which survives.
+        b.execute("BEGIN").unwrap();
+        b.execute("UPDATE customers SET age = 8 WHERE id = 3")
+            .unwrap();
+        let err = b
+            .execute("UPDATE customers SET age = 8 WHERE id = 2")
+            .unwrap_err();
+        assert!(matches!(err, DbError::WriteConflict(_)), "{err}");
+        b.execute("COMMIT").unwrap();
+        let r = b
+            .execute("SELECT age FROM customers WHERE id <= 3 ORDER BY id")
+            .unwrap();
+        assert_eq!(
+            r.rows,
+            vec![
+                vec![Value::Int(30)],
+                vec![Value::Int(25)],
+                vec![Value::Int(8)]
+            ],
+            "refused writes left nothing behind"
+        );
+
+        a.execute(a_ends_with).unwrap();
+        let r = b
+            .execute("UPDATE customers SET age = 7 WHERE id = 2")
+            .unwrap();
+        assert_eq!(r.rows_affected, 1, "retry after A ended");
+        let [primary, replica] = customers_here_and_replayed(&db);
+        assert_eq!(
+            primary[1][2],
+            Value::Int(7),
+            "the acked write is the final value"
+        );
+        assert_eq!(primary, replica, "the binlog tells the same story");
+    }
+}
+
 #[test]
 fn mvcc_rollback_aborts_version_records() {
     let db = db();
