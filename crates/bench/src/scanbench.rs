@@ -12,6 +12,7 @@ use std::time::Instant;
 
 use mdb_telemetry::json;
 use minidb::engine::{Db, DbConfig};
+use minidb::storage::PAGE_SIZE;
 
 /// Gap between consecutive `ts` values (a sparse, monotone key, like
 /// millisecond timestamps).
@@ -63,6 +64,16 @@ pub fn query(rows: usize, q: usize) -> String {
 pub fn eq_query(rows: usize, q: usize) -> String {
     let hit = (q * 7919 % rows) as i64 * STEP;
     format!("SELECT id, ts FROM events WHERE ts = {hit}")
+}
+
+/// Keys per page of the fixture's primary-key index file, leaves and
+/// internal nodes alike. `id` arrives in ascending order, so every leaf
+/// but the last is full: 32 / (1 + 1/32 + …) ≈ 31.
+pub fn index_keys_per_page(db: &Db, rows: usize) -> f64 {
+    let index = db
+        .read_server_file("index_events_id.ibd")
+        .unwrap_or_default();
+    rows as f64 / (index.len() / PAGE_SIZE).max(1) as f64
 }
 
 /// Rows a [`pk_range_query`] returns.
@@ -123,6 +134,8 @@ pub struct ScanComparison {
     pub full: ScanMeasurement,
     /// The zone-map-pruned run.
     pub pruned: ScanMeasurement,
+    /// [`index_keys_per_page`] of the fixture.
+    pub index_keys_per_page: f64,
 }
 
 impl ScanComparison {
@@ -161,6 +174,8 @@ impl ScanComparison {
         w.u64(self.pruned.pages_decoded);
         w.key("pruned_fraction");
         w.f64(self.pruned_fraction());
+        w.key("index_keys_per_page");
+        w.f64(self.index_keys_per_page);
         w.obj_close();
         w.into_string()
     }
@@ -182,6 +197,7 @@ pub fn compare(rows: usize, queries: usize) -> ScanComparison {
         queries,
         full,
         pruned,
+        index_keys_per_page: index_keys_per_page(&pruned_db, rows),
     }
 }
 
@@ -199,7 +215,9 @@ mod tests {
             cmp.pruned_fraction() > 0.5,
             "1% selectivity should skip most pages: {cmp:?}"
         );
+        assert!(cmp.index_keys_per_page >= 30.0, "{cmp:?}");
         let json = cmp.to_json();
         assert!(json.contains("\"pages_pruned\""), "{json}");
+        assert!(json.contains("\"index_keys_per_page\""), "{json}");
     }
 }

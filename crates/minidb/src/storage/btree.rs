@@ -8,8 +8,15 @@
 //!
 //! Duplicate keys are supported; equality and range searches descend
 //! left-on-equality and walk the leaf chain.
+//!
+//! A node that overflows by an append — the newcomer is its last entry —
+//! splits where the newcomer landed, so keys arriving in order leave
+//! full leaves; every other overflow splits in half. DESIGN.md, *B+
+//! tree density*, has what that does for each insert order.
 
 use std::ops::Bound;
+
+use mdb_trace::codec::Reader;
 
 use crate::error::{DbError, DbResult};
 use crate::row::RowId;
@@ -30,6 +37,20 @@ pub const MAX_KEY_BYTES: usize = 400;
 const NODE_OFF: usize = 12;
 
 const SENTINEL: u32 = u32::MAX;
+
+/// Nodes on any root-to-leaf path, at most: every internal node has at
+/// least two children, so a deeper tree would need more pages than a
+/// `u32` numbers. A descent that runs longer is following a cycle
+/// someone wrote into the file.
+const MAX_DEPTH: usize = 32;
+
+fn too_deep() -> DbError {
+    DbError::Storage(format!("btree descent deeper than {MAX_DEPTH} nodes"))
+}
+
+fn chain_loops() -> DbError {
+    DbError::Storage("btree leaf chain longer than its file".into())
+}
 
 /// Result of an index search: the matching row ids plus the pages the
 /// traversal touched, in visit order (the access-path leakage).
@@ -80,32 +101,29 @@ impl Node {
         out
     }
 
+    /// Parses a node. The bytes come off a page an attacker with the
+    /// disk may have rewritten, so every field is bounds-checked and a
+    /// count no split can leave behind is refused before it sizes an
+    /// allocation. Fixed-width fields go through the codec's cursor;
+    /// [`Value`] owns the key encoding and reads at a byte offset, so the
+    /// keys are parsed at `pos` and a row id behind one gets a cursor of
+    /// its own.
     fn decode(buf: &[u8]) -> DbResult<Node> {
-        let mut pos = 0;
-        let tag = *buf
-            .get(pos)
-            .ok_or_else(|| DbError::Storage("empty btree node".into()))?;
-        pos += 1;
-        let n = u16::from_le_bytes(
-            buf.get(pos..pos + 2)
-                .ok_or_else(|| DbError::Storage("truncated node count".into()))?
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        pos += 2;
+        let mut r = Reader::new(buf);
+        let tag = r.u8()?;
+        let n = r.u16()? as usize;
+        if n > MAX_ENTRIES {
+            return Err(DbError::Storage(format!(
+                "btree node claims {n} entries (max {MAX_ENTRIES})"
+            )));
+        }
         match tag {
             1 => {
                 let mut children = Vec::with_capacity(n + 1);
                 for _ in 0..=n {
-                    let c = u32::from_le_bytes(
-                        buf.get(pos..pos + 4)
-                            .ok_or_else(|| DbError::Storage("truncated child".into()))?
-                            .try_into()
-                            .unwrap(),
-                    );
-                    pos += 4;
-                    children.push(c);
+                    children.push(r.u32()?);
                 }
+                let mut pos = r.pos();
                 let mut keys = Vec::with_capacity(n);
                 for _ in 0..n {
                     keys.push(Value::decode(buf, &mut pos)?);
@@ -113,31 +131,34 @@ impl Node {
                 Ok(Node::Internal { keys, children })
             }
             2 => {
-                let next_raw = u32::from_le_bytes(
-                    buf.get(pos..pos + 4)
-                        .ok_or_else(|| DbError::Storage("truncated next ptr".into()))?
-                        .try_into()
-                        .unwrap(),
-                );
-                pos += 4;
+                let next_raw = r.u32()?;
                 let next = (next_raw != SENTINEL).then_some(next_raw);
+                let mut pos = r.pos();
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let k = Value::decode(buf, &mut pos)?;
-                    let rid = u64::from_le_bytes(
-                        buf.get(pos..pos + 8)
-                            .ok_or_else(|| DbError::Storage("truncated row id".into()))?
-                            .try_into()
-                            .unwrap(),
-                    );
+                    let key = Value::decode(buf, &mut pos)?;
+                    let row_id = Reader::new(buf.get(pos..).unwrap_or_default()).u64()?;
                     pos += 8;
-                    entries.push((k, rid));
+                    entries.push((key, row_id));
                 }
                 Ok(Node::Leaf { entries, next })
             }
             t => Err(DbError::Storage(format!("unknown btree node tag {t}"))),
         }
     }
+}
+
+/// What [`BTree::check`] counted on its way through a sound tree.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TreeStats {
+    /// Nodes on every root-to-leaf path.
+    pub depth: usize,
+    /// Internal pages reachable from the root.
+    pub internal_pages: usize,
+    /// Leaf pages reachable from the root.
+    pub leaf_pages: usize,
+    /// `(key, row id)` entries in the leaves.
+    pub entries: usize,
 }
 
 /// A B+ tree rooted at a fixed page of an index file. The root page number
@@ -178,8 +199,9 @@ impl BTree {
         page_no: u32,
     ) -> DbResult<Node> {
         bufpool.with_page(vdisk, &self.file, page_no, |b| {
-            let len = u16::from_le_bytes([b[NODE_OFF], b[NODE_OFF + 1]]) as usize;
-            Node::decode(&b[NODE_OFF + 2..NODE_OFF + 2 + len])
+            let mut r = Reader::new(&b[NODE_OFF..]);
+            let len = r.u16()? as usize;
+            Node::decode(r.take(len)?)
         })?
     }
 
@@ -216,7 +238,8 @@ impl BTree {
                 probe.len()
             )));
         }
-        if let Some((split_key, right)) = self.insert_rec(bufpool, vdisk, self.root, key, row_id)? {
+        let split = self.insert_rec(bufpool, vdisk, self.root, key, row_id, MAX_DEPTH - 1)?;
+        if let Some((split_key, right)) = split {
             // Root split: copy the (already-halved) root node into a fresh
             // left page and rebuild the root as an internal node, keeping
             // the root page number stable.
@@ -245,6 +268,7 @@ impl BTree {
         page_no: u32,
         key: &Value,
         row_id: RowId,
+        levels_left: usize,
     ) -> DbResult<Option<(Value, u32)>> {
         match self.load_node(bufpool, vdisk, page_no)? {
             Node::Leaf { mut entries, next } => {
@@ -254,9 +278,21 @@ impl BTree {
                     self.store_node(bufpool, vdisk, page_no, &Node::Leaf { entries, next })?;
                     return Ok(None);
                 }
-                let mid = entries.len() / 2;
+                // An append splits where it lands: the full leaf stays
+                // full and the newcomer starts the right one, so keys
+                // arriving in order pack MAX_ENTRIES to a page, not half.
+                // Its separator is the left leaf's last key, not the
+                // newcomer: whatever later falls between the two must go
+                // right, or a descending run into that gap would append
+                // to the full leaf again and again, one leaf per key.
+                let append = pos == MAX_ENTRIES;
+                let mid = if append { pos } else { entries.len() / 2 };
                 let right_entries: Vec<_> = entries.split_off(mid);
-                let split_key = right_entries[0].0.clone();
+                let split_key = if append {
+                    entries[mid - 1].0.clone()
+                } else {
+                    right_entries[0].0.clone()
+                };
                 let right_page = bufpool.allocate_page(vdisk, &self.file);
                 self.store_node(
                     bufpool,
@@ -284,9 +320,11 @@ impl BTree {
             } => {
                 // Right-on-equality keeps inserts simple; searches descend
                 // left-on-equality and walk the leaf chain instead.
+                let levels_left = levels_left.checked_sub(1).ok_or_else(too_deep)?;
                 let idx = keys.partition_point(|k| k <= key);
                 let child = children[idx];
-                if let Some((sep, right)) = self.insert_rec(bufpool, vdisk, child, key, row_id)? {
+                let split = self.insert_rec(bufpool, vdisk, child, key, row_id, levels_left)?;
+                if let Some((sep, right)) = split {
                     keys.insert(idx, sep);
                     children.insert(idx + 1, right);
                     if keys.len() <= MAX_ENTRIES {
@@ -298,7 +336,15 @@ impl BTree {
                         )?;
                         return Ok(None);
                     }
-                    let mid = keys.len() / 2;
+                    // Same rule one level up: when the separator that
+                    // overflows the node is its last, promote the one
+                    // before it, so the right node starts with the
+                    // newcomer and its two children.
+                    let mid = if idx == MAX_ENTRIES {
+                        idx - 1
+                    } else {
+                        keys.len() / 2
+                    };
                     let promote = keys[mid].clone();
                     let right_keys: Vec<_> = keys.split_off(mid + 1);
                     keys.pop(); // Remove the promoted key from the left.
@@ -322,25 +368,26 @@ impl BTree {
     }
 
     /// Descends to the leaf that may contain the *leftmost* occurrence of
-    /// `key`, recording the path.
+    /// `key` (the leftmost leaf for `None`), recording the path.
     fn descend_left(
         &self,
         bufpool: &ShardedBufferPool,
         vdisk: &mut VDisk,
-        key: &Value,
+        key: Option<&Value>,
         path: &mut Vec<u32>,
     ) -> DbResult<u32> {
         let mut page_no = self.root;
-        loop {
+        for _ in 0..MAX_DEPTH {
             path.push(page_no);
             match self.load_node(bufpool, vdisk, page_no)? {
                 Node::Leaf { .. } => return Ok(page_no),
                 Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k < key);
+                    let idx = key.map_or(0, |key| keys.partition_point(|k| k < key));
                     page_no = children[idx];
                 }
             }
         }
+        Err(too_deep())
     }
 
     /// Finds all row ids with exactly `key`.
@@ -368,12 +415,11 @@ impl BTree {
     ) -> DbResult<SearchResult> {
         let mut result = SearchResult::default();
         // Starting leaf: leftmost for unbounded, else descend on the bound.
-        let mut leaf = match &lo {
-            Bound::Unbounded => self.leftmost_leaf(bufpool, vdisk, &mut result.pages)?,
-            Bound::Included(k) | Bound::Excluded(k) => {
-                self.descend_left(bufpool, vdisk, k, &mut result.pages)?
-            }
+        let start = match &lo {
+            Bound::Unbounded => None,
+            Bound::Included(k) | Bound::Excluded(k) => Some(k),
         };
+        let mut leaf = self.descend_left(bufpool, vdisk, start, &mut result.pages)?;
         let in_lo = |k: &Value| match &lo {
             Bound::Unbounded => true,
             Bound::Included(b) => k >= b,
@@ -384,7 +430,7 @@ impl BTree {
             Bound::Included(b) => k > b,
             Bound::Excluded(b) => k >= b,
         };
-        loop {
+        for _ in 0..ShardedBufferPool::page_count(vdisk, &self.file) {
             let node = self.load_node(bufpool, vdisk, leaf)?;
             let Node::Leaf { entries, next } = node else {
                 return Err(DbError::Storage("descend ended on internal node".into()));
@@ -405,22 +451,7 @@ impl BTree {
                 None => return Ok(result),
             }
         }
-    }
-
-    fn leftmost_leaf(
-        &self,
-        bufpool: &ShardedBufferPool,
-        vdisk: &mut VDisk,
-        path: &mut Vec<u32>,
-    ) -> DbResult<u32> {
-        let mut page_no = self.root;
-        loop {
-            path.push(page_no);
-            match self.load_node(bufpool, vdisk, page_no)? {
-                Node::Leaf { .. } => return Ok(page_no),
-                Node::Internal { children, .. } => page_no = children[0],
-            }
-        }
+        Err(chain_loops())
     }
 
     /// Removes one `(key, row_id)` entry. Returns whether an entry was
@@ -433,8 +464,8 @@ impl BTree {
         row_id: RowId,
     ) -> DbResult<bool> {
         let mut path = Vec::new();
-        let mut leaf = self.descend_left(bufpool, vdisk, key, &mut path)?;
-        loop {
+        let mut leaf = self.descend_left(bufpool, vdisk, Some(key), &mut path)?;
+        for _ in 0..ShardedBufferPool::page_count(vdisk, &self.file) {
             let node = self.load_node(bufpool, vdisk, leaf)?;
             let Node::Leaf { mut entries, next } = node else {
                 return Err(DbError::Storage("descend ended on internal node".into()));
@@ -453,6 +484,97 @@ impl BTree {
                 None => return Ok(false),
             }
         }
+        Err(chain_loops())
+    }
+}
+
+/// One [`BTree::check`] walk.
+struct Check<'a> {
+    tree: &'a BTree,
+    bufpool: &'a ShardedBufferPool,
+    vdisk: &'a mut VDisk,
+    stats: TreeStats,
+    /// `(page, next)` of every leaf, in the order the descent meets them.
+    leaves: Vec<(u32, Option<u32>)>,
+}
+
+impl Check<'_> {
+    /// Checks the subtree at `page_no`, whose keys the separators above
+    /// it confine to `lo..=hi`.
+    fn node(
+        &mut self,
+        page_no: u32,
+        lo: Option<&Value>,
+        hi: Option<&Value>,
+        depth: usize,
+    ) -> DbResult<()> {
+        let broken = |what: &str| DbError::Storage(format!("btree page {page_no}: {what}"));
+        if depth > MAX_DEPTH {
+            return Err(too_deep());
+        }
+        let node = self.tree.load_node(self.bufpool, self.vdisk, page_no)?;
+        let keys: Vec<&Value> = match &node {
+            Node::Internal { keys, .. } => keys.iter().collect(),
+            Node::Leaf { entries, .. } => entries.iter().map(|(k, _)| k).collect(),
+        };
+        if keys.windows(2).any(|w| w[0] > w[1]) {
+            return Err(broken("keys out of order"));
+        }
+        if lo.is_some_and(|lo| keys.first().is_some_and(|k| *k < lo))
+            || hi.is_some_and(|hi| keys.last().is_some_and(|k| *k > hi))
+        {
+            return Err(broken("key outside its separators"));
+        }
+        match &node {
+            Node::Leaf { entries, next } => {
+                if self.stats.leaf_pages > 0 && self.stats.depth != depth {
+                    return Err(broken("leaf at another depth than the first"));
+                }
+                self.stats.depth = depth;
+                self.stats.leaf_pages += 1;
+                self.stats.entries += entries.len();
+                self.leaves.push((page_no, *next));
+            }
+            Node::Internal { keys, children } => {
+                if keys.is_empty() {
+                    return Err(broken("internal node without a separator"));
+                }
+                self.stats.internal_pages += 1;
+                for (i, &child) in children.iter().enumerate() {
+                    let lo = i.checked_sub(1).map(|i| &keys[i]).or(lo);
+                    self.node(child, lo, keys.get(i).or(hi), depth + 1)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl BTree {
+    /// Walks the whole tree and fails on the first broken invariant:
+    /// keys sorted within a node, every key inside the separators above
+    /// it (so leaves are sorted across each other too), every leaf at
+    /// one depth, no internal node without a separator, and the leaf
+    /// chain threading exactly the leaves the descent reaches, in key
+    /// order, each once. For tests and offline checks: it reads every
+    /// page through the pool, so it rewrites the recency order.
+    pub fn check(&self, bufpool: &ShardedBufferPool, vdisk: &mut VDisk) -> DbResult<TreeStats> {
+        let mut check = Check {
+            tree: self,
+            bufpool,
+            vdisk,
+            stats: TreeStats::default(),
+            leaves: Vec::new(),
+        };
+        check.node(self.root, None, None, 1)?;
+        let chained = check.leaves.iter().map(|&(_, next)| next);
+        let reached = check.leaves.iter().skip(1).map(|&(page, _)| Some(page));
+        if !chained.eq(reached.chain([None])) {
+            return Err(DbError::Storage(
+                "btree leaf chain is not its leaves in key order".into(),
+            ));
+        }
+        Ok(check.stats)
     }
 }
 

@@ -7,14 +7,26 @@
 //! scan-path change that moves any expected value below has changed
 //! what a snapshot attacker sees.
 //!
+//! What the stream leaves is rendered in two parts. The *statement*
+//! part — rows examined and returned, errors, scan pages pruned and
+//! decoded, and a hash of every answer except `EXPLAIN ANALYZE`'s, which
+//! prints page attributes — depends on the access path chosen, not on
+//! how many index pages it crosses. The *pool* part — hits, misses,
+//! evictions, access counts, recency order, the adaptive hash index and
+//! the dump — does. The dense B+ tree (append splits leave full leaves,
+//! `storage/btree.rs`) moved only the second: the statement part below
+//! was captured by running this file at its parent (`f791665`) and is
+//! bit-equal here; the pool part is this commit's, with half as many
+//! leaves under every key range (misses 5,591 → 3,634 with no
+//! transaction).
+//!
 //! The stream runs in two variants ([`Stream`]). With no transaction
-//! anywhere, every expected value was captured by running this file,
-//! unchanged, against the parent of the read-committed overlay (PR 13,
-//! `72f28ca`): a read with nothing uncommitted on its table takes the
-//! parent's path byte for byte. With session `b` holding a transaction
-//! on `tag` open while `a` reads `ev`, the values are this commit's own
-//! — the parent sent that read through a full scan and version walk —
-//! and `a`'s `ev` answers must not differ from the first variant's: a
+//! anywhere, the statement part is also what the parent of the
+//! read-committed overlay left (PR 13, `72f28ca`): a read with nothing
+//! uncommitted on its table takes that commit's path byte for byte.
+//! With session `b` holding a transaction on `tag` open while `a` reads
+//! `ev`, the values are the overlay's own — before it that read went
+//! through a full scan and version walk — and `a`'s `ev` answers must not differ from the first variant's: a
 //! transaction on another table is invisible to a read, in its rows and
 //! in what it examined.
 
@@ -64,6 +76,9 @@ struct Answers {
     rows_examined: u64,
     rows_returned: u64,
     text: String,
+    /// `text` without the `EXPLAIN ANALYZE` answers, whose span trees
+    /// print buffer-pool attributes.
+    plain: String,
     /// The part of `text` that session `a`'s SELECTs on `ev` wrote.
     ev_reads: String,
 }
@@ -71,6 +86,7 @@ struct Answers {
 impl Answers {
     fn run(&mut self, conn: &Connection, sql: &str) {
         use std::fmt::Write;
+        let from = self.text.len();
         match conn.execute(sql) {
             Ok(r) => {
                 self.rows_examined += r.rows_examined;
@@ -83,6 +99,9 @@ impl Answers {
                 .unwrap();
             }
             Err(e) => write!(self.text, "ERR {e};").unwrap(),
+        }
+        if !sql.starts_with("EXPLAIN ANALYZE") {
+            self.plain.push_str(&self.text[from..]);
         }
     }
 
@@ -261,9 +280,18 @@ fn step(
     }
 }
 
-/// Runs the seeded stream; returns every surface it left, rendered,
-/// and session `a`'s `ev` answers.
-fn run_stream(stream: Stream) -> (String, String) {
+/// What one run of the stream left behind.
+struct Surfaces {
+    /// What the statements did, whatever the index's page count.
+    statements: String,
+    /// What the buffer pool saw and kept.
+    pool: String,
+    /// Session `a`'s `ev` answers.
+    ev_reads: String,
+}
+
+/// Runs the seeded stream and renders every surface it left.
+fn run_stream(stream: Stream) -> Surfaces {
     let db = Db::open(DbConfig {
         buffer_pool_pages: 24,
         bufpool_shards: 4,
@@ -296,57 +324,79 @@ fn run_stream(stream: Stream) -> (String, String) {
         .map(<[u8]>::to_vec)
         .unwrap_or_default();
 
-    let surfaces = format!(
-        "rows_examined={} rows_returned={} errors={} answers={:016x}\n\
-         hits={} misses={} evictions={} shards={:?}\n\
-         pages_pruned={} pages_decoded={}\n\
-         access_counts={:016x} lru_order={:016x} adaptive_hash={:016x} dump={:016x}",
+    let statements = format!(
+        "rows_examined={} rows_returned={} errors={} answers_without_explain={:016x}\n\
+         pages_pruned={} pages_decoded={}",
         out.rows_examined,
         out.rows_returned,
         out.text.matches("ERR ").count(),
+        fnv(&out.plain),
+        counter("scan.pages_pruned"),
+        counter("scan.pages_decoded"),
+    );
+    let pool = format!(
+        "answers={:016x}\n\
+         hits={} misses={} evictions={} shards={:?}\n\
+         access_counts={:016x} lru_order={:016x} adaptive_hash={:016x} dump={:016x}",
         fnv(&out.text),
         counter("bufpool.hits"),
         counter("bufpool.misses"),
         counter("bufpool.evictions"),
         shards,
-        counter("scan.pages_pruned"),
-        counter("scan.pages_decoded"),
         fnv(&format!("{:?}", mem.page_access_counts)),
         fnv(&format!("{:?}", mem.cached_pages)),
         fnv(&format!("{:?}", mem.adaptive_hash_keys)),
         fnv(&String::from_utf8_lossy(&dump)),
     );
-    (surfaces, out.ev_reads)
+    Surfaces {
+        statements,
+        pool,
+        ev_reads: out.ev_reads,
+    }
 }
 
 #[test]
 fn no_transaction_stream_leaves_the_parent_commits_access_path() {
-    let (got, _) = run_stream(Stream::NoTransaction);
-    let want = "rows_examined=156858 rows_returned=30558 errors=0 answers=acec77441c238a57\n\
-                hits=75659 misses=5591 evictions=5934 \
-                shards=[(13935, 1223), (18357, 1513), (25448, 1436), (17919, 1419)]\n\
-                pages_pruned=757 pages_decoded=517\n\
-                access_counts=3fb3bddb37f6c375 lru_order=873759ede923d2a6 \
-                adaptive_hash=13c66eb8db230224 dump=e5c2dc67b031e481";
-    assert_eq!(got, want);
+    let got = run_stream(Stream::NoTransaction);
+    assert_eq!(
+        got.statements,
+        "rows_examined=156858 rows_returned=30558 errors=0 \
+         answers_without_explain=80a8d61795d45156\n\
+         pages_pruned=757 pages_decoded=517"
+    );
+    assert_eq!(
+        got.pool,
+        "answers=d439274dbc846a05\n\
+         hits=73458 misses=3634 evictions=3832 \
+         shards=[(11384, 698), (19216, 1046), (23220, 974), (19638, 916)]\n\
+         access_counts=4a3175f110b6789d lru_order=d06b920201dc90a0 \
+         adaptive_hash=338289e8978009b2 dump=1ae241f7374fcde2"
+    );
 }
 
 #[test]
 fn transaction_on_another_table_is_invisible_to_a_read() {
-    let (got, ev_reads) = run_stream(Stream::Mixed);
+    let got = run_stream(Stream::Mixed);
     // `b`'s own read of `ev` inside its transaction is a snapshot read
     // (a full scan and version walk, by design), which is what the pool
     // and scan counters have over the other variant's.
-    let want = "rows_examined=201374 rows_returned=30558 errors=0 answers=f258b609ddd914b1\n\
-                hits=75277 misses=5620 evictions=5963 \
-                shards=[(13882, 1228), (18319, 1527), (25327, 1444), (17749, 1421)]\n\
-                pages_pruned=757 pages_decoded=697\n\
-                access_counts=bce59aea50ddaa30 lru_order=873759ede923d2a6 \
-                adaptive_hash=13c66eb8db230224 dump=2c07806b7225b17f";
-    assert_eq!(got, want);
-    let (_, without) = run_stream(Stream::NoTransaction);
+    assert_eq!(
+        got.statements,
+        "rows_examined=201374 rows_returned=30558 errors=0 \
+         answers_without_explain=d18bd000583d06f7\n\
+         pages_pruned=757 pages_decoded=697"
+    );
+    assert_eq!(
+        got.pool,
+        "answers=fffbab2c3a8ca3e1\n\
+         hits=73079 misses=3676 evictions=3874 \
+         shards=[(11335, 702), (19182, 1050), (23091, 1003), (19471, 921)]\n\
+         access_counts=467d7865801ea51b lru_order=d06b920201dc90a0 \
+         adaptive_hash=338289e8978009b2 dump=03bef85870bef913"
+    );
+    let without = run_stream(Stream::NoTransaction);
     assert!(
-        ev_reads == without,
+        got.ev_reads == without.ev_reads,
         "`a`'s ev answers changed because `b` had a transaction open on `tag`"
     );
 }
