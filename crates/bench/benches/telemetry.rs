@@ -7,18 +7,11 @@
 //! end-to-end: the same query workload against `telemetry_enabled` on
 //! vs off.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::timeit;
 use mdb_telemetry::Registry;
 use minidb::engine::{Db, DbConfig};
 
-fn bench_record_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("telemetry/record");
-    g.sample_size(10);
-    g.measurement_time(Duration::from_secs(2));
-    g.warm_up_time(Duration::from_millis(500));
-
+fn bench_record_path() {
     let enabled = Registry::new();
     let disabled = Registry::new_disabled();
     let c_on = enabled.counter("bench.c");
@@ -26,28 +19,20 @@ fn bench_record_path(c: &mut Criterion) {
     let h_on = enabled.histogram("bench.h");
     let h_off = disabled.histogram("bench.h");
 
-    g.bench_function("counter/enabled", |b| b.iter(|| c_on.inc()));
-    g.bench_function("counter/disabled", |b| b.iter(|| c_off.inc()));
-    g.bench_function("histogram/enabled", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = i.wrapping_add(2_654_435_761);
-            h_on.record(i & 0xFFFF);
-        })
+    timeit("telemetry/record/counter/enabled", || c_on.inc());
+    timeit("telemetry/record/counter/disabled", || c_off.inc());
+    let mut i = 0u64;
+    timeit("telemetry/record/histogram/enabled", || {
+        i = i.wrapping_add(2_654_435_761);
+        h_on.record(i & 0xFFFF);
     });
-    g.bench_function("histogram/disabled", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = i.wrapping_add(2_654_435_761);
-            h_off.record(i & 0xFFFF);
-        })
+    timeit("telemetry/record/histogram/disabled", || {
+        i = i.wrapping_add(2_654_435_761);
+        h_off.record(i & 0xFFFF);
     });
-    g.bench_function("span/enabled", |b| {
-        b.iter(|| {
-            let _s = enabled.span("bench.span");
-        })
+    timeit("telemetry/record/span/enabled", || {
+        let _s = enabled.span("bench.span");
     });
-    g.finish();
 }
 
 fn query_db(telemetry_enabled: bool) -> Db {
@@ -68,31 +53,20 @@ fn query_db(telemetry_enabled: bool) -> Db {
     db
 }
 
-fn bench_engine_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("telemetry/engine");
-    g.sample_size(10);
-    g.measurement_time(Duration::from_secs(2));
-    g.warm_up_time(Duration::from_millis(500));
+fn bench_engine_overhead() {
     for (label, enabled) in [("enabled", true), ("disabled", false)] {
         let db = query_db(enabled);
         let conn = db.connect("bench");
         let mut i = 0u64;
-        g.bench_with_input(BenchmarkId::new("point-select", label), &(), |b, _| {
-            b.iter(|| {
-                i = (i + 1) % 64;
-                conn.execute(&format!("SELECT * FROM kv WHERE id = {i}"))
-                    .unwrap()
-            })
+        timeit(&format!("telemetry/engine/point-select/{label}"), || {
+            i = (i + 1) % 64;
+            conn.execute(&format!("SELECT * FROM kv WHERE id = {i}"))
+                .unwrap()
         });
     }
-    g.finish();
 }
 
-fn bench_snapshot_export(c: &mut Criterion) {
-    let mut g = c.benchmark_group("telemetry/export");
-    g.sample_size(10);
-    g.measurement_time(Duration::from_secs(2));
-    g.warm_up_time(Duration::from_millis(500));
+fn bench_snapshot_export() {
     let r = Registry::new();
     for i in 0..100 {
         r.counter(&format!("bench.counter.{i}")).add(i);
@@ -103,16 +77,13 @@ fn bench_snapshot_export(c: &mut Criterion) {
             h.record(v * v);
         }
     }
-    g.bench_function("snapshot", |b| b.iter(|| r.snapshot()));
+    timeit("telemetry/export/snapshot", || r.snapshot());
     let snap = r.snapshot();
-    g.bench_function("to_json", |b| b.iter(|| snap.to_json()));
-    g.finish();
+    timeit("telemetry/export/to_json", || snap.to_json());
 }
 
-criterion_group!(
-    benches,
-    bench_record_path,
-    bench_engine_overhead,
-    bench_snapshot_export
-);
-criterion_main!(benches);
+fn main() {
+    bench_record_path();
+    bench_engine_overhead();
+    bench_snapshot_export();
+}

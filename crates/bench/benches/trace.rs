@@ -4,48 +4,38 @@
 //! disabled, the entire per-statement cost of the tracer is a single
 //! relaxed atomic load — `Recorder::is_enabled` — plus one `Option`
 //! check per stage hook. The `engine` group measures the end-to-end
-//! difference on cache-hit point selects; the `gate` group pins down
+//! difference on cache-hit point selects; the `record` group pins down
 //! the primitive itself.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::timeit;
 use mdb_trace::{Recorder, TraceBuilder};
 use minidb::engine::{Db, DbConfig};
 
-fn bench_gate_and_builder(c: &mut Criterion) {
-    let mut g = c.benchmark_group("trace/record");
-    g.sample_size(10);
-    g.measurement_time(Duration::from_secs(2));
-    g.warm_up_time(Duration::from_millis(500));
-
+fn bench_gate_and_builder() {
     // The disabled-path primitive: one relaxed load.
     let armed = Recorder::new(64);
     let disarmed = Recorder::new_disabled(64);
-    g.bench_function("is_enabled/armed", |b| b.iter(|| armed.is_enabled()));
-    g.bench_function("is_enabled/disarmed", |b| b.iter(|| disarmed.is_enabled()));
+    timeit("trace/record/is_enabled/armed", || armed.is_enabled());
+    timeit("trace/record/is_enabled/disarmed", || disarmed.is_enabled());
 
     // The enabled path: build a representative 5-span statement trace
     // and deposit it in the ring.
-    g.bench_function("build+record", |b| {
-        b.iter(|| {
-            let mut t = TraceBuilder::new(1, 1_500_000_000, "SELECT * FROM kv WHERE id = 7", "d");
-            t.begin("parse");
-            t.end(37);
-            t.begin("plan");
-            t.attr("index_used", 1);
-            t.end(37);
-            t.begin("scan");
-            t.attr("rows_examined", 1);
-            t.begin("bufpool");
-            t.attr("pages_hit", 1);
-            t.end(0);
-            t.table("kv");
-            t.end_elastic();
-            armed.record(t.finish(300))
-        })
+    timeit("trace/record/build+record", || {
+        let mut t = TraceBuilder::new(1, 1_500_000_000, "SELECT * FROM kv WHERE id = 7", "d");
+        t.begin("parse");
+        t.end(37);
+        t.begin("plan");
+        t.attr("index_used", 1);
+        t.end(37);
+        t.begin("scan");
+        t.attr("rows_examined", 1);
+        t.begin("bufpool");
+        t.attr("pages_hit", 1);
+        t.end(0);
+        t.table("kv");
+        t.end_elastic();
+        armed.record(t.finish(300))
     });
-    g.finish();
 }
 
 fn query_db(trace_enabled: bool) -> Db {
@@ -66,31 +56,20 @@ fn query_db(trace_enabled: bool) -> Db {
     db
 }
 
-fn bench_engine_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("trace/engine");
-    g.sample_size(10);
-    g.measurement_time(Duration::from_secs(2));
-    g.warm_up_time(Duration::from_millis(500));
+fn bench_engine_overhead() {
     for (label, enabled) in [("enabled", true), ("disabled", false)] {
         let db = query_db(enabled);
         let conn = db.connect("bench");
         let mut i = 0u64;
-        g.bench_with_input(BenchmarkId::new("point-select", label), &(), |b, _| {
-            b.iter(|| {
-                i = (i + 1) % 64;
-                conn.execute(&format!("SELECT * FROM kv WHERE id = {i}"))
-                    .unwrap()
-            })
+        timeit(&format!("trace/engine/point-select/{label}"), || {
+            i = (i + 1) % 64;
+            conn.execute(&format!("SELECT * FROM kv WHERE id = {i}"))
+                .unwrap()
         });
     }
-    g.finish();
 }
 
-fn bench_chrome_export(c: &mut Criterion) {
-    let mut g = c.benchmark_group("trace/export");
-    g.sample_size(10);
-    g.measurement_time(Duration::from_secs(2));
-    g.warm_up_time(Duration::from_millis(500));
+fn bench_chrome_export() {
     let db = query_db(true);
     let conn = db.connect("bench");
     for i in 0..64 {
@@ -98,16 +77,13 @@ fn bench_chrome_export(c: &mut Criterion) {
             .unwrap();
     }
     let traces = db.query_traces();
-    g.bench_function("to_chrome_json/64", |b| {
-        b.iter(|| mdb_trace::chrome::to_chrome_json(&traces))
+    timeit("trace/export/to_chrome_json/64", || {
+        mdb_trace::chrome::to_chrome_json(&traces)
     });
-    g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_gate_and_builder,
-    bench_engine_overhead,
-    bench_chrome_export
-);
-criterion_main!(benches);
+fn main() {
+    bench_gate_and_builder();
+    bench_engine_overhead();
+    bench_chrome_export();
+}

@@ -31,14 +31,12 @@ use mdb_repl::router::{ReplicaSet, ReplicaSetConfig};
 use mdb_server::{MdbClient, MdbServer, ServerOptions};
 use mdb_trace::merge::{lanes_with_trace, merge_chrome_json, offsets_us, NodeTraces};
 use mdb_trace::Recorder;
-use minidb::engine::DbConfig;
+use minidb::engine::{DbConfig, START_TIME_UNIX};
 use snapshot_attack::forensics::xtrace;
 use snapshot_attack::report::Table;
 
 use crate::{pct, Options};
 
-/// The engine's simulated clock base (`DbConfig::start_time_unix`).
-const FLEET_CLOCK_BASE: i64 = 1_483_228_800;
 /// The client's clock runs this many seconds *behind* the fleet —
 /// deliberately unsynchronized, so the merge has a real offset to
 /// estimate from the wire spans.
@@ -112,7 +110,7 @@ pub fn run_variant(
     // advances, then records); the client stamps at clock (it records,
     // then advances). The +1 aligns the two conventions so the *modeled*
     // skew between the lanes is exactly CLIENT_CLOCK_SKEW_S.
-    client.set_clock(FLEET_CLOCK_BASE + CLIENT_CLOCK_SKEW_S + 1);
+    client.set_clock(START_TIME_UNIX + CLIENT_CLOCK_SKEW_S + 1);
 
     let started = std::time::Instant::now();
     client

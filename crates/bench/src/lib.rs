@@ -3,8 +3,8 @@
 //!
 //! Each `e*` module reproduces one experiment from DESIGN.md's index and
 //! returns [`snapshot_attack::report::Table`]s; the `experiments` binary
-//! prints them, and the Criterion benches under `benches/` time the
-//! attack primitives themselves.
+//! prints them, and the benches under `benches/` time the scan path and
+//! the telemetry and tracing overheads with [`timeit`].
 //!
 //! | id  | paper | what it reproduces |
 //! |-----|-------|--------------------|
@@ -240,4 +240,34 @@ pub fn pct(x: f64) -> String {
 /// Formats a float with two decimals.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
+}
+
+/// Times `f` for the `harness = false` mains under `benches/`: warms up
+/// for 0.3 s while sizing a batch of calls to ~0.2 s, times 10 such
+/// batches, and prints the per-call min / mean / max in nanoseconds.
+pub fn timeit<O>(name: &str, mut f: impl FnMut() -> O) {
+    use std::hint::black_box;
+    use std::time::{Duration, Instant};
+
+    let start = Instant::now();
+    let mut calls = 0u64;
+    while calls == 0 || start.elapsed() < Duration::from_millis(300) {
+        black_box(f());
+        calls += 1;
+    }
+    let per_call_s = start.elapsed().as_secs_f64() / calls as f64;
+    let batch = ((0.2 / per_call_s) as u64).clamp(1, 1_000_000);
+    let samples: Vec<f64> = (0..10)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..batch {
+                black_box(f());
+            }
+            t.elapsed().as_secs_f64() * 1e9 / batch as f64
+        })
+        .collect();
+    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = samples.iter().copied().fold(0.0, f64::max);
+    println!("{name:<40} ns/call: min {min:>12.1}  mean {mean:>12.1}  max {max:>12.1}");
 }

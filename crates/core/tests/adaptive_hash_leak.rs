@@ -11,7 +11,6 @@ fn hot_search_keys_appear_in_the_memory_image() {
     let mut config = DbConfig::default();
     config.redo_capacity = 2 << 20;
     config.undo_capacity = 2 << 20;
-    config.adaptive_hash_threshold = 5;
     config.query_cache_enabled = false; // Force every search to the index.
     let db = Db::open(config);
     let conn = db.connect("app");

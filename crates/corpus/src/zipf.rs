@@ -77,11 +77,6 @@ impl Zipf {
             Err(i) => i.min(self.cumulative.len() - 1),
         }
     }
-
-    /// Draws `count` ranks.
-    pub fn sample_many<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<usize> {
-        (0..count).map(|_| self.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -204,11 +204,6 @@ impl SeabedTable {
         }
     }
 
-    /// Total rows including padding (server-visible size).
-    pub fn apparent_rows(&self) -> u64 {
-        self.all_rows
-    }
-
     /// Oracle accessor (ground truth for experiments): the plaintext value
     /// behind a dedicated column label, i.e. the inverse of the secret
     /// permutation. A real attacker does not have this.

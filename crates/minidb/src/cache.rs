@@ -6,6 +6,11 @@ use crate::heap::HeapPtr;
 use crate::storage::PageKey;
 use crate::value::Value;
 
+/// Query cache capacity of an engine, in entries.
+pub const QUERY_CACHE_ENTRIES: usize = 64;
+/// Adaptive-hash-index hotness threshold of an engine, in page accesses.
+pub const ADAPTIVE_HASH_THRESHOLD: u64 = 8;
+
 /// A cached result set.
 #[derive(Clone, Debug)]
 pub struct CachedResult {

@@ -8,10 +8,12 @@ use mdb_telemetry::{Counter, Histogram, Registry};
 use mdb_trace::{Recorder, StatementTrace, TraceBuilder, TraceContext};
 use parking_lot::Mutex;
 
-use crate::cache::{AdaptiveHash, CachedResult, QueryCache};
+use crate::cache::{
+    AdaptiveHash, CachedResult, QueryCache, ADAPTIVE_HASH_THRESHOLD, QUERY_CACHE_ENTRIES,
+};
 use crate::catalog::{Catalog, IndexDef, TableDef};
 use crate::error::{DbError, DbResult};
-use crate::group_commit::GroupCommitPipeline;
+use crate::group_commit::{GroupCommitPipeline, LEADER_WAIT_US, MAX_BATCH};
 use crate::heap::HeapArena;
 use crate::mvcc::{VersionStore, OP_DELETE, OP_UPDATE};
 use crate::observability::{PerfSchema, ProcessList, ReplicaStatus};
@@ -36,6 +38,19 @@ pub const SLOW_LOG_FILE: &str = "slow.log";
 /// Reserved connection id of the replication applier (MySQL's SQL
 /// thread). Ordinary connections start at 1, so 0 never collides.
 pub const REPL_APPLIER_CONN: u64 = 0;
+/// Where the simulated wall clock starts (UNIX seconds): 2017-01-01,
+/// the paper's era.
+pub const START_TIME_UNIX: i64 = 1_483_228_800;
+/// Modeled execution time of every statement, in microseconds.
+pub const STATEMENT_BASE_US: u64 = 300;
+/// Modeled microseconds added per examined row.
+pub const PER_ROW_US: u64 = 2;
+/// Modeled cost of one fixed pipeline stage (parse, plan, WAL append,
+/// commit). The elastic stage — the scan or the write — absorbs the
+/// data-dependent remainder of the statement's modeled duration, so
+/// top-level span durations always sum exactly to
+/// `STATEMENT_BASE_US + rows_examined * PER_ROW_US`.
+const STAGE_COST_US: u64 = STATEMENT_BASE_US / 8;
 
 /// A registered scalar UDF usable in `WHERE` clauses.
 pub type ScalarFn = Arc<dyn Fn(&[Value]) -> DbResult<Value> + Send + Sync>;
@@ -43,6 +58,7 @@ pub type ScalarFn = Arc<dyn Fn(&[Value]) -> DbResult<Value> + Send + Sync>;
 /// Engine configuration. Defaults mirror a production-ish MySQL: binlog
 /// on, general log off, 50 MB circular redo/undo logs, query cache on.
 #[derive(Clone)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub struct DbConfig {
     /// Redo log capacity in bytes.
     pub redo_capacity: usize,
@@ -50,7 +66,10 @@ pub struct DbConfig {
     pub undo_capacity: usize,
     /// Whether the binlog is enabled (required for replication — §3).
     pub binlog_enabled: bool,
-    /// Whether the general query log records every statement.
+    /// Whether the general query log records every statement. Off in
+    /// every experiment, like a production MySQL; kept because the log
+    /// is one of the paper's §3 artifacts, and `tests/engine.rs` turns
+    /// it on to pin what it writes.
     pub general_log_enabled: bool,
     /// Slow-query threshold in simulated microseconds.
     pub slow_query_threshold_us: u64,
@@ -59,7 +78,9 @@ pub struct DbConfig {
     /// Number of latch partitions in the buffer pool
     /// ([`crate::storage::ShardedBufferPool`]). Concurrent page accesses
     /// contend only within a shard; `1` degenerates to the classic
-    /// single-latch pool (the E18 bench baseline).
+    /// single-latch pool (the E18 bench baseline). Only
+    /// `tests/access_path_golden.rs` sets it (4): the per-shard hit and
+    /// miss counts it pins are of that layout.
     pub bufpool_shards: usize,
     /// Hardening knob: when vacuuming superseded MVCC versions, rewrite
     /// the version store so reclaimed before-images are physically gone
@@ -76,21 +97,13 @@ pub struct DbConfig {
     pub zone_maps_enabled: bool,
     /// Whether the query cache is enabled.
     pub query_cache_enabled: bool,
-    /// Query cache capacity in entries.
-    pub query_cache_entries: usize,
     /// `events_statements_history` ring size per thread.
     pub history_size: usize,
-    /// Adaptive-hash-index hotness threshold (page accesses).
-    pub adaptive_hash_threshold: u64,
-    /// Simulated wall-clock start (UNIX seconds).
-    pub start_time_unix: i64,
-    /// Simulated base execution time per statement (microseconds).
-    pub statement_base_us: u64,
-    /// Additional simulated microseconds per examined row.
-    pub per_row_us: u64,
     /// Simulated seconds the wall clock advances per statement.
     pub seconds_per_statement: i64,
-    /// Buffer-pool LRU dump cadence, in statements (0 = only on shutdown).
+    /// Buffer-pool LRU dump cadence, in statements (0 = only on
+    /// shutdown). Only `tests/access_path_golden.rs` sets it (64): the
+    /// dump file it pins is the one that cadence leaves behind.
     pub bufpool_dump_interval: u64,
     /// Hardening knob: zero heap blocks on free (no real DBMS does this;
     /// the mitigation-ablation experiment flips it).
@@ -111,11 +124,6 @@ pub struct DbConfig {
     pub trace_enabled: bool,
     /// Flight-recorder ring capacity, in statement traces.
     pub trace_ring_capacity: usize,
-    /// Node identity stamped onto recorded traces and v2 slow-log
-    /// records (the cross-node merge key; `"primary"`, `"replica-0"`,
-    /// …). `None` leaves traces untagged, as a single-node deployment
-    /// would.
-    pub node_name: Option<String>,
     /// Mitigation knob (E19): rehash distributed trace ids with a
     /// process-local secret key before they cross the replication
     /// boundary. Replica-side spans of one trace still correlate with
@@ -143,20 +151,12 @@ pub struct DbConfig {
     /// Scrub the exposition: drop per-table series, quantize values to
     /// powers of two (mitigation knob, [`mdb_obs::prom::scrub`]).
     pub obs_scrub: bool,
-    /// Scrape retention-ring capacity, in snapshots.
-    pub obs_retention: usize,
     /// Group commit: coalesce concurrent committers into one shared
     /// durability point with a single (simulated) fsync, via the
     /// leader/follower pipeline in [`crate::group_commit`]. Off by
     /// default — the seed's per-statement `record_fsync` behaviour —
     /// and the E20 buyback knob: it is what pays for `encrypted_wal`.
     pub group_commit: bool,
-    /// Most commits one group-commit batch may coalesce.
-    pub group_commit_max_batch: usize,
-    /// How long a group-commit leader lingers for its batch to fill,
-    /// in microseconds (0 = flush whatever is staged immediately; the
-    /// pipeline still coalesces commits that arrive during a flush).
-    pub group_commit_wait_us: u64,
     /// Simulated device latency per fsync, in microseconds. 0 keeps
     /// fsyncs free (the seed behaviour, and what unit tests want);
     /// the E20 benchmark sets a realistic ~100µs so the group-commit
@@ -175,13 +175,6 @@ pub struct DbConfig {
     /// [`server_id`](Self::server_id), so fleet nodes that log the same
     /// `(stream, seq)` positions never share a ChaCha20 keystream.
     pub wal_key: Option<[u8; 32]>,
-    /// Mixed-era escape hatch for `encrypted_wal`: accept
-    /// plaintext-framed binlog records during decode/apply (a plaintext
-    /// primary feeding an encrypted replica, or a relay log written
-    /// before encryption was enabled). Off by default: a strict
-    /// encrypted node refuses plaintext frames, so an injected,
-    /// unauthenticated event can never slip past the MAC.
-    pub wal_plaintext_fallback: bool,
 }
 
 impl Default for DbConfig {
@@ -197,12 +190,7 @@ impl Default for DbConfig {
             scrub_before_images: false,
             zone_maps_enabled: true,
             query_cache_enabled: true,
-            query_cache_entries: 64,
             history_size: crate::observability::DEFAULT_HISTORY_SIZE,
-            adaptive_hash_threshold: 8,
-            start_time_unix: 1_483_228_800, // 2017-01-01, the paper's era.
-            statement_base_us: 300,
-            per_row_us: 2,
             seconds_per_statement: 1,
             bufpool_dump_interval: 1_000,
             heap_secure_delete: false,
@@ -210,21 +198,16 @@ impl Default for DbConfig {
             telemetry_scrub_on_flush: false,
             trace_enabled: true,
             trace_ring_capacity: 64,
-            node_name: None,
             trace_id_hashing: false,
             server_id: 1,
             read_only: false,
             obs_listen: None,
             obs_auth_token: None,
             obs_scrub: false,
-            obs_retention: 64,
             group_commit: false,
-            group_commit_max_batch: 64,
-            group_commit_wait_us: 50,
             fsync_latency_us: 0,
             encrypted_wal: false,
             wal_key: None,
-            wal_plaintext_fallback: false,
         }
     }
 }
@@ -454,8 +437,8 @@ impl Db {
         let group_commit = config.group_commit.then(|| {
             Arc::new(GroupCommitPipeline::new(
                 &telemetry,
-                config.group_commit_max_batch,
-                config.group_commit_wait_us,
+                MAX_BATCH,
+                LEADER_WAIT_US,
                 config.fsync_latency_us,
             ))
         });
@@ -488,7 +471,6 @@ impl Db {
                         k
                     });
                     w.set_crypto(key, config.server_id);
-                    w.set_plaintext_fallback(config.wal_plaintext_fallback);
                 }
                 w
             },
@@ -498,28 +480,22 @@ impl Db {
                 h.attach_telemetry(&telemetry);
                 h
             },
-            query_cache: QueryCache::new(config.query_cache_enabled, config.query_cache_entries),
-            adaptive_hash: AdaptiveHash::new(config.adaptive_hash_threshold),
+            query_cache: QueryCache::new(config.query_cache_enabled, QUERY_CACHE_ENTRIES),
+            adaptive_hash: AdaptiveHash::new(ADAPTIVE_HASH_THRESHOLD),
             perf: PerfSchema::new(config.history_size),
             processlist: ProcessList::default(),
             metrics: EngineMetrics::new(&telemetry),
             telemetry,
-            trace: {
-                let r = if config.trace_enabled {
-                    Recorder::new(config.trace_ring_capacity)
-                } else {
-                    Recorder::new_disabled(config.trace_ring_capacity)
-                };
-                if let Some(node) = &config.node_name {
-                    r.set_node(node);
-                }
-                r
+            trace: if config.trace_enabled {
+                Recorder::new(config.trace_ring_capacity)
+            } else {
+                Recorder::new_disabled(config.trace_ring_capacity)
             },
             current_trace: None,
             current_ctx: None,
             trace_hash_key: mdb_trace::entropy64(),
             functions: HashMap::new(),
-            now_unix: config.start_time_unix,
+            now_unix: START_TIME_UNIX,
             mvcc: VersionStore::default(),
             next_csn: 1,
             next_txn: 1,
@@ -560,7 +536,6 @@ impl Db {
             listen,
             auth_token: g.config.obs_auth_token.clone(),
             scrub: g.config.obs_scrub,
-            retention: g.config.obs_retention,
         };
         let weak = Arc::downgrade(&self.inner);
         let health: mdb_obs::HealthSource = Arc::new(move || match weak.upgrade() {
@@ -580,11 +555,6 @@ impl Db {
     /// The scrape retention ring, when the obs server is running.
     pub fn obs_ring(&self) -> Option<mdb_obs::RetentionRing> {
         self.inner.lock().obs.as_ref().map(|s| s.ring())
-    }
-
-    /// Opens with defaults.
-    pub fn open_default() -> Db {
-        Db::open(DbConfig::default())
     }
 
     /// Creates a new connection.
@@ -643,13 +613,6 @@ impl Db {
         self.inner.lock().wal.binlog_purged_seq()
     }
 
-    /// Cursor read over the binlog for a replication streamer: up to
-    /// `max` events starting at sequence `from_seq`, plus the position
-    /// to resume from. See [`crate::wal::Wal::binlog_events_from`].
-    pub fn binlog_events_from(&self, from_seq: u64, max: usize) -> (Vec<(u64, BinlogEvent)>, u64) {
-        self.inner.lock().wal.binlog_events_from(from_seq, max)
-    }
-
     /// Cursor read over the binlog returning raw frame payloads —
     /// sealed bytes when `encrypted_wal` is on. The replication
     /// streamer ships these verbatim so ciphertext stays ciphertext
@@ -669,12 +632,6 @@ impl Db {
     /// [`crate::wal::Wal::decode_binlog_frame`].
     pub fn decode_binlog_frame(&self, sealed: bool, payload: &[u8]) -> DbResult<BinlogEvent> {
         self.inner.lock().wal.decode_binlog_frame(sealed, payload)
-    }
-
-    /// Whether this engine seals its log records
-    /// ([`DbConfig::encrypted_wal`]).
-    pub fn wal_encrypted(&self) -> bool {
-        self.inner.lock().wal.encrypted()
     }
 
     /// Applies one replicated statement on the dedicated applier
@@ -734,11 +691,6 @@ impl Db {
     /// Whether client writes are currently rejected.
     pub fn is_read_only(&self) -> bool {
         self.inner.lock().config.read_only
-    }
-
-    /// Flips the read-only gate (`SET GLOBAL read_only`).
-    pub fn set_read_only(&self, on: bool) {
-        self.inner.lock().config.read_only = on;
     }
 
     /// This node's replication role ([`ReplRole`]).
@@ -1022,12 +974,6 @@ impl Db {
     pub fn is_crashed(&self) -> bool {
         self.inner.lock().crashed
     }
-
-    /// Runs one statement on an internal maintenance connection.
-    pub fn execute_admin(&self, sql: &str) -> DbResult<QueryResult> {
-        let conn = self.connect("admin");
-        conn.execute(sql)
-    }
 }
 
 impl Connection {
@@ -1260,7 +1206,7 @@ impl DbInner {
             Ok(r) => (r.rows_examined, r.rows.len() as u64),
             Err(_) => (0, 0),
         };
-        let duration_us = self.config.statement_base_us + rows_examined * self.config.per_row_us;
+        let duration_us = STATEMENT_BASE_US + rows_examined * PER_ROW_US;
         self.metrics.statements.inc();
         if outcome.is_err() {
             self.metrics.errors.inc();
@@ -1352,20 +1298,10 @@ impl DbInner {
         }
     }
 
-    /// Simulated cost of one fixed pipeline stage (parse, plan, WAL
-    /// append, commit). The elastic stage — the scan or the write —
-    /// absorbs the data-dependent remainder of the statement's
-    /// modeled duration, so top-level span durations always sum
-    /// exactly to `statement_base_us + rows_examined * per_row_us`.
-    fn stage_cost(&self) -> u64 {
-        (self.config.statement_base_us / 8).max(1)
-    }
-
     fn dispatch(&mut self, conn_id: u64, sql: &str) -> DbResult<QueryResult> {
         self.trace_begin("parse");
         let parsed = parse_statement(sql);
-        let cost = self.stage_cost();
-        self.trace_end(cost);
+        self.trace_end(STAGE_COST_US);
         let stmt = parsed?;
         if self.config.read_only && !self.applying && writes_state(&stmt) {
             return Err(DbError::ReadOnly);
@@ -1410,8 +1346,7 @@ impl DbInner {
                 // by the engine cost model, so the trace can be closed
                 // here — the rendered durations are exactly what the
                 // outer pipeline will account for this statement.
-                let duration_us =
-                    self.config.statement_base_us + res.rows_examined * self.config.per_row_us;
+                let duration_us = STATEMENT_BASE_US + res.rows_examined * PER_ROW_US;
                 let mut b = self.current_trace.take().expect("installed above");
                 b.attr("rows_examined", res.rows_examined);
                 b.attr("rows_returned", res.rows.len() as u64);
@@ -1803,8 +1738,7 @@ impl DbInner {
         rows.sort_by_key(|r| r.id);
         // A fixed stage: the scan stays the elastic one, the per-row
         // work was its.
-        let cost = self.stage_cost();
-        self.trace_end(cost);
+        self.trace_end(STAGE_COST_US);
         Ok(patched)
     }
 
@@ -2069,8 +2003,7 @@ impl DbInner {
             .filter(|_| !plan.guaranteed)
             .map(|w| Predicate::compile(w, &def.schema, &self.functions));
         self.trace_attr("index_used", plan.index.is_some() as u64);
-        let cost = self.stage_cost();
-        self.trace_end(cost);
+        self.trace_end(STAGE_COST_US);
 
         // The scan is the elastic stage: it absorbs the per-row cost.
         self.trace_begin("scan");
@@ -2338,8 +2271,7 @@ impl DbInner {
                     self.update_row(txn_id, &def, &old, &new_row, undo_written)?;
                 }
                 self.trace_attr("rows_affected", affected);
-                let cost = self.stage_cost();
-                self.trace_end(cost);
+                self.trace_end(STAGE_COST_US);
                 self.finish_write(&table);
                 Ok(QueryResult {
                     rows_examined: examined,
@@ -2369,8 +2301,7 @@ impl DbInner {
                     self.delete_row(txn_id, &def, &old, undo_written)?;
                 }
                 self.trace_attr("rows_affected", affected);
-                let cost = self.stage_cost();
-                self.trace_end(cost);
+                self.trace_end(STAGE_COST_US);
                 self.finish_write(&table);
                 Ok(QueryResult {
                     rows_examined: examined,
@@ -2409,10 +2340,11 @@ impl DbInner {
     /// Appends a redo record, checkpointing first if the circular log is
     /// about to wrap (so no un-checkpointed history is overwritten).
     fn log_redo(&mut self, rec: RedoRecord) {
-        if self.wal.redo_would_wrap(&rec) {
+        let framed = self.wal.frame_redo(&rec);
+        if self.wal.redo.would_wrap(framed.len()) {
             self.checkpoint();
         }
-        self.wal.append_redo(&rec);
+        self.wal.append_redo(&framed);
     }
 
     /// Checkpoint: flush dirty pages and persist the checkpoint LSN plus
@@ -2673,8 +2605,7 @@ impl DbInner {
         let logged1 = self.metrics.wal_redo_bytes.get() + self.metrics.wal_binlog_bytes.get();
         self.trace_attr("bytes_logged", logged1.saturating_sub(logged0));
         self.trace_attr("binlog_events", binlog_events);
-        let cost = self.stage_cost();
-        self.trace_end(cost);
+        self.trace_end(STAGE_COST_US);
         // The durability point: the redo write and the binlog sync.
         self.trace_begin("commit");
         self.durability_point();
@@ -2683,8 +2614,7 @@ impl DbInner {
         } else {
             self.trace_attr("fsyncs", 1);
         }
-        let cost = self.stage_cost();
-        self.trace_end(cost);
+        self.trace_end(STAGE_COST_US);
         Ok(())
     }
 
@@ -3347,5 +3277,50 @@ fn aggregate(func: &str, col_idx: usize, rows: &[Row]) -> DbResult<Value> {
             .max()
             .unwrap_or(Value::Null)),
         other => Err(DbError::UnknownFunction(other.to_string())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The rule for `DbConfig` (ROADMAP item 10): a new field needs two
+    /// callers outside tests that set it differently; a value with one
+    /// setting is a constant next to the code that reads it. The literal
+    /// has no `..`, so a 29th field stops compiling here, where the rule
+    /// is.
+    #[test]
+    fn default_config_is_these_28_fields() {
+        let spelled_out = DbConfig {
+            redo_capacity: 50_000_000,
+            undo_capacity: 50_000_000,
+            binlog_enabled: true,
+            general_log_enabled: false,
+            slow_query_threshold_us: 2_000_000,
+            buffer_pool_pages: 256,
+            bufpool_shards: 8,
+            scrub_before_images: false,
+            zone_maps_enabled: true,
+            query_cache_enabled: true,
+            history_size: 10,
+            seconds_per_statement: 1,
+            bufpool_dump_interval: 1_000,
+            heap_secure_delete: false,
+            telemetry_enabled: true,
+            telemetry_scrub_on_flush: false,
+            trace_enabled: true,
+            trace_ring_capacity: 64,
+            trace_id_hashing: false,
+            server_id: 1,
+            read_only: false,
+            obs_listen: None,
+            obs_auth_token: None,
+            obs_scrub: false,
+            group_commit: false,
+            fsync_latency_us: 0,
+            encrypted_wal: false,
+            wal_key: None,
+        };
+        assert_eq!(spelled_out, DbConfig::default());
     }
 }

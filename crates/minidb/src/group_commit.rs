@@ -8,12 +8,12 @@
 //! `commit_delay` group): a committer **stages** its commit LSN while it
 //! still holds the engine lock, then — after releasing it — **waits**
 //! for the staged LSN to become durable. The first waiter to find no
-//! flush in progress becomes the leader: it (optionally) lingers up to
-//! [`DbConfig::group_commit_wait_us`](crate::engine::DbConfig::group_commit_wait_us)
-//! for the batch to fill, performs *one* simulated fsync for everything
-//! staged so far, and wakes the followers. Committers that arrive during
-//! a flush stage behind it and are picked up by the next leader — the
-//! pipeline: batch k+1 fills while batch k syncs.
+//! flush in progress becomes the leader: it lingers up to
+//! [`LEADER_WAIT_US`] for the batch to fill, performs *one* simulated
+//! fsync for everything staged so far, and wakes the followers.
+//! Committers that arrive during a flush stage behind it and are picked
+//! up by the next leader — the pipeline: batch k+1 fills while batch k
+//! syncs.
 //!
 //! The device itself is simulated ([`DbConfig::fsync_latency_us`]
 //! (crate::engine::DbConfig::fsync_latency_us)), exactly like the
@@ -25,6 +25,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mdb_telemetry::{Counter, Histogram, Registry};
+
+/// Most commits one batch of an engine's pipeline may coalesce.
+pub const MAX_BATCH: usize = 64;
+/// How long an engine's flush leader lingers for its batch to fill, in
+/// microseconds (the pipeline still coalesces commits that arrive during
+/// a flush).
+pub const LEADER_WAIT_US: u64 = 50;
 
 struct State {
     /// Highest LSN staged for durability (monotone: staging happens

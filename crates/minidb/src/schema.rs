@@ -90,11 +90,6 @@ impl TableSchema {
         }
         Ok(())
     }
-
-    /// Column names in order.
-    pub fn column_names(&self) -> Vec<String> {
-        self.columns.iter().map(|c| c.name.clone()).collect()
-    }
 }
 
 #[cfg(test)]

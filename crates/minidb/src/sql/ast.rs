@@ -159,13 +159,3 @@ pub enum Statement {
     /// `ROLLBACK`
     Rollback,
 }
-
-impl Statement {
-    /// Whether this statement can modify table data (drives WAL/binlog).
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. }
-        )
-    }
-}

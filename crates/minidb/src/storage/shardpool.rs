@@ -240,11 +240,6 @@ impl ShardedBufferPool {
         self.fault_latency = latency;
     }
 
-    /// Number of latch partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total page capacity across all shards.
     pub fn capacity(&self) -> usize {
         self.capacity

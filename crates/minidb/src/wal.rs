@@ -437,12 +437,6 @@ pub struct Wal {
     /// When set, every appended record is sealed (BigFoot-style
     /// encrypted WAL) and the carvers transparently open sealed frames.
     crypto: Option<WalCrypto>,
-    /// Mixed-era escape hatch: with encryption armed, still accept
-    /// plaintext-framed binlog records (a plaintext primary feeding an
-    /// encrypted replica, or a log written before `encrypted_wal` was
-    /// turned on). Off by default — an encrypted node otherwise rejects
-    /// unauthenticated plaintext instead of silently applying it.
-    plaintext_fallback: bool,
     metrics: Option<WalMetrics>,
 }
 
@@ -458,7 +452,6 @@ impl Wal {
             binlog_next_seq: 0,
             binlog_purged_seq: 0,
             crypto: None,
-            plaintext_fallback: false,
             metrics: None,
         }
     }
@@ -468,17 +461,6 @@ impl Wal {
     /// subkey, and recovery/cursor reads open sealed frames with it.
     pub fn set_crypto(&mut self, key: [u8; 32], origin: u64) {
         self.crypto = Some(WalCrypto::new(key, origin));
-    }
-
-    /// Allows an encrypted WAL to also decode plaintext-framed binlog
-    /// records (mixed-era logs). No effect while encryption is off.
-    pub fn set_plaintext_fallback(&mut self, on: bool) {
-        self.plaintext_fallback = on;
-    }
-
-    /// Whether log records are being sealed.
-    pub fn encrypted(&self) -> bool {
-        self.crypto.is_some()
     }
 
     /// Registers this WAL's counters on `registry`.
@@ -524,13 +506,19 @@ impl Wal {
         }
     }
 
-    /// Appends a redo record. Returns `true` if the append wrapped the log
-    /// (the engine must have checkpointed *before* calling in that case;
-    /// use [`Self::redo_would_wrap`]).
-    pub fn append_redo(&mut self, rec: &RedoRecord) -> bool {
-        let framed = self.frame_record(edb_crypto::logenc::STREAM_REDO, rec.lsn, &rec.encode());
+    /// Frames a redo record as [`Self::append_redo`] takes it. Framing
+    /// is separate from appending so the engine can test the framed
+    /// length against [`CircularLog::would_wrap`] and checkpoint first.
+    pub fn frame_redo(&self, rec: &RedoRecord) -> Vec<u8> {
+        self.frame_record(edb_crypto::logenc::STREAM_REDO, rec.lsn, &rec.encode())
+    }
+
+    /// Appends a redo record framed by [`Self::frame_redo`]. Returns
+    /// `true` if the append wrapped the log (the engine must have
+    /// checkpointed *before* calling in that case).
+    pub fn append_redo(&mut self, framed: &[u8]) -> bool {
         let wraps = self.redo.would_wrap(framed.len());
-        self.redo.append(&framed);
+        self.redo.append(framed);
         if let Some(m) = &self.metrics {
             m.redo_bytes.add(framed.len() as u64);
             if wraps {
@@ -538,14 +526,6 @@ impl Wal {
             }
         }
         wraps
-    }
-
-    /// Whether appending this redo record would wrap the circular log.
-    pub fn redo_would_wrap(&self, rec: &RedoRecord) -> bool {
-        self.redo.would_wrap(
-            self.frame_record(edb_crypto::logenc::STREAM_REDO, rec.lsn, &rec.encode())
-                .len(),
-        )
     }
 
     /// Appends an undo record. Undo records share LSN values with their
@@ -656,33 +636,19 @@ impl Wal {
         self.binlog_purged_seq
     }
 
-    /// Reads binlog events starting at GTID-style sequence `from_seq`,
-    /// up to `max` of them. Returns `(events, next_seq)` where each
-    /// event carries its sequence number and `next_seq` is the position
-    /// to resume from. When `from_seq` predates the purge horizon the
-    /// cursor silently starts at the horizon — the caller compares the
-    /// first returned sequence against its request to detect the gap.
-    pub fn binlog_events_from(&self, from_seq: u64, max: usize) -> (Vec<(u64, BinlogEvent)>, u64) {
-        let start = from_seq.max(self.binlog_purged_seq);
-        let skip = (start - self.binlog_purged_seq) as usize;
-        let events = self
-            .binlog_frames()
-            .skip(skip)
-            .filter_map(|f| self.decode_binlog_frame(f.alt, f.payload).ok())
-            .take(max);
-        let out: Vec<_> = (start..).zip(events).collect();
-        let next = start + out.len() as u64;
-        (out, next)
-    }
-
-    /// Cursor read over the binlog returning *raw frame payloads* — the
-    /// on-disk bytes between the framing, each tagged with whether its
-    /// frame was sealed (`(seq, sealed, payload)`). This is what the
-    /// replication streamer ships: with `encrypted_wal` on, the wire and
-    /// the replica's relay log carry ciphertext end-to-end, and only the
-    /// replica's apply loop (holding the key) opens them. The sealed bit
-    /// travels explicitly so downstream consumers never classify a
-    /// payload by probing whether it happens to parse.
+    /// Cursor read over the binlog: up to `max` *raw frame payloads* —
+    /// the on-disk bytes between the framing, each tagged with its
+    /// GTID-style sequence number and whether its frame was sealed
+    /// (`(seq, sealed, payload)`) — starting at `from_seq`, plus the
+    /// position to resume from. When `from_seq` predates the purge
+    /// horizon the cursor silently starts at the horizon — the caller
+    /// compares the first returned sequence against its request to
+    /// detect the gap. This is what the replication streamer ships: with
+    /// `encrypted_wal` on, the wire and the replica's relay log carry
+    /// ciphertext end-to-end, and only the replica's apply loop (holding
+    /// the key) opens them. The sealed bit travels explicitly so
+    /// downstream consumers never classify a payload by probing whether
+    /// it happens to parse.
     pub fn binlog_frames_from(
         &self,
         from_seq: u64,
@@ -700,13 +666,12 @@ impl Wal {
 
     /// Decodes one binlog frame payload whose framing said `sealed`.
     ///
-    /// Strict by default on an encrypted WAL: a sealed payload that
-    /// fails authentication is an error (never retried as plaintext),
-    /// and a plaintext-framed payload is rejected outright unless
-    /// [`Wal::set_plaintext_fallback`] explicitly allowed mixed-era
-    /// logs — otherwise an attacker could inject unauthenticated
-    /// plaintext frames into the wire stream or relay log and have an
-    /// encrypted replica apply them, MAC never consulted.
+    /// An encrypted WAL is strict: a sealed payload that fails
+    /// authentication is an error (never retried as plaintext), and a
+    /// plaintext-framed payload is rejected outright — otherwise an
+    /// attacker could inject unauthenticated plaintext frames into the
+    /// wire stream or relay log and have an encrypted replica apply
+    /// them, MAC never consulted.
     pub fn decode_binlog_frame(&self, sealed: bool, payload: &[u8]) -> DbResult<BinlogEvent> {
         match (&self.crypto, sealed) {
             (Some(c), true) => {
@@ -721,12 +686,10 @@ impl Wal {
             (None, true) => Err(DbError::Storage(
                 "sealed binlog frame but no log key configured".into(),
             )),
-            (Some(_), false) if !self.plaintext_fallback => Err(DbError::Storage(
-                "plaintext binlog frame rejected: encrypted_wal is strict \
-                 (set wal_plaintext_fallback for mixed-era logs)"
-                    .into(),
+            (Some(_), false) => Err(DbError::Storage(
+                "plaintext binlog frame rejected: encrypted_wal is strict".into(),
             )),
-            (_, false) => BinlogEvent::decode(payload),
+            (None, false) => BinlogEvent::decode(payload),
         }
     }
 
@@ -937,7 +900,7 @@ mod tests {
         let mut wal = Wal::new(4096, 4096, true);
         for i in 0..10u64 {
             let lsn = wal.alloc_lsn();
-            wal.append_redo(&redo(lsn, format!("row{i}").as_bytes()));
+            wal.append_redo(&wal.frame_redo(&redo(lsn, format!("row{i}").as_bytes())));
             wal.append_undo(&UndoRecord {
                 lsn,
                 txn: i,
@@ -994,17 +957,17 @@ mod tests {
         assert_eq!(wal.binlog_next_seq(), 6);
         assert_eq!(wal.binlog_purged_seq(), 0);
         // Paged reads resume where the previous page ended.
-        let (page1, next) = wal.binlog_events_from(0, 4);
+        let (page1, next) = wal.binlog_frames_from(0, 4);
         assert_eq!(page1.len(), 4);
         assert_eq!(next, 4);
-        let (page2, next) = wal.binlog_events_from(next, 4);
+        let (page2, next) = wal.binlog_frames_from(next, 4);
         assert_eq!(page2.len(), 2);
         assert_eq!(next, 6);
-        assert_eq!(page2[0].0, 4, "events carry their sequence numbers");
+        assert_eq!(page2[0].0, 4, "frames carry their sequence numbers");
         // Purge advances the horizon; sequence numbers keep counting.
         wal.purge_binlog();
         assert_eq!(wal.binlog_purged_seq(), 6);
-        assert!(wal.binlog_events_from(0, 10).0.is_empty());
+        assert!(wal.binlog_frames_from(0, 10).0.is_empty());
         wal.append_binlog(&BinlogEvent {
             lsn: 7,
             txn: 7,
@@ -1014,7 +977,7 @@ mod tests {
         });
         // A cursor from before the purge lands on the horizon, not on a
         // mis-numbered event.
-        let (evs, next) = wal.binlog_events_from(2, 10);
+        let (evs, next) = wal.binlog_frames_from(2, 10);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].0, 6);
         assert_eq!(next, 7);
@@ -1046,10 +1009,9 @@ mod tests {
     fn encrypted_wal_recovers_with_key_and_defeats_plaintext_carving() {
         let mut wal = Wal::new(8192, 8192, true);
         wal.set_crypto([0x5A; 32], 1);
-        assert!(wal.encrypted());
         for i in 0..8u64 {
             let lsn = wal.alloc_lsn();
-            wal.append_redo(&redo(lsn, format!("secret-row-{i}").as_bytes()));
+            wal.append_redo(&wal.frame_redo(&redo(lsn, format!("secret-row-{i}").as_bytes())));
             wal.append_undo(&UndoRecord {
                 lsn,
                 txn: i,
@@ -1072,7 +1034,7 @@ mod tests {
         let bl = wal.carve_binlog();
         assert_eq!(bl.len(), 8);
         assert_eq!(bl[7].statement, "INSERT INTO t VALUES (7)");
-        let (evs, next) = wal.binlog_events_from(3, 10);
+        let (evs, next) = wal.binlog_frames_from(3, 10);
         assert_eq!(evs.len(), 5);
         assert_eq!(next, 8);
         // The keyless carver (the E2/E3 attacker) decodes nothing, and
@@ -1094,7 +1056,7 @@ mod tests {
         let mut wal = Wal::new(4096, 4096, true);
         wal.set_crypto([1; 32], 1);
         let lsn = wal.alloc_lsn();
-        wal.append_redo(&redo(lsn, b"payload"));
+        wal.append_redo(&wal.frame_redo(&redo(lsn, b"payload")));
         let sealed = carve_enc_frames(wal.redo.raw())[0].1.to_vec();
         // Wrong key: open fails, whatever origin the opener claims.
         assert!(WalCrypto::new([2; 32], 1).open(&sealed).is_none());
@@ -1144,7 +1106,7 @@ mod tests {
     }
 
     #[test]
-    fn encrypted_wal_rejects_plaintext_frames_unless_fallback() {
+    fn encrypted_wal_rejects_plaintext_frames() {
         let mut wal = Wal::new(1024, 1024, true);
         wal.set_crypto([6; 32], 1);
         let ev = BinlogEvent {
@@ -1154,7 +1116,7 @@ mod tests {
             statement: "INSERT INTO t VALUES (99)".into(),
             ctx: None,
         };
-        // An injected plaintext frame must not apply on a strict
+        // An injected plaintext frame must not apply on an
         // encrypted node — the MAC has to gate every applied event.
         let err = wal.decode_binlog_frame(false, &ev.encode()).unwrap_err();
         assert!(err.to_string().contains("plaintext binlog frame rejected"));
@@ -1167,11 +1129,6 @@ mod tests {
         *sealed.last_mut().unwrap() ^= 1;
         let err = wal.decode_binlog_frame(true, &sealed).unwrap_err();
         assert!(err.to_string().contains("failed authentication"));
-        // The explicit mixed-era escape hatch restores the old lenient
-        // behaviour for plaintext frames only.
-        wal.set_plaintext_fallback(true);
-        assert_eq!(wal.decode_binlog_frame(false, &ev.encode()).unwrap(), ev);
-        assert!(wal.decode_binlog_frame(true, &sealed).is_err());
         // A plaintext node asked to decode a sealed frame errors too.
         let plain_wal = Wal::new(1024, 1024, true);
         let good = carve_enc_frames(w2.binlog_raw())[0].1;

@@ -404,6 +404,33 @@ fn general_log_off_by_default_slow_log_triggers() {
         .unwrap();
     assert!(rec.trace.total_us > 100);
     assert_eq!(rec.trace.tables, vec!["customers".to_string()]);
+
+    // Switched on, the general log takes one text line per statement,
+    // failed ones included, and is a disk file: a crash keeps it.
+    let db = Db::open(DbConfig {
+        general_log_enabled: true,
+        ..DbConfig::default()
+    });
+    let conn = db.connect("app");
+    let t0 = db.now();
+    let statements = [
+        "CREATE TABLE t (id INT PRIMARY KEY)",
+        "INSERT INTO t VALUES (1)",
+        "SELECT * FROM missing",
+        "SELEKT 1",
+        "SELECT * FROM t",
+    ];
+    let failed = statements.map(|sql| conn.execute(sql).is_err());
+    assert_eq!(failed, [false, false, true, true, false]);
+    let expected: String = (t0 + 1..)
+        .zip(statements)
+        .map(|(started, sql)| format!("{started} {} Query\t{sql}\n", conn.id))
+        .collect();
+    let general_log = |db: &Db| db.disk_image().file("general.log").map(<[u8]>::to_vec);
+    assert_eq!(general_log(&db), Some(expected.clone().into_bytes()));
+    db.crash();
+    db.recover().unwrap();
+    assert_eq!(general_log(&db), Some(expected.into_bytes()));
 }
 
 #[test]
@@ -957,8 +984,9 @@ fn customers_here_and_replayed(db: &Db) -> [Vec<Vec<Value>>; 2] {
             .rows
     };
     let replica = Db::open(DbConfig::default());
-    let (events, _) = db.binlog_events_from(0, usize::MAX);
-    for (_, ev) in events {
+    let (frames, _) = db.binlog_frames_from(0, usize::MAX);
+    for (_, sealed, payload) in frames {
+        let ev = db.decode_binlog_frame(sealed, &payload).unwrap();
         replica
             .apply_replicated(&ev.statement, ev.timestamp)
             .unwrap();

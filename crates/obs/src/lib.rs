@@ -42,6 +42,8 @@ use parking_lot::Mutex;
 
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Capacity of a server's retention ring, in scrape snapshots.
+const RETENTION_SNAPSHOTS: usize = 64;
 
 /// Observability-server configuration.
 #[derive(Clone, Debug)]
@@ -55,8 +57,6 @@ pub struct ObsOptions {
     /// Scrub the exposition: drop per-table series and quantize values
     /// to powers of two ([`prom::scrub`]).
     pub scrub: bool,
-    /// Retention-ring capacity, in scrape snapshots.
-    pub retention: usize,
 }
 
 impl Default for ObsOptions {
@@ -65,7 +65,6 @@ impl Default for ObsOptions {
             listen: "127.0.0.1:0".into(),
             auth_token: None,
             scrub: false,
-            retention: 64,
         }
     }
 }
@@ -252,7 +251,7 @@ impl ObsServer {
         let listener = TcpListener::bind(options.listen.as_str())?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let ring = RetentionRing::new(options.retention);
+        let ring = RetentionRing::new(RETENTION_SNAPSHOTS);
         let shutdown = Arc::new(AtomicBool::new(false));
         let endpoints = Endpoints {
             scrapes: registry.counter("obs.scrapes"),

@@ -23,7 +23,7 @@
 //! - [`wire`] — protocol messages, framed exactly like the binlog.
 //! - [`transport`] — byte-stream transport trait + in-process channel
 //!   pair, plus a fault-injection wrapper.
-//! - [`tcp`] *(feature `tcp`, default on)* — loopback TCP transport.
+//! - [`tcp`] — loopback TCP transport.
 //! - [`primary`] — per-replica binlog streamer sessions on the primary.
 //! - [`relay`] — relay-log persistence and recovery on the replica.
 //! - [`replica`] — the apply loop: relay-then-replay, retry/backoff,
@@ -39,7 +39,6 @@ pub mod primary;
 pub mod relay;
 pub mod replica;
 pub mod router;
-#[cfg(feature = "tcp")]
 pub mod tcp;
 pub mod transport;
 pub mod wire;

@@ -43,7 +43,6 @@ pub enum TransportKind {
     #[default]
     Channel,
     /// Loopback TCP: the stream crosses a real socket.
-    #[cfg(feature = "tcp")]
     Tcp,
 }
 
@@ -122,11 +121,9 @@ struct PrimaryHandle {
     server: Arc<PrimaryServer>,
     write_conn: Connection,
     read_conn: Connection,
-    #[cfg(feature = "tcp")]
     tcp: Option<TcpRuntime>,
 }
 
-#[cfg(feature = "tcp")]
 struct TcpRuntime {
     addr: std::net::SocketAddr,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -136,7 +133,6 @@ struct TcpRuntime {
 impl PrimaryHandle {
     fn start(db: Db, transport: TransportKind) -> ReplResult<PrimaryHandle> {
         let server = Arc::new(PrimaryServer::new(db.clone()));
-        #[cfg(feature = "tcp")]
         let tcp = match transport {
             TransportKind::Tcp => {
                 let acceptor = crate::tcp::TcpAcceptor::bind()?;
@@ -163,8 +159,6 @@ impl PrimaryHandle {
             }
             TransportKind::Channel => None,
         };
-        #[cfg(not(feature = "tcp"))]
-        let _ = transport;
         let write_conn = db.connect("router_write");
         let read_conn = db.connect("router_read");
         Ok(PrimaryHandle {
@@ -172,7 +166,6 @@ impl PrimaryHandle {
             server,
             write_conn,
             read_conn,
-            #[cfg(feature = "tcp")]
             tcp,
         })
     }
@@ -181,7 +174,6 @@ impl PrimaryHandle {
     /// stays as it is — a killed primary is already crashed, a deposed
     /// one lives on to be fenced.
     fn stop(&mut self) {
-        #[cfg(feature = "tcp")]
         if let Some(tcp) = &mut self.tcp {
             tcp.shutdown.store(true, Ordering::SeqCst);
             if let Some(h) = tcp.handle.take() {
@@ -214,7 +206,6 @@ impl PrimaryHandle {
                     Ok(Box::new(FlakyEndpoint::with_cutter(r_end, fresh)) as Box<dyn Transport>)
                 })
             }
-            #[cfg(feature = "tcp")]
             TransportKind::Tcp => {
                 let addr = self
                     .tcp
@@ -394,11 +385,6 @@ impl ReplicaSet {
     /// retry reconnects.
     pub fn heal(&self, i: usize) {
         self.slots[i].partitioned.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether replica `i` is currently partitioned.
-    pub fn is_partitioned(&self, i: usize) -> bool {
-        self.slots[i].partitioned.load(Ordering::SeqCst)
     }
 
     /// Kills the primary in place: the engine crashes (volatile state

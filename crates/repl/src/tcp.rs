@@ -1,4 +1,4 @@
-//! Loopback-TCP transport (feature `tcp`, default on).
+//! Loopback-TCP transport.
 //!
 //! Frames [`WireMessage`]s onto a real socket so the replication stream
 //! crosses an actual OS boundary — the shape a network tap or pcap-style

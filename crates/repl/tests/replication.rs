@@ -6,9 +6,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use mdb_repl::replica::Replica;
-#[cfg(feature = "tcp")]
-use mdb_repl::router::{ReadTarget, TransportKind};
-use mdb_repl::router::{ReplicaSet, ReplicaSetConfig};
+use mdb_repl::router::{ReadTarget, ReplicaSet, ReplicaSetConfig, TransportKind};
 use mdb_repl::transport::{duplex, Transport};
 use mdb_repl::{PrimaryServer, ReplError};
 use minidb::wal::{carve_frames, BinlogEvent};
@@ -164,7 +162,6 @@ fn restarted_replica_resumes_without_duplicates() {
 }
 
 /// The same topology over loopback TCP: the stream crosses a real socket.
-#[cfg(feature = "tcp")]
 #[test]
 fn replica_set_over_tcp() {
     let mut set = ReplicaSet::start(ReplicaSetConfig {

@@ -30,6 +30,9 @@ pub enum ClientError {
     Unexpected(String),
     /// The server closed the stream.
     Closed,
+    /// The request's payload, of this many bytes, exceeds
+    /// [`crate::wire::MAX_FRAME_LEN`]; nothing was sent.
+    TooLarge(usize),
 }
 
 impl std::fmt::Display for ClientError {
@@ -40,6 +43,9 @@ impl std::fmt::Display for ClientError {
             ClientError::Server(m) => write!(f, "server error: {m}"),
             ClientError::Unexpected(m) => write!(f, "unexpected message: {m}"),
             ClientError::Closed => write!(f, "connection closed"),
+            ClientError::TooLarge(len) => {
+                write!(f, "request of {len} bytes exceeds the frame limit")
+            }
         }
     }
 }
@@ -106,7 +112,7 @@ impl MdbClient {
             recorder: None,
             clock_unix: 0,
         };
-        client.send(&WireMessage::Hello { user: user.into() })?;
+        client.send(WireMessage::Hello { user: user.into() }, None)?;
         match client.recv()? {
             WireMessage::Greeting { session_id, server } => {
                 client.session_id = session_id;
@@ -164,10 +170,11 @@ impl MdbClient {
 
     /// Caches `sql` under `name` in the server-side session.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<(), ClientError> {
-        self.send(&WireMessage::Prepare {
+        let msg = WireMessage::Prepare {
             name: name.into(),
             sql: sql.into(),
-        })?;
+        };
+        self.send(msg, None)?;
         self.expect_result().map(|_| ())
     }
 
@@ -183,7 +190,7 @@ impl MdbClient {
     /// statement, rendered as the `EXPLAIN ANALYZE` span table (the
     /// `\trace` meta-command).
     pub fn trace(&mut self) -> Result<WireResultSet, ClientError> {
-        self.send(&WireMessage::Trace)?;
+        self.send(WireMessage::Trace, None)?;
         self.expect_result()
     }
 
@@ -205,9 +212,7 @@ impl MdbClient {
         self.last_ctx = ctx;
         let started = self.clock_unix;
         self.clock_unix += 1;
-        self.stream
-            .write_all(&Envelope { msg, ctx }.to_frame())
-            .map_err(ClientError::Io)?;
+        self.send(msg, ctx)?;
         let result = self.expect_result();
         if let (Some(rec), Some(ctx)) = (&self.recorder, ctx) {
             if rec.is_enabled() && ctx.sampled {
@@ -240,15 +245,20 @@ impl MdbClient {
 
     /// Closes the session gracefully (Quit/Bye).
     pub fn close(mut self) -> Result<(), ClientError> {
-        self.send(&WireMessage::Quit)?;
+        self.send(WireMessage::Quit, None)?;
         match self.recv()? {
             WireMessage::Bye => Ok(()),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
 
-    fn send(&mut self, msg: &WireMessage) -> Result<(), ClientError> {
-        self.stream.write_all(&msg.to_frame())?;
+    /// Frames and writes one request, refusing one the server's decoder
+    /// would drop without an answer ([`Envelope::to_request_frame`]).
+    fn send(&mut self, msg: WireMessage, ctx: Option<TraceContext>) -> Result<(), ClientError> {
+        let frame = Envelope { msg, ctx }
+            .to_request_frame()
+            .map_err(ClientError::TooLarge)?;
+        self.stream.write_all(&frame)?;
         Ok(())
     }
 

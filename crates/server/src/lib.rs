@@ -100,6 +100,35 @@ mod tests {
     }
 
     #[test]
+    fn oversized_requests_are_refused_before_the_write() {
+        use crate::wire::MAX_FRAME_LEN;
+        let (_db, srv) = start();
+        let mut c = MdbClient::connect(srv.local_addr(), "cli").unwrap();
+        // The server's decoder drops such a frame as garbage and never
+        // answers: sending it would block this session forever.
+        let big = "x".repeat(MAX_FRAME_LEN + 1);
+        for result in [
+            c.query(&big).map(|_| ()),
+            c.prepare("p", &big),
+            c.execute_prepared(&big).map(|_| ()),
+        ] {
+            let err = result.unwrap_err();
+            assert!(
+                matches!(err, ClientError::TooLarge(n) if n > MAX_FRAME_LEN),
+                "{err}"
+            );
+        }
+        // Nothing was sent, so the session is still in step.
+        c.query("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
+        // A payload of exactly the limit goes out and is answered.
+        c.set_tracing(false);
+        let framing = WireMessage::Query { sql: String::new() }.encode().len();
+        let err = c.query(&big[..MAX_FRAME_LEN - framing]).unwrap_err();
+        assert!(matches!(err, ClientError::Server(_)), "{err}");
+        c.close().unwrap();
+    }
+
+    #[test]
     fn prepared_text_cache_round_trip_and_cap() {
         let db = Db::open(DbConfig::default());
         let srv = MdbServer::start(

@@ -19,6 +19,8 @@ use crate::wire::{FrameDecoder, WireMessage, WireResultSet};
 /// how long a session read blocks before re-checking shutdown.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 const READ_POLL: Duration = Duration::from_millis(20);
+/// Identification string sent in the greeting.
+const SERVER_NAME: &str = "minidb/0.1";
 
 /// SQL-server configuration.
 #[derive(Clone, Debug)]
@@ -26,8 +28,6 @@ pub struct ServerOptions {
     /// Listen address (`"127.0.0.1:0"` binds an ephemeral port; read it
     /// back via [`MdbServer::local_addr`]).
     pub listen: String,
-    /// Identification string sent in the greeting.
-    pub server_name: String,
     /// Per-session prepared-statement cache capacity; `PREPARE` beyond
     /// it is refused.
     pub prepared_cache_cap: usize,
@@ -37,7 +37,6 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             listen: "127.0.0.1:0".into(),
-            server_name: "minidb/0.1".into(),
             prepared_cache_cap: 64,
         }
     }
@@ -227,7 +226,7 @@ fn serve_session(
                         &mut stream,
                         &WireMessage::Greeting {
                             session_id: c.id,
-                            server: options.server_name.clone(),
+                            server: SERVER_NAME.into(),
                         },
                     )?;
                     conn = Some(c);

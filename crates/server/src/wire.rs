@@ -37,7 +37,7 @@ use minidb::value::Value;
 
 /// Upper bound on one frame's payload — the cap every frame format
 /// shares. Decoders treat a longer claim as garbage; the server's
-/// sender refuses to frame a longer reply.
+/// sender refuses to frame a longer reply, the client's a longer request.
 pub const MAX_FRAME_LEN: usize = codec::MAX_PAYLOAD;
 
 /// CRC-32 (IEEE), re-exported from the shared codec so every log and
@@ -341,19 +341,38 @@ impl Envelope {
         Envelope { msg, ctx: None }
     }
 
-    /// Frames the envelope for the TCP transport: a v2 frame when a
-    /// context is attached, the byte-identical v1 frame otherwise —
-    /// so senders never pay the context slot for context-free traffic
-    /// and v1 peers keep decoding them.
-    pub fn to_frame(&self) -> Vec<u8> {
+    /// The frame kind (`true` = v2) and payload of this envelope: a v2
+    /// payload when a context is attached, the v1 one otherwise.
+    fn payload(&self) -> (bool, Vec<u8>) {
         let Some(ctx) = self.ctx else {
-            return self.msg.to_frame();
+            return (false, self.msg.encode());
         };
         let mut payload = Vec::with_capacity(64);
         payload.push(1u8);
         ctx.encode(&mut payload);
         payload.extend_from_slice(&self.msg.encode());
-        codec::SERVER.encode(true, 0, &payload)
+        (true, payload)
+    }
+
+    /// Frames the envelope for the TCP transport: a v2 frame when a
+    /// context is attached, the byte-identical v1 frame otherwise —
+    /// so senders never pay the context slot for context-free traffic
+    /// and v1 peers keep decoding them.
+    pub fn to_frame(&self) -> Vec<u8> {
+        let (v2, payload) = self.payload();
+        codec::SERVER.encode(v2, 0, &payload)
+    }
+
+    /// [`Self::to_frame`] for requests built from unbounded data (a
+    /// statement text). A payload past [`MAX_FRAME_LEN`] would be
+    /// discarded by the server's decoder as a corrupt header and never
+    /// answered, so it is refused with its length instead.
+    pub fn to_request_frame(&self) -> Result<Vec<u8>, usize> {
+        let (v2, payload) = self.payload();
+        if payload.len() > MAX_FRAME_LEN {
+            return Err(payload.len());
+        }
+        Ok(codec::SERVER.encode(v2, 0, &payload))
     }
 
     /// Parses a v2 frame payload (context slot + message).

@@ -804,19 +804,16 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("n");
         let h = r.histogram("d");
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                let c = c.clone();
-                let h = h.clone();
-                s.spawn(move |_| {
+                s.spawn(|| {
                     for i in 0..10_000u64 {
                         c.inc();
                         h.record(i % 17);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(c.get(), 80_000);
         assert_eq!(h.count(), 80_000);
     }

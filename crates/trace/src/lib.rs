@@ -288,12 +288,6 @@ impl StatementTrace {
             ctx: None,
         }
     }
-
-    /// Absolute start of the trace in simulated microseconds
-    /// (`started_unix` seconds plus the root span's offset).
-    pub fn start_abs_us(&self) -> i64 {
-        self.started_unix * 1_000_000 + self.root.start_us as i64
-    }
 }
 
 // ================= builder =================
