@@ -5,11 +5,16 @@
 //! relaxed atomic load — `Recorder::is_enabled` — plus one `Option`
 //! check per stage hook. The `engine` group measures the end-to-end
 //! difference on cache-hit point selects; the `record` group pins down
-//! the primitive itself.
+//! the primitive itself. The `codec` and `wire` cases time the frame
+//! layer every trace record and reply goes through.
+
+use std::hint::black_box;
 
 use bench::timeit;
-use mdb_trace::{Recorder, TraceBuilder};
+use mdb_server::{FrameDecoder, WireMessage, WireResultSet};
+use mdb_trace::{codec, Recorder, TraceBuilder};
 use minidb::engine::{Db, DbConfig};
+use minidb::value::Value;
 
 fn bench_gate_and_builder() {
     // The disabled-path primitive: one relaxed load.
@@ -82,8 +87,36 @@ fn bench_chrome_export() {
     });
 }
 
+/// The reply path of a `range_scan_cold` statement without the
+/// end-to-end benchmark: the CRC over one reply's bytes, and one
+/// 200-row result framed by the server and decoded by the client.
+fn bench_reply_codec() {
+    let reply = WireMessage::Result(WireResultSet {
+        columns: vec!["id".into(), "k".into(), "v".into()],
+        rows: (0..200)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Int(i * 7),
+                    Value::Text(format!("payload-{i:032}")),
+                ]
+            })
+            .collect(),
+        rows_examined: 200,
+        rows_affected: 0,
+    });
+    let bytes: Vec<u8> = (0..12_455u32).map(|i| (i * 31) as u8).collect();
+    timeit("codec/crc32/12455B", || codec::crc32(black_box(&bytes)));
+    let mut decoder = FrameDecoder::default();
+    timeit("wire/reply/200-rows encode+decode", || {
+        decoder.feed(&black_box(&reply).to_reply_frame());
+        decoder.next_message().expect("own frame decodes")
+    });
+}
+
 fn main() {
     bench_gate_and_builder();
     bench_engine_overhead();
     bench_chrome_export();
+    bench_reply_codec();
 }

@@ -80,7 +80,15 @@ pub fn run(opts: &Options) -> Vec<Table> {
                 executed.push(stmt);
                 if i == writes / 2 {
                     // Cut replica 0's link mid-stream; it must reconnect and
-                    // resume without losing or duplicating events.
+                    // resume without losing or duplicating events. A cut
+                    // only severs a live link, so on a loaded box wait for
+                    // replica 0's first attach rather than cut nothing.
+                    for _ in 0..2_500 {
+                        if set.status()[0].state == "streaming" {
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
                     set.inject_disconnect(0);
                 }
             }

@@ -2,6 +2,9 @@
 
 use std::collections::HashMap;
 
+use mdb_trace::codec::{put_u32, Reader};
+
+use crate::error::{DbError, DbResult};
 use crate::heap::HeapPtr;
 use crate::storage::PageKey;
 use crate::value::Value;
@@ -11,13 +14,68 @@ pub const QUERY_CACHE_ENTRIES: usize = 64;
 /// Adaptive-hash-index hotness threshold of an engine, in page accesses.
 pub const ADAPTIVE_HASH_THRESHOLD: u64 = 8;
 
-/// A cached result set.
-#[derive(Clone, Debug)]
+/// A cached result set. The rows live in one buffer in the storage
+/// value encoding ([`Value::encode`]): a `u32` row count, then per row
+/// a `u32` width and its values. Caching a result fills one buffer
+/// instead of allocating a `Vec` per row and a `String` per text cell
+/// under the engine lock; a hit pays the decode instead.
+#[derive(Debug)]
 pub struct CachedResult {
     /// Result column names.
     pub columns: Vec<String>,
-    /// Result rows.
-    pub rows: Vec<Vec<Value>>,
+    rows: Vec<u8>,
+}
+
+impl CachedResult {
+    /// Encodes `rows` under `columns`.
+    fn new(columns: Vec<String>, rows: &[Vec<Value>]) -> CachedResult {
+        let len: usize = rows
+            .iter()
+            .map(|row| 4 + row.iter().map(Value::encoded_len).sum::<usize>())
+            .sum();
+        let mut buf = Vec::with_capacity(4 + len);
+        put_u32(&mut buf, rows.len() as u32);
+        for row in rows {
+            put_u32(&mut buf, row.len() as u32);
+            for v in row {
+                v.encode(&mut buf);
+            }
+        }
+        CachedResult { columns, rows: buf }
+    }
+
+    /// The column names and rows, decoded. A malformed buffer is a
+    /// [`DbError::Storage`], never a panic.
+    pub fn decode(&self) -> DbResult<(Vec<String>, Vec<Vec<Value>>)> {
+        Ok((self.columns.clone(), decode_rows(&self.rows)?))
+    }
+}
+
+fn decode_rows(buf: &[u8]) -> DbResult<Vec<Vec<Value>>> {
+    let mut pos = 0;
+    let count = u32_at(buf, &mut pos)?;
+    // Every row costs at least its width field: a corrupt count cannot
+    // reserve more than the buffer could hold.
+    let mut rows = Vec::with_capacity(count.min(buf.len() / 4));
+    for _ in 0..count {
+        let width = u32_at(buf, &mut pos)?;
+        let mut row = Vec::with_capacity(width.min(buf.len() - pos));
+        for _ in 0..width {
+            row.push(Value::decode(buf, &mut pos)?);
+        }
+        rows.push(row);
+    }
+    if pos != buf.len() {
+        return Err(DbError::Storage("trailing bytes in cached result".into()));
+    }
+    Ok(rows)
+}
+
+/// The `u32` at `buf[*pos..]`, advancing `pos`.
+fn u32_at(buf: &[u8], pos: &mut usize) -> DbResult<usize> {
+    let n = Reader::new(buf.get(*pos..).unwrap_or_default()).u32()?;
+    *pos += 4;
+    Ok(n as usize)
 }
 
 struct CacheEntry {
@@ -59,7 +117,7 @@ impl QueryCache {
     }
 
     /// Looks up a cached result for the exact query text.
-    pub fn get(&mut self, sql: &str) -> Option<CachedResult> {
+    pub fn get(&mut self, sql: &str) -> Option<&CachedResult> {
         if !self.enabled {
             return None;
         }
@@ -69,7 +127,7 @@ impl QueryCache {
             Some(e) => {
                 e.last_used = tick;
                 self.hits += 1;
-                Some(e.result.clone())
+                Some(&e.result)
             }
             None => {
                 self.misses += 1;
@@ -79,17 +137,20 @@ impl QueryCache {
     }
 
     /// Inserts a result; returns the arena pointers of any evicted entries
-    /// so the engine can free them (not zero them!).
+    /// so the engine can free them (not zero them!). A disabled cache
+    /// encodes nothing.
     pub fn insert(
         &mut self,
         sql: &str,
         tables: Vec<String>,
-        result: CachedResult,
+        columns: &[String],
+        rows: &[Vec<Value>],
         text_ptr: HeapPtr,
     ) -> Vec<HeapPtr> {
         if !self.enabled {
             return vec![text_ptr];
         }
+        let result = CachedResult::new(columns.to_vec(), rows);
         self.tick += 1;
         let mut freed = Vec::new();
         if let Some(old) = self.entries.remove(sql) {
@@ -208,11 +269,62 @@ mod tests {
     use super::*;
     use crate::heap::HeapArena;
 
-    fn result() -> CachedResult {
-        CachedResult {
-            columns: vec!["a".into()],
-            rows: vec![vec![Value::Int(1)]],
+    fn cols() -> Vec<String> {
+        vec!["a".into()]
+    }
+
+    fn rows() -> Vec<Vec<Value>> {
+        vec![vec![Value::Int(1)]]
+    }
+
+    #[test]
+    fn cached_rows_round_trip_through_the_storage_encoding() {
+        let columns: Vec<String> = vec!["n".into(), "i".into(), "t".into(), "b".into()];
+        let rows = vec![
+            vec![
+                Value::Null,
+                Value::Int(i64::MIN),
+                Value::Text(String::new()),
+                Value::Bytes(vec![]),
+            ],
+            vec![
+                Value::Null,
+                Value::Int(i64::MAX),
+                Value::Text("bób — 東京".into()),
+                Value::Bytes(vec![0, 255, 7]),
+            ],
+        ];
+        let zero_width = vec![vec![]; 3];
+        for (cols, rows) in [
+            (columns, rows),
+            (vec!["a".into()], vec![]),
+            (vec![], zero_width),
+        ] {
+            let cached = CachedResult::new(cols.clone(), &rows);
+            assert_eq!(cached.decode(), Ok((cols, rows)));
         }
+    }
+
+    #[test]
+    fn a_truncated_cache_buffer_is_a_typed_error() {
+        let rows = vec![
+            vec![Value::Int(-1), Value::Text("héllo".into())],
+            vec![Value::Null, Value::Bytes(vec![1, 2, 3])],
+        ];
+        let full = CachedResult::new(vec![], &rows);
+        for cut in 0..full.rows.len() {
+            let short = CachedResult {
+                columns: vec![],
+                rows: full.rows[..cut].to_vec(),
+            };
+            assert!(
+                matches!(short.decode(), Err(DbError::Storage(_))),
+                "cut {cut}"
+            );
+        }
+        let mut long = full;
+        long.rows.push(0);
+        assert!(matches!(long.decode(), Err(DbError::Storage(_))));
     }
 
     #[test]
@@ -221,8 +333,11 @@ mod tests {
         let mut qc = QueryCache::new(true, 4);
         assert!(qc.get("SELECT 1").is_none());
         let ptr = h.alloc_str("SELECT 1");
-        qc.insert("SELECT 1", vec!["t".into()], result(), ptr);
-        assert!(qc.get("SELECT 1").is_some());
+        qc.insert("SELECT 1", vec!["t".into()], &cols(), &rows(), ptr);
+        assert_eq!(
+            qc.get("SELECT 1").map(CachedResult::decode),
+            Some(Ok((cols(), rows())))
+        );
         assert_eq!((qc.hits, qc.misses), (1, 1));
     }
 
@@ -231,7 +346,7 @@ mod tests {
         let mut h = HeapArena::new();
         let mut qc = QueryCache::new(false, 4);
         let ptr = h.alloc_str("SELECT 1");
-        let freed = qc.insert("SELECT 1", vec![], result(), ptr);
+        let freed = qc.insert("SELECT 1", vec![], &cols(), &rows(), ptr);
         assert_eq!(freed, vec![ptr]);
         assert!(qc.get("SELECT 1").is_none());
     }
@@ -243,10 +358,10 @@ mod tests {
         let p1 = h.alloc_str("q1");
         let p2 = h.alloc_str("q2");
         let p3 = h.alloc_str("q3");
-        qc.insert("q1", vec![], result(), p1);
-        qc.insert("q2", vec![], result(), p2);
+        qc.insert("q1", vec![], &cols(), &rows(), p1);
+        qc.insert("q2", vec![], &cols(), &rows(), p2);
         qc.get("q1"); // q1 now more recent than q2.
-        let freed = qc.insert("q3", vec![], result(), p3);
+        let freed = qc.insert("q3", vec![], &cols(), &rows(), p3);
         assert_eq!(freed, vec![p2]);
         assert_eq!(qc.cached_queries(), vec!["q1", "q3"]);
     }
@@ -257,8 +372,8 @@ mod tests {
         let mut qc = QueryCache::new(true, 8);
         let p1 = h.alloc_str("SELECT * FROM a");
         let p2 = h.alloc_str("SELECT * FROM b");
-        qc.insert("SELECT * FROM a", vec!["a".into()], result(), p1);
-        qc.insert("SELECT * FROM b", vec!["b".into()], result(), p2);
+        qc.insert("SELECT * FROM a", vec!["a".into()], &cols(), &rows(), p1);
+        qc.insert("SELECT * FROM b", vec!["b".into()], &cols(), &rows(), p2);
         let freed = qc.invalidate_table("a");
         assert_eq!(freed, vec![p1]);
         assert!(qc.get("SELECT * FROM a").is_none());

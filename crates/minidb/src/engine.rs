@@ -1652,14 +1652,15 @@ impl DbInner {
         // only ever hold committed state (writes invalidate, and a read
         // beside an overlay neither looks up nor inserts).
         if heap_is_committed {
-            if let Some(hit) = self.query_cache.get(sql) {
+            if let Some(hit) = self.query_cache.get(sql).map(CachedResult::decode) {
+                let (columns, rows) = hit?;
                 self.metrics.query_cache_hits.inc();
                 self.trace_begin("query_cache");
                 self.trace_attr("hit", 1);
                 self.trace_end_elastic();
                 return Ok(QueryResult {
-                    columns: hit.columns,
-                    rows: hit.rows,
+                    columns,
+                    rows,
                     rows_examined: 0,
                     rows_affected: 0,
                 });
@@ -1698,10 +1699,8 @@ impl DbInner {
             let freed = self.query_cache.insert(
                 sql,
                 vec![def.schema.name.clone()],
-                CachedResult {
-                    columns: result.columns.clone(),
-                    rows: result.rows.clone(),
-                },
+                &result.columns,
+                &result.rows,
                 text_ptr,
             );
             for p in freed {
@@ -2130,12 +2129,24 @@ impl DbInner {
                 _ => unreachable!("aggregates handled above"),
             }
         }
-        // The rows are ours and about to be dropped: move each value out
-        // unless the select list names a column twice.
+        // The rows are ours and about to be dropped. When the select list
+        // names distinct columns in schema order (`*`, or a subsequence
+        // of it) each row's own `Vec` becomes the result row: swap every
+        // selected value down into place, then truncate — no allocation.
+        // Otherwise move each value out into a fresh `Vec`, or clone it
+        // when the list names a column twice.
+        let in_place = proj.windows(2).all(|w| w[0] < w[1]);
         let distinct = proj.iter().enumerate().all(|(n, i)| !proj[..n].contains(i));
         let out = rows
             .into_iter()
             .map(|mut r| {
+                if in_place {
+                    for (k, &i) in proj.iter().enumerate() {
+                        r.values.swap(k, i);
+                    }
+                    r.values.truncate(proj.len());
+                    return r.values;
+                }
                 proj.iter()
                     .map(|&i| match distinct {
                         true => std::mem::replace(&mut r.values[i], Value::Null),

@@ -93,6 +93,16 @@ impl Value {
         }
     }
 
+    /// Bytes [`Value::encode`] appends for this value.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Value::Null => 1,
+            Value::Int(_) => 9,
+            Value::Text(s) => 5 + s.len(),
+            Value::Bytes(b) => 5 + b.len(),
+        }
+    }
+
     /// Splits one encoded value off `buf[*pos..]`, advancing `pos`:
     /// its tag and its body (empty for NULL, 8 bytes for INT, the
     /// payload for TEXT/BYTES). Every reader of the encoding goes
@@ -195,6 +205,7 @@ mod tests {
     fn round_trip(v: &Value) {
         let mut buf = Vec::new();
         v.encode(&mut buf);
+        assert_eq!(v.encoded_len(), buf.len());
         let mut pos = 0;
         assert_eq!(&Value::decode(&buf, &mut pos).unwrap(), v);
         assert_eq!(pos, buf.len());

@@ -269,6 +269,38 @@ fn query_cache_hit_and_invalidation() {
     let third = conn.execute(q).unwrap();
     assert!(third.rows_examined > 0, "cache invalidated by write");
     assert_eq!(third.rows.len(), 3);
+
+    // Every projection path — in place (schema order), moved out
+    // (reordered), cloned (a column twice) — answers the same from the
+    // scan and from the cache.
+    let star = conn
+        .execute("SELECT * FROM customers WHERE age < 50 ORDER BY id")
+        .unwrap()
+        .rows;
+    for (list, cols) in [
+        ("id, age", &[0, 2][..]),
+        ("state", &[1]),
+        ("age, id", &[2, 0]),
+        ("age, state, id", &[2, 1, 0]),
+        ("age, id, id", &[2, 0, 0]),
+        ("id, id, state", &[0, 0, 1]),
+    ] {
+        let q = format!("SELECT {list} FROM customers WHERE age < 50 ORDER BY id");
+        let want: Vec<Vec<Value>> = star
+            .iter()
+            .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
+            .collect();
+        let scanned = conn.execute(&q).unwrap();
+        assert!(scanned.rows_examined > 0, "{q}");
+        assert_eq!(scanned.rows, want, "{q}");
+        let cached = conn.execute(&q).unwrap();
+        assert_eq!(cached.rows_examined, 0, "{q}");
+        assert_eq!(
+            (cached.columns, cached.rows),
+            (scanned.columns, want),
+            "{q}"
+        );
+    }
 }
 
 #[test]

@@ -368,7 +368,10 @@ impl ReplicaSet {
     }
 
     /// Severs replica `i`'s current link mid-stream; its apply loop
-    /// reconnects with backoff.
+    /// reconnects with backoff. It cuts only a *live* link: before the
+    /// replica's first attach there is none, and the call does nothing
+    /// — callers that need the cut to land wait for
+    /// `status()[i].state == "streaming"` first.
     pub fn inject_disconnect(&self, i: usize) {
         self.slots[i].cutter.lock().cut();
     }

@@ -72,10 +72,16 @@ const WIRE_SEND_START_US: u64 = 50;
 const WIRE_SPAN_US: u64 = 50;
 const WIRE_RECV_START_US: u64 = 300;
 
+/// Bytes the client asks the socket for per read.
+const READ_BUF: usize = 64 * 1024;
+
 /// A connected SQL session.
 pub struct MdbClient {
     stream: TcpStream,
     decoder: FrameDecoder,
+    /// Socket read buffer, [`READ_BUF`] bytes: a range reply arrives in
+    /// one or two reads instead of a 4 KiB stack chunk per syscall.
+    read_buf: Box<[u8]>,
     session_id: u64,
     server: String,
     /// Whether statements carry a distributed trace context (v2 frames).
@@ -103,6 +109,7 @@ impl MdbClient {
         let mut client = MdbClient {
             stream,
             decoder: FrameDecoder::default(),
+            read_buf: vec![0; READ_BUF].into_boxed_slice(),
             session_id: 0,
             server: String::new(),
             tracing: true,
@@ -263,16 +270,15 @@ impl MdbClient {
     }
 
     fn recv(&mut self) -> Result<WireMessage, ClientError> {
-        let mut buf = [0u8; 4096];
         loop {
             if let Some(msg) = self.decoder.next_message()? {
                 return Ok(msg);
             }
-            let n = self.stream.read(&mut buf)?;
+            let n = self.stream.read(&mut self.read_buf)?;
             if n == 0 {
                 return Err(ClientError::Closed);
             }
-            self.decoder.feed(&buf[..n]);
+            self.decoder.feed(&self.read_buf[..n]);
         }
     }
 

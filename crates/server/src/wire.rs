@@ -186,6 +186,16 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
+/// Bytes [`put_value`] writes for `v`.
+fn value_len(v: &Value) -> usize {
+    match v {
+        Value::Null => 1,
+        Value::Int(_) => 9,
+        Value::Text(s) => 5 + s.len(),
+        Value::Bytes(b) => 5 + b.len(),
+    }
+}
+
 fn value(c: &mut Reader) -> WireResult<Value> {
     Ok(match c.u8()? {
         VTAG_NULL => Value::Null,
@@ -199,55 +209,84 @@ fn value(c: &mut Reader) -> WireResult<Value> {
 impl WireMessage {
     /// Serializes the message payload (without framing).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Exactly the number of bytes [`Self::encode_into`] appends — what
+    /// a frame buffer is sized from, and what the frame-limit checks
+    /// compare before anything is written.
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            WireMessage::Hello { user: s }
+            | WireMessage::Query { sql: s }
+            | WireMessage::ExecutePrepared { name: s }
+            | WireMessage::Error { message: s } => 4 + s.len(),
+            WireMessage::Prepare { name, sql } => 8 + name.len() + sql.len(),
+            WireMessage::Trace | WireMessage::Quit | WireMessage::Bye => 0,
+            WireMessage::Greeting { server, .. } => 12 + server.len(),
+            WireMessage::Result(rs) => {
+                let columns: usize = rs.columns.iter().map(|c| 4 + c.len()).sum();
+                let rows: usize = rs
+                    .rows
+                    .iter()
+                    .map(|row| 4 + row.iter().map(value_len).sum::<usize>())
+                    .sum();
+                4 + columns + 4 + rows + 16
+            }
+        }
+    }
+
+    /// Appends the message payload (without framing) to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WireMessage::Hello { user } => {
                 out.push(TAG_HELLO);
-                put_bytes32(&mut out, user.as_bytes());
+                put_bytes32(out, user.as_bytes());
             }
             WireMessage::Query { sql } => {
                 out.push(TAG_QUERY);
-                put_bytes32(&mut out, sql.as_bytes());
+                put_bytes32(out, sql.as_bytes());
             }
             WireMessage::Prepare { name, sql } => {
                 out.push(TAG_PREPARE);
-                put_bytes32(&mut out, name.as_bytes());
-                put_bytes32(&mut out, sql.as_bytes());
+                put_bytes32(out, name.as_bytes());
+                put_bytes32(out, sql.as_bytes());
             }
             WireMessage::ExecutePrepared { name } => {
                 out.push(TAG_EXECUTE_PREPARED);
-                put_bytes32(&mut out, name.as_bytes());
+                put_bytes32(out, name.as_bytes());
             }
             WireMessage::Trace => out.push(TAG_TRACE),
             WireMessage::Quit => out.push(TAG_QUIT),
             WireMessage::Greeting { session_id, server } => {
                 out.push(TAG_GREETING);
-                put_u64(&mut out, *session_id);
-                put_bytes32(&mut out, server.as_bytes());
+                put_u64(out, *session_id);
+                put_bytes32(out, server.as_bytes());
             }
             WireMessage::Result(rs) => {
                 out.push(TAG_RESULT);
-                put_u32(&mut out, rs.columns.len() as u32);
+                put_u32(out, rs.columns.len() as u32);
                 for c in &rs.columns {
-                    put_bytes32(&mut out, c.as_bytes());
+                    put_bytes32(out, c.as_bytes());
                 }
-                put_u32(&mut out, rs.rows.len() as u32);
+                put_u32(out, rs.rows.len() as u32);
                 for row in &rs.rows {
-                    put_u32(&mut out, row.len() as u32);
+                    put_u32(out, row.len() as u32);
                     for v in row {
-                        put_value(&mut out, v);
+                        put_value(out, v);
                     }
                 }
-                put_u64(&mut out, rs.rows_examined);
-                put_u64(&mut out, rs.rows_affected);
+                put_u64(out, rs.rows_examined);
+                put_u64(out, rs.rows_affected);
             }
             WireMessage::Error { message } => {
                 out.push(TAG_ERROR);
-                put_bytes32(&mut out, message.as_bytes());
+                put_bytes32(out, message.as_bytes());
             }
             WireMessage::Bye => out.push(TAG_BYE),
         }
-        out
     }
 
     /// Parses a message payload.
@@ -307,7 +346,7 @@ impl WireMessage {
     /// Frames the encoded message as a v1 frame:
     /// `magic || len || payload || crc32(payload)`.
     pub fn to_frame(&self) -> Vec<u8> {
-        codec::SERVER.encode(false, 0, &self.encode())
+        codec::SERVER.encode_with(false, 0, self.encoded_len(), |out| self.encode_into(out))
     }
 
     /// [`Self::to_frame`] for replies built from unbounded data (a
@@ -316,12 +355,12 @@ impl WireMessage {
     /// blocked on a reply that never parses — so it is replaced by a
     /// [`WireMessage::Error`] frame instead.
     pub fn to_reply_frame(&self) -> Vec<u8> {
-        let payload = self.encode();
-        if payload.len() > MAX_FRAME_LEN {
+        let len = self.encoded_len();
+        if len > MAX_FRAME_LEN {
             let message = "result exceeds frame limit".into();
             return WireMessage::Error { message }.to_frame();
         }
-        codec::SERVER.encode(false, 0, &payload)
+        codec::SERVER.encode_with(false, 0, len, |out| self.encode_into(out))
     }
 }
 
@@ -341,17 +380,26 @@ impl Envelope {
         Envelope { msg, ctx: None }
     }
 
-    /// The frame kind (`true` = v2) and payload of this envelope: a v2
-    /// payload when a context is attached, the v1 one otherwise.
-    fn payload(&self) -> (bool, Vec<u8>) {
-        let Some(ctx) = self.ctx else {
-            return (false, self.msg.encode());
+    /// Payload bytes of this envelope's frame: the v2 context slot when
+    /// a context is attached, then the message.
+    fn payload_len(&self) -> usize {
+        let slot = match self.ctx {
+            Some(_) => 1 + TraceContext::WIRE_LEN,
+            None => 0,
         };
-        let mut payload = Vec::with_capacity(64);
-        payload.push(1u8);
-        ctx.encode(&mut payload);
-        payload.extend_from_slice(&self.msg.encode());
-        (true, payload)
+        slot + self.msg.encoded_len()
+    }
+
+    /// The frame of a `len`-byte payload: v2 when a context is
+    /// attached, v1 otherwise.
+    fn frame(&self, len: usize) -> Vec<u8> {
+        codec::SERVER.encode_with(self.ctx.is_some(), 0, len, |out| {
+            if let Some(ctx) = self.ctx {
+                out.push(1);
+                ctx.encode(out);
+            }
+            self.msg.encode_into(out);
+        })
     }
 
     /// Frames the envelope for the TCP transport: a v2 frame when a
@@ -359,8 +407,7 @@ impl Envelope {
     /// so senders never pay the context slot for context-free traffic
     /// and v1 peers keep decoding them.
     pub fn to_frame(&self) -> Vec<u8> {
-        let (v2, payload) = self.payload();
-        codec::SERVER.encode(v2, 0, &payload)
+        self.frame(self.payload_len())
     }
 
     /// [`Self::to_frame`] for requests built from unbounded data (a
@@ -368,11 +415,11 @@ impl Envelope {
     /// discarded by the server's decoder as a corrupt header and never
     /// answered, so it is refused with its length instead.
     pub fn to_request_frame(&self) -> Result<Vec<u8>, usize> {
-        let (v2, payload) = self.payload();
-        if payload.len() > MAX_FRAME_LEN {
-            return Err(payload.len());
+        let len = self.payload_len();
+        if len > MAX_FRAME_LEN {
+            return Err(len);
         }
-        Ok(codec::SERVER.encode(v2, 0, &payload))
+        Ok(self.frame(len))
     }
 
     /// Parses a v2 frame payload (context slot + message).
@@ -461,9 +508,30 @@ mod tests {
         })
     }
 
-    #[test]
-    fn messages_round_trip() {
-        let msgs = [
+    /// A range reply of the `range_scan_cold` shape: 200 rows of
+    /// `(INT, TEXT, INT)`, one NULL and one BYTES cell for coverage.
+    fn wide_result() -> WireMessage {
+        let mut rows: Vec<Vec<Value>> = (0..200)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Text(format!("payload-{i:040}")),
+                    Value::Int(i * 7),
+                ]
+            })
+            .collect();
+        rows[3][1] = Value::Null;
+        rows[4][2] = Value::Bytes(vec![0xAB; 33]);
+        WireMessage::Result(WireResultSet {
+            columns: vec!["id".into(), "v".into(), "k".into()],
+            rows,
+            rows_examined: 200,
+            rows_affected: 0,
+        })
+    }
+
+    fn sample_messages() -> Vec<WireMessage> {
+        vec![
             WireMessage::Hello { user: "app".into() },
             WireMessage::Query {
                 sql: "SELECT * FROM t WHERE name = 'héllo'".into(),
@@ -484,9 +552,45 @@ mod tests {
                 message: "unknown table: t".into(),
             },
             WireMessage::Bye,
-        ];
-        for m in &msgs {
+            WireMessage::Result(WireResultSet::default()),
+        ]
+    }
+
+    #[test]
+    fn messages_round_trip() {
+        for m in &sample_messages() {
             assert_eq!(&WireMessage::decode(&m.encode()).unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn in_place_framing_is_bit_equal_to_encode_then_frame() {
+        let ctx = TraceContext {
+            trace_id: 0xFEED_F00D,
+            span_id: 0x1234,
+            sampled: true,
+        };
+        let mut msgs = sample_messages();
+        msgs.push(wide_result());
+        for m in msgs {
+            let payload = m.encode();
+            assert_eq!(m.encoded_len(), payload.len(), "{m:?}");
+            let v1 = codec::SERVER.encode(false, 0, &payload);
+            assert_eq!(m.to_reply_frame(), v1, "{m:?}");
+            assert_eq!(m.to_frame(), v1);
+            let plain = Envelope::plain(m.clone());
+            assert_eq!(plain.to_frame(), v1);
+            assert_eq!(plain.to_request_frame(), Ok(v1));
+            let mut v2 = vec![1u8];
+            ctx.encode(&mut v2);
+            v2.extend_from_slice(&payload);
+            let traced = Envelope {
+                msg: m,
+                ctx: Some(ctx),
+            };
+            let v2 = codec::SERVER.encode(true, 0, &v2);
+            assert_eq!(traced.to_frame(), v2);
+            assert_eq!(traced.to_request_frame(), Ok(v2));
         }
     }
 

@@ -25,16 +25,59 @@ use std::fmt;
 /// against it before framing.
 pub const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 
-/// CRC-32 (IEEE 802.3, reflected), bitwise — zero-dependency and fast
-/// enough for log-append volumes.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `CRC_TABLES[k][b]` is the CRC register after
+/// byte `b` followed by `k` zero bytes. Built at compile time.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected), slice-by-8: eight table lookups per
+/// eight input bytes. Zero-dependency; every log, wire and trace frame
+/// trailer is this function.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = !0;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][lo as u8 as usize]
+            ^ t[6][(lo >> 8) as u8 as usize]
+            ^ t[5][(lo >> 16) as u8 as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][(crc as u8 ^ b) as usize];
     }
     !crc
 }
@@ -282,6 +325,10 @@ pub struct CrcMismatch {
     pub found: u32,
 }
 
+/// Most bytes a frame adds around its payload: magic, version, length
+/// and CRC trailer.
+const MAX_OVERHEAD: usize = 4 + 1 + 4 + 4;
+
 impl Format {
     /// Serializes one frame. Infallible: callers that frame outside
     /// input check `payload.len()` against [`MAX_PAYLOAD`] first.
@@ -290,24 +337,48 @@ impl Format {
     ///
     /// Panics if `alt` is set on a format without an alternate magic.
     pub fn encode(&self, alt: bool, version: u8, payload: &[u8]) -> Vec<u8> {
+        self.encode_with(alt, version, payload.len(), |out| {
+            out.extend_from_slice(payload)
+        })
+    }
+
+    /// [`Format::encode`] for a payload written in place: `write`
+    /// appends the payload to the frame buffer (sized for `capacity`
+    /// payload bytes), then the length field is patched and the CRC
+    /// trailer computed over the bytes where they already lie — one
+    /// buffer, one pass, no intermediate payload `Vec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alt` is set on a format without an alternate magic.
+    pub fn encode_with(
+        &self,
+        alt: bool,
+        version: u8,
+        capacity: usize,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
         let magic = match alt {
             false => self.magic,
             true => self.alt_magic.expect("format has an alternate magic"),
         };
-        let mut out = Vec::with_capacity(payload.len() + 13);
+        let mut out = Vec::with_capacity(capacity + MAX_OVERHEAD);
         out.extend_from_slice(&magic);
         if !self.versions.is_empty() {
             out.push(version);
         }
-        put_bytes32(&mut out, payload);
-        match self.crc {
-            Crc::None => {}
-            Crc::Payload => put_u32(&mut out, crc32(payload)),
-            Crc::Header => {
-                let crc = crc32(&out[4..]);
-                put_u32(&mut out, crc);
-            }
-        }
+        let len_at = out.len();
+        put_u32(&mut out, 0);
+        let body = out.len();
+        write(&mut out);
+        let len = (out.len() - body) as u32;
+        out[len_at..body].copy_from_slice(&len.to_le_bytes());
+        let crc = match self.crc {
+            Crc::None => return out,
+            Crc::Payload => crc32(&out[body..]),
+            Crc::Header => crc32(&out[4..]),
+        };
+        put_u32(&mut out, crc);
         out
     }
 }
@@ -546,10 +617,85 @@ impl StreamDecoder {
 mod tests {
     use super::*;
 
+    /// The bitwise CRC-32 the tables replaced: the reference they must
+    /// equal bit for bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    /// Deterministic test bytes (xorshift64*).
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|_| {
+                s ^= s >> 12;
+                s ^= s << 25;
+                s ^= s >> 27;
+                (s.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_known_vector() {
-        // IEEE CRC-32 of "123456789".
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_reference() {
+        // Every length through two words plus a tail, at every
+        // alignment of the 8-byte loop.
+        let buf = noise(7, 64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
+            }
+        }
+        for (seed, len) in [(1, 1_000), (2, 4_097), (3, 12_455), (4, 65_536)] {
+            let s = noise(seed, len);
+            assert_eq!(crc32(&s), crc32_bitwise(&s), "seed {seed} len {len}");
+        }
+    }
+
+    #[test]
+    fn encode_with_equals_encode_for_every_format() {
+        for (fmt, alts, version) in [
+            (&WAL, &[false, true][..], 0),
+            (&RELAY, &[false, true], 0),
+            (&REPL_WIRE, &[false], 0),
+            (&SERVER, &[false, true], 0),
+            (&TRACE, &[false], 2),
+        ] {
+            for &alt in alts {
+                for len in [0, 1, 7, 8, 9, 300] {
+                    let payload = noise(len as u64, len);
+                    let framed = fmt.encode(alt, version, &payload);
+                    // A wrong capacity hint changes nothing but allocation.
+                    for capacity in [0, len, 2 * len + 5] {
+                        let built = fmt.encode_with(alt, version, capacity, |out| {
+                            out.extend_from_slice(&payload)
+                        });
+                        assert_eq!(built, framed, "{:?} alt {alt} len {len}", fmt.magic);
+                    }
+                    let got = walk(fmt, &framed).next().expect("one frame");
+                    assert_eq!(
+                        (got.alt, got.version, got.payload),
+                        (alt, version, &payload[..])
+                    );
+                }
+            }
+        }
     }
 
     #[test]
