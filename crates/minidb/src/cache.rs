@@ -2,23 +2,21 @@
 
 use std::collections::HashMap;
 
-use mdb_trace::codec::{put_u32, Reader};
-
 use crate::error::{DbError, DbResult};
 use crate::heap::HeapPtr;
 use crate::storage::PageKey;
-use crate::value::Value;
+use crate::value::{self, Value};
 
 /// Query cache capacity of an engine, in entries.
 pub const QUERY_CACHE_ENTRIES: usize = 64;
 /// Adaptive-hash-index hotness threshold of an engine, in page accesses.
 pub const ADAPTIVE_HASH_THRESHOLD: u64 = 8;
 
-/// A cached result set. The rows live in one buffer in the storage
-/// value encoding ([`Value::encode`]): a `u32` row count, then per row
-/// a `u32` width and its values. Caching a result fills one buffer
-/// instead of allocating a `Vec` per row and a `String` per text cell
-/// under the engine lock; a hit pays the decode instead.
+/// A cached result set. The rows live in one row block
+/// ([`value::encode_rows`]), byte for byte the rows of a `Result`
+/// reply. Caching a result fills one buffer instead of allocating a
+/// `Vec` per row and a `String` per text cell under the engine lock; a
+/// hit pays the decode instead.
 #[derive(Debug)]
 pub struct CachedResult {
     /// Result column names.
@@ -29,53 +27,21 @@ pub struct CachedResult {
 impl CachedResult {
     /// Encodes `rows` under `columns`.
     fn new(columns: Vec<String>, rows: &[Vec<Value>]) -> CachedResult {
-        let len: usize = rows
-            .iter()
-            .map(|row| 4 + row.iter().map(Value::encoded_len).sum::<usize>())
-            .sum();
-        let mut buf = Vec::with_capacity(4 + len);
-        put_u32(&mut buf, rows.len() as u32);
-        for row in rows {
-            put_u32(&mut buf, row.len() as u32);
-            for v in row {
-                v.encode(&mut buf);
-            }
-        }
+        let mut buf = Vec::with_capacity(value::rows_encoded_len(rows));
+        value::encode_rows(rows, &mut buf);
         CachedResult { columns, rows: buf }
     }
 
     /// The column names and rows, decoded. A malformed buffer is a
     /// [`DbError::Storage`], never a panic.
     pub fn decode(&self) -> DbResult<(Vec<String>, Vec<Vec<Value>>)> {
-        Ok((self.columns.clone(), decode_rows(&self.rows)?))
-    }
-}
-
-fn decode_rows(buf: &[u8]) -> DbResult<Vec<Vec<Value>>> {
-    let mut pos = 0;
-    let count = u32_at(buf, &mut pos)?;
-    // Every row costs at least its width field: a corrupt count cannot
-    // reserve more than the buffer could hold.
-    let mut rows = Vec::with_capacity(count.min(buf.len() / 4));
-    for _ in 0..count {
-        let width = u32_at(buf, &mut pos)?;
-        let mut row = Vec::with_capacity(width.min(buf.len() - pos));
-        for _ in 0..width {
-            row.push(Value::decode(buf, &mut pos)?);
+        let mut pos = 0;
+        let rows = value::decode_rows(&self.rows, &mut pos)?;
+        if pos != self.rows.len() {
+            return Err(DbError::Storage("trailing bytes in cached result".into()));
         }
-        rows.push(row);
+        Ok((self.columns.clone(), rows))
     }
-    if pos != buf.len() {
-        return Err(DbError::Storage("trailing bytes in cached result".into()));
-    }
-    Ok(rows)
-}
-
-/// The `u32` at `buf[*pos..]`, advancing `pos`.
-fn u32_at(buf: &[u8], pos: &mut usize) -> DbResult<usize> {
-    let n = Reader::new(buf.get(*pos..).unwrap_or_default()).u32()?;
-    *pos += 4;
-    Ok(n as usize)
 }
 
 struct CacheEntry {

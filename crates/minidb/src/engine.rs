@@ -21,7 +21,7 @@ use crate::predicate::Predicate;
 use crate::row::{Row, RowId};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::sql::ast::{CmpOp, Expr, SelectItem, SelectStmt, Statement};
-use crate::sql::{digest_text, parse_statement};
+use crate::sql::{Front, STMT_KINDS};
 use crate::storage::btree::BTree;
 use crate::storage::shardpool::ShardedBufferPool;
 use crate::storage::table::{ScanSink, TableHeap, UpdatePlacement};
@@ -240,32 +240,6 @@ struct TxnState {
     /// Snapshot CSN pinned at BEGIN: this transaction's reads see
     /// exactly the versions committed at or before it.
     snapshot_csn: u64,
-}
-
-/// Statement-kind labels for per-kind latency histograms.
-const STMT_KINDS: [&str; 7] = [
-    "select", "insert", "update", "delete", "ddl", "txn", "other",
-];
-
-/// Index into [`STMT_KINDS`] for a statement text, decided from the
-/// leading keyword — cheap enough for the hot path, and deliberately the
-/// same signal a latency side channel gives an observer.
-fn stmt_kind_index(sql: &str) -> usize {
-    let head = sql.trim_start();
-    let word: String = head
-        .chars()
-        .take_while(|c| c.is_ascii_alphabetic())
-        .map(|c| c.to_ascii_lowercase())
-        .collect();
-    match word.as_str() {
-        "select" | "explain" => 0,
-        "insert" => 1,
-        "update" => 2,
-        "delete" => 3,
-        "create" | "drop" | "alter" => 4,
-        "begin" | "commit" | "rollback" => 5,
-        _ => 6,
-    }
 }
 
 /// A node's place in the replication topology, as reported by
@@ -657,6 +631,7 @@ impl Db {
         commit_ts: i64,
         ctx: Option<TraceContext>,
     ) -> DbResult<QueryResult> {
+        let front = crate::sql::front(sql);
         let (out, staged) = {
             let mut g = self.inner.lock();
             let g = &mut *g;
@@ -672,7 +647,7 @@ impl Db {
             }
             g.now_unix = g.now_unix.max(commit_ts - g.config.seconds_per_statement);
             g.applying = true;
-            let out = g.execute_ctx(REPL_APPLIER_CONN, sql, ctx);
+            let out = g.execute_ctx(REPL_APPLIER_CONN, sql, front, ctx);
             g.applying = false;
             match &out {
                 Ok(_) => g.metrics.repl_applied.inc(),
@@ -993,9 +968,10 @@ impl Connection {
     /// engine derives its own child span context, so the recorded trace
     /// shares the client's `trace_id` with a fresh `span_id`.
     pub fn execute_traced(&self, sql: &str, ctx: Option<TraceContext>) -> DbResult<QueryResult> {
+        let front = crate::sql::front(sql);
         let (res, staged) = {
             let mut g = self.db.inner.lock();
-            let res = g.execute_ctx(self.id, sql, ctx);
+            let res = g.execute_ctx(self.id, sql, front, ctx);
             (res, g.take_staged_commit())
         };
         if let Some((pipeline, lsn)) = staged {
@@ -1128,10 +1104,15 @@ impl DbInner {
 
     // ================= statement pipeline =================
 
+    /// Runs one statement whose text `front` has already read, outside
+    /// the lock. Only the text's side effects happen here, in the order
+    /// that is the §4/§5 contract: heap copies, literal buffers, digest
+    /// and history rows, processlist, general log, trace.
     fn execute_ctx(
         &mut self,
         conn_id: u64,
         sql: &str,
+        front: Front,
         ctx: Option<TraceContext>,
     ) -> DbResult<QueryResult> {
         // Drain contract: whoever called execute_ctx last must have
@@ -1159,17 +1140,13 @@ impl DbInner {
         // The lexer materializes each string literal into its own buffer
         // (as real parsers do); these transient copies are freed at the
         // end of the statement — without being zeroed.
-        let literal_ptrs: Vec<crate::heap::HeapPtr> = crate::sql::lexer::tokenize(sql)
-            .ok()
-            .into_iter()
-            .flatten()
-            .filter_map(|t| match t {
-                crate::sql::lexer::Token::Str(s) => Some(self.heap.alloc_str(&s)),
-                _ => None,
-            })
+        let literal_ptrs: Vec<_> = front
+            .literals
+            .iter()
+            .map(|s| self.heap.alloc_str(s))
             .collect();
+        let digest = &front.digest;
 
-        let digest = digest_text(sql);
         // Resolve the distributed context this statement runs under:
         // derive a child of an incoming sampled context (the received
         // span_id becomes the parent); an unsampled context propagates
@@ -1186,21 +1163,30 @@ impl DbInner {
         // *entire* per-statement cost: one relaxed atomic load, no
         // allocation (the invariant the `trace` bench pins down).
         if self.trace.is_enabled() {
-            let mut b = TraceBuilder::new(conn_id, started, sql, &digest);
+            let mut b = TraceBuilder::new(conn_id, started, sql, digest);
             if let Some(c) = self.current_ctx {
                 b.set_ctx(c);
             }
             self.current_trace = Some(b);
         }
         self.perf
-            .statement_start(conn_id, sql, &digest, started, Some(hist_ptr));
+            .statement_start(conn_id, sql, digest, started, Some(hist_ptr));
         self.processlist.set_query(conn_id, Some(sql.to_string()));
         if self.config.general_log_enabled {
             let line = format!("{started} {conn_id} Query\t{sql}\n");
             self.vdisk.append(GENERAL_LOG_FILE, line.as_bytes());
         }
 
-        let outcome = self.dispatch(conn_id, sql);
+        // `front` parsed the statement; the `parse` span still accounts
+        // its modeled cost, and a parse error is counted below.
+        self.trace_begin("parse");
+        self.trace_end(STAGE_COST_US);
+        let outcome = front.stmt.and_then(|stmt| {
+            if self.config.read_only && !self.applying && writes_state(&stmt) {
+                return Err(DbError::ReadOnly);
+            }
+            self.run_stmt(conn_id, sql, digest, stmt)
+        });
 
         let (rows_examined, rows_returned) = match &outcome {
             Ok(r) => (r.rows_examined, r.rows.len() as u64),
@@ -1216,10 +1202,10 @@ impl DbInner {
         // A traced statement stamps its trace_id as the latency bucket's
         // exemplar — the `/metrics` exposition then links the aggregate
         // back to one concrete distributed trace.
+        let latency = &self.metrics.latency_us[front.kind];
         match self.current_ctx {
-            Some(c) => self.metrics.latency_us[stmt_kind_index(sql)]
-                .record_with_exemplar(duration_us, c.trace_id),
-            None => self.metrics.latency_us[stmt_kind_index(sql)].record(duration_us),
+            Some(c) => latency.record_with_exemplar(duration_us, c.trace_id),
+            None => latency.record(duration_us),
         }
         // Close the trace and deposit it in the flight recorder. An
         // `EXPLAIN ANALYZE` arm has already consumed the builder for its
@@ -1240,7 +1226,7 @@ impl DbInner {
             // otherwise. Either way the statement text lands on disk
             // verbatim, carvable long after the ring has rotated.
             let rec = recorded.unwrap_or_else(|| {
-                StatementTrace::minimal(conn_id, started, sql, &digest, duration_us, rows_examined)
+                StatementTrace::minimal(conn_id, started, sql, digest, duration_us, rows_examined)
             });
             self.vdisk
                 .append(SLOW_LOG_FILE, &mdb_trace::record::encode_record(&rec));
@@ -1298,18 +1284,13 @@ impl DbInner {
         }
     }
 
-    fn dispatch(&mut self, conn_id: u64, sql: &str) -> DbResult<QueryResult> {
-        self.trace_begin("parse");
-        let parsed = parse_statement(sql);
-        self.trace_end(STAGE_COST_US);
-        let stmt = parsed?;
-        if self.config.read_only && !self.applying && writes_state(&stmt) {
-            return Err(DbError::ReadOnly);
-        }
-        self.run_stmt(conn_id, sql, stmt)
-    }
-
-    fn run_stmt(&mut self, conn_id: u64, sql: &str, stmt: Statement) -> DbResult<QueryResult> {
+    fn run_stmt(
+        &mut self,
+        conn_id: u64,
+        sql: &str,
+        digest: &str,
+        stmt: Statement,
+    ) -> DbResult<QueryResult> {
         match stmt {
             Statement::CreateTable { name, columns } => {
                 let r = self.create_table(&name, columns);
@@ -1335,13 +1316,13 @@ impl DbInner {
                 // EXPLAIN ANALYZE always traces its target, even when
                 // the flight recorder is disarmed.
                 if self.current_trace.is_none() {
-                    let mut b = TraceBuilder::new(conn_id, self.now_unix, sql, &digest_text(sql));
+                    let mut b = TraceBuilder::new(conn_id, self.now_unix, sql, digest);
                     if let Some(c) = self.current_ctx {
                         b.set_ctx(c);
                     }
                     self.current_trace = Some(b);
                 }
-                let res = self.run_stmt(conn_id, sql, *inner)?;
+                let res = self.run_stmt(conn_id, sql, digest, *inner)?;
                 // The target's simulated wall time is fully determined
                 // by the engine cost model, so the trace can be closed
                 // here — the rendered durations are exactly what the

@@ -25,14 +25,21 @@ const KEYWORDS: &[&str] = &[
     "key", "begin", "commit", "rollback", "null", "count",
 ];
 
+/// The digest bucket of every unlexable statement.
+pub(crate) const INVALID_DIGEST: &str = "(invalid)";
+
 /// Computes the canonical digest text of a statement.
 ///
 /// Unlexable statements canonicalize to the fixed bucket `"(invalid)"`,
 /// matching MySQL's behaviour of still recording rejected statements.
 pub fn digest_text(sql: &str) -> String {
-    let Ok(tokens) = tokenize(sql) else {
-        return "(invalid)".to_string();
-    };
+    tokenize(sql)
+        .as_deref()
+        .map_or_else(|_| INVALID_DIGEST.to_string(), digest_tokens)
+}
+
+/// The canonical digest text of a lexed statement.
+pub(crate) fn digest_tokens(tokens: &[Token]) -> String {
     let mut out = String::new();
     let mut prev_joinable = false;
     let mut i = 0;

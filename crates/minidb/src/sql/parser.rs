@@ -7,7 +7,11 @@ use crate::value::{ColumnType, Value};
 
 /// Parses a single SQL statement (a trailing `;` is permitted).
 pub fn parse_statement(sql: &str) -> DbResult<Statement> {
-    let tokens = tokenize(sql)?;
+    parse_tokens(tokenize(sql)?)
+}
+
+/// Parses a lexed statement.
+pub(crate) fn parse_tokens(tokens: Vec<Token>) -> DbResult<Statement> {
     let mut p = Parser { tokens, pos: 0 };
     let stmt = p.statement()?;
     p.eat_symbol(Sym::Semi); // Optional terminator.

@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use mdb_trace::codec::{put_u32, Reader};
+
 use crate::error::{DbError, DbResult};
 
 /// Column types supported by MiniDB.
@@ -175,6 +177,53 @@ impl Value {
             Value::Bytes(_) => 3,
         }
     }
+}
+
+/// Appends `rows` as a row block: a `u32` row count, then per row a
+/// `u32` width and its values in [`Value::encode`]'s format. A cached
+/// result holds one, and a `Result` reply on the wire carries one.
+pub fn encode_rows(rows: &[Vec<Value>], out: &mut Vec<u8>) {
+    put_u32(out, rows.len() as u32);
+    for row in rows {
+        put_u32(out, row.len() as u32);
+        for v in row {
+            v.encode(out);
+        }
+    }
+}
+
+/// Bytes [`encode_rows`] appends for `rows`.
+pub fn rows_encoded_len(rows: &[Vec<Value>]) -> usize {
+    let rows: usize = rows
+        .iter()
+        .map(|row| 4 + row.iter().map(Value::encoded_len).sum::<usize>())
+        .sum();
+    4 + rows
+}
+
+/// Decodes the row block at `buf[*pos..]`, advancing `pos` past it. A
+/// malformed block is a [`DbError::Storage`], never a panic.
+pub fn decode_rows(buf: &[u8], pos: &mut usize) -> DbResult<Vec<Vec<Value>>> {
+    let count = u32_at(buf, pos)?;
+    // Every row costs at least its width field: a corrupt count cannot
+    // reserve more than the buffer could hold.
+    let mut rows = Vec::with_capacity(count.min((buf.len() - *pos) / 4));
+    for _ in 0..count {
+        let width = u32_at(buf, pos)?;
+        let mut row = Vec::with_capacity(width.min(buf.len() - *pos));
+        for _ in 0..width {
+            row.push(Value::decode(buf, pos)?);
+        }
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
+/// The `u32` at `buf[*pos..]`, advancing `pos`.
+fn u32_at(buf: &[u8], pos: &mut usize) -> DbResult<usize> {
+    let n = Reader::new(buf.get(*pos..).unwrap_or_default()).u32()?;
+    *pos += 4;
+    Ok(n as usize)
 }
 
 #[cold]

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use minidb::engine::{Db, QueryResult};
+use minidb::engine::Db;
 use parking_lot::Mutex;
 
 use crate::wire::{FrameDecoder, WireMessage, WireResultSet};
@@ -152,15 +152,6 @@ fn send(stream: &mut TcpStream, msg: &WireMessage) -> std::io::Result<()> {
     stream.write_all(&msg.to_reply_frame())
 }
 
-fn to_wire(r: QueryResult) -> WireMessage {
-    WireMessage::Result(WireResultSet {
-        columns: r.columns,
-        rows: r.rows,
-        rows_examined: r.rows_examined,
-        rows_affected: r.rows_affected,
-    })
-}
-
 fn serve_session(
     db: &Db,
     mut stream: TcpStream,
@@ -238,7 +229,7 @@ fn serve_session(
                     };
                     stats.statements.inc();
                     let reply = match c.execute_traced(&sql, ctx) {
-                        Ok(r) => to_wire(r),
+                        Ok(r) => WireMessage::Result(r),
                         Err(e) => WireMessage::Error {
                             message: e.to_string(),
                         },
@@ -251,7 +242,7 @@ fn serve_session(
                         continue;
                     };
                     let reply = match c.last_trace_rendered() {
-                        Some(r) => to_wire(r),
+                        Some(r) => WireMessage::Result(r),
                         None => WireMessage::Error {
                             message: "no trace recorded for this session \
                                       (flight recorder empty or disabled)"
@@ -297,7 +288,7 @@ fn serve_session(
                     };
                     stats.statements.inc();
                     let reply = match c.execute_traced(&sql, ctx) {
-                        Ok(r) => to_wire(r),
+                        Ok(r) => WireMessage::Result(r),
                         Err(e) => WireMessage::Error {
                             message: e.to_string(),
                         },

@@ -31,9 +31,9 @@
 //! v2, so does the trace id that joins the capture to every other
 //! node's logs (the E19 surface).
 
-use mdb_trace::codec::{self, put_bytes32, put_i64, put_u32, put_u64, Reader, StreamDecoder};
+use mdb_trace::codec::{self, put_bytes32, put_u32, put_u64, Reader, StreamDecoder};
 use mdb_trace::TraceContext;
-use minidb::value::Value;
+use minidb::value::{decode_rows, encode_rows, rows_encoded_len};
 
 /// Upper bound on one frame's payload — the cap every frame format
 /// shares. Decoders treat a longer claim as garbage; the server's
@@ -98,25 +98,10 @@ const TAG_RESULT: u8 = 17;
 const TAG_ERROR: u8 = 18;
 const TAG_BYE: u8 = 19;
 
-/// Value type tags inside a result row.
-const VTAG_NULL: u8 = 0;
-const VTAG_INT: u8 = 1;
-const VTAG_TEXT: u8 = 2;
-const VTAG_BYTES: u8 = 3;
-
-/// A query result as shipped over the wire — the fields of
-/// [`minidb::engine::QueryResult`], detached from the engine.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WireResultSet {
-    /// Result column names (empty for DML/DDL).
-    pub columns: Vec<String>,
-    /// Result rows.
-    pub rows: Vec<Vec<Value>>,
-    /// Rows the execution examined.
-    pub rows_examined: u64,
-    /// Rows affected by DML.
-    pub rows_affected: u64,
-}
+/// A query result as shipped over the wire: the engine's own result.
+/// Its rows travel as a row block ([`minidb::value::encode_rows`]), the
+/// bytes the query cache holds.
+pub type WireResultSet = minidb::QueryResult;
 
 /// One protocol message, either direction.
 #[derive(Clone, Debug, PartialEq)]
@@ -168,44 +153,6 @@ pub enum WireMessage {
     Bye,
 }
 
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(VTAG_NULL),
-        Value::Int(i) => {
-            out.push(VTAG_INT);
-            put_i64(out, *i);
-        }
-        Value::Text(s) => {
-            out.push(VTAG_TEXT);
-            put_bytes32(out, s.as_bytes());
-        }
-        Value::Bytes(b) => {
-            out.push(VTAG_BYTES);
-            put_bytes32(out, b);
-        }
-    }
-}
-
-/// Bytes [`put_value`] writes for `v`.
-fn value_len(v: &Value) -> usize {
-    match v {
-        Value::Null => 1,
-        Value::Int(_) => 9,
-        Value::Text(s) => 5 + s.len(),
-        Value::Bytes(b) => 5 + b.len(),
-    }
-}
-
-fn value(c: &mut Reader) -> WireResult<Value> {
-    Ok(match c.u8()? {
-        VTAG_NULL => Value::Null,
-        VTAG_INT => Value::Int(c.i64()?),
-        VTAG_TEXT => Value::Text(c.str32()?),
-        VTAG_BYTES => Value::Bytes(c.bytes32()?.to_vec()),
-        other => return Err(WireError::Protocol(format!("unknown value tag {other}"))),
-    })
-}
-
 impl WireMessage {
     /// Serializes the message payload (without framing).
     pub fn encode(&self) -> Vec<u8> {
@@ -228,12 +175,7 @@ impl WireMessage {
             WireMessage::Greeting { server, .. } => 12 + server.len(),
             WireMessage::Result(rs) => {
                 let columns: usize = rs.columns.iter().map(|c| 4 + c.len()).sum();
-                let rows: usize = rs
-                    .rows
-                    .iter()
-                    .map(|row| 4 + row.iter().map(value_len).sum::<usize>())
-                    .sum();
-                4 + columns + 4 + rows + 16
+                4 + columns + rows_encoded_len(&rs.rows) + 16
             }
         }
     }
@@ -271,13 +213,7 @@ impl WireMessage {
                 for c in &rs.columns {
                     put_bytes32(out, c.as_bytes());
                 }
-                put_u32(out, rs.rows.len() as u32);
-                for row in &rs.rows {
-                    put_u32(out, row.len() as u32);
-                    for v in row {
-                        put_value(out, v);
-                    }
-                }
+                encode_rows(&rs.rows, out);
                 put_u64(out, rs.rows_examined);
                 put_u64(out, rs.rows_affected);
             }
@@ -312,16 +248,10 @@ impl WireMessage {
                 for _ in 0..ncols {
                     columns.push(c.str32()?);
                 }
-                let nrows = c.u32()? as usize;
-                let mut rows = Vec::with_capacity(nrows.min(1024));
-                for _ in 0..nrows {
-                    let width = c.u32()? as usize;
-                    let mut row = Vec::with_capacity(width.min(1024));
-                    for _ in 0..width {
-                        row.push(value(&mut c)?);
-                    }
-                    rows.push(row);
-                }
+                let mut end = c.pos();
+                let rows =
+                    decode_rows(buf, &mut end).map_err(|e| WireError::Protocol(e.to_string()))?;
+                c.take(end - c.pos())?;
                 WireMessage::Result(WireResultSet {
                     columns,
                     rows,
@@ -491,6 +421,7 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minidb::value::Value;
 
     fn sample_result() -> WireMessage {
         WireMessage::Result(WireResultSet {
@@ -601,6 +532,45 @@ mod tests {
         let mut enc = WireMessage::Quit.encode();
         enc.push(0);
         assert!(WireMessage::decode(&enc).is_err(), "trailing byte");
+    }
+
+    #[test]
+    fn a_malformed_row_block_is_a_protocol_error() {
+        let payload = sample_result().encode();
+        for cut in 1..payload.len() {
+            assert!(
+                matches!(
+                    WireMessage::decode(&payload[..cut]),
+                    Err(WireError::Protocol(_))
+                ),
+                "cut {cut}"
+            );
+        }
+        // Tag, column count and the three names, then the row count.
+        let rows_at = 1 + 4 + (4 + 2) + (4 + 4) + (4 + 4);
+        let first_value = rows_at + 4 + 4;
+        let corrupt = |at: usize, bytes: &[u8]| {
+            let mut p = payload.clone();
+            p[at..at + bytes.len()].copy_from_slice(bytes);
+            WireMessage::decode(&p)
+        };
+        // An absurd row count reserves no more than the payload holds.
+        assert!(matches!(
+            corrupt(rows_at, &[0xFF; 4]),
+            Err(WireError::Protocol(_))
+        ));
+        assert_eq!(
+            corrupt(first_value, &[9]),
+            Err(WireError::Protocol(
+                "storage error: unknown value tag 9".into()
+            ))
+        );
+        // "alice" is the second value of the first row.
+        let alice = first_value + 9 + 5;
+        assert!(matches!(
+            corrupt(alice, &[0xFF]),
+            Err(WireError::Protocol(_))
+        ));
     }
 
     #[test]
