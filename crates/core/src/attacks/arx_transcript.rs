@@ -149,9 +149,11 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        let mut config = DbConfig::default();
-        config.redo_capacity = 1 << 20;
-        config.undo_capacity = 1 << 20;
+        let config = DbConfig {
+            redo_capacity: 1 << 20,
+            undo_capacity: 1 << 20,
+            ..DbConfig::default()
+        };
         let db = Db::open(config);
         let mut ix = ArxRangeIndex::create(&db, &Key([6u8; 32]), "arx_age", 3).unwrap();
 

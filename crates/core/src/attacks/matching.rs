@@ -151,7 +151,7 @@ mod tests {
         let a = min_cost_assignment(&cost);
         assert_eq!(total(&cost, &a), 5.0); // 1 + 2 + 2.
                                            // Valid permutation.
-        let mut seen = vec![false; 3];
+        let mut seen = [false; 3];
         for &j in &a {
             assert!(!seen[j]);
             seen[j] = true;

@@ -90,9 +90,11 @@ mod tests {
 
     #[test]
     fn binlog_yields_statements_and_timestamps() {
-        let mut config = DbConfig::default();
-        config.redo_capacity = 1 << 16;
-        config.undo_capacity = 1 << 16;
+        let config = DbConfig {
+            redo_capacity: 1 << 16,
+            undo_capacity: 1 << 16,
+            ..DbConfig::default()
+        };
         let db = Db::open(config);
         let conn = db.connect("app");
         conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")

@@ -144,11 +144,13 @@ mod tests {
     use minidb::storage::DUMP_FILE;
 
     fn db_with_index() -> Db {
-        let mut config = DbConfig::default();
-        config.redo_capacity = 1 << 18;
-        config.undo_capacity = 1 << 18;
-        // Small pool: recency is meaningful.
-        config.buffer_pool_pages = 64;
+        let config = DbConfig {
+            redo_capacity: 1 << 18,
+            undo_capacity: 1 << 18,
+            // Small pool: recency is meaningful.
+            buffer_pool_pages: 64,
+            ..DbConfig::default()
+        };
         let db = Db::open(config);
         let conn = db.connect("app");
         conn.execute("CREATE TABLE s (k INT PRIMARY KEY, v TEXT)")

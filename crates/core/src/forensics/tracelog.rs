@@ -120,8 +120,10 @@ mod tests {
     use minidb::engine::{Db, DbConfig};
 
     fn victim() -> Db {
-        let mut config = DbConfig::default();
-        config.slow_query_threshold_us = 100; // Everything with rows is slow.
+        let config = DbConfig {
+            slow_query_threshold_us: 100, // Everything with rows is slow.
+            ..DbConfig::default()
+        };
         let db = Db::open(config);
         let conn = db.connect("app");
         conn.execute("CREATE TABLE patients (id INT PRIMARY KEY, dx TEXT)")

@@ -137,9 +137,11 @@ mod tests {
     use minidb::wal::{REDO_FILE, UNDO_FILE};
 
     fn small_db() -> Db {
-        let mut config = DbConfig::default();
-        config.redo_capacity = 1 << 18;
-        config.undo_capacity = 1 << 18;
+        let config = DbConfig {
+            redo_capacity: 1 << 18,
+            undo_capacity: 1 << 18,
+            ..DbConfig::default()
+        };
         Db::open(config)
     }
 
@@ -182,9 +184,11 @@ mod tests {
 
     #[test]
     fn circular_wrap_bounds_history() {
-        let mut config = DbConfig::default();
-        config.redo_capacity = 8 * 1024; // Tiny: forces wrap quickly.
-        config.undo_capacity = 8 * 1024;
+        let config = DbConfig {
+            redo_capacity: 8 * 1024, // Tiny: forces wrap quickly.
+            undo_capacity: 8 * 1024,
+            ..DbConfig::default()
+        };
         let db = Db::open(config);
         let conn = db.connect("app");
         conn.execute("CREATE TABLE p (id INT PRIMARY KEY, v TEXT)")

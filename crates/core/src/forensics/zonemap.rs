@@ -188,9 +188,11 @@ mod tests {
     use minidb::engine::{Db, DbConfig};
 
     fn db_with_rows() -> Db {
-        let mut config = DbConfig::default();
-        config.redo_capacity = 1 << 18;
-        config.undo_capacity = 1 << 18;
+        let config = DbConfig {
+            redo_capacity: 1 << 18,
+            undo_capacity: 1 << 18,
+            ..DbConfig::default()
+        };
         let db = Db::open(config);
         let conn = db.connect("app");
         conn.execute("CREATE TABLE m (id INT PRIMARY KEY, ts INT, note TEXT)")

@@ -205,9 +205,11 @@ mod tests {
     use minidb::engine::DbConfig;
 
     fn small_db() -> Db {
-        let mut config = DbConfig::default();
-        config.redo_capacity = 1 << 16;
-        config.undo_capacity = 1 << 16;
+        let config = DbConfig {
+            redo_capacity: 1 << 16,
+            undo_capacity: 1 << 16,
+            ..DbConfig::default()
+        };
         let db = Db::open(config);
         let conn = db.connect("app");
         conn.execute("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();

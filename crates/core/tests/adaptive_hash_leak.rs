@@ -8,10 +8,12 @@ use snapshot_attack::threat::{capture, AttackVector};
 
 #[test]
 fn hot_search_keys_appear_in_the_memory_image() {
-    let mut config = DbConfig::default();
-    config.redo_capacity = 2 << 20;
-    config.undo_capacity = 2 << 20;
-    config.query_cache_enabled = false; // Force every search to the index.
+    let config = DbConfig {
+        redo_capacity: 2 << 20,
+        undo_capacity: 2 << 20,
+        query_cache_enabled: false, // Force every search to the index.
+        ..DbConfig::default()
+    };
     let db = Db::open(config);
     let conn = db.connect("app");
     conn.execute("CREATE TABLE t (k INT PRIMARY KEY, v TEXT)")

@@ -117,8 +117,8 @@ mod tests {
         for _ in 0..n {
             counts[z.sample(&mut rng)] += 1;
         }
-        for r in 0..10 {
-            let emp = counts[r] as f64 / n as f64;
+        for (r, &count) in counts.iter().enumerate() {
+            let emp = count as f64 / n as f64;
             assert!(
                 (emp - z.pmf(r)).abs() < 0.01,
                 "rank {r}: empirical {emp} vs pmf {}",

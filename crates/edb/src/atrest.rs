@@ -97,9 +97,11 @@ mod tests {
 
     /// Small circular logs keep whole-disk encryption fast in debug tests.
     fn small_db() -> Db {
-        let mut config = DbConfig::default();
-        config.redo_capacity = 1 << 16;
-        config.undo_capacity = 1 << 16;
+        let config = DbConfig {
+            redo_capacity: 1 << 16,
+            undo_capacity: 1 << 16,
+            ..DbConfig::default()
+        };
         Db::open(config)
     }
 

@@ -546,9 +546,11 @@ mod tests {
     fn server_never_sees_plaintext() {
         // Small logs keep the byte scan fast; the leakage property is
         // capacity-independent.
-        let mut config = DbConfig::default();
-        config.redo_capacity = 1 << 20;
-        config.undo_capacity = 1 << 20;
+        let config = DbConfig {
+            redo_capacity: 1 << 20,
+            undo_capacity: 1 << 20,
+            ..DbConfig::default()
+        };
         let db = Db::open(config);
         let mut p = CryptDbProxy::new(&db, Key([3u8; 32]), 42).unwrap();
         docs_table(&mut p);

@@ -191,9 +191,11 @@ mod tests {
     }
 
     fn small_db() -> Db {
-        let mut config = DbConfig::default();
-        config.redo_capacity = 2 << 20;
-        config.undo_capacity = 2 << 20;
+        let config = DbConfig {
+            redo_capacity: 2 << 20,
+            undo_capacity: 2 << 20,
+            ..DbConfig::default()
+        };
         Db::open(config)
     }
 

@@ -416,8 +416,29 @@ impl Db {
                 config.fsync_latency_us,
             ))
         });
+        let mut vdisk = VDisk::new();
+        let mut wal = Wal::new(
+            &mut vdisk,
+            config.redo_capacity,
+            config.undo_capacity,
+            config.binlog_enabled,
+        );
+        wal.attach_telemetry(&telemetry);
+        if config.encrypted_wal {
+            // No configured key: draw a process-local one. Fine
+            // single-node (recovery shares the process); a fleet must
+            // configure a shared key.
+            let key = config.wal_key.unwrap_or_else(|| {
+                let mut k = [0u8; 32];
+                for chunk in k.chunks_mut(8) {
+                    chunk.copy_from_slice(&mdb_trace::entropy64().to_le_bytes());
+                }
+                k
+            });
+            wal.set_crypto(key, config.server_id);
+        }
         let inner = DbInner {
-            vdisk: VDisk::new(),
+            vdisk,
             catalog: Catalog::default(),
             runtime: HashMap::new(),
             bufpool: {
@@ -426,28 +447,7 @@ impl Db {
                 bp.attach_telemetry(&telemetry);
                 bp
             },
-            wal: {
-                let mut w = Wal::new(
-                    config.redo_capacity,
-                    config.undo_capacity,
-                    config.binlog_enabled,
-                );
-                w.attach_telemetry(&telemetry);
-                if config.encrypted_wal {
-                    // No configured key: draw a process-local one. Fine
-                    // single-node (recovery shares the process); a
-                    // fleet must configure a shared key.
-                    let key = config.wal_key.unwrap_or_else(|| {
-                        let mut k = [0u8; 32];
-                        for chunk in k.chunks_mut(8) {
-                            chunk.copy_from_slice(&mdb_trace::entropy64().to_le_bytes());
-                        }
-                        k
-                    });
-                    w.set_crypto(key, config.server_id);
-                }
-                w
-            },
+            wal,
             heap: {
                 let mut h = HeapArena::new();
                 h.secure_delete = config.heap_secure_delete;
@@ -566,7 +566,9 @@ impl Db {
 
     /// Administrative binlog purge (`PURGE BINARY LOGS`).
     pub fn purge_binlog(&self) {
-        self.inner.lock().wal.purge_binlog();
+        let mut g = self.inner.lock();
+        let g = &mut *g;
+        g.wal.purge_binlog(&mut g.vdisk);
     }
 
     // ================= replication hooks =================
@@ -597,7 +599,8 @@ impl Db {
         from_seq: u64,
         max: usize,
     ) -> (Vec<(u64, bool, Vec<u8>)>, u64) {
-        self.inner.lock().wal.binlog_frames_from(from_seq, max)
+        let g = self.inner.lock();
+        g.wal.binlog_frames_from(&g.vdisk, from_seq, max)
     }
 
     /// Decodes one shipped binlog frame payload with this engine's WAL
@@ -702,9 +705,9 @@ impl Db {
 
     /// Divergence fencing on a deposed primary: every binlog event at
     /// sequence `>= promoted_cursor` — acked locally, never replicated —
-    /// is truncated out of the live binlog into the
-    /// [`crate::wal::DIVERGENT_FILE`] quarantine sidecar (re-framed
-    /// byte-identically, sealed frames staying sealed), the node drops
+    /// is moved out of the live binlog into the
+    /// [`crate::wal::DIVERGENT_FILE`] quarantine sidecar (the frames'
+    /// bytes verbatim, sealed frames staying sealed), the node drops
     /// to [`ReplRole::Fenced`] with the read-only gate shut, and
     /// `repl.fenced_events` counts the quarantined tail. Returns the
     /// quarantined events decoded with this node's own WAL key (the
@@ -715,26 +718,12 @@ impl Db {
     /// disk-side administrative act on a dead primary, not a query.
     pub fn fence_divergent(&self, promoted_cursor: u64) -> Vec<BinlogEvent> {
         let mut g = self.inner.lock();
-        let fenced = g.wal.fence_binlog_tail(promoted_cursor);
-        let mut sidecar = Vec::new();
-        let mut decoded = Vec::new();
-        for (_, sealed, payload) in &fenced {
-            sidecar.extend_from_slice(&if *sealed {
-                crate::wal::frame_enc(payload)
-            } else {
-                crate::wal::frame(payload)
-            });
-            if let Ok(ev) = g.wal.decode_binlog_frame(*sealed, payload) {
-                decoded.push(ev);
-            }
-        }
-        if !sidecar.is_empty() {
-            g.vdisk.append(crate::wal::DIVERGENT_FILE, &sidecar);
-        }
+        let g = &mut *g;
+        let fenced = g.wal.fence_binlog_tail(&mut g.vdisk, promoted_cursor);
         g.repl_role = ReplRole::Fenced;
         g.config.read_only = true;
         g.metrics.repl_fenced_events.add(fenced.len() as u64);
-        decoded
+        fenced.into_iter().filter_map(Result::ok).collect()
     }
 
     /// Appends bytes to a server-side file in the data directory (e.g. a
@@ -1431,13 +1420,16 @@ impl DbInner {
         let txn = self.next_txn;
         self.next_txn += 1;
         let ctx = self.binlog_ctx(self.current_ctx);
-        self.wal.append_binlog(&BinlogEvent {
-            lsn,
-            txn,
-            timestamp: self.now_unix,
-            statement: sql.to_string(),
-            ctx,
-        });
+        self.wal.append_binlog(
+            &mut self.vdisk,
+            &BinlogEvent {
+                lsn,
+                txn,
+                timestamp: self.now_unix,
+                statement: sql.to_string(),
+                ctx,
+            },
+        );
         self.durability_point();
     }
 
@@ -2333,10 +2325,10 @@ impl DbInner {
     /// about to wrap (so no un-checkpointed history is overwritten).
     fn log_redo(&mut self, rec: RedoRecord) {
         let framed = self.wal.frame_redo(&rec);
-        if self.wal.redo.would_wrap(framed.len()) {
+        if self.wal.redo.would_wrap(&self.vdisk, framed.len()) {
             self.checkpoint();
         }
-        self.wal.append_redo(&framed);
+        self.wal.append_redo(&mut self.vdisk, &framed);
     }
 
     /// Checkpoint: flush dirty pages and persist the checkpoint LSN plus
@@ -2385,7 +2377,7 @@ impl DbInner {
             row_id: row.id,
             before: Vec::new(),
         };
-        self.wal.append_undo(&undo);
+        self.wal.append_undo(&mut self.vdisk, &undo);
         undo_written.push(undo);
 
         let rt = self.runtime.get_mut(&def.schema.name).expect("catalog hit");
@@ -2432,7 +2424,7 @@ impl DbInner {
             row_id: old.id,
             before: old.encode(),
         };
-        self.wal.append_undo(&undo);
+        self.wal.append_undo(&mut self.vdisk, &undo);
         undo_written.push(undo);
 
         let rt = self.runtime.get_mut(&def.schema.name).expect("catalog hit");
@@ -2506,7 +2498,7 @@ impl DbInner {
             row_id: old.id,
             before: old.encode(),
         };
-        self.wal.append_undo(&undo);
+        self.wal.append_undo(&mut self.vdisk, &undo);
         undo_written.push(undo);
 
         let rt = self.runtime.get_mut(&def.schema.name).expect("catalog hit");
@@ -2586,13 +2578,16 @@ impl DbInner {
         let binlog_events = txn.statements.len() as u64;
         for (stmt, stmt_ctx) in &txn.statements {
             let ctx = self.binlog_ctx(*stmt_ctx);
-            self.wal.append_binlog(&BinlogEvent {
-                lsn,
-                txn: txn.id,
-                timestamp: self.now_unix,
-                statement: stmt.clone(),
-                ctx,
-            });
+            self.wal.append_binlog(
+                &mut self.vdisk,
+                &BinlogEvent {
+                    lsn,
+                    txn: txn.id,
+                    timestamp: self.now_unix,
+                    statement: stmt.clone(),
+                    ctx,
+                },
+            );
         }
         let logged1 = self.metrics.wal_redo_bytes.get() + self.metrics.wal_binlog_bytes.get();
         self.trace_attr("bytes_logged", logged1.saturating_sub(logged0));
@@ -2732,7 +2727,7 @@ impl DbInner {
             );
         }
         // 3. Redo phase: replay logged changes newer than each page's LSN.
-        let redo = self.wal.carve_redo();
+        let redo = self.wal.carve_redo(&self.vdisk);
         let max_lsn = redo.iter().map(|r| r.lsn).max().unwrap_or(0);
         let committed: std::collections::HashSet<u64> = redo
             .iter()
@@ -2820,7 +2815,7 @@ impl DbInner {
                 candidates.insert(rec.txn);
             }
         }
-        let undo = self.wal.carve_undo();
+        let undo = self.wal.carve_undo(&self.vdisk);
         for rec in undo.iter().rev() {
             if candidates.contains(&rec.txn) && !committed.contains(&rec.txn) {
                 self.apply_undo(rec)?;

@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use crate::engine::Db;
 use crate::observability::{DigestStats, ProcessEntry, StatementEvent};
 use crate::storage::PageKey;
-use crate::wal::{BINLOG_FILE, REDO_FILE, UNDO_FILE};
 
 /// One page's zone-map synopsis as captured in a memory image: the
 /// per-page plaintext value ranges the scan pruner keeps hot. Row
@@ -146,17 +145,9 @@ pub struct SystemImage {
 impl Db {
     /// Captures the persistent state (what disk theft yields).
     pub fn disk_image(&self) -> DiskImage {
-        let g = self.inner.lock();
-        let mut files = BTreeMap::new();
-        for name in g.vdisk.file_names() {
-            files.insert(name.clone(), g.vdisk.read(&name).unwrap().to_vec());
+        DiskImage {
+            files: self.inner.lock().vdisk.files.clone(),
         }
-        // The WAL buffers are disk files too; render them under their
-        // MySQL-ish names.
-        files.insert(REDO_FILE.to_string(), g.wal.redo.raw().to_vec());
-        files.insert(UNDO_FILE.to_string(), g.wal.undo.raw().to_vec());
-        files.insert(BINLOG_FILE.to_string(), g.wal.binlog_raw().to_vec());
-        DiskImage { files }
     }
 
     /// Captures the volatile state (what a full-memory snapshot yields).

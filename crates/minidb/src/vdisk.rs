@@ -6,6 +6,9 @@
 //! engine considers durable — tablespaces, the catalog, WAL files, the
 //! binlog, the buffer-pool dump — lives here; everything volatile lives in
 //! ordinary process structures and is *lost* on [`crate::engine::Db::crash`].
+//! The WAL files are [`REDO_FILE`](crate::wal::REDO_FILE) and
+//! [`UNDO_FILE`](crate::wal::UNDO_FILE), the circular logs, and
+//! [`BINLOG_FILE`](crate::wal::BINLOG_FILE), the binlog.
 
 use std::collections::BTreeMap;
 
@@ -32,7 +35,7 @@ fn make_room(f: &mut Vec<u8>, new_len: usize) {
 /// The in-memory "disk": a map from file name to contents.
 #[derive(Clone, Debug, Default)]
 pub struct VDisk {
-    files: BTreeMap<String, Vec<u8>>,
+    pub(crate) files: BTreeMap<String, Vec<u8>>,
 }
 
 impl VDisk {
@@ -53,14 +56,16 @@ impl VDisk {
 
     /// Appends to `name`, creating it if needed.
     pub fn append(&mut self, name: &str, data: &[u8]) {
-        let f = self.files.entry(name.to_string()).or_default();
-        make_room(f, f.len() + data.len());
-        f.extend_from_slice(data);
+        self.write_at(name, self.len(name), data);
     }
 
     /// Writes `data` at byte `offset` of `name`, zero-extending as needed.
+    /// The name is copied only when the write creates the file.
     pub fn write_at(&mut self, name: &str, offset: usize, data: &[u8]) {
-        let f = self.files.entry(name.to_string()).or_default();
+        let f = match self.files.get_mut(name) {
+            Some(f) => f,
+            None => self.files.entry(name.to_string()).or_default(),
+        };
         let end = offset + data.len();
         if f.len() < end {
             make_room(f, end);
@@ -84,11 +89,6 @@ impl VDisk {
         self.files.remove(name).is_some()
     }
 
-    /// All file names, sorted.
-    pub fn file_names(&self) -> Vec<String> {
-        self.files.keys().cloned().collect()
-    }
-
     /// Total bytes stored.
     pub fn total_bytes(&self) -> usize {
         self.files.values().map(|v| v.len()).sum()
@@ -107,7 +107,7 @@ mod tests {
         d.append("a", &[3]);
         assert_eq!(d.read("a").unwrap(), &[1, 2, 3]);
         assert_eq!(d.len("a"), 3);
-        assert_eq!(d.file_names(), vec!["a"]);
+        assert_eq!(d.files.keys().collect::<Vec<_>>(), ["a"]);
     }
 
     #[test]

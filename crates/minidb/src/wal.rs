@@ -15,11 +15,16 @@
 //! Records are framed with a magic number so that both crash recovery and
 //! a forensic attacker can *carve* them out of raw bytes — the same
 //! technique Frühwirt et al. use against real InnoDB logs.
+//!
+//! The three logs are ordinary [`VDisk`] files ([`REDO_FILE`],
+//! [`UNDO_FILE`], [`BINLOG_FILE`]); [`Wal`] holds only the cursors into
+//! them and the sealing key, so its methods take the disk they write.
 
 use mdb_telemetry::{Counter, Registry};
 use mdb_trace::codec::{self, put_bytes32, put_i64, put_u16, put_u32, put_u64, Reader};
 
 use crate::error::{DbError, DbResult};
+use crate::vdisk::VDisk;
 
 /// Default capacity of each circular log (the paper's "default size
 /// (50 Mb)").
@@ -34,9 +39,9 @@ pub const BINLOG_FILE: &str = "binlog.000001";
 /// Quarantine sidecar for a deposed primary's divergent binlog tail:
 /// events acked locally but never replicated, truncated out of the live
 /// binlog at fencing time ([`Wal::fence_binlog_tail`]) and preserved
-/// here for key-holder recovery. Like every vdisk file it rides along
-/// in cold [`crate::snapshot::DiskImage`]s — which is exactly the
-/// failover-only artifact E21 carves.
+/// here, frames verbatim, for key-holder recovery. Like every vdisk file
+/// it rides along in cold [`crate::snapshot::DiskImage`]s — which is
+/// exactly the failover-only artifact E21 carves.
 pub const DIVERGENT_FILE: &str = "binlog.divergent";
 
 /// Operation tags shared by redo and undo records.
@@ -285,80 +290,60 @@ pub fn carve_enc_frames(raw: &[u8]) -> Vec<(usize, &[u8])> {
     carve_frames_where(raw, true)
 }
 
-/// A fixed-capacity circular log buffer. The buffer *is* the on-disk file
-/// content; wrap-around overwrites the oldest bytes, exactly bounding how
-/// much history a disk snapshot contains.
-#[derive(Clone, Debug)]
+/// The write cursor of a fixed-capacity circular log file. The file is
+/// created zero-filled at its full capacity and never changes length;
+/// wrap-around overwrites the oldest bytes, exactly bounding how much
+/// history a disk snapshot contains.
+#[derive(Debug)]
 pub struct CircularLog {
-    buf: Vec<u8>,
+    file: &'static str,
     write_pos: usize,
-    wrapped: bool,
-    /// Total bytes ever appended (monotonic).
-    pub total_written: u64,
 }
 
 impl CircularLog {
-    /// Creates a zero-filled log of `capacity` bytes.
+    /// Creates `file` on `disk`, zero-filled to `capacity` bytes.
     ///
     /// # Panics
     ///
     /// Panics if `capacity < 64`.
-    pub fn new(capacity: usize) -> Self {
+    pub fn create(disk: &mut VDisk, file: &'static str, capacity: usize) -> Self {
         assert!(capacity >= 64, "log capacity too small");
-        CircularLog {
-            buf: vec![0u8; capacity],
-            write_pos: 0,
-            wrapped: false,
-            total_written: 0,
-        }
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
+        disk.write(file, vec![0u8; capacity]);
+        CircularLog { file, write_pos: 0 }
     }
 
     /// Whether appending `len` more bytes would wrap to the start.
-    pub fn would_wrap(&self, len: usize) -> bool {
-        self.write_pos + len > self.buf.len()
+    pub fn would_wrap(&self, disk: &VDisk, len: usize) -> bool {
+        self.write_pos + len > disk.len(self.file)
     }
 
-    /// Appends a framed record.
+    /// Appends a framed record; returns whether the append wrapped.
     ///
     /// # Panics
     ///
     /// Panics if a single record exceeds the capacity (a config error).
-    pub fn append(&mut self, framed: &[u8]) {
-        assert!(
-            framed.len() <= self.buf.len(),
-            "record larger than circular log"
-        );
-        if self.would_wrap(framed.len()) {
+    pub fn append(&mut self, disk: &mut VDisk, framed: &[u8]) -> bool {
+        let capacity = disk.len(self.file);
+        assert!(framed.len() <= capacity, "record larger than circular log");
+        let wraps = self.write_pos + framed.len() > capacity;
+        if wraps {
             // Zero the tail so a stale record header there cannot be
             // mis-carved with bytes from two eras.
-            self.buf[self.write_pos..].fill(0);
+            disk.write_at(
+                self.file,
+                self.write_pos,
+                &vec![0; capacity - self.write_pos],
+            );
             self.write_pos = 0;
-            self.wrapped = true;
         }
-        self.buf[self.write_pos..self.write_pos + framed.len()].copy_from_slice(framed);
+        disk.write_at(self.file, self.write_pos, framed);
         self.write_pos += framed.len();
-        self.total_written += framed.len() as u64;
-    }
-
-    /// Raw file contents (what disk theft yields).
-    pub fn raw(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Whether the log has wrapped at least once.
-    pub fn has_wrapped(&self) -> bool {
-        self.wrapped
+        wraps
     }
 }
 
 /// Pre-resolved telemetry handles; absent until a [`Registry`] is
-/// attached. Clones share the underlying cells, matching `Wal: Clone`.
-#[derive(Clone)]
+/// attached.
 struct WalMetrics {
     redo_bytes: Counter,
     redo_wraps: Counter,
@@ -415,15 +400,15 @@ impl std::fmt::Debug for WalCrypto {
     }
 }
 
-/// The WAL subsystem: LSN allocator, both circular logs, and the binlog.
-#[derive(Clone, Debug)]
+/// The WAL subsystem: the LSN allocator and the cursors into the two
+/// circular logs and the binlog.
+#[derive(Debug)]
 pub struct Wal {
     next_lsn: u64,
-    /// Redo log (circular).
+    /// Redo log cursor ([`REDO_FILE`]).
     pub redo: CircularLog,
-    /// Undo log (circular).
+    /// Undo log cursor ([`UNDO_FILE`]).
     pub undo: CircularLog,
-    binlog: Vec<u8>,
     /// Whether the binlog is enabled (off on a fresh install, on in any
     /// production/replicated deployment — see §3).
     pub binlog_enabled: bool,
@@ -441,13 +426,19 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Creates the WAL with the given circular-log capacities.
-    pub fn new(redo_capacity: usize, undo_capacity: usize, binlog_enabled: bool) -> Self {
+    /// Creates the WAL and its files on `disk`: both circular logs at
+    /// their full capacities, and the binlog empty (even when disabled).
+    pub fn new(
+        disk: &mut VDisk,
+        redo_capacity: usize,
+        undo_capacity: usize,
+        binlog_enabled: bool,
+    ) -> Self {
+        disk.write(BINLOG_FILE, Vec::new());
         Wal {
             next_lsn: 1,
-            redo: CircularLog::new(redo_capacity),
-            undo: CircularLog::new(undo_capacity),
-            binlog: Vec::new(),
+            redo: CircularLog::create(disk, REDO_FILE, redo_capacity),
+            undo: CircularLog::create(disk, UNDO_FILE, undo_capacity),
             binlog_enabled,
             binlog_next_seq: 0,
             binlog_purged_seq: 0,
@@ -477,7 +468,7 @@ impl Wal {
     }
 
     /// Counts one simulated fsync (commit and checkpoint durability
-    /// points; the engine calls this — the logs themselves are in-memory).
+    /// points; the engine calls this — the disk itself is in-memory).
     pub fn record_fsync(&self) {
         if let Some(m) = &self.metrics {
             m.fsyncs.inc();
@@ -516,9 +507,8 @@ impl Wal {
     /// Appends a redo record framed by [`Self::frame_redo`]. Returns
     /// `true` if the append wrapped the log (the engine must have
     /// checkpointed *before* calling in that case).
-    pub fn append_redo(&mut self, framed: &[u8]) -> bool {
-        let wraps = self.redo.would_wrap(framed.len());
-        self.redo.append(framed);
+    pub fn append_redo(&mut self, disk: &mut VDisk, framed: &[u8]) -> bool {
+        let wraps = self.redo.append(disk, framed);
         if let Some(m) = &self.metrics {
             m.redo_bytes.add(framed.len() as u64);
             if wraps {
@@ -530,10 +520,9 @@ impl Wal {
 
     /// Appends an undo record. Undo records share LSN values with their
     /// redo counterparts; the stream id keeps the sealing nonces apart.
-    pub fn append_undo(&mut self, rec: &UndoRecord) {
+    pub fn append_undo(&mut self, disk: &mut VDisk, rec: &UndoRecord) {
         let framed = self.frame_record(edb_crypto::logenc::STREAM_UNDO, rec.lsn, &rec.encode());
-        let wraps = self.undo.would_wrap(framed.len());
-        self.undo.append(&framed);
+        let wraps = self.undo.append(disk, &framed);
         if let Some(m) = &self.metrics {
             m.undo_bytes.add(framed.len() as u64);
             if wraps {
@@ -546,14 +535,14 @@ impl Wal {
     /// sealing nonce is the event's GTID-style sequence number — commit
     /// LSNs are shared by every statement of a transaction, sequence
     /// numbers are not.
-    pub fn append_binlog(&mut self, ev: &BinlogEvent) {
+    pub fn append_binlog(&mut self, disk: &mut VDisk, ev: &BinlogEvent) {
         if self.binlog_enabled {
             let framed = self.frame_record(
                 edb_crypto::logenc::STREAM_BINLOG,
                 self.binlog_next_seq,
                 &ev.encode(),
             );
-            self.binlog.extend_from_slice(&framed);
+            disk.append(BINLOG_FILE, &framed);
             self.binlog_next_seq += 1;
             if let Some(m) = &self.metrics {
                 m.binlog_bytes.add(framed.len() as u64);
@@ -562,17 +551,12 @@ impl Wal {
         }
     }
 
-    /// Raw binlog bytes.
-    pub fn binlog_raw(&self) -> &[u8] {
-        &self.binlog
-    }
-
     /// Administrative `PURGE BINARY LOGS`: drops all events up to now.
     /// Also resets the `wal.binlog.*` counters — they track the *live*
     /// binlog volume, and a registry that keeps reporting purged bytes
     /// would overstate what a scrub actually removed (E12).
-    pub fn purge_binlog(&mut self) {
-        self.binlog.clear();
+    pub fn purge_binlog(&mut self, disk: &mut VDisk) {
+        disk.write(BINLOG_FILE, Vec::new());
         self.binlog_purged_seq = self.binlog_next_seq;
         if let Some(m) = &self.metrics {
             m.binlog_bytes.reset();
@@ -580,34 +564,44 @@ impl Wal {
         }
     }
 
-    /// Divergence fencing (the binlog half): removes every event with
-    /// sequence `>= from_seq` from the live binlog and returns the
-    /// removed frames as `(seq, sealed, payload)` triples, oldest
-    /// first. The caller (the failover coordinator) quarantines them —
-    /// this log can no longer serve them to anyone, and the next event
-    /// this node logs (after rejoining as a replica) reuses the fenced
-    /// sequence range under the *new* primary's timeline.
+    /// Divergence fencing (the binlog half): moves every event with
+    /// sequence `>= from_seq` out of the live binlog and onto the end of
+    /// [`DIVERGENT_FILE`]. The binlog holds nothing but frames, so the
+    /// fenced tail is one byte range, moved verbatim: sealed frames stay
+    /// sealed. Returns one entry per fenced event, oldest first, decoded
+    /// with this WAL's key. The caller (the failover coordinator) logs
+    /// them — this log can no longer serve them to anyone, and the next
+    /// event this node logs (after rejoining as a replica) reuses the
+    /// fenced sequence range under the *new* primary's timeline.
     ///
     /// The `wal.binlog.*` counters are re-derived from what actually
     /// remains, for the same reason [`Wal::purge_binlog`] resets them:
     /// they describe the live log, not its history.
-    pub fn fence_binlog_tail(&mut self, from_seq: u64) -> Vec<(u64, bool, Vec<u8>)> {
+    pub fn fence_binlog_tail(
+        &mut self,
+        disk: &mut VDisk,
+        from_seq: u64,
+    ) -> Vec<DbResult<BinlogEvent>> {
         let start = from_seq.max(self.binlog_purged_seq);
         if start >= self.binlog_next_seq {
             return Vec::new();
         }
         let skip = (start - self.binlog_purged_seq) as usize;
-        let mut tail = self.binlog_frames().skip(skip).peekable();
-        let cut_at = tail.peek().map_or(self.binlog.len(), |f| f.offset);
-        let fenced: Vec<_> = (start..)
-            .zip(tail)
-            .map(|(seq, f)| (seq, f.alt, f.payload.to_vec()))
+        let binlog = disk.read(BINLOG_FILE).unwrap_or_default();
+        let cut_at = codec::scan(&codec::WAL, binlog)
+            .nth(skip)
+            .map_or(binlog.len(), |f| f.offset);
+        let (head, tail) = binlog.split_at(cut_at);
+        let fenced: Vec<_> = codec::scan(&codec::WAL, tail)
+            .map(|f| self.decode_binlog_frame(f.alt, f.payload))
             .collect();
-        self.binlog.truncate(cut_at);
+        let (head, tail) = (head.to_vec(), tail.to_vec());
+        disk.append(DIVERGENT_FILE, &tail);
+        disk.write(BINLOG_FILE, head);
         self.binlog_next_seq = start;
         if let Some(m) = &self.metrics {
             m.binlog_bytes.reset();
-            m.binlog_bytes.add(self.binlog.len() as u64);
+            m.binlog_bytes.add(cut_at as u64);
             m.binlog_events.reset();
             m.binlog_events
                 .add(self.binlog_next_seq - self.binlog_purged_seq);
@@ -620,8 +614,8 @@ impl Wal {
     /// The binlog's frames in sequence order (`alt` = sealed). Cursor
     /// reads `skip` on this directly: [`codec::Scan`] hops a skipped
     /// frame by its header alone.
-    fn binlog_frames(&self) -> codec::Scan<'_> {
-        codec::scan(&codec::WAL, &self.binlog)
+    fn binlog_frames<'d>(&self, disk: &'d VDisk) -> codec::Scan<'d> {
+        codec::scan(&codec::WAL, disk.read(BINLOG_FILE).unwrap_or_default())
     }
 
     /// Sequence number the next appended binlog event will get — the
@@ -651,13 +645,14 @@ impl Wal {
     /// it happens to parse.
     pub fn binlog_frames_from(
         &self,
+        disk: &VDisk,
         from_seq: u64,
         max: usize,
     ) -> (Vec<(u64, bool, Vec<u8>)>, u64) {
         let start = from_seq.max(self.binlog_purged_seq);
         let skip = (start - self.binlog_purged_seq) as usize;
         let out: Vec<_> = (start..)
-            .zip(self.binlog_frames().skip(skip).take(max))
+            .zip(self.binlog_frames(disk).skip(skip).take(max))
             .map(|(seq, f)| (seq, f.alt, f.payload.to_vec()))
             .collect();
         let next = start + out.len() as u64;
@@ -710,13 +705,14 @@ impl Wal {
     /// Parses every intact redo record currently in the circular buffer,
     /// sorted by LSN (recovery's view; also the attacker's — though
     /// without the key the attacker decodes only plaintext-era frames).
-    pub fn carve_redo(&self) -> Vec<RedoRecord> {
-        let mut recs: Vec<RedoRecord> = carve_frames(self.redo.raw())
+    pub fn carve_redo(&self, disk: &VDisk) -> Vec<RedoRecord> {
+        let raw = disk.read(REDO_FILE).unwrap_or_default();
+        let mut recs: Vec<RedoRecord> = carve_frames(raw)
             .into_iter()
             .filter_map(|(_, p)| RedoRecord::decode(p).ok())
             .collect();
         recs.extend(
-            self.open_stream(self.redo.raw(), edb_crypto::logenc::STREAM_REDO)
+            self.open_stream(raw, edb_crypto::logenc::STREAM_REDO)
                 .iter()
                 .filter_map(|p| RedoRecord::decode(p).ok()),
         );
@@ -725,13 +721,14 @@ impl Wal {
     }
 
     /// Parses every intact undo record, sorted by LSN.
-    pub fn carve_undo(&self) -> Vec<UndoRecord> {
-        let mut recs: Vec<UndoRecord> = carve_frames(self.undo.raw())
+    pub fn carve_undo(&self, disk: &VDisk) -> Vec<UndoRecord> {
+        let raw = disk.read(UNDO_FILE).unwrap_or_default();
+        let mut recs: Vec<UndoRecord> = carve_frames(raw)
             .into_iter()
             .filter_map(|(_, p)| UndoRecord::decode(p).ok())
             .collect();
         recs.extend(
-            self.open_stream(self.undo.raw(), edb_crypto::logenc::STREAM_UNDO)
+            self.open_stream(raw, edb_crypto::logenc::STREAM_UNDO)
                 .iter()
                 .filter_map(|p| UndoRecord::decode(p).ok()),
         );
@@ -741,8 +738,8 @@ impl Wal {
 
     /// Parses every binlog event in order (`mysqlbinlog`'s job — with
     /// the key when the binlog is sealed).
-    pub fn carve_binlog(&self) -> Vec<BinlogEvent> {
-        self.binlog_frames()
+    pub fn carve_binlog(&self, disk: &VDisk) -> Vec<BinlogEvent> {
+        self.binlog_frames(disk)
             .filter_map(|f| self.decode_binlog_frame(f.alt, f.payload).ok())
             .collect()
     }
@@ -757,6 +754,17 @@ impl Wal {
 mod tests {
     use super::*;
 
+    /// A WAL with both rings at `capacity` bytes, on a fresh disk.
+    fn open(capacity: usize, binlog_enabled: bool) -> (VDisk, Wal) {
+        let mut disk = VDisk::new();
+        let wal = Wal::new(&mut disk, capacity, capacity, binlog_enabled);
+        (disk, wal)
+    }
+
+    fn file<'d>(disk: &'d VDisk, name: &str) -> &'d [u8] {
+        disk.read(name).unwrap()
+    }
+
     fn binlog_ev(seq: u64) -> BinlogEvent {
         BinlogEvent {
             lsn: seq,
@@ -769,46 +777,54 @@ mod tests {
 
     #[test]
     fn fence_binlog_tail_truncates_and_returns_the_tail() {
-        let mut wal = Wal::new(4096, 4096, true);
+        let (mut disk, mut wal) = open(4096, true);
         for s in 0..6 {
-            wal.append_binlog(&binlog_ev(s));
+            wal.append_binlog(&mut disk, &binlog_ev(s));
         }
         assert_eq!(wal.binlog_next_seq(), 6);
+        let before = file(&disk, BINLOG_FILE).to_vec();
 
-        let fenced = wal.fence_binlog_tail(4);
-        assert_eq!(fenced.len(), 2);
-        assert_eq!(fenced[0].0, 4);
-        assert_eq!(fenced[1].0, 5);
-        // The live log now ends exactly at the promoted cursor…
+        let fenced = wal.fence_binlog_tail(&mut disk, 4);
+        // The fenced events decode to the removed statements…
+        let statements: Vec<_> = fenced.into_iter().map(|e| e.unwrap().statement).collect();
+        assert_eq!(
+            statements,
+            ["INSERT INTO t VALUES (4)", "INSERT INTO t VALUES (5)"]
+        );
+        // …the live log now ends exactly at the promoted cursor…
         assert_eq!(wal.binlog_next_seq(), 4);
-        let live = wal.carve_binlog();
+        let live = wal.carve_binlog(&disk);
         assert_eq!(live.len(), 4);
         assert_eq!(live[3].statement, "INSERT INTO t VALUES (3)");
-        // …and the fenced payloads decode to the removed statements.
-        let ev = wal.decode_binlog_frame(fenced[1].1, &fenced[1].2).unwrap();
-        assert_eq!(ev.statement, "INSERT INTO t VALUES (5)");
+        // …and the two files together are the old binlog, byte for byte.
+        let cut = disk.len(BINLOG_FILE);
+        assert_eq!(file(&disk, BINLOG_FILE), &before[..cut]);
+        assert_eq!(file(&disk, DIVERGENT_FILE), &before[cut..]);
         // Fencing at or past the end is a no-op.
-        assert!(wal.fence_binlog_tail(4).is_empty());
-        assert!(wal.fence_binlog_tail(99).is_empty());
+        assert!(wal.fence_binlog_tail(&mut disk, 4).is_empty());
+        assert!(wal.fence_binlog_tail(&mut disk, 99).is_empty());
+        assert_eq!(disk.len(DIVERGENT_FILE), before.len() - cut);
     }
 
     #[test]
     fn fence_binlog_tail_keeps_sealed_frames_sealed() {
-        let mut wal = Wal::new(4096, 4096, true);
+        let (mut disk, mut wal) = open(4096, true);
         wal.set_crypto([9u8; 32], 1);
         for s in 0..3 {
-            wal.append_binlog(&binlog_ev(s));
+            wal.append_binlog(&mut disk, &binlog_ev(s));
         }
-        let fenced = wal.fence_binlog_tail(1);
+        let fenced = wal.fence_binlog_tail(&mut disk, 1);
+        // The key holder opens what it fenced…
         assert_eq!(fenced.len(), 2);
-        assert!(fenced.iter().all(|(_, sealed, _)| *sealed));
-        // Ciphertext: the raw payloads carry no statement text.
-        assert!(fenced
-            .iter()
-            .all(|(_, _, p)| !p.windows(6).any(|w| w == b"INSERT")));
-        // But the key holder still opens them.
-        let ev = wal.decode_binlog_frame(true, &fenced[0].2).unwrap();
-        assert_eq!(ev.statement, "INSERT INTO t VALUES (1)");
+        assert_eq!(
+            fenced[0].as_ref().unwrap().statement,
+            "INSERT INTO t VALUES (1)"
+        );
+        // …but the quarantine holds sealed frames and no statement text.
+        let sidecar = file(&disk, DIVERGENT_FILE);
+        assert_eq!(carve_enc_frames(sidecar).len(), 2);
+        assert!(carve_frames(sidecar).is_empty());
+        assert!(!sidecar.windows(6).any(|w| w == b"INSERT"));
     }
 
     fn redo(lsn: u64, after: &[u8]) -> RedoRecord {
@@ -877,14 +893,15 @@ mod tests {
 
     #[test]
     fn circular_log_wraps_and_bounds_history() {
-        let mut log = CircularLog::new(256);
+        let mut disk = VDisk::new();
+        let mut log = CircularLog::create(&mut disk, REDO_FILE, 256);
         // Each framed record: 8 + payload.
-        for i in 0u64..100 {
-            let rec = frame(&i.to_le_bytes());
-            log.append(&rec);
-        }
-        assert!(log.has_wrapped());
-        let frames = carve_frames(log.raw());
+        let wraps = (0u64..100)
+            .filter(|i| log.append(&mut disk, &frame(&i.to_le_bytes())))
+            .count();
+        assert!(wraps > 0);
+        assert_eq!(disk.len(REDO_FILE), 256, "a ring never grows");
+        let frames = carve_frames(file(&disk, REDO_FILE));
         // Only the newest ~16 records survive in 256 bytes.
         assert!(frames.len() <= 16);
         let newest: Vec<u64> = frames
@@ -897,87 +914,104 @@ mod tests {
 
     #[test]
     fn wal_end_to_end_carving() {
-        let mut wal = Wal::new(4096, 4096, true);
+        let (mut disk, mut wal) = open(4096, true);
         for i in 0..10u64 {
             let lsn = wal.alloc_lsn();
-            wal.append_redo(&wal.frame_redo(&redo(lsn, format!("row{i}").as_bytes())));
-            wal.append_undo(&UndoRecord {
-                lsn,
-                txn: i,
-                op: OpKind::Insert,
-                table_id: 1,
-                row_id: i,
-                before: Vec::new(),
-            });
-            wal.append_binlog(&BinlogEvent {
-                lsn,
-                txn: i,
-                timestamp: 1000 + i as i64,
-                statement: format!("INSERT INTO t VALUES ({i})"),
-                ctx: None,
-            });
+            let framed = wal.frame_redo(&redo(lsn, format!("row{i}").as_bytes()));
+            wal.append_redo(&mut disk, &framed);
+            wal.append_undo(
+                &mut disk,
+                &UndoRecord {
+                    lsn,
+                    txn: i,
+                    op: OpKind::Insert,
+                    table_id: 1,
+                    row_id: i,
+                    before: Vec::new(),
+                },
+            );
+            wal.append_binlog(
+                &mut disk,
+                &BinlogEvent {
+                    lsn,
+                    txn: i,
+                    timestamp: 1000 + i as i64,
+                    statement: format!("INSERT INTO t VALUES ({i})"),
+                    ctx: None,
+                },
+            );
         }
-        assert_eq!(wal.carve_redo().len(), 10);
-        assert_eq!(wal.carve_undo().len(), 10);
-        let bl = wal.carve_binlog();
+        assert_eq!(wal.carve_redo(&disk).len(), 10);
+        assert_eq!(wal.carve_undo(&disk).len(), 10);
+        let bl = wal.carve_binlog(&disk);
         assert_eq!(bl.len(), 10);
         assert_eq!(bl[9].statement, "INSERT INTO t VALUES (9)");
         assert_eq!(bl[9].timestamp, 1009);
-        wal.purge_binlog();
-        assert!(wal.carve_binlog().is_empty());
+        wal.purge_binlog(&mut disk);
+        assert!(wal.carve_binlog(&disk).is_empty());
         // Redo/undo survive a binlog purge.
-        assert_eq!(wal.carve_redo().len(), 10);
+        assert_eq!(wal.carve_redo(&disk).len(), 10);
     }
 
     #[test]
     fn disabled_binlog_records_nothing() {
-        let mut wal = Wal::new(1024, 1024, false);
-        wal.append_binlog(&BinlogEvent {
-            lsn: 1,
-            txn: 1,
-            timestamp: 0,
-            statement: "INSERT INTO t VALUES (1)".into(),
-            ctx: None,
-        });
-        assert!(wal.carve_binlog().is_empty());
+        let (mut disk, mut wal) = open(1024, false);
+        wal.append_binlog(
+            &mut disk,
+            &BinlogEvent {
+                lsn: 1,
+                txn: 1,
+                timestamp: 0,
+                statement: "INSERT INTO t VALUES (1)".into(),
+                ctx: None,
+            },
+        );
+        assert!(wal.carve_binlog(&disk).is_empty());
+        assert_eq!(disk.read(BINLOG_FILE), Some(&[][..]), "created empty");
     }
 
     #[test]
     fn binlog_cursor_pages_and_survives_purge() {
-        let mut wal = Wal::new(1024, 1024, true);
+        let (mut disk, mut wal) = open(1024, true);
         for i in 0..6u64 {
-            wal.append_binlog(&BinlogEvent {
-                lsn: i,
-                txn: i,
-                timestamp: i as i64,
-                statement: format!("INSERT INTO t VALUES ({i})"),
-                ctx: None,
-            });
+            wal.append_binlog(
+                &mut disk,
+                &BinlogEvent {
+                    lsn: i,
+                    txn: i,
+                    timestamp: i as i64,
+                    statement: format!("INSERT INTO t VALUES ({i})"),
+                    ctx: None,
+                },
+            );
         }
         assert_eq!(wal.binlog_next_seq(), 6);
         assert_eq!(wal.binlog_purged_seq(), 0);
         // Paged reads resume where the previous page ended.
-        let (page1, next) = wal.binlog_frames_from(0, 4);
+        let (page1, next) = wal.binlog_frames_from(&disk, 0, 4);
         assert_eq!(page1.len(), 4);
         assert_eq!(next, 4);
-        let (page2, next) = wal.binlog_frames_from(next, 4);
+        let (page2, next) = wal.binlog_frames_from(&disk, next, 4);
         assert_eq!(page2.len(), 2);
         assert_eq!(next, 6);
         assert_eq!(page2[0].0, 4, "frames carry their sequence numbers");
         // Purge advances the horizon; sequence numbers keep counting.
-        wal.purge_binlog();
+        wal.purge_binlog(&mut disk);
         assert_eq!(wal.binlog_purged_seq(), 6);
-        assert!(wal.binlog_frames_from(0, 10).0.is_empty());
-        wal.append_binlog(&BinlogEvent {
-            lsn: 7,
-            txn: 7,
-            timestamp: 7,
-            statement: "INSERT INTO t VALUES (7)".into(),
-            ctx: None,
-        });
+        assert!(wal.binlog_frames_from(&disk, 0, 10).0.is_empty());
+        wal.append_binlog(
+            &mut disk,
+            &BinlogEvent {
+                lsn: 7,
+                txn: 7,
+                timestamp: 7,
+                statement: "INSERT INTO t VALUES (7)".into(),
+                ctx: None,
+            },
+        );
         // A cursor from before the purge lands on the horizon, not on a
         // mis-numbered event.
-        let (evs, next) = wal.binlog_frames_from(2, 10);
+        let (evs, next) = wal.binlog_frames_from(&disk, 2, 10);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].0, 6);
         assert_eq!(next, 7);
@@ -986,20 +1020,23 @@ mod tests {
     #[test]
     fn purge_resets_binlog_counters() {
         let registry = Registry::new();
-        let mut wal = Wal::new(1024, 1024, true);
+        let (mut disk, mut wal) = open(1024, true);
         wal.attach_telemetry(&registry);
         for i in 0..5u64 {
-            wal.append_binlog(&BinlogEvent {
-                lsn: i,
-                txn: i,
-                timestamp: 0,
-                statement: "INSERT INTO t VALUES (1)".into(),
-                ctx: None,
-            });
+            wal.append_binlog(
+                &mut disk,
+                &BinlogEvent {
+                    lsn: i,
+                    txn: i,
+                    timestamp: 0,
+                    statement: "INSERT INTO t VALUES (1)".into(),
+                    ctx: None,
+                },
+            );
         }
         assert_eq!(registry.snapshot().counter("wal.binlog.events"), Some(5));
         assert!(registry.snapshot().counter("wal.binlog.bytes").unwrap() > 0);
-        wal.purge_binlog();
+        wal.purge_binlog(&mut disk);
         // The registry tracks the live binlog, not its purged history.
         assert_eq!(registry.snapshot().counter("wal.binlog.events"), Some(0));
         assert_eq!(registry.snapshot().counter("wal.binlog.bytes"), Some(0));
@@ -1007,57 +1044,64 @@ mod tests {
 
     #[test]
     fn encrypted_wal_recovers_with_key_and_defeats_plaintext_carving() {
-        let mut wal = Wal::new(8192, 8192, true);
+        let (mut disk, mut wal) = open(8192, true);
         wal.set_crypto([0x5A; 32], 1);
         for i in 0..8u64 {
             let lsn = wal.alloc_lsn();
-            wal.append_redo(&wal.frame_redo(&redo(lsn, format!("secret-row-{i}").as_bytes())));
-            wal.append_undo(&UndoRecord {
-                lsn,
-                txn: i,
-                op: OpKind::Insert,
-                table_id: 1,
-                row_id: i,
-                before: format!("before-{i}").into_bytes(),
-            });
-            wal.append_binlog(&BinlogEvent {
-                lsn,
-                txn: i,
-                timestamp: 2000 + i as i64,
-                statement: format!("INSERT INTO t VALUES ({i})"),
-                ctx: None,
-            });
+            let framed = wal.frame_redo(&redo(lsn, format!("secret-row-{i}").as_bytes()));
+            wal.append_redo(&mut disk, &framed);
+            wal.append_undo(
+                &mut disk,
+                &UndoRecord {
+                    lsn,
+                    txn: i,
+                    op: OpKind::Insert,
+                    table_id: 1,
+                    row_id: i,
+                    before: format!("before-{i}").into_bytes(),
+                },
+            );
+            wal.append_binlog(
+                &mut disk,
+                &BinlogEvent {
+                    lsn,
+                    txn: i,
+                    timestamp: 2000 + i as i64,
+                    statement: format!("INSERT INTO t VALUES ({i})"),
+                    ctx: None,
+                },
+            );
         }
         // The key holder (recovery, replication) sees everything.
-        assert_eq!(wal.carve_redo().len(), 8);
-        assert_eq!(wal.carve_undo().len(), 8);
-        let bl = wal.carve_binlog();
+        assert_eq!(wal.carve_redo(&disk).len(), 8);
+        assert_eq!(wal.carve_undo(&disk).len(), 8);
+        let bl = wal.carve_binlog(&disk);
         assert_eq!(bl.len(), 8);
         assert_eq!(bl[7].statement, "INSERT INTO t VALUES (7)");
-        let (evs, next) = wal.binlog_frames_from(3, 10);
+        let (evs, next) = wal.binlog_frames_from(&disk, 3, 10);
         assert_eq!(evs.len(), 5);
         assert_eq!(next, 8);
         // The keyless carver (the E2/E3 attacker) decodes nothing, and
         // no plaintext survives anywhere in the raw files.
-        assert!(carve_frames(wal.redo.raw()).is_empty());
-        assert!(carve_frames(wal.undo.raw()).is_empty());
-        assert!(carve_frames(wal.binlog_raw()).is_empty());
-        for raw in [wal.redo.raw(), wal.undo.raw(), wal.binlog_raw()] {
+        for name in [REDO_FILE, UNDO_FILE, BINLOG_FILE] {
+            let raw = file(&disk, name);
+            assert!(carve_frames(raw).is_empty());
             assert!(!raw
                 .windows(6)
                 .any(|w| w == b"secret" || w == b"INSERT" || w == b"before"));
         }
         // Sealed frames are still *visible* as ciphertext records.
-        assert_eq!(carve_enc_frames(wal.binlog_raw()).len(), 8);
+        assert_eq!(carve_enc_frames(file(&disk, BINLOG_FILE)).len(), 8);
     }
 
     #[test]
     fn sealed_frames_reject_wrong_key_and_cross_stream_splice() {
-        let mut wal = Wal::new(4096, 4096, true);
+        let (mut disk, mut wal) = open(4096, true);
         wal.set_crypto([1; 32], 1);
         let lsn = wal.alloc_lsn();
-        wal.append_redo(&wal.frame_redo(&redo(lsn, b"payload")));
-        let sealed = carve_enc_frames(wal.redo.raw())[0].1.to_vec();
+        let framed = wal.frame_redo(&redo(lsn, b"payload"));
+        wal.append_redo(&mut disk, &framed);
+        let sealed = carve_enc_frames(file(&disk, REDO_FILE))[0].1.to_vec();
         // Wrong key: open fails, whatever origin the opener claims.
         assert!(WalCrypto::new([2; 32], 1).open(&sealed).is_none());
         // Right key, but a redo frame is not a binlog frame.
@@ -1072,26 +1116,29 @@ mod tests {
         // scheme must survive.
         let key = [0x44u8; 32];
         let mk = |origin: u64, stmt: &str| {
-            let mut w = Wal::new(1024, 1024, true);
+            let (mut disk, mut w) = open(1024, true);
             w.set_crypto(key, origin);
-            w.append_binlog(&BinlogEvent {
-                lsn: 1,
-                txn: 1,
-                timestamp: 100 + origin as i64,
-                statement: stmt.into(),
-                ctx: None,
-            });
-            w
+            w.append_binlog(
+                &mut disk,
+                &BinlogEvent {
+                    lsn: 1,
+                    txn: 1,
+                    timestamp: 100 + origin as i64,
+                    statement: stmt.into(),
+                    ctx: None,
+                },
+            );
+            (disk, w)
         };
-        let a = mk(1, "INSERT INTO t VALUES (111111)");
-        let b = mk(2, "INSERT INTO u VALUES (222222)");
-        let fa = carve_enc_frames(a.binlog_raw())[0].1;
-        let fb = carve_enc_frames(b.binlog_raw())[0].1;
+        let (da, a) = mk(1, "INSERT INTO t VALUES (111111)");
+        let (db, b) = mk(2, "INSERT INTO u VALUES (222222)");
+        let fa = carve_enc_frames(file(&da, BINLOG_FILE))[0].1;
+        let fb = carve_enc_frames(file(&db, BINLOG_FILE))[0].1;
         use edb_crypto::logenc::{HEADER_LEN, TAG_LEN};
         let body_a = &fa[HEADER_LEN..fa.len() - TAG_LEN];
         let body_b = &fb[HEADER_LEN..fb.len() - TAG_LEN];
-        let pa = a.carve_binlog()[0].encode();
-        let pb = b.carve_binlog()[0].encode();
+        let pa = a.carve_binlog(&da)[0].encode();
+        let pb = b.carve_binlog(&db)[0].encode();
         let ct_xor: Vec<u8> = body_a.iter().zip(body_b).map(|(x, y)| x ^ y).collect();
         let pt_xor: Vec<u8> = pa.iter().zip(&pb).map(|(x, y)| x ^ y).collect();
         assert_ne!(
@@ -1107,7 +1154,7 @@ mod tests {
 
     #[test]
     fn encrypted_wal_rejects_plaintext_frames() {
-        let mut wal = Wal::new(1024, 1024, true);
+        let (_, mut wal) = open(1024, true);
         wal.set_crypto([6; 32], 1);
         let ev = BinlogEvent {
             lsn: 1,
@@ -1122,36 +1169,39 @@ mod tests {
         assert!(err.to_string().contains("plaintext binlog frame rejected"));
         // A sealed frame that fails auth is a distinct error, not a
         // fall-through to plaintext parsing.
-        let mut w2 = Wal::new(1024, 1024, true);
+        let (mut d2, mut w2) = open(1024, true);
         w2.set_crypto([7; 32], 2);
-        w2.append_binlog(&ev);
-        let mut sealed = carve_enc_frames(w2.binlog_raw())[0].1.to_vec();
+        w2.append_binlog(&mut d2, &ev);
+        let mut sealed = carve_enc_frames(file(&d2, BINLOG_FILE))[0].1.to_vec();
         *sealed.last_mut().unwrap() ^= 1;
         let err = wal.decode_binlog_frame(true, &sealed).unwrap_err();
         assert!(err.to_string().contains("failed authentication"));
         // A plaintext node asked to decode a sealed frame errors too.
-        let plain_wal = Wal::new(1024, 1024, true);
-        let good = carve_enc_frames(w2.binlog_raw())[0].1;
+        let (_, plain_wal) = open(1024, true);
+        let good = carve_enc_frames(file(&d2, BINLOG_FILE))[0].1;
         assert!(plain_wal.decode_binlog_frame(true, good).is_err());
     }
 
     #[test]
     fn binlog_frames_round_trip_raw_payloads() {
         for encrypted in [false, true] {
-            let mut wal = Wal::new(4096, 4096, true);
+            let (mut disk, mut wal) = open(4096, true);
             if encrypted {
                 wal.set_crypto([9; 32], 1);
             }
             for i in 0..4u64 {
-                wal.append_binlog(&BinlogEvent {
-                    lsn: i,
-                    txn: i,
-                    timestamp: i as i64,
-                    statement: format!("INSERT INTO t VALUES ({i})"),
-                    ctx: None,
-                });
+                wal.append_binlog(
+                    &mut disk,
+                    &BinlogEvent {
+                        lsn: i,
+                        txn: i,
+                        timestamp: i as i64,
+                        statement: format!("INSERT INTO t VALUES ({i})"),
+                        ctx: None,
+                    },
+                );
             }
-            let (frames, next) = wal.binlog_frames_from(1, 10);
+            let (frames, next) = wal.binlog_frames_from(&disk, 1, 10);
             assert_eq!(next, 4);
             assert_eq!(frames.len(), 3);
             for (seq, sealed, payload) in &frames {
@@ -1167,7 +1217,7 @@ mod tests {
 
     #[test]
     fn lsn_monotonic() {
-        let mut wal = Wal::new(1024, 1024, true);
+        let (_, mut wal) = open(1024, true);
         let a = wal.alloc_lsn();
         let b = wal.alloc_lsn();
         assert!(b > a);

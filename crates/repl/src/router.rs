@@ -793,7 +793,6 @@ mod tests {
         let raw = replica.read_server_file(relay::RELAY_FILE).unwrap();
         assert!(raw.len() >= clean_len as usize);
         let decoded: Vec<String> = minidb::wal::carve_all_frames(&raw)
-            .into_iter()
             .filter_map(|(_, sealed, p)| replica.decode_binlog_frame(sealed, p).ok())
             .map(|ev| ev.statement)
             .collect();

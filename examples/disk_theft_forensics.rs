@@ -11,8 +11,10 @@ use snapshot_attack::forensics::{binlog, lsn_time, wal};
 use snapshot_attack::threat::{capture, AttackVector};
 
 fn main() {
-    let mut config = DbConfig::default();
-    config.seconds_per_statement = 60; // One write a minute.
+    let config = DbConfig {
+        seconds_per_statement: 60, // One write a minute.
+        ..DbConfig::default()
+    };
     let db = Db::open(config);
     let conn = db.connect("payroll");
     conn.execute("CREATE TABLE salaries (id INT PRIMARY KEY, name TEXT, amount INT)")

@@ -6,9 +6,11 @@ use edb_repro::minidb::value::Value;
 use edb_repro::snapshot_attack::threat::{capture, AttackVector};
 
 fn small_db() -> Db {
-    let mut config = DbConfig::default();
-    config.redo_capacity = 2 << 20;
-    config.undo_capacity = 2 << 20;
+    let config = DbConfig {
+        redo_capacity: 2 << 20,
+        undo_capacity: 2 << 20,
+        ..DbConfig::default()
+    };
     Db::open(config)
 }
 
@@ -60,9 +62,11 @@ fn crash_mid_explicit_txn_is_atomic() {
 
 #[test]
 fn crash_immediately_after_wraparound_recovers() {
-    let mut config = DbConfig::default();
-    config.redo_capacity = 64 * 1024;
-    config.undo_capacity = 64 * 1024;
+    let config = DbConfig {
+        redo_capacity: 64 * 1024,
+        undo_capacity: 64 * 1024,
+        ..DbConfig::default()
+    };
     let db = Db::open(config);
     let conn = db.connect("app");
     conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")

@@ -16,9 +16,11 @@ use edb_repro::snapshot_attack::forensics::{binlog, lsn_time, wal};
 use edb_repro::snapshot_attack::threat::{capture, AttackVector};
 
 fn small_db() -> Db {
-    let mut config = DbConfig::default();
-    config.redo_capacity = 2 << 20;
-    config.undo_capacity = 2 << 20;
+    let config = DbConfig {
+        redo_capacity: 2 << 20,
+        undo_capacity: 2 << 20,
+        ..DbConfig::default()
+    };
     Db::open(config)
 }
 

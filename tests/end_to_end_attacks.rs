@@ -12,9 +12,11 @@ use edb_repro::snapshot_attack::forensics::memscan;
 use edb_repro::snapshot_attack::threat::{capture, AttackVector};
 
 fn small_db() -> Db {
-    let mut config = DbConfig::default();
-    config.redo_capacity = 2 << 20;
-    config.undo_capacity = 2 << 20;
+    let config = DbConfig {
+        redo_capacity: 2 << 20,
+        undo_capacity: 2 << 20,
+        ..DbConfig::default()
+    };
     Db::open(config)
 }
 
@@ -204,9 +206,11 @@ fn det_column_leaks_histogram_to_pure_disk_theft() {
 fn full_pipeline_survives_log_wraparound() {
     // Failure injection: the circular log wraps *during* the victim
     // workload; the attack still works on the surviving suffix.
-    let mut config = DbConfig::default();
-    config.redo_capacity = 64 * 1024;
-    config.undo_capacity = 64 * 1024;
+    let config = DbConfig {
+        redo_capacity: 64 * 1024,
+        undo_capacity: 64 * 1024,
+        ..DbConfig::default()
+    };
     let db = Db::open(config);
     let conn = db.connect("app");
     conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
