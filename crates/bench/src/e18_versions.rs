@@ -23,11 +23,6 @@
 //! default *tombstoning* vacuum (engine forgets, payload bytes stay
 //! carvable) and `DbConfig::scrub_before_images` (the file is
 //! physically rewritten; recovery collapses to zero).
-//!
-//! A second table reports the concurrency side of the same subsystem:
-//! the sharded buffer pool's 8-thread mixed scan/write throughput
-//! against the single-latch baseline (see [`crate::serverbench`]); its
-//! ops/sec and speedup are measured cells.
 
 use std::collections::HashSet;
 
@@ -37,7 +32,7 @@ use rand::SeedableRng;
 use snapshot_attack::forensics::versions::{carve_disk, chains, column_history, from_memory};
 use snapshot_attack::report::Table;
 
-use crate::{f2, pct, serverbench, Options};
+use crate::{pct, Options};
 
 /// Base plaintext value of the victim row's secret; update `i` sets it
 /// to `SECRET_BASE + i`, so the true edit history is a known sequence.
@@ -212,31 +207,7 @@ pub fn run(opts: &Options) -> Vec<Table> {
     opts.absorb_db(&db);
     drop(db);
 
-    // ---- part two: the sharded pool that serves those snapshots ----
-    let mut pool = Table::new(
-        "E18 - buffer pool at 8 client threads, mixed scan/write with 100us faults",
-        &["pool", "shards", "ops", "ops/sec", "speedup"],
-    );
-    let ops = if opts.quick { 300 } else { 1_500 };
-    let b = serverbench::run(8, ops);
-    pool.row(&[
-        "single latch (BufferPool discipline)".into(),
-        b.single.shards.to_string(),
-        b.single.ops.to_string(),
-        format!("{:.0}", b.single.ops_per_sec),
-        "1.00x".into(),
-    ])
-    .measured(&[3]);
-    pool.row(&[
-        "latch-partitioned (server default)".into(),
-        b.sharded.shards.to_string(),
-        b.sharded.ops.to_string(),
-        format!("{:.0}", b.sharded.ops_per_sec),
-        format!("{}x", f2(b.speedup())),
-    ])
-    .measured(&[3, 4]);
-
-    vec![archive, pool]
+    vec![archive]
 }
 
 #[cfg(test)]
@@ -270,10 +241,5 @@ mod tests {
 
         // Scrubbing vacuum: recovery collapses.
         assert!(rate(&archive[3], 4) <= 0.05, "{:?}", archive[3]);
-
-        // The sharded pool clears the 2x acceptance bar.
-        let pool = &tables[1].rows;
-        let speedup: f64 = pool[1][4].trim_end_matches('x').parse().unwrap();
-        assert!(speedup >= 2.0, "{pool:?}");
     }
 }

@@ -1,9 +1,8 @@
-//! E20 (extension) — sealed log records + group commit: closing the
-//! log-forensics channels (E2 redo/undo, E3 binlog, E14 relay) while
-//! *gaining* write throughput.
+//! E20 (extension) — sealed log records: closing the log-forensics
+//! channels (E2 redo/undo, E3 binlog, E14 relay).
 //!
-//! Part one re-runs the keyless carvers from E2/E3/E14 against two cold
-//! images of the same workload: a stock plaintext engine and one with
+//! The experiment re-runs the keyless carvers from E2/E3/E14 against two
+//! cold images of the same workload: a stock plaintext engine and one with
 //! `DbConfig::encrypted_wal` (BigFoot-style AEAD-sealed log records,
 //! nonce = stream ‖ LSN). The plaintext image reconstructs the write
 //! history verbatim; the encrypted image yields **zero** statements,
@@ -11,12 +10,9 @@
 //! frames (lengths and stream ids, the residual metadata leak).
 //! Replication is measured the same way: an encrypted fleet relays
 //! ciphertext, so the E14 "snapshot any replica" move also goes dark.
-//!
-//! Part two is the performance side of the bargain (see
-//! [`crate::walbench`]): per-statement sealing costs a measurable tax,
-//! but the group-commit pipeline coalesces concurrent committers into
-//! one fsync per batch — at 8 connections the *encrypted* engine beats
-//! the *plaintext* seed write path.
+//! The key holder still opens every sealed frame (E20b). What sealing
+//! costs is priced end to end by the benchmark: `oltp_repl_hardened`
+//! (sealed logs plus group commit) against `oltp_repl_seed`.
 
 use mdb_repl::router::{ReplicaSet, ReplicaSetConfig};
 use minidb::engine::{Db, DbConfig};
@@ -24,7 +20,7 @@ use minidb::wal::{carve_enc_frames, BINLOG_FILE, REDO_FILE, UNDO_FILE};
 use snapshot_attack::forensics::{binlog, relay, wal};
 use snapshot_attack::report::Table;
 
-use crate::{f2, walbench, Options};
+use crate::Options;
 
 /// The log key every encrypted node in the experiment shares.
 const KEY: [u8; 32] = [0xE2; 32];
@@ -101,7 +97,6 @@ pub fn run(opts: &Options) -> Vec<Table> {
     let writes = if opts.quick { 120 } else { 600 };
     let fleet_writes = if opts.quick { 24 } else { 120 };
 
-    // ===== part one: the carvers, plaintext vs sealed =====
     let plain_db = Db::open(DbConfig::default());
     run_workload(&plain_db, writes);
     let enc_db = Db::open(encrypted_config());
@@ -193,60 +188,9 @@ pub fn run(opts: &Options) -> Vec<Table> {
             .to_string(),
     ]);
 
-    // ===== part two: the write-path bargain =====
-    let conn_counts: &[usize] = if opts.quick { &[1, 8] } else { &[1, 4, 8] };
-    let inserts = if opts.quick { 40 } else { 150 };
-    let bench = walbench::run(conn_counts, inserts);
-
-    let mut perf = Table::new(
-        "E20c - write-path throughput: crypto tax vs group-commit buyback",
-        &[
-            "variant",
-            "connections",
-            "stmts/sec",
-            "fsyncs",
-            "gc batches",
-            "gc waits",
-        ],
-    );
-    for r in &bench.runs {
-        // Batch boundaries under concurrent group commit depend on
-        // scheduling; every other fsync count is one per statement.
-        let batched = r.variant == walbench::Variant::EncGc.name() && r.connections > 1;
-        perf.row(&[
-            r.variant.into(),
-            r.connections.to_string(),
-            format!("{:.0}", r.stmts_per_sec),
-            r.fsyncs.to_string(),
-            r.gc_batches.to_string(),
-            r.gc_waits.to_string(),
-        ])
-        .measured(if batched { &[2, 3, 4, 5] } else { &[2] });
-    }
-    let max_conns = conn_counts.iter().copied().max().unwrap_or(1);
-    let mut summary = Table::new("E20d - summary ratios", &["metric", "value"]);
-    summary
-        .row(&[
-            format!("buyback_at_{max_conns} (enc_gc / plain_nogc)"),
-            f2(bench.buyback_at(max_conns)),
-        ])
-        .measured(&[1]);
-    summary
-        .row(&[
-            "crypto_tax_at_1 (plain_nogc / enc_nogc)".into(),
-            f2(bench.crypto_tax_at(1)),
-        ])
-        .measured(&[1]);
-    summary
-        .row(&[
-            format!("fsyncs_per_stmt_at_{max_conns} (enc_gc)"),
-            f2(bench.fsyncs_per_stmt_at(max_conns)),
-        ])
-        .measured(&[1]);
-
     opts.absorb_db(&plain_db);
     opts.absorb_db(&enc_db);
-    vec![carvers, recovery, perf, summary]
+    vec![carvers, recovery]
 }
 
 #[cfg(test)]
@@ -254,7 +198,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn carvers_go_dark_and_group_commit_buys_back() {
+    fn carvers_go_dark_and_the_key_holder_recovers() {
         let tables = run(&Options {
             quick: true,
             ..Default::default()
@@ -272,8 +216,5 @@ mod tests {
         let recovery = &tables[1];
         assert!(recovery.rows[0][1].parse::<u64>().unwrap() > 0);
         assert_eq!(recovery.rows[1][1], "120");
-        let summary = &tables[3];
-        let buyback: f64 = summary.rows[0][1].parse().unwrap();
-        assert!(buyback >= 1.0, "buyback {buyback} < 1.0");
     }
 }

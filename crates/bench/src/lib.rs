@@ -28,7 +28,7 @@
 //! | e17 | §4    | (ext) scrape channel: remote volume recovery off `/metrics` |
 //! | e18 | §3/§6 | (ext) version chains: MVCC archives the victim's edit history |
 //! | e19 | §3/§4 | (ext) xtrace: trace ids join replica images to client sessions |
-//! | e20 | §3/§7 | (ext) sealed WAL + group commit: E2/E3/E14 go dark, writes get faster |
+//! | e20 | §3/§7 | (ext) sealed WAL: E2/E3/E14 go dark, the key holder still reads |
 //! | e21 | §3/§7 | (ext) chaos failover: fenced divergent tail leaks; `encrypted_wal` seals it |
 
 pub mod chaosbench;
@@ -54,8 +54,6 @@ pub mod e19_xtrace;
 pub mod e20_encwal;
 pub mod e21_chaos;
 pub mod scanbench;
-pub mod serverbench;
-pub mod walbench;
 
 use mdb_telemetry::{json, MetricsSnapshot, Registry};
 use mdb_trace::{Recorder, StatementTrace};
@@ -133,8 +131,8 @@ pub fn run(id: &str, opts: &Options) -> Option<Vec<Table>> {
 /// coverage comparison, the replication relay-log surface, the
 /// query-flight-recorder surface, the zone-map surface, the
 /// metrics-scrape surface, the MVCC version-chain surface, the
-/// cross-node trace-correlation surface, the sealed-WAL/group-commit
-/// write path, and the chaos-failover divergent-tail surface.
+/// cross-node trace-correlation surface, the sealed-WAL surface, and the
+/// chaos-failover divergent-tail surface.
 pub const ALL: [&str; 21] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
     "e16", "e17", "e18", "e19", "e20", "e21",

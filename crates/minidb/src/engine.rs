@@ -78,7 +78,7 @@ pub struct DbConfig {
     /// Number of latch partitions in the buffer pool
     /// ([`crate::storage::ShardedBufferPool`]). Concurrent page accesses
     /// contend only within a shard; `1` degenerates to the classic
-    /// single-latch pool (the E18 bench baseline). Only
+    /// single-latch pool. Only
     /// `tests/access_path_golden.rs` sets it (4): the per-shard hit and
     /// miss counts it pins are of that layout.
     pub bufpool_shards: usize,
@@ -152,16 +152,11 @@ pub struct DbConfig {
     /// powers of two (mitigation knob, [`mdb_obs::prom::scrub`]).
     pub obs_scrub: bool,
     /// Group commit: coalesce concurrent committers into one shared
-    /// durability point with a single (simulated) fsync, via the
-    /// leader/follower pipeline in [`crate::group_commit`]. Off by
-    /// default — the seed's per-statement `record_fsync` behaviour —
-    /// and the E20 buyback knob: it is what pays for `encrypted_wal`.
+    /// durability point with a single fsync, via the leader/follower
+    /// pipeline in [`crate::group_commit`]. Off by default — the seed's
+    /// per-statement `record_fsync` behaviour. The benchmark's
+    /// `oltp_repl_hardened` workload turns it on beside `encrypted_wal`.
     pub group_commit: bool,
-    /// Simulated device latency per fsync, in microseconds. 0 keeps
-    /// fsyncs free (the seed behaviour, and what unit tests want);
-    /// the E20 benchmark sets a realistic ~100µs so the group-commit
-    /// buyback is measured against a device, not against a no-op.
-    pub fsync_latency_us: u64,
     /// BigFoot-style encrypted WAL ([`crate::wal`] + `edb-crypto`'s
     /// `logenc`): seal every redo/undo/binlog record with AEAD under a
     /// position-derived nonce. Closes the E2/E3/E14 carvers — a cold
@@ -205,7 +200,6 @@ impl Default for DbConfig {
             obs_auth_token: None,
             obs_scrub: false,
             group_commit: false,
-            fsync_latency_us: 0,
             encrypted_wal: false,
             wal_key: None,
         }
@@ -413,7 +407,6 @@ impl Db {
                 &telemetry,
                 MAX_BATCH,
                 LEADER_WAIT_US,
-                config.fsync_latency_us,
             ))
         });
         let mut vdisk = VDisk::new();
@@ -2618,14 +2611,7 @@ impl DbInner {
                 p.stage(lsn);
                 self.staged_commit = Some(lsn);
             }
-            None => {
-                if self.config.fsync_latency_us > 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        self.config.fsync_latency_us,
-                    ));
-                }
-                self.wal.record_fsync();
-            }
+            None => self.wal.record_fsync(),
         }
     }
 
@@ -3274,10 +3260,10 @@ mod tests {
     /// The rule for `DbConfig` (ROADMAP item 10): a new field needs two
     /// callers outside tests that set it differently; a value with one
     /// setting is a constant next to the code that reads it. The literal
-    /// has no `..`, so a 29th field stops compiling here, where the rule
+    /// has no `..`, so a 28th field stops compiling here, where the rule
     /// is.
     #[test]
-    fn default_config_is_these_28_fields() {
+    fn default_config_is_these_27_fields() {
         let spelled_out = DbConfig {
             redo_capacity: 50_000_000,
             undo_capacity: 50_000_000,
@@ -3304,7 +3290,6 @@ mod tests {
             obs_auth_token: None,
             obs_scrub: false,
             group_commit: false,
-            fsync_latency_us: 0,
             encrypted_wal: false,
             wal_key: None,
         };

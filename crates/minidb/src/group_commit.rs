@@ -3,23 +3,20 @@
 //!
 //! The seed engine called `record_fsync` once per committed statement,
 //! *inside* the engine lock — N concurrent committers paid N serialized
-//! device waits. This module replaces that with the classic
+//! durability points. This module replaces that with the classic
 //! leader/follower protocol (InnoDB's `log_write_up_to`, Postgres's
 //! `commit_delay` group): a committer **stages** its commit LSN while it
 //! still holds the engine lock, then — after releasing it — **waits**
 //! for the staged LSN to become durable. The first waiter to find no
 //! flush in progress becomes the leader: it lingers up to
-//! [`LEADER_WAIT_US`] for the batch to fill, performs *one* simulated
-//! fsync for everything staged so far, and wakes the followers.
-//! Committers that arrive during a flush stage behind it and are picked
-//! up by the next leader — the pipeline: batch k+1 fills while batch k
-//! syncs.
+//! [`LEADER_WAIT_US`] for the batch to fill, performs *one* fsync for
+//! everything staged so far, and wakes the followers. Committers that
+//! arrive during a flush stage behind it and are picked up by the next
+//! leader — the pipeline: batch k+1 fills while batch k syncs.
 //!
-//! The device itself is simulated ([`DbConfig::fsync_latency_us`]
-//! (crate::engine::DbConfig::fsync_latency_us)), exactly like the
-//! engine's statement-cost clock: the logs are in-memory `Vec`s, so
-//! without a modeled device wait every fsync would be free and group
-//! commit would have nothing to buy back.
+//! The logs live in the in-memory [`VDisk`](crate::vdisk::VDisk), so a
+//! flush waits on no device: it counts one `wal.fsyncs` for the batch
+//! and publishes the batch as durable.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -53,7 +50,6 @@ pub struct GroupCommitPipeline {
     cv: Condvar,
     max_batch: usize,
     wait: Duration,
-    fsync_latency: Duration,
     /// Shared cell with the WAL's `wal.fsyncs` counter: a coalesced
     /// batch counts exactly one fsync (the satellite accounting fix).
     fsyncs: Counter,
@@ -66,12 +62,7 @@ pub struct GroupCommitPipeline {
 
 impl GroupCommitPipeline {
     /// Builds the pipeline and registers its telemetry on `registry`.
-    pub fn new(
-        registry: &Registry,
-        max_batch: usize,
-        wait_us: u64,
-        fsync_latency_us: u64,
-    ) -> GroupCommitPipeline {
+    pub fn new(registry: &Registry, max_batch: usize, wait_us: u64) -> GroupCommitPipeline {
         GroupCommitPipeline {
             state: Mutex::new(State {
                 staged_tail: 0,
@@ -82,7 +73,6 @@ impl GroupCommitPipeline {
             cv: Condvar::new(),
             max_batch: max_batch.max(1),
             wait: Duration::from_micros(wait_us),
-            fsync_latency: Duration::from_micros(fsync_latency_us),
             fsyncs: registry.counter("wal.fsyncs"),
             batch_size: registry.histogram("wal.group_commit_batch_size"),
             waits: registry.counter("wal.group_commit_waits"),
@@ -140,10 +130,7 @@ impl GroupCommitPipeline {
             st.staged_count = 0;
             drop(st);
 
-            // The simulated device write: one wait for the whole batch.
-            if !self.fsync_latency.is_zero() {
-                std::thread::sleep(self.fsync_latency);
-            }
+            // One fsync for the whole batch.
             self.fsyncs.inc();
             self.batch_size.record(batch);
 
@@ -178,7 +165,7 @@ mod tests {
     #[test]
     fn single_committer_flushes_itself() {
         let registry = Registry::new();
-        let p = GroupCommitPipeline::new(&registry, 8, 0, 0);
+        let p = GroupCommitPipeline::new(&registry, 8, 0);
         p.stage(5);
         p.wait_durable(5);
         assert!(p.durable_lsn() >= 5);
@@ -190,9 +177,9 @@ mod tests {
     #[test]
     fn concurrent_committers_coalesce_into_few_fsyncs() {
         let registry = Registry::new();
-        // A real device wait forces overlap: while the leader sleeps,
-        // the other committers stage behind it.
-        let p = Arc::new(GroupCommitPipeline::new(&registry, 64, 100, 300));
+        // The leader's 2 ms linger forces overlap: while it gathers its
+        // batch, the other committers stage and wait behind it.
+        let p = Arc::new(GroupCommitPipeline::new(&registry, 64, 2_000));
         let lsn_alloc = Arc::new(Mutex::new(0u64));
         const THREADS: usize = 8;
         const COMMITS: usize = 10;
@@ -220,21 +207,24 @@ mod tests {
         let snap = registry.snapshot();
         let fsyncs = snap.counter("wal.fsyncs").unwrap();
         let total = (THREADS * COMMITS) as u64;
+        // A coalesced batch is ONE fsync.
         assert!(
             fsyncs < total / 2,
             "expected coalescing: {fsyncs} fsyncs for {total} commits"
         );
-        // Batch sizes were recorded and account for every commit.
+        // Pipelined batches imply followers waited.
+        assert!(snap.counter("wal.group_commit_waits").unwrap() > 0);
+        // One batch-size sample per fsync.
         let hist = snap.histogram("wal.group_commit_batch_size").unwrap();
         assert_eq!(hist.count, fsyncs);
     }
 
     #[test]
     fn waiters_always_drain() {
-        // Regression guard for lost wakeups: many threads, zero linger,
-        // zero latency — the protocol alone must never deadlock.
+        // Regression guard for lost wakeups: many threads, zero linger —
+        // the protocol alone must never deadlock.
         let registry = Registry::new_disabled();
-        let p = Arc::new(GroupCommitPipeline::new(&registry, 4, 0, 0));
+        let p = Arc::new(GroupCommitPipeline::new(&registry, 4, 0));
         let alloc = Arc::new(Mutex::new(0u64));
         let handles: Vec<_> = (0..16)
             .map(|_| {

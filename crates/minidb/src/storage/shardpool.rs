@@ -16,11 +16,9 @@
 //! fine for a single-session library, fatal for a multi-client server
 //! where eight connections fault pages concurrently. Sharding the frame
 //! table partitions that latch: two accesses contend only when their
-//! pages hash to the same shard, and — the part that dominates real
-//! systems — a page *fault* (simulated here by
-//! [`ShardedBufferPool::set_fault_latency`]) stalls only its own shard
-//! while the other shards keep serving hits and faulting in parallel.
-//! `shards = 1` is the single-latch discipline (the E18 baseline).
+//! pages hash to the same shard, and a fault, eviction or write-back
+//! holds only its own shard's latch while the other shards keep serving.
+//! `shards = 1` is the single-latch discipline.
 //!
 //! The leakage surfaces are global, not per shard: the LRU dump file
 //! renders the global recency order (ticks come from one atomic clock),
@@ -38,7 +36,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use mdb_telemetry::{Counter, Registry};
 use parking_lot::Mutex;
@@ -68,9 +65,9 @@ pub const DEFAULT_SHARDS: usize = 8;
 
 /// The storage a pool faults pages from and writes dirty pages back to.
 ///
-/// The engine's backing is the [`VDisk`]; benches substitute synthetic
-/// backings so many threads can fault concurrently without sharing one
-/// `&mut VDisk`.
+/// The engine's backing is the [`VDisk`]; the pool's unit tests
+/// substitute a synthetic backing so many threads can fault concurrently
+/// without sharing one `&mut VDisk`.
 pub trait PageBacking {
     /// Reads page `page_no` of `file`, or `None` if it does not exist.
     fn read_page(&mut self, file: &str, page_no: u32) -> Option<Vec<u8>>;
@@ -175,11 +172,6 @@ pub struct ShardedBufferPool {
     /// Global monotonic access clock shared by every shard.
     tick: AtomicU64,
     capacity: usize,
-    /// Simulated page-fault I/O latency, slept *while holding the
-    /// faulting shard's latch* — exactly where a real pool holds its
-    /// partition latch across the disk read. Zero (the default) for the
-    /// engine; the server bench turns it up to measure fault overlap.
-    fault_latency: Duration,
     metrics: Option<PoolMetrics>,
 }
 
@@ -209,7 +201,6 @@ impl ShardedBufferPool {
                 .collect(),
             tick: AtomicU64::new(0),
             capacity,
-            fault_latency: Duration::ZERO,
             metrics: None,
         }
     }
@@ -235,11 +226,6 @@ impl ShardedBufferPool {
         });
     }
 
-    /// Sets the simulated per-fault I/O latency (see the field docs).
-    pub fn set_fault_latency(&mut self, latency: Duration) {
-        self.fault_latency = latency;
-    }
-
     /// Total page capacity across all shards.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -260,8 +246,7 @@ impl ShardedBufferPool {
     }
 
     /// Ensures `key` is framed in `shard`, faulting it in from `backing`
-    /// (and sleeping the simulated fault latency under the latch) on a
-    /// miss. Counts the hit/miss on both metric families.
+    /// on a miss. Counts the hit/miss on both metric families.
     fn load(
         &self,
         shard: &mut Shard,
@@ -279,9 +264,6 @@ impl ShardedBufferPool {
         if let Some(m) = &self.metrics {
             m.misses.inc();
             m.per_shard[shard_idx].misses.inc();
-        }
-        if !self.fault_latency.is_zero() {
-            std::thread::sleep(self.fault_latency);
         }
         self.evict_to_fit(shard, shard_idx, backing, 1);
         let (file, page_no) = key;
@@ -739,8 +721,13 @@ mod tests {
     }
 
     /// A backing that synthesizes pages on demand — lets many threads
-    /// fault without sharing one `&mut VDisk`.
+    /// fault without sharing one `&mut VDisk`. A page's first four bytes
+    /// are its number, and a written-back page must still carry it.
     struct Synthetic;
+
+    fn page_no_of(b: &[u8]) -> u32 {
+        u32::from_le_bytes(b[..4].try_into().unwrap())
+    }
 
     impl PageBacking for Synthetic {
         fn read_page(&mut self, _file: &str, page_no: u32) -> Option<Vec<u8>> {
@@ -748,7 +735,9 @@ mod tests {
             page[..4].copy_from_slice(&page_no.to_le_bytes());
             Some(page)
         }
-        fn write_page(&mut self, _file: &str, _page_no: u32, _data: &[u8]) {}
+        fn write_page(&mut self, _file: &str, page_no: u32, data: &[u8]) {
+            assert_eq!(page_no_of(data), page_no, "no torn frame written back");
+        }
         fn file_len(&mut self, _file: &str) -> usize {
             0
         }
@@ -756,7 +745,12 @@ mod tests {
 
     #[test]
     fn concurrent_access_from_many_threads() {
-        let pool = Arc::new(ShardedBufferPool::new(64, 8));
+        // 64 frames for 128 pages: eviction runs all along, and every
+        // fourth access dirties its frame, so evictions write back.
+        let registry = Registry::new();
+        let mut pool = ShardedBufferPool::new(64, 8);
+        pool.attach_telemetry(&registry);
+        let pool = Arc::new(pool);
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let pool = Arc::clone(&pool);
@@ -764,12 +758,15 @@ mod tests {
                     let mut backing = Synthetic;
                     for i in 0..200u32 {
                         let page = (t * 37 + i) % 128;
-                        let got = pool
-                            .with_page(&mut backing, "s.ibd", page, |b| {
-                                u32::from_le_bytes(b[..4].try_into().unwrap())
+                        let got = if i.is_multiple_of(4) {
+                            pool.with_page_mut(&mut backing, "s.ibd", page, |b| {
+                                b[8] = b[8].wrapping_add(1);
+                                page_no_of(b)
                             })
-                            .unwrap();
-                        assert_eq!(got, page, "no torn frames under concurrency");
+                        } else {
+                            pool.with_page(&mut backing, "s.ibd", page, page_no_of)
+                        };
+                        assert_eq!(got.unwrap(), page, "no torn frames under concurrency");
                     }
                 })
             })
@@ -777,6 +774,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+        assert!(registry.snapshot().counter("bufpool.writebacks").unwrap() > 0);
         assert!(pool.cached_pages() <= 64);
         let order = pool.lru_order();
         assert_eq!(order.len(), pool.cached_pages(), "one LRU entry per frame");

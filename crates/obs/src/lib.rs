@@ -31,17 +31,15 @@ pub mod http;
 pub mod prom;
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mdb_telemetry::{json, MetricsSnapshot, Registry};
 use parking_lot::Mutex;
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// Capacity of a server's retention ring, in scrape snapshots.
 const RETENTION_SNAPSHOTS: usize = 64;
 
@@ -249,7 +247,6 @@ impl ObsServer {
         options: ObsOptions,
     ) -> std::io::Result<ObsServer> {
         let listener = TcpListener::bind(options.listen.as_str())?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let ring = RetentionRing::new(RETENTION_SNAPSHOTS);
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -288,6 +285,9 @@ impl ObsServer {
     pub fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
+            // Wake the blocking `accept`; the loop sees the flag and
+            // serves nothing more.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
     }
@@ -300,22 +300,17 @@ impl Drop for ObsServer {
 }
 
 fn accept_loop(listener: &TcpListener, endpoints: &Endpoints, shutdown: &AtomicBool) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // One request per connection; errors only poison this
-                // connection, never the loop.
-                let _ = serve_one(&mut stream, endpoints);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
+    while let Ok((mut stream, _)) = listener.accept() {
+        if shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        // One request per connection; errors only poison this
+        // connection, never the loop.
+        let _ = serve_one(&mut stream, endpoints);
     }
 }
 
-fn serve_one(stream: &mut std::net::TcpStream, ep: &Endpoints) -> std::io::Result<()> {
+fn serve_one(stream: &mut TcpStream, ep: &Endpoints) -> std::io::Result<()> {
     let req = http::read_request(stream)?;
     if req.method != "GET" {
         return http::write_response(stream, 405, "text/plain", "GET only\n");

@@ -142,12 +142,11 @@ impl PrimaryHandle {
                     let server = Arc::clone(&server);
                     let stop = Arc::clone(&shutdown);
                     std::thread::spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            match acceptor.try_accept() {
-                                Ok(Some(ep)) => server.serve(Box::new(ep)),
-                                Ok(None) => std::thread::sleep(Duration::from_millis(2)),
-                                Err(_) => break,
+                        while let Ok(ep) = acceptor.accept() {
+                            if stop.load(Ordering::SeqCst) {
+                                break;
                             }
+                            server.serve(Box::new(ep));
                         }
                     })
                 };
@@ -177,6 +176,9 @@ impl PrimaryHandle {
         if let Some(tcp) = &mut self.tcp {
             tcp.shutdown.store(true, Ordering::SeqCst);
             if let Some(h) = tcp.handle.take() {
+                // Wake the blocking accept; the loop sees the flag and
+                // serves nothing more.
+                let _ = std::net::TcpStream::connect(tcp.addr);
                 let _ = h.join();
             }
         }

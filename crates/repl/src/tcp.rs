@@ -106,17 +106,6 @@ impl TcpAcceptor {
         let (stream, _) = self.listener.accept().map_err(io_err)?;
         TcpEndpoint::new(stream)
     }
-
-    /// Non-blocking accept for a poll-style accept loop: `Ok(None)` when
-    /// no connection is pending.
-    pub fn try_accept(&self) -> ReplResult<Option<TcpEndpoint>> {
-        self.listener.set_nonblocking(true).map_err(io_err)?;
-        match self.listener.accept() {
-            Ok((stream, _)) => TcpEndpoint::new(stream).map(Some),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(io_err(e)),
-        }
-    }
 }
 
 #[cfg(test)]

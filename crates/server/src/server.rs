@@ -1,4 +1,4 @@
-//! The server half: a nonblocking accept loop plus one worker thread
+//! The server half: a blocking accept loop plus one worker thread
 //! per client connection, each owning an engine [`Connection`] and the
 //! session state (prepared-text cache) that rides on it.
 
@@ -15,9 +15,7 @@ use parking_lot::Mutex;
 
 use crate::wire::{FrameDecoder, WireMessage, WireResultSet};
 
-/// How long the accept loop sleeps when no connection is pending, and
-/// how long a session read blocks before re-checking shutdown.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// How long a session read blocks before re-checking shutdown.
 const READ_POLL: Duration = Duration::from_millis(20);
 /// Identification string sent in the greeting.
 const SERVER_NAME: &str = "minidb/0.1";
@@ -65,7 +63,6 @@ impl MdbServer {
     /// Binds `options.listen` and starts accepting clients for `db`.
     pub fn start(db: Db, options: ServerOptions) -> std::io::Result<MdbServer> {
         let listener = TcpListener::bind(options.listen.as_str())?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -101,6 +98,9 @@ impl MdbServer {
     pub fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_handle.take() {
+            // Wake the blocking `accept`; the loop sees the flag and
+            // serves nothing more.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
         // Take the handles out, then join outside the lock: a worker
@@ -126,25 +126,20 @@ fn accept_loop(
     workers: &Mutex<Vec<JoinHandle<()>>>,
     stats: &Arc<Stats>,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stats.connections.inc();
-                let db = db.clone();
-                let options = options.clone();
-                let shutdown = Arc::clone(shutdown);
-                let stats = Arc::clone(stats);
-                let handle = std::thread::spawn(move || {
-                    // Session errors only poison this connection.
-                    let _ = serve_session(&db, stream, &options, &shutdown, &stats);
-                });
-                workers.lock().push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
+    while let Ok((stream, _)) = listener.accept() {
+        if shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        stats.connections.inc();
+        let db = db.clone();
+        let options = options.clone();
+        let shutdown = Arc::clone(shutdown);
+        let stats = Arc::clone(stats);
+        let handle = std::thread::spawn(move || {
+            // Session errors only poison this connection.
+            let _ = serve_session(&db, stream, &options, &shutdown, &stats);
+        });
+        workers.lock().push(handle);
     }
 }
 
