@@ -44,13 +44,25 @@ use crate::{pct, Options};
 /// Scrape interval for the acceptance variant (the issue's criterion:
 /// >= 80% per-query volume recovery at 100 ms).
 const FAST_SCRAPE_MS: u64 = 100;
-/// Client spacing for isolated-query variants: three scrape windows, so
-/// consecutive queries land in distinct windows despite jitter.
-const ISOLATED_SPACING_MS: u64 = 300;
 /// Slow-scraper variant: queries arrive faster than scrapes, so
 /// volumes merge.
 const SLOW_SCRAPE_MS: u64 = 500;
 const MERGED_SPACING_MS: u64 = 180;
+
+/// How the client paces its queries against the observer.
+#[derive(Clone, Copy)]
+enum Pacing {
+    /// Before each query, wait for the observer's next observation to
+    /// land (a denied scrape counts). The query then runs while the
+    /// observer sleeps its interval, so no scrape reads the counters
+    /// mid-statement (seeing the table counted before its rows), and
+    /// consecutive queries fall in different scrape windows however
+    /// slow the build or loaded the box.
+    Isolated,
+    /// A fixed gap in milliseconds, shorter than the scrape interval, so
+    /// windows merge.
+    EveryMs(u64),
+}
 
 /// The E16 encrypted victim with its status port open.
 fn victim(rows: usize, scrub: bool, auth: Option<&str>, seed: u64) -> minidb::engine::Db {
@@ -113,7 +125,7 @@ fn run_variant(
     rows: usize,
     queries: usize,
     scrape_ms: u64,
-    spacing_ms: u64,
+    pacing: Pacing,
     mitigation: Mitigation,
     seed: u64,
     opts: &Options,
@@ -132,6 +144,12 @@ fn run_variant(
     let mut true_bounds = Vec::with_capacity(queries);
     let mut truth = Vec::with_capacity(queries);
     for _ in 0..queries {
+        if let Pacing::Isolated = pacing {
+            let seen = observer.observed();
+            while observer.observed() == seen {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
         let k = rng.gen_range(0..rows as u64);
         let res = conn
             .execute(&format!(
@@ -142,7 +160,9 @@ fn run_variant(
         assert_eq!(res.rows.len() as u64, k + 1, "dense fixture: volume = k+1");
         true_bounds.push(k);
         truth.push(k + 1);
-        std::thread::sleep(Duration::from_millis(spacing_ms));
+        if let Pacing::EveryMs(ms) = pacing {
+            std::thread::sleep(Duration::from_millis(ms));
+        }
     }
     // Drain: let the final query's counters get scraped.
     std::thread::sleep(Duration::from_millis(scrape_ms * 3));
@@ -320,34 +340,34 @@ pub fn run(opts: &Options) -> Vec<Table> {
         (
             "open port (production default)",
             FAST_SCRAPE_MS,
-            ISOLATED_SPACING_MS,
+            Pacing::Isolated,
             Mitigation::None,
         ),
         (
             "open port, slow scraper (windows merge)",
             SLOW_SCRAPE_MS,
-            MERGED_SPACING_MS,
+            Pacing::EveryMs(MERGED_SPACING_MS),
             Mitigation::None,
         ),
         (
             "obs_scrub = true (quantized exposition)",
             FAST_SCRAPE_MS,
-            ISOLATED_SPACING_MS,
+            Pacing::Isolated,
             Mitigation::Scrub,
         ),
         (
             "bearer-token auth (observer unauthenticated)",
             FAST_SCRAPE_MS,
-            ISOLATED_SPACING_MS,
+            Pacing::Isolated,
             Mitigation::Auth,
         ),
     ];
-    for (seed, (variant, scrape_ms, spacing_ms, mitigation)) in (0x1701..).zip(variants) {
+    for (seed, (variant, scrape_ms, pacing, mitigation)) in (0x1701..).zip(variants) {
         let v = run_variant(
             rows,
             queries,
             scrape_ms,
-            spacing_ms,
+            pacing,
             mitigation,
             opts.seed ^ seed,
             opts,

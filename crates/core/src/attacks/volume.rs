@@ -123,6 +123,11 @@ impl RemoteObserver {
         }
     }
 
+    /// Attempts completed so far — scrapes, denials and failures alike.
+    pub fn observed(&self) -> usize {
+        self.observations.lock().len()
+    }
+
     /// Stops polling and returns everything observed.
     pub fn stop(mut self) -> Vec<Observation> {
         self.shutdown.store(true, Ordering::SeqCst);

@@ -163,12 +163,13 @@ pub struct DbConfig {
     /// image or a relay log yields ciphertext only.
     pub encrypted_wal: bool,
     /// The log-encryption key. `None` with `encrypted_wal` on draws a
-    /// fresh process-local key (never persisted — single-node use);
-    /// a replicated fleet must set one shared key explicitly, or the
-    /// replica's apply loop cannot open shipped events. Each node seals
-    /// under a subkey derived from this key and its own
-    /// [`server_id`](Self::server_id), so fleet nodes that log the same
-    /// `(stream, seq)` positions never share a ChaCha20 keystream.
+    /// key once at [`Db::open`], which survives a crash but is never
+    /// persisted (single-node use); a replicated fleet must set one
+    /// shared key explicitly, or the replica's apply loop cannot open
+    /// shipped events. Each node seals under a subkey derived from this
+    /// key and its own [`server_id`](Self::server_id), so fleet nodes
+    /// that log the same `(stream, seq)` positions never share a ChaCha20
+    /// keystream.
     pub wal_key: Option<[u8; 32]>,
 }
 
@@ -316,8 +317,98 @@ impl EngineMetrics {
     }
 }
 
-pub(crate) struct DbInner {
+/// What outlives the process: the part of a node that something outside
+/// the process supplies or holds. A crash ([`Db::crash`]) keeps exactly
+/// this and the disk; every other field of [`DbInner`] is process memory,
+/// rebuilt by [`DbInner::open`]. A field goes here only for that reason,
+/// so a field added anywhere else dies with the process by construction.
+/// `Default` is only the placeholder [`Db::crash`] leaves in the dead
+/// process while it moves the host out.
+#[derive(Default)]
+pub(crate) struct Host {
+    /// The operator's configuration. Its `read_only` is the source of the
+    /// replication role at every open; failover transitions flip it.
     pub(crate) config: DbConfig,
+    /// The log key, resolved once: the configured `wal_key`, or one drawn
+    /// at first open when none is configured. Never persisted, so only
+    /// its holder can open sealed logs.
+    wal_key: Option<[u8; 32]>,
+    /// Registered scalar functions (the EDB layers install them).
+    functions: HashMap<String, ScalarFn>,
+    /// The telemetry registry. The server, the replication layer and the
+    /// obs server hold clones of it.
+    pub(crate) telemetry: Registry,
+    /// The observability server, when [`DbConfig::obs_listen`] is set.
+    /// Held here so its lifetime matches the engine's; shutdown takes it
+    /// out of the lock before joining the accept thread.
+    obs: Option<mdb_obs::ObsServer>,
+    /// `information_schema.replicas` rows, published by the replication
+    /// layer (the engine renders, the layer above reports).
+    replica_status: Option<Arc<dyn Fn() -> Vec<ReplicaStatus> + Send + Sync>>,
+    /// The group-commit pipeline, when [`DbConfig::group_commit`] is on.
+    /// Committers stage under the engine lock and wait on the pipeline
+    /// *after* releasing it (see [`Connection::execute`]), holding their
+    /// own `Arc` of it.
+    group_commit: Option<Arc<GroupCommitPipeline>>,
+    /// The simulated wall clock.
+    pub(crate) now_unix: i64,
+    /// Next connection id. [`Connection`] handles outlive a crash, and
+    /// dropping one rolls back by id, so ids never restart.
+    next_conn: u64,
+}
+
+impl Host {
+    fn new(config: DbConfig) -> Host {
+        let telemetry = if config.telemetry_enabled {
+            Registry::new()
+        } else {
+            Registry::new_disabled()
+        };
+        let group_commit = config.group_commit.then(|| {
+            Arc::new(GroupCommitPipeline::new(
+                &telemetry,
+                MAX_BATCH,
+                LEADER_WAIT_US,
+            ))
+        });
+        // No configured key: draw one for this host. It survives a crash
+        // (the host holds it) but is never written to disk, so a
+        // single node is fine; a fleet must configure a shared key.
+        let wal_key = config.encrypted_wal.then(|| {
+            config.wal_key.unwrap_or_else(|| {
+                let mut k = [0u8; 32];
+                for chunk in k.chunks_mut(8) {
+                    chunk.copy_from_slice(&mdb_trace::entropy64().to_le_bytes());
+                }
+                k
+            })
+        });
+        Host {
+            config,
+            wal_key,
+            functions: HashMap::new(),
+            telemetry,
+            obs: None,
+            replica_status: None,
+            group_commit,
+            now_unix: START_TIME_UNIX,
+            next_conn: 1,
+        }
+    }
+
+    /// Wipes the process data that host-held objects carry: every
+    /// registry value (registrations and handles stay valid) and the obs
+    /// scrape retention ring.
+    fn scrub(&self) {
+        self.telemetry.scrub();
+        if let Some(obs) = &self.obs {
+            obs.ring().clear();
+        }
+    }
+}
+
+pub(crate) struct DbInner {
+    pub(crate) host: Host,
     pub(crate) vdisk: VDisk,
     pub(crate) catalog: Catalog,
     runtime: HashMap<String, RuntimeTable>,
@@ -328,7 +419,6 @@ pub(crate) struct DbInner {
     pub(crate) adaptive_hash: AdaptiveHash,
     pub(crate) perf: PerfSchema,
     pub(crate) processlist: ProcessList,
-    pub(crate) telemetry: Registry,
     metrics: EngineMetrics,
     /// The flight recorder: the last N statement traces.
     pub(crate) trace: Recorder,
@@ -342,20 +432,12 @@ pub(crate) struct DbInner {
     /// per process — never persisted, so carved rehashed ids cannot be
     /// inverted offline.
     trace_hash_key: u64,
-    functions: HashMap<String, ScalarFn>,
-    pub(crate) now_unix: i64,
     /// MVCC version chains and their commit bookkeeping.
     pub(crate) mvcc: VersionStore,
     /// Next commit-sequence number (CSNs start at 1).
     next_csn: u64,
-    next_txn: u64,
-    next_conn: u64,
     txns: HashMap<u64, TxnState>, // Active explicit transactions by conn.
     statements_executed: u64,
-    /// The group-commit pipeline, when [`DbConfig::group_commit`] is on.
-    /// Committers stage under the engine lock and wait on the pipeline
-    /// *after* releasing it (see [`Connection::execute`]).
-    group_commit: Option<Arc<GroupCommitPipeline>>,
     /// LSN staged by the statement that just ran, waiting for its
     /// durability wait outside the lock. Taken (and cleared) by the
     /// caller before the engine guard drops.
@@ -367,18 +449,12 @@ pub(crate) struct DbInner {
     /// This node's replication role. Derived from `read_only` at open
     /// (writable ⇒ primary, read-only ⇒ replica) and mutated only by
     /// failover transitions: [`Db::promote_to_primary`],
-    /// [`Db::fence_divergent`], [`Db::rejoin_as_replica`].
+    /// [`Db::fence_divergent`], [`Db::rejoin_as_replica`]. `Fenced` is
+    /// process state: a fenced node that restarts comes back a replica.
     repl_role: ReplRole,
-    /// Bumped once per promotion this node has won. Epoch 0 means the
-    /// node has held its original role since open.
+    /// Bumped once per promotion this process has won. Epoch 0 means the
+    /// node has held its role since open.
     promotion_epoch: u64,
-    /// `information_schema.replicas` rows, published by the replication
-    /// layer (the engine renders, the layer above reports).
-    replica_status: Option<Arc<dyn Fn() -> Vec<ReplicaStatus> + Send + Sync>>,
-    /// The observability server, when [`DbConfig::obs_listen`] is set.
-    /// Held here so its lifetime matches the engine's; shutdown takes it
-    /// out of the lock before joining the accept thread.
-    obs: Option<mdb_obs::ObsServer>,
 }
 
 /// Handle to a MiniDB instance. Cloneable; all clones share the engine.
@@ -397,92 +473,7 @@ pub struct Connection {
 impl Db {
     /// Opens a fresh database with the given configuration.
     pub fn open(config: DbConfig) -> Db {
-        let telemetry = if config.telemetry_enabled {
-            Registry::new()
-        } else {
-            Registry::new_disabled()
-        };
-        let group_commit = config.group_commit.then(|| {
-            Arc::new(GroupCommitPipeline::new(
-                &telemetry,
-                MAX_BATCH,
-                LEADER_WAIT_US,
-            ))
-        });
-        let mut vdisk = VDisk::new();
-        let mut wal = Wal::new(
-            &mut vdisk,
-            config.redo_capacity,
-            config.undo_capacity,
-            config.binlog_enabled,
-        );
-        wal.attach_telemetry(&telemetry);
-        if config.encrypted_wal {
-            // No configured key: draw a process-local one. Fine
-            // single-node (recovery shares the process); a fleet must
-            // configure a shared key.
-            let key = config.wal_key.unwrap_or_else(|| {
-                let mut k = [0u8; 32];
-                for chunk in k.chunks_mut(8) {
-                    chunk.copy_from_slice(&mdb_trace::entropy64().to_le_bytes());
-                }
-                k
-            });
-            wal.set_crypto(key, config.server_id);
-        }
-        let inner = DbInner {
-            vdisk,
-            catalog: Catalog::default(),
-            runtime: HashMap::new(),
-            bufpool: {
-                let mut bp =
-                    ShardedBufferPool::new(config.buffer_pool_pages, config.bufpool_shards);
-                bp.attach_telemetry(&telemetry);
-                bp
-            },
-            wal,
-            heap: {
-                let mut h = HeapArena::new();
-                h.secure_delete = config.heap_secure_delete;
-                h.attach_telemetry(&telemetry);
-                h
-            },
-            query_cache: QueryCache::new(config.query_cache_enabled, QUERY_CACHE_ENTRIES),
-            adaptive_hash: AdaptiveHash::new(ADAPTIVE_HASH_THRESHOLD),
-            perf: PerfSchema::new(config.history_size),
-            processlist: ProcessList::default(),
-            metrics: EngineMetrics::new(&telemetry),
-            telemetry,
-            trace: if config.trace_enabled {
-                Recorder::new(config.trace_ring_capacity)
-            } else {
-                Recorder::new_disabled(config.trace_ring_capacity)
-            },
-            current_trace: None,
-            current_ctx: None,
-            trace_hash_key: mdb_trace::entropy64(),
-            functions: HashMap::new(),
-            now_unix: START_TIME_UNIX,
-            mvcc: VersionStore::default(),
-            next_csn: 1,
-            next_txn: 1,
-            next_conn: 1,
-            txns: HashMap::new(),
-            statements_executed: 0,
-            group_commit,
-            staged_commit: None,
-            crashed: false,
-            applying: false,
-            repl_role: if config.read_only {
-                ReplRole::Replica
-            } else {
-                ReplRole::Primary
-            },
-            promotion_epoch: 0,
-            replica_status: None,
-            obs: None,
-            config,
-        };
+        let inner = DbInner::open(Host::new(config), VDisk::new());
         let db = Db {
             inner: Arc::new(Mutex::new(inner)),
         };
@@ -496,40 +487,40 @@ impl Db {
     /// engine teardown reports `503` instead of deadlocking.
     fn start_obs(&self) {
         let mut g = self.inner.lock();
-        let Some(listen) = g.config.obs_listen.clone() else {
+        let Some(listen) = g.host.config.obs_listen.clone() else {
             return;
         };
         let options = mdb_obs::ObsOptions {
             listen,
-            auth_token: g.config.obs_auth_token.clone(),
-            scrub: g.config.obs_scrub,
+            auth_token: g.host.config.obs_auth_token.clone(),
+            scrub: g.host.config.obs_scrub,
         };
         let weak = Arc::downgrade(&self.inner);
         let health: mdb_obs::HealthSource = Arc::new(move || match weak.upgrade() {
             Some(inner) => inner.lock().health_report(),
             None => mdb_obs::HealthReport::unavailable("engine gone"),
         });
-        let server = mdb_obs::ObsServer::start(g.telemetry.clone(), health, options)
-            .unwrap_or_else(|e| panic!("obs_listen {:?}: {e}", g.config.obs_listen));
-        g.obs = Some(server);
+        let server = mdb_obs::ObsServer::start(g.host.telemetry.clone(), health, options)
+            .unwrap_or_else(|e| panic!("obs_listen {:?}: {e}", g.host.config.obs_listen));
+        g.host.obs = Some(server);
     }
 
     /// The observability server's bound address, when one is running.
     pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
-        self.inner.lock().obs.as_ref().map(|s| s.local_addr())
+        self.inner.lock().host.obs.as_ref().map(|s| s.local_addr())
     }
 
     /// The scrape retention ring, when the obs server is running.
     pub fn obs_ring(&self) -> Option<mdb_obs::RetentionRing> {
-        self.inner.lock().obs.as_ref().map(|s| s.ring())
+        self.inner.lock().host.obs.as_ref().map(|s| s.ring())
     }
 
     /// Creates a new connection.
     pub fn connect(&self, user: &str) -> Connection {
         let mut g = self.inner.lock();
-        let id = g.next_conn;
-        g.next_conn += 1;
-        let now = g.now_unix;
+        let id = g.host.next_conn;
+        g.host.next_conn += 1;
+        let now = g.host.now_unix;
         g.processlist.connect(id, user, now);
         Connection {
             db: self.clone(),
@@ -543,18 +534,19 @@ impl Db {
     pub fn register_function(&self, name: &str, f: ScalarFn) {
         self.inner
             .lock()
+            .host
             .functions
             .insert(name.to_ascii_uppercase(), f);
     }
 
     /// Advances the simulated wall clock (for workload-time experiments).
     pub fn advance_time(&self, seconds: i64) {
-        self.inner.lock().now_unix += seconds;
+        self.inner.lock().host.now_unix += seconds;
     }
 
     /// Current simulated UNIX time.
     pub fn now(&self) -> i64 {
-        self.inner.lock().now_unix
+        self.inner.lock().host.now_unix
     }
 
     /// Administrative binlog purge (`PURGE BINARY LOGS`).
@@ -568,7 +560,7 @@ impl Db {
 
     /// This server's id (stamped into replication positions).
     pub fn server_id(&self) -> u64 {
-        self.inner.lock().config.server_id
+        self.inner.lock().host.config.server_id
     }
 
     /// End-of-binlog position: the sequence number the next committed
@@ -637,11 +629,14 @@ impl Db {
                 .iter()
                 .any(|e| e.id == REPL_APPLIER_CONN)
             {
-                let now = g.now_unix;
+                let now = g.host.now_unix;
                 g.processlist
                     .connect(REPL_APPLIER_CONN, "repl_applier", now);
             }
-            g.now_unix = g.now_unix.max(commit_ts - g.config.seconds_per_statement);
+            g.host.now_unix = g
+                .host
+                .now_unix
+                .max(commit_ts - g.host.config.seconds_per_statement);
             g.applying = true;
             let out = g.execute_ctx(REPL_APPLIER_CONN, sql, front, ctx);
             g.applying = false;
@@ -661,7 +656,7 @@ impl Db {
 
     /// Whether client writes are currently rejected.
     pub fn is_read_only(&self) -> bool {
-        self.inner.lock().config.read_only
+        self.inner.lock().host.config.read_only
     }
 
     /// This node's replication role ([`ReplRole`]).
@@ -682,7 +677,7 @@ impl Db {
     pub fn promote_to_primary(&self) -> u64 {
         let mut g = self.inner.lock();
         g.repl_role = ReplRole::Primary;
-        g.config.read_only = false;
+        g.host.config.read_only = false;
         g.promotion_epoch += 1;
         g.metrics.repl_promotions.inc();
         g.promotion_epoch
@@ -693,7 +688,7 @@ impl Db {
     pub fn rejoin_as_replica(&self) {
         let mut g = self.inner.lock();
         g.repl_role = ReplRole::Replica;
-        g.config.read_only = true;
+        g.host.config.read_only = true;
     }
 
     /// Divergence fencing on a deposed primary: every binlog event at
@@ -714,7 +709,7 @@ impl Db {
         let g = &mut *g;
         let fenced = g.wal.fence_binlog_tail(&mut g.vdisk, promoted_cursor);
         g.repl_role = ReplRole::Fenced;
-        g.config.read_only = true;
+        g.host.config.read_only = true;
         g.metrics.repl_fenced_events.add(fenced.len() as u64);
         fenced.into_iter().filter_map(Result::ok).collect()
     }
@@ -746,7 +741,7 @@ impl Db {
         &self,
         source: Arc<dyn Fn() -> Vec<ReplicaStatus> + Send + Sync>,
     ) {
-        self.inner.lock().replica_status = Some(source);
+        self.inner.lock().host.replica_status = Some(source);
     }
 
     /// The `/healthz` payload, callable in-process: component health
@@ -759,12 +754,12 @@ impl Db {
     /// counters are readable here, via `information_schema.metrics`, and
     /// in a [`crate::snapshot::MemoryImage`].
     pub fn telemetry(&self) -> Registry {
-        self.inner.lock().telemetry.clone()
+        self.inner.lock().host.telemetry.clone()
     }
 
     /// Point-in-time snapshot of every engine metric.
     pub fn metrics_snapshot(&self) -> mdb_telemetry::MetricsSnapshot {
-        self.inner.lock().telemetry.snapshot()
+        self.inner.lock().host.telemetry.snapshot()
     }
 
     /// The statement trace recorder (the flight-recorder ring). Clones
@@ -793,21 +788,18 @@ impl Db {
         for p in inner.perf.clear() {
             inner.heap.free(p);
         }
-        if inner.config.telemetry_scrub_on_flush {
+        if inner.host.config.telemetry_scrub_on_flush {
             // Scrub means scrub: FLUSH STATUS zeroes counters, gauges,
             // AND the per-kind latency histograms (`sql.latency_us.*`)
             // — a partial scrub that kept histogram state would hand
             // the attacker the statement mix anyway. The flight
             // recorder goes too, or the "wiped" server still carries a
-            // per-statement timeline (the e15 surface).
-            inner.telemetry.scrub();
+            // per-statement timeline (the e15 surface), and so does the
+            // scrape retention ring: a "wiped" server whose status port
+            // still serves the last N scrape deltas has not wiped
+            // anything.
+            inner.host.scrub();
             inner.trace.clear();
-            // The scrape retention ring is diagnostics state too: a
-            // "wiped" server whose status port still serves the last N
-            // scrape deltas has not wiped anything.
-            if let Some(obs) = &inner.obs {
-                obs.ring().clear();
-            }
         }
     }
 
@@ -826,7 +818,7 @@ impl Db {
             .map(|t| t.snapshot_csn)
             .min()
             .unwrap_or(u64::MAX);
-        let scrub = inner.config.scrub_before_images;
+        let scrub = inner.host.config.scrub_before_images;
         inner.mvcc.vacuum(&mut inner.vdisk, horizon, scrub)
     }
 
@@ -847,11 +839,8 @@ impl Db {
         for p in inner.perf.clear() {
             inner.heap.free(p);
         }
-        inner.telemetry.scrub();
+        inner.host.scrub();
         inner.trace.clear();
-        if let Some(obs) = &inner.obs {
-            obs.ring().clear();
-        }
         inner.query_cache.clear();
         inner.adaptive_hash.clear();
         let horizon = inner
@@ -885,7 +874,7 @@ impl Db {
             let inner = &mut *g;
             inner.checkpoint();
             inner.bufpool.dump(&mut inner.vdisk);
-            inner.obs.take()
+            inner.host.obs.take()
         };
         // Join the obs accept thread *outside* the engine lock: a
         // health probe racing shutdown takes that lock, and joining
@@ -893,35 +882,24 @@ impl Db {
         drop(obs);
     }
 
-    /// Simulated crash: every volatile structure dies; disk state remains.
+    /// Simulated crash: the process dies, and a new one opens on what
+    /// survives — the disk and the [`Host`] — in the crashed state until
+    /// [`Db::recover`]. Host-held objects keep no process data: the
+    /// registry keeps its names but not its values, and the obs server
+    /// keeps no retained scrapes. The slow log's trace records are disk
+    /// state and survive, unlike the flight recorder.
     pub fn crash(&self) {
         let mut g = self.inner.lock();
+        g.host.scrub();
+        let host = std::mem::take(&mut g.host);
+        let vdisk = std::mem::take(&mut g.vdisk);
+        *g = DbInner::open(host, vdisk);
         g.crashed = true;
-        g.bufpool.crash();
-        g.mvcc.crash();
-        g.heap.clear();
-        g.query_cache.clear();
-        g.adaptive_hash.clear();
-        g.perf.clear();
-        g.runtime.clear();
-        g.txns.clear();
-        g.processlist = ProcessList::default();
-        // Process memory dies with the process: the registry's values go
-        // too (registrations and handles stay valid for the restart),
-        // and the in-memory flight recorder with them — unlike the
-        // slow log's trace records, which are disk state and survive.
-        g.telemetry.scrub();
-        g.trace.clear();
-        g.current_trace = None;
-        g.current_ctx = None;
-        if let Some(obs) = &g.obs {
-            obs.ring().clear();
-        }
     }
 
-    /// Crash recovery: ARIES-lite redo of logged changes (pageLSN-gated),
-    /// then rollback of transactions without a commit marker, then index
-    /// rebuild. Leaves the engine open for business.
+    /// Crash recovery: ARIES-lite redo of logged changes (pageLSN-gated)
+    /// and index rebuild, then rollback of transactions without a commit
+    /// marker. Leaves the engine open for business.
     pub fn recover(&self) -> DbResult<()> {
         let mut g = self.inner.lock();
         g.recover()
@@ -1000,6 +978,66 @@ impl Drop for Connection {
 }
 
 impl DbInner {
+    /// Builds a process on `vdisk` for `host`: every field but the host
+    /// comes from the disk's bytes or starts empty. On an empty disk this
+    /// is a fresh install; on the disk a crash left it is the restarted
+    /// process, whose tables [`DbInner::recover`] then rebuilds. Cannot
+    /// fail: everything that parses tables is recovery's.
+    fn open(host: Host, mut vdisk: VDisk) -> DbInner {
+        let config = &host.config;
+        let crypto = host
+            .wal_key
+            .map(|key| crate::wal::WalCrypto::new(key, config.server_id));
+        let mut wal = Wal::open(
+            &mut vdisk,
+            config.redo_capacity,
+            config.undo_capacity,
+            config.binlog_enabled,
+            crypto,
+        );
+        wal.attach_telemetry(&host.telemetry);
+        let mut bufpool = ShardedBufferPool::new(config.buffer_pool_pages, config.bufpool_shards);
+        bufpool.attach_telemetry(&host.telemetry);
+        let mut heap = HeapArena::new();
+        heap.secure_delete = config.heap_secure_delete;
+        heap.attach_telemetry(&host.telemetry);
+        DbInner {
+            catalog: Catalog::default(),
+            runtime: HashMap::new(),
+            bufpool,
+            wal,
+            heap,
+            query_cache: QueryCache::new(config.query_cache_enabled, QUERY_CACHE_ENTRIES),
+            adaptive_hash: AdaptiveHash::new(ADAPTIVE_HASH_THRESHOLD),
+            perf: PerfSchema::new(config.history_size),
+            processlist: ProcessList::default(),
+            metrics: EngineMetrics::new(&host.telemetry),
+            trace: if config.trace_enabled {
+                Recorder::new(config.trace_ring_capacity)
+            } else {
+                Recorder::new_disabled(config.trace_ring_capacity)
+            },
+            current_trace: None,
+            current_ctx: None,
+            trace_hash_key: mdb_trace::entropy64(),
+            mvcc: VersionStore::default(),
+            next_csn: crate::mvcc::max_csn(&vdisk) + 1,
+            txns: HashMap::new(),
+            statements_executed: 0,
+            staged_commit: None,
+            crashed: false,
+            applying: false,
+            repl_role: if config.read_only {
+                ReplRole::Replica
+            } else {
+                ReplRole::Primary
+            },
+            promotion_epoch: 0,
+            vdisk,
+            host,
+        }
+    }
+
     /// The `/healthz` payload: WAL position, buffer-pool occupancy, and
     /// replication lag, gated on the crashed flag. Runs on the obs
     /// accept thread under the engine lock — keep it cheap.
@@ -1030,7 +1068,7 @@ impl DbInner {
                 detail: format!(
                     "cached={}/{}",
                     self.bufpool.cached_pages(),
-                    self.config.buffer_pool_pages
+                    self.host.config.buffer_pool_pages
                 ),
             },
             HealthComponent {
@@ -1064,7 +1102,7 @@ impl DbInner {
                 ),
             },
         ];
-        if let Some(source) = &self.replica_status {
+        if let Some(source) = &self.host.replica_status {
             let rows = source();
             let lagging = rows.iter().filter(|r| r.state != "streaming").count();
             let max_lag = rows.iter().map(|r| r.lag_events).max().unwrap_or(0);
@@ -1110,8 +1148,8 @@ impl DbInner {
             return Err(DbError::Crashed);
         }
         self.statements_executed += 1;
-        self.now_unix += self.config.seconds_per_statement;
-        let started = self.now_unix;
+        self.host.now_unix += self.host.config.seconds_per_statement;
+        let started = self.host.now_unix;
 
         // The execution copy of the statement text: allocated in the
         // process heap for the duration of the statement (§5).
@@ -1154,7 +1192,7 @@ impl DbInner {
         self.perf
             .statement_start(conn_id, sql, digest, started, Some(hist_ptr));
         self.processlist.set_query(conn_id, Some(sql.to_string()));
-        if self.config.general_log_enabled {
+        if self.host.config.general_log_enabled {
             let line = format!("{started} {conn_id} Query\t{sql}\n");
             self.vdisk.append(GENERAL_LOG_FILE, line.as_bytes());
         }
@@ -1164,7 +1202,7 @@ impl DbInner {
         self.trace_begin("parse");
         self.trace_end(STAGE_COST_US);
         let outcome = front.stmt.and_then(|stmt| {
-            if self.config.read_only && !self.applying && writes_state(&stmt) {
+            if self.host.config.read_only && !self.applying && writes_state(&stmt) {
                 return Err(DbError::ReadOnly);
             }
             self.run_stmt(conn_id, sql, digest, stmt)
@@ -1201,7 +1239,7 @@ impl DbInner {
             Some(t) if self.trace.is_enabled() => Some(self.trace.record(t)),
             other => other,
         };
-        if duration_us > self.config.slow_query_threshold_us {
+        if duration_us > self.host.config.slow_query_threshold_us {
             // The slow log is a stream of versioned, checksummed trace
             // records (see `mdb_trace::record`) — the full span tree
             // when the tracer is armed, a minimal text+timing record
@@ -1225,10 +1263,10 @@ impl DbInner {
             self.heap.free(p);
         }
 
-        if self.config.bufpool_dump_interval > 0
+        if self.host.config.bufpool_dump_interval > 0
             && self
                 .statements_executed
-                .is_multiple_of(self.config.bufpool_dump_interval)
+                .is_multiple_of(self.host.config.bufpool_dump_interval)
         {
             self.bufpool.dump(&mut self.vdisk);
         }
@@ -1298,7 +1336,7 @@ impl DbInner {
                 // EXPLAIN ANALYZE always traces its target, even when
                 // the flight recorder is disarmed.
                 if self.current_trace.is_none() {
-                    let mut b = TraceBuilder::new(conn_id, self.now_unix, sql, digest);
+                    let mut b = TraceBuilder::new(conn_id, self.host.now_unix, sql, digest);
                     if let Some(c) = self.current_ctx {
                         b.set_ctx(c);
                     }
@@ -1369,8 +1407,7 @@ impl DbInner {
                 if self.txns.contains_key(&conn_id) {
                     return Err(DbError::Txn("nested BEGIN".into()));
                 }
-                let id = self.next_txn;
-                self.next_txn += 1;
+                let id = self.wal.alloc_txn();
                 self.txns.insert(
                     conn_id,
                     TxnState {
@@ -1410,15 +1447,14 @@ impl DbInner {
     /// this to reproduce schema changes on replicas.
     fn binlog_ddl(&mut self, sql: &str) {
         let lsn = self.wal.alloc_lsn();
-        let txn = self.next_txn;
-        self.next_txn += 1;
+        let txn = self.wal.alloc_txn();
         let ctx = self.binlog_ctx(self.current_ctx);
         self.wal.append_binlog(
             &mut self.vdisk,
             &BinlogEvent {
                 lsn,
                 txn,
-                timestamp: self.now_unix,
+                timestamp: self.host.now_unix,
                 statement: sql.to_string(),
                 ctx,
             },
@@ -1432,7 +1468,7 @@ impl DbInner {
     /// sits exactly where trace ids leave for other hosts.
     fn binlog_ctx(&self, ctx: Option<TraceContext>) -> Option<TraceContext> {
         match ctx {
-            Some(c) if self.config.trace_id_hashing => Some(c.rehash(self.trace_hash_key)),
+            Some(c) if self.host.config.trace_id_hashing => Some(c.rehash(self.trace_hash_key)),
             other => other,
         }
     }
@@ -1457,7 +1493,7 @@ impl DbInner {
         let schema = TableSchema::new(&lname, defs)?;
         let file = format!("table_{lname}.ibd");
         let mut heap = TableHeap::create(&self.bufpool, &mut self.vdisk, &file)?;
-        heap.set_zone_maps(self.config.zone_maps_enabled);
+        heap.set_zone_maps(self.host.config.zone_maps_enabled);
         let id = self.catalog.next_table_id.max(1);
         self.catalog.next_table_id = id + 1;
 
@@ -1581,7 +1617,7 @@ impl DbInner {
                 Some(ScanPlan {
                     prune: Some((col, lo, hi)),
                     ..
-                }) if self.config.zone_maps_enabled => format!(
+                }) if self.host.config.zone_maps_enabled => format!(
                     "full table scan on {} (zone-map pruned on {}, bounds {:?}..{:?})",
                     def.schema.name, def.schema.columns[col].name, lo, hi
                 ),
@@ -1691,7 +1727,7 @@ impl DbInner {
         self.trace_begin("mvcc_visibility");
         // The scan may have skipped compiling WHERE (index bounds
         // guaranteed it); a committed image did not come through it.
-        let pred = where_clause.map(|w| Predicate::compile(w, schema, &self.functions));
+        let pred = where_clause.map(|w| Predicate::compile(w, schema, &self.host.functions));
         rows.retain(|r| overlay.binary_search_by_key(&r.id, |(id, _)| *id).is_err());
         let patched = overlay.len() as u64;
         self.trace_attr("rows_patched", patched);
@@ -1770,7 +1806,7 @@ impl DbInner {
         let pred = sel
             .where_clause
             .as_ref()
-            .map(|w| Predicate::compile(w, &def.schema, &self.functions));
+            .map(|w| Predicate::compile(w, &def.schema, &self.host.functions));
         let mut rows = Vec::with_capacity(visible.len());
         for r in visible {
             if pred.as_ref().map_or(Ok(true), |p| p.holds(&r))? {
@@ -1789,7 +1825,7 @@ impl DbInner {
             }
             ("performance_schema", "threads") => {
                 // threads: thread id, user, and what it is running now.
-                let (_, plist) = self.processlist.render(self.now_unix);
+                let (_, plist) = self.processlist.render(self.host.now_unix);
                 let cols = vec![
                     "thread_id".to_string(),
                     "processlist_user".to_string(),
@@ -1801,7 +1837,7 @@ impl DbInner {
                     .collect();
                 (cols, rows)
             }
-            ("information_schema", "processlist") => self.processlist.render(self.now_unix),
+            ("information_schema", "processlist") => self.processlist.render(self.host.now_unix),
             ("information_schema", "replicas") => {
                 // Replication topology and lag, as reported by the
                 // coordinator. Yet another diagnostic surface: one
@@ -1816,7 +1852,7 @@ impl DbInner {
                     "retries".to_string(),
                     "last_heartbeat".to_string(),
                 ];
-                let rows = match &self.replica_status {
+                let rows = match &self.host.replica_status {
                     Some(source) => source()
                         .into_iter()
                         .map(|s| {
@@ -1839,7 +1875,7 @@ impl DbInner {
                 // The live registry, SQL-readable. An attacker with a
                 // stolen connection (or an injection point) reads the
                 // accumulated query distribution with one SELECT.
-                let snap = self.telemetry.snapshot();
+                let snap = self.host.telemetry.snapshot();
                 let cols = vec![
                     "metric".to_string(),
                     "kind".to_string(),
@@ -1929,7 +1965,7 @@ impl DbInner {
         let pred = sel
             .where_clause
             .as_ref()
-            .map(|w| Predicate::compile(w, &schema_like, &self.functions));
+            .map(|w| Predicate::compile(w, &schema_like, &self.host.functions));
         let mut kept = Vec::new();
         let examined = rows.len() as u64;
         for values in rows {
@@ -1966,7 +2002,7 @@ impl DbInner {
         // filter per row is pure overhead — there is none to compile.
         let pred = where_clause
             .filter(|_| !plan.guaranteed)
-            .map(|w| Predicate::compile(w, &def.schema, &self.functions));
+            .map(|w| Predicate::compile(w, &def.schema, &self.host.functions));
         self.trace_attr("index_used", plan.index.is_some() as u64);
         self.trace_end(STAGE_COST_US);
 
@@ -2003,7 +2039,7 @@ impl DbInner {
                 // zone map first so non-matching pages are never decoded.
                 let prune = plan
                     .prune
-                    .filter(|_| self.config.zone_maps_enabled)
+                    .filter(|_| self.host.config.zone_maps_enabled)
                     .map(|(col, lo, hi)| (col as u16, lo, hi));
                 Some(rt.heap.scan_into(
                     &self.bufpool,
@@ -2135,11 +2171,7 @@ impl DbInner {
         let explicit = self.txns.contains_key(&conn_id);
         let txn_id = match self.txns.get(&conn_id) {
             Some(t) => t.id,
-            None => {
-                let id = self.next_txn;
-                self.next_txn += 1;
-                id
-            }
+            None => self.wal.alloc_txn(),
         };
         let mut undo_written = Vec::new();
         let version_mark = self.mvcc.pending_mark(txn_id);
@@ -2342,18 +2374,6 @@ impl DbInner {
         self.wal.record_fsync();
     }
 
-    /// Reads the checkpoint: `(lsn, active transaction ids)`.
-    fn read_checkpoint(&self) -> (u64, std::collections::HashSet<u64>) {
-        let Some(buf) = self.vdisk.read(CHECKPOINT_FILE) else {
-            return (0, Default::default());
-        };
-        let mut r = mdb_trace::codec::Reader::new(buf);
-        let (Ok(lsn), Ok(n)) = (r.u64(), r.u32()) else {
-            return (0, Default::default());
-        };
-        (lsn, (0..n).map_while(|_| r.u64().ok()).collect())
-    }
-
     fn insert_row(
         &mut self,
         txn_id: u64,
@@ -2542,7 +2562,7 @@ impl DbInner {
         if let Some(t) = self.current_trace.as_mut() {
             t.table(table);
         }
-        let telemetry = &self.telemetry;
+        let telemetry = &self.host.telemetry;
         self.metrics
             .table_access
             .entry(table.to_string())
@@ -2576,7 +2596,7 @@ impl DbInner {
                 &BinlogEvent {
                     lsn,
                     txn: txn.id,
-                    timestamp: self.now_unix,
+                    timestamp: self.host.now_unix,
                     statement: stmt.clone(),
                     ctx,
                 },
@@ -2589,7 +2609,7 @@ impl DbInner {
         // The durability point: the redo write and the binlog sync.
         self.trace_begin("commit");
         self.durability_point();
-        if self.group_commit.is_some() {
+        if self.host.group_commit.is_some() {
             self.trace_attr("group_commit", 1);
         } else {
             self.trace_attr("fsyncs", 1);
@@ -2605,7 +2625,7 @@ impl DbInner {
     /// here; the caller performs the wait after releasing the lock, and
     /// one pipeline leader fsyncs for the whole batch.
     fn durability_point(&mut self) {
-        match &self.group_commit {
+        match &self.host.group_commit {
             Some(p) => {
                 let lsn = self.wal.current_lsn();
                 p.stage(lsn);
@@ -2621,7 +2641,10 @@ impl DbInner {
     /// the engine guard.
     pub(crate) fn take_staged_commit(&mut self) -> Option<(Arc<GroupCommitPipeline>, u64)> {
         let lsn = self.staged_commit.take()?;
-        self.group_commit.as_ref().map(|p| (Arc::clone(p), lsn))
+        self.host
+            .group_commit
+            .as_ref()
+            .map(|p| (Arc::clone(p), lsn))
     }
 
     fn rollback_txn(&mut self, txn: TxnState) -> DbResult<()> {
@@ -2696,105 +2719,57 @@ impl DbInner {
     // ================= recovery =================
 
     pub(crate) fn recover(&mut self) -> DbResult<()> {
-        // 1. Reload durable metadata.
+        // 1. Redo, one table at a time: open the heap from its (possibly
+        //    stale) pages, replay the logged changes newer than each
+        //    page's LSN, then rebuild the indexes from the redone heap
+        //    (index changes are not WAL-logged in MiniDB; a full rebuild
+        //    replaces them).
         self.catalog = Catalog::load(&self.vdisk)?;
         self.runtime.clear();
-        // 2. Open heaps from the (possibly stale) disk pages.
-        let defs: Vec<TableDef> = self.catalog.tables.values().cloned().collect();
-        for def in &defs {
-            let mut heap = TableHeap::open(&self.bufpool, &mut self.vdisk, &def.file)?;
-            heap.set_zone_maps(self.config.zone_maps_enabled);
-            self.runtime.insert(
-                def.schema.name.clone(),
-                RuntimeTable {
-                    heap,
-                    btrees: Vec::new(),
-                },
-            );
-        }
-        // 3. Redo phase: replay logged changes newer than each page's LSN.
         let redo = self.wal.carve_redo(&self.vdisk);
-        let max_lsn = redo.iter().map(|r| r.lsn).max().unwrap_or(0);
         let committed: std::collections::HashSet<u64> = redo
             .iter()
             .filter(|r| r.op == OpKind::Commit)
             .map(|r| r.txn)
             .collect();
-        for rec in &redo {
-            if rec.op == OpKind::Commit {
-                continue;
-            }
-            let Some(def) = self.catalog.get_by_id(rec.table_id).cloned() else {
-                continue;
-            };
-            let rt = self
-                .runtime
-                .get_mut(&def.schema.name)
-                .expect("opened above");
-            match rec.op {
-                OpKind::Insert => rt.heap.replay_insert(
-                    &self.bufpool,
-                    &mut self.vdisk,
-                    rec.lsn,
-                    rec.page_no,
-                    rec.slot,
-                    &rec.after,
-                )?,
-                OpKind::Update => rt.heap.replay_update(
-                    &self.bufpool,
-                    &mut self.vdisk,
-                    rec.lsn,
-                    rec.page_no,
-                    rec.slot,
-                    &rec.after,
-                )?,
-                OpKind::Delete => rt.heap.replay_delete(
-                    &self.bufpool,
-                    &mut self.vdisk,
-                    rec.lsn,
-                    rec.page_no,
-                    rec.slot,
-                )?,
-                OpKind::Commit => unreachable!(),
-            }
-        }
-        self.wal.set_next_lsn(max_lsn + 1);
-        // 4. Rebuild indexes from the redone heaps (index changes are not
-        //    WAL-logged in MiniDB; a full rebuild replaces them).
+        let defs: Vec<TableDef> = self.catalog.tables.values().cloned().collect();
         for def in &defs {
+            let (pool, disk) = (&self.bufpool, &mut self.vdisk);
+            let mut heap = TableHeap::open(pool, disk, &def.file)?;
+            heap.set_zone_maps(self.host.config.zone_maps_enabled);
+            for rec in redo.iter().filter(|r| r.table_id == def.id) {
+                let (lsn, page, slot) = (rec.lsn, rec.page_no, rec.slot);
+                match rec.op {
+                    OpKind::Insert => {
+                        heap.replay_insert(pool, disk, lsn, page, slot, &rec.after)?
+                    }
+                    OpKind::Update => {
+                        heap.replay_update(pool, disk, lsn, page, slot, &rec.after)?
+                    }
+                    OpKind::Delete => heap.replay_delete(pool, disk, lsn, page, slot)?,
+                    OpKind::Commit => {}
+                }
+            }
+            let rows = heap.scan(pool, disk)?;
             let mut btrees = Vec::new();
-            let rows = {
-                let rt = self
-                    .runtime
-                    .get_mut(&def.schema.name)
-                    .expect("opened above");
-                rt.heap.scan(&self.bufpool, &mut self.vdisk)?
-            };
             for ix in &def.indexes {
-                self.vdisk.remove(&ix.file);
-                let bt = BTree::create(&self.bufpool, &mut self.vdisk, &ix.file)?;
+                disk.remove(&ix.file);
+                let bt = BTree::create(pool, disk, &ix.file)?;
                 for row in &rows {
-                    bt.insert(
-                        &self.bufpool,
-                        &mut self.vdisk,
-                        &row.values[ix.column_idx],
-                        row.id,
-                    )?;
+                    bt.insert(pool, disk, &row.values[ix.column_idx], row.id)?;
                 }
                 btrees.push(bt);
             }
             self.runtime
-                .get_mut(&def.schema.name)
-                .expect("opened above")
-                .btrees = btrees;
+                .insert(def.schema.name.clone(), RuntimeTable { heap, btrees });
         }
-        // 5. Undo phase. Candidates for rollback are only transactions
+        // 2. Undo phase. Candidates for rollback are only transactions
         //    that were live at or after the last checkpoint: the
         //    checkpoint's active-transaction table plus every txn whose
         //    redo records postdate the checkpoint LSN. Older transactions
         //    without a visible commit marker committed long ago — their
         //    markers merely wrapped out of the circular log.
-        let (ckpt_lsn, ckpt_active) = self.read_checkpoint();
+        let (ckpt_lsn, ckpt_active) = crate::wal::read_checkpoint(&self.vdisk);
         let mut candidates: std::collections::HashSet<u64> = ckpt_active;
         for rec in &redo {
             if rec.lsn >= ckpt_lsn && rec.op != OpKind::Commit {
@@ -3294,5 +3269,203 @@ mod tests {
             wal_key: None,
         };
         assert_eq!(spelled_out, DbConfig::default());
+    }
+
+    /// Small rings so a few hundred statements wrap them.
+    fn small_rings() -> DbConfig {
+        DbConfig {
+            redo_capacity: 4096,
+            undo_capacity: 4096,
+            ..DbConfig::default()
+        }
+    }
+
+    /// A second host holding what `host` holds, with a registry of its
+    /// own: the operator re-supplying the same configuration and key.
+    fn fork(host: &Host) -> Host {
+        Host {
+            config: host.config.clone(),
+            wal_key: host.wal_key,
+            functions: host.functions.clone(),
+            telemetry: Registry::new(),
+            obs: None,
+            replica_status: host.replica_status.clone(),
+            group_commit: host.group_commit.clone(),
+            now_unix: host.now_unix,
+            next_conn: host.next_conn,
+        }
+    }
+
+    /// A memory image rendered field by field; telemetry by value only,
+    /// because a scrubbed registry keeps the names it had.
+    fn render(image: &crate::snapshot::MemoryImage) -> Vec<(&'static str, String)> {
+        let m = &image.metrics;
+        let counters: Vec<_> = m.counters.iter().filter(|(_, v)| *v != 0).collect();
+        let gauges: Vec<_> = m.gauges.iter().filter(|(_, v)| *v != 0).collect();
+        let histograms: Vec<_> = m.histograms.iter().filter(|h| h.count != 0).collect();
+        vec![
+            ("heap", format!("{:?}", image.heap)),
+            ("processlist", format!("{:?}", image.processlist)),
+            (
+                "statements_current",
+                format!("{:?}", image.statements_current),
+            ),
+            (
+                "statements_history",
+                format!("{:?}", image.statements_history),
+            ),
+            ("digest_summary", format!("{:?}", image.digest_summary)),
+            ("query cache", format!("{:?}", image.cached_queries)),
+            ("cached_pages", format!("{:?}", image.cached_pages)),
+            (
+                "page_access_counts",
+                format!("{:?}", image.page_access_counts),
+            ),
+            ("adaptive hash", format!("{:?}", image.adaptive_hash_keys)),
+            ("version chains", format!("{:?}", image.version_chains)),
+            ("zone maps", format!("{:?}", image.zone_maps)),
+            ("traces", format!("{:?}", image.query_traces)),
+            (
+                "telemetry",
+                format!("{counters:?} {gauges:?} {histograms:?}"),
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_crashed_engine_is_open_on_its_disk_and_host() {
+        let db = Db::open(DbConfig {
+            encrypted_wal: true,
+            ..small_rings()
+        });
+        let conn = db.connect("app");
+        conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        for i in 0..60 {
+            conn.execute(&format!("INSERT INTO t VALUES ({i}, {i})"))
+                .unwrap();
+        }
+        for i in 0..20 {
+            conn.execute(&format!("UPDATE t SET v = {} WHERE id = {}", i * 7, i % 5))
+                .unwrap();
+            conn.execute("SELECT v FROM t WHERE id = 3").unwrap();
+            conn.execute("SELECT COUNT(*) FROM t WHERE v > 10").unwrap();
+        }
+        conn.execute("BEGIN").unwrap();
+        conn.execute("UPDATE t SET v = -1 WHERE id = 2").unwrap();
+        // A table with uncommitted writes is never cached; this one is.
+        let other = db.connect("report");
+        other
+            .execute("CREATE TABLE s (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        other.execute("INSERT INTO s VALUES (1, 1)").unwrap();
+        other.execute("SELECT v FROM s WHERE id = 1").unwrap();
+        // Every surface the comparison covers but the in-flight statement
+        // table (empty between statements) holds something before the
+        // crash, so an equal image after it means it was rebuilt.
+        let live = render(&db.memory_image());
+        let (key_before, csn_before) = {
+            let g = db.inner.lock();
+            (g.trace_hash_key, g.next_csn)
+        };
+
+        db.crash();
+        let crashed = render(&db.memory_image());
+        let reopened = {
+            let g = db.inner.lock();
+            Db {
+                inner: Arc::new(Mutex::new(DbInner::open(fork(&g.host), g.vdisk.clone()))),
+            }
+        };
+        for ((field, live), ((_, after), (_, fresh))) in live
+            .iter()
+            .zip(crashed.iter().zip(&render(&reopened.memory_image())))
+        {
+            if *field != "statements_current" {
+                assert_ne!(live, fresh, "{field} was empty before the crash");
+            }
+            assert_eq!(after, fresh, "{field} outlived the crash");
+        }
+        assert_past_the_disk(&db);
+        let g = db.inner.lock();
+        assert_ne!(
+            g.trace_hash_key, key_before,
+            "the hashing key is per process"
+        );
+        // The last commit inserted into `s` and stamped no version
+        // record, so its CSN is on no byte and the count steps back.
+        assert_eq!(g.next_csn, csn_before - 1);
+        assert!(g.crashed && g.txns.is_empty() && g.runtime.is_empty());
+    }
+
+    /// Every number a restarted process allocates lies past every one on
+    /// its disk: LSNs (page LSNs included), transaction ids and CSNs.
+    /// This, not equality with the dead process's counters, is what
+    /// recovery and snapshot visibility need.
+    fn assert_past_the_disk(db: &Db) {
+        let mut g = db.inner.lock();
+        let g = &mut *g;
+        let redo = g.wal.carve_redo(&g.vdisk);
+        let undo = g.wal.carve_undo(&g.vdisk);
+        let binlog = g.wal.carve_binlog(&g.vdisk);
+        let ids = redo
+            .iter()
+            .map(|r| (r.lsn, r.txn))
+            .chain(undo.iter().map(|r| (r.lsn, r.txn)))
+            .chain(binlog.iter().map(|e| (e.lsn, e.txn)));
+        let (mut max_lsn, mut max_txn) = ids.fold((0, 0), |a, b| (a.0.max(b.0), a.1.max(b.1)));
+        for (name, bytes) in &g.vdisk.files {
+            if name.ends_with(".ibd") && name != crate::mvcc::VERSIONS_FILE {
+                for page in bytes.chunks(crate::storage::PAGE_SIZE) {
+                    let mut page = page.to_vec();
+                    max_lsn = max_lsn.max(crate::storage::Page::new(&mut page).lsn());
+                }
+            }
+        }
+        let (_, active) = crate::wal::read_checkpoint(&g.vdisk);
+        max_txn = active.into_iter().fold(max_txn, u64::max);
+        assert!(max_lsn > 0 && max_txn > 0, "the disk holds records");
+        assert!(g.wal.current_lsn() > max_lsn);
+        assert!(g.wal.alloc_txn() > max_txn);
+        assert!(g.next_csn > crate::mvcc::max_csn(&g.vdisk));
+    }
+
+    /// The transaction a second crash interrupts must get an id no
+    /// record on disk carries: reusing one whose commit marker is still
+    /// in the redo ring would make recovery keep its uncommitted writes.
+    #[test]
+    fn a_second_crash_rolls_back_what_the_first_recovery_let_open() {
+        let db = Db::open(small_rings());
+        let rows = |db: &Db, sql: &str| {
+            let mut rows = db.connect("check").execute(sql).unwrap().rows;
+            rows.sort_by_key(|r| format!("{r:?}"));
+            rows
+        };
+        {
+            let conn = db.connect("app");
+            conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+                .unwrap();
+            for i in 0..8 {
+                conn.execute(&format!("INSERT INTO t VALUES ({i}, {i})"))
+                    .unwrap();
+            }
+        }
+        db.purge_binlog();
+        db.crash();
+        assert_past_the_disk(&db);
+        db.recover().unwrap();
+        let conn = db.connect("app");
+        conn.execute("INSERT INTO t VALUES (100, 100)").unwrap();
+        conn.execute("BEGIN").unwrap();
+        conn.execute("UPDATE t SET v = -1 WHERE id = 1").unwrap();
+        conn.execute("INSERT INTO t VALUES (101, 101)").unwrap();
+        conn.execute("DELETE FROM t WHERE id = 2").unwrap();
+        db.crash();
+        assert_past_the_disk(&db);
+        db.recover().unwrap();
+        assert_eq!(
+            rows(&db, "SELECT id, v FROM t WHERE id < 3 OR id > 99"),
+            [[0, 0], [1, 1], [100, 100], [2, 2]].map(|r| r.map(Value::Int).to_vec())
+        );
     }
 }

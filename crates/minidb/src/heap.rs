@@ -193,15 +193,6 @@ impl HeapArena {
         }
         count
     }
-
-    /// Drops everything (process restart).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        for f in &mut self.free {
-            f.clear();
-        }
-        self.free_huge.clear();
-    }
 }
 
 #[cfg(test)]
@@ -289,14 +280,5 @@ mod tests {
         let q = h.alloc_str("still_alive_marker");
         assert_eq!(h.count_occurrences(b"still_alive_marker"), 1);
         h.free(q);
-    }
-
-    #[test]
-    fn clear_wipes() {
-        let mut h = HeapArena::new();
-        h.alloc(b"data");
-        h.clear();
-        assert_eq!(h.size(), 0);
-        assert_eq!(h.count_occurrences(b"data"), 0);
     }
 }

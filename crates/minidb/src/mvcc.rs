@@ -69,6 +69,8 @@ pub const OP_DELETE: u8 = 2;
 const STATE_OFF: usize = 4;
 const XMIN_OFF: usize = 6;
 const XMAX_OFF: usize = 14;
+const NAME_LEN_OFF: usize = 30;
+const ROW_LEN_OFF: usize = 32;
 const HEADER_LEN: usize = 36;
 
 /// One archived row version in a chain.
@@ -135,6 +137,28 @@ fn encode_record(state: u8, op: u8, xmin: u64, xmax: u64, key: &Key, row: &Row) 
     out.extend_from_slice(name);
     out.extend_from_slice(&row_bytes);
     out
+}
+
+/// The highest CSN stamped into any record of [`VERSIONS_FILE`] (0 when
+/// there is none): a restarted process numbers its commits past it.
+/// A commit that superseded nothing (an INSERT-only one) stamps no
+/// record, so this can trail the dead process's counter — harmlessly:
+/// no byte on disk carries the CSNs in between, and a restarted
+/// process's chains start empty, so every row it reads is visible.
+pub fn max_csn(vdisk: &VDisk) -> u64 {
+    let raw = vdisk.read(VERSIONS_FILE).unwrap_or_default();
+    let le = |at: usize, len: usize| {
+        raw[at..at + len]
+            .iter()
+            .rev()
+            .fold(0, |v, b| v << 8 | *b as u64)
+    };
+    let (mut pos, mut max) = (0, 0);
+    while pos + HEADER_LEN <= raw.len() && &raw[pos..pos + 4] == VERSION_MAGIC {
+        max = max.max(le(pos + XMIN_OFF, 8)).max(le(pos + XMAX_OFF, 8));
+        pos += HEADER_LEN + le(pos + NAME_LEN_OFF, 2) as usize + le(pos + ROW_LEN_OFF, 4) as usize;
+    }
+    max
 }
 
 impl VersionStore {
@@ -453,14 +477,6 @@ impl VersionStore {
         self.chains.retain(|(t, _), _| t != table);
         self.row_xmin.retain(|(t, _), _| t != table);
         self.pending_owner.retain(|(t, _), _| t != table);
-    }
-
-    /// Volatile state dies with the process; [`VERSIONS_FILE`] survives.
-    pub fn crash(&mut self) {
-        self.chains.clear();
-        self.row_xmin.clear();
-        self.pending_owner.clear();
-        self.pending.clear();
     }
 
     /// The uncommitted overlay of `table`: every row whose current heap

@@ -183,7 +183,7 @@ impl Db {
                 .cloned()
                 .collect(),
             processlist: g.processlist.entries().into_iter().cloned().collect(),
-            metrics: g.telemetry.snapshot(),
+            metrics: g.host.telemetry.snapshot(),
             query_traces: g.trace.traces(),
             zone_maps: g
                 .zone_map_pages()

@@ -475,17 +475,6 @@ impl ShardedBufferPool {
         }
     }
 
-    /// Drops all volatile state *without flushing* — the crash path.
-    pub fn crash(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.frames.clear();
-            shard.lru.clear();
-            shard.access_counts.clear();
-        }
-        self.tick.store(0, Ordering::Relaxed);
-    }
-
     /// Number of frames currently cached across all shards.
     pub fn cached_pages(&self) -> usize {
         self.shards.iter().map(|s| s.lock().frames.len()).sum()
@@ -538,12 +527,15 @@ mod tests {
     }
 
     #[test]
-    fn crash_loses_unflushed_changes() {
+    fn dropped_pool_loses_unflushed_changes() {
         let (bp, mut vd) = setup();
         bp.allocate_page(&mut vd, "t.ibd");
         bp.with_page_mut(&mut vd, "t.ibd", 0, |b| b[60] = 9)
             .unwrap();
-        bp.crash();
+        // A crash: the pool dies with the process, and the next one
+        // starts empty on the same disk.
+        drop(bp);
+        let bp = ShardedBufferPool::new(8, 4);
         let v = bp.with_page(&mut vd, "t.ibd", 0, |b| b[60]).unwrap();
         assert_eq!(v, 0, "dirty page must be lost on crash");
     }
@@ -555,7 +547,8 @@ mod tests {
         bp.with_page_mut(&mut vd, "t.ibd", 0, |b| b[60] = 9)
             .unwrap();
         bp.flush_all(&mut vd);
-        bp.crash();
+        drop(bp);
+        let bp = ShardedBufferPool::new(8, 4);
         let v = bp.with_page(&mut vd, "t.ibd", 0, |b| b[60]).unwrap();
         assert_eq!(v, 9);
     }

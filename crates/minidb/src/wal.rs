@@ -19,6 +19,12 @@
 //! The three logs are ordinary [`VDisk`] files ([`REDO_FILE`],
 //! [`UNDO_FILE`], [`BINLOG_FILE`]); [`Wal`] holds only the cursors into
 //! them and the sealing key, so its methods take the disk they write.
+//! [`Wal::open`] derives every cursor from those files' bytes, so a
+//! restarted process resumes exactly where the logs say, not where its
+//! predecessor's memory said.
+
+use std::borrow::Cow;
+use std::collections::HashSet;
 
 use mdb_telemetry::{Counter, Registry};
 use mdb_trace::codec::{self, put_bytes32, put_i64, put_u16, put_u32, put_u64, Reader};
@@ -43,6 +49,12 @@ pub const BINLOG_FILE: &str = "binlog.000001";
 /// it rides along in cold [`crate::snapshot::DiskImage`]s — which is
 /// exactly the failover-only artifact E21 carves.
 pub const DIVERGENT_FILE: &str = "binlog.divergent";
+/// The binlog's purge horizon: the sequence number of the oldest event
+/// [`Wal::purge_binlog`] kept, as 8 little-endian bytes. Written only by
+/// a purge (MySQL keeps the same fact in its binlog index), it is what
+/// lets a restarted process number the events still in the binlog — and
+/// it tells a disk thief how many events were purged.
+pub const BINLOG_INDEX_FILE: &str = "binlog.index";
 
 /// Operation tags shared by redo and undo records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -293,7 +305,8 @@ pub fn carve_enc_frames(raw: &[u8]) -> Vec<(usize, &[u8])> {
 /// The write cursor of a fixed-capacity circular log file. The file is
 /// created zero-filled at its full capacity and never changes length;
 /// wrap-around overwrites the oldest bytes, exactly bounding how much
-/// history a disk snapshot contains.
+/// history a disk snapshot contains. A wrap zeroes the tail, so the
+/// cursor is always the end of the newest (highest-LSN) record.
 #[derive(Debug)]
 pub struct CircularLog {
     file: &'static str,
@@ -400,11 +413,14 @@ impl std::fmt::Debug for WalCrypto {
     }
 }
 
-/// The WAL subsystem: the LSN allocator and the cursors into the two
-/// circular logs and the binlog.
+/// The WAL subsystem: the LSN and transaction-id allocators and the
+/// cursors into the two circular logs and the binlog.
 #[derive(Debug)]
 pub struct Wal {
     next_lsn: u64,
+    /// Transaction ids are log-record fields like LSNs, and are
+    /// allocated past every one on disk the same way.
+    next_txn: u64,
     /// Redo log cursor ([`REDO_FILE`]).
     pub redo: CircularLog,
     /// Undo log cursor ([`UNDO_FILE`]).
@@ -426,32 +442,102 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Creates the WAL and its files on `disk`: both circular logs at
-    /// their full capacities, and the binlog empty (even when disabled).
-    pub fn new(
+    /// Opens the WAL on `disk`, sealing with `crypto` when set. Missing
+    /// files are created: both circular logs zero-filled at their full
+    /// capacities, the binlog empty (even when disabled). Files already
+    /// there are an earlier process's logs, and every cursor comes from
+    /// their bytes, sealed frames opened with the key:
+    ///
+    /// * each ring's write position is the end of its highest-LSN frame;
+    /// * the next LSN and transaction id are one past the highest in any
+    ///   ring, binlog or [`DIVERGENT_FILE`] record and in the checkpoint
+    ///   (whose LSN is already the *next* one), so nothing a restarted
+    ///   process logs can collide with a byte already on disk;
+    /// * the binlog's next sequence number is the purge horizon
+    ///   ([`BINLOG_INDEX_FILE`]) plus the frames still in the binlog.
+    pub fn open(
         disk: &mut VDisk,
         redo_capacity: usize,
         undo_capacity: usize,
         binlog_enabled: bool,
+        crypto: Option<WalCrypto>,
     ) -> Self {
-        disk.write(BINLOG_FILE, Vec::new());
-        Wal {
+        let mut wal = Wal {
             next_lsn: 1,
-            redo: CircularLog::create(disk, REDO_FILE, redo_capacity),
-            undo: CircularLog::create(disk, UNDO_FILE, undo_capacity),
+            next_txn: 1,
+            redo: CircularLog {
+                file: REDO_FILE,
+                write_pos: 0,
+            },
+            undo: CircularLog {
+                file: UNDO_FILE,
+                write_pos: 0,
+            },
             binlog_enabled,
             binlog_next_seq: 0,
             binlog_purged_seq: 0,
-            crypto: None,
+            crypto,
             metrics: None,
+        };
+        // The highest (LSN, transaction id) on disk.
+        let mut high = (0, 0);
+        let redo_end = wal.ring_end(disk, REDO_FILE, &mut high);
+        let undo_end = wal.ring_end(disk, UNDO_FILE, &mut high);
+        for (ring, end, capacity) in [
+            (&mut wal.redo, redo_end, redo_capacity),
+            (&mut wal.undo, undo_end, undo_capacity),
+        ] {
+            match end {
+                Some(end) => ring.write_pos = end,
+                None => *ring = CircularLog::create(disk, ring.file, capacity),
+            }
         }
+        if disk.read(BINLOG_FILE).is_none() {
+            disk.write(BINLOG_FILE, Vec::new());
+        }
+        for file in [BINLOG_FILE, DIVERGENT_FILE] {
+            let raw = disk.read(file).unwrap_or_default();
+            for f in codec::scan(&codec::WAL, raw) {
+                if let Ok(ev) = wal.decode_binlog_frame(f.alt, f.payload) {
+                    high = (high.0.max(ev.lsn), high.1.max(ev.txn));
+                }
+            }
+        }
+        wal.binlog_purged_seq = disk
+            .read(BINLOG_INDEX_FILE)
+            .and_then(|b| b.try_into().ok())
+            .map_or(0, u64::from_le_bytes);
+        wal.binlog_next_seq = wal.binlog_purged_seq + wal.binlog_frames(disk).count() as u64;
+        let (ckpt_lsn, ckpt_active) = read_checkpoint(disk);
+        wal.next_lsn = (high.0 + 1).max(ckpt_lsn);
+        wal.next_txn = ckpt_active.into_iter().fold(high.1, u64::max) + 1;
+        wal
     }
 
-    /// Arms log encryption: every subsequent append is sealed under
-    /// `key` with this node's `origin` (server id) mixed into the
-    /// subkey, and recovery/cursor reads open sealed frames with it.
-    pub fn set_crypto(&mut self, key: [u8; 32], origin: u64) {
-        self.crypto = Some(WalCrypto::new(key, origin));
+    /// Where ring `file`'s next record goes: the end of its highest-LSN
+    /// record, or `None` when the file does not exist. Folds every
+    /// record's LSN and transaction id into `high`.
+    fn ring_end(&self, disk: &VDisk, file: &str, high: &mut (u64, u64)) -> Option<usize> {
+        use edb_crypto::logenc::{STREAM_REDO, STREAM_UNDO};
+        let raw = disk.read(file)?;
+        let stream = if file == REDO_FILE {
+            STREAM_REDO
+        } else {
+            STREAM_UNDO
+        };
+        let mut newest = (0, 0);
+        for (end, payload) in self.payloads(raw, stream) {
+            let ids = match stream {
+                STREAM_REDO => RedoRecord::decode(&payload).map(|r| (r.lsn, r.txn)),
+                _ => UndoRecord::decode(&payload).map(|r| (r.lsn, r.txn)),
+            };
+            let Ok((lsn, txn)) = ids else {
+                continue;
+            };
+            *high = (high.0.max(lsn), high.1.max(txn));
+            newest = newest.max((lsn, end));
+        }
+        Some(newest.1)
     }
 
     /// Registers this WAL's counters on `registry`.
@@ -480,6 +566,13 @@ impl Wal {
         let l = self.next_lsn;
         self.next_lsn += 1;
         l
+    }
+
+    /// Allocates the next transaction id.
+    pub fn alloc_txn(&mut self) -> u64 {
+        let t = self.next_txn;
+        self.next_txn += 1;
+        t
     }
 
     /// Current LSN high-water mark.
@@ -551,13 +644,18 @@ impl Wal {
         }
     }
 
-    /// Administrative `PURGE BINARY LOGS`: drops all events up to now.
+    /// Administrative `PURGE BINARY LOGS`: drops all events up to now
+    /// and records the new horizon in [`BINLOG_INDEX_FILE`].
     /// Also resets the `wal.binlog.*` counters — they track the *live*
     /// binlog volume, and a registry that keeps reporting purged bytes
     /// would overstate what a scrub actually removed (E12).
     pub fn purge_binlog(&mut self, disk: &mut VDisk) {
         disk.write(BINLOG_FILE, Vec::new());
         self.binlog_purged_seq = self.binlog_next_seq;
+        disk.write(
+            BINLOG_INDEX_FILE,
+            self.binlog_purged_seq.to_le_bytes().to_vec(),
+        );
         if let Some(m) = &self.metrics {
             m.binlog_bytes.reset();
             m.binlog_events.reset();
@@ -688,18 +786,21 @@ impl Wal {
         }
     }
 
-    /// Opens every sealed frame in `raw` that belongs to `stream`,
-    /// returning decrypted payloads in offset order.
-    fn open_stream(&self, raw: &[u8], stream: u8) -> Vec<Vec<u8>> {
-        let Some(c) = &self.crypto else {
-            return Vec::new();
-        };
-        carve_enc_frames(raw)
-            .into_iter()
-            .filter_map(|(_, p)| c.open(p))
-            .filter(|(_, s, _, _)| *s == stream)
-            .map(|(_, _, _, plain)| plain)
-            .collect()
+    /// Every record payload in `raw` this WAL can read, in offset order,
+    /// each with the offset one past its frame: plaintext frames as they
+    /// are, sealed frames of `stream` opened with the key.
+    fn payloads<'a>(
+        &'a self,
+        raw: &'a [u8],
+        stream: u8,
+    ) -> impl Iterator<Item = (usize, Cow<'a, [u8]>)> + 'a {
+        codec::scan(&codec::WAL, raw).filter_map(move |f| {
+            if !f.alt {
+                return Some((f.end, Cow::Borrowed(f.payload)));
+            }
+            let (_, s, _, plain) = self.crypto.as_ref()?.open(f.payload)?;
+            (s == stream).then_some((f.end, Cow::Owned(plain)))
+        })
     }
 
     /// Parses every intact redo record currently in the circular buffer,
@@ -707,15 +808,10 @@ impl Wal {
     /// without the key the attacker decodes only plaintext-era frames).
     pub fn carve_redo(&self, disk: &VDisk) -> Vec<RedoRecord> {
         let raw = disk.read(REDO_FILE).unwrap_or_default();
-        let mut recs: Vec<RedoRecord> = carve_frames(raw)
-            .into_iter()
-            .filter_map(|(_, p)| RedoRecord::decode(p).ok())
+        let mut recs: Vec<RedoRecord> = self
+            .payloads(raw, edb_crypto::logenc::STREAM_REDO)
+            .filter_map(|(_, p)| RedoRecord::decode(&p).ok())
             .collect();
-        recs.extend(
-            self.open_stream(raw, edb_crypto::logenc::STREAM_REDO)
-                .iter()
-                .filter_map(|p| RedoRecord::decode(p).ok()),
-        );
         recs.sort_by_key(|r| r.lsn);
         recs
     }
@@ -723,15 +819,10 @@ impl Wal {
     /// Parses every intact undo record, sorted by LSN.
     pub fn carve_undo(&self, disk: &VDisk) -> Vec<UndoRecord> {
         let raw = disk.read(UNDO_FILE).unwrap_or_default();
-        let mut recs: Vec<UndoRecord> = carve_frames(raw)
-            .into_iter()
-            .filter_map(|(_, p)| UndoRecord::decode(p).ok())
+        let mut recs: Vec<UndoRecord> = self
+            .payloads(raw, edb_crypto::logenc::STREAM_UNDO)
+            .filter_map(|(_, p)| UndoRecord::decode(&p).ok())
             .collect();
-        recs.extend(
-            self.open_stream(raw, edb_crypto::logenc::STREAM_UNDO)
-                .iter()
-                .filter_map(|p| UndoRecord::decode(p).ok()),
-        );
         recs.sort_by_key(|r| r.lsn);
         recs
     }
@@ -743,11 +834,20 @@ impl Wal {
             .filter_map(|f| self.decode_binlog_frame(f.alt, f.payload).ok())
             .collect()
     }
+}
 
-    /// Sets the LSN allocator after recovery scanned existing logs.
-    pub fn set_next_lsn(&mut self, next: u64) {
-        self.next_lsn = self.next_lsn.max(next);
-    }
+/// Reads the engine's checkpoint ([`crate::engine::CHECKPOINT_FILE`]):
+/// `(next LSN at the checkpoint, active transaction ids)`, or nothing
+/// when there is none.
+pub(crate) fn read_checkpoint(disk: &VDisk) -> (u64, HashSet<u64>) {
+    let Some(buf) = disk.read(crate::engine::CHECKPOINT_FILE) else {
+        return (0, HashSet::new());
+    };
+    let mut r = Reader::new(buf);
+    let (Ok(lsn), Ok(n)) = (r.u64(), r.u32()) else {
+        return (0, HashSet::new());
+    };
+    (lsn, (0..n).map_while(|_| r.u64().ok()).collect())
 }
 
 #[cfg(test)]
@@ -757,7 +857,16 @@ mod tests {
     /// A WAL with both rings at `capacity` bytes, on a fresh disk.
     fn open(capacity: usize, binlog_enabled: bool) -> (VDisk, Wal) {
         let mut disk = VDisk::new();
-        let wal = Wal::new(&mut disk, capacity, capacity, binlog_enabled);
+        let wal = Wal::open(&mut disk, capacity, capacity, binlog_enabled, None);
+        (disk, wal)
+    }
+
+    /// [`open`] with the binlog on and every record sealed under `key`
+    /// by node `origin`.
+    fn open_sealed(capacity: usize, key: [u8; 32], origin: u64) -> (VDisk, Wal) {
+        let mut disk = VDisk::new();
+        let crypto = Some(WalCrypto::new(key, origin));
+        let wal = Wal::open(&mut disk, capacity, capacity, true, crypto);
         (disk, wal)
     }
 
@@ -808,8 +917,7 @@ mod tests {
 
     #[test]
     fn fence_binlog_tail_keeps_sealed_frames_sealed() {
-        let (mut disk, mut wal) = open(4096, true);
-        wal.set_crypto([9u8; 32], 1);
+        let (mut disk, mut wal) = open_sealed(4096, [9u8; 32], 1);
         for s in 0..3 {
             wal.append_binlog(&mut disk, &binlog_ev(s));
         }
@@ -1044,8 +1152,7 @@ mod tests {
 
     #[test]
     fn encrypted_wal_recovers_with_key_and_defeats_plaintext_carving() {
-        let (mut disk, mut wal) = open(8192, true);
-        wal.set_crypto([0x5A; 32], 1);
+        let (mut disk, mut wal) = open_sealed(8192, [0x5A; 32], 1);
         for i in 0..8u64 {
             let lsn = wal.alloc_lsn();
             let framed = wal.frame_redo(&redo(lsn, format!("secret-row-{i}").as_bytes()));
@@ -1096,8 +1203,7 @@ mod tests {
 
     #[test]
     fn sealed_frames_reject_wrong_key_and_cross_stream_splice() {
-        let (mut disk, mut wal) = open(4096, true);
-        wal.set_crypto([1; 32], 1);
+        let (mut disk, mut wal) = open_sealed(4096, [1; 32], 1);
         let lsn = wal.alloc_lsn();
         let framed = wal.frame_redo(&redo(lsn, b"payload"));
         wal.append_redo(&mut disk, &framed);
@@ -1116,8 +1222,7 @@ mod tests {
         // scheme must survive.
         let key = [0x44u8; 32];
         let mk = |origin: u64, stmt: &str| {
-            let (mut disk, mut w) = open(1024, true);
-            w.set_crypto(key, origin);
+            let (mut disk, mut w) = open_sealed(1024, key, origin);
             w.append_binlog(
                 &mut disk,
                 &BinlogEvent {
@@ -1154,8 +1259,7 @@ mod tests {
 
     #[test]
     fn encrypted_wal_rejects_plaintext_frames() {
-        let (_, mut wal) = open(1024, true);
-        wal.set_crypto([6; 32], 1);
+        let (_, wal) = open_sealed(1024, [6; 32], 1);
         let ev = BinlogEvent {
             lsn: 1,
             txn: 1,
@@ -1169,8 +1273,7 @@ mod tests {
         assert!(err.to_string().contains("plaintext binlog frame rejected"));
         // A sealed frame that fails auth is a distinct error, not a
         // fall-through to plaintext parsing.
-        let (mut d2, mut w2) = open(1024, true);
-        w2.set_crypto([7; 32], 2);
+        let (mut d2, mut w2) = open_sealed(1024, [7; 32], 2);
         w2.append_binlog(&mut d2, &ev);
         let mut sealed = carve_enc_frames(file(&d2, BINLOG_FILE))[0].1.to_vec();
         *sealed.last_mut().unwrap() ^= 1;
@@ -1185,10 +1288,11 @@ mod tests {
     #[test]
     fn binlog_frames_round_trip_raw_payloads() {
         for encrypted in [false, true] {
-            let (mut disk, mut wal) = open(4096, true);
-            if encrypted {
-                wal.set_crypto([9; 32], 1);
-            }
+            let (mut disk, mut wal) = if encrypted {
+                open_sealed(4096, [9; 32], 1)
+            } else {
+                open(4096, true)
+            };
             for i in 0..4u64 {
                 wal.append_binlog(
                     &mut disk,
@@ -1221,9 +1325,65 @@ mod tests {
         let a = wal.alloc_lsn();
         let b = wal.alloc_lsn();
         assert!(b > a);
-        wal.set_next_lsn(100);
-        assert!(wal.alloc_lsn() >= 100);
-        wal.set_next_lsn(5); // Never regresses.
-        assert!(wal.alloc_lsn() > 100);
+    }
+
+    /// `Wal::open` on a clone of a live engine's disk reproduces the live
+    /// cursors after every statement of a stream that wraps the redo
+    /// ring, commits and rolls back explicit transactions, purges and
+    /// fences the binlog and ends on DDL, with plaintext and sealed logs.
+    #[test]
+    fn open_derives_the_live_cursors_from_the_bytes() {
+        use crate::engine::{Db, DbConfig};
+        for key in [None, Some([0x3C; 32])] {
+            let db = Db::open(DbConfig {
+                redo_capacity: 2048,
+                undo_capacity: 2048,
+                encrypted_wal: key.is_some(),
+                wal_key: key,
+                ..DbConfig::default()
+            });
+            let cursors = |w: &Wal| {
+                (
+                    (w.redo.write_pos, w.undo.write_pos),
+                    (w.next_lsn, w.next_txn),
+                    (w.binlog_next_seq, w.binlog_purged_seq),
+                )
+            };
+            let check = |step: &str| {
+                let g = db.inner.lock();
+                let mut disk = g.vdisk.clone();
+                let crypto = key.map(|k| WalCrypto::new(k, g.host.config.server_id));
+                let reopened = Wal::open(&mut disk, 2048, 2048, true, crypto);
+                assert_eq!(cursors(&reopened), cursors(&g.wal), "after {step}");
+                assert_eq!(disk.files, g.vdisk.files, "open wrote to a full disk");
+            };
+            let conn = db.connect("app");
+            let run = |sql: &str| {
+                conn.execute(sql).unwrap();
+                check(sql);
+            };
+            run("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)");
+            for i in 0..40 {
+                run(&format!("INSERT INTO t VALUES ({i}, 'value-{i}')"));
+            }
+            for end in ["COMMIT", "ROLLBACK"] {
+                // Right after BEGIN the new id is on no disk yet.
+                conn.execute("BEGIN").unwrap();
+                run("UPDATE t SET v = 'moved-to-a-longer-value' WHERE id = 3");
+                run("DELETE FROM t WHERE id = 4");
+                run(end);
+            }
+            db.purge_binlog();
+            check("purge");
+            for i in 40..50 {
+                run(&format!("INSERT INTO t VALUES ({i}, 'late')"));
+            }
+            db.fence_divergent(db.binlog_next_seq() - 3);
+            check("fence");
+            db.promote_to_primary();
+            run("CREATE TABLE u (id INT PRIMARY KEY)");
+            let wraps = db.telemetry().snapshot().counter("wal.redo.wraps");
+            assert!(wraps > Some(1), "the redo ring wrapped: {wraps:?}");
+        }
     }
 }

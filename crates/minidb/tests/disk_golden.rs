@@ -19,7 +19,12 @@
 //! only file names, lengths and frame counts are pinned.
 //!
 //! The expected values were captured by running this file at `e367298`,
-//! where the WAL still kept its logs outside the virtual disk.
+//! where the WAL still kept its logs outside the virtual disk. The one
+//! later change is the `binlog.index` line of each image: since a
+//! restarted process derives every log cursor from the disk, the purge
+//! writes its horizon there, and that file is the only byte the change
+//! moved — the post-crash rings, binlog and pages are as they were when
+//! recovery still kept the crashed process's cursors.
 
 use minidb::engine::{Db, DbConfig};
 use minidb::wal::carve_all_frames;
@@ -196,6 +201,7 @@ after shutdown:
   wal.undo.wraps = 1
   binlog.000001 len=8699 fnv=9440ce76a285ff60
   binlog.divergent len=385 fnv=d5ead19bb8bb74dd
+  binlog.index len=8 fnv=91e652d1ff14223b
   catalog len=90 fnv=aa1bc683f04bfa2b
   checkpoint len=12 fnv=3ee0c91a757b6a3f
   ib_buffer_pool len=137 fnv=378741560c67ab0d
@@ -233,6 +239,7 @@ after shutdown:
   wal.undo.wraps = 1
   binlog.000001 len=12494 fnv=ce1c93f7cb5305d1
   binlog.divergent len=550 fnv=dcf04a255aa8e6a6
+  binlog.index len=8 fnv=91e652d1ff14223b
   catalog len=90 fnv=aa1bc683f04bfa2b
   checkpoint len=12 fnv=3ee0c91a757b6a3f
   ib_buffer_pool len=137 fnv=378741560c67ab0d
@@ -269,6 +276,7 @@ after shutdown:
   wal.undo.bytes = 2361
   wal.undo.wraps = 1
   binlog.000001 len=0 fnv=cbf29ce484222325
+  binlog.index len=8 fnv=a8c7f832281a39c5
   catalog len=90 fnv=aa1bc683f04bfa2b
   checkpoint len=12 fnv=3ee0c91a757b6a3f
   ib_buffer_pool len=137 fnv=378741560c67ab0d
@@ -306,6 +314,7 @@ after shutdown:
   wal.undo.wraps = 1
   binlog.000001 len=11574 frames=115
   binlog.divergent len=510 frames=5
+  binlog.index len=8 frames=0
   catalog len=90 frames=0
   checkpoint len=12 frames=0
   ib_buffer_pool len=137 frames=0
