@@ -3,8 +3,12 @@
 //! selectivity over an unindexed column, an equality nothing can prune
 //! (every row filtered, one kept: the evaluator's per-row cost), and a
 //! 200-row primary-key range (index walk + page-batched heap fetch).
+//! Then the buffer pool alone: a hit, a run of 50 same-page accesses
+//! under one latch, and a fault that evicts from a full shard.
 
 use bench::{scanbench, timeit};
+use minidb::storage::ShardedBufferPool;
+use minidb::vdisk::VDisk;
 
 fn main() {
     for rows in [10_000usize, 100_000] {
@@ -33,4 +37,25 @@ fn main() {
             q += 1;
         });
     }
+
+    // One shard of four frames over eight pages: page 0 stays hot for
+    // the hits, and a round-robin over all eight misses every time.
+    const FILE: &str = "t.ibd";
+    let pool = ShardedBufferPool::new(4, 1);
+    let mut disk = VDisk::new();
+    for _ in 0..8 {
+        pool.allocate_page(&mut disk, FILE);
+    }
+    timeit("pool/hit", || {
+        pool.with_page(&mut disk, FILE, 0, |b| b[0]).unwrap()
+    });
+    timeit("pool/run", || {
+        pool.with_page_run(&mut disk, FILE, 0, |b| (b[0], 50))
+            .unwrap()
+    });
+    let mut page = 0;
+    timeit("pool/fault", || {
+        page = (page + 1) % 8;
+        pool.with_page(&mut disk, FILE, page, |b| b[0]).unwrap()
+    });
 }

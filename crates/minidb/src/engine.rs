@@ -2800,8 +2800,7 @@ impl DbInner {
             .flat_map(|rt| {
                 rt.heap
                     .zone_map()
-                    .iter()
-                    .map(|(page_no, syn)| (rt.heap.file.clone(), *page_no, syn.clone()))
+                    .map(|(page_no, syn)| (rt.heap.file.clone(), page_no, syn.clone()))
             })
             .collect();
         out.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));

@@ -23,18 +23,34 @@
 //! The leakage surfaces are global, not per shard: the LRU dump file
 //! renders the global recency order (ticks come from one atomic clock),
 //! the per-page access counters feed the adaptive hash index, and
-//! eviction is O(log n) per shard via an ordered tick index. Per-shard
-//! telemetry (`bufpool.shard{i}.{hits,misses,evictions}`) sits beside
-//! the global `bufpool.*` counters, making the *partition* of the
+//! per-shard telemetry (`bufpool.shard{i}.{hits,misses,evictions}`) sits
+//! beside the global `bufpool.*` counters, making the *partition* of the
 //! access load — a coarse page-distribution histogram — one more
 //! snapshot-visible surface.
+//!
+//! Inside a shard a page is an integer. Each shard interns tablespace
+//! names to a `u32` under its latch, so a page key is
+//! `(file_id << 32) | page_no`: a hit hashes one `u64` and allocates
+//! nothing. An interned name is never freed, not even by
+//! [`ShardedBufferPool::purge_file`], which keeps a dropped table's id
+//! for the next table of that name: a shard holds one name per distinct
+//! tablespace name it has ever seen. Frames live in a per-shard slab
+//! threaded by an intrusive doubly-linked recency list. A shard takes
+//! its ticks under its latch, so the list is sorted by tick: its head
+//! is the eviction victim, and a touch moves a frame to the tail in
+//! O(1). A fault copies the page into the evicted (or freed) frame's
+//! buffer, so a shard never holds more page buffers than its capacity.
+//! The `(file, page)` form of a key ([`PageKey`]) is rebuilt only on the
+//! cold paths that show it: [`ShardedBufferPool::lru_order`], the dump
+//! and the access-count snapshot.
 //!
 //! Callers that touch one page many times in a row (a run of index hits
 //! on one heap page) use [`ShardedBufferPool::with_page_run`]: one latch
 //! acquisition, accounted for as the `n` accesses it stands for, so
 //! every surface above is what `n` separate calls would have left.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mdb_telemetry::{Counter, Registry};
@@ -54,10 +70,10 @@ pub const DUMP_FILE: &str = "ib_buffer_pool";
 /// counters outlive eviction on purpose (they feed the adaptive hash
 /// index), which made the map grow without bound on large scans: one
 /// entry per page *ever touched*. At the cap, admitting a new page drops
-/// the coldest entry (smallest lifetime count) — the page least likely
-/// to matter to the AHI. 65536 entries covers a 1 GiB hot set at 16 KiB
-/// pages, far above anything the experiments touch, while bounding
-/// snapshot bloat.
+/// the coldest entry (smallest lifetime count, ties to the smallest
+/// `(file, page)`) — the page least likely to matter to the AHI. 65536
+/// entries covers a 1 GiB hot set at 16 KiB pages, far above anything
+/// the experiments touch, while bounding snapshot bloat.
 pub const ACCESS_COUNTS_CAP: usize = 65_536;
 
 /// Default shard count ([`crate::engine::DbConfig::bufpool_shards`]).
@@ -69,8 +85,9 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// substitute a synthetic backing so many threads can fault concurrently
 /// without sharing one `&mut VDisk`.
 pub trait PageBacking {
-    /// Reads page `page_no` of `file`, or `None` if it does not exist.
-    fn read_page(&mut self, file: &str, page_no: u32) -> Option<Vec<u8>>;
+    /// Copies page `page_no` of `file` into `buf` (`PAGE_SIZE` bytes);
+    /// `false` if the page does not exist.
+    fn read_page(&mut self, file: &str, page_no: u32, buf: &mut [u8]) -> bool;
     /// Writes a page back (eviction write-back / flush).
     fn write_page(&mut self, file: &str, page_no: u32, data: &[u8]);
     /// Current length of `file` in bytes (for page allocation).
@@ -78,13 +95,17 @@ pub trait PageBacking {
 }
 
 impl PageBacking for VDisk {
-    fn read_page(&mut self, file: &str, page_no: u32) -> Option<Vec<u8>> {
+    fn read_page(&mut self, file: &str, page_no: u32, buf: &mut [u8]) -> bool {
         let off = page_no as usize * PAGE_SIZE;
-        match self.read(file) {
-            Some(bytes) if bytes.len() >= off + PAGE_SIZE => {
-                Some(bytes[off..off + PAGE_SIZE].to_vec())
+        match self
+            .read(file)
+            .and_then(|bytes| bytes.get(off..off + PAGE_SIZE))
+        {
+            Some(page) => {
+                buf.copy_from_slice(page);
+                true
             }
-            _ => None,
+            None => false,
         }
     }
 
@@ -97,55 +118,200 @@ impl PageBacking for VDisk {
     }
 }
 
+/// A page inside a shard: `(interned file id << 32) | page_no`.
+type FrameKey = u64;
+
+fn frame_key(file_id: u32, page_no: u32) -> FrameKey {
+    ((file_id as u64) << 32) | page_no as u64
+}
+
+fn file_id(key: FrameKey) -> usize {
+    (key >> 32) as usize
+}
+
+/// FNV-1a over bytes (shard selection, interned names), one
+/// multiply-mix for an integer key (the shard maps, the heap's row
+/// locator). Keys are interned ids, page numbers and row ids, so
+/// SipHash's flooding resistance buys nothing here.
+pub(crate) struct KeyHasher(u64);
+
+impl Default for KeyHasher {
+    fn default() -> Self {
+        KeyHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed through [`KeyHasher`].
+pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// The end of a recency list (no neighbour).
+const NIL: u32 = u32::MAX;
+
 struct Frame {
+    key: FrameKey,
     data: Vec<u8>,
     dirty: bool,
     last_access: u64,
+    /// Recency neighbours (slab indices): older and newer.
+    prev: u32,
+    next: u32,
 }
 
-/// One latch partition: a frame table plus its ordered LRU index, both
-/// guarded by the shard's `Mutex` in [`ShardedBufferPool::shards`].
+/// One latch partition, guarded by the shard's `Mutex` in
+/// [`ShardedBufferPool::shards`].
 struct Shard {
     capacity: usize,
-    frames: HashMap<PageKey, Frame>,
-    /// Ordered LRU index: global access tick → page. Ticks are unique
-    /// (one atomic clock for the whole pool), so `pop_first` is always
-    /// this shard's eviction victim and cross-shard tick order is the
-    /// global recency order.
-    lru: BTreeMap<u64, PageKey>,
+    /// Interned tablespace names: `names[id]` and its inverse.
+    names: Vec<String>,
+    ids: KeyMap<String, u32>,
+    /// Frame slab: `table` maps a key to its frame, `free` lists the
+    /// slots whose page left; their buffers wait for the next fault.
+    slab: Vec<Frame>,
+    table: KeyMap<FrameKey, u32>,
+    free: Vec<u32>,
+    /// Recency list ends: `head` is the least recently used frame (the
+    /// next victim), `tail` the most recent.
+    head: u32,
+    tail: u32,
     /// Lifetime access counts (survive eviction; feed the AHI). Bounded
     /// by a per-shard slice of [`ACCESS_COUNTS_CAP`].
-    access_counts: HashMap<PageKey, u64>,
+    access_counts: KeyMap<FrameKey, u64>,
     access_cap: usize,
 }
 
 impl Shard {
+    fn new(capacity: usize, access_cap: usize) -> Shard {
+        Shard {
+            capacity,
+            names: Vec::new(),
+            ids: KeyMap::default(),
+            slab: Vec::new(),
+            table: KeyMap::default(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            access_counts: KeyMap::default(),
+            access_cap,
+        }
+    }
+
+    /// The key of a page, interning its file name on first sight.
+    fn key(&mut self, file: &str, page_no: u32) -> FrameKey {
+        let id = match self.ids.get(file) {
+            Some(&id) => id,
+            None => {
+                let id = self.names.len() as u32;
+                self.names.push(file.to_string());
+                self.ids.insert(file.to_string(), id);
+                id
+            }
+        };
+        frame_key(id, page_no)
+    }
+
+    /// The key of a page whose file this shard has seen, if any.
+    fn known_key(&self, file: &str, page_no: u32) -> Option<FrameKey> {
+        self.ids.get(file).map(|&id| frame_key(id, page_no))
+    }
+
+    fn page_key(&self, key: FrameKey) -> PageKey {
+        (self.names[file_id(key)].clone(), key as u32)
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let f = &self.slab[slot as usize];
+        let (prev, next) = (f.prev, f.next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slab[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slab[n as usize].prev = prev,
+        }
+    }
+
+    /// Stamps a linked-out frame with `tick` and makes it the most
+    /// recent. Ticks are drawn under the latch, so the list stays sorted.
+    fn push_tail(&mut self, slot: u32, tick: u64) {
+        let f = &mut self.slab[slot as usize];
+        f.last_access = tick;
+        f.prev = self.tail;
+        f.next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.slab[t as usize].next = slot,
+        }
+        self.tail = slot;
+    }
+
+    fn touch(&mut self, slot: u32, tick: u64) {
+        self.unlink(slot);
+        self.push_tail(slot, tick);
+    }
+
+    /// Makes the free (so clean) frame `slot` hold page `key`, most
+    /// recent.
+    fn install(&mut self, slot: u32, key: FrameKey, tick: u64) {
+        self.slab[slot as usize].key = key;
+        self.table.insert(key, slot);
+        self.push_tail(slot, tick);
+    }
+
+    /// Drops the frame at `slot` without writing it back; its buffer
+    /// waits on the free list, clean.
+    fn release(&mut self, slot: u32) {
+        self.unlink(slot);
+        let f = &mut self.slab[slot as usize];
+        f.dirty = false;
+        self.table.remove(&f.key);
+        self.free.push(slot);
+    }
+
+    /// Frame slots from least to most recent.
+    fn recency(&self) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(Some(self.head).filter(|&s| s != NIL), |&s| {
+            Some(self.slab[s as usize].next).filter(|&n| n != NIL)
+        })
+    }
+
     /// Counts `n` accesses of `key`. At the cap, admitting a new page
-    /// first drops the coldest entry.
-    fn count_access(&mut self, key: &PageKey, n: u64) {
-        if let Some(count) = self.access_counts.get_mut(key) {
+    /// first drops the coldest entry, the smallest `(file, page)` among
+    /// equals.
+    fn count_access(&mut self, key: FrameKey, n: u64) {
+        if let Some(count) = self.access_counts.get_mut(&key) {
             *count += n;
             return;
         }
         if self.access_counts.len() >= self.access_cap {
+            let names = &self.names;
             if let Some(victim) = self
                 .access_counts
                 .iter()
-                .min_by_key(|(_, n)| **n)
-                .map(|(k, _)| k.clone())
+                .min_by_key(|(&k, &c)| (c, names[file_id(k)].as_str(), k as u32))
+                .map(|(&k, _)| k)
             {
                 self.access_counts.remove(&victim);
             }
         }
-        self.access_counts.insert(key.clone(), n);
-    }
-
-    fn stamp(&mut self, key: &PageKey, tick: u64) {
-        if let Some(f) = self.frames.get_mut(key) {
-            self.lru.remove(&f.last_access);
-            f.last_access = tick;
-            self.lru.insert(tick, key.clone());
-        }
+        self.access_counts.insert(key, n);
     }
 }
 
@@ -189,15 +355,7 @@ impl ShardedBufferPool {
         let access_cap = (ACCESS_COUNTS_CAP / shards).max(1);
         ShardedBufferPool {
             shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        capacity: per_shard,
-                        frames: HashMap::new(),
-                        lru: BTreeMap::new(),
-                        access_counts: HashMap::new(),
-                        access_cap,
-                    })
-                })
+                .map(|_| Mutex::new(Shard::new(per_shard, access_cap)))
                 .collect(),
             tick: AtomicU64::new(0),
             capacity,
@@ -233,77 +391,86 @@ impl ShardedBufferPool {
 
     /// Which shard a page hashes to (FNV-1a over file name + page_no).
     pub fn shard_of(&self, file: &str, page_no: u32) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in file.bytes().chain(page_no.to_le_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % self.shards.len() as u64) as usize
+        let mut h = KeyHasher::default();
+        h.write(file.as_bytes());
+        h.write(&page_no.to_le_bytes());
+        (h.finish() % self.shards.len() as u64) as usize
     }
 
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Ensures `key` is framed in `shard`, faulting it in from `backing`
-    /// on a miss. Counts the hit/miss on both metric families.
+    /// Returns the frame holding `key` in `shard`, faulting page
+    /// `page_no` of `file` in from `backing` on a miss. Counts the
+    /// hit/miss on both metric families.
     fn load(
         &self,
         shard: &mut Shard,
         shard_idx: usize,
         backing: &mut impl PageBacking,
-        key: &PageKey,
-    ) -> DbResult<()> {
-        if shard.frames.contains_key(key) {
+        key: FrameKey,
+        file: &str,
+        page_no: u32,
+    ) -> DbResult<u32> {
+        if let Some(&slot) = shard.table.get(&key) {
             if let Some(m) = &self.metrics {
                 m.hits.inc();
                 m.per_shard[shard_idx].hits.inc();
             }
-            return Ok(());
+            return Ok(slot);
         }
         if let Some(m) = &self.metrics {
             m.misses.inc();
             m.per_shard[shard_idx].misses.inc();
         }
-        self.evict_to_fit(shard, shard_idx, backing, 1);
-        let (file, page_no) = key;
-        let data = backing.read_page(file, *page_no).ok_or_else(|| {
-            DbError::Storage(format!("page {page_no} of {file} does not exist on disk"))
-        })?;
-        let tick = self.next_tick();
-        shard.frames.insert(
-            key.clone(),
-            Frame {
-                data,
-                dirty: false,
-                last_access: tick,
-            },
-        );
-        shard.lru.insert(tick, key.clone());
-        Ok(())
+        let slot = self.free_frame(shard, shard_idx, backing);
+        if !backing.read_page(file, page_no, &mut shard.slab[slot as usize].data) {
+            shard.free.push(slot);
+            return Err(DbError::Storage(format!(
+                "page {page_no} of {file} does not exist on disk"
+            )));
+        }
+        shard.install(slot, key, self.next_tick());
+        Ok(slot)
     }
 
-    fn evict_to_fit(
+    /// A frame for an incoming page, unlinked and out of the table:
+    /// evicts the least recent frame when the shard is full (writing it
+    /// back if dirty), reuses a freed slot, or grows the slab.
+    fn free_frame(
         &self,
         shard: &mut Shard,
         shard_idx: usize,
         backing: &mut impl PageBacking,
-        incoming: usize,
-    ) {
-        while shard.frames.len() + incoming > shard.capacity {
-            let (_, victim) = shard.lru.pop_first().expect("LRU index tracks every frame");
-            let frame = shard.frames.remove(&victim).expect("indexed frame exists");
+    ) -> u32 {
+        if shard.table.len() >= shard.capacity {
+            let victim = shard.head;
             if let Some(m) = &self.metrics {
                 m.evictions.inc();
                 m.per_shard[shard_idx].evictions.inc();
             }
+            let frame = &shard.slab[victim as usize];
             if frame.dirty {
                 if let Some(m) = &self.metrics {
                     m.writebacks.inc();
                 }
-                backing.write_page(&victim.0, victim.1, &frame.data);
+                let file = &shard.names[file_id(frame.key)];
+                backing.write_page(file, frame.key as u32, &frame.data);
             }
+            shard.release(victim);
         }
+        shard.free.pop().unwrap_or_else(|| {
+            shard.slab.push(Frame {
+                key: 0,
+                data: vec![0u8; PAGE_SIZE],
+                dirty: false,
+                last_access: 0,
+                prev: NIL,
+                next: NIL,
+            });
+            (shard.slab.len() - 1) as u32
+        })
     }
 
     /// Runs `f` over an immutable view of the page.
@@ -332,19 +499,20 @@ impl ShardedBufferPool {
         page_no: u32,
         f: impl FnOnce(&[u8]) -> (R, u64),
     ) -> DbResult<R> {
-        let key = (file.to_string(), page_no);
         let idx = self.shard_of(file, page_no);
-        let mut shard = self.shards[idx].lock();
-        self.load(&mut shard, idx, backing, &key)?;
-        let (out, n) = f(&shard.frames[&key].data);
+        let mut guard = self.shards[idx].lock();
+        let shard = &mut *guard;
+        let key = shard.key(file, page_no);
+        let slot = self.load(shard, idx, backing, key, file, page_no)?;
+        let (out, n) = f(&shard.slab[slot as usize].data);
         debug_assert!(n >= 1, "a run stands for at least one access");
         if let Some(m) = &self.metrics {
             m.hits.add(n - 1);
             m.per_shard[idx].hits.add(n - 1);
         }
         let tick = self.tick.fetch_add(n, Ordering::Relaxed) + n;
-        shard.stamp(&key, tick);
-        shard.count_access(&key, n);
+        shard.touch(slot, tick);
+        shard.count_access(key, n);
         Ok(out)
     }
 
@@ -356,14 +524,14 @@ impl ShardedBufferPool {
         page_no: u32,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> DbResult<R> {
-        let key = (file.to_string(), page_no);
         let idx = self.shard_of(file, page_no);
-        let mut shard = self.shards[idx].lock();
-        self.load(&mut shard, idx, backing, &key)?;
-        let tick = self.next_tick();
-        shard.stamp(&key, tick);
-        shard.count_access(&key, 1);
-        let frame = shard.frames.get_mut(&key).expect("just loaded");
+        let mut guard = self.shards[idx].lock();
+        let shard = &mut *guard;
+        let key = shard.key(file, page_no);
+        let slot = self.load(shard, idx, backing, key, file, page_no)?;
+        shard.touch(slot, self.next_tick());
+        shard.count_access(key, 1);
+        let frame = &mut shard.slab[slot as usize];
         frame.dirty = true;
         Ok(f(&mut frame.data))
     }
@@ -372,24 +540,21 @@ impl ShardedBufferPool {
     /// its page number. Write-through, cached clean.
     pub fn allocate_page(&self, backing: &mut impl PageBacking, file: &str) -> u32 {
         let page_no = (backing.file_len(file) / PAGE_SIZE) as u32;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        Page::format(&mut buf);
-        backing.write_page(file, page_no, &buf);
-        let key = (file.to_string(), page_no);
         let idx = self.shard_of(file, page_no);
-        let mut shard = self.shards[idx].lock();
-        self.evict_to_fit(&mut shard, idx, backing, 1);
-        let tick = self.next_tick();
-        shard.frames.insert(
-            key.clone(),
-            Frame {
-                data: buf,
-                dirty: false,
-                last_access: tick,
-            },
-        );
-        shard.lru.insert(tick, key.clone());
-        shard.count_access(&key, 1);
+        let mut guard = self.shards[idx].lock();
+        let shard = &mut *guard;
+        let key = shard.key(file, page_no);
+        // A frame left by a file removed without a purge is stale.
+        if let Some(&stale) = shard.table.get(&key) {
+            shard.release(stale);
+        }
+        let slot = self.free_frame(shard, idx, backing);
+        let buf = &mut shard.slab[slot as usize].data;
+        buf.fill(0);
+        Page::format(buf);
+        backing.write_page(file, page_no, buf);
+        shard.install(slot, key, self.next_tick());
+        shard.count_access(key, 1);
         page_no
     }
 
@@ -402,10 +567,12 @@ impl ShardedBufferPool {
     pub fn flush_all(&self, backing: &mut impl PageBacking) {
         let mut flushed = 0u64;
         for shard in &self.shards {
-            let mut shard = shard.lock();
-            for (key, frame) in shard.frames.iter_mut() {
+            let mut guard = shard.lock();
+            let shard = &mut *guard;
+            for frame in &mut shard.slab {
                 if frame.dirty {
-                    backing.write_page(&key.0, key.1, &frame.data);
+                    let file = &shard.names[file_id(frame.key)];
+                    backing.write_page(file, frame.key as u32, &frame.data);
                     frame.dirty = false;
                     flushed += 1;
                 }
@@ -422,7 +589,10 @@ impl ShardedBufferPool {
         let mut entries: Vec<(u64, PageKey)> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
-            entries.extend(shard.lru.iter().map(|(t, k)| (*t, k.clone())));
+            entries.extend(shard.recency().map(|s| {
+                let f = &shard.slab[s as usize];
+                (f.last_access, shard.page_key(f.key))
+            }));
         }
         entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
         entries.into_iter().map(|(_, k)| k).collect()
@@ -447,9 +617,11 @@ impl ShardedBufferPool {
 
     /// Lifetime access count of a page.
     pub fn access_count(&self, file: &str, page_no: u32) -> u64 {
-        let key = (file.to_string(), page_no);
         let shard = self.shards[self.shard_of(file, page_no)].lock();
-        shard.access_counts.get(&key).copied().unwrap_or(0)
+        shard
+            .known_key(file, page_no)
+            .and_then(|key| shard.access_counts.get(&key).copied())
+            .unwrap_or(0)
     }
 
     /// All per-page access counters, sorted (for the adaptive hash index
@@ -458,26 +630,41 @@ impl ShardedBufferPool {
         let mut out: Vec<(PageKey, u64)> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
-            out.extend(shard.access_counts.iter().map(|(k, &c)| (k.clone(), c)));
+            out.extend(
+                shard
+                    .access_counts
+                    .iter()
+                    .map(|(&k, &c)| (shard.page_key(k), c)),
+            );
         }
         out.sort();
         out
     }
 
     /// Discards every cached frame and counter of `file` without
-    /// flushing (`DROP TABLE`).
+    /// flushing (`DROP TABLE`). The name stays interned.
     pub fn purge_file(&self, file: &str) {
         for shard in &self.shards {
             let mut shard = shard.lock();
-            shard.frames.retain(|(f, _), _| f != file);
-            shard.lru.retain(|_, (f, _)| f != file);
-            shard.access_counts.retain(|(f, _), _| f != file);
+            let Some(&id) = shard.ids.get(file) else {
+                continue;
+            };
+            let stale: Vec<u32> = shard
+                .recency()
+                .filter(|&s| file_id(shard.slab[s as usize].key) == id as usize)
+                .collect();
+            for slot in stale {
+                shard.release(slot);
+            }
+            shard
+                .access_counts
+                .retain(|&k, _| file_id(k) != id as usize);
         }
     }
 
     /// Number of frames currently cached across all shards.
     pub fn cached_pages(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().frames.len()).sum()
+        self.shards.iter().map(|s| s.lock().table.len()).sum()
     }
 }
 
@@ -601,10 +788,11 @@ mod tests {
         // 65k real pages just to trigger the overflow path).
         {
             let mut shard = bp.shards[0].lock();
-            let mut i = 0u32;
+            let mut page = 0u32;
             while shard.access_counts.len() < ACCESS_COUNTS_CAP {
-                shard.access_counts.insert((format!("cold-{i}.ibd"), 0), 2);
-                i += 1;
+                let key = shard.key("cold.ibd", page);
+                shard.access_counts.insert(key, 2);
+                page += 1;
             }
         }
         // Admitting new pages at the cap evicts a coldest entry each time
@@ -615,6 +803,26 @@ mod tests {
         assert_eq!(bp.access_count("new-b.ibd", 0), 1);
         // The hot page's counter survived the overflow evictions.
         assert_eq!(bp.access_count("hot.ibd", 0), 11);
+    }
+
+    #[test]
+    fn access_count_eviction_is_deterministic() {
+        // Every page is touched once or twice, so the cap drops among
+        // many equal counts; the tie-break to the smallest (file, page)
+        // makes the survivors independent of any hash seed.
+        let feed = || {
+            let bp = ShardedBufferPool::new(64, 64);
+            let mut backing = Synthetic;
+            for page in 0..(ACCESS_COUNTS_CAP as u32 + 4_000) {
+                for _ in 0..1 + page % 3 / 2 {
+                    bp.with_page(&mut backing, "s.ibd", page, |_| ()).unwrap();
+                }
+            }
+            bp.access_counters_snapshot()
+        };
+        let first = feed();
+        assert!(first.len() <= ACCESS_COUNTS_CAP, "the cap dropped entries");
+        assert_eq!(first, feed());
     }
 
     /// Everything a snapshot can see of a pool.
@@ -723,10 +931,10 @@ mod tests {
     }
 
     impl PageBacking for Synthetic {
-        fn read_page(&mut self, _file: &str, page_no: u32) -> Option<Vec<u8>> {
-            let mut page = vec![0u8; PAGE_SIZE];
-            page[..4].copy_from_slice(&page_no.to_le_bytes());
-            Some(page)
+        fn read_page(&mut self, _file: &str, page_no: u32, buf: &mut [u8]) -> bool {
+            buf.fill(0);
+            buf[..4].copy_from_slice(&page_no.to_le_bytes());
+            true
         }
         fn write_page(&mut self, _file: &str, page_no: u32, data: &[u8]) {
             assert_eq!(page_no_of(data), page_no, "no torn frame written back");

@@ -7,21 +7,92 @@
 //! Pages whose synopses went stale through value-blind paths (redo
 //! replay) are rebuilt lazily the first time a pruning scan consults
 //! them. The heap also keeps an in-memory mirror of every synopsis it
-//! has touched ([`TableHeap::zone_map`]); pruning reads the mirror
-//! first, so a skipped page costs a `HashMap` probe, not a buffer-pool
-//! page load. That mirror is itself snapshot state — see
-//! `snapshot::MemoryImage::zone_maps`.
+//! has touched ([`TableHeap::zone_map`]), a `Vec` indexed by page
+//! number; pruning reads the mirror first, so a skipped page costs an
+//! index, not a buffer-pool page load. That mirror is itself snapshot
+//! state — see `snapshot::MemoryImage::zone_maps`.
+//!
+//! The row locator is dense too, in chunks: [`Locator`] keeps the
+//! `(page, slot)` of 256 consecutive row ids in one array, so a lookup
+//! hashes a chunk number and indexes, and a run of consecutive ids
+//! reads one array. A chunk is freed with its last live row, so memory
+//! follows the live rows (at most one 2 KiB chunk each), not the
+//! largest id ever allocated or read from a page. A row id read from
+//! bytes (a page, a redo or undo image) is refused when it is
+//! `RowId::MAX`, the one id row id allocation cannot move past.
 
-use std::collections::HashMap;
 use std::ops::Bound;
 
 use crate::error::{DbError, DbResult};
 use crate::predicate::{EncodedRow, Predicate};
 use crate::row::{Row, RowId};
 use crate::storage::page::{Page, PageRef, PageSynopsis, SlotNo};
-use crate::storage::shardpool::ShardedBufferPool;
+use crate::storage::shardpool::{KeyMap, ShardedBufferPool};
 use crate::value::Value;
 use crate::vdisk::VDisk;
+
+/// Row ids per [`Locator`] chunk.
+const CHUNK_IDS: u64 = 256;
+
+/// Locator entry of a row id that names no live row.
+const ABSENT: (u32, SlotNo) = (u32::MAX, SlotNo::MAX);
+
+/// Row id → `(page, slot)` of every live row, in chunks of
+/// [`CHUNK_IDS`] consecutive ids keyed by chunk number.
+#[derive(Debug, Default, PartialEq)]
+struct Locator {
+    chunks: KeyMap<u64, Chunk>,
+    /// Live rows across all chunks.
+    live: usize,
+}
+
+#[derive(Debug, PartialEq)]
+struct Chunk {
+    /// Entries of `slots` that are not [`ABSENT`].
+    live: u32,
+    slots: Box<[(u32, SlotNo)]>,
+}
+
+impl Locator {
+    fn get(&self, row_id: RowId) -> Option<(u32, SlotNo)> {
+        let chunk = self.chunks.get(&(row_id / CHUNK_IDS))?;
+        Some(chunk.slots[(row_id % CHUNK_IDS) as usize]).filter(|&loc| loc != ABSENT)
+    }
+
+    fn insert(&mut self, row_id: RowId, loc: (u32, SlotNo)) {
+        let chunk = self
+            .chunks
+            .entry(row_id / CHUNK_IDS)
+            .or_insert_with(|| Chunk {
+                live: 0,
+                slots: vec![ABSENT; CHUNK_IDS as usize].into_boxed_slice(),
+            });
+        let entry = &mut chunk.slots[(row_id % CHUNK_IDS) as usize];
+        if *entry == ABSENT {
+            chunk.live += 1;
+            self.live += 1;
+        }
+        *entry = loc;
+    }
+
+    /// Forgets `row_id`, freeing its chunk if it was the chunk's last.
+    fn remove(&mut self, row_id: RowId) {
+        let n = row_id / CHUNK_IDS;
+        let Some(chunk) = self.chunks.get_mut(&n) else {
+            return;
+        };
+        let entry = &mut chunk.slots[(row_id % CHUNK_IDS) as usize];
+        if *entry == ABSENT {
+            return;
+        }
+        *entry = ABSENT;
+        chunk.live -= 1;
+        self.live -= 1;
+        if chunk.live == 0 {
+            self.chunks.remove(&n);
+        }
+    }
+}
 
 /// Where an update landed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,7 +183,8 @@ impl<'a> ScanSink<'a> {
 pub struct TableHeap {
     /// Tablespace file name.
     pub file: String,
-    locations: HashMap<RowId, (u32, SlotNo)>,
+    /// Row id → `(page, slot)` of every live row.
+    locations: Locator,
     next_row_id: RowId,
     /// Whether this heap maintains page synopses (`DbConfig::zone_maps_enabled`).
     zone_maps: bool,
@@ -120,7 +192,7 @@ pub struct TableHeap {
     /// DML maintenance and by pruning scans (header adopt / lazy
     /// rebuild); entries drop whenever a page's persisted synopsis goes
     /// invalid through a value-blind path.
-    zonemap: HashMap<u32, PageSynopsis>,
+    zonemap: Vec<Option<PageSynopsis>>,
 }
 
 impl TableHeap {
@@ -131,25 +203,23 @@ impl TableHeap {
         file: &str,
     ) -> DbResult<TableHeap> {
         bufpool.allocate_page(vdisk, file);
-        Ok(TableHeap {
+        Ok(TableHeap::empty(file))
+    }
+
+    fn empty(file: &str) -> TableHeap {
+        TableHeap {
             file: file.to_string(),
-            locations: HashMap::new(),
+            locations: Locator::default(),
             next_row_id: 1,
             zone_maps: true,
-            zonemap: HashMap::new(),
-        })
+            zonemap: Vec::new(),
+        }
     }
 
     /// Opens an existing heap, rebuilding the locator by scanning pages
     /// (also the recovery path — locator state is volatile).
     pub fn open(bufpool: &ShardedBufferPool, vdisk: &mut VDisk, file: &str) -> DbResult<TableHeap> {
-        let mut heap = TableHeap {
-            file: file.to_string(),
-            locations: HashMap::new(),
-            next_row_id: 1,
-            zone_maps: true,
-            zonemap: HashMap::new(),
-        };
+        let mut heap = TableHeap::empty(file);
         let n_pages = ShardedBufferPool::page_count(vdisk, file);
         for page_no in 0..n_pages {
             let entries = bufpool.with_page(vdisk, file, page_no, |buf| {
@@ -160,8 +230,7 @@ impl TableHeap {
             })?;
             for (slot, bytes) in entries {
                 let row = Row::decode(&bytes)?;
-                heap.locations.insert(row.id, (page_no, slot));
-                heap.next_row_id = heap.next_row_id.max(row.id + 1);
+                heap.set_location(row.id, (page_no, slot))?;
             }
         }
         Ok(heap)
@@ -177,22 +246,32 @@ impl TableHeap {
         }
     }
 
-    /// The in-memory zone-map mirror (page number → synopsis).
-    pub fn zone_map(&self) -> &HashMap<u32, PageSynopsis> {
-        &self.zonemap
+    /// The in-memory zone-map mirror: `(page number, synopsis)` in page
+    /// order.
+    pub fn zone_map(&self) -> impl Iterator<Item = (u32, &PageSynopsis)> {
+        self.zonemap
+            .iter()
+            .enumerate()
+            .filter_map(|(page_no, syn)| Some((page_no as u32, syn.as_ref()?)))
+    }
+
+    /// The mirror's synopsis of `page_no`, if it holds one.
+    fn mirrored(&self, page_no: u32) -> Option<&PageSynopsis> {
+        self.zonemap.get(page_no as usize)?.as_ref()
     }
 
     /// Records the outcome of a page mutation in the mirror: a valid
     /// synopsis replaces the entry, an invalid one drops it.
     fn note_page(&mut self, page_no: u32, syn: Option<PageSynopsis>) {
-        match syn {
-            Some(s) if self.zone_maps => {
-                self.zonemap.insert(page_no, s);
+        let syn = syn.filter(|_| self.zone_maps);
+        let i = page_no as usize;
+        if i >= self.zonemap.len() {
+            if syn.is_none() {
+                return;
             }
-            _ => {
-                self.zonemap.remove(&page_no);
-            }
+            self.zonemap.resize(i + 1, None);
         }
+        self.zonemap[i] = syn;
     }
 
     /// Allocates the next row id.
@@ -204,12 +283,29 @@ impl TableHeap {
 
     /// Number of live rows.
     pub fn row_count(&self) -> usize {
-        self.locations.len()
+        self.locations.live
     }
 
     /// Location of a row, if it exists.
     pub fn locate(&self, row_id: RowId) -> Option<(u32, SlotNo)> {
-        self.locations.get(&row_id).copied()
+        self.locations.get(row_id)
+    }
+
+    /// Moves row id allocation past `row_id`, refusing the one id it
+    /// cannot move past.
+    fn note_row_id(&mut self, row_id: RowId) -> DbResult<()> {
+        let next = row_id
+            .checked_add(1)
+            .ok_or_else(|| DbError::Storage("row id out of range".into()))?;
+        self.next_row_id = self.next_row_id.max(next);
+        Ok(())
+    }
+
+    /// Points `row_id` at `loc` and moves row id allocation past it.
+    fn set_location(&mut self, row_id: RowId, loc: (u32, SlotNo)) -> DbResult<()> {
+        self.note_row_id(row_id)?;
+        self.locations.insert(row_id, loc);
+        Ok(())
     }
 
     fn located(&self, row_id: RowId) -> DbResult<(u32, SlotNo)> {
@@ -225,7 +321,8 @@ impl TableHeap {
         vdisk: &mut VDisk,
         row: &Row,
     ) -> DbResult<(u32, SlotNo)> {
-        if self.locations.contains_key(&row.id) {
+        self.note_row_id(row.id)?;
+        if self.locate(row.id).is_some() {
             return Err(DbError::Storage(format!(
                 "row id {} already exists",
                 row.id
@@ -254,8 +351,7 @@ impl TableHeap {
             Ok::<_, DbError>((slot, p.synopsis()))
         })??;
         self.note_page(page_no, syn);
-        self.locations.insert(row.id, (page_no, slot));
-        self.next_row_id = self.next_row_id.max(row.id + 1);
+        self.set_location(row.id, (page_no, slot))?;
         Ok((page_no, slot))
     }
 
@@ -328,7 +424,7 @@ impl TableHeap {
         }
         // Length changed: tombstone and re-insert.
         self.page_delete(bufpool, vdisk, page_no, slot)?;
-        self.locations.remove(&row.id);
+        self.locations.remove(row.id);
         let to = self.insert(bufpool, vdisk, row)?;
         Ok(UpdatePlacement::Moved {
             from: (page_no, slot),
@@ -345,7 +441,7 @@ impl TableHeap {
     ) -> DbResult<(u32, SlotNo)> {
         let (page_no, slot) = self.located(row_id)?;
         self.page_delete(bufpool, vdisk, page_no, slot)?;
-        self.locations.remove(&row_id);
+        self.locations.remove(row_id);
         Ok((page_no, slot))
     }
 
@@ -456,7 +552,7 @@ impl TableHeap {
         if !self.zone_maps {
             return Ok(false);
         }
-        if let Some(s) = self.zonemap.get(&page_no) {
+        if let Some(s) = self.mirrored(page_no) {
             return Ok(s.excludes(col, lo, hi));
         }
         let syn = bufpool.with_page(vdisk, &self.file, page_no, |buf| {
@@ -467,7 +563,7 @@ impl TableHeap {
             None => self.rebuild_page_synopsis(bufpool, vdisk, page_no)?,
         };
         let excluded = syn.excludes(col, lo, hi);
-        self.zonemap.insert(page_no, syn);
+        self.note_page(page_no, Some(syn));
         Ok(excluded)
     }
 
@@ -491,9 +587,7 @@ impl TableHeap {
             }
             Ok::<_, DbError>(p.synopsis().expect("just reset to valid"))
         })??;
-        if self.zone_maps {
-            self.zonemap.insert(page_no, syn.clone());
-        }
+        self.note_page(page_no, Some(syn.clone()));
         Ok(syn)
     }
 
@@ -502,7 +596,9 @@ impl TableHeap {
     // iff the page has not already seen it (pageLSN check), then stamp the
     // record's LSN. These are value-blind byte ops, so they leave the
     // page synopsis invalid (and drop the mirror entry); the first
-    // pruning scan after recovery rebuilds it.
+    // pruning scan after recovery rebuilds it. The locator follows the
+    // pages: `open` read it off them, so a record changes it only when it
+    // changes its page.
     // ------------------------------------------------------------------
 
     fn ensure_page(
@@ -517,6 +613,14 @@ impl TableHeap {
         Ok(())
     }
 
+    /// Decodes a replayed row image, refusing a doctored row id before
+    /// any page is touched, and moves row id allocation past it.
+    fn replayed_row_id(&mut self, row_bytes: &[u8]) -> DbResult<RowId> {
+        let row = Row::decode(row_bytes)?;
+        self.note_row_id(row.id)?;
+        Ok(row.id)
+    }
+
     /// Replays an insert at a recorded placement.
     pub fn replay_insert(
         &mut self,
@@ -527,6 +631,7 @@ impl TableHeap {
         slot: SlotNo,
         row_bytes: &[u8],
     ) -> DbResult<()> {
+        let row_id = self.replayed_row_id(row_bytes)?;
         self.ensure_page(bufpool, vdisk, page_no)?;
         let applied =
             bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| -> DbResult<bool> {
@@ -539,15 +644,9 @@ impl TableHeap {
                 Ok(true)
             })??;
         if applied {
-            self.zonemap.remove(&page_no);
+            self.note_page(page_no, None);
+            self.set_location(row_id, (page_no, slot))?;
         }
-        let row = Row::decode(row_bytes)?;
-        if applied {
-            self.locations.insert(row.id, (page_no, slot));
-        } else {
-            self.locations.entry(row.id).or_insert((page_no, slot));
-        }
-        self.next_row_id = self.next_row_id.max(row.id + 1);
         Ok(())
     }
 
@@ -561,23 +660,28 @@ impl TableHeap {
         slot: SlotNo,
         row_bytes: &[u8],
     ) -> DbResult<()> {
+        let row_id = self.replayed_row_id(row_bytes)?;
         self.ensure_page(bufpool, vdisk, page_no)?;
-        bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| -> DbResult<()> {
-            let mut p = Page::new(buf);
-            if p.lsn() >= lsn {
-                return Ok(());
-            }
-            p.update_in_place(slot, row_bytes)?;
-            p.set_lsn(lsn);
-            Ok(())
-        })??;
-        self.zonemap.remove(&page_no);
-        let row = Row::decode(row_bytes)?;
-        self.locations.insert(row.id, (page_no, slot));
+        let applied =
+            bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| -> DbResult<bool> {
+                let mut p = Page::new(buf);
+                if p.lsn() >= lsn {
+                    return Ok(false);
+                }
+                p.update_in_place(slot, row_bytes)?;
+                p.set_lsn(lsn);
+                Ok(true)
+            })??;
+        self.note_page(page_no, None);
+        if applied {
+            self.set_location(row_id, (page_no, slot))?;
+        }
         Ok(())
     }
 
-    /// Replays a delete (tombstone) of a recorded placement.
+    /// Replays a delete (tombstone) of a recorded placement. A redo
+    /// delete carries no row image, so the row it removes is named by
+    /// the cell it tombstones.
     pub fn replay_delete(
         &mut self,
         bufpool: &ShardedBufferPool,
@@ -587,19 +691,22 @@ impl TableHeap {
         slot: SlotNo,
     ) -> DbResult<()> {
         self.ensure_page(bufpool, vdisk, page_no)?;
-        bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| -> DbResult<()> {
+        let gone = bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| {
             let mut p = Page::new(buf);
             if p.lsn() >= lsn {
-                return Ok(());
+                return None;
             }
+            let gone = p.get(slot).and_then(|cell| Row::decode_header(cell).ok());
             // The slot may already be missing if the delete raced a crash;
             // tolerate that (idempotent replay).
             let _ = p.delete(slot);
             p.set_lsn(lsn);
-            Ok(())
-        })??;
-        self.zonemap.remove(&page_no);
-        self.locations.retain(|_, loc| *loc != (page_no, slot));
+            gone.map(|(row_id, _)| row_id)
+        })?;
+        self.note_page(page_no, None);
+        if let Some(row_id) = gone.filter(|&id| self.locate(id) == Some((page_no, slot))) {
+            self.locations.remove(row_id);
+        }
         Ok(())
     }
 }
@@ -699,6 +806,78 @@ mod tests {
     }
 
     #[test]
+    fn replay_rebuilds_the_locator_across_a_reused_slot() {
+        // Row 1 is inserted and deleted; row 2 reuses its slot.
+        let history = |h: &mut TableHeap, bp: &ShardedBufferPool, vd: &mut VDisk| {
+            h.replay_insert(bp, vd, 1, 0, 0, &row(1, 1).encode())
+                .unwrap();
+            h.replay_delete(bp, vd, 2, 0, 0).unwrap();
+            h.replay_insert(bp, vd, 3, 0, 0, &row(2, 2).encode())
+                .unwrap();
+        };
+        let (bp, mut vd, mut live) = setup();
+        history(&mut live, &bp, &mut vd);
+        assert_eq!((live.locate(1), live.locate(2)), (None, Some((0, 0))));
+        assert_eq!(live.row_count(), 1);
+        // Restart: the heap opened from the flushed pages replays the
+        // same records, every one already applied, and ends equal.
+        bp.flush_all(&mut vd);
+        let bp = ShardedBufferPool::new(32, 4);
+        let mut h = TableHeap::open(&bp, &mut vd, "t.ibd").unwrap();
+        history(&mut h, &bp, &mut vd);
+        assert_eq!(h.row_count(), live.row_count());
+        for id in [1, 2] {
+            assert_eq!(h.locate(id), live.locate(id));
+        }
+        assert_eq!(h.allocate_row_id(), live.allocate_row_id());
+    }
+
+    #[test]
+    fn doctored_row_id_fails_closed() {
+        let (bp, mut vd, mut h) = setup();
+        let doctored = row(RowId::MAX, 1).encode();
+        let err = h
+            .replay_insert(&bp, &mut vd, 1, 0, 0, &doctored)
+            .unwrap_err();
+        assert_eq!(err, DbError::Storage("row id out of range".into()));
+        assert_eq!(h.row_count(), 0);
+        // The page was never touched.
+        let slots = bp
+            .with_page(&mut vd, "t.ibd", 0, |buf| PageRef::new(buf).n_slots())
+            .unwrap();
+        assert_eq!(slots, 0);
+        assert!(h.insert(&bp, &mut vd, &row(RowId::MAX, 1)).is_err());
+        assert_eq!(h.allocate_row_id(), 1);
+    }
+
+    #[test]
+    fn sparse_row_ids_survive_restart() {
+        // Live rows far past a run of deleted ids, and ids that step by
+        // 2^24 on one page: the locator holds one chunk per live row, and
+        // the chunk of the deleted row 1 is gone.
+        let history = |h: &mut TableHeap, bp: &ShardedBufferPool, vd: &mut VDisk| {
+            h.replay_insert(bp, vd, 1, 0, 0, &row(1, 0).encode())
+                .unwrap();
+            for i in 1..40u16 {
+                let id = (u64::from(i) << 24) + 7;
+                h.replay_insert(bp, vd, 1 + u64::from(i), 0, i, &row(id, 0).encode())
+                    .unwrap();
+            }
+            h.replay_delete(bp, vd, 100, 0, 0).unwrap();
+        };
+        let (bp, mut vd, mut live) = setup();
+        history(&mut live, &bp, &mut vd);
+        assert_eq!((live.row_count(), live.locate(1)), (39, None));
+        bp.flush_all(&mut vd);
+        let bp = ShardedBufferPool::new(32, 4);
+        let mut h = TableHeap::open(&bp, &mut vd, "t.ibd").unwrap();
+        history(&mut h, &bp, &mut vd);
+        assert_eq!(h.locations, live.locations);
+        assert_eq!(h.locations.chunks.len(), 39);
+        assert_eq!(h.allocate_row_id(), (39 << 24) + 8);
+    }
+
+    #[test]
     fn replay_update_respects_page_lsn() {
         let (bp, mut vd, mut h) = setup();
         h.replay_insert(&bp, &mut vd, 5, 0, 0, &row(1, 1).encode())
@@ -718,7 +897,7 @@ mod tests {
             let id = h.allocate_row_id();
             h.insert(&bp, &mut vd, &row(id, n)).unwrap();
         }
-        let syn = h.zone_map().get(&0).expect("mirror populated").clone();
+        let syn = h.mirrored(0).expect("mirror populated").clone();
         assert_eq!(syn.rows, 3);
         assert_eq!(syn.stats(0).unwrap().min, 10);
         assert_eq!(syn.stats(0).unwrap().max, 30);
@@ -731,7 +910,7 @@ mod tests {
         // In-place update widens; delete drops the count but not bounds.
         h.update(&bp, &mut vd, &row(1, 99)).unwrap();
         h.delete(&bp, &mut vd, 2).unwrap();
-        let syn = h.zone_map().get(&0).unwrap();
+        let syn = h.mirrored(0).unwrap();
         assert_eq!(syn.rows, 2);
         assert_eq!(syn.stats(0).unwrap().max, 99);
         assert_eq!(syn.stats(0).unwrap().min, 10);
@@ -765,7 +944,7 @@ mod tests {
         // A redo replay is value-blind: synopsis goes invalid everywhere.
         h.replay_insert(&bp, &mut vd, 100, 0, 1, &row(77, 500).encode())
             .unwrap();
-        assert!(h.zone_map().get(&0).is_none(), "mirror dropped");
+        assert!(h.mirrored(0).is_none(), "mirror dropped");
         let valid = bp
             .with_page(&mut vd, "t.ibd", 0, |buf| {
                 PageRef::new(buf).synopsis_valid()
@@ -777,7 +956,7 @@ mod tests {
         assert!(!h
             .page_prunable(&bp, &mut vd, 0, 0, &Bound::Included(500), &Bound::Unbounded)
             .unwrap());
-        let syn = h.zone_map().get(&0).expect("rebuilt into mirror");
+        let syn = h.mirrored(0).expect("rebuilt into mirror");
         assert_eq!(syn.rows, 2);
         assert_eq!(syn.stats(0).unwrap().max, 500);
         // The rebuild persisted: a fresh heap sees a valid synopsis.
@@ -797,7 +976,7 @@ mod tests {
             let id = h.allocate_row_id();
             h.insert(&bp, &mut vd, &row(id, n)).unwrap();
         }
-        assert!(h.zone_map().is_empty());
+        assert_eq!(h.zone_map().count(), 0);
         assert!(!h
             .page_prunable(&bp, &mut vd, 0, 0, &Bound::Included(900), &Bound::Unbounded)
             .unwrap());
