@@ -21,11 +21,12 @@
 //! power of two) and bearer-token auth (the observer is simply denied).
 //! A second table cross-checks the replication-lag histograms: the
 //! p50/p95/p99 a remote scrape derives from `_bucket` lines must equal
-//! the engine-side [`HistogramSnapshot::p99`] family — same data, no
-//! privileged access needed. A third gives the channel's shape for a
-//! fixed seeded workload — series and body bytes per scrape, plain and
-//! scrubbed (exact, since the engine's clock is simulated) — and what a
-//! scrape costs in wall-clock time.
+//! the engine-side
+//! [`HistogramSnapshot::p99`](mdb_telemetry::HistogramSnapshot::p99)
+//! family — same data, no privileged access needed. A third gives the
+//! channel's shape for a fixed seeded workload — series and body bytes
+//! per scrape, plain and scrubbed (exact, since the engine's clock is
+//! simulated) — and what a scrape costs in wall-clock time.
 
 use std::time::{Duration, Instant};
 

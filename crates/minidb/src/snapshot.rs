@@ -185,16 +185,7 @@ impl Db {
             processlist: g.processlist.entries().into_iter().cloned().collect(),
             metrics: g.host.telemetry.snapshot(),
             query_traces: g.trace.traces(),
-            zone_maps: g
-                .zone_map_pages()
-                .into_iter()
-                .map(|(file, page_no, syn)| ZoneMapPage {
-                    file,
-                    page_no,
-                    rows: syn.rows as u64,
-                    columns: syn.cols.iter().map(|c| (c.col, c.min, c.max)).collect(),
-                })
-                .collect(),
+            zone_maps: g.zone_map_pages(),
             version_chains: {
                 let mut chains: Vec<VersionChain> = g
                     .mvcc

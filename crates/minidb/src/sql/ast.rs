@@ -53,16 +53,6 @@ pub enum Expr {
     Func(String, Vec<Expr>),
 }
 
-impl Expr {
-    /// Returns the literal if this expression is one.
-    pub fn as_literal(&self) -> Option<&Value> {
-        match self {
-            Expr::Literal(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
 /// One item in a `SELECT` list.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SelectItem {

@@ -1,5 +1,5 @@
 //! SQL front end: lexer, AST, recursive-descent parser, digest
-//! canonicalizer, and [`front`], which runs all three over one lexer pass.
+//! canonicalizer, and [`front()`], which runs all three over one lexer pass.
 
 pub mod ast;
 pub mod digest;

@@ -12,7 +12,7 @@
 //! index, not a buffer-pool page load. That mirror is itself snapshot
 //! state — see `snapshot::MemoryImage::zone_maps`.
 //!
-//! The row locator is dense too, in chunks: [`Locator`] keeps the
+//! The row locator is dense too, in chunks: `Locator` keeps the
 //! `(page, slot)` of 256 consecutive row ids in one array, so a lookup
 //! hashes a chunk number and indexes, and a run of consecutive ids
 //! reads one array. A chunk is freed with its last live row, so memory

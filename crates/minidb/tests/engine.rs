@@ -1188,3 +1188,92 @@ fn scrub_all_walks_every_leakage_surface() {
         "cache repopulated only after scrub"
     );
 }
+
+/// DDL through a crash, on the paths that keep a table's definition and
+/// its storage: an index backfilled on a populated table, a DROP under
+/// another session's open transaction, and a re-CREATE of the dropped
+/// name.
+#[test]
+fn ddl_survives_crash_backfill_drop_and_recreate() {
+    use minidb::wal::{carve_frames, OpKind, RedoRecord, REDO_FILE};
+    use minidb::DbError;
+    let db = db();
+    let redo_table_ids = |db: &Db| -> Vec<u32> {
+        let image = db.disk_image();
+        carve_frames(image.file(REDO_FILE).unwrap())
+            .into_iter()
+            .filter_map(|(_, p)| RedoRecord::decode(p).ok())
+            .filter(|r| r.op == OpKind::Insert)
+            .map(|r| r.table_id)
+            .collect()
+    };
+    let conn = db.connect("app");
+    conn.execute("CREATE TABLE items (id INT PRIMARY KEY, grp INT, name TEXT)")
+        .unwrap();
+    for i in 0..40 {
+        conn.execute(&format!(
+            "INSERT INTO items VALUES ({i}, {}, 'n{i}')",
+            i % 5
+        ))
+        .unwrap();
+    }
+    // The backfill: the index is built over rows already on the heap.
+    conn.execute("CREATE INDEX ix_grp ON items (grp)").unwrap();
+    let query = "SELECT id, name FROM items WHERE grp = 3";
+    let explain = "EXPLAIN SELECT id, name FROM items WHERE grp = 3";
+    let before = conn.execute(query).unwrap().rows;
+    assert_eq!(before.len(), 8);
+    let plan = conn.execute(explain).unwrap().rows[0][0].to_string();
+    assert!(plan.contains("index scan on ix_grp"), "{plan}");
+    let old_id = redo_table_ids(&db)[0];
+    drop(conn);
+    db.crash();
+    db.recover().unwrap();
+
+    let conn = db.connect("app");
+    let plan = conn.execute(explain).unwrap().rows[0][0].to_string();
+    assert!(plan.contains("index scan on ix_grp"), "{plan}");
+    let after = conn.execute(query).unwrap();
+    assert_eq!(after.rows, before, "the rebuilt index answers as before");
+    assert_eq!(after.rows_examined, 8, "the index scan is taken");
+
+    // DROP under a second session's open transaction: its ROLLBACK finds
+    // no table to compensate and succeeds.
+    let writer = db.connect("writer");
+    writer.execute("BEGIN").unwrap();
+    writer
+        .execute("UPDATE items SET name = 'x' WHERE id = 1")
+        .unwrap();
+    writer
+        .execute("INSERT INTO items VALUES (100, 1, 'late')")
+        .unwrap();
+    writer.execute("DELETE FROM items WHERE id = 2").unwrap();
+    conn.execute("DROP TABLE items").unwrap();
+    writer.execute("ROLLBACK").unwrap();
+    drop((conn, writer));
+    db.crash();
+    db.recover().unwrap();
+
+    let conn = db.connect("app");
+    let err = conn.execute("SELECT * FROM items").unwrap_err();
+    assert!(matches!(err, DbError::UnknownTable(_)), "{err}");
+    let image = db.disk_image();
+    let left: Vec<_> = image
+        .file_names()
+        .into_iter()
+        .filter(|f| f.starts_with("table_items") || f.starts_with("index_items"))
+        .collect();
+    assert!(left.is_empty(), "dropped files still on disk: {left:?}");
+
+    // Re-CREATE: an empty table under a fresh id.
+    conn.execute("CREATE TABLE items (id INT PRIMARY KEY, grp INT, name TEXT)")
+        .unwrap();
+    let r = conn.execute("SELECT COUNT(*) FROM items").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(0));
+    conn.execute("INSERT INTO items VALUES (1, 1, 'new')")
+        .unwrap();
+    let new_id = *redo_table_ids(&db).last().unwrap();
+    assert_ne!(new_id, old_id, "a re-created table gets a fresh id");
+    let r = conn.execute("SELECT id, name FROM items").unwrap();
+    assert_eq!(r.rows, [[Value::Int(1), Value::Text("new".into())]]);
+}

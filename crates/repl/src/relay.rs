@@ -35,8 +35,8 @@ pub const RELAY_INFO: &str = "relay.info";
 /// the event's explicit `sealed` bit — set by the primary from the
 /// frame's on-disk magic and carried across the wire — selects the plain
 /// or sealed frame magic. (Classifying by whether the payload *parses*
-/// as a plaintext [`BinlogEvent`] would misfile a sealed ciphertext that
-/// coincidentally parses.) With `encrypted_wal` on the primary, the
+/// as a plaintext [`BinlogEvent`](minidb::wal::BinlogEvent) would
+/// misfile a sealed ciphertext that coincidentally parses.) With `encrypted_wal` on the primary, the
 /// relay file therefore stays ciphertext and the keyless `carve_frames`
 /// scan recovers nothing from it.
 pub fn append_event(db: &Db, ev: &SequencedEvent) -> usize {

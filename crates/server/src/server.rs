@@ -1,6 +1,7 @@
 //! The server half: a blocking accept loop plus one worker thread
-//! per client connection, each owning an engine [`Connection`] and the
-//! session state (prepared-text cache) that rides on it.
+//! per client connection, each owning an engine
+//! [`Connection`](minidb::engine::Connection) and the session state
+//! (prepared-text cache) that rides on it.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
