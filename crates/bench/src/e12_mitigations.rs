@@ -107,7 +107,6 @@ pub fn run(opts: &Options) -> Vec<Table> {
     let base = || DbConfig {
         redo_capacity: 1 << 20,
         undo_capacity: 1 << 20,
-        history_size: 10,
         ..DbConfig::default()
     };
     let variants: Vec<(&str, DbConfig, bool)> = vec![

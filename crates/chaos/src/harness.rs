@@ -16,11 +16,11 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use mdb_repl::{ReplError, ReplResult, ReplicaSet, ReplicaSetConfig, TransportKind};
 use minidb::{Db, DbConfig};
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -199,7 +199,7 @@ fn put(
     let invoke = history.stamp();
     let invoke_wall_us = wall_us(started);
     let res = {
-        let guard = set.read();
+        let guard = set.read().unwrap_or_else(PoisonError::into_inner);
         guard
             .write(&format!("DELETE FROM kv WHERE k = {key}"))
             .and_then(|_| {
@@ -244,6 +244,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ReplResult<ChaosRun> {
         base: cfg.base.clone(),
     })?);
     set.read()
+        .unwrap_or_else(PoisonError::into_inner)
         .write("CREATE TABLE kv (k INT PRIMARY KEY, ver INT, note TEXT)")
         .map_err(ReplError::Db)?;
 
@@ -271,6 +272,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ReplResult<ChaosRun> {
                     let invoke_wall_us = wall_us(started);
                     let res = set
                         .read()
+                        .unwrap_or_else(PoisonError::into_inner)
                         .read(&format!("SELECT ver FROM kv WHERE k = {key}"));
                     let complete = history.stamp();
                     let complete_wall_us = wall_us(started);
@@ -304,7 +306,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ReplResult<ChaosRun> {
                 for action in scheduler.actions_at(step) {
                     match action {
                         FaultAction::Partition { replica } => {
-                            let guard = set.read();
+                            let guard = set.read().unwrap_or_else(PoisonError::into_inner);
                             let n = guard.replica_count();
                             if n > 0 {
                                 guard.partition(replica % n);
@@ -312,7 +314,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ReplResult<ChaosRun> {
                             }
                         }
                         FaultAction::Heal { replica } => {
-                            let guard = set.read();
+                            let guard = set.read().unwrap_or_else(PoisonError::into_inner);
                             let n = guard.replica_count();
                             if n > 0 {
                                 guard.heal(replica % n);
@@ -320,7 +322,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ReplResult<ChaosRun> {
                             }
                         }
                         FaultAction::CrashRestart { replica } => {
-                            let mut guard = set.write();
+                            let mut guard = set.write().unwrap_or_else(PoisonError::into_inner);
                             let n = guard.replica_count();
                             if n > 0 {
                                 let r = replica % n;
@@ -330,7 +332,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ReplResult<ChaosRun> {
                             }
                         }
                         FaultAction::ClockSkew { node, delta_s } => {
-                            let guard = set.read();
+                            let guard = set.read().unwrap_or_else(PoisonError::into_inner);
                             if node == 0 {
                                 guard.primary().advance_time(delta_s);
                             } else {
@@ -342,14 +344,14 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ReplResult<ChaosRun> {
                             faults.clock_skews += 1;
                         }
                         FaultAction::IsolateAll => {
-                            let guard = set.read();
+                            let guard = set.read().unwrap_or_else(PoisonError::into_inner);
                             for i in 0..guard.replica_count() {
                                 guard.partition(i);
                             }
                             faults.isolations += 1;
                         }
                         FaultAction::KillAndPromote => {
-                            let mut guard = set.write();
+                            let mut guard = set.write().unwrap_or_else(PoisonError::into_inner);
                             guard.kill_primary();
                             let best = guard.elect_best();
                             let promo = guard.promote(best)?;
@@ -385,7 +387,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ReplResult<ChaosRun> {
                     put(&set, &history, started, 0, 0, sver, true);
                     let invoke = history.stamp();
                     let invoke_wall_us = wall_us(started);
-                    let res = set.read().read_on_primary("SELECT ver FROM kv WHERE k = 0");
+                    let res = set
+                        .read()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .read_on_primary("SELECT ver FROM kv WHERE k = 0");
                     let complete = history.stamp();
                     let complete_wall_us = wall_us(started);
                     let outcome = match &res {
@@ -416,7 +421,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ReplResult<ChaosRun> {
     // loop, and wait for the whole fleet to reach the primary's end
     // position.
     let (synced, converged, final_state) = {
-        let mut guard = set.write();
+        let mut guard = set.write().unwrap_or_else(PoisonError::into_inner);
         for i in 0..guard.replica_count() {
             guard.heal(i);
         }
@@ -496,7 +501,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ReplResult<ChaosRun> {
             converged,
             violations,
         },
-        set: set.into_inner(),
+        set: set.into_inner().unwrap_or_else(PoisonError::into_inner),
     })
 }
 

@@ -2,82 +2,80 @@
 //! toolbox: point it at a captured `EDBSNAP6` image and carve.
 //!
 //! ```text
-//! forensic <image-file> <command>
-//!
-//! commands:
-//!   summary    what the image contains
-//!   writes     reconstruct data-modifying queries from the redo log
-//!   undo       before-images from the undo log
-//!   binlog     statements with timestamps (mysqlbinlog-alike)
-//!   relay      statements from a replica's relay log(s) — survives a
-//!              primary-side PURGE BINARY LOGS
-//!   divergent  the failover quarantine sidecar from a deposed primary:
-//!              every write it acked but never replicated
-//!   strings    SQL statements carved from the heap dump
-//!   tokens     hex tokens (trapdoors, ORE tokens, DET cts) in carved SQL
-//!   digests    performance_schema digest histogram
-//!   bufpool    recently-read index key ranges from the LRU dump
-//!   metrics    telemetry registry: per-table access distribution etc.
-//!   tracelog   query timeline from the slow log + flight recorder
-//!   zonemap    per-page plaintext min/max ranges from heap synopses
-//!   versions   per-row edit history carved from the MVCC version store
-//!   xtrace [primary-image]
-//!              distributed trace ids carved from this (replica) image;
-//!              with a second image, join them against the primary's
-//!              slow log and attribute statements to client sessions
+//! forensic <image-file> <command> [primary-image]
 //! ```
 //!
-//! Generate an image with `minidb::SystemImage::to_bytes` (see the
-//! `quickstart` example) or programmatically in tests.
+//! Run it without arguments for the commands; `COMMANDS` lists them
+//! once, for `usage` and dispatch alike. An image is the bytes of
+//! `minidb::snapshot::SystemImage::to_bytes`. The test
+//! `crates/core/tests/forensic_cli.rs` writes a primary's, a replica's
+//! and a fenced primary's image that way and runs every command on
+//! them.
 
 use minidb::snapshot::SystemImage;
 use minidb::storage::DUMP_FILE;
-use minidb::wal::{BINLOG_FILE, REDO_FILE, UNDO_FILE};
+use minidb::wal::{BinlogEvent, BINLOG_FILE, REDO_FILE, UNDO_FILE};
 use snapshot_attack::forensics::{
     binlog, bufpool, divergent, memscan, relay, telemetry, tracelog, versions, wal, xtrace, zonemap,
 };
 
+/// A command's handler: the image, and the optional argument after the
+/// command.
+type Handler = fn(&SystemImage, Option<&str>);
+
+/// Every command: its name, one line of help, and its handler.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &str, Handler)] = &[
+    ("summary",   "what the image contains", |i, _| summary(i)),
+    ("writes",    "data-modifying statements reconstructed from the redo log", |i, _| writes(i)),
+    ("undo",      "before-images from the undo log", |i, _| undo(i)),
+    ("binlog",    "statements with timestamps (mysqlbinlog-alike)", |i, _| binlog_cmd(i)),
+    ("relay",     "a replica's relay logs; they survive a primary-side PURGE BINARY LOGS", |i, _| relay_cmd(i)),
+    ("divergent", "a fenced primary's quarantine: writes acked but never replicated", |i, _| divergent_cmd(i)),
+    ("strings",   "SQL statements carved from the heap dump", |i, _| strings(i)),
+    ("tokens",    "hex tokens (trapdoors, ORE tokens, DET cts) in carved SQL", |i, _| tokens(i)),
+    ("digests",   "performance_schema digest histogram", |i, _| digests(i)),
+    ("bufpool",   "recently-read index key ranges from the LRU dump", |i, _| bufpool_cmd(i)),
+    ("metrics",   "telemetry registry: per-table access distribution etc.", |i, _| metrics_cmd(i)),
+    ("tracelog",  "query timeline from the slow log + flight recorder", |i, _| tracelog_cmd(i)),
+    ("zonemap",   "per-page plaintext min/max ranges from heap synopses", |i, _| zonemap_cmd(i)),
+    ("versions",  "per-row edit history carved from the MVCC version store", |i, _| versions_cmd(i)),
+    ("xtrace",    "trace ids carved from a replica; [primary-image] maps them to sessions", xtrace_cmd),
+];
+
+fn usage() -> String {
+    let mut out =
+        String::from("usage: forensic <image-file> <command> [primary-image]\n\ncommands:\n");
+    for (name, help, _) in COMMANDS {
+        out += &format!("  {name:<10} {help}\n");
+    }
+    out
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (Some(path), Some(cmd)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: forensic <image-file> <summary|writes|undo|binlog|relay|divergent|strings|tokens|digests|bufpool|metrics|tracelog|zonemap|versions|xtrace [primary-image]>");
+        eprint!("{}", usage());
         std::process::exit(2);
     };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("forensic: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
+    let Some((_, _, handler)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        eprint!("forensic: unknown command {cmd}\n{}", usage());
+        std::process::exit(2);
     };
-    let image = match SystemImage::from_bytes(&bytes) {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("forensic: not a valid EDBSNAP6 image: {e}");
-            std::process::exit(1);
-        }
-    };
-    match cmd.as_str() {
-        "summary" => summary(&image),
-        "writes" => writes(&image),
-        "undo" => undo(&image),
-        "binlog" => binlog_cmd(&image),
-        "relay" => relay_cmd(&image),
-        "divergent" => divergent_cmd(&image),
-        "strings" => strings(&image),
-        "tokens" => tokens(&image),
-        "digests" => digests(&image),
-        "bufpool" => bufpool_cmd(&image),
-        "metrics" => metrics_cmd(&image),
-        "tracelog" => tracelog_cmd(&image),
-        "zonemap" => zonemap_cmd(&image),
-        "versions" => versions_cmd(&image),
-        "xtrace" => xtrace_cmd(&image, args.get(2).map(String::as_str)),
-        other => {
-            eprintln!("forensic: unknown command {other}");
-            std::process::exit(2);
-        }
-    }
+    handler(&load(path), args.get(2).map(String::as_str));
+}
+
+/// Reads and parses an image, or exits 1 saying why it cannot.
+fn load(path: &str) -> SystemImage {
+    let image = std::fs::read(path)
+        .map_err(|e| e.to_string())
+        .and_then(|b| {
+            SystemImage::from_bytes(&b).map_err(|e| format!("not a valid EDBSNAP6 image: {e}"))
+        });
+    image.unwrap_or_else(|e| {
+        eprintln!("forensic: cannot load {path}: {e}");
+        std::process::exit(1);
+    })
 }
 
 fn summary(image: &SystemImage) {
@@ -265,16 +263,7 @@ fn xtrace_cmd(image: &SystemImage, primary_path: Option<&str>) {
         eprintln!("(pass a primary image to attribute statements to sessions)");
         return;
     };
-    let primary = match std::fs::read(path)
-        .map_err(|e| e.to_string())
-        .and_then(|b| SystemImage::from_bytes(&b).map_err(|e| e.to_string()))
-    {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("forensic: cannot load primary image {path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let primary = load(path);
     let index = xtrace::primary_session_index(&primary.disk);
     let a = xtrace::attribute(&carved, &index);
     for hit in &a.attributed {
@@ -331,12 +320,7 @@ fn binlog_cmd(image: &SystemImage) {
         eprintln!("no binlog in image");
         return;
     };
-    for e in binlog::parse_binlog(raw) {
-        println!(
-            "t={} lsn={} txn={} {}",
-            e.timestamp, e.lsn, e.txn, e.statement
-        );
-    }
+    print_events(binlog::parse_binlog(raw));
 }
 
 fn relay_cmd(image: &SystemImage) {
@@ -346,12 +330,7 @@ fn relay_cmd(image: &SystemImage) {
         return;
     }
     eprintln!("relay files: {}", files.join(", "));
-    for e in relay::carve_relay(&image.disk) {
-        println!(
-            "t={} lsn={} txn={} {}",
-            e.timestamp, e.lsn, e.txn, e.statement
-        );
-    }
+    print_events(relay::carve_relay(&image.disk));
 }
 
 fn divergent_cmd(image: &SystemImage) {
@@ -361,7 +340,13 @@ fn divergent_cmd(image: &SystemImage) {
     }
     let (total, sealed) = divergent::frame_census(&image.disk);
     eprintln!("{total} quarantined frames ({sealed} sealed)");
-    for e in divergent::carve_divergent(&image.disk) {
+    print_events(divergent::carve_divergent(&image.disk));
+}
+
+/// One line per replication event: the binlog, relay and divergent
+/// carves print alike.
+fn print_events(events: Vec<BinlogEvent>) {
+    for e in events {
         println!(
             "t={} lsn={} txn={} {}",
             e.timestamp, e.lsn, e.txn, e.statement

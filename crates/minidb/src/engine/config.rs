@@ -54,8 +54,6 @@ pub struct DbConfig {
     pub zone_maps_enabled: bool,
     /// Whether the query cache is enabled.
     pub query_cache_enabled: bool,
-    /// `events_statements_history` ring size per thread.
-    pub history_size: usize,
     /// Simulated seconds the wall clock advances per statement.
     pub seconds_per_statement: i64,
     /// Buffer-pool LRU dump cadence, in statements (0 = only on
@@ -143,7 +141,6 @@ impl Default for DbConfig {
             scrub_before_images: false,
             zone_maps_enabled: true,
             query_cache_enabled: true,
-            history_size: crate::observability::DEFAULT_HISTORY_SIZE,
             seconds_per_statement: 1,
             bufpool_dump_interval: 1_000,
             heap_secure_delete: false,
@@ -261,10 +258,10 @@ mod tests {
     /// The rule for `DbConfig` (ROADMAP item 10): a new field needs two
     /// callers outside tests that set it differently; a value with one
     /// setting is a constant next to the code that reads it. The literal
-    /// has no `..`, so a 28th field stops compiling here, where the rule
+    /// has no `..`, so a 27th field stops compiling here, where the rule
     /// is.
     #[test]
-    fn default_config_is_these_27_fields() {
+    fn default_config_is_these_26_fields() {
         let spelled_out = DbConfig {
             redo_capacity: 50_000_000,
             undo_capacity: 50_000_000,
@@ -276,7 +273,6 @@ mod tests {
             scrub_before_images: false,
             zone_maps_enabled: true,
             query_cache_enabled: true,
-            history_size: 10,
             seconds_per_statement: 1,
             bufpool_dump_interval: 1_000,
             heap_secure_delete: false,

@@ -41,7 +41,7 @@ use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
 use crate::heap::HeapArena;
 use crate::mvcc::VersionStore;
-use crate::observability::{PerfSchema, ProcessList};
+use crate::observability::{PerfSchema, ProcessList, DEFAULT_HISTORY_SIZE};
 use crate::sql::ast::Statement;
 use crate::sql::Front;
 use crate::storage::shardpool::ShardedBufferPool;
@@ -362,7 +362,7 @@ impl DbInner {
             heap,
             query_cache: QueryCache::new(config.query_cache_enabled, QUERY_CACHE_ENTRIES),
             adaptive_hash: AdaptiveHash::new(ADAPTIVE_HASH_THRESHOLD),
-            perf: PerfSchema::new(config.history_size),
+            perf: PerfSchema::new(DEFAULT_HISTORY_SIZE),
             processlist: ProcessList::default(),
             metrics: EngineMetrics::new(&host.telemetry),
             trace: if config.trace_enabled {

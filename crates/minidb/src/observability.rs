@@ -41,7 +41,7 @@ pub struct ReplicaStatus {
 }
 
 /// One statement event, as recorded by the instrumentation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StatementEvent {
     /// Issuing thread (connection) id.
     pub thread_id: u64,
@@ -286,7 +286,7 @@ pub struct ProcessList {
 }
 
 /// One connection's row in `processlist`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProcessEntry {
     /// Connection id.
     pub id: u64,

@@ -43,7 +43,7 @@ pub struct VersionChain {
 
 /// Everything on "disk": tablespace files, catalog, checkpoint, log files,
 /// the binlog, the buffer-pool dump, and the text logs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DiskImage {
     /// File name → raw contents.
     pub files: BTreeMap<String, Vec<u8>>,
@@ -69,7 +69,7 @@ impl DiskImage {
 /// Everything in process memory: the heap arena plus the volatile data
 /// structures (query cache, buffer pool metadata, adaptive hash index,
 /// performance-schema state, process list).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemoryImage {
     /// Byte-exact dump of the process heap arena (§5's target).
     pub heap: Vec<u8>,
@@ -132,7 +132,7 @@ impl MemoryImage {
 }
 
 /// A full point-in-time image of the machine hosting the DBMS.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SystemImage {
     /// Persistent state.
     pub disk: DiskImage,

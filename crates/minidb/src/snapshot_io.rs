@@ -3,27 +3,32 @@
 //! standalone forensic tooling (the workflow a real attacker has: image
 //! first, carve at leisure).
 //!
-//! Format (`EDBSNAP6`, little-endian, length-prefixed throughout):
+//! The container is the magic `EDBSNAP6`, then the `SystemImage`
+//! declaration in the `sections!` block below, field by field in the
+//! order listed. Each section type names its fields once there, and
+//! both [`SystemImage::to_bytes`] and [`SystemImage::from_bytes`] come
+//! from that list. The container is unframed: a 50 MB redo ring does
+//! not fit a frame's `MAX_PAYLOAD`. Each field's wire form follows its
+//! type:
 //!
 //! ```text
-//! magic "EDBSNAP6" | captured_at i64
-//! disk:   u32 n, then n × (str name, u64 len, bytes)
-//! memory: u64 heap_len, heap bytes
-//!         [cached_queries] [cached_pages] [page_access_counts]
-//!         [adaptive_hash_keys] [stmts_current] [stmts_history]
-//!         [digest_summary] [processlist]
-//! metrics: [counters] [gauges] [histograms]
-//! traces:  u32 n, then n × (u64 len, mdb-trace record payload)
-//! zonemaps: u32 n, then n × (str file, u32 page_no, u64 rows,
-//!           u32 ncols, ncols × (u32 col, i64 min, i64 max))
-//! versions: u32 n, then n × (str table, u64 row_id, u32 nversions,
-//!           nversions × (u8 state, u8 op, u64 xmin, u64 xmax,
-//!           u64 offset, bytes row))
+//! u8 u32 u64 i64 u128      fixed width, little-endian
+//! usize                    u64
+//! u16                      u32 (a zone-map column ordinal)
+//! String, Vec<u8>          u64 length, bytes
+//! Vec<T>                   u32 count, count × T
+//! BTreeMap<K, V>           u32 count, count × (K, V)
+//! (A, B), (A, B, C)        A, B[, C]
+//! Option<T>                u8 0, or u8 1 then T
+//! Row                      u64 length, Row::encode bytes
+//! StatementTrace           u64 length, mdb-trace record payload
 //! ```
 
 use std::collections::BTreeMap;
 
-use mdb_trace::codec::{put_bytes64, put_i64, put_u32, put_u64, Reader};
+use mdb_telemetry::{HistogramSnapshot, MetricsSnapshot};
+use mdb_trace::codec::{put_bytes64, put_u32, Reader};
+use mdb_trace::StatementTrace;
 
 use crate::error::{DbError, DbResult};
 use crate::mvcc::Version;
@@ -36,137 +41,8 @@ const MAGIC: &[u8; 8] = b"EDBSNAP6";
 impl SystemImage {
     /// Serializes the image to the `EDBSNAP6` container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        put_i64(&mut out, self.captured_at);
-        // Disk.
-        put_u32(&mut out, self.disk.files.len() as u32);
-        for (name, data) in &self.disk.files {
-            put_bytes64(&mut out, name.as_bytes());
-            put_bytes64(&mut out, data);
-        }
-        // Memory.
-        let m = &self.memory;
-        put_bytes64(&mut out, &m.heap);
-        put_u32(&mut out, m.cached_queries.len() as u32);
-        for q in &m.cached_queries {
-            put_bytes64(&mut out, q.as_bytes());
-        }
-        put_u32(&mut out, m.cached_pages.len() as u32);
-        for (f, p) in &m.cached_pages {
-            put_bytes64(&mut out, f.as_bytes());
-            put_u32(&mut out, *p);
-        }
-        put_u32(&mut out, m.page_access_counts.len() as u32);
-        for ((f, p), c) in &m.page_access_counts {
-            put_bytes64(&mut out, f.as_bytes());
-            put_u32(&mut out, *p);
-            put_u64(&mut out, *c);
-        }
-        put_u32(&mut out, m.adaptive_hash_keys.len() as u32);
-        for (k, (f, p)) in &m.adaptive_hash_keys {
-            put_bytes64(&mut out, k);
-            put_bytes64(&mut out, f.as_bytes());
-            put_u32(&mut out, *p);
-        }
-        for events in [&m.statements_current, &m.statements_history] {
-            put_u32(&mut out, events.len() as u32);
-            for e in events.iter() {
-                put_u64(&mut out, e.thread_id);
-                put_u64(&mut out, e.event_id);
-                put_bytes64(&mut out, e.sql_text.as_bytes());
-                put_bytes64(&mut out, e.digest.as_bytes());
-                put_i64(&mut out, e.timestamp);
-                put_u64(&mut out, e.rows_examined);
-                put_u64(&mut out, e.rows_returned);
-            }
-        }
-        put_u32(&mut out, m.digest_summary.len() as u32);
-        for d in &m.digest_summary {
-            put_bytes64(&mut out, d.digest.as_bytes());
-            put_u64(&mut out, d.count_star);
-            put_u64(&mut out, d.sum_rows_examined);
-            put_u64(&mut out, d.sum_rows_returned);
-            put_i64(&mut out, d.first_seen);
-            put_i64(&mut out, d.last_seen);
-        }
-        put_u32(&mut out, m.processlist.len() as u32);
-        for p in &m.processlist {
-            put_u64(&mut out, p.id);
-            put_bytes64(&mut out, p.user.as_bytes());
-            put_i64(&mut out, p.connect_time);
-            match &p.current_query {
-                Some(q) => {
-                    out.push(1);
-                    put_bytes64(&mut out, q.as_bytes());
-                }
-                None => out.push(0),
-            }
-        }
-        let ms = &m.metrics;
-        put_u32(&mut out, ms.counters.len() as u32);
-        for (name, v) in &ms.counters {
-            put_bytes64(&mut out, name.as_bytes());
-            put_u64(&mut out, *v);
-        }
-        put_u32(&mut out, ms.gauges.len() as u32);
-        for (name, v) in &ms.gauges {
-            put_bytes64(&mut out, name.as_bytes());
-            put_i64(&mut out, *v);
-        }
-        put_u32(&mut out, ms.histograms.len() as u32);
-        for h in &ms.histograms {
-            put_bytes64(&mut out, h.name.as_bytes());
-            put_u64(&mut out, h.count);
-            put_u64(&mut out, h.sum);
-            put_u32(&mut out, h.buckets.len() as u32);
-            for (idx, n) in &h.buckets {
-                out.push(*idx);
-                put_u64(&mut out, *n);
-            }
-            put_u32(&mut out, h.exemplars.len() as u32);
-            for (idx, tid, val) in &h.exemplars {
-                out.push(*idx);
-                out.extend_from_slice(&tid.to_le_bytes());
-                put_u64(&mut out, *val);
-            }
-        }
-        // The flight-recorder ring, reusing the mdb-trace payload wire
-        // format (same bytes the slow-log carver understands).
-        put_u32(&mut out, m.query_traces.len() as u32);
-        for t in &m.query_traces {
-            let mut payload = Vec::new();
-            mdb_trace::record::encode_payload(t, &mut payload);
-            put_bytes64(&mut out, &payload);
-        }
-        // The zone-map mirrors: per-page plaintext min/max bounds.
-        put_u32(&mut out, m.zone_maps.len() as u32);
-        for z in &m.zone_maps {
-            put_bytes64(&mut out, z.file.as_bytes());
-            put_u32(&mut out, z.page_no);
-            put_u64(&mut out, z.rows);
-            put_u32(&mut out, z.columns.len() as u32);
-            for (col, min, max) in &z.columns {
-                put_u32(&mut out, *col as u32);
-                put_i64(&mut out, *min);
-                put_i64(&mut out, *max);
-            }
-        }
-        // The MVCC version chains: per-row supersession history.
-        put_u32(&mut out, m.version_chains.len() as u32);
-        for c in &m.version_chains {
-            put_bytes64(&mut out, c.table.as_bytes());
-            put_u64(&mut out, c.row_id);
-            put_u32(&mut out, c.versions.len() as u32);
-            for v in &c.versions {
-                out.push(v.state);
-                out.push(v.op);
-                put_u64(&mut out, v.xmin);
-                put_u64(&mut out, v.xmax);
-                put_u64(&mut out, v.offset as u64);
-                put_bytes64(&mut out, &v.row.encode());
-            }
-        }
+        let mut out = MAGIC.to_vec();
+        self.put(&mut out);
         out
     }
 
@@ -176,198 +52,244 @@ impl SystemImage {
         if r.take(8)? != MAGIC {
             return Err(DbError::Storage("not an EDBSNAP6 image".into()));
         }
-        let captured_at = r.i64()?;
-        let n_files = r.u32()? as usize;
-        let mut files = BTreeMap::new();
-        for _ in 0..n_files {
-            let name = r.str64()?;
-            let data = r.bytes64()?.to_vec();
-            files.insert(name, data);
-        }
-        let heap = r.bytes64()?.to_vec();
-        let mut cached_queries = Vec::new();
-        for _ in 0..r.u32()? {
-            cached_queries.push(r.str64()?);
-        }
-        let mut cached_pages = Vec::new();
-        for _ in 0..r.u32()? {
-            let f = r.str64()?;
-            let p = r.u32()?;
-            cached_pages.push((f, p));
-        }
-        let mut page_access_counts = Vec::new();
-        for _ in 0..r.u32()? {
-            let f = r.str64()?;
-            let p = r.u32()?;
-            let c = r.u64()?;
-            page_access_counts.push(((f, p), c));
-        }
-        let mut adaptive_hash_keys = Vec::new();
-        for _ in 0..r.u32()? {
-            let k = r.bytes64()?.to_vec();
-            let f = r.str64()?;
-            let p = r.u32()?;
-            adaptive_hash_keys.push((k, (f, p)));
-        }
-        let read_events = |r: &mut Reader| -> DbResult<Vec<StatementEvent>> {
-            let mut out = Vec::new();
-            for _ in 0..r.u32()? {
-                out.push(StatementEvent {
-                    thread_id: r.u64()?,
-                    event_id: r.u64()?,
-                    sql_text: r.str64()?,
-                    digest: r.str64()?,
-                    timestamp: r.i64()?,
-                    rows_examined: r.u64()?,
-                    rows_returned: r.u64()?,
-                    text_ptr: None,
-                });
-            }
-            Ok(out)
-        };
-        let statements_current = read_events(&mut r)?;
-        let statements_history = read_events(&mut r)?;
-        let mut digest_summary = Vec::new();
-        for _ in 0..r.u32()? {
-            digest_summary.push(DigestStats {
-                digest: r.str64()?,
-                count_star: r.u64()?,
-                sum_rows_examined: r.u64()?,
-                sum_rows_returned: r.u64()?,
-                first_seen: r.i64()?,
-                last_seen: r.i64()?,
-            });
-        }
-        let mut processlist = Vec::new();
-        for _ in 0..r.u32()? {
-            let id = r.u64()?;
-            let user = r.str64()?;
-            let connect_time = r.i64()?;
-            let current_query = match r.u8()? {
-                0 => None,
-                _ => Some(r.str64()?),
-            };
-            processlist.push(ProcessEntry {
-                id,
-                user,
-                connect_time,
-                current_query,
-            });
-        }
-        let mut metrics = mdb_telemetry::MetricsSnapshot::default();
-        for _ in 0..r.u32()? {
-            let name = r.str64()?;
-            let v = r.u64()?;
-            metrics.counters.push((name, v));
-        }
-        for _ in 0..r.u32()? {
-            let name = r.str64()?;
-            let v = r.i64()?;
-            metrics.gauges.push((name, v));
-        }
-        for _ in 0..r.u32()? {
-            let name = r.str64()?;
-            let count = r.u64()?;
-            let sum = r.u64()?;
-            let mut buckets = Vec::new();
-            for _ in 0..r.u32()? {
-                let idx = r.u8()?;
-                let n = r.u64()?;
-                buckets.push((idx, n));
-            }
-            let mut exemplars = Vec::new();
-            for _ in 0..r.u32()? {
-                let idx = r.u8()?;
-                let tid = r.u128()?;
-                let val = r.u64()?;
-                exemplars.push((idx, tid, val));
-            }
-            metrics.histograms.push(mdb_telemetry::HistogramSnapshot {
-                name,
-                count,
-                sum,
-                buckets,
-                exemplars,
-            });
-        }
-        let mut query_traces = Vec::new();
-        for _ in 0..r.u32()? {
-            let payload = r.bytes64()?;
-            let (t, consumed) = mdb_trace::record::decode_payload(payload)
-                .ok_or_else(|| DbError::Storage("bad trace record in snapshot".into()))?;
-            if consumed != payload.len() {
-                return Err(DbError::Storage("trailing bytes in trace record".into()));
-            }
-            query_traces.push(t);
-        }
-        let mut zone_maps = Vec::new();
-        for _ in 0..r.u32()? {
-            let file = r.str64()?;
-            let page_no = r.u32()?;
-            let rows = r.u64()?;
-            let mut columns = Vec::new();
-            for _ in 0..r.u32()? {
-                let col = r.u32()? as u16;
-                let min = r.i64()?;
-                let max = r.i64()?;
-                columns.push((col, min, max));
-            }
-            zone_maps.push(ZoneMapPage {
-                file,
-                page_no,
-                rows,
-                columns,
-            });
-        }
-        let mut version_chains = Vec::new();
-        for _ in 0..r.u32()? {
-            let table = r.str64()?;
-            let row_id = r.u64()?;
-            let mut versions = Vec::new();
-            for _ in 0..r.u32()? {
-                let state = r.u8()?;
-                let op = r.u8()?;
-                let xmin = r.u64()?;
-                let xmax = r.u64()?;
-                let offset = r.u64()? as usize;
-                let row = Row::decode(r.bytes64()?)?;
-                versions.push(Version {
-                    xmin,
-                    xmax,
-                    state,
-                    op,
-                    row,
-                    offset,
-                });
-            }
-            version_chains.push(VersionChain {
-                table,
-                row_id,
-                versions,
-            });
-        }
+        let image = SystemImage::get(&mut r)?;
         if r.remaining() != 0 {
             return Err(DbError::Storage("trailing bytes in snapshot".into()));
         }
-        Ok(SystemImage {
-            disk: DiskImage { files },
-            memory: MemoryImage {
-                heap,
-                cached_queries,
-                cached_pages,
-                page_access_counts,
-                adaptive_hash_keys,
-                statements_current,
-                statements_history,
-                digest_summary,
-                processlist,
-                metrics,
-                query_traces,
-                zone_maps,
-                version_chains,
-            },
-            captured_at,
-        })
+        Ok(image)
+    }
+}
+
+/// One value's wire form: `put` appends it, `get` reads it back or
+/// fails without panicking.
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+
+    fn get(r: &mut Reader) -> DbResult<Self>;
+
+    /// A `Vec<Self>`: a `u32` count, then each item. `u8` overrides the
+    /// pair, so a byte blob is one `u64`-length run.
+    fn put_vec(items: &[Self], out: &mut Vec<u8>) {
+        put_u32(out, items.len() as u32);
+        for item in items {
+            item.put(out);
+        }
+    }
+
+    fn get_vec(r: &mut Reader) -> DbResult<Vec<Self>> {
+        // No capacity from the claimed count: every item consumes input,
+        // so the vector grows only as far as the bytes really go.
+        let mut items = Vec::new();
+        for _ in 0..r.u32()? {
+            items.push(Self::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// One `Field` impl per little-endian integer, read by the `Reader`
+/// method of the same name.
+macro_rules! le_fields {
+    ($($ty:ident),*) => {$(
+        impl Field for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut Reader) -> DbResult<Self> {
+                Ok(r.$ty()?)
+            }
+        }
+    )*};
+}
+le_fields!(u32, u64, i64, u128);
+
+/// One `Field` impl per tuple arity: the elements in order.
+macro_rules! tuple_fields {
+    ($(($($t:ident $i:tt),+))*) => {$(
+        impl<$($t: Field),+> Field for ($($t,)+) {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$i.put(out);)+
+            }
+
+            fn get(r: &mut Reader) -> DbResult<Self> {
+                Ok(($($t::get(r)?,)+))
+            }
+        }
+    )*};
+}
+tuple_fields!((A 0, B 1) (A 0, B 1, C 2));
+
+/// One `Field` impl per section type, from its wire fields in order.
+/// Fields after a `;` are not carried and read back as the value given.
+macro_rules! sections {
+    ($($ty:ident { $($f:ident),+ $(; $($skip:ident: $v:expr),+)? })*) => {$(
+        impl Field for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)+
+            }
+
+            fn get(r: &mut Reader) -> DbResult<Self> {
+                Ok($ty {
+                    $($f: Field::get(r)?,)+
+                    $($($skip: $v,)+)?
+                })
+            }
+        }
+    )*};
+}
+sections! {
+    SystemImage { captured_at, disk, memory }
+    DiskImage { files }
+    MemoryImage {
+        heap, cached_queries, cached_pages, page_access_counts, adaptive_hash_keys,
+        statements_current, statements_history, digest_summary, processlist, metrics,
+        query_traces, zone_maps, version_chains
+    }
+    StatementEvent {
+        thread_id, event_id, sql_text, digest, timestamp, rows_examined, rows_returned;
+        text_ptr: None
+    }
+    DigestStats { digest, count_star, sum_rows_examined, sum_rows_returned, first_seen, last_seen }
+    ProcessEntry { id, user, connect_time, current_query }
+    MetricsSnapshot { counters, gauges, histograms }
+    HistogramSnapshot { name, count, sum, buckets, exemplars }
+    ZoneMapPage { file, page_no, rows, columns }
+    VersionChain { table, row_id, versions }
+    Version { state, op, xmin, xmax, offset, row }
+}
+
+impl Field for u8 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn get(r: &mut Reader) -> DbResult<Self> {
+        Ok(r.u8()?)
+    }
+
+    fn put_vec(items: &[u8], out: &mut Vec<u8>) {
+        put_bytes64(out, items);
+    }
+
+    fn get_vec(r: &mut Reader) -> DbResult<Vec<u8>> {
+        Ok(r.bytes64()?.to_vec())
+    }
+}
+
+/// The one `u16` in an image is a zone-map column ordinal, carried as
+/// a `u32`; a wider value is an error, not a different column.
+impl Field for u16 {
+    fn put(&self, out: &mut Vec<u8>) {
+        u32::from(*self).put(out);
+    }
+
+    fn get(r: &mut Reader) -> DbResult<Self> {
+        let n = r.u32()?;
+        u16::try_from(n).map_err(|_| DbError::Storage(format!("column ordinal {n} exceeds u16")))
+    }
+}
+
+impl Field for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+
+    fn get(r: &mut Reader) -> DbResult<Self> {
+        let n = r.u64()?;
+        usize::try_from(n).map_err(|_| DbError::Storage(format!("offset {n} exceeds usize")))
+    }
+}
+
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes64(out, self.as_bytes());
+    }
+
+    fn get(r: &mut Reader) -> DbResult<Self> {
+        Ok(r.str64()?)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        T::put_vec(self, out);
+    }
+
+    fn get(r: &mut Reader) -> DbResult<Self> {
+        T::get_vec(r)
+    }
+}
+
+impl<K: Field + Ord, V: Field> Field for BTreeMap<K, V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.len() as u32);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+
+    fn get(r: &mut Reader) -> DbResult<Self> {
+        Ok(Vec::<(K, V)>::get(r)?.into_iter().collect())
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(v) => {
+                out.push(1);
+                v.put(out);
+            }
+            None => out.push(0),
+        }
+    }
+
+    fn get(r: &mut Reader) -> DbResult<Self> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            tag => Err(DbError::Storage(format!("bad option tag {tag}"))),
+        }
+    }
+}
+
+impl Field for Row {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes64(out, &self.encode());
+    }
+
+    fn get(r: &mut Reader) -> DbResult<Self> {
+        let bytes = r.bytes64()?;
+        // Every value takes at least a byte: refuse a column count the
+        // bytes cannot hold before `Row::decode` reserves room for it.
+        if Row::decode_header(bytes)?.1 > bytes.len() {
+            return Err(DbError::Storage(
+                "row column count exceeds its bytes".into(),
+            ));
+        }
+        Row::decode(bytes)
+    }
+}
+
+/// A flight-recorder trace rides as an mdb-trace record payload: the
+/// same bytes the slow-log carver understands.
+impl Field for StatementTrace {
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut payload = Vec::new();
+        mdb_trace::record::encode_payload(self, &mut payload);
+        put_bytes64(out, &payload);
+    }
+
+    fn get(r: &mut Reader) -> DbResult<Self> {
+        let payload = r.bytes64()?;
+        let (t, consumed) = mdb_trace::record::decode_payload(payload)
+            .ok_or_else(|| DbError::Storage("bad trace record in snapshot".into()))?;
+        if consumed != payload.len() {
+            return Err(DbError::Storage("trailing bytes in trace record".into()));
+        }
+        Ok(t)
     }
 }
 
@@ -376,76 +298,154 @@ mod tests {
     use super::*;
     use crate::engine::{Db, DbConfig};
 
-    fn image() -> SystemImage {
-        let config = DbConfig {
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// A workload whose image is the same bytes on every run: tracing
+    /// off, so no random trace id lands in it.
+    fn deterministic_image() -> SystemImage {
+        let db = Db::open(DbConfig {
+            redo_capacity: 1 << 16,
+            undo_capacity: 1 << 16,
+            trace_enabled: false,
+            ..DbConfig::default()
+        });
+        let conn = db.connect("app");
+        conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT, b BYTES)")
+            .unwrap();
+        for i in 0..40 {
+            conn.execute(&format!(
+                "INSERT INTO t VALUES ({i}, 'row-{i}', X'{i:04x}')"
+            ))
+            .unwrap();
+        }
+        conn.execute("UPDATE t SET v = 'changed' WHERE id = 3")
+            .unwrap();
+        conn.execute("DELETE FROM t WHERE id = 5").unwrap();
+        // Distinct texts past the query cache, one hot key: the
+        // adaptive hash index adopts it.
+        for i in 1..=10 {
+            let pad = " ".repeat(i);
+            conn.execute(&format!("SELECT * FROM t WHERE id ={pad}7"))
+                .unwrap();
+        }
+        conn.execute("SELECT v FROM t WHERE id > 10 AND id < 20")
+            .unwrap();
+        db.system_image()
+    }
+
+    /// A traced image with every section non-empty.
+    fn traced_image() -> SystemImage {
+        let db = Db::open(DbConfig {
             redo_capacity: 1 << 16,
             undo_capacity: 1 << 16,
             ..DbConfig::default()
-        };
-        let db = Db::open(config);
+        });
         let conn = db.connect("app");
         conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
             .unwrap();
-        conn.execute("INSERT INTO t VALUES (1, 'hello')").unwrap();
+        for i in 0..20 {
+            conn.execute(&format!("INSERT INTO t VALUES ({i}, 'hello-{i}')"))
+                .unwrap();
+        }
         conn.execute("UPDATE t SET v = 'world' WHERE id = 1")
             .unwrap();
-        conn.execute("SELECT * FROM t WHERE id = 1").unwrap();
-        db.system_image()
+        for i in 1..=10 {
+            let pad = " ".repeat(i);
+            conn.execute(&format!("SELECT * FROM t WHERE id ={pad}1"))
+                .unwrap();
+        }
+        let mut img = db.system_image();
+        // Between statements no statement is in flight, and the engine
+        // sets no gauge; give both sections an entry.
+        let m = &mut img.memory;
+        m.statements_current
+            .push(m.statements_history.last().unwrap().clone());
+        m.metrics.gauges.push(("repl.lag_events".into(), -3));
+        img
+    }
+
+    /// The container's bytes are those of the hand-written codec this
+    /// one replaced: length and FNV-1a captured from it for this image.
+    #[test]
+    fn container_bytes_are_pinned() {
+        let bytes = deterministic_image().to_bytes();
+        assert_eq!(bytes, deterministic_image().to_bytes());
+        assert_eq!(
+            (bytes.len(), format!("{:016x}", fnv(&bytes))),
+            (206_682, "e3e9cd727901637b".to_string())
+        );
     }
 
     #[test]
     fn round_trips() {
-        let img = image();
-        let bytes = img.to_bytes();
-        let back = SystemImage::from_bytes(&bytes).unwrap();
-        assert_eq!(back.captured_at, img.captured_at);
-        assert_eq!(back.disk.files, img.disk.files);
-        assert_eq!(back.memory.heap, img.memory.heap);
-        assert_eq!(back.memory.cached_queries, img.memory.cached_queries);
-        assert_eq!(
-            back.memory.statements_history.len(),
-            img.memory.statements_history.len()
-        );
-        assert_eq!(
-            back.memory.digest_summary.len(),
-            img.memory.digest_summary.len()
-        );
-        assert_eq!(back.memory.processlist.len(), img.memory.processlist.len());
-        // Telemetry rides along: the captured registry state (non-empty
-        // after the workload) survives the container byte-exactly.
-        assert!(!img.memory.metrics.is_zero());
-        assert!(img
-            .memory
-            .metrics
-            .counter("sql.table_access.t")
-            .is_some_and(|v| v >= 2));
-        assert_eq!(back.memory.metrics, img.memory.metrics);
-        // The flight-recorder ring rides along too, span trees and all.
-        assert!(!img.memory.query_traces.is_empty());
-        assert_eq!(back.memory.query_traces, img.memory.query_traces);
-        // And so do the zone-map mirrors: the INSERT above touched one
-        // heap page, whose synopsis carries the plaintext id range.
-        assert!(!img.memory.zone_maps.is_empty());
-        assert!(img.memory.zone_maps[0]
-            .columns
-            .iter()
-            .any(|&(_, min, max)| min == 1 && max == 1));
-        assert_eq!(back.memory.zone_maps, img.memory.zone_maps);
-        // The MVCC version chains: the UPDATE archived one before-image
-        // whose full row survives the container.
-        assert!(!img.memory.version_chains.is_empty());
-        assert_eq!(back.memory.version_chains, img.memory.version_chains);
+        let mut img = traced_image();
+        let m = &img.memory;
+        assert!(!img.disk.files.is_empty() && !m.heap.is_empty());
+        let lens = [
+            m.cached_queries.len(),
+            m.cached_pages.len(),
+            m.page_access_counts.len(),
+            m.adaptive_hash_keys.len(),
+            m.statements_current.len(),
+            m.statements_history.len(),
+            m.digest_summary.len(),
+            m.processlist.len(),
+            m.metrics.counters.len(),
+            m.metrics.gauges.len(),
+            m.metrics.histograms.len(),
+            m.query_traces.len(),
+            m.zone_maps.len(),
+            m.version_chains.len(),
+        ];
+        assert!(!lens.contains(&0), "an empty section: {lens:?}");
+        assert!(m.metrics.histograms.iter().any(|h| !h.exemplars.is_empty()));
+        assert!(m.processlist.iter().any(|p| p.current_query.is_none()));
+        let back = SystemImage::from_bytes(&img.to_bytes()).unwrap();
+        // The arena pointer of a statement's text is not carried.
+        for e in img.memory.statements_current.iter_mut() {
+            e.text_ptr = None;
+        }
+        for e in img.memory.statements_history.iter_mut() {
+            e.text_ptr = None;
+        }
+        assert_eq!(back, img);
     }
 
     #[test]
     fn rejects_garbage_and_truncation() {
         assert!(SystemImage::from_bytes(b"not a snapshot").is_err());
-        let bytes = image().to_bytes();
+        let bytes = deterministic_image().to_bytes();
         for cut in [8usize, 16, bytes.len() / 2, bytes.len() - 1] {
             assert!(SystemImage::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
         let mut extra = bytes.clone();
         extra.push(0);
         assert!(SystemImage::from_bytes(&extra).is_err(), "trailing byte");
+    }
+
+    /// A zone-map column ordinal is a `u16` carried as a `u32`; one
+    /// above 65,535 is an error, not a different column.
+    #[test]
+    fn rejects_a_column_ordinal_past_u16() {
+        let mut img = deterministic_image();
+        img.memory.zone_maps = vec![ZoneMapPage {
+            file: "table_t.ibd".into(),
+            page_no: 0,
+            rows: 1,
+            columns: vec![(7, 1, 2)],
+        }];
+        img.memory.version_chains.clear();
+        let mut bytes = img.to_bytes();
+        // ... | u32 col | i64 min | i64 max | u32 chain count (0).
+        let col = bytes.len() - 4 - 16 - 4;
+        assert_eq!(bytes[col..col + 4], 7u32.to_le_bytes());
+        let back = SystemImage::from_bytes(&bytes).unwrap();
+        assert_eq!(back.memory.zone_maps, img.memory.zone_maps);
+        bytes[col..col + 4].copy_from_slice(&(65_536 + 7u32).to_le_bytes());
+        assert!(SystemImage::from_bytes(&bytes).is_err());
     }
 }

@@ -6,7 +6,7 @@
 //! experiment harness) and the loopback-TCP endpoint in [`crate::tcp`].
 //! [`FlakyEndpoint`] wraps either one to inject mid-stream disconnects.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,42 +88,21 @@ impl LinkCutter {
     }
 }
 
-/// Fault-injection wrapper: fails after a fixed number of operations
-/// and/or when an external [`LinkCutter`] trips.
+/// Fault-injection wrapper: fails every operation while an external
+/// [`LinkCutter`] is tripped.
 pub struct FlakyEndpoint<T: Transport> {
     inner: T,
-    ops: AtomicU64,
-    /// Fail every operation once this many have succeeded (`u64::MAX` = never).
-    fail_after: u64,
     cutter: LinkCutter,
 }
 
 impl<T: Transport> FlakyEndpoint<T> {
-    /// Wraps `inner`, failing permanently after `fail_after` operations.
-    pub fn new(inner: T, fail_after: u64) -> Self {
-        FlakyEndpoint {
-            inner,
-            ops: AtomicU64::new(0),
-            fail_after,
-            cutter: LinkCutter::default(),
-        }
-    }
-
-    /// Wraps `inner` with an external cut switch and no op limit.
+    /// Wraps `inner` with an external cut switch.
     pub fn with_cutter(inner: T, cutter: LinkCutter) -> Self {
-        FlakyEndpoint {
-            inner,
-            ops: AtomicU64::new(0),
-            fail_after: u64::MAX,
-            cutter,
-        }
+        FlakyEndpoint { inner, cutter }
     }
 
     fn check(&self) -> ReplResult<()> {
         if self.cutter.is_cut() {
-            return Err(ReplError::Disconnected);
-        }
-        if self.ops.fetch_add(1, Ordering::Relaxed) >= self.fail_after {
             return Err(ReplError::Disconnected);
         }
         Ok(())
@@ -180,21 +159,6 @@ mod tests {
             a.recv_timeout(Duration::from_millis(5)),
             Err(ReplError::Disconnected)
         );
-    }
-
-    #[test]
-    fn flaky_fails_after_n_ops() {
-        let (a, mut b) = duplex();
-        let mut flaky = FlakyEndpoint::new(a, 2);
-        flaky.send(&WireMessage::Purged { purged_to: 0 }).unwrap();
-        flaky.send(&WireMessage::Purged { purged_to: 1 }).unwrap();
-        assert_eq!(
-            flaky.send(&WireMessage::Purged { purged_to: 2 }),
-            Err(ReplError::Disconnected)
-        );
-        // The two sent before the cut still arrive.
-        assert!(b.recv_timeout(Duration::from_millis(50)).unwrap().is_some());
-        assert!(b.recv_timeout(Duration::from_millis(50)).unwrap().is_some());
     }
 
     #[test]
