@@ -11,7 +11,10 @@
 //! `chrome://tracing` / Perfetto) from the statement traces the
 //! experiment's engines recorded — E19's holds the merged client,
 //! primary and replica lanes. Any other `--flag` is an error (exit 2).
-//! The `--quick` cells are pinned by `EXPERIMENTS.golden`.
+//! Each table prints its claims under its rows; when any claim reads
+//! `FAIL`, the run exits 1 after printing everything and writing the
+//! reports. The `--quick` cells and claims are pinned by
+//! `EXPERIMENTS.golden`.
 
 use bench::{ExperimentReport, Options, ALL};
 
@@ -110,5 +113,12 @@ fn main() {
     if let Some(path) = json_path {
         write_or_exit(&path, &bench::reports_to_json(&reports, &opts));
         eprintln!("[experiments] wrote JSON report to {path}");
+    }
+    let failed = bench::failed_claims(&reports);
+    if !failed.is_empty() {
+        for claim in &failed {
+            eprintln!("[experiments] FAIL {claim}");
+        }
+        std::process::exit(1);
     }
 }

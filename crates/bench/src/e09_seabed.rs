@@ -133,6 +133,15 @@ fn splashe_digest_attack(opts: &Options) -> Table {
         pct(correct_weighted / observed_total.max(1.0)),
     ]);
     t.row(&["random-guess baseline".into(), pct(1.0 / domain as f64)]);
+    t.claim(
+        "frequency analysis maps more than twice the random-guess share of columns",
+        correct as f64 / guesses.len().max(1) as f64 > 2.0 / domain as f64,
+    );
+    // Head values dominate and rank-match reliably.
+    t.claim(
+        "the value of more than 35% of the queries is revealed",
+        correct_weighted / observed_total.max(1.0) > 0.35,
+    );
     opts.absorb_db(&db);
     t
 }
@@ -343,6 +352,11 @@ fn enhanced_splashe_attack(opts: &Options) -> Table {
         "at-rest tail histogram (after padding)".into(),
         "flat by construction - data alone reveals nothing".into(),
     ]);
+    // 16 tail values: random guessing labels ~6% of tail rows.
+    t.claim(
+        "the carved histogram labels more than 10% of tail rows",
+        tail_rows_revealed as f64 / tail_rows_total.max(1) as f64 > 0.10,
+    );
     opts.absorb_db(&db);
     t
 }
@@ -350,34 +364,6 @@ fn enhanced_splashe_attack(opts: &Options) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pct_of(s: &str) -> f64 {
-        let inside = s.rsplit('(').next().unwrap_or(s);
-        inside
-            .trim_end_matches(')')
-            .trim_end_matches('%')
-            .parse::<f64>()
-            .unwrap()
-            / 100.0
-    }
-
-    #[test]
-    fn splashe_digest_recovery_beats_baseline() {
-        let t = splashe_digest_attack(&Options {
-            quick: true,
-            ..Default::default()
-        });
-        let mapped = pct_of(&t.rows[3][1]);
-        let baseline = pct_of(&t.rows[5][1]);
-        assert!(
-            mapped > 2.0 * baseline,
-            "mapped {mapped} vs baseline {baseline}"
-        );
-        // The MLE metric: fraction of query mass whose value is revealed.
-        // Head values dominate and rank-match reliably.
-        let revealed = pct_of(&t.rows[4][1]);
-        assert!(revealed > 0.35, "revealed {revealed}");
-    }
 
     #[test]
     fn ore_matching_recovers_most_rows() {
@@ -390,19 +376,7 @@ mod tests {
             quick: false,
             ..Default::default()
         });
-        let revealed = pct_of(&t.rows[3][1]);
-        assert!(revealed > 0.5, "revealed {revealed}");
-    }
-
-    #[test]
-    fn enhanced_tail_rows_revealed() {
-        let t = enhanced_splashe_attack(&Options {
-            quick: true,
-            ..Default::default()
-        });
-        let revealed = pct_of(&t.rows[3][1]);
-        // 16 tail values: random guessing labels ~6% of tail rows. The
-        // carved histogram does markedly better even at quick scale.
-        assert!(revealed > 0.10, "revealed {revealed}");
+        let revealed: f64 = t.rows[3][1].trim_end_matches('%').parse().unwrap();
+        assert!(revealed > 50.0, "revealed {revealed}%");
     }
 }

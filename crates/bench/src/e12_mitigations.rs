@@ -20,6 +20,7 @@ use snapshot_attack::report::Table;
 use crate::Options;
 
 /// Channels probed after the workload.
+#[derive(Clone, Copy)]
 struct Probe {
     binlog_text: bool,
     redo_rows: bool,
@@ -28,6 +29,20 @@ struct Probe {
     heap_text: bool,
     /// Metrics registry still reveals that `notes` was accessed.
     telemetry_tables: bool,
+}
+
+impl Probe {
+    /// Every channel, in the table's column order.
+    fn channels(&self) -> [bool; 6] {
+        [
+            self.binlog_text,
+            self.redo_rows,
+            self.history_text,
+            self.cache_text,
+            self.heap_text,
+            self.telemetry_tables,
+        ]
+    }
 }
 
 fn run_workload(opts: &Options, config: DbConfig, marker: &str, flush_diagnostics: bool) -> Probe {
@@ -185,61 +200,46 @@ pub fn run(opts: &Options) -> Vec<Table> {
             "telemetry",
         ],
     );
+    let mut probes = Vec::new();
     for (i, (name, config, flush)) in variants.into_iter().enumerate() {
         let marker = format!("mitigation_marker_{i}_zxqv");
         let p = run_workload(opts, config, &marker, flush);
-        t.row(&[
-            name.to_string(),
-            mark(p.binlog_text).into(),
-            mark(p.redo_rows).into(),
-            mark(p.history_text).into(),
-            mark(p.cache_text).into(),
-            mark(p.heap_text).into(),
-            mark(p.telemetry_tables).into(),
-        ]);
+        let mut row = vec![name.to_string()];
+        row.extend(p.channels().map(|leaks| mark(leaks).to_string()));
+        t.row(&row);
+        probes.push(p);
     }
+    let [defaults, no_binlog, no_cache, _, all_three, flushed, scrubbed, no_telemetry] = probes[..]
+    else {
+        unreachable!("eight variants")
+    };
+    t.claim(
+        "production defaults leak the marker on every channel",
+        defaults.channels().iter().all(|&l| l),
+    );
+    t.claim(
+        "each single hardening closes its own channel (binlog off, cache off)",
+        !no_binlog.binlog_text && !no_cache.cache_text,
+    );
+    t.claim(
+        "every configuration still leaks the marker somewhere (§7: no query-free snapshot)",
+        probes.iter().all(|p| p.channels().iter().any(|&l| l)),
+    );
+    t.claim(
+        "with all three hardenings, redo rows still leak (durability)",
+        all_three.redo_rows,
+    );
+    t.claim(
+        "a diagnostics flush wipes the statement history but not the telemetry",
+        !flushed.history_text && flushed.telemetry_tables,
+    );
+    t.claim(
+        "scrub-on-flush and disabled telemetry each close the telemetry channel",
+        !scrubbed.telemetry_tables && !no_telemetry.telemetry_tables,
+    );
+    t.claim(
+        "neither telemetry knob closes a §3 log channel",
+        scrubbed.redo_rows && no_telemetry.binlog_text,
+    );
     vec![t]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn no_single_knob_closes_all_channels() {
-        let tables = run(&Options::default());
-        let rows = &tables[0].rows;
-        // Defaults: everything leaks.
-        assert!(rows[0][1..].iter().all(|c| c == "LEAKS"), "{:?}", rows[0]);
-        // Each single hardening closes its channel...
-        assert_eq!(rows[1][1], "-", "binlog off silences the binlog");
-        assert_eq!(rows[2][4], "-", "cache off empties the query cache");
-        // ...but every hardened variant still leaks somewhere.
-        for row in rows {
-            assert!(
-                row[1..].iter().any(|c| c == "LEAKS"),
-                "a snapshot with zero query history should be impossible: {row:?}"
-            );
-        }
-        // Even with all three: redo rows (ACID) and statement history remain.
-        assert_eq!(rows[4][2], "LEAKS");
-    }
-
-    #[test]
-    fn telemetry_survives_the_diagnostics_flush() {
-        let tables = run(&Options::default());
-        let rows = &tables[0].rows;
-        // Defaults: per-table counters place the victim on `notes`.
-        assert_eq!(rows[0][6], "LEAKS");
-        // FLUSH STATUS empties the statement history...
-        assert_eq!(rows[5][3], "-", "flush wipes the perf schema");
-        // ...but the metrics registry keeps the access distribution.
-        assert_eq!(rows[5][6], "LEAKS", "telemetry outlives the flush");
-        // The scrub knob closes the channel; so does disabling telemetry.
-        assert_eq!(rows[6][6], "-", "scrub-on-flush zeroes the registry");
-        assert_eq!(rows[7][6], "-", "disabled registry records nothing");
-        // Neither helps with the §3 channels, of course.
-        assert_eq!(rows[6][2], "LEAKS");
-        assert_eq!(rows[7][1], "LEAKS");
-    }
 }

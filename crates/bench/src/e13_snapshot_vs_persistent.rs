@@ -117,46 +117,14 @@ pub fn run(opts: &Options) -> Vec<Table> {
             pct(digest_count as f64 / transcript.len() as f64)
         ),
     ]);
+    t.claim(
+        "every committed write is recovered verbatim (binlog)",
+        writes_recovered as f64 / writes as f64 >= 0.999,
+    );
+    t.claim(
+        "query cache, history and heap recover more than 10% of reads verbatim",
+        reads_recovered as f64 / reads as f64 > 0.10,
+    );
     opts.absorb_db(&db);
     vec![t]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_recovers_all_writes_and_many_reads() {
-        let tables = run(&Options {
-            quick: true,
-            ..Default::default()
-        });
-        let rows = &tables[0].rows;
-        let w: &str = &rows[2][1];
-        let writes_frac: f64 = w
-            .rsplit('(')
-            .next()
-            .unwrap()
-            .trim_end_matches(')')
-            .trim_end_matches('%')
-            .parse::<f64>()
-            .unwrap();
-        assert!(
-            writes_frac >= 99.9,
-            "every committed write is in the binlog: {w}"
-        );
-        let reads: &str = &rows[3][1];
-        let reads_frac: f64 = reads
-            .rsplit('(')
-            .next()
-            .unwrap()
-            .trim_end_matches(')')
-            .trim_end_matches('%')
-            .parse::<f64>()
-            .unwrap();
-        assert!(
-            reads_frac > 10.0,
-            "query cache + history + heap recover reads: {reads}"
-        );
-    }
 }

@@ -3,7 +3,7 @@
 //!
 //! The victim is the E16 fixture — EDB-encrypted payloads, plaintext
 //! range-queried `ts` — with one production-realistic addition: the
-//! engine's observability port is on (`DbConfig::obs_listen`), serving
+//! engine's observability port is on (`DbConfig::obs`), serving
 //! `/metrics` to whatever can open a TCP connection, the way every
 //! Prometheus-scraped DBMS does. The attacker is
 //! [`snapshot_attack::attacks::volume::RemoteObserver`]: it never sees
@@ -17,8 +17,9 @@
 //! The experiment measures the channel's bandwidth against its
 //! controls: recovery rate vs scrape interval (fast scrapes isolate
 //! queries; slow scrapes merge them), then the two mitigation knobs —
-//! `obs_scrub` (per-table series dropped, every value quantized to a
-//! power of two) and bearer-token auth (the observer is simply denied).
+//! `ObsOptions::scrub` (per-table series dropped, every value quantized
+//! to a power of two) and bearer-token auth (the observer is simply
+//! denied).
 //! A second table cross-checks the replication-lag histograms: the
 //! p50/p95/p99 a remote scrape derives from `_bucket` lines must equal
 //! the engine-side
@@ -31,7 +32,7 @@
 use std::time::{Duration, Instant};
 
 use edb_crypto::{kdf, rnd, Key};
-use mdb_obs::{http, prom};
+use mdb_obs::{http, prom, ObsOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snapshot_attack::attacks::volume::{
@@ -71,9 +72,11 @@ fn victim(rows: usize, scrub: bool, auth: Option<&str>, seed: u64) -> minidb::en
         redo_capacity: 16 << 20,
         undo_capacity: 16 << 20,
         query_cache_enabled: false,
-        obs_listen: Some("127.0.0.1:0".into()),
-        obs_scrub: scrub,
-        obs_auth_token: auth.map(str::to_string),
+        obs: Some(ObsOptions {
+            auth_token: auth.map(str::to_string),
+            scrub,
+            ..ObsOptions::default()
+        }),
         ..minidb::engine::DbConfig::default()
     };
     let db = minidb::engine::Db::open(config);
@@ -238,8 +241,10 @@ fn percentile_from_exposition(
 fn shape_db(rows: usize, queries: usize, scrub: bool) -> minidb::engine::Db {
     let db = minidb::engine::Db::open(minidb::engine::DbConfig {
         query_cache_enabled: false,
-        obs_listen: Some("127.0.0.1:0".into()),
-        obs_scrub: scrub,
+        obs: Some(ObsOptions {
+            scrub,
+            ..ObsOptions::default()
+        }),
         ..minidb::engine::DbConfig::default()
     });
     let conn = db.connect("bench");
@@ -290,6 +295,8 @@ fn exposition_shape(opts: &Options) -> Table {
             "parse",
         ],
     );
+    // (series, body bytes) of the plain, then the scrubbed exposition.
+    let mut sizes = Vec::new();
     for scrub in [false, true] {
         let db = shape_db(rows, queries, scrub);
         let addr = db.obs_addr().unwrap();
@@ -315,7 +322,20 @@ fn exposition_shape(opts: &Options) -> Table {
                 format!("{parse:.1}us"),
             ])
             .measured(&[3, 4, 5]);
+        sizes.push((series, body.len()));
     }
+    let [(plain_series, plain_bytes), (scrub_series, scrub_bytes)] = sizes[..] else {
+        unreachable!("two expositions")
+    };
+    shape.claim(
+        "the plain exposition has more than 20 series in more than 500 bytes",
+        plain_series > 20 && plain_bytes > 500,
+    );
+    // Scrub drops the per-table series and every bucket line.
+    shape.claim(
+        "the scrubbed exposition is strictly smaller in series and bytes",
+        scrub_series < plain_series && scrub_bytes < plain_bytes,
+    );
     shape
 }
 
@@ -363,6 +383,7 @@ pub fn run(opts: &Options) -> Vec<Table> {
             Mitigation::Auth,
         ),
     ];
+    let mut outcomes = Vec::new();
     for (seed, (variant, scrape_ms, pacing, mitigation)) in (0x1701..).zip(variants) {
         let v = run_variant(
             rows,
@@ -386,7 +407,27 @@ pub fn run(opts: &Options) -> Vec<Table> {
             ])
             // Scrape and denial counts are wall time over the interval.
             .measured(&[2, 3]);
+        outcomes.push(v);
     }
+    let [open, slow, scrubbed, authed] = &outcomes[..] else {
+        unreachable!("four variants")
+    };
+    channel.claim(
+        "an open port at 100 ms: >= 80% of per-query volumes and range bounds recovered",
+        open.recovery_rate >= 0.8 && open.bound_rate >= 0.8,
+    );
+    channel.claim(
+        "a slow scraper merges windows and recovers less",
+        slow.merged_queries > 0 && slow.recovery_rate < open.recovery_rate,
+    );
+    channel.claim(
+        "obs scrub narrows the channel to <= 50%",
+        scrubbed.recovery_rate <= 0.5 && scrubbed.recovery_rate < open.recovery_rate,
+    );
+    channel.claim(
+        "bearer auth closes the channel: every scrape denied, nothing recovered",
+        authed.recovery_rate == 0.0 && authed.denied > 0 && authed.scrapes == 0,
+    );
 
     // ---- part two: lag percentiles, engine-side vs remote scrape ----
     let mut lag = Table::new(
@@ -404,7 +445,7 @@ pub fn run(opts: &Options) -> Vec<Table> {
     let mut set = mdb_repl::router::ReplicaSet::start(mdb_repl::router::ReplicaSetConfig {
         replicas: 2,
         base: minidb::engine::DbConfig {
-            obs_listen: Some("127.0.0.1:0".into()),
+            obs: Some(ObsOptions::default()),
             ..minidb::engine::DbConfig::default()
         },
         ..mdb_repl::router::ReplicaSetConfig::default()
@@ -449,6 +490,10 @@ pub fn run(opts: &Options) -> Vec<Table> {
     ])
     // Wall-clock waits: which bucket a percentile lands in is timing.
     .measured(&[2, 3, 4, 5]);
+    lag.claim(
+        "a remote scrape reproduces the engine-side p50/p95/p99 exactly",
+        remote == engine_p,
+    );
     let apply = set
         .replica(0)
         .telemetry()
@@ -470,66 +515,4 @@ pub fn run(opts: &Options) -> Vec<Table> {
     set.shutdown();
 
     vec![channel, lag, exposition_shape(opts)]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scrape_channel_recovers_volumes_and_mitigations_narrow_it() {
-        let tables = run(&Options {
-            quick: true,
-            ..Default::default()
-        });
-        let rate = |row: &Vec<String>, col: usize| -> f64 {
-            row[col].trim_end_matches('%').parse::<f64>().unwrap() / 100.0
-        };
-
-        let open = &tables[0].rows[0];
-        // The acceptance criterion: >= 80% per-query volume recovery
-        // from scrapes alone at a 100 ms interval.
-        assert!(rate(open, 6) >= 0.8, "open-port recovery too low: {open:?}");
-        assert!(
-            rate(open, 7) >= 0.8,
-            "bound inversion should track volumes: {open:?}"
-        );
-
-        let slow = &tables[0].rows[1];
-        assert!(
-            slow[5].parse::<u64>().unwrap() > 0,
-            "slow scraper must merge windows: {slow:?}"
-        );
-        assert!(rate(slow, 6) < rate(open, 6), "{slow:?}");
-
-        let scrubbed = &tables[0].rows[2];
-        assert!(
-            rate(scrubbed, 6) <= 0.5 && rate(scrubbed, 6) < rate(open, 6),
-            "scrub must measurably narrow the channel: {scrubbed:?}"
-        );
-
-        let authed = &tables[0].rows[3];
-        assert_eq!(
-            rate(authed, 6),
-            0.0,
-            "auth must close the channel: {authed:?}"
-        );
-        assert!(
-            authed[3].parse::<u64>().unwrap() > 0,
-            "denials recorded: {authed:?}"
-        );
-        assert_eq!(authed[2], "0", "no successful scrapes: {authed:?}");
-
-        // Part two: a remote scrape reproduces engine-side percentiles.
-        let lag = &tables[1].rows[0];
-        assert_eq!(lag[6], "EXACT", "{lag:?}");
-
-        // Part three: scrub drops per-table series and all bucket lines,
-        // so its exposition is strictly smaller.
-        let (plain, scrubbed) = (&tables[2].rows[0], &tables[2].rows[1]);
-        let n = |row: &Vec<String>, col: usize| row[col].parse::<usize>().unwrap();
-        assert!(n(plain, 1) > 20 && n(plain, 2) > 500, "{plain:?}");
-        assert!(n(scrubbed, 1) < n(plain, 1), "{scrubbed:?}");
-        assert!(n(scrubbed, 2) < n(plain, 2), "{scrubbed:?}");
-    }
 }

@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use mdb_repl::router::{ReplicaSet, ReplicaSetConfig};
 use mdb_server::{MdbClient, MdbServer, ServerOptions};
-use mdb_trace::merge::{lanes_with_trace, offsets_us, NodeTraces};
+use mdb_trace::merge::{lanes_with_trace, merge_chrome_json, offsets_us, NodeTraces};
 use mdb_trace::Recorder;
 use minidb::engine::{DbConfig, START_TIME_UNIX};
 use snapshot_attack::forensics::xtrace;
@@ -219,6 +219,22 @@ pub fn run(opts: &Options) -> Vec<Table> {
             ])
             .measured(&[7]);
     }
+    let [on, _, hashed, off] = &variants;
+    attribution.claim(
+        "tracing on: relay and slow log carve every id, >= 90% attributed and exposed",
+        on.carved >= on.executed && on.attribution_rate >= 0.9 && on.exposure >= 0.9,
+    );
+    attribution.claim(
+        "trace_id_hashing leaves ids carvable but joins none",
+        hashed.carved > 0 && hashed.matched == 0 && hashed.attribution_rate == 0.0,
+    );
+    attribution.claim("tracing off leaves no id to carve", off.carved == 0);
+    // The replica lane falls out of a hashed probe's trace; the client
+    // and primary lanes, which never cross the rehash boundary, keep it.
+    attribution.claim(
+        "a probe statement sits on 3 lanes traced, 2 hashed, 0 off",
+        on.probe_lanes == 3 && hashed.probe_lanes == 2 && off.probe_lanes == 0,
+    );
 
     let mut merge = Table::new(
         "E19 - merged timeline: estimated clock offsets vs client lane",
@@ -243,57 +259,20 @@ pub fn run(opts: &Options) -> Vec<Table> {
             ]);
         }
     }
+    merge.claim(
+        "tracing on: the merge recovers the -7 s client skew within 1.5 s on every node",
+        on.offsets_us
+            .iter()
+            .filter(|(node, _)| node != "client")
+            .all(|(_, off)| (*off as f64 / 1e6 - CLIENT_CLOCK_SKEW_S as f64).abs() < 1.5),
+    );
+    let merged = merge_chrome_json(&on.nodes);
+    merge.claim(
+        "tracing on: the merged document names the client, primary and replica lanes",
+        ["client", "primary", "replica-0"]
+            .iter()
+            .all(|lane| merged.contains(&format!("\"args\":{{\"name\":\"{lane}\"}}"))),
+    );
 
     vec![attribution, merge]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tracing_on_attributes_and_merges_three_lanes() {
-        let v = run_variant("t", true, false, 1, 16);
-        assert!(v.carved >= v.executed, "relay + slow log both carve");
-        assert!(v.attribution_rate >= 0.9, "{}", v.attribution_rate);
-        assert!(v.exposure >= 0.9, "{}", v.exposure);
-        assert_eq!(v.probe_lanes, 3, "client, primary, replica");
-        // The merge recovers the deliberate -7 s client clock skew.
-        for (node, off) in &v.offsets_us {
-            if node != "client" {
-                let secs = *off as f64 / 1e6;
-                assert!(
-                    (secs - CLIENT_CLOCK_SKEW_S as f64).abs() < 1.5,
-                    "{node}: {secs}"
-                );
-            }
-        }
-        // The merged document names all three process lanes.
-        let merged = mdb_trace::merge::merge_chrome_json(&v.nodes);
-        for lane in ["client", "primary", "replica-0"] {
-            assert!(
-                merged.contains(&format!("\"args\":{{\"name\":\"{lane}\"}}")),
-                "{lane} lane missing"
-            );
-        }
-    }
-
-    #[test]
-    fn hashing_zeroes_the_join() {
-        let v = run_variant("h", true, true, 1, 8);
-        assert!(v.carved > 0, "ids still present, just unjoinable");
-        assert_eq!(v.matched, 0);
-        assert_eq!(v.attribution_rate, 0.0);
-        // The replica lane falls out of the probe's trace; the client
-        // and primary lanes (which never cross the rehash boundary)
-        // keep it.
-        assert_eq!(v.probe_lanes, 2);
-    }
-
-    #[test]
-    fn tracing_off_leaves_nothing_to_carve() {
-        let v = run_variant("off", false, false, 1, 8);
-        assert_eq!(v.carved, 0);
-        assert_eq!(v.probe_lanes, 0);
-    }
 }

@@ -2,10 +2,12 @@
 //! quantitative claim of the paper's evaluation.
 //!
 //! Each `e*` module reproduces one experiment from DESIGN.md's index and
-//! returns [`snapshot_attack::report::Table`]s; the `experiments` binary
-//! prints them, [`golden`] renders their `--quick` cells as the committed
-//! contract `EXPERIMENTS.golden`, and the benches under `benches/` time
-//! the scan path and the telemetry and tracing overheads with [`timeit`].
+//! returns [`snapshot_attack::report::Table`]s, each with the claims the
+//! experiment judges on its own values ([`Table::claim`]); the
+//! `experiments` binary prints them, [`golden`] renders their `--quick`
+//! cells and claims as the committed contract `EXPERIMENTS.golden`, and
+//! the benches under `benches/` time the scan path and the telemetry and
+//! tracing overheads with [`timeit`].
 //!
 //! | id  | paper | what it reproduces |
 //! |-----|-------|--------------------|
@@ -57,7 +59,7 @@ pub mod scanbench;
 
 use mdb_telemetry::{json, MetricsSnapshot, Registry};
 use mdb_trace::{Recorder, StatementTrace};
-use snapshot_attack::report::Table;
+use snapshot_attack::report::{verdict, Table};
 
 /// Shared experiment options.
 #[derive(Clone, Debug)]
@@ -232,8 +234,9 @@ pub fn reports_to_json(reports: &[ExperimentReport], opts: &Options) -> String {
 
 /// Renders the experiment contract: one `id | table | row | header |
 /// value` line per cell, rows numbered from 0 and measured cells shown as
-/// `~`. `tests/experiments_golden.rs` compares the `--quick` rendering of
-/// every experiment against the committed `EXPERIMENTS.golden`.
+/// `~`, then one `id | table | claim | text | PASS` (or `FAIL`) line per
+/// claim. `tests/experiments_golden.rs` compares the `--quick` rendering
+/// of every experiment against the committed `EXPERIMENTS.golden`.
 pub fn golden(reports: &[ExperimentReport]) -> String {
     let mut out = String::new();
     for r in reports {
@@ -248,9 +251,32 @@ pub fn golden(reports: &[ExperimentReport]) -> String {
                     ));
                 }
             }
+            for (text, holds) in &t.claims {
+                out.push_str(&format!(
+                    "{} | {} | claim | {text} | {}\n",
+                    r.id,
+                    t.title,
+                    verdict(*holds)
+                ));
+            }
         }
     }
     out
+}
+
+/// Every claim that does not hold, as `id | table | text`.
+pub fn failed_claims(reports: &[ExperimentReport]) -> Vec<String> {
+    reports
+        .iter()
+        .flat_map(|r| {
+            r.tables.iter().flat_map(move |t| {
+                t.claims
+                    .iter()
+                    .filter(|(_, holds)| !holds)
+                    .map(move |(text, _)| format!("{} | {} | {text}", r.id, t.title))
+            })
+        })
+        .collect()
 }
 
 /// Formats a fraction as a percentage string.

@@ -19,7 +19,7 @@
 //! *merged* — the observer sees only the sum of the colliding volumes
 //! and reports them unrecovered. E17 measures exactly this: recovery
 //! rate vs scrape interval, and the channel narrowing under the
-//! `obs_scrub` / auth-gating mitigations.
+//! `ObsOptions::scrub` / auth-gating mitigations.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;

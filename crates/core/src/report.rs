@@ -4,6 +4,13 @@
 //! unless the experiment marks it *measured* ([`Table::measured`]) where
 //! it builds the row: a wall-clock rate, or a count that depends on how
 //! threads were scheduled.
+//!
+//! A table also carries the experiment's *claims* ([`Table::claim`]):
+//! each is a sentence and a `bool` the experiment computes from its own
+//! typed values where it builds the rows, never by parsing a cell back.
+//! A claim states what the paper (or the extension) asserts about those
+//! values; a measured cell's floor is a claim too. The table prints each
+//! claim under its rows as `PASS` or `FAIL`.
 
 use core::fmt;
 
@@ -18,6 +25,9 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
     /// `(row, column)` of every measured cell.
     pub measured: Vec<(usize, usize)>,
+    /// Every claim about the table's values: its text and whether it
+    /// holds.
+    pub claims: Vec<(String, bool)>,
 }
 
 impl Table {
@@ -28,6 +38,7 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             measured: Vec::new(),
+            claims: Vec::new(),
         }
     }
 
@@ -54,6 +65,21 @@ impl Table {
     /// Whether the cell at `(row, col)` is measured.
     pub fn is_measured(&self, row: usize, col: usize) -> bool {
         self.measured.contains(&(row, col))
+    }
+
+    /// Records the claim `text`, which holds when `holds` is true.
+    pub fn claim(&mut self, text: &str, holds: bool) -> &mut Self {
+        self.claims.push((text.to_string(), holds));
+        self
+    }
+}
+
+/// How a claim renders: `PASS` when it holds, `FAIL` when it does not.
+pub fn verdict(holds: bool) -> &'static str {
+    if holds {
+        "PASS"
+    } else {
+        "FAIL"
     }
 }
 
@@ -90,6 +116,9 @@ impl fmt::Display for Table {
         for row in &self.rows {
             write_row(f, row)?;
         }
+        for (text, holds) in &self.claims {
+            writeln!(f, "[{}] {text}", verdict(*holds))?;
+        }
         Ok(())
     }
 }
@@ -118,6 +147,16 @@ mod tests {
         t.row_str(&["x", "1"]).row_str(&["y", "2"]).measured(&[1]);
         assert!(t.is_measured(1, 1));
         assert!(!t.is_measured(0, 1) && !t.is_measured(1, 0));
+    }
+
+    #[test]
+    fn claims_print_under_the_rows() {
+        let mut t = Table::new("C", &["a"]);
+        t.row_str(&["1"])
+            .claim("one holds", true)
+            .claim("two fails", false);
+        let lines: Vec<String> = t.to_string().lines().map(String::from).collect();
+        assert_eq!(lines[4..], ["[PASS] one holds", "[FAIL] two fails"]);
     }
 
     #[test]

@@ -93,19 +93,14 @@ pub struct DbConfig {
     /// replication applier ([`Db::apply_replicated`]) bypasses the check,
     /// exactly like MySQL's `read_only` vs the SQL thread.
     pub read_only: bool,
-    /// When set, [`Db::open`] starts an [`mdb_obs::ObsServer`] on this
-    /// address serving `/metrics`, `/healthz`, and `/varz` for the
-    /// engine's telemetry registry — the status port every production
-    /// DBMS exposes. Use `"127.0.0.1:0"` for an ephemeral port
-    /// ([`Db::obs_addr`] resolves it). Off by default; E17 measures
-    /// what turning it on hands a remote observer.
-    pub obs_listen: Option<String>,
-    /// Bearer token required on `/metrics` and `/varz` (mitigation
-    /// knob; `/healthz` stays open for load balancers).
-    pub obs_auth_token: Option<String>,
-    /// Scrub the exposition: drop per-table series, quantize values to
-    /// powers of two (mitigation knob, [`mdb_obs::prom::scrub`]).
-    pub obs_scrub: bool,
+    /// When set, [`Db::open`] starts an [`mdb_obs::ObsServer`] with
+    /// these options, serving `/metrics`, `/healthz`, and `/varz` for
+    /// the engine's telemetry registry — the status port every
+    /// production DBMS exposes. Listen on `"127.0.0.1:0"` for an
+    /// ephemeral port ([`Db::obs_addr`] resolves it); the bearer token
+    /// and exposition scrub are the mitigation knobs. Off by default;
+    /// E17 measures what turning it on hands a remote observer.
+    pub obs: Option<mdb_obs::ObsOptions>,
     /// Group commit: coalesce concurrent committers into one shared
     /// durability point with a single fsync, via the leader/follower
     /// pipeline in [`crate::group_commit`]. Off by default — the seed's
@@ -151,9 +146,7 @@ impl Default for DbConfig {
             trace_id_hashing: false,
             server_id: 1,
             read_only: false,
-            obs_listen: None,
-            obs_auth_token: None,
-            obs_scrub: false,
+            obs: None,
             group_commit: false,
             encrypted_wal: false,
             wal_key: None,
@@ -182,7 +175,7 @@ pub(crate) struct Host {
     /// The telemetry registry. The server, the replication layer and the
     /// obs server hold clones of it.
     pub(crate) telemetry: Registry,
-    /// The observability server, when [`DbConfig::obs_listen`] is set.
+    /// The observability server, when [`DbConfig::obs`] is set.
     /// Held here so its lifetime matches the engine's; shutdown takes it
     /// out of the lock before joining the accept thread.
     pub(super) obs: Option<mdb_obs::ObsServer>,
@@ -258,10 +251,10 @@ mod tests {
     /// The rule for `DbConfig` (ROADMAP item 10): a new field needs two
     /// callers outside tests that set it differently; a value with one
     /// setting is a constant next to the code that reads it. The literal
-    /// has no `..`, so a 27th field stops compiling here, where the rule
+    /// has no `..`, so a 25th field stops compiling here, where the rule
     /// is.
     #[test]
-    fn default_config_is_these_26_fields() {
+    fn default_config_is_these_24_fields() {
         let spelled_out = DbConfig {
             redo_capacity: 50_000_000,
             undo_capacity: 50_000_000,
@@ -283,9 +276,7 @@ mod tests {
             trace_id_hashing: false,
             server_id: 1,
             read_only: false,
-            obs_listen: None,
-            obs_auth_token: None,
-            obs_scrub: false,
+            obs: None,
             group_commit: false,
             encrypted_wal: false,
             wal_key: None,

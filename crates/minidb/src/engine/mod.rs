@@ -168,27 +168,23 @@ impl Db {
         db
     }
 
-    /// Starts the observability server when [`DbConfig::obs_listen`] is
-    /// set. The health closure holds only a [`Weak`](std::sync::Weak) engine reference:
-    /// the server must not keep the engine alive, and a probe racing
-    /// engine teardown reports `503` instead of deadlocking.
+    /// Starts the observability server when [`DbConfig::obs`] is set.
+    /// The health closure holds only a [`Weak`](std::sync::Weak) engine
+    /// reference: the server must not keep the engine alive, and a probe
+    /// racing engine teardown reports `503` instead of deadlocking.
     fn start_obs(&self) {
         let mut g = self.inner.lock();
-        let Some(listen) = g.host.config.obs_listen.clone() else {
+        let Some(options) = g.host.config.obs.clone() else {
             return;
         };
-        let options = mdb_obs::ObsOptions {
-            listen,
-            auth_token: g.host.config.obs_auth_token.clone(),
-            scrub: g.host.config.obs_scrub,
-        };
+        let listen = options.listen.clone();
         let weak = Arc::downgrade(&self.inner);
         let health: mdb_obs::HealthSource = Arc::new(move || match weak.upgrade() {
             Some(inner) => inner.lock().health_report(),
             None => mdb_obs::HealthReport::unavailable("engine gone"),
         });
         let server = mdb_obs::ObsServer::start(g.host.telemetry.clone(), health, options)
-            .unwrap_or_else(|e| panic!("obs_listen {:?}: {e}", g.host.config.obs_listen));
+            .unwrap_or_else(|e| panic!("obs listen {listen:?}: {e}"));
         g.host.obs = Some(server);
     }
 

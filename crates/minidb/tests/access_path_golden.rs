@@ -33,29 +33,8 @@
 use minidb::engine::{Connection, Db, DbConfig};
 use minidb::storage::DUMP_FILE;
 
-/// splitmix64: the stream must not depend on any crate's generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> i64 {
-        (self.next() % n) as i64
-    }
-}
-
-/// FNV-1a over the debug rendering of a surface.
-fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+mod common;
+use common::{fnv, Rng};
 
 const EV_ROWS: i64 = 3_000;
 const TAG_ROWS: i64 = 1_200;
@@ -153,7 +132,7 @@ fn step(
     out: &mut Answers,
     next_id: &mut i64,
 ) {
-    let id = rng.below(EV_ROWS as u64 - 200);
+    let id = rng.below(EV_ROWS as u64 - 200) as i64;
     match rng.below(20) {
         0..=3 => out.read_ev(
             a,
@@ -330,7 +309,7 @@ fn run_stream(stream: Stream) -> Surfaces {
         out.rows_examined,
         out.rows_returned,
         out.text.matches("ERR ").count(),
-        fnv(&out.plain),
+        fnv(out.plain.as_bytes()),
         counter("scan.pages_pruned"),
         counter("scan.pages_decoded"),
     );
@@ -338,15 +317,15 @@ fn run_stream(stream: Stream) -> Surfaces {
         "answers={:016x}\n\
          hits={} misses={} evictions={} shards={:?}\n\
          access_counts={:016x} lru_order={:016x} adaptive_hash={:016x} dump={:016x}",
-        fnv(&out.text),
+        fnv(out.text.as_bytes()),
         counter("bufpool.hits"),
         counter("bufpool.misses"),
         counter("bufpool.evictions"),
         shards,
-        fnv(&format!("{:?}", mem.page_access_counts)),
-        fnv(&format!("{:?}", mem.cached_pages)),
-        fnv(&format!("{:?}", mem.adaptive_hash_keys)),
-        fnv(&String::from_utf8_lossy(&dump)),
+        fnv(format!("{:?}", mem.page_access_counts).as_bytes()),
+        fnv(format!("{:?}", mem.cached_pages).as_bytes()),
+        fnv(format!("{:?}", mem.adaptive_hash_keys).as_bytes()),
+        fnv(String::from_utf8_lossy(&dump).as_bytes()),
     );
     Surfaces {
         statements,

@@ -14,24 +14,10 @@ use minidb::storage::{BTree, ShardedBufferPool, TreeStats, PAGE_SIZE};
 use minidb::value::Value;
 use minidb::vdisk::VDisk;
 
+mod common;
+use common::Rng;
+
 const FILE: &str = "idx.ibd";
-
-/// splitmix64, as in `access_path_golden.rs`: no crate's generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 struct Fixture {
     pool: ShardedBufferPool,

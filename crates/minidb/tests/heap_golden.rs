@@ -22,29 +22,8 @@
 
 use minidb::engine::{Db, DbConfig};
 
-/// splitmix64: the stream must not depend on any crate's generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// FNV-1a.
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+mod common;
+use common::{fnv, Rng};
 
 /// A string literal of `n` characters, with a `''` escape when `n` is
 /// a multiple of five.

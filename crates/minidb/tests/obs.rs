@@ -1,14 +1,14 @@
 //! End-to-end tests for the engine's observability port: a live `Db`
-//! with `obs_listen` set, probed over real TCP with the crate's
+//! with `obs` set, probed over real TCP with the crate's
 //! curl-style client — `/metrics`, `/healthz`, `/varz` — plus the
 //! diagnostics-wipe contract for the scrape retention ring.
 
-use mdb_obs::{http, prom};
+use mdb_obs::{http, prom, ObsOptions};
 use minidb::{Db, DbConfig};
 
 fn obs_config() -> DbConfig {
     DbConfig {
-        obs_listen: Some("127.0.0.1:0".into()),
+        obs: Some(ObsOptions::default()),
         ..DbConfig::default()
     }
 }
@@ -88,8 +88,11 @@ fn crashed_engine_reports_not_ready() {
 #[test]
 fn auth_token_gates_the_data_endpoints() {
     let db = Db::open(DbConfig {
-        obs_auth_token: Some("scrape-secret".into()),
-        ..obs_config()
+        obs: Some(ObsOptions {
+            auth_token: Some("scrape-secret".into()),
+            ..ObsOptions::default()
+        }),
+        ..DbConfig::default()
     });
     let addr = db.obs_addr().unwrap();
     assert_eq!(http::get(addr, "/metrics", None).unwrap().0, 401);
@@ -163,8 +166,11 @@ fn flush_without_scrub_flag_keeps_the_ring() {
 #[test]
 fn crash_clears_ring_and_scrub_config_quantizes() {
     let db = Db::open(DbConfig {
-        obs_scrub: true,
-        ..obs_config()
+        obs: Some(ObsOptions {
+            scrub: true,
+            ..ObsOptions::default()
+        }),
+        ..DbConfig::default()
     });
     let addr = db.obs_addr().unwrap();
     seed(&db);

@@ -24,29 +24,10 @@ use minidb::vdisk::VDisk;
 use minidb::{DbError, DbResult};
 use proptest::prelude::*;
 
+mod common;
+use common::Rng;
+
 const FILE: &str = "t.ibd";
-
-/// splitmix64; the whole case derives from one generated seed (the
-/// vendored proptest has no recursive strategies to build trees with).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn chance(&mut self, percent: usize) -> bool {
-        self.below(100) < percent
-    }
-}
 
 /// A value of type `ty` from a domain small enough that comparisons hit
 /// all three orderings; `pad` stretches some TEXT so heaps span pages.
@@ -55,33 +36,33 @@ fn value_of(rng: &mut Rng, ty: ColumnType, pad: usize) -> Value {
         return Value::Null;
     }
     match ty {
-        ColumnType::Int => Value::Int(rng.below(7) as i64 - 3),
+        ColumnType::Int => Value::Int(rng.index(7) as i64 - 3),
         ColumnType::Text => {
-            let stem = ["", "a", "ab", "b", "é"][rng.below(5)];
+            let stem = ["", "a", "ab", "b", "é"][rng.index(5)];
             let fill = if rng.chance(20) {
-                rng.below(pad + 1)
+                rng.index(pad + 1)
             } else {
                 0
             };
             Value::Text(format!("{stem}{}", "x".repeat(fill)))
         }
-        ColumnType::Bytes => Value::Bytes(vec![rng.below(3) as u8; rng.below(3)]),
+        ColumnType::Bytes => Value::Bytes(vec![rng.index(3) as u8; rng.index(3)]),
     }
 }
 
 /// Any literal at all: compares across types and with NULL are part of
 /// the contract (`sql_cmp` orders by type rank, NULL is not-true).
 fn literal(rng: &mut Rng) -> Expr {
-    let ty = [ColumnType::Int, ColumnType::Text, ColumnType::Bytes][rng.below(3)];
+    let ty = [ColumnType::Int, ColumnType::Text, ColumnType::Bytes][rng.index(3)];
     Expr::Literal(value_of(rng, ty, 0))
 }
 
 fn operand(rng: &mut Rng, schema: &TableSchema) -> Expr {
-    match rng.below(10) {
-        0..=5 => Expr::Column(schema.columns[rng.below(schema.columns.len())].name.clone()),
+    match rng.index(10) {
+        0..=5 => Expr::Column(schema.columns[rng.index(schema.columns.len())].name.clone()),
         6..=7 => literal(rng),
         8 => Expr::Func("LEN".into(), vec![operand(rng, schema)]),
-        _ => match rng.below(3) {
+        _ => match rng.index(3) {
             0 => Expr::Column("nosuch".into()),
             1 => Expr::Func("NOFN".into(), vec![literal(rng)]),
             // Wrong arity: LEN itself reports the error.
@@ -93,14 +74,14 @@ fn operand(rng: &mut Rng, schema: &TableSchema) -> Expr {
 fn expr(rng: &mut Rng, schema: &TableSchema, depth: usize) -> Expr {
     let sub = |rng: &mut Rng| Box::new(expr(rng, schema, depth.saturating_sub(1)));
     match if depth == 0 {
-        rng.below(7)
+        rng.index(7)
     } else {
-        rng.below(12)
+        rng.index(12)
     } {
         0..=2 => {
             // Column against literal, either way round: the fused leaf.
-            let col = Expr::Column(schema.columns[rng.below(schema.columns.len())].name.clone());
-            let op = OPS[rng.below(6)];
+            let col = Expr::Column(schema.columns[rng.index(schema.columns.len())].name.clone());
+            let op = OPS[rng.index(6)];
             match rng.chance(50) {
                 true => Expr::Cmp(Box::new(col), op, Box::new(literal(rng))),
                 false => Expr::Cmp(Box::new(literal(rng)), op, Box::new(col)),
@@ -108,7 +89,7 @@ fn expr(rng: &mut Rng, schema: &TableSchema, depth: usize) -> Expr {
         }
         3..=5 => Expr::Cmp(
             Box::new(operand(rng, schema)),
-            OPS[rng.below(6)],
+            OPS[rng.index(6)],
             Box::new(operand(rng, schema)),
         ),
         // A bare value in boolean position: true iff a non-zero INT.
@@ -245,15 +226,17 @@ proptest! {
 
     #[test]
     fn kernel_matches_materialize_then_filter(seed in any::<u64>()) {
+        // The whole case derives from one generated seed: the vendored
+        // proptest has no recursive strategies to build trees with.
         let mut rng = Rng(seed);
-        let n_cols = 1 + rng.below(5);
+        let n_cols = 1 + rng.index(5);
         let types = [ColumnType::Int, ColumnType::Int, ColumnType::Text, ColumnType::Bytes];
         let schema = TableSchema::new(
             "t",
             (0..n_cols)
                 .map(|i| ColumnDef {
                     name: format!("c{i}"),
-                    ty: types[rng.below(4)],
+                    ty: types[rng.index(4)],
                     primary_key: false,
                 })
                 .collect(),
@@ -268,7 +251,7 @@ proptest! {
             values: schema.columns.iter().map(|c| value_of(rng, c.ty, 2500)).collect(),
         };
         let mut live: Vec<RowId> = Vec::new();
-        for _ in 0..rng.below(200) {
+        for _ in 0..rng.index(200) {
             let id = heap.allocate_row_id();
             heap.insert(&bp, &mut vd, &random_row(&mut rng, id)).unwrap();
             live.push(id);
@@ -276,11 +259,11 @@ proptest! {
         // Tombstone some slots; re-image others (a new length moves the
         // row to the tail page, so id order stops being page order).
         for _ in 0..live.len() / 4 {
-            let id = live.swap_remove(rng.below(live.len()));
+            let id = live.swap_remove(rng.index(live.len()));
             heap.delete(&bp, &mut vd, id).unwrap();
         }
         for _ in 0..live.len() / 4 {
-            let id = live[rng.below(live.len())];
+            let id = live[rng.index(live.len())];
             heap.update(&bp, &mut vd, &random_row(&mut rng, id)).unwrap();
         }
 
@@ -289,7 +272,7 @@ proptest! {
         let pred = filter.as_ref().map(|e| Predicate::compile(e, &schema, &fns));
         let needed: Option<Vec<bool>> =
             rng.chance(60).then(|| (0..n_cols).map(|_| rng.chance(50)).collect());
-        let limit = rng.chance(50).then(|| rng.below(12));
+        let limit = rng.chance(50).then(|| rng.index(12));
 
         // Heap order.
         let want = reference_scan(
@@ -304,8 +287,8 @@ proptest! {
         // Index order: any sequence of live ids, repeats included.
         let by_id: HashMap<RowId, Row> =
             heap_rows(&bp, &mut vd).into_iter().map(|r| (r.id, r)).collect();
-        let ids: Vec<RowId> = (0..rng.below(2 * live.len() + 1))
-            .map(|_| live[rng.below(live.len())])
+        let ids: Vec<RowId> = (0..rng.index(2 * live.len() + 1))
+            .map(|_| live[rng.index(live.len())])
             .collect();
         let want = reference_scan(
             ids.iter().map(|id| by_id[id].clone()),

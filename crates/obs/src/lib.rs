@@ -44,7 +44,7 @@ use parking_lot::Mutex;
 const RETENTION_SNAPSHOTS: usize = 64;
 
 /// Observability-server configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ObsOptions {
     /// Listen address (`"127.0.0.1:0"` binds an ephemeral port).
     pub listen: String,

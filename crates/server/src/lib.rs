@@ -130,15 +130,7 @@ mod tests {
 
     #[test]
     fn prepared_text_cache_round_trip_and_cap() {
-        let db = Db::open(DbConfig::default());
-        let srv = MdbServer::start(
-            db,
-            ServerOptions {
-                prepared_cache_cap: 2,
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap();
+        let (_db, srv) = start();
         let mut c = MdbClient::connect(srv.local_addr(), "cli").unwrap();
         c.query("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
         c.prepare("ins", "INSERT INTO t VALUES (1)").unwrap();
@@ -146,8 +138,11 @@ mod tests {
         c.execute_prepared("ins").unwrap();
         let r = c.execute_prepared("all").unwrap();
         assert_eq!(r.rows.len(), 1);
+        for i in 2..server::PREPARED_CACHE_CAP {
+            c.prepare(&format!("p{i}"), "SELECT 1").unwrap();
+        }
         // Cap enforced; re-preparing an existing name is allowed.
-        let err = c.prepare("third", "SELECT 1").unwrap_err();
+        let err = c.prepare("one_too_many", "SELECT 1").unwrap_err();
         assert!(matches!(err, ClientError::Server(m) if m.contains("prepared cache full")));
         c.prepare("all", "SELECT id FROM t").unwrap();
         let err = c.execute_prepared("missing").unwrap_err();

@@ -20,6 +20,9 @@ use crate::wire::{FrameDecoder, WireMessage, WireResultSet};
 const READ_POLL: Duration = Duration::from_millis(20);
 /// Identification string sent in the greeting.
 const SERVER_NAME: &str = "minidb/0.1";
+/// Per-session prepared-statement cache capacity; `PREPARE` of a new
+/// name beyond it is refused.
+pub(crate) const PREPARED_CACHE_CAP: usize = 64;
 
 /// SQL-server configuration.
 #[derive(Clone, Debug)]
@@ -27,16 +30,12 @@ pub struct ServerOptions {
     /// Listen address (`"127.0.0.1:0"` binds an ephemeral port; read it
     /// back via [`MdbServer::local_addr`]).
     pub listen: String,
-    /// Per-session prepared-statement cache capacity; `PREPARE` beyond
-    /// it is refused.
-    pub prepared_cache_cap: usize,
 }
 
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             listen: "127.0.0.1:0".into(),
-            prepared_cache_cap: 64,
         }
     }
 }
@@ -76,9 +75,7 @@ impl MdbServer {
         let accept_handle = {
             let shutdown = Arc::clone(&shutdown);
             let workers = Arc::clone(&workers);
-            std::thread::spawn(move || {
-                accept_loop(&listener, &db, &options, &shutdown, &workers, &stats)
-            })
+            std::thread::spawn(move || accept_loop(&listener, &db, &shutdown, &workers, &stats))
         };
         Ok(MdbServer {
             addr,
@@ -122,7 +119,6 @@ impl Drop for MdbServer {
 fn accept_loop(
     listener: &TcpListener,
     db: &Db,
-    options: &ServerOptions,
     shutdown: &Arc<AtomicBool>,
     workers: &Mutex<Vec<JoinHandle<()>>>,
     stats: &Arc<Stats>,
@@ -133,12 +129,11 @@ fn accept_loop(
         }
         stats.connections.inc();
         let db = db.clone();
-        let options = options.clone();
         let shutdown = Arc::clone(shutdown);
         let stats = Arc::clone(stats);
         let handle = std::thread::spawn(move || {
             // Session errors only poison this connection.
-            let _ = serve_session(&db, stream, &options, &shutdown, &stats);
+            let _ = serve_session(&db, stream, &shutdown, &stats);
         });
         workers.lock().push(handle);
     }
@@ -151,7 +146,6 @@ fn send(stream: &mut TcpStream, msg: &WireMessage) -> std::io::Result<()> {
 fn serve_session(
     db: &Db,
     mut stream: TcpStream,
-    options: &ServerOptions,
     shutdown: &AtomicBool,
     stats: &Stats,
 ) -> std::io::Result<()> {
@@ -252,14 +246,12 @@ fn serve_session(
                         send(&mut stream, &hello_first())?;
                         continue;
                     }
-                    if prepared.len() >= options.prepared_cache_cap && !prepared.contains_key(&name)
-                    {
+                    if prepared.len() >= PREPARED_CACHE_CAP && !prepared.contains_key(&name) {
                         send(
                             &mut stream,
                             &WireMessage::Error {
                                 message: format!(
-                                    "prepared cache full ({} statements)",
-                                    options.prepared_cache_cap
+                                    "prepared cache full ({PREPARED_CACHE_CAP} statements)"
                                 ),
                             },
                         )?;
