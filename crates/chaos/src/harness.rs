@@ -353,7 +353,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ReplResult<ChaosRun> {
                         FaultAction::KillAndPromote => {
                             let mut guard = set.write().unwrap_or_else(PoisonError::into_inner);
                             guard.kill_primary();
-                            let best = guard.elect_best();
+                            // No replica left: the fleet has no node to
+                            // fail over to, as if every link were cut.
+                            let best = guard.elect_best().ok_or(ReplError::Disconnected)?;
                             let promo = guard.promote(best)?;
                             for i in 0..guard.replica_count() {
                                 guard.heal(i);

@@ -105,6 +105,7 @@ impl QueryCache {
     /// Inserts a result; returns the arena pointers of any evicted entries
     /// so the engine can free them (not zero them!). A disabled cache
     /// encodes nothing.
+    #[must_use = "the evicted statement texts must be freed"]
     pub fn insert(
         &mut self,
         sql: &str,
@@ -123,13 +124,11 @@ impl QueryCache {
             freed.push(old.text_ptr);
         }
         while self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty");
-            freed.push(self.entries.remove(&victim).unwrap().text_ptr);
+            let oldest = self.entries.iter().min_by_key(|(_, e)| e.last_used);
+            let Some(victim) = oldest.map(|(k, _)| k.clone()) else {
+                break;
+            };
+            freed.extend(self.entries.remove(&victim).map(|e| e.text_ptr));
         }
         self.entries.insert(
             sql.to_string(),
@@ -144,6 +143,7 @@ impl QueryCache {
     }
 
     /// Invalidates every entry that read `table`; returns freed pointers.
+    #[must_use = "the invalidated statement texts must be freed"]
     pub fn invalidate_table(&mut self, table: &str) -> Vec<HeapPtr> {
         let keys: Vec<String> = self
             .entries
@@ -151,8 +151,9 @@ impl QueryCache {
             .filter(|(_, e)| e.tables.iter().any(|t| t == table))
             .map(|(k, _)| k.clone())
             .collect();
-        keys.into_iter()
-            .map(|k| self.entries.remove(&k).unwrap().text_ptr)
+        keys.iter()
+            .filter_map(|k| self.entries.remove(k))
+            .map(|e| e.text_ptr)
             .collect()
     }
 
@@ -174,6 +175,7 @@ impl QueryCache {
     }
 
     /// Drops everything (restart); returns freed pointers.
+    #[must_use = "the cached statement texts must be freed"]
     pub fn clear(&mut self) -> Vec<HeapPtr> {
         self.entries.drain().map(|(_, e)| e.text_ptr).collect()
     }
@@ -299,7 +301,7 @@ mod tests {
         let mut qc = QueryCache::new(true, 4);
         assert!(qc.get("SELECT 1").is_none());
         let ptr = h.alloc_str("SELECT 1");
-        qc.insert("SELECT 1", vec!["t".into()], &cols(), &rows(), ptr);
+        let _ = qc.insert("SELECT 1", vec!["t".into()], &cols(), &rows(), ptr);
         assert_eq!(
             qc.get("SELECT 1").map(CachedResult::decode),
             Some(Ok((cols(), rows())))
@@ -324,8 +326,8 @@ mod tests {
         let p1 = h.alloc_str("q1");
         let p2 = h.alloc_str("q2");
         let p3 = h.alloc_str("q3");
-        qc.insert("q1", vec![], &cols(), &rows(), p1);
-        qc.insert("q2", vec![], &cols(), &rows(), p2);
+        let _ = qc.insert("q1", vec![], &cols(), &rows(), p1);
+        let _ = qc.insert("q2", vec![], &cols(), &rows(), p2);
         qc.get("q1"); // q1 now more recent than q2.
         let freed = qc.insert("q3", vec![], &cols(), &rows(), p3);
         assert_eq!(freed, vec![p2]);
@@ -338,8 +340,8 @@ mod tests {
         let mut qc = QueryCache::new(true, 8);
         let p1 = h.alloc_str("SELECT * FROM a");
         let p2 = h.alloc_str("SELECT * FROM b");
-        qc.insert("SELECT * FROM a", vec!["a".into()], &cols(), &rows(), p1);
-        qc.insert("SELECT * FROM b", vec!["b".into()], &cols(), &rows(), p2);
+        let _ = qc.insert("SELECT * FROM a", vec!["a".into()], &cols(), &rows(), p1);
+        let _ = qc.insert("SELECT * FROM b", vec!["b".into()], &cols(), &rows(), p2);
         let freed = qc.invalidate_table("a");
         assert_eq!(freed, vec![p1]);
         assert!(qc.get("SELECT * FROM a").is_none());

@@ -156,7 +156,7 @@ impl Default for DbConfig {
 
 /// What outlives the process: the part of a node that something outside
 /// the process supplies or holds. A crash ([`Db::crash`]) keeps exactly
-/// this and the disk; every other field of [`DbInner`] is process memory,
+/// this and the disk; every part of [`DbInner`] is process memory,
 /// rebuilt by [`DbInner::open`]. A field goes here only for that reason,
 /// so a field added anywhere else dies with the process by construction.
 /// `Default` is only the placeholder [`Db::crash`] leaves in the dead

@@ -6,11 +6,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mdb_telemetry::{Counter, Histogram, Registry};
-use mdb_trace::{Recorder, StatementTrace, TraceBuilder};
+use mdb_trace::{Recorder, StatementTrace, TraceBuilder, TraceContext};
 
+use super::config::Host;
 #[cfg(doc)]
 use super::DbConfig;
-use super::{modeled_us, Db, DbInner};
+use super::{modeled_us, Data, Db, Diag};
 use crate::catalog::TableDef;
 use crate::error::DbResult;
 use crate::snapshot::ZoneMapPage;
@@ -87,12 +88,12 @@ impl Db {
     /// `information_schema.query_traces`, and in a
     /// [`crate::snapshot::MemoryImage`].
     pub fn trace_recorder(&self) -> Recorder {
-        self.inner.lock().trace.clone()
+        self.inner.lock().diag.trace.clone()
     }
 
     /// Contents of the flight-recorder ring, oldest first.
     pub fn query_traces(&self) -> Vec<StatementTrace> {
-        self.inner.lock().trace.traces()
+        self.inner.lock().diag.trace.traces()
     }
 
     /// Administrative diagnostics wipe, modeling `TRUNCATE
@@ -104,9 +105,8 @@ impl Db {
     /// residual-leakage surface E5/E12 measure.
     pub fn flush_diagnostics(&self) {
         let mut g = self.inner.lock();
-        let inner = &mut *g;
-        inner.clear_statement_history();
-        if inner.host.config.telemetry_scrub_on_flush {
+        g.diag.clear_statement_history();
+        if g.host.config.telemetry_scrub_on_flush {
             // Scrub means scrub: FLUSH STATUS zeroes counters, gauges,
             // AND the per-kind latency histograms (`sql.latency_us.*`)
             // — a partial scrub that kept histogram state would hand
@@ -116,8 +116,8 @@ impl Db {
             // scrape retention ring: a "wiped" server whose status port
             // still serves the last N scrape deltas has not wiped
             // anything.
-            inner.host.scrub();
-            inner.trace.clear();
+            g.host.scrub();
+            g.diag.trace.clear();
         }
     }
 
@@ -128,9 +128,9 @@ impl Db {
     /// tombstoned follows [`DbConfig::scrub_before_images`]. Returns
     /// `(reclaimed, remaining)` version counts.
     pub fn vacuum(&self) -> (usize, usize) {
-        let mut g = self.inner.lock();
+        let g = &mut *self.inner.lock();
         let scrub = g.host.config.scrub_before_images;
-        g.vacuum(scrub)
+        g.log.vacuum(&mut g.data.vdisk, scrub)
     }
 
     /// The consistent scrub: walks **every** registered in-memory
@@ -138,26 +138,24 @@ impl Db {
     /// wipes only the perf-schema tables (and the counters only when
     /// configured). Surfaces covered: perf-schema history + digests,
     /// the telemetry registry, the flight-recorder ring, the obs scrape
-    /// ring, the query cache, the adaptive hash index, and — the one
-    /// every "wipe the diagnostics" runbook forgets — the MVCC version
-    /// store, vacuumed with physical scrubbing regardless of
+    /// ring, the query cache (its statement texts freed, so
+    /// `heap_secure_delete` zeroes them), the adaptive hash index, and
+    /// — the one every "wipe the diagnostics" runbook forgets — the MVCC
+    /// version store, vacuumed with physical scrubbing regardless of
     /// [`DbConfig::scrub_before_images`]. Durable logs (redo, undo,
     /// binlog, slow log) are *not* touched: they are recovery state, not
     /// diagnostics, which is exactly why §3 carves them.
     pub fn scrub_all(&self) {
-        let mut g = self.inner.lock();
-        let inner = &mut *g;
-        inner.clear_statement_history();
-        inner.host.scrub();
-        inner.trace.clear();
-        inner.query_cache.clear();
-        inner.adaptive_hash.clear();
-        inner.vacuum(true);
+        let g = &mut *self.inner.lock();
+        // The frees count on the registry, so they come before its wipe.
+        g.diag.scrub();
+        g.host.scrub();
+        g.log.vacuum(&mut g.data.vdisk, true);
     }
 
     /// Number of archived (still-reclaimable or pending) MVCC versions.
     pub fn version_count(&self) -> usize {
-        self.inner.lock().mvcc.version_count()
+        self.inner.lock().log.mvcc.version_count()
     }
 
     /// Allocates `bytes` in the DB process heap and keeps them live for the
@@ -165,18 +163,30 @@ impl Db {
     /// (keyring plugins, TLS buffers, …) whose state a memory snapshot
     /// captures alongside the engine's own allocations.
     pub fn process_alloc(&self, bytes: &[u8]) {
-        let mut g = self.inner.lock();
-        let _ = g.heap.alloc(bytes);
+        let _ = self.inner.lock().diag.heap.alloc(bytes);
     }
 }
 
-impl DbInner {
+impl Diag {
     /// Clears the perf-schema statement history and digests, freeing
     /// the statement-text copies they held in the process heap.
     fn clear_statement_history(&mut self) {
-        for p in self.perf.clear() {
-            self.heap.free(p);
-        }
+        self.heap.free_all(self.perf.clear());
+    }
+
+    /// Wipes every surface of this part but the heap arena itself, and
+    /// frees the statement texts the history and query cache held there.
+    fn scrub(&mut self) {
+        self.clear_statement_history();
+        self.heap.free_all(self.query_cache.clear());
+        self.trace.clear();
+        self.adaptive_hash.clear();
+    }
+
+    /// Drops the query cache's entries that read `table`, which a write
+    /// just changed, and frees their statement texts.
+    pub(super) fn invalidate(&mut self, table: &str) {
+        self.heap.free_all(self.query_cache.invalidate_table(table));
     }
 
     // ================= tracing =================
@@ -213,6 +223,16 @@ impl DbInner {
         })
     }
 
+    /// The running statement's trace context as a binlog event carries
+    /// it off this node: rehashed under the process key when
+    /// [`DbConfig::trace_id_hashing`] is on — the mitigation boundary
+    /// sits exactly where trace ids leave for other hosts.
+    pub(super) fn outbound_ctx(&self, host: &Host) -> Option<TraceContext> {
+        let (hashing, key) = (host.config.trace_id_hashing, self.trace_hash_key);
+        self.current_ctx
+            .map(|c| if hashing { c.rehash(key) } else { c })
+    }
+
     pub(super) fn trace_begin(&mut self, name: &str) {
         if let Some(t) = self.current_trace.as_mut() {
             t.begin(name);
@@ -243,13 +263,18 @@ impl DbInner {
     /// experiments' star witness: they encode the query distribution per
     /// table name, survive [`Db::flush_diagnostics`], and ride along in
     /// every memory image.
-    pub(super) fn table_accessed(&mut self, table: &str) -> DbResult<Arc<TableDef>> {
-        let def = Arc::clone(&self.catalog.get(table)?.def);
+    pub(super) fn table_accessed(
+        &mut self,
+        host: &Host,
+        data: &Data,
+        table: &str,
+    ) -> DbResult<Arc<TableDef>> {
+        let def = Arc::clone(&data.catalog.get(table)?.def);
         let table = &def.schema.name;
         if let Some(t) = self.current_trace.as_mut() {
             t.table(table);
         }
-        let telemetry = &self.host.telemetry;
+        let telemetry = &host.telemetry;
         self.metrics
             .table_access
             .entry(table.to_string())
@@ -257,7 +282,9 @@ impl DbInner {
             .inc();
         Ok(def)
     }
+}
 
+impl Data {
     /// Every zone-map synopsis the heaps currently hold in memory,
     /// sorted by file and page for stable snapshot serialization. This
     /// is the in-memory half of the zone-map leakage surface; the

@@ -1,10 +1,15 @@
 //! The MiniDB engine: connections, statement execution, transactions,
 //! crash/recovery, and all the instrumentation the paper's attacks feed on.
 //!
-//! Every [`Db`] handle shares one process state behind one lock. Its
-//! code is split by what each part owns:
-//! * this file — the handles, opening a process, and the statement
-//!   pipeline every statement runs through;
+//! Every [`Db`] handle shares one process state behind one lock: the
+//! host that outlives a crash, and four parts grouped by who writes them
+//! — `Data` (catalog, buffer pool, disk), `Log` (WAL, version store,
+//! transactions), `Diag` (the §4/§5 surfaces every statement writes
+//! beside its answer) and `Node` (role and lifecycle). A stage outside
+//! this file takes only the parts it touches. The code is split by what
+//! each part owns:
+//! * this file — the handles, the parts and opening a process, and the
+//!   statement pipeline every statement runs through;
 //! * `config` — [`DbConfig`], and the host that outlives a crash;
 //! * `read` and `plan` — SELECT, EXPLAIN, virtual tables, access paths;
 //! * `write` — DDL, DML, the row-change writer, redo and checkpoints;
@@ -94,13 +99,43 @@ pub struct QueryResult {
     pub rows_affected: u64,
 }
 
+/// One process: the [`Host`] that outlives it, and four parts grouped by
+/// who writes them. Every stage outside this file takes only the parts it
+/// touches, so its signature is the set of parts it would lock.
 pub(crate) struct DbInner {
     pub(crate) host: Host,
-    pub(crate) vdisk: VDisk,
+    pub(crate) data: Data,
+    pub(crate) log: Log,
+    pub(crate) diag: Diag,
+    node: Node,
+}
+
+/// The tables and the bytes they live in.
+pub(crate) struct Data {
     /// Every table: its definition, heap and indexes.
     pub(crate) catalog: Catalog,
     pub(crate) bufpool: ShardedBufferPool,
+    pub(crate) vdisk: VDisk,
+}
+
+/// What makes a change durable and visible: the logs, the version store
+/// and the transactions.
+pub(crate) struct Log {
     pub(crate) wal: Wal,
+    /// MVCC version chains and their commit bookkeeping.
+    pub(crate) mvcc: VersionStore,
+    /// Next commit-sequence number (CSNs start at 1).
+    next_csn: u64,
+    txns: HashMap<u64, TxnState>, // Active explicit transactions by conn.
+    /// LSN staged by the statement that just ran, waiting for its
+    /// durability wait outside the lock. Taken (and cleared) by the
+    /// caller before the engine guard drops.
+    staged_commit: Option<u64>,
+}
+
+/// The paper's §4/§5 surfaces: what every statement leaves beside its
+/// answer, and the tracing that records it.
+pub(crate) struct Diag {
     pub(crate) heap: HeapArena,
     pub(crate) query_cache: QueryCache,
     pub(crate) adaptive_hash: AdaptiveHash,
@@ -119,20 +154,10 @@ pub(crate) struct DbInner {
     /// per process — never persisted, so carved rehashed ids cannot be
     /// inverted offline.
     trace_hash_key: u64,
-    /// MVCC version chains and their commit bookkeeping.
-    pub(crate) mvcc: VersionStore,
-    /// Next commit-sequence number (CSNs start at 1).
-    next_csn: u64,
-    txns: HashMap<u64, TxnState>, // Active explicit transactions by conn.
-    statements_executed: u64,
-    /// LSN staged by the statement that just ran, waiting for its
-    /// durability wait outside the lock. Taken (and cleared) by the
-    /// caller before the engine guard drops.
-    staged_commit: Option<u64>,
-    crashed: bool,
-    /// True while the replication applier runs a shipped statement; lets
-    /// it through the read-only gate.
-    applying: bool,
+}
+
+/// This node's lifecycle and place in the fleet.
+struct Node {
     /// This node's replication role. Derived from `read_only` at open
     /// (writable ⇒ primary, read-only ⇒ replica) and mutated only by
     /// failover transitions: [`Db::promote_to_primary`],
@@ -142,6 +167,88 @@ pub(crate) struct DbInner {
     /// Bumped once per promotion this process has won. Epoch 0 means the
     /// node has held its role since open.
     promotion_epoch: u64,
+    crashed: bool,
+    /// True while the replication applier runs a shipped statement; lets
+    /// it through the read-only gate.
+    applying: bool,
+    statements_executed: u64,
+}
+
+impl Data {
+    fn open(host: &Host, vdisk: VDisk) -> Data {
+        let config = &host.config;
+        let mut bufpool = ShardedBufferPool::new(config.buffer_pool_pages, config.bufpool_shards);
+        bufpool.attach_telemetry(&host.telemetry);
+        Data {
+            catalog: Catalog::default(),
+            bufpool,
+            vdisk,
+        }
+    }
+}
+
+impl Log {
+    /// Every cursor comes from the disk's bytes: the WAL's ring ends and
+    /// next LSN and transaction id, and the next CSN.
+    fn open(host: &Host, vdisk: &mut VDisk) -> Log {
+        let config = &host.config;
+        let crypto = host
+            .wal_key
+            .map(|key| crate::wal::WalCrypto::new(key, config.server_id));
+        let mut wal = Wal::open(
+            vdisk,
+            config.redo_capacity,
+            config.undo_capacity,
+            config.binlog_enabled,
+            crypto,
+        );
+        wal.attach_telemetry(&host.telemetry);
+        Log {
+            wal,
+            mvcc: VersionStore::default(),
+            next_csn: crate::mvcc::max_csn(vdisk) + 1,
+            txns: HashMap::new(),
+            staged_commit: None,
+        }
+    }
+}
+
+impl Diag {
+    fn open(host: &Host) -> Diag {
+        let config = &host.config;
+        let mut heap = HeapArena::new();
+        heap.secure_delete = config.heap_secure_delete;
+        heap.attach_telemetry(&host.telemetry);
+        let trace = Recorder::new(config.trace_ring_capacity);
+        trace.set_enabled(config.trace_enabled);
+        Diag {
+            heap,
+            query_cache: QueryCache::new(config.query_cache_enabled, QUERY_CACHE_ENTRIES),
+            adaptive_hash: AdaptiveHash::new(ADAPTIVE_HASH_THRESHOLD),
+            perf: PerfSchema::new(DEFAULT_HISTORY_SIZE),
+            processlist: ProcessList::default(),
+            metrics: EngineMetrics::new(&host.telemetry),
+            trace,
+            current_trace: None,
+            current_ctx: None,
+            trace_hash_key: mdb_trace::entropy64(),
+        }
+    }
+}
+
+impl Node {
+    fn open(config: &DbConfig) -> Node {
+        Node {
+            repl_role: match config.read_only {
+                true => ReplRole::Replica,
+                false => ReplRole::Primary,
+            },
+            promotion_epoch: 0,
+            crashed: false,
+            applying: false,
+            statements_executed: 0,
+        }
+    }
 }
 
 /// Handle to a MiniDB instance. Cloneable; all clones share the engine.
@@ -180,7 +287,7 @@ impl Db {
         let listen = options.listen.clone();
         let weak = Arc::downgrade(&self.inner);
         let health: mdb_obs::HealthSource = Arc::new(move || match weak.upgrade() {
-            Some(inner) => inner.lock().health_report(),
+            Some(inner) => repl::health_report(&inner.lock()),
             None => mdb_obs::HealthReport::unavailable("engine gone"),
         });
         let server = mdb_obs::ObsServer::start(g.host.telemetry.clone(), health, options)
@@ -204,7 +311,7 @@ impl Db {
         let id = g.host.next_conn;
         g.host.next_conn += 1;
         let now = g.host.now_unix;
-        g.processlist.connect(id, user, now);
+        g.diag.processlist.connect(id, user, now);
         Connection {
             db: self.clone(),
             id,
@@ -236,11 +343,10 @@ impl Db {
     /// buffer-pool LRU dump (like MySQL on `SHUTDOWN`).
     pub fn shutdown(&self) {
         let obs = {
-            let mut g = self.inner.lock();
-            let inner = &mut *g;
-            inner.checkpoint();
-            inner.bufpool.dump(&mut inner.vdisk);
-            inner.host.obs.take()
+            let g = &mut *self.inner.lock();
+            write::checkpoint(&mut g.data, &mut g.log);
+            g.data.bufpool.dump(&mut g.data.vdisk);
+            g.host.obs.take()
         };
         // Join the obs accept thread *outside* the engine lock: a
         // health probe racing shutdown takes that lock, and joining
@@ -257,11 +363,12 @@ impl Db {
         run: impl FnOnce(&mut DbInner) -> DbResult<QueryResult>,
     ) -> DbResult<QueryResult> {
         let (res, staged) = {
-            let mut g = self.inner.lock();
-            let res = run(&mut g);
-            (res, g.take_staged_commit())
+            let g = &mut *self.inner.lock();
+            let res = run(g);
+            let staged = g.log.staged_commit.take();
+            (res, staged.zip(g.host.group_commit.clone()))
         };
-        if let Some((pipeline, lsn)) = staged {
+        if let Some((lsn, pipeline)) = staged {
             pipeline.wait_durable(lsn);
         }
         res
@@ -290,22 +397,13 @@ impl Connection {
             .run_then_wait(|g| g.execute_ctx(self.id, sql, front, ctx))
     }
 
-    /// The most recent flight-recorder trace of this connection, if the
-    /// ring still holds one (the `\trace` meta-command's data source).
-    pub fn last_trace(&self) -> Option<StatementTrace> {
-        let g = self.db.inner.lock();
-        g.trace
-            .traces()
-            .into_iter()
-            .rev()
-            .find(|t| t.conn_id == self.id)
-    }
-
-    /// Renders this connection's most recent trace as the
-    /// `EXPLAIN ANALYZE`-style span table (the `\trace` meta-command).
+    /// Renders this connection's most recent trace, if the flight
+    /// recorder still holds one, as the `EXPLAIN ANALYZE`-style span
+    /// table (the `\trace` meta-command).
     pub fn last_trace_rendered(&self) -> Option<QueryResult> {
-        self.last_trace()
-            .map(|t| render_explain_analyze(&t, &QueryResult::default()))
+        let traces = self.db.inner.lock().diag.trace.traces();
+        let last = traces.into_iter().rev().find(|t| t.conn_id == self.id)?;
+        Some(render_explain_analyze(&last, &QueryResult::default()))
     }
 
     /// The owning database handle.
@@ -316,73 +414,30 @@ impl Connection {
 
 impl Drop for Connection {
     fn drop(&mut self) {
-        let mut g = self.db.inner.lock();
-        g.processlist.disconnect(self.id);
+        let g = &mut *self.db.inner.lock();
+        g.diag.processlist.disconnect(self.id);
         // A dropped connection with an open transaction rolls it back —
         // otherwise its heap mutations would persist unlogged and its
         // pending version records would pin the MVCC store forever.
-        if let Some(txn) = g.txns.remove(&self.id) {
-            let _ = g.rollback_txn(txn);
+        if let Some(txn) = g.log.txns.remove(&self.id) {
+            let _ = txn::rollback_txn(&mut g.data, &mut g.log, txn);
         }
     }
 }
 
 impl DbInner {
-    /// Builds a process on `vdisk` for `host`: every field but the host
-    /// comes from the disk's bytes or starts empty. On an empty disk this
-    /// is a fresh install; on the disk a crash left it is the restarted
-    /// process, whose tables [`DbInner::recover`] then rebuilds. Cannot
-    /// fail: everything that parses tables is recovery's.
+    /// Builds a process on `vdisk` for `host`: every part comes from the
+    /// disk's bytes or starts empty. On an empty disk this is a fresh
+    /// install; on the disk a crash left it is the restarted process,
+    /// whose tables [`Db::recover`] then rebuilds. Cannot fail:
+    /// everything that parses tables is recovery's.
     fn open(host: Host, mut vdisk: VDisk) -> DbInner {
-        let config = &host.config;
-        let crypto = host
-            .wal_key
-            .map(|key| crate::wal::WalCrypto::new(key, config.server_id));
-        let mut wal = Wal::open(
-            &mut vdisk,
-            config.redo_capacity,
-            config.undo_capacity,
-            config.binlog_enabled,
-            crypto,
-        );
-        wal.attach_telemetry(&host.telemetry);
-        let mut bufpool = ShardedBufferPool::new(config.buffer_pool_pages, config.bufpool_shards);
-        bufpool.attach_telemetry(&host.telemetry);
-        let mut heap = HeapArena::new();
-        heap.secure_delete = config.heap_secure_delete;
-        heap.attach_telemetry(&host.telemetry);
+        let log = Log::open(&host, &mut vdisk);
         DbInner {
-            catalog: Catalog::default(),
-            bufpool,
-            wal,
-            heap,
-            query_cache: QueryCache::new(config.query_cache_enabled, QUERY_CACHE_ENTRIES),
-            adaptive_hash: AdaptiveHash::new(ADAPTIVE_HASH_THRESHOLD),
-            perf: PerfSchema::new(DEFAULT_HISTORY_SIZE),
-            processlist: ProcessList::default(),
-            metrics: EngineMetrics::new(&host.telemetry),
-            trace: if config.trace_enabled {
-                Recorder::new(config.trace_ring_capacity)
-            } else {
-                Recorder::new_disabled(config.trace_ring_capacity)
-            },
-            current_trace: None,
-            current_ctx: None,
-            trace_hash_key: mdb_trace::entropy64(),
-            mvcc: VersionStore::default(),
-            next_csn: crate::mvcc::max_csn(&vdisk) + 1,
-            txns: HashMap::new(),
-            statements_executed: 0,
-            staged_commit: None,
-            crashed: false,
-            applying: false,
-            repl_role: if config.read_only {
-                ReplRole::Replica
-            } else {
-                ReplRole::Primary
-            },
-            promotion_epoch: 0,
-            vdisk,
+            data: Data::open(&host, vdisk),
+            diag: Diag::open(&host),
+            node: Node::open(&host.config),
+            log,
             host,
         }
     }
@@ -403,32 +458,33 @@ impl DbInner {
         // Drain contract: whoever called execute_ctx last must have
         // taken the staged group-commit LSN (and waited on it outside
         // the lock). A stale LSN here means some caller skipped
-        // take_staged_commit — that commit's durability wait was lost.
+        // `run_then_wait` — that commit's durability wait was lost.
         debug_assert!(
-            self.staged_commit.is_none(),
+            self.log.staged_commit.is_none(),
             "staged group-commit LSN never drained; every execute_ctx \
-             caller must call take_staged_commit after the statement"
+             caller must take the staged LSN after the statement"
         );
-        if self.crashed {
+        if self.node.crashed {
             return Err(DbError::Crashed);
         }
-        self.statements_executed += 1;
+        self.node.statements_executed += 1;
         self.host.now_unix += self.host.config.seconds_per_statement;
         let started = self.host.now_unix;
 
         // The execution copy of the statement text: allocated in the
         // process heap for the duration of the statement (§5).
-        let exec_ptr = self.heap.alloc_str(sql);
+        let diag = &mut self.diag;
+        let exec_ptr = diag.heap.alloc_str(sql);
         // The instrumentation keeps its own copy, owned by the history
         // ring until it rotates out.
-        let hist_ptr = self.heap.alloc_str(sql);
+        let hist_ptr = diag.heap.alloc_str(sql);
         // The lexer materializes each string literal into its own buffer
         // (as real parsers do); these transient copies are freed at the
         // end of the statement — without being zeroed.
         let literal_ptrs: Vec<_> = front
             .literals
             .iter()
-            .map(|s| self.heap.alloc_str(s))
+            .map(|s| diag.heap.alloc_str(s))
             .collect();
         let digest = &front.digest;
 
@@ -438,32 +494,32 @@ impl DbInner {
         // nowhere (the sampling mitigation); with no incoming context
         // an armed tracer generates a fresh root, so local statements
         // join the same id space.
-        self.current_ctx = match ctx {
+        diag.current_ctx = match ctx {
             Some(c) if c.sampled => Some(c.child()),
             Some(_) => None,
-            None if self.trace.is_enabled() => Some(TraceContext::generate()),
+            None if diag.trace.is_enabled() => Some(TraceContext::generate()),
             None => None,
         };
         // Arm the tracer. When tracing is disabled this branch is the
         // *entire* per-statement cost: one relaxed atomic load, no
         // allocation (the invariant the `trace` bench pins down).
-        if self.trace.is_enabled() {
-            self.trace_open(conn_id, started, sql, digest);
+        if diag.trace.is_enabled() {
+            diag.trace_open(conn_id, started, sql, digest);
         }
-        self.perf
+        diag.perf
             .statement_start(conn_id, sql, digest, started, Some(hist_ptr));
-        self.processlist.set_query(conn_id, Some(sql.to_string()));
+        diag.processlist.set_query(conn_id, Some(sql.to_string()));
         if self.host.config.general_log_enabled {
             let line = format!("{started} {conn_id} Query\t{sql}\n");
-            self.vdisk.append(GENERAL_LOG_FILE, line.as_bytes());
+            self.data.vdisk.append(GENERAL_LOG_FILE, line.as_bytes());
         }
 
         // `front` parsed the statement; the `parse` span still accounts
         // its modeled cost, and a parse error is counted below.
-        self.trace_begin("parse");
-        self.trace_end(STAGE_COST_US);
+        self.diag.trace_begin("parse");
+        self.diag.trace_end(STAGE_COST_US);
         let outcome = front.stmt.and_then(|stmt| {
-            if self.host.config.read_only && !self.applying && writes_state(&stmt) {
+            if self.host.config.read_only && !self.node.applying && writes_state(&stmt) {
                 return Err(DbError::ReadOnly);
             }
             self.run_stmt(conn_id, sql, digest, stmt)
@@ -474,24 +530,26 @@ impl DbInner {
             Err(_) => (0, 0),
         };
         let duration_us = modeled_us(rows_examined);
-        self.metrics.statements.inc();
+        let diag = &mut self.diag;
+        diag.metrics.statements.inc();
         if outcome.is_err() {
-            self.metrics.errors.inc();
+            diag.metrics.errors.inc();
         }
-        self.metrics.rows_examined.record(rows_examined);
-        self.metrics.rows_returned.record(rows_returned);
+        diag.metrics.rows_examined.record(rows_examined);
+        diag.metrics.rows_returned.record(rows_returned);
         // A traced statement stamps its trace_id as the latency bucket's
         // exemplar — the `/metrics` exposition then links the aggregate
         // back to one concrete distributed trace.
-        let latency = &self.metrics.latency_us[front.kind];
-        match self.current_ctx {
+        let latency = &diag.metrics.latency_us[front.kind];
+        match diag.current_ctx {
             Some(c) => latency.record_with_exemplar(duration_us, c.trace_id),
             None => latency.record(duration_us),
         }
         // Close the trace. An `EXPLAIN ANALYZE` arm has already closed
         // it for its own rendering; everything else closes here.
-        let recorded = self.trace_close(rows_examined, rows_returned);
-        if duration_us > self.host.config.slow_query_threshold_us {
+        let recorded = diag.trace_close(rows_examined, rows_returned);
+        let config = &self.host.config;
+        if duration_us > config.slow_query_threshold_us {
             // The slow log is a stream of versioned, checksummed trace
             // records (see `mdb_trace::record`) — the full span tree
             // when the tracer is armed, a minimal text+timing record
@@ -500,29 +558,22 @@ impl DbInner {
             let rec = recorded.unwrap_or_else(|| {
                 StatementTrace::minimal(conn_id, started, sql, digest, duration_us, rows_examined)
             });
-            self.vdisk
-                .append(SLOW_LOG_FILE, &mdb_trace::record::encode_record(&rec));
+            let record = mdb_trace::record::encode_record(&rec);
+            self.data.vdisk.append(SLOW_LOG_FILE, &record);
         }
-        if let Some(evicted) = self
+        let evicted = diag
             .perf
-            .statement_end(conn_id, rows_examined, rows_returned)
-        {
-            self.heap.free(evicted);
-        }
-        self.processlist.set_query(conn_id, None);
-        self.heap.free(exec_ptr);
-        for p in literal_ptrs {
-            self.heap.free(p);
-        }
+            .statement_end(conn_id, rows_examined, rows_returned);
+        diag.heap.free_all(evicted);
+        diag.processlist.set_query(conn_id, None);
+        diag.heap.free(exec_ptr);
+        diag.heap.free_all(literal_ptrs);
 
-        if self.host.config.bufpool_dump_interval > 0
-            && self
-                .statements_executed
-                .is_multiple_of(self.host.config.bufpool_dump_interval)
-        {
-            self.bufpool.dump(&mut self.vdisk);
+        let interval = config.bufpool_dump_interval;
+        if interval > 0 && self.node.statements_executed.is_multiple_of(interval) {
+            self.data.bufpool.dump(&mut self.data.vdisk);
         }
-        self.current_ctx = None;
+        diag.current_ctx = None;
         outcome
     }
 
@@ -533,28 +584,39 @@ impl DbInner {
         digest: &str,
         stmt: Statement,
     ) -> DbResult<QueryResult> {
+        let DbInner {
+            host,
+            data,
+            log,
+            diag,
+            ..
+        } = self;
         let ddl = match stmt {
-            Statement::CreateTable { name, columns } => self.create_table(&name, columns),
+            Statement::CreateTable { name, columns } => data.create_table(host, &name, columns),
             Statement::CreateIndex {
                 name,
                 table,
                 column,
-            } => self.create_index(&name, &table, &column),
-            Statement::DropTable { name } => self.drop_table(&name),
-            Statement::Select(sel) => return self.select(conn_id, sql, sel),
-            Statement::Explain(sel) => return self.explain(sel),
+            } => data.create_index(&name, &table, &column),
+            Statement::DropTable { name } => write::drop_table(data, log, diag, &name),
+            Statement::Select(sel) => {
+                return read::select(host, data, log, diag, conn_id, sql, sel)
+            }
+            Statement::Explain(sel) => return read::explain(host, data, sel),
             Statement::ExplainAnalyze(target) => {
                 return self.explain_analyze(conn_id, sql, digest, *target)
             }
             dml @ (Statement::Insert { .. }
             | Statement::Update { .. }
-            | Statement::Delete { .. }) => return self.dml(conn_id, sql, dml),
-            Statement::Begin => return self.begin(conn_id),
-            Statement::Commit => return self.end_txn(conn_id, true),
-            Statement::Rollback => return self.end_txn(conn_id, false),
+            | Statement::Delete { .. }) => {
+                return write::dml(host, data, log, diag, conn_id, sql, dml)
+            }
+            Statement::Begin => return log.begin(conn_id),
+            Statement::Commit => return txn::end_txn(host, data, log, diag, conn_id, true),
+            Statement::Rollback => return txn::end_txn(host, data, log, diag, conn_id, false),
         };
         ddl?;
-        self.binlog_ddl(sql);
+        txn::binlog_ddl(host, data, log, diag, sql);
         Ok(QueryResult::default())
     }
 
@@ -569,8 +631,9 @@ impl DbInner {
     ) -> DbResult<QueryResult> {
         // EXPLAIN ANALYZE always traces its target, even when the flight
         // recorder is disarmed.
-        if self.current_trace.is_none() {
-            self.trace_open(conn_id, self.host.now_unix, sql, digest);
+        if self.diag.current_trace.is_none() {
+            self.diag
+                .trace_open(conn_id, self.host.now_unix, sql, digest);
         }
         let res = self.run_stmt(conn_id, sql, digest, target)?;
         // The target's simulated wall time is fully determined by the
@@ -578,7 +641,10 @@ impl DbInner {
         // rendered durations are exactly what the outer pipeline will
         // account for this statement. A nested EXPLAIN ANALYZE has
         // closed it already, and its rendering is the answer.
-        let Some(trace) = self.trace_close(res.rows_examined, res.rows.len() as u64) else {
+        let Some(trace) = self
+            .diag
+            .trace_close(res.rows_examined, res.rows.len() as u64)
+        else {
             return Ok(res);
         };
         Ok(render_explain_analyze(&trace, &res))

@@ -3,9 +3,9 @@
 
 use std::collections::HashSet;
 
-#[cfg(doc)]
-use super::Host;
-use super::{Db, DbInner};
+use super::config::Host;
+use super::txn::apply_undo;
+use super::{Data, Db, DbInner, Log};
 use crate::catalog::Catalog;
 use crate::error::DbResult;
 use crate::storage::btree::BTree;
@@ -24,90 +24,86 @@ impl Db {
         let mut g = self.inner.lock();
         g.host.scrub();
         let host = std::mem::take(&mut g.host);
-        let vdisk = std::mem::take(&mut g.vdisk);
+        let vdisk = std::mem::take(&mut g.data.vdisk);
         *g = DbInner::open(host, vdisk);
-        g.crashed = true;
+        g.node.crashed = true;
     }
 
     /// Crash recovery: ARIES-lite redo of logged changes (pageLSN-gated)
     /// and index rebuild, then rollback of transactions without a commit
     /// marker. Leaves the engine open for business.
     pub fn recover(&self) -> DbResult<()> {
-        let mut g = self.inner.lock();
-        g.recover()
+        let g = &mut *self.inner.lock();
+        recover(&g.host, &mut g.data, &mut g.log)?;
+        g.node.crashed = false;
+        Ok(())
     }
 
     /// Whether the engine is in the crashed state.
     pub fn is_crashed(&self) -> bool {
-        self.inner.lock().crashed
+        self.inner.lock().node.crashed
     }
 }
 
-impl DbInner {
-    pub(crate) fn recover(&mut self) -> DbResult<()> {
-        // 1. Redo, one table at a time: open the heap from its (possibly
-        //    stale) pages, replay the logged changes newer than each
-        //    page's LSN, then rebuild the indexes from the redone heap
-        //    (index changes are not WAL-logged in MiniDB; a full rebuild
-        //    replaces them).
-        let redo = self.wal.carve_redo(&self.vdisk);
-        let committed: HashSet<u64> = redo
-            .iter()
-            .filter(|r| r.op == OpKind::Commit)
-            .map(|r| r.txn)
-            .collect();
-        let pool = &self.bufpool;
-        let zone_maps = self.host.config.zone_maps_enabled;
-        self.catalog = Catalog::load(&mut self.vdisk, |disk, def| {
-            let mut heap = TableHeap::open(pool, disk, &def.file)?;
-            heap.set_zone_maps(zone_maps);
-            for rec in redo.iter().filter(|r| r.table_id == def.id) {
-                let (lsn, page, slot) = (rec.lsn, rec.page_no, rec.slot);
-                match rec.op {
-                    OpKind::Insert => {
-                        heap.replay_insert(pool, disk, lsn, page, slot, &rec.after)?
-                    }
-                    OpKind::Update => {
-                        heap.replay_update(pool, disk, lsn, page, slot, &rec.after)?
-                    }
-                    OpKind::Delete => heap.replay_delete(pool, disk, lsn, page, slot)?,
-                    OpKind::Commit => {}
-                }
-            }
-            let rows = heap.scan(pool, disk)?;
-            let mut btrees = Vec::new();
-            for ix in &def.indexes {
-                disk.remove(&ix.file);
-                let bt = BTree::create(pool, disk, &ix.file)?;
-                for row in &rows {
-                    bt.insert(pool, disk, &row.values[ix.column_idx], row.id)?;
-                }
-                btrees.push(bt);
-            }
-            Ok((heap, btrees))
-        })?;
-        // 2. Undo phase. Candidates for rollback are only transactions
-        //    that were live at or after the last checkpoint: the
-        //    checkpoint's active-transaction table plus every txn whose
-        //    redo records postdate the checkpoint LSN. Older transactions
-        //    without a visible commit marker committed long ago — their
-        //    markers merely wrapped out of the circular log.
-        let (ckpt_lsn, ckpt_active) = crate::wal::read_checkpoint(&self.vdisk);
-        let mut candidates: HashSet<u64> = ckpt_active;
-        for rec in &redo {
-            if rec.lsn >= ckpt_lsn && rec.op != OpKind::Commit {
-                candidates.insert(rec.txn);
+/// Redo, one table at a time, then undo of what never committed.
+fn recover(host: &Host, data: &mut Data, log: &mut Log) -> DbResult<()> {
+    // 1. Redo, one table at a time: open the heap from its (possibly
+    //    stale) pages, replay the logged changes newer than each
+    //    page's LSN, then rebuild the indexes from the redone heap
+    //    (index changes are not WAL-logged in MiniDB; a full rebuild
+    //    replaces them).
+    let redo = log.wal.carve_redo(&data.vdisk);
+    let committed: HashSet<u64> = redo
+        .iter()
+        .filter(|r| r.op == OpKind::Commit)
+        .map(|r| r.txn)
+        .collect();
+    let pool = &data.bufpool;
+    let zone_maps = host.config.zone_maps_enabled;
+    data.catalog = Catalog::load(&mut data.vdisk, |disk, def| {
+        let mut heap = TableHeap::open(pool, disk, &def.file)?;
+        heap.set_zone_maps(zone_maps);
+        for rec in redo.iter().filter(|r| r.table_id == def.id) {
+            let (lsn, page, slot) = (rec.lsn, rec.page_no, rec.slot);
+            match rec.op {
+                OpKind::Insert => heap.replay_insert(pool, disk, lsn, page, slot, &rec.after)?,
+                OpKind::Update => heap.replay_update(pool, disk, lsn, page, slot, &rec.after)?,
+                OpKind::Delete => heap.replay_delete(pool, disk, lsn, page, slot)?,
+                OpKind::Commit => {}
             }
         }
-        let undo = self.wal.carve_undo(&self.vdisk);
-        for rec in undo.iter().rev() {
-            if candidates.contains(&rec.txn) && !committed.contains(&rec.txn) {
-                self.apply_undo(rec)?;
+        let rows = heap.scan(pool, disk)?;
+        let mut btrees = Vec::new();
+        for ix in &def.indexes {
+            disk.remove(&ix.file);
+            let bt = BTree::create(pool, disk, &ix.file)?;
+            for row in &rows {
+                bt.insert(pool, disk, &row.values[ix.column_idx], row.id)?;
             }
+            btrees.push(bt);
         }
-        self.crashed = false;
-        Ok(())
+        Ok((heap, btrees))
+    })?;
+    // 2. Undo phase. Candidates for rollback are only transactions
+    //    that were live at or after the last checkpoint: the
+    //    checkpoint's active-transaction table plus every txn whose
+    //    redo records postdate the checkpoint LSN. Older transactions
+    //    without a visible commit marker committed long ago — their
+    //    markers merely wrapped out of the circular log.
+    let (ckpt_lsn, ckpt_active) = crate::wal::read_checkpoint(&data.vdisk);
+    let mut candidates: HashSet<u64> = ckpt_active;
+    for rec in &redo {
+        if rec.lsn >= ckpt_lsn && rec.op != OpKind::Commit {
+            candidates.insert(rec.txn);
+        }
     }
+    let undo = log.wal.carve_undo(&data.vdisk);
+    for rec in undo.iter().rev() {
+        if candidates.contains(&rec.txn) && !committed.contains(&rec.txn) {
+            apply_undo(data, log, rec)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -216,7 +212,7 @@ mod tests {
         let live = render(&db.memory_image());
         let (key_before, csn_before) = {
             let g = db.inner.lock();
-            (g.trace_hash_key, g.next_csn)
+            (g.diag.trace_hash_key, g.log.next_csn)
         };
 
         db.crash();
@@ -224,7 +220,10 @@ mod tests {
         let reopened = {
             let g = db.inner.lock();
             Db {
-                inner: Arc::new(Mutex::new(DbInner::open(fork(&g.host), g.vdisk.clone()))),
+                inner: Arc::new(Mutex::new(DbInner::open(
+                    fork(&g.host),
+                    g.data.vdisk.clone(),
+                ))),
             }
         };
         for ((field, live), ((_, after), (_, fresh))) in live
@@ -239,13 +238,15 @@ mod tests {
         assert_past_the_disk(&db);
         let g = db.inner.lock();
         assert_ne!(
-            g.trace_hash_key, key_before,
+            g.diag.trace_hash_key, key_before,
             "the hashing key is per process"
         );
         // The last commit inserted into `s` and stamped no version
         // record, so its CSN is on no byte and the count steps back.
-        assert_eq!(g.next_csn, csn_before - 1);
-        assert!(g.crashed && g.txns.is_empty() && g.catalog.tables().next().is_none());
+        assert_eq!(g.log.next_csn, csn_before - 1);
+        assert!(
+            g.node.crashed && g.log.txns.is_empty() && g.data.catalog.tables().next().is_none()
+        );
     }
 
     /// Every number a restarted process allocates lies past every one on
@@ -255,16 +256,16 @@ mod tests {
     fn assert_past_the_disk(db: &Db) {
         let mut g = db.inner.lock();
         let g = &mut *g;
-        let redo = g.wal.carve_redo(&g.vdisk);
-        let undo = g.wal.carve_undo(&g.vdisk);
-        let binlog = g.wal.carve_binlog(&g.vdisk);
+        let redo = g.log.wal.carve_redo(&g.data.vdisk);
+        let undo = g.log.wal.carve_undo(&g.data.vdisk);
+        let binlog = g.log.wal.carve_binlog(&g.data.vdisk);
         let ids = redo
             .iter()
             .map(|r| (r.lsn, r.txn))
             .chain(undo.iter().map(|r| (r.lsn, r.txn)))
             .chain(binlog.iter().map(|e| (e.lsn, e.txn)));
         let (mut max_lsn, mut max_txn) = ids.fold((0, 0), |a, b| (a.0.max(b.0), a.1.max(b.1)));
-        for (name, bytes) in &g.vdisk.files {
+        for (name, bytes) in &g.data.vdisk.files {
             if name.ends_with(".ibd") && name != crate::mvcc::VERSIONS_FILE {
                 for page in bytes.chunks(crate::storage::PAGE_SIZE) {
                     let mut page = page.to_vec();
@@ -272,12 +273,12 @@ mod tests {
                 }
             }
         }
-        let (_, active) = crate::wal::read_checkpoint(&g.vdisk);
+        let (_, active) = crate::wal::read_checkpoint(&g.data.vdisk);
         max_txn = active.into_iter().fold(max_txn, u64::max);
         assert!(max_lsn > 0 && max_txn > 0, "the disk holds records");
-        assert!(g.wal.current_lsn() > max_lsn);
-        assert!(g.wal.alloc_txn() > max_txn);
-        assert!(g.next_csn > crate::mvcc::max_csn(&g.vdisk));
+        assert!(g.log.wal.current_lsn() > max_lsn);
+        assert!(g.log.wal.alloc_txn() > max_txn);
+        assert!(g.log.next_csn > crate::mvcc::max_csn(&g.data.vdisk));
     }
 
     /// The transaction a second crash interrupts must get an id no

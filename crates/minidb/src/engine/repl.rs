@@ -41,9 +41,8 @@ impl ReplRole {
 impl Db {
     /// Administrative binlog purge (`PURGE BINARY LOGS`).
     pub fn purge_binlog(&self) {
-        let mut g = self.inner.lock();
-        let g = &mut *g;
-        g.wal.purge_binlog(&mut g.vdisk);
+        let g = &mut *self.inner.lock();
+        g.log.wal.purge_binlog(&mut g.data.vdisk);
     }
 
     // ================= replication hooks =================
@@ -56,12 +55,12 @@ impl Db {
     /// End-of-binlog position: the sequence number the next committed
     /// write will get.
     pub fn binlog_next_seq(&self) -> u64 {
-        self.inner.lock().wal.binlog_next_seq()
+        self.inner.lock().log.wal.binlog_next_seq()
     }
 
     /// Oldest binlog sequence still on disk (purge horizon).
     pub fn binlog_purged_seq(&self) -> u64 {
-        self.inner.lock().wal.binlog_purged_seq()
+        self.inner.lock().log.wal.binlog_purged_seq()
     }
 
     /// Cursor read over the binlog returning raw frame payloads —
@@ -75,7 +74,7 @@ impl Db {
         max: usize,
     ) -> (Vec<(u64, bool, Vec<u8>)>, u64) {
         let g = self.inner.lock();
-        g.wal.binlog_frames_from(&g.vdisk, from_seq, max)
+        g.log.wal.binlog_frames_from(&g.data.vdisk, from_seq, max)
     }
 
     /// Decodes one shipped binlog frame payload with this engine's WAL
@@ -83,7 +82,8 @@ impl Db {
     /// the frame arrived under the sealed or plaintext magic. See
     /// [`crate::wal::Wal::decode_binlog_frame`].
     pub fn decode_binlog_frame(&self, sealed: bool, payload: &[u8]) -> DbResult<BinlogEvent> {
-        self.inner.lock().wal.decode_binlog_frame(sealed, payload)
+        let g = self.inner.lock();
+        g.log.wal.decode_binlog_frame(sealed, payload)
     }
 
     /// Applies one replicated statement on the dedicated applier
@@ -113,26 +113,20 @@ impl Db {
         // Like any committer, the applier waits for durability outside
         // the engine lock.
         self.run_then_wait(|g| {
-            if !g
-                .processlist
-                .entries()
-                .iter()
-                .any(|e| e.id == REPL_APPLIER_CONN)
-            {
-                let now = g.host.now_unix;
-                g.processlist
-                    .connect(REPL_APPLIER_CONN, "repl_applier", now);
+            let plist = &mut g.diag.processlist;
+            if !plist.entries().iter().any(|e| e.id == REPL_APPLIER_CONN) {
+                plist.connect(REPL_APPLIER_CONN, "repl_applier", g.host.now_unix);
             }
             g.host.now_unix = g
                 .host
                 .now_unix
                 .max(commit_ts - g.host.config.seconds_per_statement);
-            g.applying = true;
+            g.node.applying = true;
             let out = g.execute_ctx(REPL_APPLIER_CONN, sql, front, ctx);
-            g.applying = false;
+            g.node.applying = false;
             match &out {
-                Ok(_) => g.metrics.repl_applied.inc(),
-                Err(_) => g.metrics.repl_apply_errors.inc(),
+                Ok(_) => g.diag.metrics.repl_applied.inc(),
+                Err(_) => g.diag.metrics.repl_apply_errors.inc(),
             }
             out
         })
@@ -145,12 +139,12 @@ impl Db {
 
     /// This node's replication role ([`ReplRole`]).
     pub fn repl_role(&self) -> ReplRole {
-        self.inner.lock().repl_role
+        self.inner.lock().node.repl_role
     }
 
     /// Promotions this node has won ([`Db::promote_to_primary`]).
     pub fn promotion_epoch(&self) -> u64 {
-        self.inner.lock().promotion_epoch
+        self.inner.lock().node.promotion_epoch
     }
 
     /// Failover transition: this replica becomes the fleet's primary.
@@ -160,18 +154,18 @@ impl Db {
     /// primary *before* re-pointing client writes here.
     pub fn promote_to_primary(&self) -> u64 {
         let mut g = self.inner.lock();
-        g.repl_role = ReplRole::Primary;
+        g.node.repl_role = ReplRole::Primary;
         g.host.config.read_only = false;
-        g.promotion_epoch += 1;
-        g.metrics.repl_promotions.inc();
-        g.promotion_epoch
+        g.node.promotion_epoch += 1;
+        g.diag.metrics.repl_promotions.inc();
+        g.node.promotion_epoch
     }
 
     /// Failover transition: a fenced (or demoted) node re-enters the
     /// fleet as a read-only replica under the new primary.
     pub fn rejoin_as_replica(&self) {
         let mut g = self.inner.lock();
-        g.repl_role = ReplRole::Replica;
+        g.node.repl_role = ReplRole::Replica;
         g.host.config.read_only = true;
     }
 
@@ -189,12 +183,14 @@ impl Db {
     /// Deliberately works on a *crashed* engine — fencing is a
     /// disk-side administrative act on a dead primary, not a query.
     pub fn fence_divergent(&self, promoted_cursor: u64) -> Vec<BinlogEvent> {
-        let mut g = self.inner.lock();
-        let g = &mut *g;
-        let fenced = g.wal.fence_binlog_tail(&mut g.vdisk, promoted_cursor);
-        g.repl_role = ReplRole::Fenced;
+        let g = &mut *self.inner.lock();
+        let fenced = g
+            .log
+            .wal
+            .fence_binlog_tail(&mut g.data.vdisk, promoted_cursor);
+        g.node.repl_role = ReplRole::Fenced;
         g.host.config.read_only = true;
-        g.metrics.repl_fenced_events.add(fenced.len() as u64);
+        g.diag.metrics.repl_fenced_events.add(fenced.len() as u64);
         fenced.into_iter().filter_map(Result::ok).collect()
     }
 
@@ -203,19 +199,19 @@ impl Db {
     /// file rides along in every [`crate::snapshot::DiskImage`] like any
     /// other on-disk artifact.
     pub fn append_server_file(&self, name: &str, bytes: &[u8]) {
-        self.inner.lock().vdisk.append(name, bytes);
+        self.inner.lock().data.vdisk.append(name, bytes);
     }
 
     /// Reads a server-side file back (replication recovery: scan the
     /// relay log to find where to resume).
     pub fn read_server_file(&self, name: &str) -> Option<Vec<u8>> {
-        self.inner.lock().vdisk.read(name).map(|b| b.to_vec())
+        self.inner.lock().data.vdisk.read(name).map(|b| b.to_vec())
     }
 
     /// Replaces a server-side file wholesale (replication recovery:
     /// truncating a torn relay-log tail before re-attaching).
     pub fn write_server_file(&self, name: &str, bytes: &[u8]) {
-        self.inner.lock().vdisk.write(name, bytes.to_vec());
+        self.inner.lock().data.vdisk.write(name, bytes.to_vec());
     }
 
     /// Installs the provider behind `information_schema.replicas`. The
@@ -231,92 +227,68 @@ impl Db {
     /// The `/healthz` payload, callable in-process: component health
     /// including this node's replication role and promotion epoch.
     pub fn health_report(&self) -> mdb_obs::HealthReport {
-        self.inner.lock().health_report()
+        health_report(&self.inner.lock())
     }
 }
 
-impl DbInner {
-    /// The `/healthz` payload: WAL position, buffer-pool occupancy, and
-    /// replication lag, gated on the crashed flag. Runs on the obs
-    /// accept thread under the engine lock — keep it cheap.
-    pub(super) fn health_report(&self) -> mdb_obs::HealthReport {
-        use mdb_obs::HealthComponent;
-        let mut components = vec![
-            HealthComponent {
-                name: "engine".into(),
-                ok: !self.crashed,
-                detail: if self.crashed {
-                    "crashed; awaiting recovery".into()
-                } else {
-                    format!("{} statements executed", self.statements_executed)
-                },
-            },
-            HealthComponent {
-                name: "wal".into(),
-                ok: !self.crashed,
-                detail: format!(
-                    "lsn={} binlog_next_seq={}",
-                    self.wal.current_lsn(),
-                    self.wal.binlog_next_seq()
-                ),
-            },
-            HealthComponent {
-                name: "bufpool".into(),
-                ok: !self.crashed,
-                detail: format!(
-                    "cached={}/{}",
-                    self.bufpool.cached_pages(),
-                    self.host.config.buffer_pool_pages
-                ),
-            },
-            HealthComponent {
-                name: "connections".into(),
-                ok: !self.crashed,
-                detail: format!(
-                    "open={} active_txns={}",
-                    self.processlist.entries().len(),
-                    self.txns.len()
-                ),
-            },
-            HealthComponent {
-                name: "role".into(),
-                // A fenced node is deliberately not ready: it must not
-                // take writes, and its reads may predate the fleet's
-                // new timeline. Load balancers drain it off `/healthz`.
-                ok: self.repl_role != ReplRole::Fenced,
-                detail: format!(
-                    "role={} promotion_epoch={}",
-                    self.repl_role.as_str(),
-                    self.promotion_epoch
-                ),
-            },
-            HealthComponent {
-                name: "mvcc".into(),
-                ok: !self.crashed,
-                detail: format!(
-                    "version_backlog={} next_csn={}",
-                    self.mvcc.version_count(),
-                    self.next_csn
-                ),
-            },
-        ];
-        if let Some(source) = &self.host.replica_status {
-            let rows = source();
-            let lagging = rows.iter().filter(|r| r.state != "streaming").count();
-            let max_lag = rows.iter().map(|r| r.lag_events).max().unwrap_or(0);
-            components.push(HealthComponent {
-                name: "replication".into(),
-                ok: lagging == 0,
-                detail: format!(
-                    "replicas={} non_streaming={} max_lag_events={max_lag}",
-                    rows.len(),
-                    lagging
-                ),
-            });
-        }
-        mdb_obs::HealthReport {
-            ready: components.iter().all(|c| c.ok),
-            components,
-        }
+/// The `/healthz` payload: WAL position, buffer-pool occupancy, and
+/// replication lag, gated on the crashed flag. Runs on the obs accept
+/// thread under the engine lock — keep it cheap. It reads every part.
+pub(super) fn health_report(g: &DbInner) -> mdb_obs::HealthReport {
+    let live = !g.node.crashed;
+    let part = |name: &str, ok: bool, detail: String| mdb_obs::HealthComponent {
+        name: name.into(),
+        ok,
+        detail,
+    };
+    let engine = match live {
+        true => format!("{} statements executed", g.node.statements_executed),
+        false => "crashed; awaiting recovery".into(),
+    };
+    let (wal, role) = (&g.log.wal, g.node.repl_role);
+    let (lsn, seq) = (wal.current_lsn(), wal.binlog_next_seq());
+    let (cached, pages) = (
+        g.data.bufpool.cached_pages(),
+        g.host.config.buffer_pool_pages,
+    );
+    let (open, txns) = (g.diag.processlist.entries().len(), g.log.txns.len());
+    let (backlog, csn) = (g.log.mvcc.version_count(), g.log.next_csn);
+    let epoch = g.node.promotion_epoch;
+    let mut components = vec![
+        part("engine", live, engine),
+        part("wal", live, format!("lsn={lsn} binlog_next_seq={seq}")),
+        part("bufpool", live, format!("cached={cached}/{pages}")),
+        part(
+            "connections",
+            live,
+            format!("open={open} active_txns={txns}"),
+        ),
+        // A fenced node is deliberately not ready: it must not take
+        // writes, and its reads may predate the fleet's new timeline.
+        // Load balancers drain it off `/healthz`.
+        part(
+            "role",
+            role != ReplRole::Fenced,
+            format!("role={} promotion_epoch={epoch}", role.as_str()),
+        ),
+        part(
+            "mvcc",
+            live,
+            format!("version_backlog={backlog} next_csn={csn}"),
+        ),
+    ];
+    if let Some(source) = &g.host.replica_status {
+        let rows = source();
+        let lagging = rows.iter().filter(|r| r.state != "streaming").count();
+        let max_lag = rows.iter().map(|r| r.lag_events).max().unwrap_or(0);
+        let detail = format!(
+            "replicas={} non_streaming={lagging} max_lag_events={max_lag}",
+            rows.len()
+        );
+        components.push(part("replication", lagging == 0, detail));
+    }
+    mdb_obs::HealthReport {
+        ready: components.iter().all(|c| c.ok),
+        components,
     }
 }

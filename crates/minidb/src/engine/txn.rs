@@ -5,28 +5,30 @@ use std::sync::Arc;
 
 use mdb_trace::TraceContext;
 
-use super::write::RowChange;
-#[cfg(doc)]
-use super::DbConfig;
-use super::{DbInner, QueryResult, STAGE_COST_US};
+use super::config::Host;
+use super::write::{log_redo, write_row, RowChange};
+use super::{Data, Diag, Log, QueryResult, STAGE_COST_US};
 use crate::error::{DbError, DbResult};
-use crate::group_commit::GroupCommitPipeline;
 use crate::row::Row;
+use crate::vdisk::VDisk;
 use crate::wal::{BinlogEvent, OpKind, RedoRecord, UndoRecord};
+
+/// Statement texts, each with the trace context its binlog event carries.
+type Statements = Vec<(String, Option<TraceContext>)>;
 
 pub(super) struct TxnState {
     pub(super) id: u64,
     /// Undo records of this transaction, in execution order.
     pub(super) undo: Vec<UndoRecord>,
     /// Statement texts to binlog at commit, each with the distributed
-    /// trace context it ran under (stamped onto its binlog event).
-    pub(super) statements: Vec<(String, Option<TraceContext>)>,
+    /// trace context its binlog event carries ([`Diag::outbound_ctx`]).
+    pub(super) statements: Statements,
     /// Snapshot CSN pinned at BEGIN: this transaction's reads see
     /// exactly the versions committed at or before it.
     pub(super) snapshot_csn: u64,
 }
 
-impl DbInner {
+impl Log {
     pub(super) fn begin(&mut self, conn_id: u64) -> DbResult<QueryResult> {
         if self.txns.contains_key(&conn_id) {
             return Err(DbError::Txn("nested BEGIN".into()));
@@ -46,101 +48,14 @@ impl DbInner {
         Ok(QueryResult::default())
     }
 
-    /// `COMMIT` (`commit`) or `ROLLBACK` of the connection's transaction.
-    pub(super) fn end_txn(&mut self, conn_id: u64, commit: bool) -> DbResult<QueryResult> {
-        let Some(txn) = self.txns.remove(&conn_id) else {
-            let verb = if commit { "COMMIT" } else { "ROLLBACK" };
-            return Err(DbError::Txn(format!("{verb} without BEGIN")));
-        };
-        match commit {
-            true => self.commit_txn(txn)?,
-            false => self.rollback_txn(txn)?,
-        }
-        Ok(QueryResult::default())
-    }
-
-    pub(super) fn commit_txn(&mut self, txn: TxnState) -> DbResult<()> {
-        // Stamp the commit CSN into every version record this txn wrote:
-        // before-images get their xmax, fresh rows their xmin.
-        let csn = self.next_csn;
-        self.next_csn += 1;
-        self.mvcc.commit(&mut self.vdisk, txn.id, csn);
-        let logged0 = self.metrics.wal_redo_bytes.get() + self.metrics.wal_binlog_bytes.get();
-        self.trace_begin("wal_append");
-        let lsn = self.log_txn_end(txn.id);
-        let binlog_events = txn.statements.len() as u64;
-        for (statement, ctx) in txn.statements {
-            self.append_binlog(lsn, txn.id, statement, ctx);
-        }
-        let logged1 = self.metrics.wal_redo_bytes.get() + self.metrics.wal_binlog_bytes.get();
-        self.trace_attr("bytes_logged", logged1.saturating_sub(logged0));
-        self.trace_attr("binlog_events", binlog_events);
-        self.trace_end(STAGE_COST_US);
-        // The durability point: the redo write and the binlog sync.
-        self.trace_begin("commit");
-        self.durability_point();
-        if self.host.group_commit.is_some() {
-            self.trace_attr("group_commit", 1);
-        } else {
-            self.trace_attr("fsyncs", 1);
-        }
-        self.trace_end(STAGE_COST_US);
-        Ok(())
-    }
-
-    /// Logs the redo marker that ends a transaction, committed or rolled
-    /// back (so recovery does not re-undo it), and returns its LSN.
-    fn log_txn_end(&mut self, txn: u64) -> u64 {
-        let lsn = self.wal.alloc_lsn();
-        self.log_redo(RedoRecord {
-            lsn,
-            txn,
-            op: OpKind::Commit,
-            table_id: 0,
-            page_no: 0,
-            slot: 0,
-            after: Vec::new(),
-        });
-        lsn
-    }
-
-    /// DDL autocommits as its own binlog transaction (MySQL's
-    /// implicit-commit rule); statement-shipping replication relies on
-    /// this to reproduce schema changes on replicas.
-    pub(super) fn binlog_ddl(&mut self, sql: &str) {
-        let lsn = self.wal.alloc_lsn();
-        let txn = self.wal.alloc_txn();
-        self.append_binlog(lsn, txn, sql.to_string(), self.current_ctx);
-        self.durability_point();
-    }
-
-    /// Appends one statement's binlog event, stamped with its context put
-    /// through the keyed rehash when [`DbConfig::trace_id_hashing`] is on
-    /// — the mitigation boundary sits exactly where trace ids leave for
-    /// other hosts.
-    fn append_binlog(&mut self, lsn: u64, txn: u64, statement: String, ctx: Option<TraceContext>) {
-        let ctx = match ctx {
-            Some(c) if self.host.config.trace_id_hashing => Some(c.rehash(self.trace_hash_key)),
-            other => other,
-        };
-        let event = BinlogEvent {
-            lsn,
-            txn,
-            timestamp: self.host.now_unix,
-            statement,
-            ctx,
-        };
-        self.wal.append_binlog(&mut self.vdisk, &event);
-    }
-
     /// The commit durability point. Without group commit this is the
     /// seed behaviour — one fsync per statement, paid *inside* the
     /// engine lock (which is exactly why concurrent committers
     /// serialize on it). With group commit the LSN is merely staged
     /// here; the caller performs the wait after releasing the lock, and
     /// one pipeline leader fsyncs for the whole batch.
-    fn durability_point(&mut self) {
-        match &self.host.group_commit {
+    fn durability_point(&mut self, host: &Host) {
+        match &host.group_commit {
             Some(p) => {
                 let lsn = self.wal.current_lsn();
                 p.stage(lsn);
@@ -150,83 +65,165 @@ impl DbInner {
         }
     }
 
-    /// Takes the pending group-commit wait, if the statement that just
-    /// ran staged one. The caller must invoke
-    /// [`GroupCommitPipeline::wait_durable`] on it **after** dropping
-    /// the engine guard.
-    pub(super) fn take_staged_commit(&mut self) -> Option<(Arc<GroupCommitPipeline>, u64)> {
-        let lsn = self.staged_commit.take()?;
-        self.host
-            .group_commit
-            .as_ref()
-            .map(|p| (Arc::clone(p), lsn))
-    }
-
-    pub(super) fn rollback_txn(&mut self, txn: TxnState) -> DbResult<()> {
-        for rec in txn.undo.iter().rev() {
-            self.apply_undo(rec)?;
-        }
-        self.mvcc.abort(&mut self.vdisk, txn.id);
-        self.log_txn_end(txn.id);
-        Ok(())
-    }
-
-    /// Applies one undo record (compensation), logging fresh redo so the
-    /// compensation itself survives a crash.
-    pub(super) fn apply_undo(&mut self, rec: &UndoRecord) -> DbResult<()> {
-        // The table vanished (dropped, or a crash before the catalog
-        // persisted): nothing to compensate.
-        let Some(table) = self.catalog.get_by_id(rec.table_id) else {
-            return Ok(());
-        };
-        let def = Arc::clone(&table.def);
-        let exists = table.heap.locate(rec.row_id).is_some();
-        let mut scratch = Vec::new();
-        match rec.op {
-            // Undo an insert: delete the row if it exists.
-            OpKind::Insert if exists => {
-                let old = table
-                    .heap
-                    .read(&self.bufpool, &mut self.vdisk, rec.row_id)?;
-                self.write_row(rec.txn, &def, RowChange::Delete(&old), &mut scratch)
-            }
-            OpKind::Update => {
-                let before = Row::decode(&rec.before)?;
-                if !exists {
-                    return Ok(());
-                }
-                let current = table
-                    .heap
-                    .read(&self.bufpool, &mut self.vdisk, rec.row_id)?;
-                let change = RowChange::Update {
-                    old: &current,
-                    new: &before,
-                };
-                self.write_row(rec.txn, &def, change, &mut scratch)
-            }
-            OpKind::Delete => {
-                let before = Row::decode(&rec.before)?;
-                if exists {
-                    return Ok(());
-                }
-                self.write_row(rec.txn, &def, RowChange::Insert(&before), &mut scratch)
-            }
-            OpKind::Insert | OpKind::Commit => Ok(()),
-        }
-    }
-
     /// Reclaims MVCC versions no active snapshot can still see, erasing
     /// reclaimed before-images when `scrub`. The horizon is the oldest
     /// active snapshot CSN (with no open transaction, every committed
     /// supersession is reclaimable). Returns `(reclaimed, remaining)`
     /// version counts.
-    pub(super) fn vacuum(&mut self, scrub: bool) -> (usize, usize) {
+    pub(super) fn vacuum(&mut self, vdisk: &mut VDisk, scrub: bool) -> (usize, usize) {
         let horizon = self
             .txns
             .values()
             .map(|t| t.snapshot_csn)
             .min()
             .unwrap_or(u64::MAX);
-        self.mvcc.vacuum(&mut self.vdisk, horizon, scrub)
+        self.mvcc.vacuum(vdisk, horizon, scrub)
     }
+}
+
+/// `COMMIT` (`commit`) or `ROLLBACK` of the connection's transaction.
+pub(super) fn end_txn(
+    host: &Host,
+    data: &mut Data,
+    log: &mut Log,
+    diag: &mut Diag,
+    conn_id: u64,
+    commit: bool,
+) -> DbResult<QueryResult> {
+    let Some(txn) = log.txns.remove(&conn_id) else {
+        let verb = if commit { "COMMIT" } else { "ROLLBACK" };
+        return Err(DbError::Txn(format!("{verb} without BEGIN")));
+    };
+    match commit {
+        true => commit_txn(host, data, log, diag, txn)?,
+        false => rollback_txn(data, log, txn)?,
+    }
+    Ok(QueryResult::default())
+}
+
+pub(super) fn commit_txn(
+    host: &Host,
+    data: &mut Data,
+    log: &mut Log,
+    diag: &mut Diag,
+    txn: TxnState,
+) -> DbResult<()> {
+    // Stamp the commit CSN into every version record this txn wrote:
+    // before-images get their xmax, fresh rows their xmin.
+    let csn = log.next_csn;
+    log.next_csn += 1;
+    log.mvcc.commit(&mut data.vdisk, txn.id, csn);
+    let logged0 = diag.metrics.wal_redo_bytes.get() + diag.metrics.wal_binlog_bytes.get();
+    diag.trace_begin("wal_append");
+    let lsn = log_txn_end(data, log, txn.id);
+    let binlog_events = txn.statements.len() as u64;
+    append_binlog(host, data, log, lsn, txn.id, txn.statements);
+    let logged1 = diag.metrics.wal_redo_bytes.get() + diag.metrics.wal_binlog_bytes.get();
+    diag.trace_attr("bytes_logged", logged1.saturating_sub(logged0));
+    diag.trace_attr("binlog_events", binlog_events);
+    diag.trace_end(STAGE_COST_US);
+    // The durability point: the redo write and the binlog sync.
+    diag.trace_begin("commit");
+    log.durability_point(host);
+    if host.group_commit.is_some() {
+        diag.trace_attr("group_commit", 1);
+    } else {
+        diag.trace_attr("fsyncs", 1);
+    }
+    diag.trace_end(STAGE_COST_US);
+    Ok(())
+}
+
+/// Logs the redo marker that ends a transaction, committed or rolled
+/// back (so recovery does not re-undo it), and returns its LSN.
+fn log_txn_end(data: &mut Data, log: &mut Log, txn: u64) -> u64 {
+    let lsn = log.wal.alloc_lsn();
+    let rec = RedoRecord {
+        lsn,
+        txn,
+        op: OpKind::Commit,
+        table_id: 0,
+        page_no: 0,
+        slot: 0,
+        after: Vec::new(),
+    };
+    log_redo(data, log, rec);
+    lsn
+}
+
+/// DDL autocommits as its own binlog transaction (MySQL's
+/// implicit-commit rule); statement-shipping replication relies on
+/// this to reproduce schema changes on replicas.
+pub(super) fn binlog_ddl(host: &Host, data: &mut Data, log: &mut Log, diag: &Diag, sql: &str) {
+    let lsn = log.wal.alloc_lsn();
+    let txn = log.wal.alloc_txn();
+    let statement = (sql.to_string(), diag.outbound_ctx(host));
+    append_binlog(host, data, log, lsn, txn, vec![statement]);
+    log.durability_point(host);
+}
+
+/// Appends one binlog event per statement of a transaction.
+fn append_binlog(
+    host: &Host,
+    data: &mut Data,
+    log: &mut Log,
+    lsn: u64,
+    txn: u64,
+    statements: Statements,
+) {
+    for (statement, ctx) in statements {
+        let timestamp = host.now_unix;
+        let event = BinlogEvent {
+            lsn,
+            txn,
+            timestamp,
+            statement,
+            ctx,
+        };
+        log.wal.append_binlog(&mut data.vdisk, &event);
+    }
+}
+
+pub(super) fn rollback_txn(data: &mut Data, log: &mut Log, txn: TxnState) -> DbResult<()> {
+    for rec in txn.undo.iter().rev() {
+        apply_undo(data, log, rec)?;
+    }
+    log.mvcc.abort(&mut data.vdisk, txn.id);
+    log_txn_end(data, log, txn.id);
+    Ok(())
+}
+
+/// Applies one undo record (compensation): the row goes from what the
+/// heap holds now back to the record's before-image, with fresh redo so
+/// the compensation itself survives a crash.
+pub(super) fn apply_undo(data: &mut Data, log: &mut Log, rec: &UndoRecord) -> DbResult<()> {
+    // The table vanished (dropped, or a crash before the catalog
+    // persisted): nothing to compensate.
+    let Some(table) = data.catalog.get_by_id(rec.table_id) else {
+        return Ok(());
+    };
+    let def = Arc::clone(&table.def);
+    let before = match rec.op {
+        OpKind::Update | OpKind::Delete => Some(Row::decode(&rec.before)?),
+        OpKind::Insert | OpKind::Commit => None,
+    };
+    // Only a change the heap still shows is compensated: an insert or
+    // update of a row that exists, a delete of one that does not.
+    let exists = table.heap.locate(rec.row_id).is_some();
+    let current = match (rec.op, exists) {
+        (OpKind::Insert | OpKind::Update, true) => Some(table.heap.read(
+            &data.bufpool,
+            &mut data.vdisk,
+            rec.row_id,
+        )?),
+        (OpKind::Delete, false) => None,
+        _ => return Ok(()),
+    };
+    let change = match (&current, &before) {
+        (Some(old), Some(new)) => RowChange::Update { old, new },
+        (Some(old), None) => RowChange::Delete(old),
+        (None, Some(new)) => RowChange::Insert(new),
+        (None, None) => return Ok(()),
+    };
+    write_row(data, log, rec.txn, &def, change, &mut Vec::new())
 }

@@ -3,8 +3,10 @@
 
 use std::sync::Arc;
 
-use super::txn::TxnState;
-use super::{DbInner, QueryResult, CHECKPOINT_FILE, STAGE_COST_US};
+use super::config::Host;
+use super::read::fetch_rows;
+use super::txn::{apply_undo, commit_txn, TxnState};
+use super::{Data, Diag, Log, QueryResult, CHECKPOINT_FILE, STAGE_COST_US};
 use crate::catalog::{IndexDef, Table, TableDef};
 use crate::error::{DbError, DbResult};
 use crate::mvcc::{OP_DELETE, OP_UPDATE};
@@ -43,11 +45,12 @@ impl<'a> RowChange<'a> {
     }
 }
 
-impl DbInner {
+impl Data {
     // ================= DDL =================
 
     pub(super) fn create_table(
         &mut self,
+        host: &Host,
         name: &str,
         columns: Vec<(String, ColumnType, bool)>,
     ) -> DbResult<()> {
@@ -66,7 +69,7 @@ impl DbInner {
         let lname = &schema.name;
         let file = format!("table_{lname}.ibd");
         let mut heap = TableHeap::create(&self.bufpool, &mut self.vdisk, &file)?;
-        heap.set_zone_maps(self.host.config.zone_maps_enabled);
+        heap.set_zone_maps(host.config.zone_maps_enabled);
         let id = self.catalog.alloc_id();
 
         let mut indexes = Vec::new();
@@ -93,25 +96,6 @@ impl DbInner {
             btrees,
         });
         self.catalog.persist(&mut self.vdisk);
-        Ok(())
-    }
-
-    /// `DROP TABLE`: removes the table's files and catalog entry. Note
-    /// what this does *not* do: the circular undo/redo logs and the binlog
-    /// keep their records of the dropped table's rows — the forensic
-    /// threat of Stahlberg et al. that the paper builds on.
-    pub(super) fn drop_table(&mut self, name: &str) -> DbResult<()> {
-        let def = self.catalog.remove(name)?.def;
-        let index_files = def.indexes.iter().map(|ix| &ix.file);
-        for file in std::iter::once(&def.file).chain(index_files) {
-            self.vdisk.remove(file);
-            self.bufpool.purge_file(file);
-        }
-        self.catalog.persist(&mut self.vdisk);
-        // Chain state dies with the table, but its disk records do not —
-        // like real engines, DROP does not chase undo history.
-        self.mvcc.purge_table(&def.schema.name);
-        self.finish_write(&def.schema.name);
         Ok(())
     }
 
@@ -150,156 +134,6 @@ impl DbInner {
         Ok(())
     }
 
-    // ================= DML =================
-
-    /// Runs an INSERT, UPDATE or DELETE in the connection's transaction,
-    /// or in its own autocommitted one.
-    pub(super) fn dml(
-        &mut self,
-        conn_id: u64,
-        sql: &str,
-        stmt: Statement,
-    ) -> DbResult<QueryResult> {
-        let txn_id = match self.txns.get(&conn_id) {
-            Some(t) => t.id,
-            None => self.wal.alloc_txn(),
-        };
-        let mut undo_written = Vec::new();
-        let version_mark = self.mvcc.pending_mark(txn_id);
-        let result = self.apply_dml(txn_id, stmt, &mut undo_written);
-        match result {
-            Ok(res) => {
-                let statement = (sql.to_string(), self.current_ctx);
-                match self.txns.get_mut(&conn_id) {
-                    Some(t) => {
-                        t.undo.extend(undo_written);
-                        t.statements.push(statement);
-                    }
-                    None => self.commit_txn(TxnState {
-                        id: txn_id,
-                        undo: Vec::new(),
-                        statements: vec![statement],
-                        snapshot_csn: 0,
-                    })?,
-                }
-                Ok(res)
-            }
-            Err(e) => {
-                // Statement-level rollback: undo whatever this statement
-                // already did, in reverse — version records included.
-                for rec in undo_written.iter().rev() {
-                    self.apply_undo(rec)?;
-                }
-                self.mvcc.abort_from(&mut self.vdisk, txn_id, version_mark);
-                Err(e)
-            }
-        }
-    }
-
-    fn apply_dml(
-        &mut self,
-        txn_id: u64,
-        stmt: Statement,
-        undo_written: &mut Vec<UndoRecord>,
-    ) -> DbResult<QueryResult> {
-        // An UPDATE carries its assignments; a DELETE has none.
-        let (table, sets, where_clause) = match stmt {
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => return self.insert_rows(txn_id, &table, columns, rows, undo_written),
-            Statement::Update {
-                table,
-                sets,
-                where_clause,
-            } => (table, Some(sets), where_clause),
-            Statement::Delete {
-                table,
-                where_clause,
-            } => (table, None, where_clause),
-            // `run_stmt` routes every other statement elsewhere.
-            _ => return Err(DbError::Eval("not a DML statement".into())),
-        };
-        let def = self.table_accessed(&table)?;
-        // No pushdowns: an update re-encodes the old row and a delete's
-        // undo image is all of it, so every column must be materialized,
-        // and all targets matter.
-        let (targets, examined) = self.fetch_rows(&def, where_clause.as_ref(), None, None)?;
-        self.trace_begin("write");
-        let column = |(col, val): (String, Value)| Ok((def.schema.column_index(&col)?, val));
-        let sets: Option<Vec<_>> = sets
-            .map(|sets| sets.into_iter().map(column).collect::<DbResult<_>>())
-            .transpose()?;
-        let affected = targets.len() as u64;
-        for old in targets {
-            let new = match &sets {
-                Some(sets) => {
-                    let mut new = old.clone();
-                    for (idx, val) in sets {
-                        new.values[*idx] = val.clone();
-                    }
-                    def.schema.check_row(&new.values)?;
-                    self.check_pk_unique(&def, &new.values, Some(old.id))?;
-                    Some(new)
-                }
-                None => None,
-            };
-            let (op, change) = match &new {
-                Some(new) => (OP_UPDATE, RowChange::Update { old: &old, new }),
-                None => (OP_DELETE, RowChange::Delete(&old)),
-            };
-            // Archive the displaced image before it is overwritten or
-            // removed: MVCC writers append versions, they never destroy.
-            let name = &def.schema.name;
-            self.mvcc
-                .record_supersession(&mut self.vdisk, name, &old, op, txn_id)?;
-            self.write_row(txn_id, &def, change, undo_written)?;
-        }
-        self.trace_attr("rows_affected", affected);
-        self.trace_end(STAGE_COST_US);
-        self.finish_write(&def.schema.name);
-        Ok(QueryResult {
-            rows_examined: examined,
-            rows_affected: affected,
-            ..Default::default()
-        })
-    }
-
-    fn insert_rows(
-        &mut self,
-        txn_id: u64,
-        table: &str,
-        columns: Option<Vec<String>>,
-        rows: Vec<Vec<Value>>,
-        undo_written: &mut Vec<UndoRecord>,
-    ) -> DbResult<QueryResult> {
-        let def = self.table_accessed(table)?;
-        // The write is the elastic stage for inserts (no scan).
-        self.trace_begin("write");
-        let mut affected = 0;
-        for literals in rows {
-            let values = arrange_columns(&def.schema, &columns, literals)?;
-            def.schema.check_row(&values)?;
-            self.check_pk_unique(&def, &values, None)?;
-            let table = self.catalog.get_mut(&def.schema.name)?;
-            let row = Row {
-                id: table.heap.allocate_row_id(),
-                values,
-            };
-            self.write_row(txn_id, &def, RowChange::Insert(&row), undo_written)?;
-            self.mvcc.record_insert(&def.schema.name, row.id, txn_id);
-            affected += 1;
-        }
-        self.trace_attr("rows_affected", affected);
-        self.trace_end_elastic();
-        self.finish_write(&def.schema.name);
-        Ok(QueryResult {
-            rows_affected: affected,
-            ..Default::default()
-        })
-    }
-
     fn check_pk_unique(
         &mut self,
         def: &TableDef,
@@ -325,129 +159,319 @@ impl DbInner {
         }
         Ok(())
     }
+}
 
-    /// The row-change writer: every row insert, update and delete goes
-    /// through here, undo's compensations included. It appends the undo
-    /// record, changes the heap, stamps each touched page with its LSN
-    /// and logs the redo record that replays the change there, then
-    /// maintains the indexes. LSNs are allocated and records appended in
-    /// exactly this order, which the redo/undo bytes and page LSNs pin.
-    pub(super) fn write_row(
-        &mut self,
-        txn: u64,
-        def: &TableDef,
-        change: RowChange<'_>,
-        undo_written: &mut Vec<UndoRecord>,
-    ) -> DbResult<()> {
-        let (op, row_id) = match change {
-            RowChange::Insert(row) => (OpKind::Insert, row.id),
-            RowChange::Update { old, .. } => (OpKind::Update, old.id),
-            RowChange::Delete(old) => (OpKind::Delete, old.id),
+/// `DROP TABLE`: removes the table's files and catalog entry. Note
+/// what this does *not* do: the circular undo/redo logs and the binlog
+/// keep their records of the dropped table's rows — the forensic
+/// threat of Stahlberg et al. that the paper builds on.
+pub(super) fn drop_table(
+    data: &mut Data,
+    log: &mut Log,
+    diag: &mut Diag,
+    name: &str,
+) -> DbResult<()> {
+    let def = data.catalog.remove(name)?.def;
+    let index_files = def.indexes.iter().map(|ix| &ix.file);
+    for file in std::iter::once(&def.file).chain(index_files) {
+        data.vdisk.remove(file);
+        data.bufpool.purge_file(file);
+    }
+    data.catalog.persist(&mut data.vdisk);
+    // Chain state dies with the table, but its disk records do not —
+    // like real engines, DROP does not chase undo history.
+    log.mvcc.purge_table(&def.schema.name);
+    diag.invalidate(&def.schema.name);
+    Ok(())
+}
+
+// ================= DML =================
+
+/// Runs an INSERT, UPDATE or DELETE in the connection's transaction,
+/// or in its own autocommitted one.
+pub(super) fn dml(
+    host: &Host,
+    data: &mut Data,
+    log: &mut Log,
+    diag: &mut Diag,
+    conn_id: u64,
+    sql: &str,
+    stmt: Statement,
+) -> DbResult<QueryResult> {
+    let txn_id = match log.txns.get(&conn_id) {
+        Some(t) => t.id,
+        None => log.wal.alloc_txn(),
+    };
+    let mut undo_written = Vec::new();
+    let version_mark = log.mvcc.pending_mark(txn_id);
+    let result = apply_dml(host, data, log, diag, txn_id, stmt, &mut undo_written);
+    match result {
+        Ok(res) => {
+            let statement = (sql.to_string(), diag.outbound_ctx(host));
+            match log.txns.get_mut(&conn_id) {
+                Some(t) => {
+                    t.undo.extend(undo_written);
+                    t.statements.push(statement);
+                }
+                None => {
+                    let txn = TxnState {
+                        id: txn_id,
+                        undo: Vec::new(),
+                        statements: vec![statement],
+                        snapshot_csn: 0,
+                    };
+                    commit_txn(host, data, log, diag, txn)?
+                }
+            }
+            Ok(res)
+        }
+        Err(e) => {
+            // Statement-level rollback: undo whatever this statement
+            // already did, in reverse — version records included.
+            for rec in undo_written.iter().rev() {
+                apply_undo(data, log, rec)?;
+            }
+            log.mvcc.abort_from(&mut data.vdisk, txn_id, version_mark);
+            Err(e)
+        }
+    }
+}
+
+fn apply_dml(
+    host: &Host,
+    data: &mut Data,
+    log: &mut Log,
+    diag: &mut Diag,
+    txn_id: u64,
+    stmt: Statement,
+    undo_written: &mut Vec<UndoRecord>,
+) -> DbResult<QueryResult> {
+    // An UPDATE carries its assignments; a DELETE has none.
+    let (table, sets, where_clause) = match stmt {
+        Statement::Insert {
+            table,
+            columns,
+            rows,
+        } => {
+            let def = diag.table_accessed(host, data, &table)?;
+            // Arranged one by one, as each row is written.
+            let rows = rows
+                .into_iter()
+                .map(|literals| arrange_columns(&def.schema, &columns, literals));
+            return insert_rows(data, log, diag, txn_id, &def, rows, undo_written);
+        }
+        Statement::Update {
+            table,
+            sets,
+            where_clause,
+        } => (table, Some(sets), where_clause),
+        Statement::Delete {
+            table,
+            where_clause,
+        } => (table, None, where_clause),
+        // `run_stmt` routes every other statement elsewhere.
+        _ => return Err(DbError::Eval("not a DML statement".into())),
+    };
+    let def = diag.table_accessed(host, data, &table)?;
+    // No pushdowns: an update re-encodes the old row and a delete's
+    // undo image is all of it, so every column must be materialized,
+    // and all targets matter.
+    let (targets, examined) =
+        fetch_rows(host, data, diag, &def, where_clause.as_ref(), None, None)?;
+    diag.trace_begin("write");
+    let column = |(col, val): (String, Value)| Ok((def.schema.column_index(&col)?, val));
+    let sets: Option<Vec<_>> = sets
+        .map(|sets| sets.into_iter().map(column).collect::<DbResult<_>>())
+        .transpose()?;
+    let affected = targets.len() as u64;
+    for old in targets {
+        let new = match &sets {
+            Some(sets) => {
+                let mut new = old.clone();
+                for (idx, val) in sets {
+                    new.values[*idx] = val.clone();
+                }
+                def.schema.check_row(&new.values)?;
+                data.check_pk_unique(&def, &new.values, Some(old.id))?;
+                Some(new)
+            }
+            None => None,
         };
-        let lsn = self.wal.alloc_lsn();
-        let undo = UndoRecord {
+        let (op, change) = match &new {
+            Some(new) => (OP_UPDATE, RowChange::Update { old: &old, new }),
+            None => (OP_DELETE, RowChange::Delete(&old)),
+        };
+        // Archive the displaced image before it is overwritten or
+        // removed: MVCC writers append versions, they never destroy.
+        let name = &def.schema.name;
+        log.mvcc
+            .record_supersession(&mut data.vdisk, name, &old, op, txn_id)?;
+        write_row(data, log, txn_id, &def, change, undo_written)?;
+    }
+    diag.trace_attr("rows_affected", affected);
+    diag.trace_end(STAGE_COST_US);
+    diag.invalidate(&def.schema.name);
+    Ok(QueryResult {
+        rows_examined: examined,
+        rows_affected: affected,
+        ..Default::default()
+    })
+}
+
+fn insert_rows(
+    data: &mut Data,
+    log: &mut Log,
+    diag: &mut Diag,
+    txn_id: u64,
+    def: &TableDef,
+    rows: impl Iterator<Item = DbResult<Vec<Value>>>,
+    undo_written: &mut Vec<UndoRecord>,
+) -> DbResult<QueryResult> {
+    // The write is the elastic stage for inserts (no scan).
+    diag.trace_begin("write");
+    let mut affected = 0;
+    for values in rows {
+        let values = values?;
+        def.schema.check_row(&values)?;
+        data.check_pk_unique(def, &values, None)?;
+        let table = data.catalog.get_mut(&def.schema.name)?;
+        let row = Row {
+            id: table.heap.allocate_row_id(),
+            values,
+        };
+        let change = RowChange::Insert(&row);
+        write_row(data, log, txn_id, def, change, undo_written)?;
+        log.mvcc.record_insert(&def.schema.name, row.id, txn_id);
+        affected += 1;
+    }
+    diag.trace_attr("rows_affected", affected);
+    diag.trace_end_elastic();
+    diag.invalidate(&def.schema.name);
+    Ok(QueryResult {
+        rows_affected: affected,
+        ..Default::default()
+    })
+}
+
+/// The row-change writer: every row insert, update and delete goes
+/// through here, undo's compensations included. It appends the undo
+/// record, changes the heap, stamps each touched page with its LSN
+/// and logs the redo record that replays the change there, then
+/// maintains the indexes. LSNs are allocated and records appended in
+/// exactly this order, which the redo/undo bytes and page LSNs pin.
+pub(super) fn write_row(
+    data: &mut Data,
+    log: &mut Log,
+    txn: u64,
+    def: &TableDef,
+    change: RowChange<'_>,
+    undo_written: &mut Vec<UndoRecord>,
+) -> DbResult<()> {
+    let (op, row_id) = match change {
+        RowChange::Insert(row) => (OpKind::Insert, row.id),
+        RowChange::Update { old, .. } => (OpKind::Update, old.id),
+        RowChange::Delete(old) => (OpKind::Delete, old.id),
+    };
+    let lsn = log.wal.alloc_lsn();
+    let undo = UndoRecord {
+        lsn,
+        txn,
+        op,
+        table_id: def.id,
+        row_id,
+        before: change.before().map_or_else(Vec::new, Row::encode),
+    };
+    log.wal.append_undo(&mut data.vdisk, &undo);
+    undo_written.push(undo);
+
+    let Data {
+        catalog,
+        bufpool: pool,
+        vdisk: disk,
+    } = &mut *data;
+    let heap = &mut catalog.get_mut(&def.schema.name)?.heap;
+    // Where the heap put the change, and where an update that
+    // outgrew its slot moved the row: that update is logged as the
+    // delete and the insert it was.
+    let (op, at, moved_to) = match change {
+        RowChange::Insert(row) => (OpKind::Insert, heap.insert(pool, disk, row)?, None),
+        RowChange::Delete(old) => (OpKind::Delete, heap.delete(pool, disk, old.id)?, None),
+        RowChange::Update { new, .. } => match heap.update(pool, disk, new)? {
+            UpdatePlacement::InPlace { page_no, slot } => (OpKind::Update, (page_no, slot), None),
+            UpdatePlacement::Moved { from, to } => (OpKind::Delete, from, Some(to)),
+        },
+    };
+    // Stamp each touched page with the LSN of the redo record that
+    // replays the change there: the undo record's LSN for the first,
+    // a fresh one for a moved row's new place.
+    let moved = moved_to.map(|to| (OpKind::Insert, to));
+    let pages = [Some((op, at)), moved].into_iter().flatten();
+    for (n, (op, (page_no, slot))) in pages.enumerate() {
+        let lsn = if n == 0 { lsn } else { log.wal.alloc_lsn() };
+        data.bufpool
+            .with_page_mut(&mut data.vdisk, &def.file, page_no, |buf| {
+                Page::new(buf).set_lsn(lsn)
+            })?;
+        let after = match (op, change.after()) {
+            (OpKind::Delete, _) | (_, None) => Vec::new(),
+            (_, Some(row)) => row.encode(),
+        };
+        let rec = RedoRecord {
             lsn,
             txn,
             op,
             table_id: def.id,
-            row_id,
-            before: change.before().map_or_else(Vec::new, Row::encode),
+            page_no,
+            slot,
+            after,
         };
-        self.wal.append_undo(&mut self.vdisk, &undo);
-        undo_written.push(undo);
-
-        let heap = &mut self.catalog.get_mut(&def.schema.name)?.heap;
-        let (pool, disk) = (&self.bufpool, &mut self.vdisk);
-        // Where the heap put the change, and where an update that
-        // outgrew its slot moved the row: that update is logged as the
-        // delete and the insert it was.
-        let (op, at, moved_to) = match change {
-            RowChange::Insert(row) => (OpKind::Insert, heap.insert(pool, disk, row)?, None),
-            RowChange::Delete(old) => (OpKind::Delete, heap.delete(pool, disk, old.id)?, None),
-            RowChange::Update { new, .. } => match heap.update(pool, disk, new)? {
-                UpdatePlacement::InPlace { page_no, slot } => {
-                    (OpKind::Update, (page_no, slot), None)
-                }
-                UpdatePlacement::Moved { from, to } => (OpKind::Delete, from, Some(to)),
-            },
-        };
-        // Stamp each touched page with the LSN of the redo record that
-        // replays the change there: the undo record's LSN for the first,
-        // a fresh one for a moved row's new place.
-        let moved = moved_to.map(|to| (OpKind::Insert, to));
-        let pages = [Some((op, at)), moved].into_iter().flatten();
-        for (n, (op, (page_no, slot))) in pages.enumerate() {
-            let lsn = if n == 0 { lsn } else { self.wal.alloc_lsn() };
-            self.bufpool
-                .with_page_mut(&mut self.vdisk, &def.file, page_no, |buf| {
-                    Page::new(buf).set_lsn(lsn)
-                })?;
-            let after = match (op, change.after()) {
-                (OpKind::Delete, _) | (_, None) => Vec::new(),
-                (_, Some(row)) => row.encode(),
-            };
-            self.log_redo(RedoRecord {
-                lsn,
-                txn,
-                op,
-                table_id: def.id,
-                page_no,
-                slot,
-                after,
-            });
-        }
-
-        // Index maintenance for changed keys.
-        let table = self.catalog.get(&def.schema.name)?;
-        for (ix, bt) in def.indexes.iter().zip(&table.btrees) {
-            let old_key = change.before().map(|r| &r.values[ix.column_idx]);
-            let new_key = change.after().map(|r| &r.values[ix.column_idx]);
-            if old_key == new_key {
-                continue;
-            }
-            if let Some(key) = old_key {
-                bt.delete(&self.bufpool, &mut self.vdisk, key, row_id)?;
-            }
-            if let Some(key) = new_key {
-                bt.insert(&self.bufpool, &mut self.vdisk, key, row_id)?;
-            }
-        }
-        Ok(())
+        log_redo(data, log, rec);
     }
 
-    /// Appends a redo record, checkpointing first if the circular log is
-    /// about to wrap (so no un-checkpointed history is overwritten).
-    pub(super) fn log_redo(&mut self, rec: RedoRecord) {
-        let framed = self.wal.frame_redo(&rec);
-        if self.wal.redo.would_wrap(&self.vdisk, framed.len()) {
-            self.checkpoint();
+    // Index maintenance for changed keys.
+    let table = data.catalog.get(&def.schema.name)?;
+    for (ix, bt) in def.indexes.iter().zip(&table.btrees) {
+        let old_key = change.before().map(|r| &r.values[ix.column_idx]);
+        let new_key = change.after().map(|r| &r.values[ix.column_idx]);
+        if old_key == new_key {
+            continue;
         }
-        self.wal.append_redo(&mut self.vdisk, &framed);
+        if let Some(key) = old_key {
+            bt.delete(&data.bufpool, &mut data.vdisk, key, row_id)?;
+        }
+        if let Some(key) = new_key {
+            bt.insert(&data.bufpool, &mut data.vdisk, key, row_id)?;
+        }
     }
+    Ok(())
+}
 
-    /// Checkpoint: flush dirty pages and persist the checkpoint LSN plus
-    /// the active-transaction table (ARIES-style), so recovery can tell
-    /// "committed long ago, marker wrapped away" apart from "in flight at
-    /// the crash".
-    pub(super) fn checkpoint(&mut self) {
-        self.bufpool.flush_all(&mut self.vdisk);
-        let lsn = self.wal.current_lsn();
-        let mut buf = Vec::with_capacity(12 + self.txns.len() * 8);
-        buf.extend_from_slice(&lsn.to_le_bytes());
-        buf.extend_from_slice(&(self.txns.len() as u32).to_le_bytes());
-        for t in self.txns.values() {
-            buf.extend_from_slice(&t.id.to_le_bytes());
-        }
-        self.vdisk.write(CHECKPOINT_FILE, buf);
-        // A checkpoint is a durability point: one simulated fsync.
-        self.wal.record_fsync();
+/// Appends a redo record, checkpointing first if the circular log is
+/// about to wrap (so no un-checkpointed history is overwritten).
+pub(super) fn log_redo(data: &mut Data, log: &mut Log, rec: RedoRecord) {
+    let framed = log.wal.frame_redo(&rec);
+    if log.wal.redo.would_wrap(&data.vdisk, framed.len()) {
+        checkpoint(data, log);
     }
+    log.wal.append_redo(&mut data.vdisk, &framed);
+}
 
-    fn finish_write(&mut self, table: &str) {
-        for p in self.query_cache.invalidate_table(table) {
-            self.heap.free(p);
-        }
+/// Checkpoint: flush dirty pages and persist the checkpoint LSN plus
+/// the active-transaction table (ARIES-style), so recovery can tell
+/// "committed long ago, marker wrapped away" apart from "in flight at
+/// the crash".
+pub(super) fn checkpoint(data: &mut Data, log: &mut Log) {
+    data.bufpool.flush_all(&mut data.vdisk);
+    let lsn = log.wal.current_lsn();
+    let mut buf = Vec::with_capacity(12 + log.txns.len() * 8);
+    buf.extend_from_slice(&lsn.to_le_bytes());
+    buf.extend_from_slice(&(log.txns.len() as u32).to_le_bytes());
+    for t in log.txns.values() {
+        buf.extend_from_slice(&t.id.to_le_bytes());
     }
+    data.vdisk.write(CHECKPOINT_FILE, buf);
+    // A checkpoint is a durability point: one simulated fsync.
+    log.wal.record_fsync();
 }
 
 fn arrange_columns(

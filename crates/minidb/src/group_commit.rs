@@ -18,8 +18,10 @@
 //! flush waits on no device: it counts one `wal.fsyncs` for the batch
 //! and publishes the batch as durable.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex};
 
 use mdb_telemetry::{Counter, Histogram, Registry};
 
@@ -82,7 +84,7 @@ impl GroupCommitPipeline {
     /// Stages a commit LSN for the next batch. Called under the engine
     /// lock (cheap: one mutex op), so staged LSNs arrive in order.
     pub fn stage(&self, lsn: u64) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         st.staged_tail = st.staged_tail.max(lsn);
         st.staged_count += 1;
         drop(st);
@@ -94,7 +96,7 @@ impl GroupCommitPipeline {
     /// flush is in progress. Must be called *after* the engine lock is
     /// released, with an `lsn` previously passed to [`Self::stage`].
     pub fn wait_durable(&self, lsn: u64) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         let mut counted_wait = false;
         loop {
             if st.durable_lsn >= lsn {
@@ -106,7 +108,7 @@ impl GroupCommitPipeline {
                     self.waits.inc();
                     counted_wait = true;
                 }
-                st = self.cv.wait(st).unwrap();
+                st = self.cv.wait(st);
                 continue;
             }
             // Leader: linger for the batch to fill, bounded by the knob.
@@ -118,7 +120,7 @@ impl GroupCommitPipeline {
                     if left.is_zero() {
                         break;
                     }
-                    let (guard, timeout) = self.cv.wait_timeout(st, left).unwrap();
+                    let (guard, timeout) = self.cv.wait_for(st, left);
                     st = guard;
                     if timeout.timed_out() {
                         break;
@@ -134,7 +136,7 @@ impl GroupCommitPipeline {
             self.fsyncs.inc();
             self.batch_size.record(batch);
 
-            st = self.state.lock().unwrap();
+            st = self.state.lock();
             st.durable_lsn = st.durable_lsn.max(flush_to);
             st.leader_active = false;
             self.cv.notify_all();
@@ -145,7 +147,7 @@ impl GroupCommitPipeline {
 
     /// Highest durable LSN (test/diagnostic hook).
     pub fn durable_lsn(&self) -> u64 {
-        self.state.lock().unwrap().durable_lsn
+        self.state.lock().durable_lsn
     }
 }
 
@@ -190,7 +192,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..COMMITS {
                         let lsn = {
-                            let mut a = alloc.lock().unwrap();
+                            let mut a = alloc.lock();
                             *a += 1;
                             *a
                         };
@@ -233,7 +235,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..50 {
                         let lsn = {
-                            let mut a = alloc.lock().unwrap();
+                            let mut a = alloc.lock();
                             *a += 1;
                             *a
                         };

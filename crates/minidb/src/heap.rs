@@ -159,6 +159,11 @@ impl HeapArena {
         }
     }
 
+    /// Frees each block, in order.
+    pub fn free_all(&mut self, ptrs: impl IntoIterator<Item = HeapPtr>) {
+        ptrs.into_iter().for_each(|p| self.free(p));
+    }
+
     /// Reads a live block's payload.
     pub fn read(&self, ptr: HeapPtr) -> &[u8] {
         &self.buf[ptr.offset..ptr.offset + ptr.len]

@@ -34,6 +34,10 @@
 //! assert_eq!(r.rows[0][0].to_string(), "bob");
 //! ```
 
+// Library code fails closed: a typed error, never a panic on bytes it
+// was handed. Tests may unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod cache;
 pub mod catalog;
 pub mod engine;

@@ -441,20 +441,17 @@ impl VersionStore {
     /// Rewrites [`VERSIONS_FILE`] with only the surviving in-memory
     /// versions — reclaimed before-images are physically erased.
     fn rewrite_file(&mut self, vdisk: &mut VDisk) {
-        let mut survivors: Vec<(Key, usize)> = self
+        let mut survivors: Vec<(&Key, &mut Version)> = self
             .chains
-            .iter()
-            .flat_map(|(k, vs)| vs.iter().map(|v| (k.clone(), v.offset)))
+            .iter_mut()
+            .flat_map(|(k, vs)| vs.iter_mut().map(move |v| (k, v)))
             .collect();
-        survivors.sort_by_key(|(_, off)| *off);
+        survivors.sort_by_key(|(_, v)| v.offset);
         let mut file = Vec::new();
         let mut remap: HashMap<usize, usize> = HashMap::new();
-        for (key, old_off) in survivors {
-            let v = self
-                .find_version(&key, old_off)
-                .expect("survivor indexed from chains");
-            let rec = encode_record(v.state, v.op, v.xmin, v.xmax, &key, &v.row);
-            remap.insert(old_off, file.len());
+        for (key, v) in survivors {
+            let rec = encode_record(v.state, v.op, v.xmin, v.xmax, key, &v.row);
+            remap.insert(v.offset, file.len());
             v.offset = file.len();
             file.extend_from_slice(&rec);
         }

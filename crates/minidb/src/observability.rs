@@ -127,6 +127,7 @@ impl PerfSchema {
     /// Completes the thread's current statement, moving it into history.
     /// Returns the arena pointer of any history entry that fell off the
     /// ring (for the engine to free).
+    #[must_use = "a statement text that fell off the ring must be freed"]
     pub fn statement_end(
         &mut self,
         thread_id: u64,
@@ -181,6 +182,7 @@ impl PerfSchema {
 
     /// Clears everything (the "since the database was last restarted"
     /// semantics); returns arena pointers to free.
+    #[must_use = "the statement texts the history held must be freed"]
     pub fn clear(&mut self) -> Vec<HeapPtr> {
         let mut freed = Vec::new();
         for (_, ev) in self.current.drain() {
@@ -366,7 +368,7 @@ mod tests {
         for i in 0..25 {
             let sql = format!("SELECT {i}");
             ps.statement_start(1, &sql, "SELECT ?", 100 + i, None);
-            ps.statement_end(1, 1, 1);
+            let _ = ps.statement_end(1, 1, 1);
         }
         let hist = ps.events_statements_history();
         assert_eq!(hist.len(), 10);
@@ -381,7 +383,7 @@ mod tests {
         for t in 1..=3u64 {
             for i in 0..5 {
                 ps.statement_start(t, &format!("q{t}-{i}"), "d", 0, None);
-                ps.statement_end(t, 0, 0);
+                let _ = ps.statement_end(t, 0, 0);
             }
         }
         assert_eq!(ps.events_statements_history().len(), 6);
@@ -405,7 +407,7 @@ mod tests {
             ),
         ] {
             ps.statement_start(1, sql, digest, 7, None);
-            ps.statement_end(1, 10, 2);
+            let _ = ps.statement_end(1, 10, 2);
         }
         let summary = ps.events_statements_summary_by_digest();
         assert_eq!(summary.len(), 2);
@@ -422,7 +424,7 @@ mod tests {
         let mut ps = PerfSchema::new(10);
         ps.statement_start(1, "SELECT sleep_long", "d", 5, None);
         assert_eq!(ps.events_statements_current().len(), 1);
-        ps.statement_end(1, 0, 0);
+        let _ = ps.statement_end(1, 0, 0);
         assert!(ps.events_statements_current().is_empty());
         assert_eq!(ps.events_statements_history().len(), 1);
     }
@@ -431,7 +433,7 @@ mod tests {
     fn rows_examined_recorded() {
         let mut ps = PerfSchema::new(10);
         ps.statement_start(1, "SELECT * FROM t", "d", 5, None);
-        ps.statement_end(1, 1234, 7);
+        let _ = ps.statement_end(1, 1234, 7);
         let h = ps.events_statements_history();
         assert_eq!(h[0].rows_examined, 1234);
         assert_eq!(h[0].rows_returned, 7);
@@ -441,8 +443,8 @@ mod tests {
     fn clear_resets_since_restart_semantics() {
         let mut ps = PerfSchema::new(10);
         ps.statement_start(1, "q", "d", 0, None);
-        ps.statement_end(1, 1, 1);
-        ps.clear();
+        let _ = ps.statement_end(1, 1, 1);
+        let _ = ps.clear();
         assert!(ps.events_statements_history().is_empty());
         assert!(ps.events_statements_summary_by_digest().is_empty());
     }

@@ -146,7 +146,7 @@ impl Db {
     /// Captures the persistent state (what disk theft yields).
     pub fn disk_image(&self) -> DiskImage {
         DiskImage {
-            files: self.inner.lock().vdisk.files.clone(),
+            files: self.inner.lock().data.vdisk.files.clone(),
         }
     }
 
@@ -154,40 +154,45 @@ impl Db {
     pub fn memory_image(&self) -> MemoryImage {
         let g = self.inner.lock();
         MemoryImage {
-            heap: g.heap.dump(),
-            cached_queries: g.query_cache.cached_queries(),
-            cached_pages: g.bufpool.lru_order(),
-            page_access_counts: g.bufpool.access_counters_snapshot(),
+            heap: g.diag.heap.dump(),
+            cached_queries: g.diag.query_cache.cached_queries(),
+            cached_pages: g.data.bufpool.lru_order(),
+            page_access_counts: g.data.bufpool.access_counters_snapshot(),
             adaptive_hash_keys: g
+                .diag
                 .adaptive_hash
                 .indexed_keys()
                 .into_iter()
                 .map(|(k, p)| (k.to_vec(), p.clone()))
                 .collect(),
             statements_current: g
+                .diag
                 .perf
                 .events_statements_current()
                 .into_iter()
                 .cloned()
                 .collect(),
             statements_history: g
+                .diag
                 .perf
                 .events_statements_history()
                 .into_iter()
                 .cloned()
                 .collect(),
             digest_summary: g
+                .diag
                 .perf
                 .events_statements_summary_by_digest()
                 .into_iter()
                 .cloned()
                 .collect(),
-            processlist: g.processlist.entries().into_iter().cloned().collect(),
+            processlist: g.diag.processlist.entries().into_iter().cloned().collect(),
             metrics: g.host.telemetry.snapshot(),
-            query_traces: g.trace.traces(),
-            zone_maps: g.zone_map_pages(),
+            query_traces: g.diag.trace.traces(),
+            zone_maps: g.data.zone_map_pages(),
             version_chains: {
                 let mut chains: Vec<VersionChain> = g
+                    .log
                     .mvcc
                     .chains()
                     .iter()

@@ -117,8 +117,8 @@ fn syn_decode(buf: &[u8]) -> Option<PageSynopsis> {
         let off = HDR_SYN_ENTRIES + i * SYN_ENTRY_SIZE;
         cols.push(ColumnStats {
             col: u16::from_le_bytes([buf[off], buf[off + 1]]),
-            min: i64::from_le_bytes(buf[off + 2..off + 10].try_into().unwrap()),
-            max: i64::from_le_bytes(buf[off + 10..off + 18].try_into().unwrap()),
+            min: i64::from_le_bytes(*buf[off + 2..].first_chunk()?),
+            max: i64::from_le_bytes(*buf[off + 10..].first_chunk()?),
         });
     }
     Some(PageSynopsis { rows, cols })
@@ -158,13 +158,19 @@ impl<'a> Page<'a> {
         u16::from_le_bytes([self.buf[off], self.buf[off + 1]])
     }
 
+    fn read_u64(&self, off: usize) -> u64 {
+        let mut b = [0; 8];
+        b.copy_from_slice(&self.buf[off..off + 8]);
+        u64::from_le_bytes(b)
+    }
+
     fn write_u16(&mut self, off: usize, v: u16) {
         self.buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
     }
 
     /// The page's LSN (last change).
     pub fn lsn(&self) -> u64 {
-        u64::from_le_bytes(self.buf[HDR_LSN..HDR_LSN + 8].try_into().unwrap())
+        self.read_u64(HDR_LSN)
     }
 
     /// Sets the page LSN.
@@ -334,8 +340,8 @@ impl<'a> Page<'a> {
             for i in 0..ncols.min(SYN_MAX_COLS) {
                 let off = HDR_SYN_ENTRIES + i * SYN_ENTRY_SIZE;
                 if self.read_u16(off) == col {
-                    let min = i64::from_le_bytes(self.buf[off + 2..off + 10].try_into().unwrap());
-                    let max = i64::from_le_bytes(self.buf[off + 10..off + 18].try_into().unwrap());
+                    let min = self.read_u64(off + 2) as i64;
+                    let max = self.read_u64(off + 10) as i64;
                     if v < min {
                         self.buf[off + 2..off + 10].copy_from_slice(&v.to_le_bytes());
                     }

@@ -585,7 +585,8 @@ impl TableHeap {
                 let row = Row::decode(bytes)?;
                 p.synopsis_note_insert(&int_cols(&row));
             }
-            Ok::<_, DbError>(p.synopsis().expect("just reset to valid"))
+            let invalid = || DbError::Storage(format!("page {page_no}: no synopsis after reset"));
+            p.synopsis().ok_or_else(invalid)
         })??;
         self.note_page(page_no, Some(syn.clone()));
         Ok(syn)

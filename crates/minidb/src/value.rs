@@ -137,7 +137,7 @@ impl Value {
         Ok(match tag {
             0 => Value::Null,
             1 => Value::Int(i64::from_le_bytes(
-                *body.first_chunk().expect("split sizes an INT body"),
+                *body.first_chunk().ok_or_else(|| truncated("INT body"))?,
             )),
             2 => Value::Text(
                 std::str::from_utf8(body)

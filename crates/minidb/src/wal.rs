@@ -1351,11 +1351,11 @@ mod tests {
             };
             let check = |step: &str| {
                 let g = db.inner.lock();
-                let mut disk = g.vdisk.clone();
+                let mut disk = g.data.vdisk.clone();
                 let crypto = key.map(|k| WalCrypto::new(k, g.host.config.server_id));
                 let reopened = Wal::open(&mut disk, 2048, 2048, true, crypto);
-                assert_eq!(cursors(&reopened), cursors(&g.wal), "after {step}");
-                assert_eq!(disk.files, g.vdisk.files, "open wrote to a full disk");
+                assert_eq!(cursors(&reopened), cursors(&g.log.wal), "after {step}");
+                assert_eq!(disk.files, g.data.vdisk.files, "open wrote to a full disk");
             };
             let conn = db.connect("app");
             let run = |sql: &str| {

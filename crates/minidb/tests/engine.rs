@@ -1189,6 +1189,26 @@ fn scrub_all_walks_every_leakage_surface() {
     );
 }
 
+/// With secure deletion on, the scrub leaves no copy of a statement in
+/// the process heap: the query cache's copy of its text is freed (and so
+/// zeroed) like the history's.
+#[test]
+fn scrub_all_frees_the_query_cache_text() {
+    let db = Db::open(DbConfig {
+        heap_secure_delete: true,
+        ..DbConfig::default()
+    });
+    setup_customers(&db);
+    let select = "SELECT age FROM customers WHERE id = 4";
+    db.connect("app").execute(select).unwrap();
+    assert!(db.memory_image().heap_occurrences(select.as_bytes()) > 0);
+
+    db.scrub_all();
+
+    let left = db.memory_image().heap_occurrences(select.as_bytes());
+    assert_eq!(left, 0, "the scrubbed heap still holds the SELECT");
+}
+
 /// DDL through a crash, on the paths that keep a table's definition and
 /// its storage: an index backfilled on a populated table, a DROP under
 /// another session's open transaction, and a re-CREATE of the dropped

@@ -31,6 +31,10 @@
 //! - [`router`] — [`router::ReplicaSet`]: topology wiring + lag-aware
 //!   read routing.
 
+// Library code fails closed: a typed error, never a panic on bytes it
+// was handed. Tests may unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use core::fmt;
 
 use minidb::DbError;

@@ -209,15 +209,14 @@ impl PrimaryHandle {
                 })
             }
             TransportKind::Tcp => {
-                let addr = self
-                    .tcp
-                    .as_ref()
-                    .expect("tcp transport has an acceptor")
-                    .addr;
+                // A primary started on TCP always has an acceptor; without
+                // one there is nothing to connect to.
+                let addr = self.tcp.as_ref().map(|t| t.addr);
                 Box::new(move || {
                     if partitioned.load(Ordering::SeqCst) {
                         return Err(ReplError::Disconnected);
                     }
+                    let addr = addr.ok_or(ReplError::Disconnected)?;
                     let ep = crate::tcp::TcpEndpoint::connect(addr)?;
                     let fresh = LinkCutter::default();
                     *cutter.lock() = fresh.clone();
@@ -404,14 +403,14 @@ impl ReplicaSet {
     /// The replica a failover should promote: highest applied cursor
     /// wins (it loses the least acked-but-unreplicated data); ties go
     /// to the lowest index. A crashed or halted replica still counts —
-    /// its cursor is durable in its relay log.
-    pub fn elect_best(&self) -> usize {
+    /// its cursor is durable in its relay log. `None` when no replica is
+    /// left to promote.
+    pub fn elect_best(&self) -> Option<usize> {
         self.slots
             .iter()
             .enumerate()
             .max_by_key(|(i, s)| (s.shared.next_seq.load(Ordering::SeqCst), usize::MAX - i))
             .map(|(i, _)| i)
-            .expect("cannot elect from an empty replica set")
     }
 
     /// Promotes replica `i` to primary. The full failover sequence:
@@ -680,7 +679,7 @@ mod tests {
 
         // Primary dies; the best survivor takes over.
         set.kill_primary();
-        let best = set.elect_best();
+        let best = set.elect_best().unwrap();
         let promo = set.promote(best).unwrap();
         for i in 0..set.replica_count() {
             set.heal(i);

@@ -24,7 +24,9 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 pub mod chrome;
 pub mod codec;
@@ -523,12 +525,12 @@ impl Recorder {
     /// that already carry a node keep it — absorbed rings stay tagged
     /// with their origin).
     pub fn set_node(&self, node: &str) {
-        self.inner.lock().unwrap().node = node.to_string();
+        self.inner.lock().node = node.to_string();
     }
 
     /// This recorder's node identity.
     pub fn node(&self) -> String {
-        self.inner.lock().unwrap().node.clone()
+        self.inner.lock().node.clone()
     }
 
     /// The hot-path gate: one relaxed atomic load.
@@ -546,7 +548,7 @@ impl Recorder {
     /// past capacity), and returns the id-stamped trace. Records even
     /// when disarmed — the caller gates on [`is_enabled`](Self::is_enabled).
     pub fn record(&self, mut trace: StatementTrace) -> StatementTrace {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         trace.trace_id = g.next_id;
         g.next_id += 1;
         if trace.node.is_empty() {
@@ -570,12 +572,12 @@ impl Recorder {
 
     /// Ring contents, oldest first.
     pub fn traces(&self) -> Vec<StatementTrace> {
-        self.inner.lock().unwrap().ring.iter().cloned().collect()
+        self.inner.lock().ring.iter().cloned().collect()
     }
 
     /// Number of traces currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().ring.len()
+        self.inner.lock().ring.len()
     }
 
     /// Whether the ring is empty.
@@ -585,19 +587,19 @@ impl Recorder {
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
-        self.inner.lock().unwrap().capacity
+        self.inner.lock().capacity
     }
 
     /// Traces evicted so far (lifetime count).
     pub fn evicted(&self) -> u64 {
-        self.inner.lock().unwrap().evicted
+        self.inner.lock().evicted
     }
 
     /// Drops all traces (crash, or an explicit diagnostics scrub). Id
     /// assignment continues — like restarting `performance_schema`,
     /// the wipe is observable in the numbering gap.
     pub fn clear(&self) {
-        self.inner.lock().unwrap().ring.clear();
+        self.inner.lock().ring.clear();
     }
 }
 
