@@ -1,47 +1,27 @@
 //! Volatile caches: the query cache and the adaptive hash index (§5).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use crate::error::{DbError, DbResult};
 use crate::heap::HeapPtr;
 use crate::storage::PageKey;
-use crate::value::{self, Value};
+use crate::value::RowBlock;
 
 /// Query cache capacity of an engine, in entries.
 pub const QUERY_CACHE_ENTRIES: usize = 64;
 /// Adaptive-hash-index hotness threshold of an engine, in page accesses.
 pub const ADAPTIVE_HASH_THRESHOLD: u64 = 8;
 
-/// A cached result set. The rows live in one row block
-/// ([`value::encode_rows`]), byte for byte the rows of a `Result`
-/// reply. Caching a result fills one buffer instead of allocating a
-/// `Vec` per row and a `String` per text cell under the engine lock; a
-/// hit pays the decode instead.
+/// A cached result set. Its rows are the statement's own row block,
+/// shared: byte for byte the rows of a `Result` reply. Caching a result
+/// and hitting it are each a refcount bump; nothing is encoded or
+/// decoded under the engine lock.
 #[derive(Debug)]
 pub struct CachedResult {
     /// Result column names.
     pub columns: Vec<String>,
-    rows: Vec<u8>,
-}
-
-impl CachedResult {
-    /// Encodes `rows` under `columns`.
-    fn new(columns: Vec<String>, rows: &[Vec<Value>]) -> CachedResult {
-        let mut buf = Vec::with_capacity(value::rows_encoded_len(rows));
-        value::encode_rows(rows, &mut buf);
-        CachedResult { columns, rows: buf }
-    }
-
-    /// The column names and rows, decoded. A malformed buffer is a
-    /// [`DbError::Storage`], never a panic.
-    pub fn decode(&self) -> DbResult<(Vec<String>, Vec<Vec<Value>>)> {
-        let mut pos = 0;
-        let rows = value::decode_rows(&self.rows, &mut pos)?;
-        if pos != self.rows.len() {
-            return Err(DbError::Storage("trailing bytes in cached result".into()));
-        }
-        Ok((self.columns.clone(), rows))
-    }
+    /// The rows.
+    pub rows: Arc<RowBlock>,
 }
 
 struct CacheEntry {
@@ -104,20 +84,23 @@ impl QueryCache {
 
     /// Inserts a result; returns the arena pointers of any evicted entries
     /// so the engine can free them (not zero them!). A disabled cache
-    /// encodes nothing.
+    /// keeps nothing.
     #[must_use = "the evicted statement texts must be freed"]
     pub fn insert(
         &mut self,
         sql: &str,
         tables: Vec<String>,
         columns: &[String],
-        rows: &[Vec<Value>],
+        rows: Arc<RowBlock>,
         text_ptr: HeapPtr,
     ) -> Vec<HeapPtr> {
         if !self.enabled {
             return vec![text_ptr];
         }
-        let result = CachedResult::new(columns.to_vec(), rows);
+        let result = CachedResult {
+            columns: columns.to_vec(),
+            rows,
+        };
         self.tick += 1;
         let mut freed = Vec::new();
         if let Some(old) = self.entries.remove(sql) {
@@ -236,63 +219,14 @@ impl AdaptiveHash {
 mod tests {
     use super::*;
     use crate::heap::HeapArena;
+    use crate::value::Value;
 
     fn cols() -> Vec<String> {
         vec!["a".into()]
     }
 
-    fn rows() -> Vec<Vec<Value>> {
-        vec![vec![Value::Int(1)]]
-    }
-
-    #[test]
-    fn cached_rows_round_trip_through_the_storage_encoding() {
-        let columns: Vec<String> = vec!["n".into(), "i".into(), "t".into(), "b".into()];
-        let rows = vec![
-            vec![
-                Value::Null,
-                Value::Int(i64::MIN),
-                Value::Text(String::new()),
-                Value::Bytes(vec![]),
-            ],
-            vec![
-                Value::Null,
-                Value::Int(i64::MAX),
-                Value::Text("bób — 東京".into()),
-                Value::Bytes(vec![0, 255, 7]),
-            ],
-        ];
-        let zero_width = vec![vec![]; 3];
-        for (cols, rows) in [
-            (columns, rows),
-            (vec!["a".into()], vec![]),
-            (vec![], zero_width),
-        ] {
-            let cached = CachedResult::new(cols.clone(), &rows);
-            assert_eq!(cached.decode(), Ok((cols, rows)));
-        }
-    }
-
-    #[test]
-    fn a_truncated_cache_buffer_is_a_typed_error() {
-        let rows = vec![
-            vec![Value::Int(-1), Value::Text("héllo".into())],
-            vec![Value::Null, Value::Bytes(vec![1, 2, 3])],
-        ];
-        let full = CachedResult::new(vec![], &rows);
-        for cut in 0..full.rows.len() {
-            let short = CachedResult {
-                columns: vec![],
-                rows: full.rows[..cut].to_vec(),
-            };
-            assert!(
-                matches!(short.decode(), Err(DbError::Storage(_))),
-                "cut {cut}"
-            );
-        }
-        let mut long = full;
-        long.rows.push(0);
-        assert!(matches!(long.decode(), Err(DbError::Storage(_))));
+    fn rows() -> Arc<RowBlock> {
+        Arc::new(RowBlock::from_rows(&[vec![Value::Int(1)]]))
     }
 
     #[test]
@@ -301,11 +235,17 @@ mod tests {
         let mut qc = QueryCache::new(true, 4);
         assert!(qc.get("SELECT 1").is_none());
         let ptr = h.alloc_str("SELECT 1");
-        let _ = qc.insert("SELECT 1", vec!["t".into()], &cols(), &rows(), ptr);
-        assert_eq!(
-            qc.get("SELECT 1").map(CachedResult::decode),
-            Some(Ok((cols(), rows())))
+        let block = rows();
+        let _ = qc.insert(
+            "SELECT 1",
+            vec!["t".into()],
+            &cols(),
+            Arc::clone(&block),
+            ptr,
         );
+        let hit = qc.get("SELECT 1").unwrap();
+        assert_eq!(hit.columns, cols());
+        assert!(Arc::ptr_eq(&hit.rows, &block), "a hit shares the block");
         assert_eq!((qc.hits, qc.misses), (1, 1));
     }
 
@@ -314,7 +254,7 @@ mod tests {
         let mut h = HeapArena::new();
         let mut qc = QueryCache::new(false, 4);
         let ptr = h.alloc_str("SELECT 1");
-        let freed = qc.insert("SELECT 1", vec![], &cols(), &rows(), ptr);
+        let freed = qc.insert("SELECT 1", vec![], &cols(), rows(), ptr);
         assert_eq!(freed, vec![ptr]);
         assert!(qc.get("SELECT 1").is_none());
     }
@@ -326,10 +266,10 @@ mod tests {
         let p1 = h.alloc_str("q1");
         let p2 = h.alloc_str("q2");
         let p3 = h.alloc_str("q3");
-        let _ = qc.insert("q1", vec![], &cols(), &rows(), p1);
-        let _ = qc.insert("q2", vec![], &cols(), &rows(), p2);
+        let _ = qc.insert("q1", vec![], &cols(), rows(), p1);
+        let _ = qc.insert("q2", vec![], &cols(), rows(), p2);
         qc.get("q1"); // q1 now more recent than q2.
-        let freed = qc.insert("q3", vec![], &cols(), &rows(), p3);
+        let freed = qc.insert("q3", vec![], &cols(), rows(), p3);
         assert_eq!(freed, vec![p2]);
         assert_eq!(qc.cached_queries(), vec!["q1", "q3"]);
     }
@@ -340,8 +280,8 @@ mod tests {
         let mut qc = QueryCache::new(true, 8);
         let p1 = h.alloc_str("SELECT * FROM a");
         let p2 = h.alloc_str("SELECT * FROM b");
-        let _ = qc.insert("SELECT * FROM a", vec!["a".into()], &cols(), &rows(), p1);
-        let _ = qc.insert("SELECT * FROM b", vec!["b".into()], &cols(), &rows(), p2);
+        let _ = qc.insert("SELECT * FROM a", vec!["a".into()], &cols(), rows(), p1);
+        let _ = qc.insert("SELECT * FROM b", vec!["b".into()], &cols(), rows(), p2);
         let freed = qc.invalidate_table("a");
         assert_eq!(freed, vec![p1]);
         assert!(qc.get("SELECT * FROM a").is_none());

@@ -50,7 +50,7 @@ use crate::observability::{PerfSchema, ProcessList, DEFAULT_HISTORY_SIZE};
 use crate::sql::ast::Statement;
 use crate::sql::Front;
 use crate::storage::shardpool::ShardedBufferPool;
-use crate::value::Value;
+use crate::value::{RowBlock, Value};
 use crate::vdisk::VDisk;
 use crate::wal::Wal;
 
@@ -97,6 +97,47 @@ pub struct QueryResult {
     pub rows_examined: u64,
     /// Rows affected by DML.
     pub rows_affected: u64,
+}
+
+/// A statement's result as the engine answers it under its lock: the
+/// rows are one [`RowBlock`], shared with the query cache. The server
+/// splices the block into its reply as it is; [`Answer::decode`] turns
+/// it into a [`QueryResult`] for an in-process caller, after the lock
+/// is released.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Answer {
+    /// Result column names (empty for DML/DDL).
+    pub columns: Vec<String>,
+    /// Result rows.
+    pub rows: Arc<RowBlock>,
+    /// Rows the execution examined (the `performance_schema` metric).
+    pub rows_examined: u64,
+    /// Rows affected by DML.
+    pub rows_affected: u64,
+}
+
+impl Answer {
+    /// The result with its rows decoded.
+    pub fn decode(self) -> DbResult<QueryResult> {
+        Ok(QueryResult {
+            rows: self.rows.decode()?,
+            columns: self.columns,
+            rows_examined: self.rows_examined,
+            rows_affected: self.rows_affected,
+        })
+    }
+}
+
+impl From<QueryResult> for Answer {
+    /// Encodes a result's rows once, into its block.
+    fn from(r: QueryResult) -> Answer {
+        Answer {
+            rows: Arc::new(RowBlock::from_rows(&r.rows)),
+            columns: r.columns,
+            rows_examined: r.rows_examined,
+            rows_affected: r.rows_affected,
+        }
+    }
 }
 
 /// One process: the [`Host`] that outlives it, and four parts grouped by
@@ -358,10 +399,7 @@ impl Db {
     /// durability of what it committed *after* releasing the lock, so
     /// concurrent committers coalesce into the group-commit pipeline
     /// instead of serializing their fsyncs behind the lock.
-    fn run_then_wait(
-        &self,
-        run: impl FnOnce(&mut DbInner) -> DbResult<QueryResult>,
-    ) -> DbResult<QueryResult> {
+    fn run_then_wait<T>(&self, run: impl FnOnce(&mut DbInner) -> DbResult<T>) -> DbResult<T> {
         let (res, staged) = {
             let g = &mut *self.inner.lock();
             let res = run(g);
@@ -390,8 +428,15 @@ impl Connection {
     /// Executes one SQL statement under a client-supplied distributed
     /// trace context (the server side of wire trace propagation). The
     /// engine derives its own child span context, so the recorded trace
-    /// shares the client's `trace_id` with a fresh `span_id`.
+    /// shares the client's `trace_id` with a fresh `span_id`. The rows
+    /// are decoded after the engine lock is released.
     pub fn execute_traced(&self, sql: &str, ctx: Option<TraceContext>) -> DbResult<QueryResult> {
+        self.execute_encoded(sql, ctx)?.decode()
+    }
+
+    /// [`Self::execute_traced`] with the rows left as the engine's
+    /// [`RowBlock`]: what a server splices into its reply.
+    pub fn execute_encoded(&self, sql: &str, ctx: Option<TraceContext>) -> DbResult<Answer> {
         let front = crate::sql::front(sql);
         self.db
             .run_then_wait(|g| g.execute_ctx(self.id, sql, front, ctx))
@@ -403,7 +448,7 @@ impl Connection {
     pub fn last_trace_rendered(&self) -> Option<QueryResult> {
         let traces = self.db.inner.lock().diag.trace.traces();
         let last = traces.into_iter().rev().find(|t| t.conn_id == self.id)?;
-        Some(render_explain_analyze(&last, &QueryResult::default()))
+        Some(render_explain_analyze(&last, 0, 0))
     }
 
     /// The owning database handle.
@@ -454,7 +499,7 @@ impl DbInner {
         sql: &str,
         front: Front,
         ctx: Option<TraceContext>,
-    ) -> DbResult<QueryResult> {
+    ) -> DbResult<Answer> {
         // Drain contract: whoever called execute_ctx last must have
         // taken the staged group-commit LSN (and waited on it outside
         // the lock). A stale LSN here means some caller skipped
@@ -583,7 +628,7 @@ impl DbInner {
         sql: &str,
         digest: &str,
         stmt: Statement,
-    ) -> DbResult<QueryResult> {
+    ) -> DbResult<Answer> {
         let DbInner {
             host,
             data,
@@ -602,22 +647,28 @@ impl DbInner {
             Statement::Select(sel) => {
                 return read::select(host, data, log, diag, conn_id, sql, sel)
             }
-            Statement::Explain(sel) => return read::explain(host, data, sel),
             Statement::ExplainAnalyze(target) => {
                 return self.explain_analyze(conn_id, sql, digest, *target)
             }
+            // Every other statement answers with decoded rows, or none:
+            // they are encoded once, here.
+            Statement::Explain(sel) => return read::explain(host, data, sel).map(Answer::from),
             dml @ (Statement::Insert { .. }
             | Statement::Update { .. }
             | Statement::Delete { .. }) => {
-                return write::dml(host, data, log, diag, conn_id, sql, dml)
+                return write::dml(host, data, log, diag, conn_id, sql, dml).map(Answer::from)
             }
-            Statement::Begin => return log.begin(conn_id),
-            Statement::Commit => return txn::end_txn(host, data, log, diag, conn_id, true),
-            Statement::Rollback => return txn::end_txn(host, data, log, diag, conn_id, false),
+            Statement::Begin => return log.begin(conn_id).map(Answer::from),
+            Statement::Commit => {
+                return txn::end_txn(host, data, log, diag, conn_id, true).map(Answer::from)
+            }
+            Statement::Rollback => {
+                return txn::end_txn(host, data, log, diag, conn_id, false).map(Answer::from)
+            }
         };
         ddl?;
         txn::binlog_ddl(host, data, log, diag, sql);
-        Ok(QueryResult::default())
+        Ok(Answer::default())
     }
 
     /// `EXPLAIN ANALYZE`: runs its target under a trace and renders the
@@ -628,7 +679,7 @@ impl DbInner {
         sql: &str,
         digest: &str,
         target: Statement,
-    ) -> DbResult<QueryResult> {
+    ) -> DbResult<Answer> {
         // EXPLAIN ANALYZE always traces its target, even when the flight
         // recorder is disarmed.
         if self.diag.current_trace.is_none() {
@@ -647,7 +698,8 @@ impl DbInner {
         else {
             return Ok(res);
         };
-        Ok(render_explain_analyze(&trace, &res))
+        let rendered = render_explain_analyze(&trace, res.rows_examined, res.rows_affected);
+        Ok(Answer::from(rendered))
     }
 }
 
@@ -672,7 +724,11 @@ fn writes_state(stmt: &Statement) -> bool {
 /// Renders a finished [`StatementTrace`] as the `EXPLAIN ANALYZE` result
 /// set: one row per span, depth-indented, with the simulated stage
 /// timings and per-span attributes.
-fn render_explain_analyze(trace: &mdb_trace::StatementTrace, res: &QueryResult) -> QueryResult {
+fn render_explain_analyze(
+    trace: &mdb_trace::StatementTrace,
+    rows_examined: u64,
+    rows_affected: u64,
+) -> QueryResult {
     let cols = read::names("span start_us dur_us detail");
     let rows = trace
         .root
@@ -696,8 +752,8 @@ fn render_explain_analyze(trace: &mdb_trace::StatementTrace, res: &QueryResult) 
     QueryResult {
         columns: cols,
         rows,
-        rows_examined: res.rows_examined,
-        rows_affected: res.rows_affected,
+        rows_examined,
+        rows_affected,
     }
 }
 

@@ -1,10 +1,11 @@
 //! Reads: SELECT (autocommit, snapshot and virtual tables), EXPLAIN, the
 //! row fetch every statement's scan goes through, and projection.
 
+use std::sync::Arc;
+
 use super::config::Host;
 use super::plan::{needed_columns, plan_scan, ScanPlan};
-use super::{Data, Diag, Log, QueryResult, STAGE_COST_US};
-use crate::cache::CachedResult;
+use super::{Answer, Data, Diag, Log, QueryResult, STAGE_COST_US};
 use crate::catalog::TableDef;
 use crate::error::{DbError, DbResult};
 use crate::predicate::Predicate;
@@ -12,7 +13,7 @@ use crate::row::Row;
 use crate::schema::{ColumnDef, TableSchema};
 use crate::sql::ast::{Expr, SelectItem, SelectStmt};
 use crate::storage::table::ScanSink;
-use crate::value::Value;
+use crate::value::{RowBlock, Value};
 
 /// `EXPLAIN SELECT`: reports the access path the planner would take.
 pub(super) fn explain(host: &Host, data: &Data, sel: SelectStmt) -> DbResult<QueryResult> {
@@ -54,9 +55,9 @@ pub(super) fn select(
     conn_id: u64,
     sql: &str,
     sel: SelectStmt,
-) -> DbResult<QueryResult> {
+) -> DbResult<Answer> {
     if let Some(schema) = &sel.schema {
-        return select_virtual(host, diag, schema.clone(), sel);
+        return select_virtual(host, diag, schema.clone(), sel).map(Answer::from);
     }
     // Inside an explicit transaction, reads are snapshot-isolated:
     // resolve every row against the version chains at the CSN pinned
@@ -64,7 +65,7 @@ pub(super) fn select(
     // cached result reflects the latest committed state, not this
     // transaction's snapshot.
     if let Some(t) = log.txns.get(&conn_id) {
-        return select_snapshot(host, data, log, diag, t.id, t.snapshot_csn, sel);
+        return select_snapshot(host, data, log, diag, t.id, t.snapshot_csn, sel).map(Answer::from);
     }
     // Autocommit reads are read-committed: the latest heap minus the
     // rows of *this table* an open transaction has written. With no
@@ -72,21 +73,22 @@ pub(super) fn select(
     // another table) the heap is the committed state.
     let overlay = log.mvcc.uncommitted(&sel.table);
     let heap_is_committed = overlay.is_empty();
-    // Query cache: exact-text hits skip execution entirely. Entries
-    // only ever hold committed state (writes invalidate, and a read
-    // beside an overlay neither looks up nor inserts).
+    // Query cache: exact-text hits skip execution entirely, and share
+    // the cached block. Entries only ever hold committed state (writes
+    // invalidate, and a read beside an overlay neither looks up nor
+    // inserts).
     if heap_is_committed {
-        if let Some(hit) = diag.query_cache.get(sql).map(CachedResult::decode) {
-            let (columns, rows) = hit?;
+        if let Some(hit) = diag.query_cache.get(sql) {
+            let answer = Answer {
+                columns: hit.columns.clone(),
+                rows: Arc::clone(&hit.rows),
+                ..Default::default()
+            };
             diag.metrics.query_cache_hits.inc();
             diag.trace_begin("query_cache");
             diag.trace_attr("hit", 1);
             diag.trace_end_elastic();
-            return Ok(QueryResult {
-                columns,
-                rows,
-                ..Default::default()
-            });
+            return Ok(answer);
         }
     }
     let def = diag.table_accessed(host, data, &sel.table)?;
@@ -97,39 +99,68 @@ pub(super) fn select(
     // a dropped dirty row must not have used up the limit). The
     // projection mask covers every column the query can read: select
     // list, WHERE, ORDER BY.
-    let limit = if sel.order_by.is_none() && heap_is_committed {
-        sel.limit
-    } else {
-        None
-    };
+    let in_scan_order = sel.order_by.is_none() && heap_is_committed;
+    let limit = if in_scan_order { sel.limit } else { None };
     let needed = needed_columns(&def.schema, &sel);
     let where_clause = sel.where_clause.as_ref();
-    let (mut rows, mut examined) = fetch_rows(
-        host,
-        data,
-        diag,
-        &def,
-        where_clause,
-        limit,
-        needed.as_deref(),
-    )?;
-    if !heap_is_committed {
-        examined += patch_uncommitted(host, diag, &def.schema, where_clause, overlay, &mut rows)?;
-    }
-    let result = finish_select(&def.schema, &sel, rows, examined)?;
+    // When the scan's survivors are the answer, in their order, and the
+    // select list only names columns, the scan copies those columns
+    // from the page cells into the answer's block and decodes no row.
+    // A select list that does not resolve takes the decoding path, and
+    // fails there as it always has: after the scan.
+    let copied = match in_scan_order {
+        true => plain_columns(&def.schema, &sel.items).ok(),
+        false => None,
+    };
+    let answer = match copied {
+        Some((columns, proj)) => {
+            let (_, block, rows_examined) = scan(
+                host,
+                data,
+                diag,
+                &def,
+                where_clause,
+                limit,
+                needed.as_deref(),
+                Some(&proj),
+            )?;
+            Answer {
+                columns,
+                rows: Arc::new(block.unwrap_or_default()),
+                rows_examined,
+                rows_affected: 0,
+            }
+        }
+        None => {
+            let (mut rows, mut examined) = fetch_rows(
+                host,
+                data,
+                diag,
+                &def,
+                where_clause,
+                limit,
+                needed.as_deref(),
+            )?;
+            if !heap_is_committed {
+                examined +=
+                    patch_uncommitted(host, diag, &def.schema, where_clause, overlay, &mut rows)?;
+            }
+            Answer::from(finish_select(&def.schema, &sel, rows, examined)?)
+        }
+    };
     if heap_is_committed {
         // Cache the result (user tables only).
         let text_ptr = diag.heap.alloc_str(sql);
         let freed = diag.query_cache.insert(
             sql,
             vec![def.schema.name.clone()],
-            &result.columns,
-            &result.rows,
+            &answer.columns,
+            Arc::clone(&answer.rows),
             text_ptr,
         );
         diag.heap.free_all(freed);
     }
-    Ok(result)
+    Ok(answer)
 }
 
 /// Turns a scan of the latest heap into the read-committed answer:
@@ -384,6 +415,26 @@ pub(super) fn fetch_rows(
     limit: Option<u64>,
     needed: Option<&[bool]>,
 ) -> DbResult<(Vec<Row>, u64)> {
+    let (rows, _, examined) = scan(host, data, diag, def, where_clause, limit, needed, None)?;
+    Ok((rows, examined))
+}
+
+/// [`fetch_rows`], or with a `proj` the copying fetch of a plain select
+/// list: plan, then feed the index fetch or the heap scan to a sink that
+/// decodes survivors, or copies the columns `proj` lists of each into a
+/// block (checking the `needed` ones as a decode would). Returns the
+/// decoded rows, the block and the rows-examined count.
+#[allow(clippy::too_many_arguments)]
+fn scan(
+    host: &Host,
+    data: &mut Data,
+    diag: &mut Diag,
+    def: &TableDef,
+    where_clause: Option<&Expr>,
+    limit: Option<u64>,
+    needed: Option<&[bool]>,
+    proj: Option<&[usize]>,
+) -> DbResult<(Vec<Row>, Option<RowBlock>, u64)> {
     diag.trace_begin("plan");
     let plan = where_clause.map(|w| plan_scan(def, w)).unwrap_or_default();
     // When the index bounds *are* the predicate, re-running the
@@ -399,7 +450,11 @@ pub(super) fn fetch_rows(
     let hits0 = diag.metrics.bufpool_hits.get();
     let misses0 = diag.metrics.bufpool_misses.get();
     let table = data.catalog.get_mut(&def.schema.name)?;
-    let mut sink = ScanSink::new(pred.as_ref(), needed, limit.map(|l| l as usize));
+    let limit = limit.map(|l| l as usize);
+    let mut sink = match proj {
+        Some(proj) => ScanSink::copying(pred.as_ref(), needed, proj, limit),
+        None => ScanSink::new(pred.as_ref(), needed, limit),
+    };
     // `(pages_pruned, pages_decoded)` of a heap scan.
     let scan_pages = match plan.index {
         Some(ip) => {
@@ -431,11 +486,7 @@ pub(super) fn fetch_rows(
             Some(heap.scan_into(&data.bufpool, &mut data.vdisk, prune.as_ref(), &mut sink)?)
         }
     };
-    let ScanSink {
-        rows: kept,
-        examined,
-        ..
-    } = sink;
+    let examined = sink.examined;
     if let Some((pages_pruned, pages_decoded)) = scan_pages {
         diag.metrics.scan_pages_pruned.add(pages_pruned);
         diag.metrics.scan_pages_decoded.add(pages_decoded);
@@ -455,7 +506,7 @@ pub(super) fn fetch_rows(
 
     diag.trace_attr("rows_examined", examined);
     diag.trace_end_elastic();
-    Ok((kept, examined))
+    Ok((std::mem::take(&mut sink.rows), sink.into_block(), examined))
 }
 
 fn project(schema: &TableSchema, items: &[SelectItem], rows: Vec<Row>) -> DbResult<QueryResult> {
@@ -489,24 +540,7 @@ fn project(schema: &TableSchema, items: &[SelectItem], rows: Vec<Row>) -> DbResu
             ..Default::default()
         });
     }
-    let mut columns = Vec::new();
-    let mut proj: Vec<usize> = Vec::new();
-    for item in items {
-        match item {
-            SelectItem::Star => {
-                for (i, c) in schema.columns.iter().enumerate() {
-                    columns.push(c.name.clone());
-                    proj.push(i);
-                }
-            }
-            SelectItem::Column(c) => {
-                let idx = schema.column_index(c)?;
-                columns.push(c.clone());
-                proj.push(idx);
-            }
-            _ => unreachable!("aggregates handled above"),
-        }
-    }
+    let (columns, proj) = plain_columns(schema, items)?;
     // The rows are ours and about to be dropped. When the select list
     // names distinct columns in schema order (`*`, or a subsequence
     // of it) each row's own `Vec` becomes the result row: swap every
@@ -538,6 +572,36 @@ fn project(schema: &TableSchema, items: &[SelectItem], rows: Vec<Row>) -> DbResu
         rows: out,
         ..Default::default()
     })
+}
+
+/// The names and schema ordinals of a select list of `*` and column
+/// names, in order.
+fn plain_columns(
+    schema: &TableSchema,
+    items: &[SelectItem],
+) -> DbResult<(Vec<String>, Vec<usize>)> {
+    let mut columns = Vec::new();
+    let mut proj = Vec::new();
+    for item in items {
+        match item {
+            SelectItem::Star => {
+                for (i, c) in schema.columns.iter().enumerate() {
+                    columns.push(c.name.clone());
+                    proj.push(i);
+                }
+            }
+            SelectItem::Column(c) => {
+                proj.push(schema.column_index(c)?);
+                columns.push(c.clone());
+            }
+            SelectItem::CountStar | SelectItem::Aggregate(_, _) => {
+                return Err(DbError::Eval(
+                    "cannot mix aggregates and plain columns".into(),
+                ))
+            }
+        }
+    }
+    Ok((columns, proj))
 }
 
 fn aggregate(func: &str, col_idx: usize, rows: &[Row]) -> DbResult<Value> {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mdb_trace::TraceContext;
 
-use super::{Db, DbInner, QueryResult, REPL_APPLIER_CONN};
+use super::{Answer, Db, DbInner, QueryResult, REPL_APPLIER_CONN};
 use crate::error::DbResult;
 use crate::observability::ReplicaStatus;
 use crate::wal::BinlogEvent;
@@ -130,6 +130,7 @@ impl Db {
             }
             out
         })
+        .and_then(Answer::decode)
     }
 
     /// Whether client writes are currently rejected.

@@ -57,7 +57,7 @@ pub mod value;
 pub mod vdisk;
 pub mod wal;
 
-pub use engine::{Connection, Db, DbConfig, QueryResult, ReplRole};
+pub use engine::{Answer, Connection, Db, DbConfig, QueryResult, ReplRole};
 pub use error::{DbError, DbResult};
 pub use snapshot::{DiskImage, MemoryImage, SystemImage};
 pub use value::Value;

@@ -5,8 +5,21 @@
 //! the `snapshot-attack` crate reconstruct full row images from raw log
 //! bytes, as Frühwirt et al. do for InnoDB.
 
+// Row images come from pages and log records: a bad one is a typed
+// error, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::error::{DbError, DbResult};
-use crate::value::Value;
+use crate::value::{RowBlock, Value};
 
 /// A row id: stable identity of a row within its table, independent of the
 /// primary key (InnoDB's implicit `DB_ROW_ID` analogue).
@@ -42,7 +55,7 @@ impl Row {
         let mut pos = 0;
         let row = Self::decode_at(buf, &mut pos)?;
         if pos != buf.len() {
-            return Err(DbError::Storage("trailing bytes after row".into()));
+            return Err(trailing());
         }
         Ok(row)
     }
@@ -52,8 +65,9 @@ impl Row {
         let id = buf
             .first_chunk::<8>()
             .ok_or_else(|| DbError::Storage("truncated row id".into()))?;
-        let n = buf[8..]
-            .first_chunk::<2>()
+        let n = buf
+            .get(8..)
+            .and_then(<[u8]>::first_chunk::<2>)
             .ok_or_else(|| DbError::Storage("truncated column count".into()))?;
         Ok((u64::from_le_bytes(*id), u16::from_le_bytes(*n) as usize))
     }
@@ -91,10 +105,61 @@ impl Row {
             }
         }
         if pos != buf.len() {
-            return Err(DbError::Storage("trailing bytes after row".into()));
+            return Err(trailing());
         }
         Ok(Row { id, values })
     }
+
+    /// Appends the columns `proj` lists (schema ordinals, in that
+    /// order, repeats allowed) of the encoded row `cell` to `block` as
+    /// one row, copying their bytes without decoding them. Every column
+    /// `needed` flags (`None` = all) is checked as [`Value::decode`]
+    /// would, every other is stepped over, and the row must end where
+    /// the cell does: the checks of [`Row::decode_partial`], so a cell
+    /// the rows would refuse is refused here too, as is a listed column
+    /// the row does not have. `spans` is scratch reused across rows; a
+    /// refused cell leaves `block` as it was.
+    pub fn copy_columns(
+        cell: &[u8],
+        proj: &[usize],
+        needed: Option<&[bool]>,
+        spans: &mut Vec<(usize, usize)>,
+        block: &mut RowBlock,
+    ) -> DbResult<()> {
+        let (_, n) = Self::decode_header(cell)?;
+        spans.clear();
+        // Every column costs at least its tag byte.
+        spans.reserve(n.min(cell.len()));
+        let mut pos = ROW_HEADER_LEN;
+        for i in 0..n {
+            let start = pos;
+            match needed.is_none_or(|m| m.get(i).copied().unwrap_or(false)) {
+                true => Value::check(cell, &mut pos)?,
+                false => Value::skip(cell, &mut pos)?,
+            }
+            spans.push((start, pos));
+        }
+        if pos != cell.len() {
+            return Err(trailing());
+        }
+        if let Some(&i) = proj.iter().find(|&&i| i >= n) {
+            return Err(DbError::Storage(format!(
+                "row of {n} columns has no column {i}"
+            )));
+        }
+        block.push_row(proj.len());
+        for &i in proj {
+            // Every ordinal is below `n`, and every span lies in `cell`.
+            let value = spans.get(i).and_then(|&(from, to)| cell.get(from..to));
+            block.push_value(value.unwrap_or_default());
+        }
+        Ok(())
+    }
+}
+
+#[cold]
+fn trailing() -> DbError {
+    DbError::Storage("trailing bytes after row".into())
 }
 
 #[cfg(test)]
@@ -138,6 +203,67 @@ mod tests {
         let head = Row::decode_partial(&bytes, Some(&[true])).unwrap();
         assert_eq!(head.values[0], Value::Int(7));
         assert_eq!(head.values[3], Value::Null);
+    }
+
+    #[test]
+    fn copy_columns_projects_without_decoding() {
+        let row = Row {
+            id: 42,
+            values: vec![
+                Value::Int(7),
+                Value::Text("héllo".into()),
+                Value::Null,
+                Value::Bytes(vec![1, 2, 3]),
+            ],
+        };
+        let bytes = row.encode();
+        let (mut spans, mut block) = (Vec::new(), RowBlock::new());
+        let proj = [3, 1, 1, 0];
+        Row::copy_columns(&bytes, &proj, None, &mut spans, &mut block).unwrap();
+        Row::copy_columns(
+            &bytes,
+            &[2],
+            Some(&[false, false, true]),
+            &mut spans,
+            &mut block,
+        )
+        .unwrap();
+        let want = [
+            proj.iter().map(|&i| row.values[i].clone()).collect(),
+            vec![Value::Null],
+        ];
+        assert_eq!(block, RowBlock::from_rows(&want));
+    }
+
+    #[test]
+    fn copy_columns_refuses_what_decode_refuses() {
+        let row = Row {
+            id: 1,
+            values: vec![Value::Int(5), Value::Text("ok".into())],
+        };
+        let good = row.encode();
+        let mut bad_utf8 = good.clone();
+        let last = bad_utf8.len() - 1;
+        bad_utf8[last] = 0xFF;
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let cases: [(&[u8], &[usize]); 4] = [
+            (&bad_utf8, &[0]),
+            (&trailing, &[0]),
+            (&good[..good.len() - 1], &[0]),
+            // A column the row does not have.
+            (&good, &[0, 2]),
+        ];
+        let (mut spans, mut block) = (Vec::new(), RowBlock::new());
+        for (cell, proj) in cases {
+            let got = Row::copy_columns(cell, proj, None, &mut spans, &mut block);
+            assert!(matches!(got, Err(DbError::Storage(_))), "{cell:?} {proj:?}");
+            assert!(Row::decode_partial(cell, None).is_err() || proj.contains(&2));
+            assert_eq!(block, RowBlock::new(), "a refused cell adds nothing");
+        }
+        // A column the mask leaves unchecked is copied as it is, as
+        // `decode_partial` skips it.
+        assert!(Row::copy_columns(&bad_utf8, &[0], Some(&[true]), &mut spans, &mut block).is_ok());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::predicate::{EncodedRow, Predicate};
 use crate::row::{Row, RowId};
 use crate::storage::page::{Page, PageRef, PageSynopsis, SlotNo};
 use crate::storage::shardpool::{KeyMap, ShardedBufferPool};
-use crate::value::Value;
+use crate::value::{RowBlock, Value};
 use crate::vdisk::VDisk;
 
 /// Row ids per [`Locator`] chunk.
@@ -127,18 +127,30 @@ fn int_cols(row: &Row) -> Vec<(u16, i64)> {
         .collect()
 }
 
-/// Where a scan's rows go: the filter a row must pass, the columns to
-/// materialize of the rows that do, and how many to stop at. Both
-/// kernels ([`TableHeap::scan_into`], [`TableHeap::fetch_into`]) offer
-/// it encoded cells; only survivors are ever decoded.
+/// Where a scan's rows go: the filter a row must pass, what to keep of
+/// the rows that do, and how many to stop at. Both kernels
+/// ([`TableHeap::scan_into`], [`TableHeap::fetch_into`]) offer it
+/// encoded cells; a survivor is either decoded into [`Self::rows`] or,
+/// for a sink made by [`Self::copying`], copied as bytes into a
+/// [`RowBlock`].
 pub struct ScanSink<'a> {
     pred: Option<&'a Predicate>,
     needed: Option<&'a [bool]>,
     limit: Option<usize>,
-    /// Rows that passed the filter, in the order offered.
+    copy: Option<Copying<'a>>,
+    /// Rows that passed the filter, in the order offered (none for a
+    /// copying sink).
     pub rows: Vec<Row>,
     /// Rows offered, passed or not (`rows_examined`).
     pub examined: u64,
+}
+
+/// A copying sink's projection and the block it fills.
+struct Copying<'a> {
+    proj: &'a [usize],
+    /// Each column's byte span in the cell at hand, reused across rows.
+    spans: Vec<(usize, usize)>,
+    block: RowBlock,
 }
 
 impl<'a> ScanSink<'a> {
@@ -154,28 +166,69 @@ impl<'a> ScanSink<'a> {
             pred,
             needed,
             limit,
+            copy: None,
             rows: Vec::new(),
             examined: 0,
         }
     }
 
+    /// A sink copying the columns `proj` lists (schema ordinals, in
+    /// that order, repeats allowed) of the rows `pred` holds of into one
+    /// [`RowBlock`], up to `limit` rows. No survivor is decoded: the
+    /// columns flagged in `needed` (`None` = all) are checked as
+    /// [`Self::new`]'s sink would decode them ([`Row::copy_columns`]).
+    pub fn copying(
+        pred: Option<&'a Predicate>,
+        needed: Option<&'a [bool]>,
+        proj: &'a [usize],
+        limit: Option<usize>,
+    ) -> ScanSink<'a> {
+        ScanSink {
+            copy: Some(Copying {
+                proj,
+                spans: Vec::new(),
+                block: RowBlock::new(),
+            }),
+            ..ScanSink::new(pred, needed, limit)
+        }
+    }
+
+    /// The block a copying sink filled (`None` for a decoding sink).
+    pub fn into_block(self) -> Option<RowBlock> {
+        self.copy.map(|c| c.block)
+    }
+
     /// Whether the limit is reached; a full sink must be offered nothing.
     pub fn full(&self) -> bool {
-        self.limit.is_some_and(|l| self.rows.len() >= l)
+        self.limit.is_some_and(|l| self.kept() >= l)
+    }
+
+    /// Rows kept so far.
+    fn kept(&self) -> usize {
+        match &self.copy {
+            Some(c) => c.block.len(),
+            None => self.rows.len(),
+        }
     }
 
     /// Examines one encoded row: evaluates the filter on its bytes and
-    /// materializes it only if it passes.
+    /// keeps it only if it passes.
     fn offer(&mut self, cell: &[u8]) -> DbResult<()> {
         self.examined += 1;
         let keep = match self.pred {
             Some(p) => p.holds(&EncodedRow::new(cell)?)?,
             None => true,
         };
-        if keep {
-            self.rows.push(Row::decode_partial(cell, self.needed)?);
+        if !keep {
+            return Ok(());
         }
-        Ok(())
+        match &mut self.copy {
+            Some(c) => Row::copy_columns(cell, c.proj, self.needed, &mut c.spans, &mut c.block),
+            None => {
+                self.rows.push(Row::decode_partial(cell, self.needed)?);
+                Ok(())
+            }
+        }
     }
 }
 
@@ -1003,12 +1056,24 @@ mod tests {
             assert_eq!(r.values[0], Value::Int(i as i64));
             assert_eq!(r.values[1], Value::Null, "unneeded column not materialized");
         }
+        // A copying sink stops at the same row, with the first column
+        // of each survivor copied twice.
+        let mut sink = ScanSink::copying(None, Some(&[true, false]), &[0, 0], Some(2));
+        h.scan_into(&bp, &mut vd, None, &mut sink).unwrap();
+        assert_eq!(sink.examined, 2);
+        let twice = |i| vec![Value::Int(i), Value::Int(i)];
+        let want = RowBlock::from_rows(&[twice(0), twice(1)]);
+        assert_eq!(sink.into_block(), Some(want));
         // A sink that starts full touches no page.
         let before = bp.access_count("t.ibd", 0);
-        let mut none = ScanSink::new(None, None, Some(0));
-        h.scan_into(&bp, &mut vd, None, &mut none).unwrap();
-        h.fetch_into(&bp, &mut vd, &[1, 2, 3], &mut none).unwrap();
-        assert_eq!((none.examined, bp.access_count("t.ibd", 0)), (0, before));
+        for mut none in [
+            ScanSink::new(None, None, Some(0)),
+            ScanSink::copying(None, None, &[1], Some(0)),
+        ] {
+            h.scan_into(&bp, &mut vd, None, &mut none).unwrap();
+            h.fetch_into(&bp, &mut vd, &[1, 2, 3], &mut none).unwrap();
+            assert_eq!((none.examined, bp.access_count("t.ibd", 0)), (0, before));
+        }
     }
 
     #[test]

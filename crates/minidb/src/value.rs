@@ -1,5 +1,18 @@
 //! SQL values and their binary encoding.
 
+// Bytes from pages, logs and the wire are read here: a bad one is a
+// typed error, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use core::fmt;
 
 use mdb_trace::codec::{put_u32, Reader};
@@ -125,7 +138,9 @@ impl Value {
             }
             t => return Err(DbError::Storage(format!("unknown value tag {t}"))),
         };
-        let body = rest[head..].get(..len).ok_or_else(|| truncated("body"))?;
+        let body = rest
+            .get(head..head + len)
+            .ok_or_else(|| truncated("body"))?;
         *pos += 1 + head + len;
         Ok((tag, body))
     }
@@ -141,7 +156,7 @@ impl Value {
             )),
             2 => Value::Text(
                 std::str::from_utf8(body)
-                    .map_err(|_| DbError::Storage("invalid utf8 in text value".into()))?
+                    .map_err(|_| bad_utf8())?
                     .to_string(),
             ),
             _ => Value::Bytes(body.to_vec()),
@@ -154,6 +169,19 @@ impl Value {
     #[inline(always)]
     pub fn skip(buf: &[u8], pos: &mut usize) -> DbResult<()> {
         Self::split(buf, pos).map(|_| ())
+    }
+
+    /// Advances `pos` past one encoded value, checking it exactly as
+    /// [`Value::decode`] does (a TEXT body must be UTF-8) without
+    /// materializing it. What passes is a value's canonical encoding,
+    /// so its bytes may be copied as they are into a [`RowBlock`].
+    #[inline(always)]
+    pub fn check(buf: &[u8], pos: &mut usize) -> DbResult<()> {
+        let (tag, body) = Self::split(buf, pos)?;
+        if tag == 2 && std::str::from_utf8(body).is_err() {
+            return Err(bad_utf8());
+        }
+        Ok(())
     }
 
     /// SQL three-valued comparison: `None` when either side is NULL.
@@ -176,6 +204,85 @@ impl Value {
             Value::Text(_) => 2,
             Value::Bytes(_) => 3,
         }
+    }
+}
+
+/// A result's rows as one row block: the bytes [`encode_rows`] writes,
+/// owned, plus the row count. A SELECT answers with one, which the
+/// query cache shares as an `Arc` and a `Result` reply splices whole;
+/// only an in-process caller decodes it, after the engine lock is
+/// released. The count at the front is kept current, so the bytes are
+/// a complete block after every row.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RowBlock {
+    bytes: Vec<u8>,
+    rows: usize,
+}
+
+impl Default for RowBlock {
+    fn default() -> Self {
+        RowBlock::new()
+    }
+}
+
+impl RowBlock {
+    /// A block of no rows, with room for a short row or two before it
+    /// grows.
+    pub fn new() -> RowBlock {
+        let mut bytes = Vec::with_capacity(64);
+        put_u32(&mut bytes, 0);
+        RowBlock { bytes, rows: 0 }
+    }
+
+    /// The block of `rows`, encoded once.
+    pub fn from_rows(rows: &[Vec<Value>]) -> RowBlock {
+        let mut bytes = Vec::with_capacity(rows_encoded_len(rows));
+        encode_rows(rows, &mut bytes);
+        RowBlock {
+            bytes,
+            rows: rows.len(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the block holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// The encoded block, count first: what a `Result` reply carries.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The rows, decoded. A malformed block is a [`DbError::Storage`],
+    /// never a panic.
+    pub fn decode(&self) -> DbResult<Vec<Vec<Value>>> {
+        let mut pos = 0;
+        let rows = decode_rows(&self.bytes, &mut pos)?;
+        if pos != self.bytes.len() {
+            return Err(DbError::Storage("trailing bytes after row block".into()));
+        }
+        Ok(rows)
+    }
+
+    /// Starts a row of `width` values; exactly `width`
+    /// [`Self::push_value`] calls must follow.
+    pub(crate) fn push_row(&mut self, width: usize) {
+        self.rows += 1;
+        if let Some(count) = self.bytes.first_chunk_mut() {
+            *count = (self.rows as u32).to_le_bytes();
+        }
+        put_u32(&mut self.bytes, width as u32);
+    }
+
+    /// Appends one value's encoding, bytes that [`Value::check`] passed.
+    pub(crate) fn push_value(&mut self, encoded: &[u8]) {
+        self.bytes.extend_from_slice(encoded);
     }
 }
 
@@ -224,6 +331,11 @@ fn u32_at(buf: &[u8], pos: &mut usize) -> DbResult<usize> {
     let n = Reader::new(buf.get(*pos..).unwrap_or_default()).u32()?;
     *pos += 4;
     Ok(n as usize)
+}
+
+#[cold]
+fn bad_utf8() -> DbError {
+    DbError::Storage("invalid utf8 in text value".into())
 }
 
 #[cold]
@@ -298,6 +410,71 @@ mod tests {
                 let mut p = 0;
                 assert!(Value::skip(&buf[..cut], &mut p).is_err(), "cut {cut}");
             }
+        }
+    }
+
+    #[test]
+    fn row_blocks_round_trip_through_the_storage_encoding() {
+        let rows = vec![
+            vec![
+                Value::Null,
+                Value::Int(i64::MIN),
+                Value::Text(String::new()),
+                Value::Bytes(vec![]),
+            ],
+            vec![
+                Value::Null,
+                Value::Int(i64::MAX),
+                Value::Text("bób — 東京".into()),
+                Value::Bytes(vec![0, 255, 7]),
+            ],
+        ];
+        for rows in [rows, vec![], vec![vec![]; 3]] {
+            let block = RowBlock::from_rows(&rows);
+            assert_eq!(block.len(), rows.len());
+            assert_eq!(block.as_bytes().len(), rows_encoded_len(&rows));
+            assert_eq!(block.decode(), Ok(rows));
+        }
+        assert_eq!(RowBlock::new(), RowBlock::from_rows(&[]));
+    }
+
+    #[test]
+    fn a_truncated_row_block_is_a_typed_error() {
+        let rows = vec![
+            vec![Value::Int(-1), Value::Text("héllo".into())],
+            vec![Value::Null, Value::Bytes(vec![1, 2, 3])],
+        ];
+        let full = RowBlock::from_rows(&rows);
+        for cut in 0..full.bytes.len() {
+            let short = RowBlock {
+                bytes: full.bytes[..cut].to_vec(),
+                rows: 2,
+            };
+            assert!(
+                matches!(short.decode(), Err(DbError::Storage(_))),
+                "cut {cut}"
+            );
+        }
+        let mut long = full;
+        long.bytes.push(0);
+        assert!(matches!(long.decode(), Err(DbError::Storage(_))));
+    }
+
+    #[test]
+    fn check_accepts_what_decode_accepts() {
+        let mut bad_utf8 = Vec::new();
+        Value::Bytes(vec![b'o', 0xFF, b'k']).encode(&mut bad_utf8);
+        bad_utf8[0] = 2;
+        let mut bad_tag = Vec::new();
+        Value::Int(5).encode(&mut bad_tag);
+        bad_tag[0] = 9;
+        let mut ok = Vec::new();
+        Value::Text("東京".into()).encode(&mut ok);
+        for buf in [bad_utf8, bad_tag, ok.clone(), ok[..ok.len() - 1].to_vec()] {
+            let (mut a, mut b) = (0, 0);
+            let decoded = Value::decode(&buf, &mut a);
+            let checked = Value::check(&buf, &mut b);
+            assert_eq!(decoded.map(|_| a), checked.map(|_| b), "{buf:?}");
         }
     }
 

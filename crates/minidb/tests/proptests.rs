@@ -67,16 +67,21 @@ fn render_stmt(
     }
 }
 
-/// A fresh engine for the equivalence test: query cache off so every
-/// SELECT really runs the executor.
-fn equivalence_db(zone_maps: bool) -> Db {
+/// A fresh engine for the equivalence test. With the query cache off,
+/// every SELECT really runs the executor.
+fn equivalence_db(zone_maps: bool, query_cache: bool) -> Db {
     Db::open(DbConfig {
         redo_capacity: 1 << 18,
         undo_capacity: 1 << 18,
-        query_cache_enabled: false,
+        query_cache_enabled: query_cache,
         zone_maps_enabled: zone_maps,
         ..DbConfig::default()
     })
+}
+
+/// Query cache hits of `db` so far.
+fn cache_hits(db: &Db) -> Option<u64> {
+    db.metrics_snapshot().counter("sql.query_cache_hits")
 }
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -245,9 +250,11 @@ proptest! {
         // differ only in `zone_maps_enabled`, and demand byte-identical
         // results — including errors — for every statement. A synopsis
         // left stale by any DML path would prune a live page and drop
-        // rows here.
-        let with = equivalence_db(true);
-        let without = equivalence_db(false);
+        // rows here. The pruning engine also caches: it runs each
+        // SELECT twice, the second time a cache hit that answers with
+        // the block the first stored, and both answers must match.
+        let with = equivalence_db(true, true);
+        let without = equivalence_db(false, false);
         let mut schema: Vec<String> = (0..n_ints)
             .map(|i| format!("c{i} INT{}", if i == 0 { " PRIMARY KEY" } else { "" }))
             .collect();
@@ -263,6 +270,17 @@ proptest! {
             let stmt = render_stmt(n_ints, has_text, *op);
             let a = conn_w.execute(&stmt);
             let b = conn_wo.execute(&stmt);
+            if stmt.starts_with("SELECT") {
+                let hits = cache_hits(&with);
+                let again = conn_w.execute(&stmt);
+                prop_assert_eq!(&again, &a.clone().map(|r| minidb::QueryResult {
+                    rows_examined: 0,
+                    ..r
+                }), "cache hit on {}", stmt);
+                if again.is_ok() {
+                    prop_assert_eq!(cache_hits(&with), hits.map(|n| n + 1), "no hit on {}", stmt);
+                }
+            }
             match (&a, &b) {
                 (Ok(ra), Ok(rb)) => {
                     // `rows_examined` legitimately differs: examining

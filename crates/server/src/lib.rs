@@ -38,13 +38,17 @@
 //! c.close().unwrap();
 //! ```
 
+// Library code fails closed: a typed error, never a panic on bytes it
+// was handed. Tests may unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod client;
 pub mod server;
 pub mod wire;
 
 pub use client::{ClientError, MdbClient};
 pub use server::{MdbServer, ServerOptions};
-pub use wire::{FrameDecoder, WireError, WireMessage, WireResultSet};
+pub use wire::{answer_reply_frame, FrameDecoder, WireError, WireMessage, WireResultSet};
 
 #[cfg(test)]
 mod tests {

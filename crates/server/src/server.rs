@@ -1,6 +1,6 @@
 //! The server half: a blocking accept loop plus one worker thread
 //! per client connection, each owning an engine
-//! [`Connection`](minidb::engine::Connection) and the session state
+//! [`Connection`] and the session state
 //! (prepared-text cache) that rides on it.
 
 use std::collections::HashMap;
@@ -11,10 +11,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use minidb::engine::Db;
+use mdb_trace::TraceContext;
+use minidb::engine::{Connection, Db};
 use parking_lot::Mutex;
 
-use crate::wire::{FrameDecoder, WireMessage, WireResultSet};
+use crate::wire::{answer_reply_frame, FrameDecoder, WireMessage, WireResultSet};
 
 /// How long a session read blocks before re-checking shutdown.
 const READ_POLL: Duration = Duration::from_millis(20);
@@ -143,6 +144,18 @@ fn send(stream: &mut TcpStream, msg: &WireMessage) -> std::io::Result<()> {
     stream.write_all(&msg.to_reply_frame())
 }
 
+/// Runs one statement and frames its reply: the answer's row block is
+/// spliced into the `Result` frame as the engine built it, undecoded.
+fn execute(conn: &Connection, sql: &str, ctx: Option<TraceContext>) -> Vec<u8> {
+    match conn.execute_encoded(sql, ctx) {
+        Ok(answer) => answer_reply_frame(&answer),
+        Err(e) => WireMessage::Error {
+            message: e.to_string(),
+        }
+        .to_reply_frame(),
+    }
+}
+
 fn serve_session(
     db: &Db,
     mut stream: TcpStream,
@@ -155,7 +168,7 @@ fn serve_session(
     let mut buf = [0u8; 4096];
 
     // Session state: established on Hello.
-    let mut conn: Option<minidb::engine::Connection> = None;
+    let mut conn: Option<Connection> = None;
     let mut prepared: HashMap<String, String> = HashMap::new();
 
     'session: while !shutdown.load(Ordering::SeqCst) {
@@ -218,13 +231,7 @@ fn serve_session(
                         continue;
                     };
                     stats.statements.inc();
-                    let reply = match c.execute_traced(&sql, ctx) {
-                        Ok(r) => WireMessage::Result(r),
-                        Err(e) => WireMessage::Error {
-                            message: e.to_string(),
-                        },
-                    };
-                    send(&mut stream, &reply)?;
+                    stream.write_all(&execute(c, &sql, ctx))?;
                 }
                 WireMessage::Trace => {
                     let Some(c) = conn.as_ref() else {
@@ -275,13 +282,7 @@ fn serve_session(
                         continue;
                     };
                     stats.statements.inc();
-                    let reply = match c.execute_traced(&sql, ctx) {
-                        Ok(r) => WireMessage::Result(r),
-                        Err(e) => WireMessage::Error {
-                            message: e.to_string(),
-                        },
-                    };
-                    send(&mut stream, &reply)?;
+                    stream.write_all(&execute(c, &sql, ctx))?;
                 }
                 WireMessage::Quit => {
                     send(&mut stream, &WireMessage::Bye)?;

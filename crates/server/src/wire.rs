@@ -30,9 +30,29 @@
 //! channel verbatim, before any EDB layer touches the rows — and in
 //! v2, so does the trace id that joins the capture to every other
 //! node's logs (the E19 surface).
+//!
+//! A `Result` reply carries the engine's row block as it is: the
+//! server splices the block the statement answered with (and the query
+//! cache shares) into the payload with one copy, [`answer_reply_frame`].
+//! The bytes equal [`WireMessage::Result`]'s encoding of the decoded
+//! rows, which clients, tests and the `\trace` reply still use.
+
+// Bytes from the network are parsed here: a bad frame is a typed
+// error, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use mdb_trace::codec::{self, put_bytes32, put_u32, put_u64, Reader, StreamDecoder};
 use mdb_trace::TraceContext;
+use minidb::engine::Answer;
 use minidb::value::{decode_rows, encode_rows, rows_encoded_len};
 
 /// Upper bound on one frame's payload — the cap every frame format
@@ -173,10 +193,7 @@ impl WireMessage {
             WireMessage::Prepare { name, sql } => 8 + name.len() + sql.len(),
             WireMessage::Trace | WireMessage::Quit | WireMessage::Bye => 0,
             WireMessage::Greeting { server, .. } => 12 + server.len(),
-            WireMessage::Result(rs) => {
-                let columns: usize = rs.columns.iter().map(|c| 4 + c.len()).sum();
-                4 + columns + rows_encoded_len(&rs.rows) + 16
-            }
+            WireMessage::Result(rs) => result_len(&rs.columns, rows_encoded_len(&rs.rows)),
         }
     }
 
@@ -207,16 +224,12 @@ impl WireMessage {
                 put_u64(out, *session_id);
                 put_bytes32(out, server.as_bytes());
             }
-            WireMessage::Result(rs) => {
-                out.push(TAG_RESULT);
-                put_u32(out, rs.columns.len() as u32);
-                for c in &rs.columns {
-                    put_bytes32(out, c.as_bytes());
-                }
-                encode_rows(&rs.rows, out);
-                put_u64(out, rs.rows_examined);
-                put_u64(out, rs.rows_affected);
-            }
+            WireMessage::Result(rs) => put_result(
+                out,
+                &rs.columns,
+                |out| encode_rows(&rs.rows, out),
+                (rs.rows_examined, rs.rows_affected),
+            ),
             WireMessage::Error { message } => {
                 out.push(TAG_ERROR);
                 put_bytes32(out, message.as_bytes());
@@ -280,18 +293,66 @@ impl WireMessage {
     }
 
     /// [`Self::to_frame`] for replies built from unbounded data (a
-    /// result set). A payload past [`MAX_FRAME_LEN`] would be discarded
-    /// by the peer's decoder as a corrupt header, leaving the client
-    /// blocked on a reply that never parses — so it is replaced by a
-    /// [`WireMessage::Error`] frame instead.
+    /// result set): past [`MAX_FRAME_LEN`], the
+    /// [`WireMessage::Error`] frame that says so.
     pub fn to_reply_frame(&self) -> Vec<u8> {
-        let len = self.encoded_len();
-        if len > MAX_FRAME_LEN {
-            let message = "result exceeds frame limit".into();
-            return WireMessage::Error { message }.to_frame();
-        }
-        codec::SERVER.encode_with(false, 0, len, |out| self.encode_into(out))
+        reply_frame(self.encoded_len(), |out| self.encode_into(out))
     }
+}
+
+/// The `Result` reply frame of an engine answer, its row block spliced
+/// into the payload with one copy: byte for byte the
+/// [`WireMessage::to_reply_frame`] of the decoded answer, the same
+/// [`MAX_FRAME_LEN`] guard included, without decoding a row.
+pub fn answer_reply_frame(answer: &Answer) -> Vec<u8> {
+    let block = answer.rows.as_bytes();
+    let len = 1 + result_len(&answer.columns, block.len());
+    reply_frame(len, |out| {
+        put_result(
+            out,
+            &answer.columns,
+            |out| out.extend_from_slice(block),
+            (answer.rows_examined, answer.rows_affected),
+        )
+    })
+}
+
+/// A v1 reply frame of the `len`-byte payload `encode` writes. A
+/// payload past [`MAX_FRAME_LEN`] would be discarded by the peer's
+/// decoder as a corrupt header, leaving the client blocked on a reply
+/// that never parses — so it is replaced by a [`WireMessage::Error`]
+/// frame instead.
+fn reply_frame(len: usize, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    if len > MAX_FRAME_LEN {
+        let message = "result exceeds frame limit".into();
+        return WireMessage::Error { message }.to_frame();
+    }
+    codec::SERVER.encode_with(false, 0, len, encode)
+}
+
+/// Bytes of a `Result` message after its tag, when its row block is
+/// `block_len` bytes.
+fn result_len(columns: &[String], block_len: usize) -> usize {
+    let names: usize = columns.iter().map(|c| 4 + c.len()).sum();
+    4 + names + block_len + 16
+}
+
+/// Writes a `Result` message: the tag and column names, the row block
+/// `put_rows` appends, then the `(rows_examined, rows_affected)` counts.
+fn put_result(
+    out: &mut Vec<u8>,
+    columns: &[String],
+    put_rows: impl FnOnce(&mut Vec<u8>),
+    (rows_examined, rows_affected): (u64, u64),
+) {
+    out.push(TAG_RESULT);
+    put_u32(out, columns.len() as u32);
+    for c in columns {
+        put_bytes32(out, c.as_bytes());
+    }
+    put_rows(out);
+    put_u64(out, rows_examined);
+    put_u64(out, rows_affected);
 }
 
 /// A message plus the distributed trace context it travelled with —
@@ -363,7 +424,7 @@ impl Envelope {
             ),
             other => return Err(WireError::Protocol(format!("unknown ctx flag {other}"))),
         };
-        let msg = WireMessage::decode(&payload[r.pos()..])?;
+        let msg = WireMessage::decode(payload.get(r.pos()..).unwrap_or_default())?;
         Ok(Envelope { msg, ctx })
     }
 }
@@ -508,6 +569,10 @@ mod tests {
             assert_eq!(m.encoded_len(), payload.len(), "{m:?}");
             let v1 = codec::SERVER.encode(false, 0, &payload);
             assert_eq!(m.to_reply_frame(), v1, "{m:?}");
+            if let WireMessage::Result(rs) = &m {
+                // The server's splice of the same rows as a block.
+                assert_eq!(answer_reply_frame(&Answer::from(rs.clone())), v1);
+            }
             assert_eq!(m.to_frame(), v1);
             let plain = Envelope::plain(m.clone());
             assert_eq!(plain.to_frame(), v1);
@@ -663,11 +728,25 @@ mod tests {
         assert_eq!(dec.next_message().unwrap(), None);
         // …so the server's send path answers with an Error instead.
         dec.feed(&over.to_reply_frame());
-        assert_eq!(
-            dec.next_message().unwrap(),
-            Some(WireMessage::Error {
-                message: "result exceeds frame limit".into()
+        let error = WireMessage::Error {
+            message: "result exceeds frame limit".into(),
+        };
+        assert_eq!(dec.next_message().unwrap(), Some(error.clone()));
+        // The same guard measures a spliced block: one row of one
+        // BYTES value, `n` bytes long.
+        let answer = |n: usize| {
+            Answer::from(WireResultSet {
+                columns: vec!["b".into()],
+                rows: vec![vec![Value::Bytes(vec![7; n])]],
+                ..Default::default()
             })
-        );
+        };
+        let framing = 1 + result_len(&["b".into()], answer(0).rows.as_bytes().len());
+        let at_cap = answer(MAX_FRAME_LEN - framing);
+        dec.feed(&answer_reply_frame(&at_cap));
+        let rows = at_cap.decode().unwrap();
+        assert_eq!(dec.next_message().unwrap(), Some(WireMessage::Result(rows)));
+        let over = answer(MAX_FRAME_LEN - framing + 1);
+        assert_eq!(answer_reply_frame(&over), error.to_frame());
     }
 }
