@@ -30,9 +30,6 @@ fn bench_record_path() {
         i = i.wrapping_add(2_654_435_761);
         h_off.record(i & 0xFFFF);
     });
-    timeit("telemetry/record/span/enabled", || {
-        let _s = enabled.span("bench.span");
-    });
 }
 
 fn query_db(telemetry_enabled: bool) -> Db {

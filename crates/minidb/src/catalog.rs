@@ -218,6 +218,11 @@ fn decode(buf: &[u8]) -> DbResult<(u32, Vec<TableDef>)> {
             let iname = r.str16()?;
             let ifile = r.str16()?;
             let column_idx = r.u16()? as usize;
+            if column_idx >= n_cols {
+                return Err(DbError::Storage(format!(
+                    "index {iname} on column {column_idx} of a {n_cols}-column table"
+                )));
+            }
             indexes.push(IndexDef {
                 name: iname,
                 file: ifile,

@@ -57,7 +57,7 @@ pub(super) fn select(
     sel: SelectStmt,
 ) -> DbResult<Answer> {
     if let Some(schema) = &sel.schema {
-        return select_virtual(host, diag, schema.clone(), sel).map(Answer::from);
+        return select_virtual(host, diag, schema.clone(), sel);
     }
     // Inside an explicit transaction, reads are snapshot-isolated:
     // resolve every row against the version chains at the CSN pinned
@@ -65,7 +65,7 @@ pub(super) fn select(
     // cached result reflects the latest committed state, not this
     // transaction's snapshot.
     if let Some(t) = log.txns.get(&conn_id) {
-        return select_snapshot(host, data, log, diag, t.id, t.snapshot_csn, sel).map(Answer::from);
+        return select_snapshot(host, data, log, diag, t.id, t.snapshot_csn, sel);
     }
     // Autocommit reads are read-committed: the latest heap minus the
     // rows of *this table* an open transaction has written. With no
@@ -145,7 +145,7 @@ pub(super) fn select(
                 examined +=
                     patch_uncommitted(host, diag, &def.schema, where_clause, overlay, &mut rows)?;
             }
-            Answer::from(finish_select(&def.schema, &sel, rows, examined)?)
+            finish_select(&def.schema, &sel, rows, examined)?
         }
     };
     if heap_is_committed {
@@ -191,14 +191,15 @@ fn patch_uncommitted(
     Ok(patched)
 }
 
-/// The tail every SELECT shares: ORDER BY, then LIMIT, then the
-/// projection (aggregates included).
+/// The tail every SELECT that decodes rows shares: ORDER BY, then
+/// LIMIT, then the projection (aggregates included) into the answer's
+/// block.
 fn finish_select(
     schema: &TableSchema,
     sel: &SelectStmt,
     mut rows: Vec<Row>,
     rows_examined: u64,
-) -> DbResult<QueryResult> {
+) -> DbResult<Answer> {
     if let Some((col, desc)) = &sel.order_by {
         let idx = schema.column_index(col)?;
         rows.sort_by(|a, b| {
@@ -213,10 +214,12 @@ fn finish_select(
     if let Some(limit) = sel.limit {
         rows.truncate(limit as usize);
     }
-    let result = project(schema, &sel.items, rows)?;
-    Ok(QueryResult {
+    let (columns, block) = project(schema, &sel.items, &rows)?;
+    Ok(Answer {
+        columns,
+        rows: Arc::new(block),
         rows_examined,
-        ..result
+        rows_affected: 0,
     })
 }
 
@@ -232,7 +235,7 @@ fn select_snapshot(
     txn_id: u64,
     snapshot: u64,
     sel: SelectStmt,
-) -> DbResult<QueryResult> {
+) -> DbResult<Answer> {
     let def = diag.table_accessed(host, data, &sel.table)?;
     let (current, examined) = fetch_rows(host, data, diag, &def, None, None, None)?;
     diag.trace_begin("mvcc_visibility");
@@ -255,12 +258,7 @@ fn select_snapshot(
     finish_select(&def.schema, &sel, rows, examined)
 }
 
-fn select_virtual(
-    host: &Host,
-    diag: &Diag,
-    schema: String,
-    sel: SelectStmt,
-) -> DbResult<QueryResult> {
+fn select_virtual(host: &Host, diag: &Diag, schema: String, sel: SelectStmt) -> DbResult<Answer> {
     let (cols, rows) = match (schema.as_str(), sel.table.as_str()) {
         ("performance_schema", "events_statements_current") => diag.perf.render_current(),
         ("performance_schema", "events_statements_history") => diag.perf.render_history(),
@@ -509,7 +507,14 @@ fn scan(
     Ok((std::mem::take(&mut sink.rows), sink.into_block(), examined))
 }
 
-fn project(schema: &TableSchema, items: &[SelectItem], rows: Vec<Row>) -> DbResult<QueryResult> {
+/// The select list's names, and `rows` projected onto it (or folded
+/// into the one aggregate row), encoded straight into a block.
+fn project(
+    schema: &TableSchema,
+    items: &[SelectItem],
+    rows: &[Row],
+) -> DbResult<(Vec<String>, RowBlock)> {
+    let mut block = RowBlock::new();
     let has_aggregate = items
         .iter()
         .any(|i| matches!(i, SelectItem::CountStar | SelectItem::Aggregate(_, _)));
@@ -525,7 +530,7 @@ fn project(schema: &TableSchema, items: &[SelectItem], rows: Vec<Row>) -> DbResu
                 SelectItem::Aggregate(func, col) => {
                     let idx = schema.column_index(col)?;
                     columns.push(format!("{func}({col})"));
-                    out.push(aggregate(func, idx, &rows)?);
+                    out.push(aggregate(func, idx, rows)?);
                 }
                 _ => {
                     return Err(DbError::Eval(
@@ -534,44 +539,26 @@ fn project(schema: &TableSchema, items: &[SelectItem], rows: Vec<Row>) -> DbResu
                 }
             }
         }
-        return Ok(QueryResult {
-            columns,
-            rows: vec![out],
-            ..Default::default()
-        });
+        block.push_row(out.len());
+        out.iter().for_each(|v| block.push(v));
+        return Ok((columns, block));
     }
     let (columns, proj) = plain_columns(schema, items)?;
-    // The rows are ours and about to be dropped. When the select list
-    // names distinct columns in schema order (`*`, or a subsequence
-    // of it) each row's own `Vec` becomes the result row: swap every
-    // selected value down into place, then truncate — no allocation.
-    // Otherwise move each value out into a fresh `Vec`, or clone it
-    // when the list names a column twice.
-    let in_place = proj.windows(2).all(|w| w[0] < w[1]);
-    let distinct = proj.iter().enumerate().all(|(n, i)| !proj[..n].contains(i));
-    let out = rows
-        .into_iter()
-        .map(|mut r| {
-            if in_place {
-                for (k, &i) in proj.iter().enumerate() {
-                    r.values.swap(k, i);
-                }
-                r.values.truncate(proj.len());
-                return r.values;
-            }
-            proj.iter()
-                .map(|&i| match distinct {
-                    true => std::mem::replace(&mut r.values[i], Value::Null),
-                    false => r.values[i].clone(),
-                })
-                .collect()
-        })
-        .collect();
-    Ok(QueryResult {
-        columns,
-        rows: out,
-        ..Default::default()
-    })
+    for row in rows {
+        block.push_row(proj.len());
+        for &i in &proj {
+            block.push(column(row, i)?);
+        }
+    }
+    Ok((columns, block))
+}
+
+/// Column `i` of a decoded row; a row narrower than its schema is a
+/// [`DbError::Storage`].
+fn column(row: &Row, i: usize) -> DbResult<&Value> {
+    row.values
+        .get(i)
+        .ok_or_else(|| DbError::Storage(format!("row {} has no column {i}", row.id)))
 }
 
 /// The names and schema ordinals of a select list of `*` and column
@@ -605,7 +592,8 @@ fn plain_columns(
 }
 
 fn aggregate(func: &str, col_idx: usize, rows: &[Row]) -> DbResult<Value> {
-    let values = rows.iter().map(|r| &r.values[col_idx]);
+    let values = rows.iter().map(|r| column(r, col_idx));
+    let values = values.collect::<DbResult<Vec<_>>>()?.into_iter();
     match func {
         // `ashe_sum` is Seabed's ciphertext aggregation: wrapping u64
         // addition over the column's bit pattern, which is bit for bit

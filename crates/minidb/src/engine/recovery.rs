@@ -7,7 +7,7 @@ use super::config::Host;
 use super::txn::apply_undo;
 use super::{Data, Db, DbInner, Log};
 use crate::catalog::Catalog;
-use crate::error::DbResult;
+use crate::error::{DbError, DbResult};
 use crate::storage::btree::BTree;
 use crate::storage::table::TableHeap;
 use crate::wal::OpKind;
@@ -78,7 +78,10 @@ fn recover(host: &Host, data: &mut Data, log: &mut Log) -> DbResult<()> {
             disk.remove(&ix.file);
             let bt = BTree::create(pool, disk, &ix.file)?;
             for row in &rows {
-                bt.insert(pool, disk, &row.values[ix.column_idx], row.id)?;
+                let key = row.values.get(ix.column_idx).ok_or_else(|| {
+                    DbError::Storage(format!("row {} has no column {}", row.id, ix.column_idx))
+                })?;
+                bt.insert(pool, disk, key, row.id)?;
             }
             btrees.push(bt);
         }
@@ -267,9 +270,8 @@ mod tests {
         let (mut max_lsn, mut max_txn) = ids.fold((0, 0), |a, b| (a.0.max(b.0), a.1.max(b.1)));
         for (name, bytes) in &g.data.vdisk.files {
             if name.ends_with(".ibd") && name != crate::mvcc::VERSIONS_FILE {
-                for page in bytes.chunks(crate::storage::PAGE_SIZE) {
-                    let mut page = page.to_vec();
-                    max_lsn = max_lsn.max(crate::storage::Page::new(&mut page).lsn());
+                for page in bytes.as_chunks::<{ crate::storage::PAGE_SIZE }>().0 {
+                    max_lsn = max_lsn.max(crate::storage::Page::new(page).lsn());
                 }
             }
         }

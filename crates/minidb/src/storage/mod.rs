@@ -7,7 +7,7 @@ pub mod shardpool;
 pub mod table;
 
 pub use btree::{BTree, SearchResult, TreeStats};
-pub use page::{ColumnStats, Page, PageRef, PageSynopsis, SlotNo, PAGE_SIZE, SYN_MAX_COLS};
+pub use page::{ColumnStats, Page, PageSynopsis, SlotNo, PAGE_SIZE, SYN_MAX_COLS};
 pub use shardpool::{
     PageBacking, PageKey, ShardedBufferPool, ACCESS_COUNTS_CAP, DEFAULT_SHARDS, DUMP_FILE,
 };

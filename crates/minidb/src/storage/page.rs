@@ -15,6 +15,14 @@
 //! ...     cells         each cell: u16 length + payload, packed at the end
 //! ```
 //!
+//! One view, [`Page`], reads and edits these bytes in place: over the
+//! `[u8; PAGE_SIZE]` a buffer-pool frame holds, shared for reads and
+//! `&mut` for the mutators too, so fixed header fields are in bounds by
+//! type. What the page says about itself (slot count, `free_end`, slot
+//! offsets, cell lengths) is checked where it is read; a lie is a
+//! [`DbError::Storage`], never a panic. Pages carry no checksum, so a
+//! damaged header that stays plausible still reads, with wrong rows.
+//!
 //! The synopsis is the page's **zone map**: per-column min/max over the
 //! INT values of the live rows, plus a live-row count. The scan executor
 //! uses it to skip pages that cannot match a range predicate without
@@ -31,7 +39,20 @@
 //! its rows' indexable columns — even when the row payload cells
 //! themselves carry ciphertext.
 
-use std::ops::Bound;
+// Page bytes come from disk: a page that lies is a typed error, never
+// a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
+use std::ops::{Bound, Deref, DerefMut, Range};
 
 use crate::error::{DbError, DbResult};
 
@@ -64,6 +85,25 @@ pub struct ColumnStats {
     pub min: i64,
     /// Largest live INT value seen (conservative upper bound).
     pub max: i64,
+}
+
+impl ColumnStats {
+    fn decode(e: &[u8; SYN_ENTRY_SIZE]) -> ColumnStats {
+        let [c0, c1, n0, n1, n2, n3, n4, n5, n6, n7, x0, x1, x2, x3, x4, x5, x6, x7] = *e;
+        ColumnStats {
+            col: u16::from_le_bytes([c0, c1]),
+            min: i64::from_le_bytes([n0, n1, n2, n3, n4, n5, n6, n7]),
+            max: i64::from_le_bytes([x0, x1, x2, x3, x4, x5, x6, x7]),
+        }
+    }
+
+    fn encode(&self) -> [u8; SYN_ENTRY_SIZE] {
+        let mut e = [0; SYN_ENTRY_SIZE];
+        e[..2].copy_from_slice(&self.col.to_le_bytes());
+        e[2..10].copy_from_slice(&self.min.to_le_bytes());
+        e[10..].copy_from_slice(&self.max.to_le_bytes());
+        e
+    }
 }
 
 /// A decoded page synopsis (zone map): live-row count plus per-column
@@ -106,258 +146,287 @@ impl PageSynopsis {
     }
 }
 
-fn syn_decode(buf: &[u8]) -> Option<PageSynopsis> {
-    if buf[HDR_SYN_VALID] != 1 {
-        return None;
-    }
-    let ncols = (buf[HDR_SYN_NCOLS] as usize).min(SYN_MAX_COLS);
-    let rows = u16::from_le_bytes([buf[HDR_SYN_ROWS], buf[HDR_SYN_ROWS + 1]]);
-    let mut cols = Vec::with_capacity(ncols);
-    for i in 0..ncols {
-        let off = HDR_SYN_ENTRIES + i * SYN_ENTRY_SIZE;
-        cols.push(ColumnStats {
-            col: u16::from_le_bytes([buf[off], buf[off + 1]]),
-            min: i64::from_le_bytes(*buf[off + 2..].first_chunk()?),
-            max: i64::from_le_bytes(*buf[off + 10..].first_chunk()?),
-        });
-    }
-    Some(PageSynopsis { rows, cols })
+fn damaged(what: String) -> DbError {
+    DbError::Storage(format!("damaged page: {what}"))
 }
 
-/// A view over one page's bytes providing slotted-record operations.
+/// Where slot `slot`'s directory entry starts.
+fn slot_at(slot: SlotNo) -> usize {
+    HDR_SIZE + 2 * usize::from(slot)
+}
+
+/// The `u16` at `b[at..]`, if two bytes are left there.
+fn u16_at(b: &[u8], at: usize) -> Option<usize> {
+    let v = b.get(at..)?.first_chunk()?;
+    Some(usize::from(u16::from_le_bytes(*v)))
+}
+
+/// A view over one page's bytes providing slotted-record operations:
+/// `B` is `&[u8; PAGE_SIZE]` for reads, `&mut [u8; PAGE_SIZE]` for the
+/// mutators too.
 ///
 /// The page does not own its buffer; the buffer pool does. All mutations
 /// are in-place byte edits, which is what makes redo records replayable
 /// and the forensic story byte-accurate.
-pub struct Page<'a> {
-    buf: &'a mut [u8],
+pub struct Page<B> {
+    buf: B,
 }
 
-impl<'a> Page<'a> {
-    /// Wraps a page-sized buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is not exactly [`PAGE_SIZE`] bytes.
-    pub fn new(buf: &'a mut [u8]) -> Page<'a> {
-        assert_eq!(buf.len(), PAGE_SIZE, "page buffer size");
+impl<B: Deref<Target = [u8; PAGE_SIZE]>> Page<B> {
+    /// Wraps a page buffer.
+    pub fn new(buf: B) -> Page<B> {
         Page { buf }
     }
 
-    /// Formats the buffer as an empty page (with an empty, valid
-    /// synopsis: zero rows, zero tracked columns).
-    pub fn format(buf: &mut [u8]) {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        buf[..HDR_SIZE].fill(0);
-        let free_end = PAGE_SIZE as u16;
-        buf[HDR_FREE_END..HDR_FREE_END + 2].copy_from_slice(&free_end.to_le_bytes());
-        buf[HDR_SYN_VALID] = 1;
-    }
-
-    fn read_u16(&self, off: usize) -> u16 {
-        u16::from_le_bytes([self.buf[off], self.buf[off + 1]])
-    }
-
-    fn read_u64(&self, off: usize) -> u64 {
-        let mut b = [0; 8];
-        b.copy_from_slice(&self.buf[off..off + 8]);
-        u64::from_le_bytes(b)
-    }
-
-    fn write_u16(&mut self, off: usize, v: u16) {
-        self.buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
+    fn bytes(&self) -> &[u8; PAGE_SIZE] {
+        &self.buf
     }
 
     /// The page's LSN (last change).
     pub fn lsn(&self) -> u64 {
-        self.read_u64(HDR_LSN)
+        let mut lsn = [0; 8];
+        lsn.copy_from_slice(&self.bytes()[HDR_LSN..HDR_LSN + 8]);
+        u64::from_le_bytes(lsn)
+    }
+
+    /// `(n_slots, free_end)` as the header states them, checked: the
+    /// slot directory ends at or before `free_end`, which is at most
+    /// [`PAGE_SIZE`].
+    fn dir(&self) -> DbResult<(SlotNo, usize)> {
+        let b = self.bytes();
+        let n_slots = u16::from_le_bytes([b[HDR_NSLOTS], b[HDR_NSLOTS + 1]]);
+        let free_end = usize::from(u16::from_le_bytes([b[HDR_FREE_END], b[HDR_FREE_END + 1]]));
+        if slot_at(n_slots) > free_end || free_end > PAGE_SIZE {
+            let what = format!("{n_slots} slots overlap the cell area at {free_end}");
+            return Err(damaged(what));
+        }
+        Ok((n_slots, free_end))
+    }
+
+    /// Number of slots (including tombstones).
+    pub fn n_slots(&self) -> DbResult<SlotNo> {
+        Ok(self.dir()?.0)
+    }
+
+    /// Free bytes between the slot directory and the cell area.
+    pub fn free_space(&self) -> DbResult<usize> {
+        let (n_slots, free_end) = self.dir()?;
+        Ok(free_end - slot_at(n_slots))
+    }
+
+    /// Whether a cell of `len` payload bytes fits (including a new slot).
+    pub fn fits(&self, len: usize) -> DbResult<bool> {
+        // 2 bytes cell length prefix + 2 bytes for a new slot entry.
+        Ok(self.free_space()? >= len + 4)
+    }
+
+    /// The payload range of the cell in `slot`, or `None` for a tombstone
+    /// or a slot past the directory.
+    fn cell(&self, slot: SlotNo) -> DbResult<Option<Range<usize>>> {
+        let (n_slots, free_end) = self.dir()?;
+        if slot >= n_slots {
+            return Ok(None);
+        }
+        let lie = |what: &str| damaged(format!("slot {slot} {what}"));
+        let b = self.bytes();
+        let off = u16_at(b, slot_at(slot)).ok_or_else(|| lie("is past the page"))?;
+        if off == 0 {
+            return Ok(None);
+        }
+        if off < free_end {
+            return Err(lie("points outside the cell area"));
+        }
+        let len = u16_at(b, off).ok_or_else(|| lie("has a cell with no length"))?;
+        if off + 2 + len > PAGE_SIZE {
+            return Err(lie("has a cell that overruns the page"));
+        }
+        Ok(Some(off + 2..off + 2 + len))
+    }
+
+    /// Reads the record in `slot`, or `None` for tombstones.
+    pub fn get(&self, slot: SlotNo) -> DbResult<Option<&[u8]>> {
+        // In bounds: `cell` checked the range.
+        Ok(self.cell(slot)?.and_then(|r| self.bytes().get(r)))
+    }
+
+    /// Iterates live `(slot, payload)` pairs. A header that lies yields
+    /// one error and no cell; a slot that lies yields an error in its
+    /// place.
+    pub fn iter(&self) -> impl Iterator<Item = DbResult<(SlotNo, &[u8])>> + '_ {
+        let (n_slots, head) = match self.n_slots() {
+            Ok(n) => (n, None),
+            Err(e) => (0, Some(Err(e))),
+        };
+        let cells = (0..n_slots).map(move |s| Ok(self.get(s)?.map(|c| (s, c))));
+        head.into_iter().chain(cells.filter_map(Result::transpose))
+    }
+
+    // ---------------- synopsis (zone map) ----------------
+
+    /// Whether the persisted synopsis covers every live cell. Raw byte
+    /// mutators clear this; the value-aware heap layer restores it.
+    pub fn synopsis_valid(&self) -> bool {
+        self.bytes()[HDR_SYN_VALID] == 1
+    }
+
+    fn syn_rows(&self) -> u16 {
+        let b = self.bytes();
+        u16::from_le_bytes([b[HDR_SYN_ROWS], b[HDR_SYN_ROWS + 1]])
+    }
+
+    /// Decodes the synopsis, or `None` when it is invalid.
+    pub fn synopsis(&self) -> Option<PageSynopsis> {
+        if !self.synopsis_valid() {
+            return None;
+        }
+        let b = self.bytes();
+        let entries = b[HDR_SYN_ENTRIES..HDR_SIZE].as_chunks().0.iter();
+        let cols = entries.take(usize::from(b[HDR_SYN_NCOLS]));
+        Some(PageSynopsis {
+            rows: self.syn_rows(),
+            cols: cols.map(ColumnStats::decode).collect(),
+        })
+    }
+}
+
+impl<B: DerefMut<Target = [u8; PAGE_SIZE]>> Page<B> {
+    fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        &mut self.buf
+    }
+
+    /// Formats the page as empty (with an empty, valid synopsis: zero
+    /// rows, zero tracked columns).
+    pub fn format(&mut self) {
+        let b = self.bytes_mut();
+        b.fill(0);
+        b[HDR_FREE_END..HDR_FREE_END + 2].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
+        b[HDR_SYN_VALID] = 1;
     }
 
     /// Sets the page LSN.
     pub fn set_lsn(&mut self, lsn: u64) {
-        self.buf[HDR_LSN..HDR_LSN + 8].copy_from_slice(&lsn.to_le_bytes());
+        self.bytes_mut()[HDR_LSN..HDR_LSN + 8].copy_from_slice(&lsn.to_le_bytes());
     }
 
-    /// Number of slots (including tombstones).
-    pub fn n_slots(&self) -> u16 {
-        self.read_u16(HDR_NSLOTS)
-    }
-
-    fn free_end(&self) -> u16 {
-        self.read_u16(HDR_FREE_END)
-    }
-
-    fn slot_offset(&self, slot: SlotNo) -> u16 {
-        self.read_u16(HDR_SIZE + slot as usize * 2)
-    }
-
-    fn set_slot_offset(&mut self, slot: SlotNo, off: u16) {
-        self.write_u16(HDR_SIZE + slot as usize * 2, off);
-    }
-
-    /// Free bytes between the slot directory and the cell area.
-    pub fn free_space(&self) -> usize {
-        let dir_end = HDR_SIZE + self.n_slots() as usize * 2;
-        self.free_end() as usize - dir_end
-    }
-
-    /// Whether a cell of `len` payload bytes fits (including a new slot).
-    pub fn fits(&self, len: usize) -> bool {
-        // 2 bytes cell length prefix + 2 bytes for a new slot entry.
-        self.free_space() >= len + 4
+    /// Points `slot`'s directory entry at `off`, and clears `syn_valid`.
+    fn put_slot(&mut self, slot: SlotNo, off: usize) -> DbResult<()> {
+        let b = self.bytes_mut();
+        b[HDR_SYN_VALID] = 0;
+        let entry = b.get_mut(slot_at(slot)..slot_at(slot) + 2);
+        let entry = entry.ok_or_else(|| damaged(format!("slot {slot} is past the page")))?;
+        entry.copy_from_slice(&(off as u16).to_le_bytes());
+        Ok(())
     }
 
     /// Inserts a record, returning its slot.
     pub fn insert(&mut self, payload: &[u8]) -> DbResult<SlotNo> {
-        if payload.len() > u16::MAX as usize {
-            return Err(DbError::Storage("record too large for a page".into()));
-        }
-        if !self.fits(payload.len()) {
-            return Err(DbError::Storage("page full".into()));
-        }
-        let cell_len = payload.len() + 2;
-        let new_end = self.free_end() as usize - cell_len;
-        self.buf[new_end..new_end + 2].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-        self.buf[new_end + 2..new_end + 2 + payload.len()].copy_from_slice(payload);
-        self.write_u16(HDR_FREE_END, new_end as u16);
-        let slot = self.n_slots();
-        self.write_u16(HDR_NSLOTS, slot + 1);
-        self.set_slot_offset(slot, new_end as u16);
-        self.buf[HDR_SYN_VALID] = 0;
+        let slot = self.n_slots()?;
+        self.insert_at(slot, payload)?;
         Ok(slot)
     }
 
-    /// Inserts at a *specific* slot (used by redo replay to reproduce the
-    /// original placement). The slot must be the next fresh slot or a
-    /// tombstone.
+    /// The one cell writer: places `payload` in a fresh cell below the
+    /// cell area and points `slot` at it. `slot` is the next fresh slot
+    /// (the directory grows by one) or, in redo replay reproducing the
+    /// original placement, a tombstone.
     pub fn insert_at(&mut self, slot: SlotNo, payload: &[u8]) -> DbResult<()> {
-        if slot == self.n_slots() {
-            let got = self.insert(payload)?;
-            debug_assert_eq!(got, slot);
-            return Ok(());
-        }
-        if slot > self.n_slots() {
+        let (n_slots, free_end) = self.dir()?;
+        let fresh = slot == n_slots;
+        if slot > n_slots {
             return Err(DbError::Storage("redo insert skipped a slot".into()));
         }
-        if self.slot_offset(slot) != 0 {
+        if !fresh && self.cell(slot)?.is_some() {
             return Err(DbError::Storage("redo insert into occupied slot".into()));
         }
-        // Re-use the tombstoned slot with a fresh cell.
-        let cell_len = payload.len() + 2;
-        if self.free_space() < cell_len {
+        let len = u16::try_from(payload.len())
+            .map_err(|_| DbError::Storage("record too large for a page".into()))?;
+        // The cell, and a directory entry if the slot is fresh.
+        let dir_end = slot_at(n_slots) + if fresh { 2 } else { 0 };
+        let at = free_end.checked_sub(payload.len() + 2);
+        let Some(at) = at.filter(|&at| at >= dir_end) else {
             return Err(DbError::Storage("page full".into()));
+        };
+        let b = self.bytes_mut();
+        let cell = b
+            .get_mut(at..free_end)
+            .and_then(|c| c.split_first_chunk_mut());
+        let (prefix, body) = cell.ok_or_else(|| damaged(format!("no cell fits at {at}")))?;
+        *prefix = len.to_le_bytes();
+        body.copy_from_slice(payload);
+        b[HDR_FREE_END..HDR_FREE_END + 2].copy_from_slice(&(at as u16).to_le_bytes());
+        if fresh {
+            b[HDR_NSLOTS..HDR_NSLOTS + 2].copy_from_slice(&(slot + 1).to_le_bytes());
         }
-        let new_end = self.free_end() as usize - cell_len;
-        self.buf[new_end..new_end + 2].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-        self.buf[new_end + 2..new_end + 2 + payload.len()].copy_from_slice(payload);
-        self.write_u16(HDR_FREE_END, new_end as u16);
-        self.set_slot_offset(slot, new_end as u16);
-        self.buf[HDR_SYN_VALID] = 0;
-        Ok(())
-    }
-
-    /// Reads the record in `slot`, or `None` for tombstones.
-    pub fn get(&self, slot: SlotNo) -> Option<&[u8]> {
-        if slot >= self.n_slots() {
-            return None;
-        }
-        let off = self.slot_offset(slot) as usize;
-        if off == 0 {
-            return None;
-        }
-        let len = u16::from_le_bytes([self.buf[off], self.buf[off + 1]]) as usize;
-        Some(&self.buf[off + 2..off + 2 + len])
+        self.put_slot(slot, at)
     }
 
     /// Tombstones `slot`. The cell bytes are *not* erased — MiniDB, like
     /// InnoDB, performs no secure deletion, so deleted row images remain on
     /// the page until the space is reused (a §3/§5 leakage channel).
     pub fn delete(&mut self, slot: SlotNo) -> DbResult<()> {
-        if slot >= self.n_slots() || self.slot_offset(slot) == 0 {
+        if self.cell(slot)?.is_none() {
             return Err(DbError::Storage("delete of missing slot".into()));
         }
-        self.set_slot_offset(slot, 0);
-        self.buf[HDR_SYN_VALID] = 0;
-        Ok(())
+        self.put_slot(slot, 0)
     }
 
     /// Overwrites the record in `slot` in place. The new payload must have
     /// exactly the old length (callers fall back to delete+insert
     /// otherwise).
     pub fn update_in_place(&mut self, slot: SlotNo, payload: &[u8]) -> DbResult<()> {
-        let off = if slot < self.n_slots() {
-            self.slot_offset(slot) as usize
-        } else {
-            0
-        };
-        if off == 0 {
-            return Err(DbError::Storage("update of missing slot".into()));
+        let cell = self.cell(slot)?;
+        let cell = cell.ok_or_else(|| DbError::Storage("update of missing slot".into()))?;
+        let b = self.bytes_mut();
+        match b.get_mut(cell) {
+            Some(old) if old.len() == payload.len() => old.copy_from_slice(payload),
+            _ => return Err(DbError::Storage("in-place update length mismatch".into())),
         }
-        let len = u16::from_le_bytes([self.buf[off], self.buf[off + 1]]) as usize;
-        if len != payload.len() {
-            return Err(DbError::Storage("in-place update length mismatch".into()));
-        }
-        self.buf[off + 2..off + 2 + len].copy_from_slice(payload);
-        self.buf[HDR_SYN_VALID] = 0;
+        b[HDR_SYN_VALID] = 0;
         Ok(())
-    }
-
-    /// Iterates live `(slot, payload)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SlotNo, &[u8])> {
-        (0..self.n_slots()).filter_map(move |s| self.get(s).map(|p| (s, p)))
     }
 
     // ---------------- synopsis (zone map) maintenance ----------------
 
-    /// Whether the persisted synopsis covers every live cell. Raw byte
-    /// mutators clear this; the value-aware heap layer restores it.
-    pub fn synopsis_valid(&self) -> bool {
-        self.buf[HDR_SYN_VALID] == 1
-    }
-
     /// Marks the synopsis valid (or not). Only the table-heap layer,
     /// which knows the row values, may set this to `true`.
     pub fn set_synopsis_valid(&mut self, valid: bool) {
-        self.buf[HDR_SYN_VALID] = valid as u8;
+        self.bytes_mut()[HDR_SYN_VALID] = valid as u8;
     }
 
-    /// Decodes the synopsis, or `None` when it is invalid.
-    pub fn synopsis(&self) -> Option<PageSynopsis> {
-        syn_decode(self.buf)
+    fn set_syn_rows(&mut self, rows: u16) {
+        self.bytes_mut()[HDR_SYN_ROWS..HDR_SYN_ROWS + 2].copy_from_slice(&rows.to_le_bytes());
     }
 
     /// Resets the synopsis to empty-and-valid (start of a rebuild).
     pub fn synopsis_reset(&mut self) {
-        self.buf[HDR_SYN_VALID] = 1;
-        self.buf[HDR_SYN_NCOLS] = 0;
-        self.write_u16(HDR_SYN_ROWS, 0);
+        let b = self.bytes_mut();
+        b[HDR_SYN_VALID] = 1;
+        b[HDR_SYN_NCOLS] = 0;
+        self.set_syn_rows(0);
     }
 
-    fn synopsis_widen(&mut self, cols: &[(u16, i64)]) {
+    /// Accounts for an in-place update: widens bounds by the new values.
+    /// The old values stay inside the bounds — conservative but sound.
+    pub fn synopsis_note_update(&mut self, cols: &[(u16, i64)]) {
+        let b = self.bytes_mut();
         for &(col, v) in cols {
-            let ncols = self.buf[HDR_SYN_NCOLS] as usize;
-            let mut found = false;
-            for i in 0..ncols.min(SYN_MAX_COLS) {
-                let off = HDR_SYN_ENTRIES + i * SYN_ENTRY_SIZE;
-                if self.read_u16(off) == col {
-                    let min = self.read_u64(off + 2) as i64;
-                    let max = self.read_u64(off + 10) as i64;
-                    if v < min {
-                        self.buf[off + 2..off + 10].copy_from_slice(&v.to_le_bytes());
-                    }
-                    if v > max {
-                        self.buf[off + 10..off + 18].copy_from_slice(&v.to_le_bytes());
-                    }
-                    found = true;
-                    break;
+            let ncols = usize::from(b[HDR_SYN_NCOLS]);
+            let entries = b[HDR_SYN_ENTRIES..HDR_SIZE].as_chunks_mut().0;
+            let mut tracked = entries
+                .iter_mut()
+                .take(ncols)
+                .map(|e| (ColumnStats::decode(e), e));
+            if let Some((s, e)) = tracked.find(|(s, _)| s.col == col) {
+                let (min, max) = (s.min.min(v), s.max.max(v));
+                *e = ColumnStats { min, max, ..s }.encode();
+            } else if let Some(e) = entries.get_mut(ncols) {
+                *e = ColumnStats {
+                    col,
+                    min: v,
+                    max: v,
                 }
-            }
-            if !found && ncols < SYN_MAX_COLS {
-                let off = HDR_SYN_ENTRIES + ncols * SYN_ENTRY_SIZE;
-                self.write_u16(off, col);
-                self.buf[off + 2..off + 10].copy_from_slice(&v.to_le_bytes());
-                self.buf[off + 10..off + 18].copy_from_slice(&v.to_le_bytes());
-                self.buf[HDR_SYN_NCOLS] = (ncols + 1) as u8;
+                .encode();
+                b[HDR_SYN_NCOLS] = (ncols + 1) as u8;
             }
             // Columns past the capacity simply go untracked (and can
             // therefore never prune).
@@ -367,89 +436,14 @@ impl<'a> Page<'a> {
     /// Accounts for one inserted row: widens the tracked bounds by its
     /// INT values and bumps the live-row count.
     pub fn synopsis_note_insert(&mut self, cols: &[(u16, i64)]) {
-        self.synopsis_widen(cols);
-        let rows = self.read_u16(HDR_SYN_ROWS).saturating_add(1);
-        self.write_u16(HDR_SYN_ROWS, rows);
-    }
-
-    /// Accounts for an in-place update: widens bounds by the new values.
-    /// The old values stay inside the bounds — conservative but sound.
-    pub fn synopsis_note_update(&mut self, cols: &[(u16, i64)]) {
-        self.synopsis_widen(cols);
+        self.synopsis_note_update(cols);
+        self.set_syn_rows(self.syn_rows().saturating_add(1));
     }
 
     /// Accounts for one deleted row: the bounds stay (a superset is
     /// sound), only the live-row count drops.
     pub fn synopsis_note_delete(&mut self) {
-        let rows = self.read_u16(HDR_SYN_ROWS).saturating_sub(1);
-        self.write_u16(HDR_SYN_ROWS, rows);
-    }
-}
-
-/// A read-only view over a page buffer. Unlike [`Page`], it borrows the
-/// bytes immutably, so scan paths can decode straight out of the buffer
-/// pool frame without copying the page first.
-pub struct PageRef<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> PageRef<'a> {
-    /// Wraps a page-sized buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is not exactly [`PAGE_SIZE`] bytes.
-    pub fn new(buf: &'a [u8]) -> PageRef<'a> {
-        assert_eq!(buf.len(), PAGE_SIZE, "page buffer size");
-        PageRef { buf }
-    }
-
-    fn read_u16(&self, off: usize) -> u16 {
-        u16::from_le_bytes([self.buf[off], self.buf[off + 1]])
-    }
-
-    /// Number of slots (including tombstones).
-    pub fn n_slots(&self) -> u16 {
-        self.read_u16(HDR_NSLOTS)
-    }
-
-    /// Reads the record in `slot`, or `None` for tombstones.
-    pub fn get(&self, slot: SlotNo) -> Option<&'a [u8]> {
-        if slot >= self.n_slots() {
-            return None;
-        }
-        let off = self.read_u16(HDR_SIZE + slot as usize * 2) as usize;
-        if off == 0 {
-            return None;
-        }
-        let len = u16::from_le_bytes([self.buf[off], self.buf[off + 1]]) as usize;
-        Some(&self.buf[off + 2..off + 2 + len])
-    }
-
-    /// Iterates live `(slot, payload)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SlotNo, &'a [u8])> + '_ {
-        (0..self.n_slots()).filter_map(move |s| self.get(s).map(|p| (s, p)))
-    }
-
-    /// Free bytes between the slot directory and the cell area.
-    pub fn free_space(&self) -> usize {
-        let dir_end = HDR_SIZE + self.n_slots() as usize * 2;
-        self.read_u16(HDR_FREE_END) as usize - dir_end
-    }
-
-    /// Whether a cell of `len` payload bytes fits (including a new slot).
-    pub fn fits(&self, len: usize) -> bool {
-        self.free_space() >= len + 4
-    }
-
-    /// Whether the persisted synopsis covers every live cell.
-    pub fn synopsis_valid(&self) -> bool {
-        self.buf[HDR_SYN_VALID] == 1
-    }
-
-    /// Decodes the synopsis, or `None` when it is invalid.
-    pub fn synopsis(&self) -> Option<PageSynopsis> {
-        syn_decode(self.buf)
+        self.set_syn_rows(self.syn_rows().saturating_sub(1));
     }
 }
 
@@ -457,20 +451,20 @@ impl<'a> PageRef<'a> {
 mod tests {
     use super::*;
 
-    fn fresh() -> Vec<u8> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        Page::format(&mut buf);
+    fn fresh() -> Box<[u8; PAGE_SIZE]> {
+        let mut buf = Box::new([0xAA; PAGE_SIZE]);
+        Page::new(&mut *buf).format();
         buf
     }
 
     #[test]
     fn insert_get_round_trip() {
         let mut buf = fresh();
-        let mut p = Page::new(&mut buf);
+        let mut p = Page::new(&mut *buf);
         let a = p.insert(b"hello").unwrap();
         let b = p.insert(b"world!").unwrap();
-        assert_eq!(p.get(a).unwrap(), b"hello");
-        assert_eq!(p.get(b).unwrap(), b"world!");
+        assert_eq!(p.get(a).unwrap().unwrap(), b"hello");
+        assert_eq!(p.get(b).unwrap().unwrap(), b"world!");
         assert_eq!(p.iter().count(), 2);
     }
 
@@ -478,11 +472,12 @@ mod tests {
     fn delete_leaves_bytes_behind() {
         let mut buf = fresh();
         {
-            let mut p = Page::new(&mut buf);
+            let mut p = Page::new(&mut *buf);
             let s = p.insert(b"SECRET-ROW-IMAGE").unwrap();
             p.delete(s).unwrap();
-            assert!(p.get(s).is_none());
+            assert!(p.get(s).unwrap().is_none());
             assert_eq!(p.iter().count(), 0);
+            assert!(p.delete(s).is_err());
         }
         // The ghost of the record is still in the raw page bytes.
         let raw = buf.windows(16).any(|w| w == b"SECRET-ROW-IMAGE");
@@ -492,46 +487,52 @@ mod tests {
     #[test]
     fn update_in_place_same_length_only() {
         let mut buf = fresh();
-        let mut p = Page::new(&mut buf);
+        let mut p = Page::new(&mut *buf);
         let s = p.insert(b"aaaa").unwrap();
         p.update_in_place(s, b"bbbb").unwrap();
-        assert_eq!(p.get(s).unwrap(), b"bbbb");
+        assert_eq!(p.get(s).unwrap().unwrap(), b"bbbb");
         assert!(p.update_in_place(s, b"ccc").is_err());
+        assert!(p.update_in_place(s + 1, b"bbbb").is_err());
     }
 
     #[test]
     fn fills_up_and_reports_full() {
         let mut buf = fresh();
-        let mut p = Page::new(&mut buf);
+        let mut p = Page::new(&mut *buf);
         let payload = vec![7u8; 1000];
         let mut count = 0;
-        while p.fits(payload.len()) {
+        while p.fits(payload.len()).unwrap() {
             p.insert(&payload).unwrap();
             count += 1;
         }
         assert!(count >= 15, "a 16K page should hold >= 15 1K records");
         assert!(p.insert(&payload).is_err());
-        // Small records may still fit.
-        assert!(p.fits(4));
+        // Small records may still fit, down to the last byte.
+        assert!(p.fits(4).unwrap());
+        while p.insert(b"").is_ok() {}
+        assert_eq!(p.insert(b""), Err(DbError::Storage("page full".into())));
+        assert!(p.free_space().unwrap() < 4);
     }
 
     #[test]
     fn insert_at_replays_tombstoned_slot() {
         let mut buf = fresh();
-        let mut p = Page::new(&mut buf);
+        let mut p = Page::new(&mut *buf);
         let a = p.insert(b"one").unwrap();
         p.insert(b"two").unwrap();
         p.delete(a).unwrap();
         p.insert_at(a, b"one-again").unwrap();
-        assert_eq!(p.get(a).unwrap(), b"one-again");
+        assert_eq!(p.get(a).unwrap().unwrap(), b"one-again");
         assert!(p.insert_at(a, b"occupied").is_err());
         assert!(p.insert_at(99, b"gap").is_err());
+        p.insert_at(2, b"three").unwrap();
+        assert_eq!(p.n_slots().unwrap(), 3);
     }
 
     #[test]
     fn lsn_round_trip() {
         let mut buf = fresh();
-        let mut p = Page::new(&mut buf);
+        let mut p = Page::new(&mut *buf);
         assert_eq!(p.lsn(), 0);
         p.set_lsn(0xABCD_EF01);
         assert_eq!(p.lsn(), 0xABCD_EF01);
@@ -540,14 +541,15 @@ mod tests {
     #[test]
     fn rejects_oversized_record() {
         let mut buf = fresh();
-        let mut p = Page::new(&mut buf);
+        let mut p = Page::new(&mut *buf);
         assert!(p.insert(&vec![0u8; PAGE_SIZE]).is_err());
+        assert!(p.insert(&vec![0u8; 1 << 16]).is_err());
     }
 
     #[test]
     fn raw_mutations_invalidate_synopsis() {
         let mut buf = fresh();
-        let mut p = Page::new(&mut buf);
+        let mut p = Page::new(&mut *buf);
         assert!(p.synopsis_valid(), "fresh page starts valid and empty");
         let s = p.insert(b"row").unwrap();
         assert!(!p.synopsis_valid(), "raw insert must invalidate");
@@ -562,7 +564,7 @@ mod tests {
     #[test]
     fn synopsis_tracks_min_max_and_rows() {
         let mut buf = fresh();
-        let mut p = Page::new(&mut buf);
+        let mut p = Page::new(&mut *buf);
         p.insert(b"a").unwrap();
         p.synopsis_note_insert(&[(0, 50), (1, -3)]);
         p.set_synopsis_valid(true);
@@ -599,7 +601,7 @@ mod tests {
     #[test]
     fn synopsis_capacity_caps_tracked_columns() {
         let mut buf = fresh();
-        let mut p = Page::new(&mut buf);
+        let mut p = Page::new(&mut *buf);
         let cols: Vec<(u16, i64)> = (0..8).map(|i| (i as u16, i)).collect();
         p.synopsis_note_insert(&cols);
         let syn = p.synopsis().unwrap();
@@ -640,10 +642,10 @@ mod tests {
     }
 
     #[test]
-    fn page_ref_reads_match_page() {
+    fn a_shared_view_reads_what_the_mutable_view_wrote() {
         let mut buf = fresh();
         {
-            let mut p = Page::new(&mut buf);
+            let mut p = Page::new(&mut *buf);
             p.insert(b"alpha").unwrap();
             let s = p.insert(b"beta").unwrap();
             p.insert(b"gamma").unwrap();
@@ -652,11 +654,64 @@ mod tests {
             p.synopsis_note_insert(&[(0, 4)]);
             p.synopsis_note_insert(&[(0, 9)]);
         }
-        let r = PageRef::new(&buf);
-        assert_eq!(r.n_slots(), 3);
-        let live: Vec<&[u8]> = r.iter().map(|(_, b)| b).collect();
+        let r = Page::new(&*buf);
+        assert_eq!(r.n_slots().unwrap(), 3);
+        let live: Vec<&[u8]> = r.iter().map(|c| c.unwrap().1).collect();
         assert_eq!(live, vec![b"alpha".as_ref(), b"gamma".as_ref()]);
         assert!(r.synopsis_valid());
         assert_eq!(r.synopsis().unwrap().stats(0).unwrap().max, 9);
+    }
+
+    /// A page of three cells with `edit` applied to its bytes.
+    fn edited(edit: impl FnOnce(&mut [u8; PAGE_SIZE])) -> Box<[u8; PAGE_SIZE]> {
+        let mut buf = fresh();
+        let mut p = Page::new(&mut *buf);
+        for cell in [b"one".as_ref(), b"two", b"three"] {
+            p.insert(cell).unwrap();
+        }
+        edit(&mut buf);
+        buf
+    }
+
+    /// Every reader and mutator of a page that lies about itself.
+    fn every_access_fails(buf: &mut [u8; PAGE_SIZE], slot: SlotNo) {
+        let storage = |r: DbResult<()>| assert!(matches!(r, Err(DbError::Storage(_))), "{r:?}");
+        let mut p = Page::new(buf);
+        assert!(p.iter().any(|c| c.is_err()));
+        storage(p.get(slot).map(drop));
+        storage(p.update_in_place(slot, b"xyz").map(drop));
+        storage(p.delete(slot));
+        storage(p.insert_at(slot, b"xyz"));
+    }
+
+    #[test]
+    fn a_header_that_lies_is_a_storage_error() {
+        let set = |at: usize, v: u16| {
+            move |b: &mut [u8; PAGE_SIZE]| b[at..at + 2].copy_from_slice(&v.to_le_bytes())
+        };
+        // The slot directory runs past the page, or into the cells.
+        for n in [0xFFFF, 8_149, 8_140] {
+            let mut buf = edited(set(HDR_NSLOTS, n));
+            every_access_fails(&mut buf, 0);
+            let p = Page::new(&*buf);
+            assert!(p.n_slots().is_err() && p.free_space().is_err() && p.fits(1).is_err());
+        }
+        // The cell area starts inside the header, or past the page.
+        for free_end in [0, 87, PAGE_SIZE as u16 + 1, 0xFFFF] {
+            let mut buf = edited(set(HDR_FREE_END, free_end));
+            every_access_fails(&mut buf, 1);
+            assert!(Page::new(&mut *buf).insert(b"x").is_err());
+        }
+        // A slot points past the page, into the directory, or at a cell
+        // whose length runs off the end.
+        for off in [0xFFF0, PAGE_SIZE as u16 - 1, 40] {
+            every_access_fails(&mut edited(set(HDR_SIZE, off)), 0);
+        }
+        let last_cell = PAGE_SIZE - 5;
+        every_access_fails(&mut edited(set(last_cell, 6)), 0);
+        every_access_fails(&mut edited(set(last_cell, 0xFFFF)), 0);
+        // A plausible lie still reads: shorter cells, as bytes.
+        let buf = edited(set(last_cell, 1));
+        assert_eq!(Page::new(&*buf).get(0).unwrap().unwrap(), b"o");
     }
 }

@@ -85,17 +85,17 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// substitute a synthetic backing so many threads can fault concurrently
 /// without sharing one `&mut VDisk`.
 pub trait PageBacking {
-    /// Copies page `page_no` of `file` into `buf` (`PAGE_SIZE` bytes);
-    /// `false` if the page does not exist.
-    fn read_page(&mut self, file: &str, page_no: u32, buf: &mut [u8]) -> bool;
+    /// Copies page `page_no` of `file` into `buf`; `false` if the page
+    /// does not exist.
+    fn read_page(&mut self, file: &str, page_no: u32, buf: &mut [u8; PAGE_SIZE]) -> bool;
     /// Writes a page back (eviction write-back / flush).
-    fn write_page(&mut self, file: &str, page_no: u32, data: &[u8]);
+    fn write_page(&mut self, file: &str, page_no: u32, data: &[u8; PAGE_SIZE]);
     /// Current length of `file` in bytes (for page allocation).
     fn file_len(&mut self, file: &str) -> usize;
 }
 
 impl PageBacking for VDisk {
-    fn read_page(&mut self, file: &str, page_no: u32, buf: &mut [u8]) -> bool {
+    fn read_page(&mut self, file: &str, page_no: u32, buf: &mut [u8; PAGE_SIZE]) -> bool {
         let off = page_no as usize * PAGE_SIZE;
         match self
             .read(file)
@@ -109,7 +109,7 @@ impl PageBacking for VDisk {
         }
     }
 
-    fn write_page(&mut self, file: &str, page_no: u32, data: &[u8]) {
+    fn write_page(&mut self, file: &str, page_no: u32, data: &[u8; PAGE_SIZE]) {
         self.write_at(file, page_no as usize * PAGE_SIZE, data);
     }
 
@@ -166,7 +166,7 @@ const NIL: u32 = u32::MAX;
 
 struct Frame {
     key: FrameKey,
-    data: Vec<u8>,
+    data: Box<[u8; PAGE_SIZE]>,
     dirty: bool,
     last_access: u64,
     /// Recency neighbours (slab indices): older and newer.
@@ -463,7 +463,7 @@ impl ShardedBufferPool {
         shard.free.pop().unwrap_or_else(|| {
             shard.slab.push(Frame {
                 key: 0,
-                data: vec![0u8; PAGE_SIZE],
+                data: Box::new([0; PAGE_SIZE]),
                 dirty: false,
                 last_access: 0,
                 prev: NIL,
@@ -479,7 +479,7 @@ impl ShardedBufferPool {
         backing: &mut impl PageBacking,
         file: &str,
         page_no: u32,
-        f: impl FnOnce(&[u8]) -> R,
+        f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
     ) -> DbResult<R> {
         self.with_page_run(backing, file, page_no, |buf| (f(buf), 1))
     }
@@ -497,7 +497,7 @@ impl ShardedBufferPool {
         backing: &mut impl PageBacking,
         file: &str,
         page_no: u32,
-        f: impl FnOnce(&[u8]) -> (R, u64),
+        f: impl FnOnce(&[u8; PAGE_SIZE]) -> (R, u64),
     ) -> DbResult<R> {
         let idx = self.shard_of(file, page_no);
         let mut guard = self.shards[idx].lock();
@@ -522,7 +522,7 @@ impl ShardedBufferPool {
         backing: &mut impl PageBacking,
         file: &str,
         page_no: u32,
-        f: impl FnOnce(&mut [u8]) -> R,
+        f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
     ) -> DbResult<R> {
         let idx = self.shard_of(file, page_no);
         let mut guard = self.shards[idx].lock();
@@ -549,9 +549,8 @@ impl ShardedBufferPool {
             shard.release(stale);
         }
         let slot = self.free_frame(shard, idx, backing);
-        let buf = &mut shard.slab[slot as usize].data;
-        buf.fill(0);
-        Page::format(buf);
+        let buf = &mut *shard.slab[slot as usize].data;
+        Page::new(&mut *buf).format();
         backing.write_page(file, page_no, buf);
         shard.install(slot, key, self.next_tick());
         shard.count_access(key, 1);
@@ -926,17 +925,17 @@ mod tests {
     /// are its number, and a written-back page must still carry it.
     struct Synthetic;
 
-    fn page_no_of(b: &[u8]) -> u32 {
+    fn page_no_of(b: &[u8; PAGE_SIZE]) -> u32 {
         u32::from_le_bytes(b[..4].try_into().unwrap())
     }
 
     impl PageBacking for Synthetic {
-        fn read_page(&mut self, _file: &str, page_no: u32, buf: &mut [u8]) -> bool {
+        fn read_page(&mut self, _file: &str, page_no: u32, buf: &mut [u8; PAGE_SIZE]) -> bool {
             buf.fill(0);
             buf[..4].copy_from_slice(&page_no.to_le_bytes());
             true
         }
-        fn write_page(&mut self, _file: &str, page_no: u32, data: &[u8]) {
+        fn write_page(&mut self, _file: &str, page_no: u32, data: &[u8; PAGE_SIZE]) {
             assert_eq!(page_no_of(data), page_no, "no torn frame written back");
         }
         fn file_len(&mut self, _file: &str) -> usize {

@@ -26,7 +26,7 @@ use std::ops::Bound;
 use crate::error::{DbError, DbResult};
 use crate::predicate::{EncodedRow, Predicate};
 use crate::row::{Row, RowId};
-use crate::storage::page::{Page, PageRef, PageSynopsis, SlotNo};
+use crate::storage::page::{Page, PageSynopsis, SlotNo};
 use crate::storage::shardpool::{KeyMap, ShardedBufferPool};
 use crate::value::{RowBlock, Value};
 use crate::vdisk::VDisk;
@@ -111,6 +111,10 @@ pub enum UpdatePlacement {
         /// New location.
         to: (u32, SlotNo),
     },
+}
+
+fn tombstone() -> DbError {
+    DbError::Storage("locator points at tombstone".into())
 }
 
 /// The INT columns of a row as `(ordinal, value)` pairs — the facts a
@@ -275,16 +279,13 @@ impl TableHeap {
         let mut heap = TableHeap::empty(file);
         let n_pages = ShardedBufferPool::page_count(vdisk, file);
         for page_no in 0..n_pages {
-            let entries = bufpool.with_page(vdisk, file, page_no, |buf| {
-                PageRef::new(buf)
-                    .iter()
-                    .map(|(slot, bytes)| (slot, bytes.to_vec()))
-                    .collect::<Vec<_>>()
-            })?;
-            for (slot, bytes) in entries {
-                let row = Row::decode(&bytes)?;
-                heap.set_location(row.id, (page_no, slot))?;
-            }
+            bufpool.with_page(vdisk, file, page_no, |buf| {
+                for cell in Page::new(buf).iter() {
+                    let (slot, bytes) = cell?;
+                    heap.set_location(Row::decode(bytes)?.id, (page_no, slot))?;
+                }
+                Ok::<_, DbError>(())
+            })??;
         }
         Ok(heap)
     }
@@ -384,8 +385,8 @@ impl TableHeap {
         let bytes = row.encode();
         let last = ShardedBufferPool::page_count(vdisk, &self.file).saturating_sub(1);
         let fits = bufpool.with_page(vdisk, &self.file, last, |buf| {
-            PageRef::new(buf).fits(bytes.len())
-        })?;
+            Page::new(buf).fits(bytes.len())
+        })??;
         let page_no = if fits {
             last
         } else {
@@ -416,10 +417,9 @@ impl TableHeap {
         row_id: RowId,
     ) -> DbResult<Row> {
         let (page_no, slot) = self.located(row_id)?;
-        let row = bufpool.with_page(vdisk, &self.file, page_no, |buf| {
-            PageRef::new(buf).get(slot).map(Row::decode)
-        })?;
-        row.ok_or_else(|| DbError::Storage("locator points at tombstone".into()))?
+        bufpool.with_page(vdisk, &self.file, page_no, |buf| {
+            Row::decode(Page::new(buf).get(slot)?.ok_or_else(tombstone)?)
+        })?
     }
 
     /// Tombstones `(page_no, slot)`, maintaining the synopsis, and
@@ -531,8 +531,8 @@ impl TableHeap {
             }
             decoded += 1;
             bufpool.with_page(vdisk, &self.file, page_no, |buf| {
-                for (_, cell) in PageRef::new(buf).iter() {
-                    sink.offer(cell)?;
+                for cell in Page::new(buf).iter() {
+                    sink.offer(cell?.1)?;
                     if sink.full() {
                         break;
                     }
@@ -562,7 +562,7 @@ impl TableHeap {
             }
             let (page_no, _) = self.located(first)?;
             bufpool.with_page_run(vdisk, &self.file, page_no, |buf| {
-                let page = PageRef::new(buf);
+                let page = Page::new(buf);
                 let mut fetched = 0;
                 // An id that is not (or no longer) on this page ends the
                 // run; the outer loop deals with it.
@@ -575,7 +575,7 @@ impl TableHeap {
                     fetched += 1;
                     let offered = page
                         .get(slot)
-                        .ok_or_else(|| DbError::Storage("locator points at tombstone".into()))
+                        .and_then(|cell| cell.ok_or_else(tombstone))
                         .and_then(|cell| sink.offer(cell));
                     if offered.is_err() || sink.full() {
                         return (offered, fetched);
@@ -608,9 +608,7 @@ impl TableHeap {
         if let Some(s) = self.mirrored(page_no) {
             return Ok(s.excludes(col, lo, hi));
         }
-        let syn = bufpool.with_page(vdisk, &self.file, page_no, |buf| {
-            PageRef::new(buf).synopsis()
-        })?;
+        let syn = bufpool.with_page(vdisk, &self.file, page_no, |buf| Page::new(buf).synopsis())?;
         let syn = match syn {
             Some(s) => s,
             None => self.rebuild_page_synopsis(bufpool, vdisk, page_no)?,
@@ -632,11 +630,13 @@ impl TableHeap {
     ) -> DbResult<PageSynopsis> {
         let syn = bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| {
             let mut p = Page::new(buf);
-            let cells: Vec<Vec<u8>> = p.iter().map(|(_, b)| b.to_vec()).collect();
+            let rows = p
+                .iter()
+                .map(|cell| Row::decode(cell?.1))
+                .collect::<DbResult<Vec<_>>>()?;
             p.synopsis_reset();
-            for bytes in &cells {
-                let row = Row::decode(bytes)?;
-                p.synopsis_note_insert(&int_cols(&row));
+            for row in &rows {
+                p.synopsis_note_insert(&int_cols(row));
             }
             let invalid = || DbError::Storage(format!("page {page_no}: no synopsis after reset"));
             p.synopsis().ok_or_else(invalid)
@@ -748,15 +748,21 @@ impl TableHeap {
         let gone = bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| {
             let mut p = Page::new(buf);
             if p.lsn() >= lsn {
-                return None;
+                return Ok(None);
             }
-            let gone = p.get(slot).and_then(|cell| Row::decode_header(cell).ok());
             // The slot may already be missing if the delete raced a crash;
             // tolerate that (idempotent replay).
-            let _ = p.delete(slot);
+            let gone = match p.get(slot)? {
+                Some(cell) => {
+                    let gone = Row::decode_header(cell).ok().map(|(row_id, _)| row_id);
+                    p.delete(slot)?;
+                    gone
+                }
+                None => None,
+            };
             p.set_lsn(lsn);
-            gone.map(|(row_id, _)| row_id)
-        })?;
+            Ok::<_, DbError>(gone)
+        })??;
         self.note_page(page_no, None);
         if let Some(row_id) = gone.filter(|&id| self.locate(id) == Some((page_no, slot))) {
             self.locations.remove(row_id);
@@ -897,7 +903,8 @@ mod tests {
         assert_eq!(h.row_count(), 0);
         // The page was never touched.
         let slots = bp
-            .with_page(&mut vd, "t.ibd", 0, |buf| PageRef::new(buf).n_slots())
+            .with_page(&mut vd, "t.ibd", 0, |buf| Page::new(buf).n_slots())
+            .unwrap()
             .unwrap();
         assert_eq!(slots, 0);
         assert!(h.insert(&bp, &mut vd, &row(RowId::MAX, 1)).is_err());
@@ -957,7 +964,7 @@ mod tests {
         assert_eq!(syn.stats(0).unwrap().max, 30);
         // The persisted synopsis agrees with the mirror.
         let on_page = bp
-            .with_page(&mut vd, "t.ibd", 0, |buf| PageRef::new(buf).synopsis())
+            .with_page(&mut vd, "t.ibd", 0, |buf| Page::new(buf).synopsis())
             .unwrap()
             .expect("valid on page");
         assert_eq!(on_page, syn);
@@ -1000,9 +1007,7 @@ mod tests {
             .unwrap();
         assert!(h.mirrored(0).is_none(), "mirror dropped");
         let valid = bp
-            .with_page(&mut vd, "t.ibd", 0, |buf| {
-                PageRef::new(buf).synopsis_valid()
-            })
+            .with_page(&mut vd, "t.ibd", 0, |buf| Page::new(buf).synopsis_valid())
             .unwrap();
         assert!(!valid, "persisted synopsis invalid after replay");
         // First prune consult rebuilds from live rows — and must see the
@@ -1015,9 +1020,7 @@ mod tests {
         assert_eq!(syn.stats(0).unwrap().max, 500);
         // The rebuild persisted: a fresh heap sees a valid synopsis.
         let valid = bp
-            .with_page(&mut vd, "t.ibd", 0, |buf| {
-                PageRef::new(buf).synopsis_valid()
-            })
+            .with_page(&mut vd, "t.ibd", 0, |buf| Page::new(buf).synopsis_valid())
             .unwrap();
         assert!(valid);
     }

@@ -271,7 +271,7 @@ impl RowBlock {
     }
 
     /// Starts a row of `width` values; exactly `width`
-    /// [`Self::push_value`] calls must follow.
+    /// [`Self::push_value`] or [`Self::push`] calls must follow.
     pub(crate) fn push_row(&mut self, width: usize) {
         self.rows += 1;
         if let Some(count) = self.bytes.first_chunk_mut() {
@@ -283,6 +283,11 @@ impl RowBlock {
     /// Appends one value's encoding, bytes that [`Value::check`] passed.
     pub(crate) fn push_value(&mut self, encoded: &[u8]) {
         self.bytes.extend_from_slice(encoded);
+    }
+
+    /// Encodes one value onto the row [`Self::push_row`] started.
+    pub(crate) fn push(&mut self, value: &Value) {
+        value.encode(&mut self.bytes);
     }
 }
 

@@ -19,7 +19,7 @@ use minidb::predicate::Predicate;
 use minidb::row::{Row, RowId};
 use minidb::schema::{ColumnDef, TableSchema};
 use minidb::sql::{CmpOp, Expr};
-use minidb::storage::{PageRef, ScanSink, ShardedBufferPool, TableHeap};
+use minidb::storage::{Page, ScanSink, ShardedBufferPool, TableHeap};
 use minidb::value::{encode_rows, ColumnType, Value};
 use minidb::vdisk::VDisk;
 use minidb::{DbError, DbResult};
@@ -232,7 +232,7 @@ fn heap_rows(bp: &ShardedBufferPool, vd: &mut VDisk) -> Vec<Row> {
     let mut rows = Vec::new();
     for page_no in 0..ShardedBufferPool::page_count(vd, FILE) {
         bp.with_page(vd, FILE, page_no, |buf| {
-            for (_, cell) in PageRef::new(buf).iter() {
+            for (_, cell) in Page::new(buf).iter().map(Result::unwrap) {
                 rows.push(Row::decode(cell).unwrap());
             }
         })

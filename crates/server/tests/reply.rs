@@ -9,7 +9,7 @@ use mdb_server::wire::answer_reply_frame;
 use mdb_server::{ClientError, MdbClient, MdbServer, ServerOptions, WireMessage};
 use minidb::engine::{Connection, Db, DbConfig};
 use minidb::row::ROW_HEADER_LEN;
-use minidb::storage::{PageRef, PAGE_SIZE};
+use minidb::storage::{Page, PAGE_SIZE};
 use minidb::value::Value;
 use minidb::DbError;
 use proptest::prelude::*;
@@ -183,9 +183,10 @@ fn damaged(seed: u64, damage: Damage) -> (Db, i64) {
     assert!(file.len() >= 12 * PAGE_SIZE, "the heap outgrows the pool");
     let mut rng = Rng(seed);
     let page_no = rng.index(4);
-    let page = &file[page_no * PAGE_SIZE..(page_no + 1) * PAGE_SIZE];
-    let cells: Vec<(usize, i64)> = PageRef::new(page)
+    let page = file[page_no * PAGE_SIZE..].first_chunk().unwrap();
+    let cells: Vec<(usize, i64)> = Page::new(page)
         .iter()
+        .map(Result::unwrap)
         .map(|(_, cell)| {
             let at = cell.as_ptr() as usize - file.as_ptr() as usize;
             let id = i64::from_le_bytes(cell[ROW_HEADER_LEN + 1..][..8].try_into().unwrap());

@@ -1,8 +1,8 @@
 //! # mdb-telemetry — engine-wide metrics for MiniDB and the harness
 //!
 //! Lock-free counters, gauges, and log2-bucket histograms behind a
-//! [`Registry`], plus RAII [`SpanTimer`]s, point-in-time
-//! [`MetricsSnapshot`]s, and hand-rolled JSON export (no serde).
+//! [`Registry`], plus point-in-time [`MetricsSnapshot`]s and
+//! hand-rolled JSON export (no serde).
 //!
 //! Two design constraints drive the shape of this crate:
 //!
@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -152,14 +151,6 @@ impl Registry {
             enabled: self.enabled.clone(),
             cell,
         }
-    }
-
-    /// Starts an RAII span recording elapsed microseconds into the
-    /// histogram named `name` when dropped. On a disabled registry the
-    /// span never reads the clock.
-    pub fn span(&self, name: &str) -> SpanTimer {
-        let hist = self.histogram(name);
-        SpanTimer::new(hist)
     }
 
     /// Point-in-time snapshot of every registered metric, sorted by name.
@@ -390,38 +381,6 @@ impl Histogram {
     /// Sum of observations so far.
     pub fn sum(&self) -> u64 {
         self.cell.sum.load(Ordering::Relaxed)
-    }
-}
-
-/// RAII timer recording elapsed microseconds into a histogram on drop.
-///
-/// On a disabled registry the timer neither reads the clock nor records.
-pub struct SpanTimer {
-    hist: Histogram,
-    start: Option<Instant>,
-}
-
-impl SpanTimer {
-    fn new(hist: Histogram) -> Self {
-        let start = hist.enabled.load(Ordering::Relaxed).then(Instant::now);
-        SpanTimer { hist, start }
-    }
-
-    /// Stops the span early, recording now instead of at drop.
-    pub fn finish(mut self) {
-        self.record_elapsed();
-    }
-
-    fn record_elapsed(&mut self) {
-        if let Some(start) = self.start.take() {
-            self.hist.record(start.elapsed().as_micros() as u64);
-        }
-    }
-}
-
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        self.record_elapsed();
     }
 }
 
@@ -735,24 +694,11 @@ mod tests {
         c.inc();
         h.record(99);
         g.set(7);
-        {
-            let _span = r.span("span_us");
-        }
         assert!(r.snapshot().is_zero());
         // Re-enabling makes the same handles live.
         r.set_enabled(true);
         c.inc();
         assert_eq!(r.snapshot().counter("hits"), Some(1));
-    }
-
-    #[test]
-    fn span_timer_records_on_drop() {
-        let r = Registry::new();
-        {
-            let _span = r.span("op_us");
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.histogram("op_us").unwrap().count, 1);
     }
 
     #[test]
