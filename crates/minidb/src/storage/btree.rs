@@ -13,7 +13,31 @@
 //! splits where the newcomer landed, so keys arriving in order leave
 //! full leaves; every other overflow splits in half. DESIGN.md, *B+
 //! tree density*, has what that does for each insert order.
+//!
+//! Nodes are read and edited where they lie in the pool frame
+//! (`NodeRef`): a descent, a search and a delete compare the probe
+//! with each encoded key ([`Value::cmp_encoded`]), and an insert that
+//! fits, or a delete, shifts the node's tail inside the frame. A node is
+//! decoded into a `Node` only to split it — a full node, decoded in
+//! the read that found it full — and by [`BTree::check`]. Either way a
+//! node visited is one pool read and a node changed one pool write, as
+//! when every node was decoded: the access path is the leak, and it is
+//! unchanged.
 
+// Node bytes come from disk: a node that lies is a typed error, never
+// a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
+use std::cmp::Ordering;
 use std::ops::Bound;
 
 use mdb_trace::codec::Reader;
@@ -33,8 +57,19 @@ const MAX_ENTRIES: usize = 32;
 /// keys still fits in one page).
 pub const MAX_KEY_BYTES: usize = 400;
 
-/// Offset of node data within a page (past the page-LSN header).
+/// Offset of node data within a page (past the page-LSN header): a
+/// `u16` length, then the node.
 const NODE_OFF: usize = 12;
+
+/// Offset of the node itself, past its length.
+const NODE: usize = NODE_OFF + 2;
+
+/// Bytes a node may take.
+const NODE_MAX: usize = PAGE_SIZE - NODE;
+
+/// Offset within a node of its first child (internal) or its next-leaf
+/// pointer (leaf): past the tag and the entry count.
+const NODE_HDR: usize = 3;
 
 const SENTINEL: u32 = u32::MAX;
 
@@ -52,6 +87,24 @@ fn chain_loops() -> DbError {
     DbError::Storage("btree leaf chain longer than its file".into())
 }
 
+fn too_big() -> DbError {
+    DbError::Storage("btree node exceeds page".into())
+}
+
+fn not_a_leaf() -> DbError {
+    DbError::Storage("descend ended on internal node".into())
+}
+
+fn no_child(idx: usize) -> DbError {
+    DbError::Storage(format!("btree node has no child {idx}"))
+}
+
+/// A split of a node that holds nothing to split: past `MAX_ENTRIES`
+/// entries it cannot be, so a lying node never gets here.
+fn empty_split() -> DbError {
+    DbError::Storage("btree split of an empty node".into())
+}
+
 /// Result of an index search: the matching row ids plus the pages the
 /// traversal touched, in visit order (the access-path leakage).
 #[derive(Clone, Debug, Default)]
@@ -62,6 +115,7 @@ pub struct SearchResult {
     pub pages: Vec<u32>,
 }
 
+/// A node decoded: what a split rearranges and [`BTree::check`] reads.
 #[derive(Clone, Debug, PartialEq)]
 enum Node {
     Internal {
@@ -101,15 +155,59 @@ impl Node {
         out
     }
 
-    /// Parses a node. The bytes come off a page an attacker with the
-    /// disk may have rewritten, so every field is bounds-checked and a
-    /// count no split can leave behind is refused before it sizes an
-    /// allocation. Fixed-width fields go through the codec's cursor;
-    /// [`Value`] owns the key encoding and reads at a byte offset, so the
-    /// keys are parsed at `pos` and a row id behind one gets a cursor of
-    /// its own.
-    fn decode(buf: &[u8]) -> DbResult<Node> {
-        let mut r = Reader::new(buf);
+    /// Parses a node: its header as [`NodeRef::parse`] checks it, then
+    /// every entry.
+    fn decode(node: &[u8]) -> DbResult<Node> {
+        Ok(match NodeRef::parse(node)? {
+            NodeRef::Internal { children, mut keys } => {
+                let mut out = Vec::with_capacity(keys.n);
+                while let Some((key, _)) = keys.step(Value::decode)? {
+                    out.push(key);
+                }
+                Node::Internal {
+                    keys: out,
+                    children: children.iter().map(|c| u32::from_le_bytes(*c)).collect(),
+                }
+            }
+            NodeRef::Leaf { next, mut entries } => {
+                let mut out = Vec::with_capacity(entries.n);
+                while let Some(entry) = entries.step(Value::decode)? {
+                    out.push(entry);
+                }
+                Node::Leaf { entries: out, next }
+            }
+        })
+    }
+}
+
+/// The node bytes in a pool frame.
+fn node_bytes(page: &[u8; PAGE_SIZE]) -> DbResult<&[u8]> {
+    let mut r = Reader::new(&page[NODE_OFF..]);
+    let len = r.u16()? as usize;
+    Ok(r.take(len)?)
+}
+
+/// A node read where it lies. The bytes come off a page an attacker
+/// with the disk may have rewritten: parsing checks the header (the
+/// tag, a count no split can leave behind, every child pointer), and
+/// the entries are checked one by one as a [`Walk`] reaches them. Every
+/// reader walks to the node's end, so a node is refused wherever
+/// [`Node::decode`] would refuse it.
+enum NodeRef<'a> {
+    Internal {
+        /// `n + 1` child page numbers.
+        children: &'a [[u8; 4]],
+        keys: Walk<'a>,
+    },
+    Leaf {
+        next: Option<u32>,
+        entries: Walk<'a>,
+    },
+}
+
+impl<'a> NodeRef<'a> {
+    fn parse(node: &'a [u8]) -> DbResult<NodeRef<'a>> {
+        let mut r = Reader::new(node);
         let tag = r.u8()?;
         let n = r.u16()? as usize;
         if n > MAX_ENTRIES {
@@ -117,35 +215,163 @@ impl Node {
                 "btree node claims {n} entries (max {MAX_ENTRIES})"
             )));
         }
+        let walk = |pos, leaf| Walk {
+            node,
+            pos,
+            n,
+            done: 0,
+            leaf,
+        };
         match tag {
             1 => {
-                let mut children = Vec::with_capacity(n + 1);
-                for _ in 0..=n {
-                    children.push(r.u32()?);
-                }
-                let mut pos = r.pos();
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(Value::decode(buf, &mut pos)?);
-                }
-                Ok(Node::Internal { keys, children })
+                let (children, _) = r.take(4 * (n + 1))?.as_chunks();
+                Ok(NodeRef::Internal {
+                    children,
+                    keys: walk(r.pos(), false),
+                })
             }
             2 => {
-                let next_raw = r.u32()?;
-                let next = (next_raw != SENTINEL).then_some(next_raw);
-                let mut pos = r.pos();
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let key = Value::decode(buf, &mut pos)?;
-                    let row_id = Reader::new(buf.get(pos..).unwrap_or_default()).u64()?;
-                    pos += 8;
-                    entries.push((key, row_id));
-                }
-                Ok(Node::Leaf { entries, next })
+                let next = r.u32()?;
+                Ok(NodeRef::Leaf {
+                    next: (next != SENTINEL).then_some(next),
+                    entries: walk(r.pos(), true),
+                })
             }
             t => Err(DbError::Storage(format!("unknown btree node tag {t}"))),
         }
     }
+
+    /// The node in a pool frame.
+    fn read(page: &'a [u8; PAGE_SIZE]) -> DbResult<NodeRef<'a>> {
+        NodeRef::parse(node_bytes(page)?)
+    }
+}
+
+/// Child `idx` of an internal node.
+fn child(children: &[[u8; 4]], idx: usize) -> DbResult<u32> {
+    let child = children.get(idx).copied().map(u32::from_le_bytes);
+    child.ok_or_else(|| no_child(idx))
+}
+
+/// A cursor over a node's entries where they lie: each key is read at
+/// its offset, and a leaf's row id behind it.
+struct Walk<'a> {
+    node: &'a [u8],
+    /// Offset of the next entry.
+    pos: usize,
+    /// Entries (keys, on an internal node) in the node.
+    n: usize,
+    /// Entries stepped past.
+    done: usize,
+    /// Whether a row id follows each key.
+    leaf: bool,
+}
+
+impl<'a> Walk<'a> {
+    /// Steps past the next entry: `key` reads the key at the offset it
+    /// is given and advances it, then a leaf's row id is read (an
+    /// internal node's reads as 0). `None` once every entry is read.
+    #[inline(always)]
+    fn step<T>(
+        &mut self,
+        key: impl FnOnce(&'a [u8], &mut usize) -> DbResult<T>,
+    ) -> DbResult<Option<(T, RowId)>> {
+        if self.done == self.n {
+            return Ok(None);
+        }
+        self.done += 1;
+        let key = key(self.node, &mut self.pos)?;
+        if !self.leaf {
+            return Ok(Some((key, 0)));
+        }
+        let row_id = Reader::new(self.node.get(self.pos..).unwrap_or_default()).u64()?;
+        self.pos += 8;
+        Ok(Some((key, row_id)))
+    }
+
+    /// `partition_point` over the keys: steps to the first entry whose
+    /// key `k` fails `pred(probe.cmp(k))`, and past it, returning its
+    /// index and offset (`n` and the end when every key passes).
+    fn partition_point(
+        &mut self,
+        probe: &Value,
+        pred: impl Fn(Ordering) -> bool,
+    ) -> DbResult<(usize, usize)> {
+        loop {
+            let at = (self.done, self.pos);
+            match self.step(|node, pos| probe.cmp_encoded(node, pos))? {
+                Some((ord, _)) if pred(ord) => {}
+                _ => return Ok(at),
+            }
+        }
+    }
+
+    /// Checks the entries left and returns where the last one ends: the
+    /// length of the node's canonical encoding.
+    fn end(mut self) -> DbResult<usize> {
+        while self.step(Value::check)?.is_some() {}
+        Ok(self.pos)
+    }
+}
+
+/// Opens `bytes.len()` bytes at offset `at` of the node in `page`, whose
+/// entries end at `end`, by moving the tail right, and writes `bytes`
+/// there. Returns the new end. Past it lie the bytes that were there.
+fn splice(page: &mut [u8; PAGE_SIZE], at: usize, end: usize, bytes: &[u8]) -> DbResult<usize> {
+    let node = &mut page[NODE..];
+    let grown = end + bytes.len();
+    if at > end || grown > node.len() {
+        return Err(too_big());
+    }
+    node.copy_within(at..end, at + bytes.len());
+    let hole = node.get_mut(at..at + bytes.len()).ok_or_else(too_big)?;
+    hole.copy_from_slice(bytes);
+    Ok(grown)
+}
+
+/// Writes a node's entry count and length into its frame.
+fn set_size(page: &mut [u8; PAGE_SIZE], n: usize, len: usize) {
+    page[NODE_OFF..NODE].copy_from_slice(&(len as u16).to_le_bytes());
+    page[NODE + 1..NODE + 3].copy_from_slice(&(n as u16).to_le_bytes());
+}
+
+/// Where an insert lands in a node that has room for it.
+struct Room {
+    /// Index the newcomer takes among the entries (or separators).
+    idx: usize,
+    /// Offset of the entry it goes before, or the end.
+    at: usize,
+    /// Entries in the node now.
+    n: usize,
+    /// Where the last entry ends.
+    end: usize,
+}
+
+/// What an insert's one read of a node found.
+enum Landing {
+    /// A leaf with room: the newcomer goes in place.
+    Leaf(Room),
+    /// An internal node with room: the child to descend into, and where
+    /// its separator goes should it split.
+    Internal { child: u32, room: Room },
+    /// A full node, decoded: anything that lands in it splits it, at
+    /// index `idx`.
+    Full { node: Node, idx: usize },
+}
+
+/// What a delete's read of one leaf found.
+enum Found {
+    /// The entry is at `at` and takes `len` bytes.
+    At {
+        at: usize,
+        len: usize,
+        n: usize,
+        end: usize,
+    },
+    /// Not here; look in the next leaf.
+    Next(u32),
+    /// Not in the tree.
+    Absent,
 }
 
 /// What [`BTree::check`] counted on its way through a sound tree.
@@ -198,11 +424,7 @@ impl BTree {
         vdisk: &mut VDisk,
         page_no: u32,
     ) -> DbResult<Node> {
-        bufpool.with_page(vdisk, &self.file, page_no, |b| {
-            let mut r = Reader::new(&b[NODE_OFF..]);
-            let len = r.u16()? as usize;
-            Node::decode(r.take(len)?)
-        })?
+        bufpool.with_page(vdisk, &self.file, page_no, |b| Node::decode(node_bytes(b)?))?
     }
 
     fn store_node(
@@ -212,14 +434,25 @@ impl BTree {
         page_no: u32,
         node: &Node,
     ) -> DbResult<()> {
-        let bytes = node.encode();
-        if NODE_OFF + 2 + bytes.len() > PAGE_SIZE {
-            return Err(DbError::Storage("btree node exceeds page".into()));
+        self.store_bytes(bufpool, vdisk, page_no, &node.encode())
+    }
+
+    fn store_bytes(
+        &self,
+        bufpool: &ShardedBufferPool,
+        vdisk: &mut VDisk,
+        page_no: u32,
+        bytes: &[u8],
+    ) -> DbResult<()> {
+        if bytes.len() > NODE_MAX {
+            return Err(too_big());
         }
         bufpool.with_page_mut(vdisk, &self.file, page_no, |b| {
-            b[NODE_OFF..NODE_OFF + 2].copy_from_slice(&(bytes.len() as u16).to_le_bytes());
-            b[NODE_OFF + 2..NODE_OFF + 2 + bytes.len()].copy_from_slice(&bytes);
-        })
+            let node = b[NODE..].get_mut(..bytes.len()).ok_or_else(too_big)?;
+            node.copy_from_slice(bytes);
+            b[NODE_OFF..NODE].copy_from_slice(&(bytes.len() as u16).to_le_bytes());
+            Ok(())
+        })?
     }
 
     /// Inserts `(key, row_id)`. Duplicate keys are allowed.
@@ -230,12 +463,10 @@ impl BTree {
         key: &Value,
         row_id: RowId,
     ) -> DbResult<()> {
-        let mut probe = Vec::new();
-        key.encode(&mut probe);
-        if probe.len() > MAX_KEY_BYTES {
+        if key.encoded_len() > MAX_KEY_BYTES {
             return Err(DbError::Storage(format!(
                 "index key too large ({} > {MAX_KEY_BYTES} bytes)",
-                probe.len()
+                key.encoded_len()
             )));
         }
         let split = self.insert_rec(bufpool, vdisk, self.root, key, row_id, MAX_DEPTH - 1)?;
@@ -243,9 +474,11 @@ impl BTree {
             // Root split: copy the (already-halved) root node into a fresh
             // left page and rebuild the root as an internal node, keeping
             // the root page number stable.
-            let old_root = self.load_node(bufpool, vdisk, self.root)?;
+            let old_root = bufpool.with_page(vdisk, &self.file, self.root, |b| {
+                node_bytes(b).map(<[u8]>::to_vec)
+            })??;
             let left = bufpool.allocate_page(vdisk, &self.file);
-            self.store_node(bufpool, vdisk, left, &old_root)?;
+            self.store_bytes(bufpool, vdisk, left, &old_root)?;
             self.store_node(
                 bufpool,
                 vdisk,
@@ -259,8 +492,45 @@ impl BTree {
         Ok(())
     }
 
+    /// Reads the node at `page_no` once for an insert of `key`: where it
+    /// lands, and the node decoded if it is full.
+    fn land(
+        &self,
+        bufpool: &ShardedBufferPool,
+        vdisk: &mut VDisk,
+        page_no: u32,
+        key: &Value,
+    ) -> DbResult<Landing> {
+        bufpool.with_page(vdisk, &self.file, page_no, |b| {
+            let node = node_bytes(b)?;
+            let (children, mut walk) = match NodeRef::parse(node)? {
+                NodeRef::Internal { children, keys } => (Some(children), keys),
+                NodeRef::Leaf { entries, .. } => (None, entries),
+            };
+            // Right-on-equality keeps inserts simple; searches descend
+            // left-on-equality and walk the leaf chain instead.
+            let (idx, at) = walk.partition_point(key, |o| o != Ordering::Less)?;
+            let n = walk.n;
+            let end = walk.end()?;
+            if n == MAX_ENTRIES {
+                return Ok(Landing::Full {
+                    node: Node::decode(node)?,
+                    idx,
+                });
+            }
+            let room = Room { idx, at, n, end };
+            Ok(match children {
+                Some(children) => Landing::Internal {
+                    child: child(children, idx)?,
+                    room,
+                },
+                None => Landing::Leaf(room),
+            })
+        })?
+    }
+
     /// Recursive insert; returns `Some((separator, right_page))` when the
-    /// child at `page_no` split.
+    /// node at `page_no` split.
     fn insert_rec(
         &self,
         bufpool: &ShardedBufferPool,
@@ -270,14 +540,45 @@ impl BTree {
         row_id: RowId,
         levels_left: usize,
     ) -> DbResult<Option<(Value, u32)>> {
-        match self.load_node(bufpool, vdisk, page_no)? {
-            Node::Leaf { mut entries, next } => {
-                let pos = entries.partition_point(|(k, _)| k <= key);
-                entries.insert(pos, (key.clone(), row_id));
-                if entries.len() <= MAX_ENTRIES {
-                    self.store_node(bufpool, vdisk, page_no, &Node::Leaf { entries, next })?;
-                    return Ok(None);
+        match self.land(bufpool, vdisk, page_no, key)? {
+            Landing::Leaf(room) => {
+                let mut entry = Vec::with_capacity(key.encoded_len() + 8);
+                key.encode(&mut entry);
+                entry.extend_from_slice(&row_id.to_le_bytes());
+                if room.end + entry.len() > NODE_MAX {
+                    return Err(too_big());
                 }
+                bufpool.with_page_mut(vdisk, &self.file, page_no, |b| {
+                    let end = splice(b, room.at, room.end, &entry)?;
+                    set_size(b, room.n + 1, end);
+                    Ok(None)
+                })?
+            }
+            Landing::Internal { child, room } => {
+                let levels_left = levels_left.checked_sub(1).ok_or_else(too_deep)?;
+                let split = self.insert_rec(bufpool, vdisk, child, key, row_id, levels_left)?;
+                let Some((sep, right)) = split else {
+                    return Ok(None);
+                };
+                // The separator goes before key `idx`, its right child
+                // after child `idx`.
+                let mut sep_bytes = Vec::with_capacity(sep.encoded_len());
+                sep.encode(&mut sep_bytes);
+                if room.end + sep_bytes.len() + 4 > NODE_MAX {
+                    return Err(too_big());
+                }
+                bufpool.with_page_mut(vdisk, &self.file, page_no, |b| {
+                    let end = splice(b, room.at, room.end, &sep_bytes)?;
+                    let end = splice(b, NODE_HDR + 4 * (room.idx + 1), end, &right.to_le_bytes())?;
+                    set_size(b, room.n + 1, end);
+                    Ok(None)
+                })?
+            }
+            Landing::Full {
+                node: Node::Leaf { mut entries, next },
+                idx,
+            } => {
+                entries.insert(idx, (key.clone(), row_id));
                 // An append splits where it lands: the full leaf stays
                 // full and the newcomer starts the right one, so keys
                 // arriving in order pack MAX_ENTRIES to a page, not half.
@@ -285,14 +586,15 @@ impl BTree {
                 // newcomer: whatever later falls between the two must go
                 // right, or a descending run into that gap would append
                 // to the full leaf again and again, one leaf per key.
-                let append = pos == MAX_ENTRIES;
-                let mid = if append { pos } else { entries.len() / 2 };
+                let append = idx == MAX_ENTRIES;
+                let mid = if append { idx } else { entries.len() / 2 };
                 let right_entries: Vec<_> = entries.split_off(mid);
                 let split_key = if append {
-                    entries[mid - 1].0.clone()
+                    entries.last()
                 } else {
-                    right_entries[0].0.clone()
+                    right_entries.first()
                 };
+                let split_key = split_key.ok_or_else(empty_split)?.0.clone();
                 let right_page = bufpool.allocate_page(vdisk, &self.file);
                 self.store_node(
                     bufpool,
@@ -314,55 +616,46 @@ impl BTree {
                 )?;
                 Ok(Some((split_key, right_page)))
             }
-            Node::Internal {
-                mut keys,
-                mut children,
+            Landing::Full {
+                node:
+                    Node::Internal {
+                        mut keys,
+                        mut children,
+                    },
+                idx,
             } => {
-                // Right-on-equality keeps inserts simple; searches descend
-                // left-on-equality and walk the leaf chain instead.
                 let levels_left = levels_left.checked_sub(1).ok_or_else(too_deep)?;
-                let idx = keys.partition_point(|k| k <= key);
-                let child = children[idx];
+                let child = *children.get(idx).ok_or_else(|| no_child(idx))?;
                 let split = self.insert_rec(bufpool, vdisk, child, key, row_id, levels_left)?;
-                if let Some((sep, right)) = split {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
-                    if keys.len() <= MAX_ENTRIES {
-                        self.store_node(
-                            bufpool,
-                            vdisk,
-                            page_no,
-                            &Node::Internal { keys, children },
-                        )?;
-                        return Ok(None);
-                    }
-                    // Same rule one level up: when the separator that
-                    // overflows the node is its last, promote the one
-                    // before it, so the right node starts with the
-                    // newcomer and its two children.
-                    let mid = if idx == MAX_ENTRIES {
-                        idx - 1
-                    } else {
-                        keys.len() / 2
-                    };
-                    let promote = keys[mid].clone();
-                    let right_keys: Vec<_> = keys.split_off(mid + 1);
-                    keys.pop(); // Remove the promoted key from the left.
-                    let right_children: Vec<_> = children.split_off(mid + 1);
-                    let right_page = bufpool.allocate_page(vdisk, &self.file);
-                    self.store_node(
-                        bufpool,
-                        vdisk,
-                        right_page,
-                        &Node::Internal {
-                            keys: right_keys,
-                            children: right_children,
-                        },
-                    )?;
-                    self.store_node(bufpool, vdisk, page_no, &Node::Internal { keys, children })?;
-                    return Ok(Some((promote, right_page)));
-                }
-                Ok(None)
+                let Some((sep, right)) = split else {
+                    return Ok(None);
+                };
+                keys.insert(idx, sep);
+                children.insert(idx + 1, right);
+                // Same rule one level up: when the separator that
+                // overflows the node is its last, promote the one
+                // before it, so the right node starts with the
+                // newcomer and its two children.
+                let mid = if idx == MAX_ENTRIES {
+                    idx - 1
+                } else {
+                    keys.len() / 2
+                };
+                let right_keys: Vec<_> = keys.split_off(mid + 1);
+                let promote = keys.pop().ok_or_else(empty_split)?;
+                let right_children: Vec<_> = children.split_off(mid + 1);
+                let right_page = bufpool.allocate_page(vdisk, &self.file);
+                self.store_node(
+                    bufpool,
+                    vdisk,
+                    right_page,
+                    &Node::Internal {
+                        keys: right_keys,
+                        children: right_children,
+                    },
+                )?;
+                self.store_node(bufpool, vdisk, page_no, &Node::Internal { keys, children })?;
+                Ok(Some((promote, right_page)))
             }
         }
     }
@@ -379,12 +672,20 @@ impl BTree {
         let mut page_no = self.root;
         for _ in 0..MAX_DEPTH {
             path.push(page_no);
-            match self.load_node(bufpool, vdisk, page_no)? {
-                Node::Leaf { .. } => return Ok(page_no),
-                Node::Internal { keys, children } => {
-                    let idx = key.map_or(0, |key| keys.partition_point(|k| k < key));
-                    page_no = children[idx];
-                }
+            let down = bufpool.with_page(vdisk, &self.file, page_no, |b| {
+                let NodeRef::Internal { children, mut keys } = NodeRef::read(b)? else {
+                    return Ok(None);
+                };
+                let idx = match key {
+                    Some(key) => keys.partition_point(key, |o| o == Ordering::Greater)?.0,
+                    None => 0,
+                };
+                keys.end()?;
+                child(children, idx).map(Some)
+            })??;
+            match down {
+                Some(child) => page_no = child,
+                None => return Ok(page_no),
             }
         }
         Err(too_deep())
@@ -420,29 +721,40 @@ impl BTree {
             Bound::Included(k) | Bound::Excluded(k) => Some(k),
         };
         let mut leaf = self.descend_left(bufpool, vdisk, start, &mut result.pages)?;
-        let in_lo = |k: &Value| match &lo {
-            Bound::Unbounded => true,
-            Bound::Included(b) => k >= b,
-            Bound::Excluded(b) => k > b,
-        };
-        let above_hi = |k: &Value| match &hi {
-            Bound::Unbounded => false,
-            Bound::Included(b) => k > b,
-            Bound::Excluded(b) => k >= b,
+        // Whether the key at `*pos` is past `hi`, and whether it is in
+        // `lo`, stepping past it. `b.cmp(k)` orders the bound against
+        // the key.
+        let judge = |node: &[u8], pos: &mut usize| -> DbResult<(bool, bool)> {
+            let mut at = *pos;
+            let above_hi = match &hi {
+                Bound::Unbounded => false,
+                Bound::Included(b) => b.cmp_encoded(node, &mut at)? == Ordering::Less,
+                Bound::Excluded(b) => b.cmp_encoded(node, &mut at)? != Ordering::Greater,
+            };
+            let in_lo = match &lo {
+                Bound::Unbounded => Value::check(node, pos).map(|()| true)?,
+                Bound::Included(b) => b.cmp_encoded(node, pos)? != Ordering::Greater,
+                Bound::Excluded(b) => b.cmp_encoded(node, pos)? == Ordering::Less,
+            };
+            Ok((above_hi, in_lo))
         };
         for _ in 0..ShardedBufferPool::page_count(vdisk, &self.file) {
-            let node = self.load_node(bufpool, vdisk, leaf)?;
-            let Node::Leaf { entries, next } = node else {
-                return Err(DbError::Storage("descend ended on internal node".into()));
-            };
-            for (k, rid) in &entries {
-                if above_hi(k) {
-                    return Ok(result);
+            let row_ids = &mut result.row_ids;
+            let next = bufpool.with_page(vdisk, &self.file, leaf, |b| {
+                let NodeRef::Leaf { next, mut entries } = NodeRef::read(b)? else {
+                    return Err(not_a_leaf());
+                };
+                while let Some(((above_hi, in_lo), rid)) = entries.step(judge)? {
+                    if above_hi {
+                        entries.end()?;
+                        return Ok(None);
+                    }
+                    if in_lo {
+                        row_ids.push(rid);
+                    }
                 }
-                if in_lo(k) {
-                    result.row_ids.push(*rid);
-                }
-            }
+                Ok(next)
+            })??;
             match next {
                 Some(n) => {
                     leaf = n;
@@ -466,22 +778,48 @@ impl BTree {
         let mut path = Vec::new();
         let mut leaf = self.descend_left(bufpool, vdisk, Some(key), &mut path)?;
         for _ in 0..ShardedBufferPool::page_count(vdisk, &self.file) {
-            let node = self.load_node(bufpool, vdisk, leaf)?;
-            let Node::Leaf { mut entries, next } = node else {
-                return Err(DbError::Storage("descend ended on internal node".into()));
-            };
-            if let Some(pos) = entries.iter().position(|(k, r)| k == key && *r == row_id) {
-                entries.remove(pos);
-                self.store_node(bufpool, vdisk, leaf, &Node::Leaf { entries, next })?;
-                return Ok(true);
-            }
-            // If every entry is already past the key, it does not exist.
-            if entries.iter().all(|(k, _)| k > key) {
-                return Ok(false);
-            }
-            match next {
-                Some(n) => leaf = n,
-                None => return Ok(false),
+            let found = bufpool.with_page(vdisk, &self.file, leaf, |b| {
+                let NodeRef::Leaf { next, mut entries } = NodeRef::read(b)? else {
+                    return Err(not_a_leaf());
+                };
+                let n = entries.n;
+                let mut hit = None;
+                // If every entry is already past the key, it does not
+                // exist.
+                let mut all_past = true;
+                loop {
+                    let at = entries.pos;
+                    let Some((ord, rid)) = entries.step(|node, pos| key.cmp_encoded(node, pos))?
+                    else {
+                        break;
+                    };
+                    all_past &= ord == Ordering::Less;
+                    if hit.is_none() && ord == Ordering::Equal && rid == row_id {
+                        hit = Some((at, entries.pos - at));
+                    }
+                }
+                let end = entries.pos;
+                Ok(match (hit, next) {
+                    (Some((at, len)), _) => Found::At { at, len, n, end },
+                    (None, Some(next)) if !all_past => Found::Next(next),
+                    (None, _) => Found::Absent,
+                })
+            })??;
+            match found {
+                Found::At { at, len, n, end } => {
+                    bufpool.with_page_mut(vdisk, &self.file, leaf, |b| {
+                        let node = &mut b[NODE..];
+                        if at + len > end || end > node.len() {
+                            return Err(too_big());
+                        }
+                        node.copy_within(at + len..end, at);
+                        set_size(b, n - 1, end - len);
+                        Ok(())
+                    })??;
+                    return Ok(true);
+                }
+                Found::Next(next) => leaf = next,
+                Found::Absent => return Ok(false),
             }
         }
         Err(chain_loops())
@@ -517,7 +855,7 @@ impl Check<'_> {
             Node::Internal { keys, .. } => keys.iter().collect(),
             Node::Leaf { entries, .. } => entries.iter().map(|(k, _)| k).collect(),
         };
-        if keys.windows(2).any(|w| w[0] > w[1]) {
+        if !keys.is_sorted() {
             return Err(broken("keys out of order"));
         }
         if lo.is_some_and(|lo| keys.first().is_some_and(|k| *k < lo))
@@ -541,7 +879,7 @@ impl Check<'_> {
                 }
                 self.stats.internal_pages += 1;
                 for (i, &child) in children.iter().enumerate() {
-                    let lo = i.checked_sub(1).map(|i| &keys[i]).or(lo);
+                    let lo = i.checked_sub(1).and_then(|i| keys.get(i)).or(lo);
                     self.node(child, lo, keys.get(i).or(hi), depth + 1)?;
                 }
             }
@@ -580,6 +918,8 @@ impl BTree {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn setup() -> (ShardedBufferPool, VDisk, BTree) {
@@ -718,6 +1058,164 @@ mod tests {
             .iter()
             .take(4)
             .any(|(f, p)| f == "idx.ibd" && p == last));
+    }
+
+    /// Every node in `t`'s file, read through the pool, is the
+    /// canonical encoding of what it decodes to: an edit in place wrote
+    /// exactly what encoding the edited node would have.
+    fn assert_canonical(bp: &ShardedBufferPool, vd: &mut VDisk, t: &BTree, after: &str) {
+        for page in 0..ShardedBufferPool::page_count(vd, &t.file) {
+            bp.with_page(vd, &t.file, page, |b| {
+                let node = node_bytes(b).unwrap();
+                let canonical = Node::decode(node).unwrap().encode();
+                assert!(canonical == node, "page {page} after {after}");
+            })
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn keys_of_every_width_are_edited_in_canonical_bytes() {
+        let (bp, mut vd, t) = setup();
+        let mut model: BTreeMap<Value, Vec<RowId>> = BTreeMap::new();
+        let mut state = 0x5EED_0039u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // NULL, a few INTs, and TEXT and BYTES of 0 to 150 bytes: a
+        // small enough domain that keys repeat, across leaves too.
+        let key = |r: u64| {
+            let width = (r >> 8) as usize % 151;
+            match r % 5 {
+                0 => Value::Null,
+                1 => Value::Int((r >> 8) as i64 % 40 - 20),
+                2 => Value::Text(format!("{:é>width$}", (r >> 24) % 8)),
+                3 => Value::Bytes(vec![(r >> 24) as u8 % 3; width]),
+                _ => Value::Text("k".repeat(width % 4)),
+            }
+        };
+        let mut next_rid = 0;
+        for op in 0..3_000 {
+            let r = next();
+            let what = if r % 4 == 0 && !model.is_empty() {
+                // A present entry, or now and then one that is not.
+                let (k, rids) = model.iter().nth((r >> 8) as usize % model.len()).unwrap();
+                let (k, rid) = (k.clone(), if r % 3 == 0 { RowId::MAX } else { rids[0] });
+                let removed = t.delete(&bp, &mut vd, &k, rid).unwrap();
+                let rids = model.get_mut(&k).unwrap();
+                let expected = rids
+                    .iter()
+                    .position(|x| *x == rid)
+                    .map(|at| rids.remove(at));
+                if rids.is_empty() {
+                    model.remove(&k);
+                }
+                assert_eq!(removed, expected.is_some(), "delete ({k:?}, {rid})");
+                format!("op {op}: delete ({k:?}, {rid})")
+            } else {
+                let k = key(next());
+                t.insert(&bp, &mut vd, &k, next_rid).unwrap();
+                model.entry(k.clone()).or_default().push(next_rid);
+                next_rid += 1;
+                format!("op {op}: insert {k:?}")
+            };
+            assert_canonical(&bp, &mut vd, &t, &what);
+            if op % 300 == 299 {
+                t.check(&bp, &mut vd).unwrap();
+            }
+        }
+        let stats = t.check(&bp, &mut vd).unwrap();
+        assert!(stats.internal_pages >= 4, "internal nodes split: {stats:?}");
+        assert_eq!(stats.entries, model.values().map(Vec::len).sum::<usize>());
+
+        // Duplicates come back in the order they went in.
+        let all = t
+            .search_range(&bp, &mut vd, Bound::Unbounded, Bound::Unbounded)
+            .unwrap();
+        let want: Vec<RowId> = model.values().flatten().copied().collect();
+        assert_eq!(all.row_ids, want);
+        for (k, rids) in &model {
+            assert_eq!(
+                &t.search_eq(&bp, &mut vd, k).unwrap().row_ids,
+                rids,
+                "{k:?}"
+            );
+        }
+        let keys: Vec<&Value> = model.keys().collect();
+        for _ in 0..200 {
+            let (a, b) = (next() as usize % keys.len(), next() as usize % keys.len());
+            let bound = |k: &Value, r: u64| match r % 3 {
+                0 => Bound::Included(k.clone()),
+                1 => Bound::Excluded(k.clone()),
+                _ => Bound::Unbounded,
+            };
+            let (lo, mut hi) = (bound(keys[a.min(b)], next()), bound(keys[a.max(b)], next()));
+            if a == b && matches!((&lo, &hi), (Bound::Excluded(_), Bound::Excluded(_))) {
+                // An empty range `BTreeMap::range` refuses.
+                hi = Bound::Included(keys[a].clone());
+            }
+            let got = t
+                .search_range(&bp, &mut vd, lo.clone(), hi.clone())
+                .unwrap();
+            let want: Vec<RowId> = model.range((lo, hi)).flat_map(|(_, r)| r.clone()).collect();
+            assert_eq!(got.row_ids, want);
+        }
+    }
+
+    /// Every read in place walks a node to its end, so it refuses a
+    /// node exactly when `Node::decode` does: for every byte of a leaf
+    /// and of an internal node with keys of each type, set to each of a
+    /// few values, whether the probe lands early, late or not at all.
+    #[test]
+    fn reads_in_place_refuse_what_decode_refuses() {
+        let keys = [
+            Value::Null,
+            Value::Int(-3),
+            Value::Text("héllo".into()),
+            Value::Bytes(vec![0, 1, 2]),
+        ];
+        let nodes = [
+            Node::Leaf {
+                entries: keys.iter().cloned().zip(10..).collect(),
+                next: Some(7),
+            },
+            Node::Internal {
+                keys: keys.to_vec(),
+                children: vec![1, 2, 3, 4, 5],
+            },
+        ];
+        let probes = [
+            None,
+            Some(Value::Null),
+            Some(Value::Int(0)),
+            Some(Value::Bytes(vec![9])),
+        ];
+        for node in nodes {
+            let clean = node.encode();
+            for at in 0..clean.len() {
+                for v in [0x00, 0x01, 0x02, 0x04, 0x7F, 0xC3, 0xFF] {
+                    let mut bytes = clean.clone();
+                    bytes[at] = v;
+                    let refused = Node::decode(&bytes).is_err();
+                    for probe in &probes {
+                        let walk = || -> DbResult<usize> {
+                            let mut walk = match NodeRef::parse(&bytes)? {
+                                NodeRef::Internal { keys, .. } => keys,
+                                NodeRef::Leaf { entries, .. } => entries,
+                            };
+                            if let Some(probe) = probe {
+                                walk.partition_point(probe, |o| o == Ordering::Greater)?;
+                            }
+                            walk.end()
+                        };
+                        assert_eq!(walk().is_err(), refused, "byte {at} = {v}, {probe:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -123,8 +123,9 @@ impl Value {
     /// payload for TEXT/BYTES). Every reader of the encoding goes
     /// through here, so every bounds check lives here.
     ///
-    /// This and its two callers are forced inline: they are the inner
-    /// loop of every scan (see `predicate::EncodedRow::column`).
+    /// This and its callers are forced inline: they are the inner loop
+    /// of every scan (see `predicate::EncodedRow::column`) and of every
+    /// B+ tree node read.
     #[inline(always)]
     fn split<'a>(buf: &'a [u8], pos: &mut usize) -> DbResult<(u8, &'a [u8])> {
         let rest = buf.get(*pos..).unwrap_or_default();
@@ -177,11 +178,39 @@ impl Value {
     /// so its bytes may be copied as they are into a [`RowBlock`].
     #[inline(always)]
     pub fn check(buf: &[u8], pos: &mut usize) -> DbResult<()> {
+        Self::split_checked(buf, pos).map(|_| ())
+    }
+
+    /// [`Value::split`], refusing a TEXT body that is not UTF-8.
+    #[inline(always)]
+    fn split_checked<'a>(buf: &'a [u8], pos: &mut usize) -> DbResult<(u8, &'a [u8])> {
         let (tag, body) = Self::split(buf, pos)?;
         if tag == 2 && std::str::from_utf8(body).is_err() {
             return Err(bad_utf8());
         }
-        Ok(())
+        Ok((tag, body))
+    }
+
+    /// Orders `self` against the value encoded at `buf[*pos..]`, exactly
+    /// as `Ord for Value` would order it against the decoded value,
+    /// advancing `pos` past it. The encoded value is checked as
+    /// [`Value::check`] checks it, but not materialized: the tags follow
+    /// the variant order, INT compares as `i64`, TEXT and BYTES
+    /// bytewise (which is how `String` orders too).
+    #[inline(always)]
+    pub fn cmp_encoded(&self, buf: &[u8], pos: &mut usize) -> DbResult<core::cmp::Ordering> {
+        let (tag, body) = Self::split_checked(buf, pos)?;
+        if self.type_rank() != tag {
+            return Ok(self.type_rank().cmp(&tag));
+        }
+        Ok(match self {
+            Value::Null => core::cmp::Ordering::Equal,
+            Value::Int(a) => a.cmp(&i64::from_le_bytes(
+                *body.first_chunk().ok_or_else(|| truncated("INT body"))?,
+            )),
+            Value::Text(s) => s.as_bytes().cmp(body),
+            Value::Bytes(b) => b.as_slice().cmp(body),
+        })
     }
 
     /// SQL three-valued comparison: `None` when either side is NULL.
@@ -476,10 +505,12 @@ mod tests {
         let mut ok = Vec::new();
         Value::Text("東京".into()).encode(&mut ok);
         for buf in [bad_utf8, bad_tag, ok.clone(), ok[..ok.len() - 1].to_vec()] {
-            let (mut a, mut b) = (0, 0);
+            let (mut a, mut b, mut c) = (0, 0, 0);
             let decoded = Value::decode(&buf, &mut a);
             let checked = Value::check(&buf, &mut b);
-            assert_eq!(decoded.map(|_| a), checked.map(|_| b), "{buf:?}");
+            let compared = Value::Text("x".into()).cmp_encoded(&buf, &mut c);
+            assert_eq!(decoded.map(|_| a), checked.clone().map(|_| b), "{buf:?}");
+            assert_eq!(checked.map(|_| b), compared.map(|_| c), "{buf:?}");
         }
     }
 

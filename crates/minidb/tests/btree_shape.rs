@@ -382,3 +382,107 @@ fn the_checker_sees_what_a_lookup_would_miss() {
     f.doctor(2, &leaf_bytes(3, &first));
     assert!(storage_error(f.tree.check(&f.pool, &mut f.disk)).contains("chain"));
 }
+
+/// TEXT key `i`, so a key has a length prefix to damage.
+fn text(i: &str) -> Value {
+    Value::Text(format!("key-{i}"))
+}
+
+/// The outcomes of four probes on `clean` with `bytes` written over the
+/// index file at `at`, each on its own copy through a cold pool: a full
+/// range scan, an insert of `key` and a delete of `(gone, row id)`,
+/// both landing in the damaged node's subtree, and the checker. Panics,
+/// naming `case`, if any is neither `Ok` nor a storage error.
+fn probe_damaged(
+    tree: &BTree,
+    clean: &VDisk,
+    (at, bytes): (usize, &[u8]),
+    (key, gone): (&str, u64),
+    case: &str,
+) -> [bool; 4] {
+    let mut ok = [false; 4];
+    for (i, ok) in ok.iter_mut().enumerate() {
+        let mut disk = clean.clone();
+        disk.write_at(FILE, at, bytes);
+        let pool = ShardedBufferPool::new(256, 4);
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match i {
+            0 => tree
+                .search_range(&pool, &mut disk, Bound::Unbounded, Bound::Unbounded)
+                .map(drop),
+            1 => tree.insert(&pool, &mut disk, &text(key), 1_000),
+            2 => tree
+                .delete(&pool, &mut disk, &text(&format!("{gone:03}")), gone)
+                .map(drop),
+            _ => tree.check(&pool, &mut disk).map(drop),
+        }));
+        *ok = match got {
+            Ok(Ok(())) => true,
+            Ok(Err(DbError::Storage(_))) => false,
+            Ok(Err(e)) => panic!("{case}: probe {i}: {e:?}"),
+            Err(_) => panic!("{case}: probe {i} panicked"),
+        };
+    }
+    ok
+}
+
+/// Index pages fail closed, as heap pages do (`heap_fail_closed.rs`).
+/// On a flushed tree of 100 TEXT keys — the root, internal, over four
+/// leaves — every byte of the root's and of the last leaf's length and
+/// header is set to `0x00`, to `0xFF` and to a seeded value in turn,
+/// and seeded keys get a bad tag or a bad length. After each damage a
+/// range scan, an insert, a delete and the checker each return `Ok` or
+/// `DbError::Storage`: none panics, in debug or release.
+#[test]
+fn every_header_byte_and_seeded_key_fails_closed() {
+    let mut f = Fixture::new();
+    for i in 0..100 {
+        let key = text(&format!("{i:03}"));
+        f.tree.insert(&f.pool, &mut f.disk, &key, i).unwrap();
+    }
+    let f = f.flushed();
+    let mut rng = Rng(0x1DE5_FA11);
+    // Per probe: cases it read as `Ok`, and as a storage error.
+    let mut seen = [[0; 2]; 4];
+    // The root's insert splits the full first leaf, so the root takes
+    // a separator in place; the last leaf has room for its insert.
+    for (page, shape, key, gone) in [(0, (1, 3), "010a", 10), (4, (2, 4), "097a", 97)] {
+        let node = f.node_bytes(page).to_vec();
+        let n = u16::from_le_bytes([node[1], node[2]]) as usize;
+        assert_eq!((node[0], n), shape, "page {page}: (tag, entries)");
+        // Past the tag and the count: the children or the next leaf.
+        let (body, width) = match node[0] {
+            1 => (3 + 4 * (n + 1), 12),
+            _ => (7, 12 + 8),
+        };
+        let at = page as usize * PAGE_SIZE + 12;
+        let mut cases: Vec<(String, usize, Vec<u8>)> = Vec::new();
+        let old = &f.disk.read(FILE).unwrap()[at..at + 2 + body];
+        for (i, &was) in old.iter().enumerate() {
+            for v in [0x00, 0xFF, rng.next() as u8] {
+                if v != was {
+                    cases.push((format!("byte {i} = {v:#04x}"), at + i, vec![v]));
+                }
+            }
+        }
+        for _ in 0..4 {
+            let i = rng.index(n);
+            let key_at = at + 2 + body + width * i;
+            for tag in [0, 1, 3, 4, 0xFF] {
+                cases.push((format!("key {i}'s tag = {tag}"), key_at, vec![tag]));
+            }
+            for len in [0, 6, 8, u32::MAX, rng.next() as u32] {
+                let bytes = len.to_le_bytes().to_vec();
+                cases.push((format!("key {i}'s length = {len}"), key_at + 1, bytes));
+            }
+        }
+        for (case, at, bytes) in cases {
+            let case = format!("page {page}, {case}");
+            let ok = probe_damaged(&f.tree, &f.disk, (at, &bytes), (key, gone), &case);
+            for (n, ok) in seen.iter_mut().zip(ok) {
+                n[usize::from(!ok)] += 1;
+            }
+        }
+    }
+    // Every probe read damaged nodes both ways: the damage reached it.
+    assert!(seen.iter().all(|n| n[0] > 0 && n[1] > 0), "{seen:?}");
+}

@@ -485,12 +485,33 @@ fn next_head(
             }
             Probe::Short | Probe::Bad => {
                 let rest = &buf[*pos + 1..];
-                let skip = rest.iter().position(|&b| b == first || b == alt_first);
+                let skip = find_either(rest, first, alt_first);
                 *pos += 1 + skip.unwrap_or(rest.len());
             }
         }
     }
     Ok(None)
+}
+
+/// Where the first byte equal to `a` or `b` sits in `buf`: what
+/// `buf.iter().position(|&x| x == a || x == b)` returns, eight bytes at
+/// a time. Resync runs it over whole log rings, most of them zeros.
+fn find_either(buf: &[u8], a: u8, b: u8) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    // The high bit of every zero byte of `x`, and of none below the
+    // first: a borrow can only mark bytes above a zero byte.
+    let zeros = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
+    let (words, tail) = buf.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        let word = u64::from_le_bytes(*word);
+        let hits = zeros(word ^ (ONES * u64::from(a))) | zeros(word ^ (ONES * u64::from(b)));
+        if hits != 0 {
+            return Some(i * 8 + hits.trailing_zeros() as usize / 8);
+        }
+    }
+    let at = tail.iter().position(|&x| x == a || x == b)?;
+    Some(words.len() * 8 + at)
 }
 
 fn frame_at(buf: &[u8], at: usize, head: Head) -> Frame<'_> {
@@ -616,6 +637,56 @@ impl StreamDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn find_either_is_position_eight_bytes_at_a_time() {
+        let bytewise = |buf: &[u8], a: u8, b: u8| buf.iter().position(|&x| x == a || x == b);
+        let mut seed = 0x5EED_F1ADu64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        // The first bytes of the WAL's and the binlog's magics.
+        let (a, b) = (0xDE, b'M');
+        // Every length through three words and a tail, filled with
+        // bytes next to the magic bytes (where a borrow could lie), with
+        // either magic byte at every offset and another after it.
+        for len in 0..27 {
+            for fill in [0x00, 0x80, 0xFF, a - 1, a + 1, b - 1, b + 1] {
+                let base = vec![fill; len];
+                assert_eq!(find_either(&base, a, b), bytewise(&base, a, b));
+                for at in 0..len {
+                    for (x, y) in [(a, b), (b, a), (a, a)] {
+                        for later in at..len {
+                            let mut buf = base.clone();
+                            buf[later] = y;
+                            buf[at] = x;
+                            assert_eq!(find_either(&buf, a, b), bytewise(&buf, a, b), "{buf:?}");
+                        }
+                    }
+                }
+            }
+        }
+        // Random buffers over a small alphabet, so matches are common,
+        // and over all bytes, so they are rare.
+        for round in 0..4_000 {
+            let len = (next() % 70) as usize;
+            let alphabet = if round % 2 == 0 { 4 } else { 256 };
+            let buf: Vec<u8> = (0..len)
+                .map(|_| (next() % alphabet) as u8 + if alphabet == 4 { a - 1 } else { 0 })
+                .collect();
+            let (x, y) = (next() as u8, next() as u8);
+            assert_eq!(find_either(&buf, a, b), bytewise(&buf, a, b), "{buf:?}");
+            assert_eq!(
+                find_either(&buf, x, y),
+                bytewise(&buf, x, y),
+                "{buf:?} {x} {y}"
+            );
+            assert_eq!(find_either(&buf, x, x), bytewise(&buf, x, x), "{buf:?} {x}");
+        }
+    }
 
     /// The bitwise CRC-32 the tables replaced: the reference they must
     /// equal bit for bit.
