@@ -1,10 +1,13 @@
 //! Scan-path benchmarks over the `scanbench` fixture, one per access
 //! path of the scan kernel: full scans vs zone-map-pruned scans at 1%
 //! selectivity over an unindexed column, an equality nothing can prune
-//! (every row filtered, one kept: the evaluator's per-row cost), and a
-//! 200-row primary-key range (index walk + page-batched heap fetch).
-//! Then the buffer pool alone: a hit, a run of 50 same-page accesses
-//! under one latch, and a fault that evicts from a full shard.
+//! (every row filtered, one kept: the evaluator's per-row cost), a TEXT
+//! equality that keeps nothing (the same on a TEXT column), and a
+//! 200-row primary-key range (index walk + page-batched heap fetch),
+//! warm and on a pool smaller than the index, where nearly every page
+//! it reads faults. Then the buffer pool alone: a hit, a run of 50
+//! same-page accesses under one latch, and a fault that evicts from a
+//! full shard.
 
 use bench::{scanbench, timeit};
 use minidb::storage::ShardedBufferPool;
@@ -24,6 +27,10 @@ fn main() {
             full_conn.execute(&scanbench::eq_query(rows, q)).unwrap();
             q += 1;
         });
+        timeit(&format!("scan/full_text_eq/{rows}"), || {
+            full_conn.execute(&scanbench::text_eq_query(q)).unwrap();
+            q += 1;
+        });
 
         let pruned_db = scanbench::build_db(rows, true);
         let pruned_conn = pruned_db.connect("bench");
@@ -34,6 +41,14 @@ fn main() {
         timeit(&format!("scan/pk_range/{rows}"), || {
             let sql = scanbench::pk_range_query(rows, q);
             pruned_conn.execute(&sql).unwrap();
+            q += 1;
+        });
+
+        let cold_db = scanbench::build_db_pooled(rows, true, scanbench::COLD_POOL_PAGES);
+        let cold_conn = cold_db.connect("bench");
+        timeit(&format!("scan/pk_range_cold/{rows}"), || {
+            let sql = scanbench::pk_range_query(rows, q);
+            cold_conn.execute(&sql).unwrap();
             q += 1;
         });
     }

@@ -21,10 +21,20 @@ pub const STEP: i64 = 10;
 /// `ts = id * STEP`, inserted in batches, query cache off so every
 /// SELECT exercises the executor.
 pub fn build_db(rows: usize, zone_maps: bool) -> Db {
+    build_db_pooled(rows, zone_maps, 2048)
+}
+
+/// Buffer-pool pages of the cold fixture: fewer than the primary-key
+/// index holds at 10k rows (~320), so a [`pk_range_query`] faults
+/// nearly every page it reads.
+pub const COLD_POOL_PAGES: usize = 64;
+
+/// [`build_db`] with a buffer pool of `pool_pages` pages.
+pub fn build_db_pooled(rows: usize, zone_maps: bool, pool_pages: usize) -> Db {
     let config = DbConfig {
         redo_capacity: 16 << 20,
         undo_capacity: 16 << 20,
-        buffer_pool_pages: 2048,
+        buffer_pool_pages: pool_pages,
         query_cache_enabled: false,
         zone_maps_enabled: zone_maps,
         ..DbConfig::default()
@@ -63,6 +73,13 @@ pub fn query(rows: usize, q: usize) -> String {
 pub fn eq_query(rows: usize, q: usize) -> String {
     let hit = (q * 7919 % rows) as i64 * STEP;
     format!("SELECT id, ts FROM events WHERE ts = {hit}")
+}
+
+/// The `q`-th TEXT equality over `note` that no row satisfies: every
+/// row's `note` is compared and none kept — the evaluator's per-row
+/// cost on a TEXT column.
+pub fn text_eq_query(q: usize) -> String {
+    format!("SELECT id FROM events WHERE note = 'evt-none-{q}'")
 }
 
 /// Keys per page of the fixture's primary-key index file, leaves and

@@ -299,7 +299,7 @@ impl Data {
                     file: t.heap.file.clone(),
                     page_no,
                     rows: syn.rows as u64,
-                    columns: syn.cols.iter().map(|c| (c.col, c.min, c.max)).collect(),
+                    columns: syn.cols().iter().map(|c| (c.col, c.min, c.max)).collect(),
                 })
             })
             .collect();

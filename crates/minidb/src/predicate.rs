@@ -4,17 +4,20 @@
 //!
 //! There is exactly one evaluator ([`Predicate::eval`] /
 //! [`Predicate::holds`]) and one definition of comparison
-//! ([`Value::sql_cmp`]); the two row forms differ only in how they
-//! hand out a column ([`Columns`]). Compilation resolves column names
+//! ([`Value::sql_cmp`], which [`Value::sql_cmp_encoded`] answers on
+//! bytes); the two row forms differ only in how they hand out a column
+//! ([`Columns`]). Compilation resolves column names
 //! to ordinals and function names to their implementations, so the
 //! per-row work is a tree walk with no string handling, and a
-//! comparison of an INT column with a literal allocates nothing: the
-//! column decodes to an inline `Value::Int`, the literal is borrowed.
-//! That comparison is what nearly every filter is a conjunction of, so
-//! it compiles to a leaf of its own ([`Predicate::ColumnCmp`]): same
-//! column read, same `sql_cmp`, but straight-line code the compiler
-//! keeps in registers instead of two `eval` calls returning through
-//! memory — worth 3x on a full scan (`benches/scan.rs`, `full_eq`).
+//! comparison of a column with a literal allocates nothing. That
+//! comparison is what nearly every filter is a conjunction of, so it
+//! compiles to a leaf of its own ([`Predicate::ColumnCmp`]): straight-line
+//! code the compiler keeps in registers instead of two `eval` calls
+//! returning through memory — worth 3x on a full scan (`benches/scan.rs`,
+//! `full_eq`). On an encoded row the leaf compares the literal with the
+//! column's bytes where they lie ([`Columns::cmp_column`]), so a TEXT
+//! column builds no `String` per row; it orders, refuses and treats
+//! NULL exactly as `sql_cmp` on the decoded column does.
 //!
 //! What compilation must *not* change is when errors surface. An
 //! unknown column or function has always been an error of the row that
@@ -22,6 +25,7 @@
 //! never reports it), so both compile to nodes that fail on evaluation.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use crate::engine::ScalarFn;
@@ -35,6 +39,14 @@ use crate::value::Value;
 pub trait Columns {
     /// The value of column `idx`.
     fn column(&self, idx: usize) -> DbResult<Cow<'_, Value>>;
+
+    /// How `lit` orders against column `idx` ([`Value::sql_cmp`]:
+    /// `None` when either is NULL), failing where [`Self::column`]
+    /// would.
+    #[inline(always)]
+    fn cmp_column(&self, lit: &Value, idx: usize) -> DbResult<Option<Ordering>> {
+        Ok(lit.sql_cmp(&*self.column(idx)?))
+    }
 }
 
 fn no_such_column(idx: usize) -> DbError {
@@ -74,6 +86,23 @@ impl Columns for EncodedRow<'_> {
     // `DbResult` returns, and a scan pays 17 -> 31 ns per row.
     #[inline(always)]
     fn column(&self, idx: usize) -> DbResult<Cow<'_, Value>> {
+        let mut pos = self.seek(idx)?;
+        Value::decode(self.buf, &mut pos).map(Cow::Owned)
+    }
+
+    /// Compares in place ([`Value::sql_cmp_encoded`]): no value is
+    /// built, so a TEXT column costs no `String` per row, and the column
+    /// is checked as [`Value::decode`] checks it.
+    #[inline(always)]
+    fn cmp_column(&self, lit: &Value, idx: usize) -> DbResult<Option<Ordering>> {
+        lit.sql_cmp_encoded(self.buf, &mut self.seek(idx)?)
+    }
+}
+
+impl EncodedRow<'_> {
+    /// Where column `idx` starts, stepping over the ones before it.
+    #[inline(always)]
+    fn seek(&self, idx: usize) -> DbResult<usize> {
         if idx >= self.n_cols {
             return Err(no_such_column(idx));
         }
@@ -81,7 +110,7 @@ impl Columns for EncodedRow<'_> {
         for _ in 0..idx {
             Value::skip(self.buf, &mut pos)?;
         }
-        Value::decode(self.buf, &mut pos).map(Cow::Owned)
+        Ok(pos)
     }
 }
 
@@ -172,12 +201,11 @@ impl Predicate {
                 lit,
                 lit_on_left,
             } => {
-                let col = row.column(*col)?;
-                let ord = match lit_on_left {
-                    true => lit.sql_cmp(&col),
-                    false => col.sql_cmp(lit),
-                };
-                ord.is_some_and(|o| op.holds(o))
+                // The literal's order against the column, turned round
+                // when the column is the left operand.
+                let ord = row.cmp_column(lit, *col)?;
+                ord.map(|o| if *lit_on_left { o } else { o.reverse() })
+                    .is_some_and(|o| op.holds(o))
             }
             Predicate::Cmp(l, op, r) => {
                 // NULL comparisons are not-true.
@@ -330,5 +358,112 @@ mod tests {
         assert_eq!(*cut.column(1).unwrap(), r.values[1]);
         assert!(cut.column(2).is_err());
         assert!(EncodedRow::new(&bytes[..9]).is_err());
+    }
+
+    /// A seeded source of cells and literals over a small domain, so
+    /// equal values, prefixes and NULLs meet often.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn pick<T: Clone>(&mut self, from: &[T]) -> T {
+            from[self.next(from.len() as u64) as usize].clone()
+        }
+
+        fn value(&mut self) -> Value {
+            match self.next(4) {
+                0 => Value::Null,
+                1 => Value::Int(self.next(5) as i64 - 2),
+                2 => Value::Text(self.pick(&["", "a", "ab", "b", "\u{e9}"]).into()),
+                _ => Value::Bytes(self.pick(&[&[][..], &[0], &[0, 1], &[0xff]]).to_vec()),
+            }
+        }
+
+        /// One column's bytes: a value's encoding, a TEXT body that is
+        /// not UTF-8, or an unknown tag.
+        fn column(&mut self, out: &mut Vec<u8>) {
+            match self.next(10) {
+                0 => out.extend_from_slice(&[2, 2, 0, 0, 0, 0xc3, 0x28]),
+                1 => out.extend_from_slice(&[4 + self.next(252) as u8, 0, 0]),
+                _ => self.value().encode(out),
+            }
+        }
+    }
+
+    /// `ColumnCmp` on an encoded row compares in place; on every cell it
+    /// must answer what decoding the column answers. Where the row
+    /// decodes, the encoded and the decoded row agree; where the column
+    /// cannot be read (truncated, unknown tag, bad UTF-8, past the
+    /// column count), both fail, with the error decoding gives.
+    #[test]
+    fn in_place_comparison_answers_as_decoding_on_random_cells() {
+        use CmpOp::*;
+        let mut g = Gen(0x2545_f491_4f6c_dd1d);
+        // Rows both forms answered, column reads both refused, and
+        // rows only the encoded form can answer (a later column fails).
+        let mut seen = [0u32; 3];
+        for case in 0..30_000 {
+            let width = g.next(4) as u16;
+            // The header may claim one column more or fewer than follow.
+            let claimed = (width + g.next(3) as u16).saturating_sub(1);
+            let mut cell = Vec::new();
+            cell.extend_from_slice(&g.next(1_000).to_le_bytes());
+            cell.extend_from_slice(&claimed.to_le_bytes());
+            for _ in 0..width {
+                g.column(&mut cell);
+            }
+            if g.next(6) == 0 {
+                cell.truncate(g.next(cell.len() as u64 + 1) as usize);
+            }
+            let (col, op, lit) = (
+                g.next(u64::from(width) + 1) as usize,
+                g.pick(&[Eq, Ne, Lt, Le, Gt, Ge]),
+                g.value(),
+            );
+            let lit_on_left = g.next(2) == 0;
+            let (l, r) = match lit_on_left {
+                true => (Predicate::Literal(lit.clone()), Predicate::Column(col)),
+                false => (Predicate::Column(col), Predicate::Literal(lit.clone())),
+            };
+            let decoding = Predicate::Cmp(Box::new(l), op, Box::new(r));
+            let in_place = Predicate::ColumnCmp {
+                col,
+                op,
+                lit,
+                lit_on_left,
+            };
+            let decoded = Row::decode(&cell);
+            let Ok(enc) = EncodedRow::new(&cell) else {
+                assert!(decoded.is_err(), "case {case}");
+                continue;
+            };
+            let fast = in_place.holds(&enc);
+            match enc.column(col) {
+                Ok(_) => assert_eq!(fast, decoding.holds(&enc), "case {case}: {cell:?}"),
+                Err(e) => {
+                    assert_eq!(fast, Err(e), "case {case}: {cell:?}");
+                    if let Ok(row) = &decoded {
+                        assert!(in_place.holds(row).is_err(), "case {case}");
+                    }
+                    seen[1] += 1;
+                }
+            }
+            match decoded {
+                Ok(row) => {
+                    assert_eq!(fast, in_place.holds(&row), "case {case}: {row:?}");
+                    assert_eq!(fast, decoding.holds(&row), "case {case}: {row:?}");
+                    seen[0] += 1;
+                }
+                Err(_) if fast.is_ok() => seen[2] += 1,
+                Err(_) => {}
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 2_000), "{seen:?}");
     }
 }

@@ -77,7 +77,7 @@ const HDR_SIZE: usize = HDR_SYN_ENTRIES + SYN_MAX_COLS * SYN_ENTRY_SIZE;
 pub type SlotNo = u16;
 
 /// Min/max statistics for one column within one page.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ColumnStats {
     /// Column ordinal in schema order.
     pub col: u16,
@@ -107,19 +107,42 @@ impl ColumnStats {
 }
 
 /// A decoded page synopsis (zone map): live-row count plus per-column
-/// min/max bounds.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// min/max bounds, held inline (at most [`SYN_MAX_COLS`] of them), so
+/// reading one off a page allocates nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageSynopsis {
     /// Live rows on the page.
     pub rows: u16,
-    /// Per-column bounds, in first-seen order.
-    pub cols: Vec<ColumnStats>,
+    /// Bounds in use: `cols[..ncols]`. The rest stay default, so equal
+    /// synopses compare equal.
+    ncols: u8,
+    cols: [ColumnStats; SYN_MAX_COLS],
 }
 
 impl PageSynopsis {
+    /// A synopsis of `rows` live rows with the first [`SYN_MAX_COLS`]
+    /// of `cols` as its bounds.
+    pub fn new(rows: u16, cols: &[ColumnStats]) -> PageSynopsis {
+        let mut syn = PageSynopsis {
+            rows,
+            ncols: cols.len().min(SYN_MAX_COLS) as u8,
+            cols: [ColumnStats::default(); SYN_MAX_COLS],
+        };
+        for (slot, c) in syn.cols.iter_mut().zip(cols) {
+            *slot = *c;
+        }
+        syn
+    }
+
+    /// Per-column bounds, in first-seen order.
+    pub fn cols(&self) -> &[ColumnStats] {
+        let n = usize::from(self.ncols).min(SYN_MAX_COLS);
+        self.cols.split_at(n).0
+    }
+
     /// Stats for one column, if tracked.
     pub fn stats(&self, col: u16) -> Option<&ColumnStats> {
-        self.cols.iter().find(|c| c.col == col)
+        self.cols().iter().find(|c| c.col == col)
     }
 
     /// Whether the page provably holds no row with `col` inside
@@ -281,10 +304,15 @@ impl<B: Deref<Target = [u8; PAGE_SIZE]>> Page<B> {
         }
         let b = self.bytes();
         let entries = b[HDR_SYN_ENTRIES..HDR_SIZE].as_chunks().0.iter();
-        let cols = entries.take(usize::from(b[HDR_SYN_NCOLS]));
+        let ncols = usize::from(b[HDR_SYN_NCOLS]).min(SYN_MAX_COLS);
+        let mut cols = [ColumnStats::default(); SYN_MAX_COLS];
+        for (slot, e) in cols.iter_mut().zip(entries).take(ncols) {
+            *slot = ColumnStats::decode(e);
+        }
         Some(PageSynopsis {
             rows: self.syn_rows(),
-            cols: cols.map(ColumnStats::decode).collect(),
+            ncols: ncols as u8,
+            cols,
         })
     }
 }
@@ -605,7 +633,7 @@ mod tests {
         let cols: Vec<(u16, i64)> = (0..8).map(|i| (i as u16, i)).collect();
         p.synopsis_note_insert(&cols);
         let syn = p.synopsis().unwrap();
-        assert_eq!(syn.cols.len(), SYN_MAX_COLS);
+        assert_eq!(syn.cols().len(), SYN_MAX_COLS);
         assert!(syn.stats(7).is_none(), "columns past capacity go untracked");
         // Untracked columns never exclude.
         use std::ops::Bound::*;
@@ -615,14 +643,14 @@ mod tests {
     #[test]
     fn excludes_respects_bound_kinds() {
         use std::ops::Bound::*;
-        let syn = PageSynopsis {
-            rows: 5,
-            cols: vec![ColumnStats {
+        let syn = PageSynopsis::new(
+            5,
+            &[ColumnStats {
                 col: 0,
                 min: 10,
                 max: 20,
             }],
-        };
+        );
         // Disjoint above and below.
         assert!(syn.excludes(0, &Included(21), &Unbounded));
         assert!(syn.excludes(0, &Unbounded, &Included(9)));
@@ -634,10 +662,7 @@ mod tests {
         // Overlapping range keeps the page.
         assert!(!syn.excludes(0, &Included(15), &Included(30)));
         // Empty pages always prune.
-        let empty = PageSynopsis {
-            rows: 0,
-            cols: vec![],
-        };
+        let empty = PageSynopsis::new(0, &[]);
         assert!(empty.excludes(0, &Unbounded, &Unbounded));
     }
 

@@ -38,23 +38,45 @@
 //! threaded by an intrusive doubly-linked recency list. A shard takes
 //! its ticks under its latch, so the list is sorted by tick: its head
 //! is the eviction victim, and a touch moves a frame to the tail in
-//! O(1). A fault copies the page into the evicted (or freed) frame's
-//! buffer, so a shard never holds more page buffers than its capacity.
-//! The `(file, page)` form of a key ([`PageKey`]) is rebuilt only on the
-//! cold paths that show it: [`ShardedBufferPool::lru_order`], the dump
-//! and the access-count snapshot.
+//! O(1). The `(file, page)` form of a key ([`PageKey`]) is rebuilt only
+//! on the cold paths that show it: [`ShardedBufferPool::lru_order`], the
+//! dump and the access-count snapshot.
+//!
+//! A frame is the pool's accounting of a page, not a copy of it. A clean
+//! page is read where it lies in the backing ([`PageBacking::page`]), so
+//! a fault is the miss, eviction, write-back, tick and access count it
+//! always was, and copies nothing. A frame holds a buffer of its own
+//! only once [`ShardedBufferPool::with_page_mut`] writes to it — dirty
+//! implies resident — and gives it up when the page is written back
+//! (eviction, [`ShardedBufferPool::flush_all`]) or released. A given-up
+//! buffer waits in the shard for the next page dirtied, so a shard never
+//! holds more page buffers than it has frames, and its steady state
+//! allocates nothing.
 //!
 //! Callers that touch one page many times in a row (a run of index hits
 //! on one heap page) use [`ShardedBufferPool::with_page_run`]: one latch
 //! acquisition, accounted for as the `n` accesses it stands for, so
 //! every surface above is what `n` separate calls would have left.
 
+// Slot and name indices are the pool's own, and a page it cannot find
+// is a typed error: no panic outside tests.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mdb_telemetry::{Counter, Registry};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::{DbError, DbResult};
 use crate::storage::page::{Page, PAGE_SIZE};
@@ -79,15 +101,15 @@ pub const ACCESS_COUNTS_CAP: usize = 65_536;
 /// Default shard count ([`crate::engine::DbConfig::bufpool_shards`]).
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// The storage a pool faults pages from and writes dirty pages back to.
+/// The storage a pool reads pages from and writes dirty pages back to.
 ///
 /// The engine's backing is the [`VDisk`]; the pool's unit tests
 /// substitute a synthetic backing so many threads can fault concurrently
 /// without sharing one `&mut VDisk`.
 pub trait PageBacking {
-    /// Copies page `page_no` of `file` into `buf`; `false` if the page
-    /// does not exist.
-    fn read_page(&mut self, file: &str, page_no: u32, buf: &mut [u8; PAGE_SIZE]) -> bool;
+    /// Page `page_no` of `file` where it lies; `None` if the page does
+    /// not exist.
+    fn page(&self, file: &str, page_no: u32) -> Option<&[u8; PAGE_SIZE]>;
     /// Writes a page back (eviction write-back / flush).
     fn write_page(&mut self, file: &str, page_no: u32, data: &[u8; PAGE_SIZE]);
     /// Current length of `file` in bytes (for page allocation).
@@ -95,18 +117,9 @@ pub trait PageBacking {
 }
 
 impl PageBacking for VDisk {
-    fn read_page(&mut self, file: &str, page_no: u32, buf: &mut [u8; PAGE_SIZE]) -> bool {
+    fn page(&self, file: &str, page_no: u32) -> Option<&[u8; PAGE_SIZE]> {
         let off = page_no as usize * PAGE_SIZE;
-        match self
-            .read(file)
-            .and_then(|bytes| bytes.get(off..off + PAGE_SIZE))
-        {
-            Some(page) => {
-                buf.copy_from_slice(page);
-                true
-            }
-            None => false,
-        }
+        self.read(file)?.get(off..)?.first_chunk()
     }
 
     fn write_page(&mut self, file: &str, page_no: u32, data: &[u8; PAGE_SIZE]) {
@@ -118,6 +131,11 @@ impl PageBacking for VDisk {
     }
 }
 
+/// The error for a page the backing does not hold.
+fn missing(file: &str, page_no: u32) -> DbError {
+    DbError::Storage(format!("page {page_no} of {file} does not exist on disk"))
+}
+
 /// A page inside a shard: `(interned file id << 32) | page_no`.
 type FrameKey = u64;
 
@@ -127,6 +145,18 @@ fn frame_key(file_id: u32, page_no: u32) -> FrameKey {
 
 fn file_id(key: FrameKey) -> usize {
     (key >> 32) as usize
+}
+
+/// The tablespace name of `key` among a shard's interned `names`.
+#[allow(clippy::indexing_slicing)] // a key's file id is an index `Shard::key` pushed; names are never removed
+fn name_of(names: &[String], key: FrameKey) -> &str {
+    &names[file_id(key)]
+}
+
+/// The frame in `slot` of a shard's slab.
+#[allow(clippy::indexing_slicing)] // slots come from the table, the free list and the recency links, which hold only indices the slab has pushed; it never shrinks
+fn frame_at(slab: &mut [Frame], slot: u32) -> &mut Frame {
+    &mut slab[slot as usize]
 }
 
 /// FNV-1a over bytes (shard selection, interned names), one
@@ -164,14 +194,26 @@ pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 /// The end of a recency list (no neighbour).
 const NIL: u32 = u32::MAX;
 
+/// A page's own buffer.
+type PageBuf = Box<[u8; PAGE_SIZE]>;
+
 struct Frame {
     key: FrameKey,
-    data: Box<[u8; PAGE_SIZE]>,
-    dirty: bool,
+    /// The page's bytes from the first write until write-back: the frame
+    /// is dirty exactly when it holds them. A clean frame's page is read
+    /// where it lies in the backing.
+    dirty: Option<PageBuf>,
     last_access: u64,
     /// Recency neighbours (slab indices): older and newer.
     prev: u32,
     next: u32,
+}
+
+/// Per-shard telemetry handles (`bufpool.shard{i}.*`).
+struct ShardCounters {
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
 }
 
 /// One latch partition, guarded by the shard's `Mutex` in
@@ -182,10 +224,14 @@ struct Shard {
     names: Vec<String>,
     ids: KeyMap<String, u32>,
     /// Frame slab: `table` maps a key to its frame, `free` lists the
-    /// slots whose page left; their buffers wait for the next fault.
+    /// slots whose page left.
     slab: Vec<Frame>,
     table: KeyMap<FrameKey, u32>,
     free: Vec<u32>,
+    /// Buffers given up by frames written back or released, for the
+    /// next page dirtied. There are never more buffers than frames, and
+    /// the list has room for as many.
+    spare: Vec<PageBuf>,
     /// Recency list ends: `head` is the least recently used frame (the
     /// next victim), `tail` the most recent.
     head: u32,
@@ -194,6 +240,7 @@ struct Shard {
     /// by a per-shard slice of [`ACCESS_COUNTS_CAP`].
     access_counts: KeyMap<FrameKey, u64>,
     access_cap: usize,
+    counters: Option<ShardCounters>,
 }
 
 impl Shard {
@@ -205,10 +252,12 @@ impl Shard {
             slab: Vec::new(),
             table: KeyMap::default(),
             free: Vec::new(),
+            spare: Vec::new(),
             head: NIL,
             tail: NIL,
             access_counts: KeyMap::default(),
             access_cap,
+            counters: None,
         }
     }
 
@@ -232,32 +281,37 @@ impl Shard {
     }
 
     fn page_key(&self, key: FrameKey) -> PageKey {
-        (self.names[file_id(key)].clone(), key as u32)
+        (name_of(&self.names, key).to_string(), key as u32)
+    }
+
+    fn frame(&mut self, slot: u32) -> &mut Frame {
+        frame_at(&mut self.slab, slot)
     }
 
     fn unlink(&mut self, slot: u32) {
-        let f = &self.slab[slot as usize];
+        let f = self.frame(slot);
         let (prev, next) = (f.prev, f.next);
         match prev {
             NIL => self.head = next,
-            p => self.slab[p as usize].next = next,
+            p => self.frame(p).next = next,
         }
         match next {
             NIL => self.tail = prev,
-            n => self.slab[n as usize].prev = prev,
+            n => self.frame(n).prev = prev,
         }
     }
 
     /// Stamps a linked-out frame with `tick` and makes it the most
     /// recent. Ticks are drawn under the latch, so the list stays sorted.
     fn push_tail(&mut self, slot: u32, tick: u64) {
-        let f = &mut self.slab[slot as usize];
+        let tail = self.tail;
+        let f = self.frame(slot);
         f.last_access = tick;
-        f.prev = self.tail;
+        f.prev = tail;
         f.next = NIL;
-        match self.tail {
+        match tail {
             NIL => self.head = slot,
-            t => self.slab[t as usize].next = slot,
+            t => self.frame(t).next = slot,
         }
         self.tail = slot;
     }
@@ -270,26 +324,101 @@ impl Shard {
     /// Makes the free (so clean) frame `slot` hold page `key`, most
     /// recent.
     fn install(&mut self, slot: u32, key: FrameKey, tick: u64) {
-        self.slab[slot as usize].key = key;
+        self.frame(slot).key = key;
         self.table.insert(key, slot);
         self.push_tail(slot, tick);
     }
 
-    /// Drops the frame at `slot` without writing it back; its buffer
-    /// waits on the free list, clean.
+    /// A free slot: a freed one, or a new one at the end of the slab.
+    fn free_slot(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Frame {
+                key: 0,
+                dirty: None,
+                last_access: 0,
+                prev: NIL,
+                next: NIL,
+            });
+            // Room for every frame's buffer: giving one up allocates
+            // nothing.
+            self.spare
+                .reserve(self.slab.len().saturating_sub(self.spare.len()));
+            (self.slab.len() - 1) as u32
+        })
+    }
+
+    /// Writes the frame at `slot` back if it is dirty, leaving it clean
+    /// and its buffer spare; whether it was dirty.
+    fn write_back(&mut self, slot: u32, backing: &mut impl PageBacking) -> bool {
+        let frame = frame_at(&mut self.slab, slot);
+        let Some(buf) = frame.dirty.take() else {
+            return false;
+        };
+        backing.write_page(name_of(&self.names, frame.key), frame.key as u32, &buf);
+        self.spare.push(buf);
+        true
+    }
+
+    /// Drops the frame at `slot` without writing it back; its slot waits
+    /// on the free list, its buffer (if any) with the spares.
     fn release(&mut self, slot: u32) {
         self.unlink(slot);
-        let f = &mut self.slab[slot as usize];
-        f.dirty = false;
-        self.table.remove(&f.key);
+        let f = self.frame(slot);
+        let (key, dirty) = (f.key, f.dirty.take());
+        self.spare.extend(dirty);
+        self.table.remove(&key);
         self.free.push(slot);
     }
 
-    /// Frame slots from least to most recent.
-    fn recency(&self) -> impl Iterator<Item = u32> + '_ {
-        std::iter::successors(Some(self.head).filter(|&s| s != NIL), |&s| {
-            Some(self.slab[s as usize].next).filter(|&n| n != NIL)
-        })
+    /// The page `slot` holds: its own buffer while dirty, else the
+    /// backing's bytes.
+    fn page<'a>(
+        &'a self,
+        slot: u32,
+        backing: &'a impl PageBacking,
+        file: &str,
+        page_no: u32,
+    ) -> DbResult<&'a [u8; PAGE_SIZE]> {
+        match self
+            .slab
+            .get(slot as usize)
+            .and_then(|f| f.dirty.as_deref())
+        {
+            Some(buf) => Ok(buf),
+            None => backing
+                .page(file, page_no)
+                .ok_or_else(|| missing(file, page_no)),
+        }
+    }
+
+    /// Dirties the frame at `slot`: unless it is dirty already, its page
+    /// is copied out of the backing into a spare (or new) buffer.
+    fn page_mut(
+        &mut self,
+        slot: u32,
+        backing: &impl PageBacking,
+        file: &str,
+        page_no: u32,
+    ) -> DbResult<&mut [u8; PAGE_SIZE]> {
+        let frame = frame_at(&mut self.slab, slot);
+        let buf = match frame.dirty.take() {
+            Some(buf) => buf,
+            None => {
+                let page = backing
+                    .page(file, page_no)
+                    .ok_or_else(|| missing(file, page_no))?;
+                let mut buf = self.spare.pop().unwrap_or_else(|| Box::new([0; PAGE_SIZE]));
+                buf.copy_from_slice(page);
+                buf
+            }
+        };
+        Ok(frame.dirty.insert(buf))
+    }
+
+    /// Frames from least to most recent.
+    fn recency(&self) -> impl Iterator<Item = &Frame> + '_ {
+        let at = |s: u32| self.slab.get(s as usize);
+        std::iter::successors(at(self.head), move |f| at(f.next))
     }
 
     /// Counts `n` accesses of `key`. At the cap, admitting a new page
@@ -305,7 +434,7 @@ impl Shard {
             if let Some(victim) = self
                 .access_counts
                 .iter()
-                .min_by_key(|(&k, &c)| (c, names[file_id(k)].as_str(), k as u32))
+                .min_by_key(|(&k, &c)| (c, name_of(names, k), k as u32))
                 .map(|(&k, _)| k)
             {
                 self.access_counts.remove(&victim);
@@ -315,13 +444,6 @@ impl Shard {
     }
 }
 
-/// Per-shard telemetry handles (`bufpool.shard{i}.*`).
-struct ShardCounters {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
-
 struct PoolMetrics {
     hits: Counter,
     misses: Counter,
@@ -329,7 +451,6 @@ struct PoolMetrics {
     writebacks: Counter,
     flushed_pages: Counter,
     dumps: Counter,
-    per_shard: Vec<ShardCounters>,
 }
 
 /// The latch-partitioned LRU page cache.
@@ -374,14 +495,14 @@ impl ShardedBufferPool {
             writebacks: registry.counter("bufpool.writebacks"),
             flushed_pages: registry.counter("bufpool.flushed_pages"),
             dumps: registry.counter("bufpool.dumps"),
-            per_shard: (0..self.shards.len())
-                .map(|i| ShardCounters {
-                    hits: registry.counter(&format!("bufpool.shard{i}.hits")),
-                    misses: registry.counter(&format!("bufpool.shard{i}.misses")),
-                    evictions: registry.counter(&format!("bufpool.shard{i}.evictions")),
-                })
-                .collect(),
         });
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            shard.get_mut().counters = Some(ShardCounters {
+                hits: registry.counter(&format!("bufpool.shard{i}.hits")),
+                misses: registry.counter(&format!("bufpool.shard{i}.misses")),
+                evictions: registry.counter(&format!("bufpool.shard{i}.evictions")),
+            });
+        }
     }
 
     /// Total page capacity across all shards.
@@ -397,17 +518,23 @@ impl ShardedBufferPool {
         (h.finish() % self.shards.len() as u64) as usize
     }
 
+    /// The shard a page hashes to, latched.
+    #[allow(clippy::indexing_slicing)] // `shard_of` is a hash modulo `shards.len()`
+    fn lock(&self, file: &str, page_no: u32) -> MutexGuard<'_, Shard> {
+        self.shards[self.shard_of(file, page_no)].lock()
+    }
+
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Returns the frame holding `key` in `shard`, faulting page
-    /// `page_no` of `file` in from `backing` on a miss. Counts the
-    /// hit/miss on both metric families.
+    /// `page_no` of `file` in from `backing` on a miss: the page must
+    /// exist there, but stays where it lies. Counts the hit/miss on both
+    /// metric families.
     fn load(
         &self,
         shard: &mut Shard,
-        shard_idx: usize,
         backing: &mut impl PageBacking,
         key: FrameKey,
         file: &str,
@@ -416,61 +543,48 @@ impl ShardedBufferPool {
         if let Some(&slot) = shard.table.get(&key) {
             if let Some(m) = &self.metrics {
                 m.hits.inc();
-                m.per_shard[shard_idx].hits.inc();
+            }
+            if let Some(c) = &shard.counters {
+                c.hits.inc();
             }
             return Ok(slot);
         }
         if let Some(m) = &self.metrics {
             m.misses.inc();
-            m.per_shard[shard_idx].misses.inc();
         }
-        let slot = self.free_frame(shard, shard_idx, backing);
-        if !backing.read_page(file, page_no, &mut shard.slab[slot as usize].data) {
+        if let Some(c) = &shard.counters {
+            c.misses.inc();
+        }
+        let slot = self.free_frame(shard, backing);
+        if backing.page(file, page_no).is_none() {
             shard.free.push(slot);
-            return Err(DbError::Storage(format!(
-                "page {page_no} of {file} does not exist on disk"
-            )));
+            return Err(missing(file, page_no));
         }
         shard.install(slot, key, self.next_tick());
         Ok(slot)
     }
 
-    /// A frame for an incoming page, unlinked and out of the table:
-    /// evicts the least recent frame when the shard is full (writing it
-    /// back if dirty), reuses a freed slot, or grows the slab.
-    fn free_frame(
-        &self,
-        shard: &mut Shard,
-        shard_idx: usize,
-        backing: &mut impl PageBacking,
-    ) -> u32 {
+    /// A frame for an incoming page, unlinked, clean and out of the
+    /// table: evicts the least recent frame when the shard is full
+    /// (writing it back if dirty), reuses a freed slot, or grows the
+    /// slab.
+    fn free_frame(&self, shard: &mut Shard, backing: &mut impl PageBacking) -> u32 {
         if shard.table.len() >= shard.capacity {
             let victim = shard.head;
             if let Some(m) = &self.metrics {
                 m.evictions.inc();
-                m.per_shard[shard_idx].evictions.inc();
             }
-            let frame = &shard.slab[victim as usize];
-            if frame.dirty {
+            if let Some(c) = &shard.counters {
+                c.evictions.inc();
+            }
+            if shard.write_back(victim, backing) {
                 if let Some(m) = &self.metrics {
                     m.writebacks.inc();
                 }
-                let file = &shard.names[file_id(frame.key)];
-                backing.write_page(file, frame.key as u32, &frame.data);
             }
             shard.release(victim);
         }
-        shard.free.pop().unwrap_or_else(|| {
-            shard.slab.push(Frame {
-                key: 0,
-                data: Box::new([0; PAGE_SIZE]),
-                dirty: false,
-                last_access: 0,
-                prev: NIL,
-                next: NIL,
-            });
-            (shard.slab.len() - 1) as u32
-        })
+        shard.free_slot()
     }
 
     /// Runs `f` over an immutable view of the page.
@@ -499,16 +613,17 @@ impl ShardedBufferPool {
         page_no: u32,
         f: impl FnOnce(&[u8; PAGE_SIZE]) -> (R, u64),
     ) -> DbResult<R> {
-        let idx = self.shard_of(file, page_no);
-        let mut guard = self.shards[idx].lock();
+        let mut guard = self.lock(file, page_no);
         let shard = &mut *guard;
         let key = shard.key(file, page_no);
-        let slot = self.load(shard, idx, backing, key, file, page_no)?;
-        let (out, n) = f(&shard.slab[slot as usize].data);
+        let slot = self.load(shard, backing, key, file, page_no)?;
+        let (out, n) = f(shard.page(slot, &*backing, file, page_no)?);
         debug_assert!(n >= 1, "a run stands for at least one access");
         if let Some(m) = &self.metrics {
             m.hits.add(n - 1);
-            m.per_shard[idx].hits.add(n - 1);
+        }
+        if let Some(c) = &shard.counters {
+            c.hits.add(n - 1);
         }
         let tick = self.tick.fetch_add(n, Ordering::Relaxed) + n;
         shard.touch(slot, tick);
@@ -524,34 +639,31 @@ impl ShardedBufferPool {
         page_no: u32,
         f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
     ) -> DbResult<R> {
-        let idx = self.shard_of(file, page_no);
-        let mut guard = self.shards[idx].lock();
+        let mut guard = self.lock(file, page_no);
         let shard = &mut *guard;
         let key = shard.key(file, page_no);
-        let slot = self.load(shard, idx, backing, key, file, page_no)?;
+        let slot = self.load(shard, backing, key, file, page_no)?;
+        let out = f(shard.page_mut(slot, &*backing, file, page_no)?);
         shard.touch(slot, self.next_tick());
         shard.count_access(key, 1);
-        let frame = &mut shard.slab[slot as usize];
-        frame.dirty = true;
-        Ok(f(&mut frame.data))
+        Ok(out)
     }
 
     /// Allocates a fresh formatted page at the end of `file`, returning
     /// its page number. Write-through, cached clean.
     pub fn allocate_page(&self, backing: &mut impl PageBacking, file: &str) -> u32 {
         let page_no = (backing.file_len(file) / PAGE_SIZE) as u32;
-        let idx = self.shard_of(file, page_no);
-        let mut guard = self.shards[idx].lock();
+        let mut guard = self.lock(file, page_no);
         let shard = &mut *guard;
         let key = shard.key(file, page_no);
         // A frame left by a file removed without a purge is stale.
         if let Some(&stale) = shard.table.get(&key) {
             shard.release(stale);
         }
-        let slot = self.free_frame(shard, idx, backing);
-        let buf = &mut *shard.slab[slot as usize].data;
-        Page::new(&mut *buf).format();
-        backing.write_page(file, page_no, buf);
+        let slot = self.free_frame(shard, backing);
+        let mut page = [0; PAGE_SIZE];
+        Page::new(&mut page).format();
+        backing.write_page(file, page_no, &page);
         shard.install(slot, key, self.next_tick());
         shard.count_access(key, 1);
         page_no
@@ -562,19 +674,14 @@ impl ShardedBufferPool {
         (vdisk.len(file) / PAGE_SIZE) as u32
     }
 
-    /// Flushes every dirty frame to the backing (checkpoint/shutdown).
+    /// Writes every dirty frame back to the backing (checkpoint /
+    /// shutdown); each is clean after, and reads its page there.
     pub fn flush_all(&self, backing: &mut impl PageBacking) {
         let mut flushed = 0u64;
         for shard in &self.shards {
-            let mut guard = shard.lock();
-            let shard = &mut *guard;
-            for frame in &mut shard.slab {
-                if frame.dirty {
-                    let file = &shard.names[file_id(frame.key)];
-                    backing.write_page(file, frame.key as u32, &frame.data);
-                    frame.dirty = false;
-                    flushed += 1;
-                }
+            let mut shard = shard.lock();
+            for slot in 0..shard.slab.len() as u32 {
+                flushed += u64::from(shard.write_back(slot, backing));
             }
         }
         if let Some(m) = &self.metrics {
@@ -588,10 +695,11 @@ impl ShardedBufferPool {
         let mut entries: Vec<(u64, PageKey)> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
-            entries.extend(shard.recency().map(|s| {
-                let f = &shard.slab[s as usize];
-                (f.last_access, shard.page_key(f.key))
-            }));
+            entries.extend(
+                shard
+                    .recency()
+                    .map(|f| (f.last_access, shard.page_key(f.key))),
+            );
         }
         entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
         entries.into_iter().map(|(_, k)| k).collect()
@@ -616,7 +724,7 @@ impl ShardedBufferPool {
 
     /// Lifetime access count of a page.
     pub fn access_count(&self, file: &str, page_no: u32) -> u64 {
-        let shard = self.shards[self.shard_of(file, page_no)].lock();
+        let shard = self.lock(file, page_no);
         shard
             .known_key(file, page_no)
             .and_then(|key| shard.access_counts.get(&key).copied())
@@ -649,8 +757,10 @@ impl ShardedBufferPool {
                 continue;
             };
             let stale: Vec<u32> = shard
-                .recency()
-                .filter(|&s| file_id(shard.slab[s as usize].key) == id as usize)
+                .table
+                .iter()
+                .filter(|(&k, _)| file_id(k) == id as usize)
+                .map(|(_, &slot)| slot)
                 .collect();
             for slot in stale {
                 shard.release(slot);
@@ -811,7 +921,7 @@ mod tests {
         // makes the survivors independent of any hash seed.
         let feed = || {
             let bp = ShardedBufferPool::new(64, 64);
-            let mut backing = Synthetic;
+            let mut backing = Blank(Box::new([0; PAGE_SIZE]));
             for page in 0..(ACCESS_COUNTS_CAP as u32 + 4_000) {
                 for _ in 0..1 + page % 3 / 2 {
                     bp.with_page(&mut backing, "s.ibd", page, |_| ()).unwrap();
@@ -920,26 +1030,50 @@ mod tests {
         assert_eq!(shard_counters, 12);
     }
 
-    /// A backing that synthesizes pages on demand — lets many threads
+    /// Every page number reads one shared blank page (a backing for
+    /// more pages than the test wants to hold).
+    struct Blank(Box<[u8; PAGE_SIZE]>);
+
+    impl PageBacking for Blank {
+        fn page(&self, _file: &str, _page_no: u32) -> Option<&[u8; PAGE_SIZE]> {
+            Some(&self.0)
+        }
+        fn write_page(&mut self, _file: &str, _page_no: u32, _data: &[u8; PAGE_SIZE]) {}
+        fn file_len(&mut self, _file: &str) -> usize {
+            0
+        }
+    }
+
+    /// A backing of real pages, one thread's own, so many threads can
     /// fault without sharing one `&mut VDisk`. A page's first four bytes
     /// are its number, and a written-back page must still carry it.
-    struct Synthetic;
+    struct Synthetic(Vec<Box<[u8; PAGE_SIZE]>>);
+
+    impl Synthetic {
+        fn new(pages: u32) -> Synthetic {
+            let page = |n: u32| {
+                let mut buf = Box::new([0; PAGE_SIZE]);
+                buf[..4].copy_from_slice(&n.to_le_bytes());
+                buf
+            };
+            Synthetic((0..pages).map(page).collect())
+        }
+    }
 
     fn page_no_of(b: &[u8; PAGE_SIZE]) -> u32 {
         u32::from_le_bytes(b[..4].try_into().unwrap())
     }
 
     impl PageBacking for Synthetic {
-        fn read_page(&mut self, _file: &str, page_no: u32, buf: &mut [u8; PAGE_SIZE]) -> bool {
-            buf.fill(0);
-            buf[..4].copy_from_slice(&page_no.to_le_bytes());
-            true
+        fn page(&self, _file: &str, page_no: u32) -> Option<&[u8; PAGE_SIZE]> {
+            self.0.get(page_no as usize).map(|b| &**b)
         }
         fn write_page(&mut self, _file: &str, page_no: u32, data: &[u8; PAGE_SIZE]) {
             assert_eq!(page_no_of(data), page_no, "no torn frame written back");
+            self.0[page_no as usize].copy_from_slice(data);
         }
         fn file_len(&mut self, _file: &str) -> usize {
-            0
+            self.0.len() * PAGE_SIZE
         }
     }
 
@@ -955,7 +1089,7 @@ mod tests {
             .map(|t| {
                 let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
-                    let mut backing = Synthetic;
+                    let mut backing = Synthetic::new(128);
                     for i in 0..200u32 {
                         let page = (t * 37 + i) % 128;
                         let got = if i.is_multiple_of(4) {
@@ -978,5 +1112,96 @@ mod tests {
         assert!(pool.cached_pages() <= 64);
         let order = pool.lru_order();
         assert_eq!(order.len(), pool.cached_pages(), "one LRU entry per frame");
+    }
+
+    /// The pool reads through to its backing: a seeded interleaving of
+    /// every operation on a 4-frame, 2-shard pool over a real `VDisk`,
+    /// checked against a model of each file's page images. Every read
+    /// sees the model's page, and after `flush_all` the disk is the
+    /// model byte for byte.
+    #[test]
+    fn reads_and_flushes_match_a_model_of_page_images() {
+        let registry = Registry::new();
+        let mut bp = ShardedBufferPool::new(4, 2);
+        bp.attach_telemetry(&registry);
+        let mut vd = VDisk::new();
+        let mut formatted = Box::new([0; PAGE_SIZE]);
+        Page::new(&mut *formatted).format();
+        let files = ["a.ibd", "b.ibd"];
+        let mut model: HashMap<&str, Vec<Box<[u8; PAGE_SIZE]>>> = HashMap::new();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let (mut flushes, mut purges) = (0, 0);
+        for step in 0..4_000 {
+            let file = files[next(2) as usize];
+            let pages = model.get(file).map_or(0, Vec::len) as u64;
+            let op = if pages == 0 { 0 } else { next(100) };
+            match op {
+                0..=5 => {
+                    let page_no = bp.allocate_page(&mut vd, file);
+                    let pages = model.entry(file).or_default();
+                    assert_eq!(page_no as usize, pages.len(), "step {step}");
+                    pages.push(formatted.clone());
+                }
+                6..=37 => {
+                    let page_no = next(pages) as u32;
+                    let want = &model[file][page_no as usize];
+                    let same = bp.with_page(&mut vd, file, page_no, |b| b == &**want);
+                    assert!(same.unwrap(), "step {step}: read {file} {page_no}");
+                }
+                38..=52 => {
+                    let page_no = next(pages) as u32;
+                    let n = 1 + next(5);
+                    let want = &model[file][page_no as usize];
+                    let same = bp.with_page_run(&mut vd, file, page_no, |b| (b == &**want, n));
+                    assert!(same.unwrap(), "step {step}: run on {file} {page_no}");
+                }
+                53..=89 => {
+                    let page_no = next(pages) as u32;
+                    let (at, byte) = (next(PAGE_SIZE as u64) as usize, next(256) as u8);
+                    let want = &mut model.get_mut(file).unwrap()[page_no as usize];
+                    let same = bp.with_page_mut(&mut vd, file, page_no, |b| {
+                        let same = b == &**want;
+                        b[at] = byte;
+                        same
+                    });
+                    assert!(same.unwrap(), "step {step}: write {file} {page_no}");
+                    want[at] = byte;
+                }
+                90..=97 => {
+                    bp.flush_all(&mut vd);
+                    flushes += 1;
+                    for (file, pages) in &model {
+                        let disk: Vec<u8> = pages.iter().flat_map(|p| p.iter().copied()).collect();
+                        assert_eq!(vd.read(file), Some(&disk[..]), "step {step}: {file}");
+                    }
+                }
+                _ => {
+                    // DROP TABLE, then a new table of the same name.
+                    bp.purge_file(file);
+                    vd.remove(file);
+                    model.remove(file);
+                    purges += 1;
+                    assert_eq!(bp.allocate_page(&mut vd, file), 0, "step {step}");
+                    model.insert(file, vec![formatted.clone()]);
+                }
+            }
+            assert!(bp.cached_pages() <= 4, "step {step}");
+        }
+        let snap = registry.snapshot();
+        assert!(snap.counter("bufpool.evictions").unwrap() > 600);
+        assert!(
+            snap.counter("bufpool.writebacks").unwrap() > 200,
+            "evictions wrote back"
+        );
+        assert!(
+            flushes > 50 && purges > 50,
+            "{flushes} flushes, {purges} purges"
+        );
     }
 }

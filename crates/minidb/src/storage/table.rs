@@ -21,6 +21,19 @@
 //! bytes (a page, a redo or undo image) is refused when it is
 //! `RowId::MAX`, the one id row id allocation cannot move past.
 
+// Row ids, page numbers and cells come from pages and logs: a bad one is
+// a typed error, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use std::ops::Bound;
 
 use crate::error::{DbError, DbResult};
@@ -53,38 +66,43 @@ struct Chunk {
     slots: Box<[(u32, SlotNo)]>,
 }
 
+/// The chunk number of `row_id` and its entry's index in the chunk.
+fn chunk_of(row_id: RowId) -> (u64, usize) {
+    (row_id / CHUNK_IDS, (row_id % CHUNK_IDS) as usize)
+}
+
 impl Locator {
     fn get(&self, row_id: RowId) -> Option<(u32, SlotNo)> {
-        let chunk = self.chunks.get(&(row_id / CHUNK_IDS))?;
-        Some(chunk.slots[(row_id % CHUNK_IDS) as usize]).filter(|&loc| loc != ABSENT)
+        let (n, i) = chunk_of(row_id);
+        let loc = *self.chunks.get(&n)?.slots.get(i)?;
+        Some(loc).filter(|&loc| loc != ABSENT)
     }
 
     fn insert(&mut self, row_id: RowId, loc: (u32, SlotNo)) {
-        let chunk = self
-            .chunks
-            .entry(row_id / CHUNK_IDS)
-            .or_insert_with(|| Chunk {
-                live: 0,
-                slots: vec![ABSENT; CHUNK_IDS as usize].into_boxed_slice(),
-            });
-        let entry = &mut chunk.slots[(row_id % CHUNK_IDS) as usize];
-        if *entry == ABSENT {
-            chunk.live += 1;
-            self.live += 1;
+        let (n, i) = chunk_of(row_id);
+        let chunk = self.chunks.entry(n).or_insert_with(|| Chunk {
+            live: 0,
+            slots: vec![ABSENT; CHUNK_IDS as usize].into_boxed_slice(),
+        });
+        // A chunk holds every index `chunk_of` gives.
+        if let Some(entry) = chunk.slots.get_mut(i) {
+            if *entry == ABSENT {
+                chunk.live += 1;
+                self.live += 1;
+            }
+            *entry = loc;
         }
-        *entry = loc;
     }
 
     /// Forgets `row_id`, freeing its chunk if it was the chunk's last.
     fn remove(&mut self, row_id: RowId) {
-        let n = row_id / CHUNK_IDS;
+        let (n, i) = chunk_of(row_id);
         let Some(chunk) = self.chunks.get_mut(&n) else {
             return;
         };
-        let entry = &mut chunk.slots[(row_id % CHUNK_IDS) as usize];
-        if *entry == ABSENT {
+        let Some(entry) = chunk.slots.get_mut(i).filter(|e| **e != ABSENT) else {
             return;
-        }
+        };
         *entry = ABSENT;
         chunk.live -= 1;
         self.live -= 1;
@@ -325,7 +343,9 @@ impl TableHeap {
             }
             self.zonemap.resize(i + 1, None);
         }
-        self.zonemap[i] = syn;
+        if let Some(entry) = self.zonemap.get_mut(i) {
+            *entry = syn;
+        }
     }
 
     /// Allocates the next row id.
@@ -641,7 +661,7 @@ impl TableHeap {
             let invalid = || DbError::Storage(format!("page {page_no}: no synopsis after reset"));
             p.synopsis().ok_or_else(invalid)
         })??;
-        self.note_page(page_no, Some(syn.clone()));
+        self.note_page(page_no, Some(syn));
         Ok(syn)
     }
 
@@ -958,7 +978,7 @@ mod tests {
             let id = h.allocate_row_id();
             h.insert(&bp, &mut vd, &row(id, n)).unwrap();
         }
-        let syn = h.mirrored(0).expect("mirror populated").clone();
+        let syn = *h.mirrored(0).expect("mirror populated");
         assert_eq!(syn.rows, 3);
         assert_eq!(syn.stats(0).unwrap().min, 10);
         assert_eq!(syn.stats(0).unwrap().max, 30);

@@ -213,6 +213,21 @@ impl Value {
         })
     }
 
+    /// [`Value::sql_cmp`] of `self` against the value encoded at
+    /// `buf[*pos..]`, read and checked as [`Value::cmp_encoded`] reads
+    /// it: `None` when either side is NULL.
+    #[inline(always)]
+    pub fn sql_cmp_encoded(
+        &self,
+        buf: &[u8],
+        pos: &mut usize,
+    ) -> DbResult<Option<core::cmp::Ordering>> {
+        // Tag 0 is NULL (`Value::encode`).
+        let null = buf.get(*pos) == Some(&0);
+        let ord = self.cmp_encoded(buf, pos)?;
+        Ok(Some(ord).filter(|_| !null && !matches!(self, Value::Null)))
+    }
+
     /// SQL three-valued comparison: `None` when either side is NULL.
     pub fn sql_cmp(&self, other: &Value) -> Option<core::cmp::Ordering> {
         match (self, other) {
