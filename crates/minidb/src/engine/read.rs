@@ -121,7 +121,7 @@ pub(super) fn select(
                 &def,
                 where_clause,
                 limit,
-                needed.as_deref(),
+                None,
                 Some(&proj),
             )?;
             Answer {
@@ -420,7 +420,7 @@ pub(super) fn fetch_rows(
 /// [`fetch_rows`], or with a `proj` the copying fetch of a plain select
 /// list: plan, then feed the index fetch or the heap scan to a sink that
 /// decodes survivors, or copies the columns `proj` lists of each into a
-/// block (checking the `needed` ones as a decode would). Returns the
+/// block (checking each as a decode would). Returns the
 /// decoded rows, the block and the rows-examined count.
 #[allow(clippy::too_many_arguments)]
 fn scan(
@@ -450,7 +450,7 @@ fn scan(
     let table = data.catalog.get_mut(&def.schema.name)?;
     let limit = limit.map(|l| l as usize);
     let mut sink = match proj {
-        Some(proj) => ScanSink::copying(pred.as_ref(), needed, proj, limit),
+        Some(proj) => ScanSink::copying(pred.as_ref(), proj, limit),
         None => ScanSink::new(pred.as_ref(), needed, limit),
     };
     // `(pages_pruned, pages_decoded)` of a heap scan.

@@ -4,10 +4,10 @@
 //!
 //! There is exactly one evaluator ([`Predicate::eval`] /
 //! [`Predicate::holds`]) and one definition of comparison
-//! ([`Value::sql_cmp`], which [`Value::sql_cmp_encoded`] answers on
-//! bytes); the two row forms differ only in how they hand out a column
-//! ([`Columns`]). Compilation resolves column names
-//! to ordinals and function names to their implementations, so the
+//! ([`Value::sql_cmp`], which answers on a column read in place as on
+//! a decoded one); the two row forms differ only in how they hand out
+//! a column ([`Columns`]). Compilation resolves column names to
+//! ordinals and function names to their implementations, so the
 //! per-row work is a tree walk with no string handling, and a
 //! comparison of a column with a literal allocates nothing. That
 //! comparison is what nearly every filter is a conjunction of, so it
@@ -24,6 +24,19 @@
 //! reaches it (an empty table, or an `AND` whose left side is false,
 //! never reports it), so both compile to nodes that fail on evaluation.
 
+// Predicates read cell bytes from pages: a bad cell is a typed error,
+// never a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -33,7 +46,7 @@ use crate::error::{DbError, DbResult};
 use crate::row::{Row, ROW_HEADER_LEN};
 use crate::schema::TableSchema;
 use crate::sql::ast::{CmpOp, Expr};
-use crate::value::Value;
+use crate::value::{self, Value, ValueRef};
 
 /// A row a predicate can read columns from, by schema ordinal.
 pub trait Columns {
@@ -64,53 +77,54 @@ impl Columns for Row {
 }
 
 /// A row in its encoded form ([`Row::encode`]'s image, as it sits in a
-/// page cell), decoded one column at a time and only on request.
-/// Values are variable-length, so reading column `i` steps over
-/// `0..i` — a tag and a length each, no allocation, no validation.
+/// page cell), read one column at a time and only on request. Values
+/// are variable-length, so column `i` is found by reading columns
+/// `0..i` with the one value reader, each checked as [`Row::decode`]
+/// checks it; nothing past column `i` is read, so a damaged later
+/// column does not fail a predicate on an earlier one.
 pub struct EncodedRow<'a> {
-    buf: &'a [u8],
+    cell: &'a [u8],
     n_cols: usize,
 }
 
 impl<'a> EncodedRow<'a> {
     /// Wraps an encoded row, reading only its header.
-    pub fn new(buf: &'a [u8]) -> DbResult<EncodedRow<'a>> {
-        let n_cols = Row::decode_header(buf)?.1;
-        Ok(EncodedRow { buf, n_cols })
-    }
-}
-
-impl Columns for EncodedRow<'_> {
-    // Forced, like the `Value` readers it calls: left to its own
-    // judgement the compiler keeps them out of line behind 40-byte
-    // `DbResult` returns, and a scan pays 17 -> 31 ns per row.
+    // Forced, like the column readers below: out of line, its header
+    // read returns through memory and `scan/full_eq` takes ~1.5x as long.
     #[inline(always)]
-    fn column(&self, idx: usize) -> DbResult<Cow<'_, Value>> {
-        let mut pos = self.seek(idx)?;
-        Value::decode(self.buf, &mut pos).map(Cow::Owned)
+    pub fn new(cell: &'a [u8]) -> DbResult<EncodedRow<'a>> {
+        let n_cols = Row::decode_header(cell)?.1;
+        Ok(EncodedRow { cell, n_cols })
     }
 
-    /// Compares in place ([`Value::sql_cmp_encoded`]): no value is
-    /// built, so a TEXT column costs no `String` per row, and the column
-    /// is checked as [`Value::decode`] checks it.
+    /// Column `idx`, read where it lies.
     #[inline(always)]
-    fn cmp_column(&self, lit: &Value, idx: usize) -> DbResult<Option<Ordering>> {
-        lit.sql_cmp_encoded(self.buf, &mut self.seek(idx)?)
-    }
-}
-
-impl EncodedRow<'_> {
-    /// Where column `idx` starts, stepping over the ones before it.
-    #[inline(always)]
-    fn seek(&self, idx: usize) -> DbResult<usize> {
+    fn value(&self, idx: usize) -> DbResult<ValueRef<'a>> {
         if idx >= self.n_cols {
             return Err(no_such_column(idx));
         }
         let mut pos = ROW_HEADER_LEN;
         for _ in 0..idx {
-            Value::skip(self.buf, &mut pos)?;
+            pos = value::read(self.cell, pos)?.1;
         }
-        Ok(pos)
+        Ok(value::read(self.cell, pos)?.0)
+    }
+}
+
+impl Columns for EncodedRow<'_> {
+    // Forced, like the readers it calls: left to its own judgement the
+    // compiler keeps them out of line behind 40-byte `DbResult`
+    // returns, and a scan pays 17 -> 31 ns per row.
+    #[inline(always)]
+    fn column(&self, idx: usize) -> DbResult<Cow<'_, Value>> {
+        self.value(idx).map(|v| Cow::Owned(v.to_value()))
+    }
+
+    /// Compares in place (`ValueRef::sql_cmp`): no value is built,
+    /// so a TEXT column costs no `String` per row.
+    #[inline(always)]
+    fn cmp_column(&self, lit: &Value, idx: usize) -> DbResult<Option<Ordering>> {
+        Ok(lit.borrowed().sql_cmp(self.value(idx)?))
     }
 }
 
@@ -245,7 +259,7 @@ mod tests {
     use super::*;
     use crate::schema::ColumnDef;
     use crate::sql::{parse_statement, Statement};
-    use crate::value::ColumnType;
+    use crate::value::{ColumnType, RowBlock};
     use std::sync::Arc;
 
     fn schema() -> TableSchema {
@@ -358,6 +372,13 @@ mod tests {
         assert_eq!(*cut.column(1).unwrap(), r.values[1]);
         assert!(cut.column(2).is_err());
         assert!(EncodedRow::new(&bytes[..9]).is_err());
+        // A TEXT column that is not UTF-8 fails closed at that column
+        // and past it, and the columns before it still answer.
+        let mut bad = bytes.clone();
+        bad[ROW_HEADER_LEN + 9 + 5] = 0xFF;
+        let bad = EncodedRow::new(&bad).unwrap();
+        assert_eq!(*bad.column(0).unwrap(), r.values[0]);
+        assert!(bad.column(1).is_err() && bad.column(2).is_err());
     }
 
     /// A seeded source of cells and literals over a small domain, so
@@ -405,6 +426,10 @@ mod tests {
     fn in_place_comparison_answers_as_decoding_on_random_cells() {
         use CmpOp::*;
         let mut g = Gen(0x2545_f491_4f6c_dd1d);
+        // Masks and projections come from a generator of their own, so
+        // the cells are the same as without them.
+        let mut m = Gen(0x9e37_79b9_7f4a_7c15);
+        let mut spans = Vec::new();
         // Rows both forms answered, column reads both refused, and
         // rows only the encoded form can answer (a later column fails).
         let mut seen = [0u32; 3];
@@ -439,6 +464,43 @@ mod tests {
                 lit_on_left,
             };
             let decoded = Row::decode(&cell);
+            // Decoding under a mask and copying under a projection read
+            // the cell as `Row::decode` does: they answer with its
+            // columns, or refuse with its error, and a refused copy
+            // leaves the block as it was.
+            let needed: Vec<bool> = (0..m.next(5)).map(|_| m.next(2) == 0).collect();
+            let proj: Vec<usize> = (0..m.next(4)).map(|_| m.next(4) as usize).collect();
+            let partial = Row::decode_partial(&cell, Some(&needed));
+            let first = vec![Value::Int(case)];
+            let mut block = RowBlock::from_rows(std::slice::from_ref(&first));
+            let copied = Row::copy_columns(&cell, &proj, &mut spans, &mut block);
+            match &decoded {
+                Ok(row) => {
+                    let wanted = |(i, v): (usize, &Value)| match needed.get(i) {
+                        Some(true) => v.clone(),
+                        _ => Value::Null,
+                    };
+                    let values = row.values.iter().enumerate().map(wanted).collect();
+                    assert_eq!(partial, Ok(Row { id: row.id, values }), "case {case}");
+                    let projected: Option<Vec<Value>> =
+                        proj.iter().map(|&i| row.values.get(i).cloned()).collect();
+                    match projected {
+                        Some(projected) => {
+                            assert_eq!(copied, Ok(()), "case {case}");
+                            assert_eq!(block, RowBlock::from_rows(&[first, projected]));
+                        }
+                        None => {
+                            assert!(matches!(copied, Err(DbError::Storage(_))), "case {case}");
+                            assert_eq!(block, RowBlock::from_rows(&[first]), "case {case}");
+                        }
+                    }
+                }
+                Err(e) => {
+                    assert_eq!(partial.as_ref().err(), Some(e), "case {case}");
+                    assert_eq!(copied.as_ref().err(), Some(e), "case {case}");
+                    assert_eq!(block, RowBlock::from_rows(&[first]), "case {case}");
+                }
+            }
             let Ok(enc) = EncodedRow::new(&cell) else {
                 assert!(decoded.is_err(), "case {case}");
                 continue;

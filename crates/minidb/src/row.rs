@@ -19,7 +19,7 @@
 )]
 
 use crate::error::{DbError, DbResult};
-use crate::value::{RowBlock, Value};
+use crate::value::{self, RowBlock, Value, ValueRef};
 
 /// A row id: stable identity of a row within its table, independent of the
 /// primary key (InnoDB's implicit `DB_ROW_ID` analogue).
@@ -52,12 +52,7 @@ impl Row {
 
     /// Decodes a row from the byte image produced by [`Row::encode`].
     pub fn decode(buf: &[u8]) -> DbResult<Row> {
-        let mut pos = 0;
-        let row = Self::decode_at(buf, &mut pos)?;
-        if pos != buf.len() {
-            return Err(trailing());
-        }
-        Ok(row)
+        Self::decode_partial(buf, None)
     }
 
     /// Reads the `(id, column count)` header at the start of `buf`.
@@ -72,76 +67,47 @@ impl Row {
         Ok((u64::from_le_bytes(*id), u16::from_le_bytes(*n) as usize))
     }
 
-    /// Decodes a row starting at `buf[*pos..]`, advancing `pos`.
-    pub fn decode_at(buf: &[u8], pos: &mut usize) -> DbResult<Row> {
-        let (id, n) = Self::decode_header(buf.get(*pos..).unwrap_or_default())?;
-        *pos += ROW_HEADER_LEN;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(Value::decode(buf, pos)?);
-        }
-        Ok(Row { id, values })
-    }
-
     /// Decodes a row materializing only the columns flagged in `needed`
-    /// (schema-ordinal indexed); every other column is byte-skipped and
-    /// left as [`Value::Null`]. `None` means all columns. Columns past
-    /// `needed.len()` are skipped. The projection-pushdown scan path uses
-    /// this so `SELECT a FROM t` never allocates `t`'s TEXT/BYTES
-    /// payloads.
+    /// (schema-ordinal indexed); every other column is checked as
+    /// [`Row::decode`] checks it but left as [`Value::Null`]. `None`
+    /// means all columns. Columns past `needed.len()` are left NULL.
+    /// The projection-pushdown scan path uses this so `SELECT a FROM t`
+    /// never allocates `t`'s TEXT/BYTES payloads.
     pub fn decode_partial(buf: &[u8], needed: Option<&[bool]>) -> DbResult<Row> {
-        let Some(needed) = needed else {
-            return Self::decode(buf);
-        };
-        let (id, n) = Self::decode_header(buf)?;
-        let mut pos = ROW_HEADER_LEN;
-        let mut values = Vec::with_capacity(n);
-        for i in 0..n {
-            if needed.get(i).copied().unwrap_or(false) {
-                values.push(Value::decode(buf, &mut pos)?);
-            } else {
-                Value::skip(buf, &mut pos)?;
-                values.push(Value::Null);
-            }
+        let (id, mut cells) = RowCursor::new(buf)?;
+        let mut values = Vec::with_capacity(cells.left);
+        while let Some(v) = cells.next()? {
+            let wanted = needed.is_none_or(|m| m.get(values.len()) == Some(&true));
+            values.push(if wanted { v.to_value() } else { Value::Null });
         }
-        if pos != buf.len() {
-            return Err(trailing());
-        }
+        cells.finish()?;
         Ok(Row { id, values })
     }
 
     /// Appends the columns `proj` lists (schema ordinals, in that
     /// order, repeats allowed) of the encoded row `cell` to `block` as
-    /// one row, copying their bytes without decoding them. Every column
-    /// `needed` flags (`None` = all) is checked as [`Value::decode`]
-    /// would, every other is stepped over, and the row must end where
-    /// the cell does: the checks of [`Row::decode_partial`], so a cell
-    /// the rows would refuse is refused here too, as is a listed column
-    /// the row does not have. `spans` is scratch reused across rows; a
-    /// refused cell leaves `block` as it was.
+    /// one row, copying their bytes without decoding them. The cell is
+    /// read as [`Row::decode`] reads it, so a cell the rows would refuse
+    /// is refused here too, as is a listed column the row does not
+    /// have. `spans` is scratch reused across rows; a refused cell
+    /// leaves `block` as it was.
     pub fn copy_columns(
         cell: &[u8],
         proj: &[usize],
-        needed: Option<&[bool]>,
         spans: &mut Vec<(usize, usize)>,
         block: &mut RowBlock,
     ) -> DbResult<()> {
-        let (_, n) = Self::decode_header(cell)?;
+        let (_, mut cells) = RowCursor::new(cell)?;
+        let n = cells.left;
         spans.clear();
         // Every column costs at least its tag byte.
         spans.reserve(n.min(cell.len()));
-        let mut pos = ROW_HEADER_LEN;
-        for i in 0..n {
-            let start = pos;
-            match needed.is_none_or(|m| m.get(i).copied().unwrap_or(false)) {
-                true => Value::check(cell, &mut pos)?,
-                false => Value::skip(cell, &mut pos)?,
-            }
-            spans.push((start, pos));
+        while cells.left > 0 {
+            let start = cells.pos;
+            cells.next()?;
+            spans.push((start, cells.pos));
         }
-        if pos != cell.len() {
-            return Err(trailing());
-        }
+        cells.finish()?;
         if let Some(&i) = proj.iter().find(|&&i| i >= n) {
             return Err(DbError::Storage(format!(
                 "row of {n} columns has no column {i}"
@@ -152,6 +118,52 @@ impl Row {
             // Every ordinal is below `n`, and every span lies in `cell`.
             let value = spans.get(i).and_then(|&(from, to)| cell.get(from..to));
             block.push_value(value.unwrap_or_default());
+        }
+        Ok(())
+    }
+}
+
+/// A walk over an encoded row ([`Row::encode`]'s image): its header,
+/// then each value through [`value::read`], then the check that the row
+/// ends where the cell does: how a whole row cell is read.
+struct RowCursor<'a> {
+    cell: &'a [u8],
+    /// Where the next value starts.
+    pos: usize,
+    /// Values the header claims that are not read yet.
+    left: usize,
+}
+
+impl<'a> RowCursor<'a> {
+    /// Reads the header of `cell`: the row id, and a cursor at the
+    /// first value.
+    #[inline(always)]
+    fn new(cell: &'a [u8]) -> DbResult<(RowId, RowCursor<'a>)> {
+        let (id, left) = Row::decode_header(cell)?;
+        let pos = ROW_HEADER_LEN;
+        Ok((id, RowCursor { cell, pos, left }))
+    }
+
+    /// The next value; `None` once every value the header claims is
+    /// read.
+    #[inline(always)]
+    fn next(&mut self) -> DbResult<Option<ValueRef<'a>>> {
+        if self.left == 0 {
+            return Ok(None);
+        }
+        let (value, end) = value::read(self.cell, self.pos)?;
+        self.pos = end;
+        self.left -= 1;
+        Ok(Some(value))
+    }
+
+    /// Reads the values left, then checks that the row ends where the
+    /// cell does.
+    #[inline(always)]
+    fn finish(mut self) -> DbResult<()> {
+        while self.next()?.is_some() {}
+        if self.pos != self.cell.len() {
+            return Err(trailing());
         }
         Ok(())
     }
@@ -219,15 +231,8 @@ mod tests {
         let bytes = row.encode();
         let (mut spans, mut block) = (Vec::new(), RowBlock::new());
         let proj = [3, 1, 1, 0];
-        Row::copy_columns(&bytes, &proj, None, &mut spans, &mut block).unwrap();
-        Row::copy_columns(
-            &bytes,
-            &[2],
-            Some(&[false, false, true]),
-            &mut spans,
-            &mut block,
-        )
-        .unwrap();
+        Row::copy_columns(&bytes, &proj, &mut spans, &mut block).unwrap();
+        Row::copy_columns(&bytes, &[2], &mut spans, &mut block).unwrap();
         let want = [
             proj.iter().map(|&i| row.values[i].clone()).collect(),
             vec![Value::Null],
@@ -256,14 +261,11 @@ mod tests {
         ];
         let (mut spans, mut block) = (Vec::new(), RowBlock::new());
         for (cell, proj) in cases {
-            let got = Row::copy_columns(cell, proj, None, &mut spans, &mut block);
+            let got = Row::copy_columns(cell, proj, &mut spans, &mut block);
             assert!(matches!(got, Err(DbError::Storage(_))), "{cell:?} {proj:?}");
             assert!(Row::decode_partial(cell, None).is_err() || proj.contains(&2));
             assert_eq!(block, RowBlock::new(), "a refused cell adds nothing");
         }
-        // A column the mask leaves unchecked is copied as it is, as
-        // `decode_partial` skips it.
-        assert!(Row::copy_columns(&bad_utf8, &[0], Some(&[true]), &mut spans, &mut block).is_ok());
     }
 
     #[test]

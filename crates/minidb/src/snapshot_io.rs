@@ -24,6 +24,19 @@
 //! StatementTrace           u64 length, mdb-trace record payload
 //! ```
 
+// A snapshot file is outside input: a bad one is a typed error, never
+// a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use std::collections::BTreeMap;
 
 use mdb_telemetry::{HistogramSnapshot, MetricsSnapshot};

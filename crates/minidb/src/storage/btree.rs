@@ -16,13 +16,14 @@
 //!
 //! Nodes are read and edited where they lie in the pool frame
 //! (`NodeRef`): a descent, a search and a delete compare the probe
-//! with each encoded key ([`Value::cmp_encoded`]), and an insert that
-//! fits, or a delete, shifts the node's tail inside the frame. A node is
-//! decoded into a `Node` only to split it — a full node, decoded in
-//! the read that found it full — and by [`BTree::check`]. Either way a
-//! node visited is one pool read and a node changed one pool write, as
-//! when every node was decoded: the access path is the leak, and it is
-//! unchanged.
+//! with each key read in place by the value reader every row and
+//! predicate reads through ([`Value::cmp_encoded`]), and an insert that
+//! fits, or a delete, shifts the node's tail inside the frame. A split
+//! never decodes a node either: the read that finds a node full copies
+//! its bytes out, and the split writes each half from those entries'
+//! byte ranges. Either way a node visited is one pool read and a node
+//! changed one pool write, as when every node was decoded: the access
+//! path is the leak, and it is unchanged.
 
 // Node bytes come from disk: a node that lies is a typed error, never
 // a panic.
@@ -46,7 +47,7 @@ use crate::error::{DbError, DbResult};
 use crate::row::RowId;
 use crate::storage::page::PAGE_SIZE;
 use crate::storage::shardpool::ShardedBufferPool;
-use crate::value::Value;
+use crate::value::{self, Value, ValueRef};
 use crate::vdisk::VDisk;
 
 /// Maximum entries per node before a split.
@@ -115,71 +116,6 @@ pub struct SearchResult {
     pub pages: Vec<u32>,
 }
 
-/// A node decoded: what a split rearranges and [`BTree::check`] reads.
-#[derive(Clone, Debug, PartialEq)]
-enum Node {
-    Internal {
-        keys: Vec<Value>,
-        children: Vec<u32>,
-    },
-    Leaf {
-        entries: Vec<(Value, RowId)>,
-        next: Option<u32>,
-    },
-}
-
-impl Node {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Node::Internal { keys, children } => {
-                out.push(1);
-                out.extend_from_slice(&(keys.len() as u16).to_le_bytes());
-                for c in children {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-                for k in keys {
-                    k.encode(&mut out);
-                }
-            }
-            Node::Leaf { entries, next } => {
-                out.push(2);
-                out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-                out.extend_from_slice(&next.unwrap_or(SENTINEL).to_le_bytes());
-                for (k, rid) in entries {
-                    k.encode(&mut out);
-                    out.extend_from_slice(&rid.to_le_bytes());
-                }
-            }
-        }
-        out
-    }
-
-    /// Parses a node: its header as [`NodeRef::parse`] checks it, then
-    /// every entry.
-    fn decode(node: &[u8]) -> DbResult<Node> {
-        Ok(match NodeRef::parse(node)? {
-            NodeRef::Internal { children, mut keys } => {
-                let mut out = Vec::with_capacity(keys.n);
-                while let Some((key, _)) = keys.step(Value::decode)? {
-                    out.push(key);
-                }
-                Node::Internal {
-                    keys: out,
-                    children: children.iter().map(|c| u32::from_le_bytes(*c)).collect(),
-                }
-            }
-            NodeRef::Leaf { next, mut entries } => {
-                let mut out = Vec::with_capacity(entries.n);
-                while let Some(entry) = entries.step(Value::decode)? {
-                    out.push(entry);
-                }
-                Node::Leaf { entries: out, next }
-            }
-        })
-    }
-}
-
 /// The node bytes in a pool frame.
 fn node_bytes(page: &[u8; PAGE_SIZE]) -> DbResult<&[u8]> {
     let mut r = Reader::new(&page[NODE_OFF..]);
@@ -191,8 +127,8 @@ fn node_bytes(page: &[u8; PAGE_SIZE]) -> DbResult<&[u8]> {
 /// with the disk may have rewritten: parsing checks the header (the
 /// tag, a count no split can leave behind, every child pointer), and
 /// the entries are checked one by one as a [`Walk`] reaches them. Every
-/// reader walks to the node's end, so a node is refused wherever
-/// [`Node::decode`] would refuse it.
+/// reader walks to the node's end, so a node with one bad entry is
+/// refused wherever the probe lands.
 enum NodeRef<'a> {
     Internal {
         /// `n + 1` child page numbers.
@@ -253,8 +189,13 @@ fn child(children: &[[u8; 4]], idx: usize) -> DbResult<u32> {
     child.ok_or_else(|| no_child(idx))
 }
 
+/// Child page numbers, as an internal node stores them.
+fn pages(children: &[[u8; 4]]) -> Vec<u32> {
+    children.iter().map(|c| u32::from_le_bytes(*c)).collect()
+}
+
 /// A cursor over a node's entries where they lie: each key is read at
-/// its offset, and a leaf's row id behind it.
+/// its offset ([`value::read`]), and a leaf's row id behind it.
 struct Walk<'a> {
     node: &'a [u8],
     /// Offset of the next entry.
@@ -268,19 +209,16 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    /// Steps past the next entry: `key` reads the key at the offset it
-    /// is given and advances it, then a leaf's row id is read (an
+    /// Steps past the next entry: its key, and a leaf's row id (an
     /// internal node's reads as 0). `None` once every entry is read.
     #[inline(always)]
-    fn step<T>(
-        &mut self,
-        key: impl FnOnce(&'a [u8], &mut usize) -> DbResult<T>,
-    ) -> DbResult<Option<(T, RowId)>> {
+    fn step(&mut self) -> DbResult<Option<(ValueRef<'a>, RowId)>> {
         if self.done == self.n {
             return Ok(None);
         }
         self.done += 1;
-        let key = key(self.node, &mut self.pos)?;
+        let (key, end) = value::read(self.node, self.pos)?;
+        self.pos = end;
         if !self.leaf {
             return Ok(Some((key, 0)));
         }
@@ -297,10 +235,11 @@ impl<'a> Walk<'a> {
         probe: &Value,
         pred: impl Fn(Ordering) -> bool,
     ) -> DbResult<(usize, usize)> {
+        let probe = probe.borrowed();
         loop {
             let at = (self.done, self.pos);
-            match self.step(|node, pos| probe.cmp_encoded(node, pos))? {
-                Some((ord, _)) if pred(ord) => {}
+            match self.step()? {
+                Some((key, _)) if pred(probe.cmp(&key)) => {}
                 _ => return Ok(at),
             }
         }
@@ -309,9 +248,40 @@ impl<'a> Walk<'a> {
     /// Checks the entries left and returns where the last one ends: the
     /// length of the node's canonical encoding.
     fn end(mut self) -> DbResult<usize> {
-        while self.step(Value::check)?.is_some() {}
+        while self.step()?.is_some() {}
         Ok(self.pos)
     }
+
+    /// The bytes of each entry left (a key, and a leaf's row id), in
+    /// order, with room for one more.
+    fn entries(mut self) -> DbResult<Vec<&'a [u8]>> {
+        let mut out = Vec::with_capacity(self.n + 1);
+        loop {
+            let at = self.pos;
+            if self.step()?.is_none() {
+                return Ok(out);
+            }
+            out.push(self.node.get(at..self.pos).unwrap_or_default());
+        }
+    }
+}
+
+/// A node's bytes: the tag (1 internal, 2 leaf), the entry count, the
+/// links (an internal node's children, a leaf's next page) and the
+/// entries, copied as they are. Entries [`Walk`] read are canonical, so
+/// these are the bytes encoding the node's values would give.
+fn node_of(tag: u8, links: &[u32], entries: &[&[u8]]) -> Vec<u8> {
+    let len = entries.iter().map(|e| e.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(NODE_HDR + 4 * links.len() + len);
+    out.push(tag);
+    out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
+    for link in links {
+        out.extend_from_slice(&link.to_le_bytes());
+    }
+    for entry in entries {
+        out.extend_from_slice(entry);
+    }
+    out
 }
 
 /// Opens `bytes.len()` bytes at offset `at` of the node in `page`, whose
@@ -354,9 +324,9 @@ enum Landing {
     /// An internal node with room: the child to descend into, and where
     /// its separator goes should it split.
     Internal { child: u32, room: Room },
-    /// A full node, decoded: anything that lands in it splits it, at
-    /// index `idx`.
-    Full { node: Node, idx: usize },
+    /// A full node, its bytes copied out of the frame: anything that
+    /// lands in it splits it, at index `idx`.
+    Full { node: Vec<u8>, idx: usize },
 }
 
 /// What a delete's read of one leaf found.
@@ -406,35 +376,8 @@ impl BTree {
             file: file.to_string(),
             root,
         };
-        tree.store_node(
-            bufpool,
-            vdisk,
-            root,
-            &Node::Leaf {
-                entries: Vec::new(),
-                next: None,
-            },
-        )?;
+        tree.store_bytes(bufpool, vdisk, root, &node_of(2, &[SENTINEL], &[]))?;
         Ok(tree)
-    }
-
-    fn load_node(
-        &self,
-        bufpool: &ShardedBufferPool,
-        vdisk: &mut VDisk,
-        page_no: u32,
-    ) -> DbResult<Node> {
-        bufpool.with_page(vdisk, &self.file, page_no, |b| Node::decode(node_bytes(b)?))?
-    }
-
-    fn store_node(
-        &self,
-        bufpool: &ShardedBufferPool,
-        vdisk: &mut VDisk,
-        page_no: u32,
-        node: &Node,
-    ) -> DbResult<()> {
-        self.store_bytes(bufpool, vdisk, page_no, &node.encode())
     }
 
     fn store_bytes(
@@ -469,7 +412,10 @@ impl BTree {
                 key.encoded_len()
             )));
         }
-        let split = self.insert_rec(bufpool, vdisk, self.root, key, row_id, MAX_DEPTH - 1)?;
+        let mut entry = Vec::with_capacity(key.encoded_len() + 8);
+        key.encode(&mut entry);
+        entry.extend_from_slice(&row_id.to_le_bytes());
+        let split = self.insert_rec(bufpool, vdisk, self.root, key, &entry, MAX_DEPTH - 1)?;
         if let Some((split_key, right)) = split {
             // Root split: copy the (already-halved) root node into a fresh
             // left page and rebuild the root as an internal node, keeping
@@ -479,21 +425,14 @@ impl BTree {
             })??;
             let left = bufpool.allocate_page(vdisk, &self.file);
             self.store_bytes(bufpool, vdisk, left, &old_root)?;
-            self.store_node(
-                bufpool,
-                vdisk,
-                self.root,
-                &Node::Internal {
-                    keys: vec![split_key],
-                    children: vec![left, right],
-                },
-            )?;
+            let root = node_of(1, &[left, right], &[&split_key]);
+            self.store_bytes(bufpool, vdisk, self.root, &root)?;
         }
         Ok(())
     }
 
     /// Reads the node at `page_no` once for an insert of `key`: where it
-    /// lands, and the node decoded if it is full.
+    /// lands, and the node's bytes if it is full.
     fn land(
         &self,
         bufpool: &ShardedBufferPool,
@@ -514,7 +453,7 @@ impl BTree {
             let end = walk.end()?;
             if n == MAX_ENTRIES {
                 return Ok(Landing::Full {
-                    node: Node::decode(node)?,
+                    node: node.to_vec(),
                     idx,
                 });
             }
@@ -529,134 +468,104 @@ impl BTree {
         })?
     }
 
-    /// Recursive insert; returns `Some((separator, right_page))` when the
-    /// node at `page_no` split.
+    /// Recursive insert of `key`, whose leaf entry (the key's encoding,
+    /// then the row id) is `entry`; returns `Some((separator, right_page))`,
+    /// the separator encoded, when the node at `page_no` split.
     fn insert_rec(
         &self,
         bufpool: &ShardedBufferPool,
         vdisk: &mut VDisk,
         page_no: u32,
         key: &Value,
-        row_id: RowId,
+        entry: &[u8],
         levels_left: usize,
-    ) -> DbResult<Option<(Value, u32)>> {
+    ) -> DbResult<Option<(Vec<u8>, u32)>> {
         match self.land(bufpool, vdisk, page_no, key)? {
             Landing::Leaf(room) => {
-                let mut entry = Vec::with_capacity(key.encoded_len() + 8);
-                key.encode(&mut entry);
-                entry.extend_from_slice(&row_id.to_le_bytes());
                 if room.end + entry.len() > NODE_MAX {
                     return Err(too_big());
                 }
                 bufpool.with_page_mut(vdisk, &self.file, page_no, |b| {
-                    let end = splice(b, room.at, room.end, &entry)?;
+                    let end = splice(b, room.at, room.end, entry)?;
                     set_size(b, room.n + 1, end);
                     Ok(None)
                 })?
             }
             Landing::Internal { child, room } => {
                 let levels_left = levels_left.checked_sub(1).ok_or_else(too_deep)?;
-                let split = self.insert_rec(bufpool, vdisk, child, key, row_id, levels_left)?;
+                let split = self.insert_rec(bufpool, vdisk, child, key, entry, levels_left)?;
                 let Some((sep, right)) = split else {
                     return Ok(None);
                 };
                 // The separator goes before key `idx`, its right child
                 // after child `idx`.
-                let mut sep_bytes = Vec::with_capacity(sep.encoded_len());
-                sep.encode(&mut sep_bytes);
-                if room.end + sep_bytes.len() + 4 > NODE_MAX {
+                if room.end + sep.len() + 4 > NODE_MAX {
                     return Err(too_big());
                 }
                 bufpool.with_page_mut(vdisk, &self.file, page_no, |b| {
-                    let end = splice(b, room.at, room.end, &sep_bytes)?;
+                    let end = splice(b, room.at, room.end, &sep)?;
                     let end = splice(b, NODE_HDR + 4 * (room.idx + 1), end, &right.to_le_bytes())?;
                     set_size(b, room.n + 1, end);
                     Ok(None)
                 })?
             }
-            Landing::Full {
-                node: Node::Leaf { mut entries, next },
-                idx,
-            } => {
-                entries.insert(idx, (key.clone(), row_id));
-                // An append splits where it lands: the full leaf stays
-                // full and the newcomer starts the right one, so keys
-                // arriving in order pack MAX_ENTRIES to a page, not half.
-                // Its separator is the left leaf's last key, not the
-                // newcomer: whatever later falls between the two must go
-                // right, or a descending run into that gap would append
-                // to the full leaf again and again, one leaf per key.
-                let append = idx == MAX_ENTRIES;
-                let mid = if append { idx } else { entries.len() / 2 };
-                let right_entries: Vec<_> = entries.split_off(mid);
-                let split_key = if append {
-                    entries.last()
-                } else {
-                    right_entries.first()
-                };
-                let split_key = split_key.ok_or_else(empty_split)?.0.clone();
-                let right_page = bufpool.allocate_page(vdisk, &self.file);
-                self.store_node(
-                    bufpool,
-                    vdisk,
-                    right_page,
-                    &Node::Leaf {
-                        entries: right_entries,
-                        next,
-                    },
-                )?;
-                self.store_node(
-                    bufpool,
-                    vdisk,
-                    page_no,
-                    &Node::Leaf {
-                        entries,
-                        next: Some(right_page),
-                    },
-                )?;
-                Ok(Some((split_key, right_page)))
-            }
-            Landing::Full {
-                node:
-                    Node::Internal {
-                        mut keys,
-                        mut children,
-                    },
-                idx,
-            } => {
-                let levels_left = levels_left.checked_sub(1).ok_or_else(too_deep)?;
-                let child = *children.get(idx).ok_or_else(|| no_child(idx))?;
-                let split = self.insert_rec(bufpool, vdisk, child, key, row_id, levels_left)?;
-                let Some((sep, right)) = split else {
-                    return Ok(None);
-                };
-                keys.insert(idx, sep);
-                children.insert(idx + 1, right);
-                // Same rule one level up: when the separator that
-                // overflows the node is its last, promote the one
-                // before it, so the right node starts with the
-                // newcomer and its two children.
-                let mid = if idx == MAX_ENTRIES {
-                    idx - 1
-                } else {
-                    keys.len() / 2
-                };
-                let right_keys: Vec<_> = keys.split_off(mid + 1);
-                let promote = keys.pop().ok_or_else(empty_split)?;
-                let right_children: Vec<_> = children.split_off(mid + 1);
-                let right_page = bufpool.allocate_page(vdisk, &self.file);
-                self.store_node(
-                    bufpool,
-                    vdisk,
-                    right_page,
-                    &Node::Internal {
-                        keys: right_keys,
-                        children: right_children,
-                    },
-                )?;
-                self.store_node(bufpool, vdisk, page_no, &Node::Internal { keys, children })?;
-                Ok(Some((promote, right_page)))
-            }
+            Landing::Full { node, idx } => match NodeRef::parse(&node)? {
+                NodeRef::Leaf { next, entries } => {
+                    let mut entries = entries.entries()?;
+                    entries.insert(idx, entry);
+                    // An append splits where it lands: the full leaf
+                    // stays full and the newcomer starts the right one,
+                    // so keys arriving in order pack MAX_ENTRIES to a
+                    // page, not half. Its separator is the left leaf's
+                    // last key, not the newcomer: whatever later falls
+                    // between the two must go right, or a descending run
+                    // into that gap would append to the full leaf again
+                    // and again, one leaf per key.
+                    let append = idx == MAX_ENTRIES;
+                    let mid = if append { idx } else { entries.len() / 2 };
+                    let (left, right) = entries.split_at_checked(mid).ok_or_else(empty_split)?;
+                    let split_entry = if append { left.last() } else { right.first() };
+                    // The separator is the entry without its row id.
+                    let split_key = split_entry
+                        .and_then(|e| e.get(..e.len().checked_sub(8)?))
+                        .ok_or_else(empty_split)?;
+                    let right_page = bufpool.allocate_page(vdisk, &self.file);
+                    let next = next.unwrap_or(SENTINEL);
+                    self.store_bytes(bufpool, vdisk, right_page, &node_of(2, &[next], right))?;
+                    self.store_bytes(bufpool, vdisk, page_no, &node_of(2, &[right_page], left))?;
+                    Ok(Some((split_key.to_vec(), right_page)))
+                }
+                NodeRef::Internal { children, keys } => {
+                    let levels_left = levels_left.checked_sub(1).ok_or_else(too_deep)?;
+                    let child = child(children, idx)?;
+                    let split = self.insert_rec(bufpool, vdisk, child, key, entry, levels_left)?;
+                    let Some((sep, right)) = split else {
+                        return Ok(None);
+                    };
+                    let (mut keys, mut children) = (keys.entries()?, pages(children));
+                    keys.insert(idx, &sep);
+                    children.insert(idx + 1, right);
+                    // Same rule one level up: when the separator that
+                    // overflows the node is its last, promote the one
+                    // before it, so the right node starts with the
+                    // newcomer and its two children.
+                    let mid = if idx == MAX_ENTRIES {
+                        idx - 1
+                    } else {
+                        keys.len() / 2
+                    };
+                    let (left_keys, rest) = keys.split_at_checked(mid).ok_or_else(empty_split)?;
+                    let (promote, right_keys) = rest.split_first().ok_or_else(empty_split)?;
+                    let (left_children, right_children) =
+                        children.split_at_checked(mid + 1).ok_or_else(empty_split)?;
+                    let right_page = bufpool.allocate_page(vdisk, &self.file);
+                    let right_node = node_of(1, right_children, right_keys);
+                    self.store_bytes(bufpool, vdisk, right_page, &right_node)?;
+                    let left_node = node_of(1, left_children, left_keys);
+                    self.store_bytes(bufpool, vdisk, page_no, &left_node)?;
+                    Ok(Some((promote.to_vec(), right_page)))
+                }
+            },
         }
     }
 
@@ -721,34 +630,30 @@ impl BTree {
             Bound::Included(k) | Bound::Excluded(k) => Some(k),
         };
         let mut leaf = self.descend_left(bufpool, vdisk, start, &mut result.pages)?;
-        // Whether the key at `*pos` is past `hi`, and whether it is in
-        // `lo`, stepping past it. `b.cmp(k)` orders the bound against
-        // the key.
-        let judge = |node: &[u8], pos: &mut usize| -> DbResult<(bool, bool)> {
-            let mut at = *pos;
-            let above_hi = match &hi {
-                Bound::Unbounded => false,
-                Bound::Included(b) => b.cmp_encoded(node, &mut at)? == Ordering::Less,
-                Bound::Excluded(b) => b.cmp_encoded(node, &mut at)? != Ordering::Greater,
-            };
-            let in_lo = match &lo {
-                Bound::Unbounded => Value::check(node, pos).map(|()| true)?,
-                Bound::Included(b) => b.cmp_encoded(node, pos)? != Ordering::Greater,
-                Bound::Excluded(b) => b.cmp_encoded(node, pos)? == Ordering::Less,
-            };
-            Ok((above_hi, in_lo))
-        };
+        let lo = lo.as_ref().map(Value::borrowed);
+        let hi = hi.as_ref().map(Value::borrowed);
         for _ in 0..ShardedBufferPool::page_count(vdisk, &self.file) {
             let row_ids = &mut result.row_ids;
             let next = bufpool.with_page(vdisk, &self.file, leaf, |b| {
                 let NodeRef::Leaf { next, mut entries } = NodeRef::read(b)? else {
                     return Err(not_a_leaf());
                 };
-                while let Some(((above_hi, in_lo), rid)) = entries.step(judge)? {
+                while let Some((key, rid)) = entries.step()? {
+                    // `b.cmp(&key)` orders the bound against the key.
+                    let above_hi = match &hi {
+                        Bound::Unbounded => false,
+                        Bound::Included(b) => b.cmp(&key) == Ordering::Less,
+                        Bound::Excluded(b) => b.cmp(&key) != Ordering::Greater,
+                    };
                     if above_hi {
                         entries.end()?;
                         return Ok(None);
                     }
+                    let in_lo = match &lo {
+                        Bound::Unbounded => true,
+                        Bound::Included(b) => b.cmp(&key) != Ordering::Greater,
+                        Bound::Excluded(b) => b.cmp(&key) == Ordering::Less,
+                    };
                     if in_lo {
                         row_ids.push(rid);
                     }
@@ -789,10 +694,10 @@ impl BTree {
                 let mut all_past = true;
                 loop {
                     let at = entries.pos;
-                    let Some((ord, rid)) = entries.step(|node, pos| key.cmp_encoded(node, pos))?
-                    else {
+                    let Some((k, rid)) = entries.step()? else {
                         break;
                     };
+                    let ord = key.borrowed().cmp(&k);
                     all_past &= ord == Ordering::Less;
                     if hit.is_none() && ord == Ordering::Equal && rid == row_id {
                         hit = Some((at, entries.pos - at));
@@ -850,30 +755,39 @@ impl Check<'_> {
         if depth > MAX_DEPTH {
             return Err(too_deep());
         }
-        let node = self.tree.load_node(self.bufpool, self.vdisk, page_no)?;
-        let keys: Vec<&Value> = match &node {
-            Node::Internal { keys, .. } => keys.iter().collect(),
-            Node::Leaf { entries, .. } => entries.iter().map(|(k, _)| k).collect(),
-        };
+        // The node's keys, decoded, and its children (`None` for a leaf)
+        // or its next leaf.
+        let file = &self.tree.file;
+        let (keys, children, next) = self.bufpool.with_page(self.vdisk, file, page_no, |b| {
+            let (children, next, mut walk) = match NodeRef::read(b)? {
+                NodeRef::Internal { children, keys } => (Some(pages(children)), None, keys),
+                NodeRef::Leaf { next, entries } => (None, next, entries),
+            };
+            let mut keys = Vec::with_capacity(walk.n);
+            while let Some((key, _)) = walk.step()? {
+                keys.push(key.to_value());
+            }
+            Ok::<_, DbError>((keys, children, next))
+        })??;
         if !keys.is_sorted() {
             return Err(broken("keys out of order"));
         }
-        if lo.is_some_and(|lo| keys.first().is_some_and(|k| *k < lo))
-            || hi.is_some_and(|hi| keys.last().is_some_and(|k| *k > hi))
+        if lo.is_some_and(|lo| keys.first().is_some_and(|k| k < lo))
+            || hi.is_some_and(|hi| keys.last().is_some_and(|k| k > hi))
         {
             return Err(broken("key outside its separators"));
         }
-        match &node {
-            Node::Leaf { entries, next } => {
+        match children {
+            None => {
                 if self.stats.leaf_pages > 0 && self.stats.depth != depth {
                     return Err(broken("leaf at another depth than the first"));
                 }
                 self.stats.depth = depth;
                 self.stats.leaf_pages += 1;
-                self.stats.entries += entries.len();
-                self.leaves.push((page_no, *next));
+                self.stats.entries += keys.len();
+                self.leaves.push((page_no, next));
             }
-            Node::Internal { keys, children } => {
+            Some(children) => {
                 if keys.is_empty() {
                     return Err(broken("internal node without a separator"));
                 }
@@ -921,6 +835,72 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
+
+    /// A node decoded: the reference the in-place reads and the byte
+    /// copying splits are held to.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Node {
+        Internal {
+            keys: Vec<Value>,
+            children: Vec<u32>,
+        },
+        Leaf {
+            entries: Vec<(Value, RowId)>,
+            next: Option<u32>,
+        },
+    }
+
+    impl Node {
+        fn encode(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            match self {
+                Node::Internal { keys, children } => {
+                    out.push(1);
+                    out.extend_from_slice(&(keys.len() as u16).to_le_bytes());
+                    for c in children {
+                        out.extend_from_slice(&c.to_le_bytes());
+                    }
+                    for k in keys {
+                        k.encode(&mut out);
+                    }
+                }
+                Node::Leaf { entries, next } => {
+                    out.push(2);
+                    out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
+                    out.extend_from_slice(&next.unwrap_or(SENTINEL).to_le_bytes());
+                    for (k, rid) in entries {
+                        k.encode(&mut out);
+                        out.extend_from_slice(&rid.to_le_bytes());
+                    }
+                }
+            }
+            out
+        }
+
+        /// Parses a node: its header as [`NodeRef::parse`] checks it,
+        /// then every entry.
+        fn decode(node: &[u8]) -> DbResult<Node> {
+            Ok(match NodeRef::parse(node)? {
+                NodeRef::Internal { children, mut keys } => {
+                    let mut out = Vec::with_capacity(keys.n);
+                    while let Some((key, _)) = keys.step()? {
+                        out.push(key.to_value());
+                    }
+                    Node::Internal {
+                        keys: out,
+                        children: pages(children),
+                    }
+                }
+                NodeRef::Leaf { next, mut entries } => {
+                    let mut out = Vec::with_capacity(entries.n);
+                    while let Some((key, rid)) = entries.step()? {
+                        out.push((key.to_value(), rid));
+                    }
+                    Node::Leaf { entries: out, next }
+                }
+            })
+        }
+    }
 
     fn setup() -> (ShardedBufferPool, VDisk, BTree) {
         let bp = ShardedBufferPool::new(64, 4);
@@ -1216,6 +1196,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A TEXT key that is not UTF-8 fails every read of its node.
+    #[test]
+    fn a_text_key_that_is_not_utf8_is_refused() {
+        let (bp, mut vd, t) = setup();
+        for (rid, k) in ["ant", "bee", "cat"].into_iter().enumerate() {
+            t.insert(&bp, &mut vd, &Value::Text(k.into()), rid as u64)
+                .unwrap();
+        }
+        bp.with_page_mut(&mut vd, &t.file, t.root, |b| {
+            let at = b.windows(3).position(|w| w == b"bee").unwrap();
+            b[at] = 0xFF;
+        })
+        .unwrap();
+        let ant = Value::Text("ant".into());
+        assert!(t.search_eq(&bp, &mut vd, &ant).is_err());
+        assert!(t.delete(&bp, &mut vd, &ant, 0).is_err());
+        assert!(t.insert(&bp, &mut vd, &ant, 3).is_err());
+        assert!(t.check(&bp, &mut vd).is_err());
     }
 
     #[test]

@@ -196,12 +196,11 @@ impl<'a> ScanSink<'a> {
 
     /// A sink copying the columns `proj` lists (schema ordinals, in
     /// that order, repeats allowed) of the rows `pred` holds of into one
-    /// [`RowBlock`], up to `limit` rows. No survivor is decoded: the
-    /// columns flagged in `needed` (`None` = all) are checked as
-    /// [`Self::new`]'s sink would decode them ([`Row::copy_columns`]).
+    /// [`RowBlock`], up to `limit` rows. No survivor is decoded, but
+    /// each is checked as [`Self::new`]'s sink would decode it
+    /// ([`Row::copy_columns`]).
     pub fn copying(
         pred: Option<&'a Predicate>,
-        needed: Option<&'a [bool]>,
         proj: &'a [usize],
         limit: Option<usize>,
     ) -> ScanSink<'a> {
@@ -211,7 +210,7 @@ impl<'a> ScanSink<'a> {
                 spans: Vec::new(),
                 block: RowBlock::new(),
             }),
-            ..ScanSink::new(pred, needed, limit)
+            ..ScanSink::new(pred, None, limit)
         }
     }
 
@@ -245,7 +244,7 @@ impl<'a> ScanSink<'a> {
             return Ok(());
         }
         match &mut self.copy {
-            Some(c) => Row::copy_columns(cell, c.proj, self.needed, &mut c.spans, &mut c.block),
+            Some(c) => Row::copy_columns(cell, c.proj, &mut c.spans, &mut c.block),
             None => {
                 self.rows.push(Row::decode_partial(cell, self.needed)?);
                 Ok(())
@@ -1081,7 +1080,7 @@ mod tests {
         }
         // A copying sink stops at the same row, with the first column
         // of each survivor copied twice.
-        let mut sink = ScanSink::copying(None, Some(&[true, false]), &[0, 0], Some(2));
+        let mut sink = ScanSink::copying(None, &[0, 0], Some(2));
         h.scan_into(&bp, &mut vd, None, &mut sink).unwrap();
         assert_eq!(sink.examined, 2);
         let twice = |i| vec![Value::Int(i), Value::Int(i)];
@@ -1091,7 +1090,7 @@ mod tests {
         let before = bp.access_count("t.ibd", 0);
         for mut none in [
             ScanSink::new(None, None, Some(0)),
-            ScanSink::copying(None, None, &[1], Some(0)),
+            ScanSink::copying(None, &[1], Some(0)),
         ] {
             h.scan_into(&bp, &mut vd, None, &mut none).unwrap();
             h.fetch_into(&bp, &mut vd, &[1, 2, 3], &mut none).unwrap();

@@ -13,6 +13,7 @@
     )
 )]
 
+use core::cmp::Ordering;
 use core::fmt;
 
 use mdb_trace::codec::{put_u32, Reader};
@@ -118,137 +119,113 @@ impl Value {
         }
     }
 
-    /// Splits one encoded value off `buf[*pos..]`, advancing `pos`:
-    /// its tag and its body (empty for NULL, 8 bytes for INT, the
-    /// payload for TEXT/BYTES). Every reader of the encoding goes
-    /// through here, so every bounds check lives here.
-    ///
-    /// This and its callers are forced inline: they are the inner loop
-    /// of every scan (see `predicate::EncodedRow::column`) and of every
-    /// B+ tree node read.
-    #[inline(always)]
-    fn split<'a>(buf: &'a [u8], pos: &mut usize) -> DbResult<(u8, &'a [u8])> {
-        let rest = buf.get(*pos..).unwrap_or_default();
-        let (&tag, rest) = rest.split_first().ok_or_else(|| truncated("value tag"))?;
-        let (head, len) = match tag {
-            0 => (0, 0),
-            1 => (0, 8),
-            2 | 3 => {
-                let len = rest.first_chunk().ok_or_else(|| truncated("length"))?;
-                (4, u32::from_le_bytes(*len) as usize)
-            }
-            t => return Err(DbError::Storage(format!("unknown value tag {t}"))),
-        };
-        let body = rest
-            .get(head..head + len)
-            .ok_or_else(|| truncated("body"))?;
-        *pos += 1 + head + len;
-        Ok((tag, body))
-    }
-
     /// Decodes a value from `buf[*pos..]`, advancing `pos`.
     #[inline(always)]
     pub fn decode(buf: &[u8], pos: &mut usize) -> DbResult<Value> {
-        let (tag, body) = Self::split(buf, pos)?;
-        Ok(match tag {
-            0 => Value::Null,
-            1 => Value::Int(i64::from_le_bytes(
-                *body.first_chunk().ok_or_else(|| truncated("INT body"))?,
-            )),
-            2 => Value::Text(
-                std::str::from_utf8(body)
-                    .map_err(|_| bad_utf8())?
-                    .to_string(),
-            ),
-            _ => Value::Bytes(body.to_vec()),
-        })
-    }
-
-    /// Advances `pos` past one encoded value without materializing it —
-    /// no allocation, no UTF-8 validation. The scan path uses this to
-    /// step over columns the query never reads.
-    #[inline(always)]
-    pub fn skip(buf: &[u8], pos: &mut usize) -> DbResult<()> {
-        Self::split(buf, pos).map(|_| ())
-    }
-
-    /// Advances `pos` past one encoded value, checking it exactly as
-    /// [`Value::decode`] does (a TEXT body must be UTF-8) without
-    /// materializing it. What passes is a value's canonical encoding,
-    /// so its bytes may be copied as they are into a [`RowBlock`].
-    #[inline(always)]
-    pub fn check(buf: &[u8], pos: &mut usize) -> DbResult<()> {
-        Self::split_checked(buf, pos).map(|_| ())
-    }
-
-    /// [`Value::split`], refusing a TEXT body that is not UTF-8.
-    #[inline(always)]
-    fn split_checked<'a>(buf: &'a [u8], pos: &mut usize) -> DbResult<(u8, &'a [u8])> {
-        let (tag, body) = Self::split(buf, pos)?;
-        if tag == 2 && std::str::from_utf8(body).is_err() {
-            return Err(bad_utf8());
-        }
-        Ok((tag, body))
+        let (value, end) = read(buf, *pos)?;
+        *pos = end;
+        Ok(value.to_value())
     }
 
     /// Orders `self` against the value encoded at `buf[*pos..]`, exactly
     /// as `Ord for Value` would order it against the decoded value,
-    /// advancing `pos` past it. The encoded value is checked as
-    /// [`Value::check`] checks it, but not materialized: the tags follow
-    /// the variant order, INT compares as `i64`, TEXT and BYTES
-    /// bytewise (which is how `String` orders too).
+    /// advancing `pos` past it. The encoded value is read and checked
+    /// by `read`, but not materialized.
     #[inline(always)]
-    pub fn cmp_encoded(&self, buf: &[u8], pos: &mut usize) -> DbResult<core::cmp::Ordering> {
-        let (tag, body) = Self::split_checked(buf, pos)?;
-        if self.type_rank() != tag {
-            return Ok(self.type_rank().cmp(&tag));
-        }
-        Ok(match self {
-            Value::Null => core::cmp::Ordering::Equal,
-            Value::Int(a) => a.cmp(&i64::from_le_bytes(
-                *body.first_chunk().ok_or_else(|| truncated("INT body"))?,
-            )),
-            Value::Text(s) => s.as_bytes().cmp(body),
-            Value::Bytes(b) => b.as_slice().cmp(body),
-        })
-    }
-
-    /// [`Value::sql_cmp`] of `self` against the value encoded at
-    /// `buf[*pos..]`, read and checked as [`Value::cmp_encoded`] reads
-    /// it: `None` when either side is NULL.
-    #[inline(always)]
-    pub fn sql_cmp_encoded(
-        &self,
-        buf: &[u8],
-        pos: &mut usize,
-    ) -> DbResult<Option<core::cmp::Ordering>> {
-        // Tag 0 is NULL (`Value::encode`).
-        let null = buf.get(*pos) == Some(&0);
-        let ord = self.cmp_encoded(buf, pos)?;
-        Ok(Some(ord).filter(|_| !null && !matches!(self, Value::Null)))
+    pub fn cmp_encoded(&self, buf: &[u8], pos: &mut usize) -> DbResult<Ordering> {
+        let (value, end) = read(buf, *pos)?;
+        *pos = end;
+        Ok(self.borrowed().cmp(&value))
     }
 
     /// SQL three-valued comparison: `None` when either side is NULL.
-    pub fn sql_cmp(&self, other: &Value) -> Option<core::cmp::Ordering> {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
-            (Value::Bytes(a), Value::Bytes(b)) => Some(a.cmp(b)),
-            // Cross-type comparisons order by type tag, mirroring SQLite's
-            // affinity-free fallback; they never occur in well-typed plans.
-            _ => Some(self.type_rank().cmp(&other.type_rank())),
+    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
+        self.borrowed().sql_cmp(other.borrowed())
+    }
+
+    /// The value borrowed, as [`read`] yields the value encoded.
+    #[inline(always)]
+    pub(crate) fn borrowed(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Bytes(b) => ValueRef::Bytes(b),
+        }
+    }
+}
+
+/// A value where it lies in an encoded buffer, as [`read`] found it:
+/// what a [`Value`] holds, borrowed. It orders as `Ord for Value` does:
+/// the variants in the same order, INT as `i64`, TEXT and BYTES
+/// bytewise (which is how `String` orders too).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum ValueRef<'a> {
+    Null,
+    Int(i64),
+    Text(&'a str),
+    Bytes(&'a [u8]),
+}
+
+impl ValueRef<'_> {
+    /// The value, owned.
+    #[inline(always)]
+    pub(crate) fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Text(s) => Value::Text(s.to_owned()),
+            ValueRef::Bytes(b) => Value::Bytes(b.to_vec()),
         }
     }
 
-    fn type_rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Int(_) => 1,
-            Value::Text(_) => 2,
-            Value::Bytes(_) => 3,
-        }
+    /// SQL three-valued comparison: `None` when either side is NULL.
+    /// Cross-type comparisons order by type tag, mirroring SQLite's
+    /// affinity-free fallback; they never occur in well-typed plans.
+    #[inline(always)]
+    pub(crate) fn sql_cmp(self, other: ValueRef<'_>) -> Option<Ordering> {
+        let null = self == ValueRef::Null || other == ValueRef::Null;
+        (!null).then(|| self.cmp(&other))
     }
+}
+
+/// Reads the value encoded at `buf[pos..]` ([`Value::encode`]'s tag
+/// and explicit length) and returns it with the offset where it ends.
+/// This is the one reader of the encoding: rows, predicates, B+ tree
+/// nodes and row blocks all read values here, so every bounds check
+/// lives here, and so does the check that a TEXT body is UTF-8. What it
+/// accepts is a value's canonical encoding, so its bytes may be copied
+/// as they are (into a [`RowBlock`], or into the halves of a split
+/// node).
+///
+/// This and its callers are forced inline: they are the inner loop of
+/// every scan (see `predicate::EncodedRow`) and of every B+ tree node
+/// read.
+#[inline(always)]
+pub(crate) fn read(buf: &[u8], pos: usize) -> DbResult<(ValueRef<'_>, usize)> {
+    let rest = buf.get(pos..).unwrap_or_default();
+    let (&tag, rest) = rest.split_first().ok_or_else(|| truncated("value tag"))?;
+    let (value, len) = match tag {
+        0 => (ValueRef::Null, 0),
+        1 => {
+            let int = rest.first_chunk().ok_or_else(|| truncated("body"))?;
+            (ValueRef::Int(i64::from_le_bytes(*int)), 8)
+        }
+        2 | 3 => {
+            let (len, rest) = rest
+                .split_first_chunk()
+                .ok_or_else(|| truncated("length"))?;
+            let len = u32::from_le_bytes(*len) as usize;
+            let body = rest.get(..len).ok_or_else(|| truncated("body"))?;
+            let value = match tag {
+                2 => ValueRef::Text(std::str::from_utf8(body).map_err(|_| bad_utf8())?),
+                _ => ValueRef::Bytes(body),
+            };
+            (value, 4 + len)
+        }
+        t => return Err(DbError::Storage(format!("unknown value tag {t}"))),
+    };
+    Ok((value, pos + 1 + len))
 }
 
 /// A result's rows as one row block: the bytes [`encode_rows`] writes,
@@ -324,7 +301,7 @@ impl RowBlock {
         put_u32(&mut self.bytes, width as u32);
     }
 
-    /// Appends one value's encoding, bytes that [`Value::check`] passed.
+    /// Appends one value's encoding, bytes that [`read`] accepted.
     pub(crate) fn push_value(&mut self, encoded: &[u8]) {
         self.bytes.extend_from_slice(encoded);
     }
@@ -443,21 +420,19 @@ mod tests {
     }
 
     #[test]
-    fn skip_advances_like_decode() {
+    fn read_ends_where_decode_ends() {
         for v in [
             Value::Null,
             Value::Int(-77),
-            Value::Text("skip me".into()),
+            Value::Text("read me".into()),
             Value::Bytes(vec![9; 300]),
         ] {
-            let mut buf = Vec::new();
+            let mut buf = vec![0xAA];
             v.encode(&mut buf);
-            let mut pos = 0;
-            Value::skip(&buf, &mut pos).unwrap();
-            assert_eq!(pos, buf.len());
-            for cut in 0..buf.len() {
-                let mut p = 0;
-                assert!(Value::skip(&buf[..cut], &mut p).is_err(), "cut {cut}");
+            let (read_back, end) = read(&buf, 1).unwrap();
+            assert_eq!((read_back.to_value(), end), (v, buf.len()));
+            for cut in 1..buf.len() {
+                assert!(read(&buf[..cut], 1).is_err(), "cut {cut}");
             }
         }
     }
@@ -510,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn check_accepts_what_decode_accepts() {
+    fn read_accepts_what_decode_accepts() {
         let mut bad_utf8 = Vec::new();
         Value::Bytes(vec![b'o', 0xFF, b'k']).encode(&mut bad_utf8);
         bad_utf8[0] = 2;
@@ -520,12 +495,12 @@ mod tests {
         let mut ok = Vec::new();
         Value::Text("東京".into()).encode(&mut ok);
         for buf in [bad_utf8, bad_tag, ok.clone(), ok[..ok.len() - 1].to_vec()] {
-            let (mut a, mut b, mut c) = (0, 0, 0);
+            let (mut a, mut c) = (0, 0);
             let decoded = Value::decode(&buf, &mut a);
-            let checked = Value::check(&buf, &mut b);
+            let read = read(&buf, 0);
             let compared = Value::Text("x".into()).cmp_encoded(&buf, &mut c);
-            assert_eq!(decoded.map(|_| a), checked.clone().map(|_| b), "{buf:?}");
-            assert_eq!(checked.map(|_| b), compared.map(|_| c), "{buf:?}");
+            assert_eq!(decoded.map(|_| a), read.clone().map(|r| r.1), "{buf:?}");
+            assert_eq!(read.map(|r| r.1), compared.map(|_| c), "{buf:?}");
         }
     }
 

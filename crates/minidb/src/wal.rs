@@ -23,6 +23,19 @@
 //! restarted process resumes exactly where the logs say, not where its
 //! predecessor's memory said.
 
+// Log bytes come back from a disk an attacker may have rewritten: a
+// bad one is a typed error, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use std::borrow::Cow;
 use std::collections::HashSet;
 

@@ -338,7 +338,7 @@ proptest! {
             reference_scan(heap_rows(&bp, &mut vd), filter.as_ref(), &schema, &fns, needed, limit),
             &proj,
         );
-        let mut sink = ScanSink::copying(pred.as_ref(), needed, &proj, limit);
+        let mut sink = ScanSink::copying(pred.as_ref(), &proj, limit);
         let got = heap.scan_into(&bp, &mut vd, None, &mut sink).map(|_| block_of(sink));
         prop_assert_eq!(&got, &want, "copying scan_into {:?}, filter {:?}", proj, filter);
         let want = reference_block(
@@ -348,7 +348,7 @@ proptest! {
             ),
             &proj,
         );
-        let mut sink = ScanSink::copying(pred.as_ref(), needed, &proj, limit);
+        let mut sink = ScanSink::copying(pred.as_ref(), &proj, limit);
         let got = heap.fetch_into(&bp, &mut vd, &ids, &mut sink).map(|_| block_of(sink));
         prop_assert_eq!(&got, &want, "copying fetch_into {:?} {:?}, filter {:?}", ids, proj, filter);
     }
