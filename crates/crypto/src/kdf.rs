@@ -1,6 +1,18 @@
-//! Minimal HKDF-style key derivation (extract-and-expand over HMAC-SHA-256).
+//! Minimal HKDF-style key derivation over HMAC-SHA-256.
 
-use crate::hmac::hmac_parts;
+// Labels are caller input: a bad one is never a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
+use crate::hmac::HmacKey;
 
 /// Derives a 32-byte subkey from `master` and a context `label`.
 ///
@@ -8,20 +20,7 @@ use crate::hmac::hmac_parts;
 /// `(master, label)` always gives the same key, so the encrypted-database
 /// layers can re-derive column keys instead of storing them.
 pub fn derive_key(master: &[u8; 32], label: &[u8]) -> [u8; 32] {
-    hmac_parts(master, &[b"edb-kdf-v1", label])
-}
-
-/// Expands a key into `n` bytes of pseudorandom output.
-pub fn expand(key: &[u8; 32], label: &[u8], n: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(n);
-    let mut counter: u64 = 0;
-    while out.len() < n {
-        let blockbytes = hmac_parts(key, &[b"edb-kdf-expand", label, &counter.to_le_bytes()]);
-        let take = (n - out.len()).min(blockbytes.len());
-        out.extend_from_slice(&blockbytes[..take]);
-        counter += 1;
-    }
-    out
+    HmacKey::new(master).mac(&[b"edb-kdf-v1", label])
 }
 
 #[cfg(test)]
@@ -37,14 +36,9 @@ mod tests {
     }
 
     #[test]
-    fn expand_lengths() {
-        let k = [5u8; 32];
-        for n in [0usize, 1, 31, 32, 33, 64, 100] {
-            assert_eq!(expand(&k, b"ctx", n).len(), n);
-        }
-        // Prefix property: expanding to a longer length extends the shorter.
-        let short = expand(&k, b"ctx", 40);
-        let long = expand(&k, b"ctx", 80);
-        assert_eq!(&long[..40], &short[..]);
+    fn derivation_is_the_per_call_hmac() {
+        let m = [3u8; 32];
+        let reference = crate::hmac::reference::hmac_parts;
+        assert_eq!(derive_key(&m, b"l"), reference(&m, &[b"edb-kdf-v1", b"l"]));
     }
 }

@@ -67,6 +67,15 @@ impl Row {
         Ok((u64::from_le_bytes(*id), u16::from_le_bytes(*n) as usize))
     }
 
+    /// The id of the encoded row `cell`, which is checked through to
+    /// its end as [`Row::decode`] checks it, and refused where that
+    /// refuses, without building a value.
+    pub(crate) fn checked_id(cell: &[u8]) -> DbResult<RowId> {
+        let (id, cells) = RowCursor::new(cell)?;
+        cells.finish()?;
+        Ok(id)
+    }
+
     /// Decodes a row materializing only the columns flagged in `needed`
     /// (schema-ordinal indexed); every other column is checked as
     /// [`Row::decode`] checks it but left as [`Value::Null`]. `None`
@@ -190,6 +199,28 @@ mod tests {
             ],
         };
         assert_eq!(Row::decode(&row.encode()).unwrap(), row);
+    }
+
+    #[test]
+    fn checked_id_refuses_what_decode_refuses() {
+        let cell = Row {
+            id: 9,
+            values: vec![Value::Text("héllo".into()), Value::Int(-3), Value::Null],
+        }
+        .encode();
+        let mut cases = vec![cell.clone(), [&cell[..], &[0]].concat()];
+        cases.extend((0..cell.len()).map(|n| cell[..n].to_vec()));
+        for i in 0..cell.len() {
+            for bit in 0..8 {
+                let mut c = cell.clone();
+                c[i] ^= 1 << bit;
+                cases.push(c);
+            }
+        }
+        for c in &cases {
+            let want = Row::decode(c).map(|r| r.id).map_err(|e| e.to_string());
+            assert_eq!(Row::checked_id(c).map_err(|e| e.to_string()), want, "{c:?}");
+        }
     }
 
     #[test]

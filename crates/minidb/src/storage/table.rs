@@ -291,7 +291,8 @@ impl TableHeap {
     }
 
     /// Opens an existing heap, rebuilding the locator by scanning pages
-    /// (also the recovery path — locator state is volatile).
+    /// (also the recovery path — locator state is volatile). Each cell
+    /// is checked whole, but only its id is read.
     pub fn open(bufpool: &ShardedBufferPool, vdisk: &mut VDisk, file: &str) -> DbResult<TableHeap> {
         let mut heap = TableHeap::empty(file);
         let n_pages = ShardedBufferPool::page_count(vdisk, file);
@@ -299,7 +300,7 @@ impl TableHeap {
             bufpool.with_page(vdisk, file, page_no, |buf| {
                 for cell in Page::new(buf).iter() {
                     let (slot, bytes) = cell?;
-                    heap.set_location(Row::decode(bytes)?.id, (page_no, slot))?;
+                    heap.set_location(Row::checked_id(bytes)?, (page_no, slot))?;
                 }
                 Ok::<_, DbError>(())
             })??;

@@ -38,9 +38,12 @@
 
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::sync::Arc;
 
+use edb_crypto::logenc::{OriginKeys, SealedRecord};
 use mdb_telemetry::{Counter, Registry};
 use mdb_trace::codec::{self, put_bytes32, put_i64, put_u16, put_u32, put_u64, Reader};
+use parking_lot::Mutex;
 
 use crate::error::{DbError, DbResult};
 use crate::vdisk::VDisk;
@@ -386,13 +389,23 @@ impl std::fmt::Debug for WalMetrics {
     }
 }
 
-/// The sealing state of an encrypted WAL: the (fleet-shared) log key
-/// plus this node's origin id. Wrapped so `Debug` output (engine dumps,
-/// test failures) never prints key material.
-#[derive(Clone)]
+/// Foreign origins one [`WalCrypto`] keeps derived keys for. A
+/// replica opens one (its primary's), a carver of a fleet's logs a few;
+/// past this many the oldest entry makes room.
+const FOREIGN_ORIGINS: usize = 8;
+
+/// The sealing state of an encrypted WAL: the (fleet-shared) log key,
+/// this node's [`OriginKeys`] derived once from it, and the keys of the
+/// foreign origins whose records it has opened. Every record seals and
+/// opens under keys derived at most once per origin, and the derived
+/// state lives here only. `Debug` output (engine dumps, test failures)
+/// never prints key material.
 pub struct WalCrypto {
     key: edb_crypto::Key,
-    origin: u64,
+    local: OriginKeys,
+    /// Derived keys of other origins, oldest first, at most
+    /// [`FOREIGN_ORIGINS`].
+    foreign: Mutex<Vec<Arc<OriginKeys>>>,
 }
 
 impl WalCrypto {
@@ -401,22 +414,44 @@ impl WalCrypto {
     /// a fleet sharing one `wal_key` must never reuse a keystream
     /// across nodes that seal the same `(stream, seq)` positions.
     pub fn new(key: [u8; 32], origin: u64) -> Self {
+        let key = edb_crypto::Key(key);
         WalCrypto {
-            key: edb_crypto::Key(key),
-            origin,
+            local: OriginKeys::derive(&key, origin),
+            key,
+            foreign: Mutex::new(Vec::new()),
         }
     }
 
     /// Seals one locally-originated record payload at log position
     /// `(stream, seq)`.
     pub fn seal(&self, stream: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-        edb_crypto::logenc::seal(&self.key, self.origin, stream, seq, payload)
+        self.local.seal(stream, seq, payload)
     }
 
     /// Opens a sealed record from *any* origin under the shared key,
     /// returning `(origin, stream, seq, plaintext)`.
     pub fn open(&self, sealed: &[u8]) -> Option<(u64, u8, u64, Vec<u8>)> {
-        edb_crypto::logenc::open(&self.key, sealed).ok()
+        let record = SealedRecord::parse(sealed).ok()?;
+        let plain = if record.origin == self.local.origin() {
+            self.local.open(&record)
+        } else {
+            self.foreign(record.origin).open(&record)
+        };
+        Some((record.origin, record.stream, record.seq, plain.ok()?))
+    }
+
+    /// Foreign `origin`'s keys, derived on its first record.
+    fn foreign(&self, origin: u64) -> Arc<OriginKeys> {
+        let mut memo = self.foreign.lock();
+        if let Some(keys) = memo.iter().find(|k| k.origin() == origin) {
+            return Arc::clone(keys);
+        }
+        let keys = Arc::new(OriginKeys::derive(&self.key, origin));
+        if memo.len() >= FOREIGN_ORIGINS {
+            memo.remove(0);
+        }
+        memo.push(Arc::clone(&keys));
+        keys
     }
 }
 
@@ -1225,6 +1260,46 @@ mod tests {
         assert!(WalCrypto::new([2; 32], 1).open(&sealed).is_none());
         // Right key, but a redo frame is not a binlog frame.
         assert!(wal.decode_binlog_frame(true, &sealed).is_err());
+    }
+
+    #[test]
+    fn held_keys_seal_and_open_as_the_per_call_functions() {
+        // The free `logenc` functions derive an origin's keys on every
+        // call (edb-crypto checks them against the pre-cache reference);
+        // a `WalCrypto` derives each origin's once and must give the
+        // same bytes, whichever origins it meets in whatever order.
+        use edb_crypto::logenc::{self, STREAM_BINLOG, STREAM_REDO, STREAM_UNDO};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0917);
+        for case in 0..24 {
+            let mut raw = [0u8; 32];
+            rng.fill(&mut raw);
+            let key = edb_crypto::Key(raw);
+            let local = rng.gen_range(0..4u64);
+            let node = WalCrypto::new(raw, local);
+            for i in 0..40 {
+                // The local origin, twelve small ones (more than the
+                // memo holds, so some come back after eviction), or any.
+                let origin = [local, rng.gen_range(0..12), rng.gen()][i % 3];
+                let stream = [STREAM_REDO, STREAM_UNDO, STREAM_BINLOG][i % 3];
+                let len = [0usize, 1, 63, 64, 65, 6500][(case + i) % 6];
+                let pt: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                let seq = rng.gen();
+                let sealed = logenc::seal(&key, origin, stream, seq, &pt);
+                if origin == local {
+                    assert_eq!(node.seal(stream, seq, &pt), sealed, "case {case}.{i}");
+                }
+                assert_eq!(node.open(&sealed), Some((origin, stream, seq, pt)));
+                let mut bad = sealed.clone();
+                bad[rng.gen_range(0..sealed.len())] ^= 1 << rng.gen_range(0..8);
+                assert_eq!(node.open(&bad), None, "case {case}.{i}: tampered");
+                let mut other = raw;
+                other[rng.gen_range(0..32)] ^= 1;
+                assert_eq!(WalCrypto::new(other, origin).open(&sealed), None);
+            }
+            assert!(node.foreign.lock().len() <= FOREIGN_ORIGINS);
+        }
     }
 
     #[test]
