@@ -3,8 +3,8 @@
 //! derive them on every call, at a 64-byte record (a redo or undo
 //! image: the per-record fixed cost dominates) and a 6.5 KB one (the
 //! ChaCha20 and SHA-256 kernels dominate). `open/foreign` opens a
-//! record another node sealed, through the opener's memo of foreign
-//! origins' keys: a replica applying its primary's binlog. The
+//! record another node sealed, under the foreign origin's keys the
+//! opener holds: a replica applying its primary's binlog. The
 //! `kernel` cases time the two primitives under a seal over 64 blocks
 //! (4 KiB) each.
 

@@ -73,18 +73,11 @@ impl HmacKey {
     /// The MAC of `parts`, each framed by its length as
     /// [`hmac_parts`] frames it.
     pub fn mac(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
-        self.tag(|inner| {
-            for p in parts {
-                inner.update(&(p.len() as u64).to_le_bytes());
-                inner.update(p);
-            }
-        })
-    }
-
-    /// The MAC of whatever `absorb` feeds the inner hash.
-    fn tag(&self, absorb: impl FnOnce(&mut Sha256)) -> [u8; DIGEST_LEN] {
         let mut inner = self.inner.clone();
-        absorb(&mut inner);
+        for p in parts {
+            inner.update(&(p.len() as u64).to_le_bytes());
+            inner.update(p);
+        }
         let mut outer = self.outer.clone();
         outer.update(&inner.finalize());
         outer.finalize()
@@ -208,10 +201,16 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The unframed HMAC the RFC vectors are stated for, through the
-    /// same pad states [`HmacKey::mac`] uses.
+    /// The unframed HMAC the RFC vectors are stated for, from the
+    /// same pad states [`HmacKey::mac`] starts from.
     fn raw_hmac(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
-        HmacKey::new(key).tag(|inner| inner.update(msg))
+        let HmacKey {
+            mut inner,
+            mut outer,
+        } = HmacKey::new(key);
+        inner.update(msg);
+        outer.update(&inner.finalize());
+        outer.finalize()
     }
 
     #[test]

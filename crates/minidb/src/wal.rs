@@ -389,23 +389,18 @@ impl std::fmt::Debug for WalMetrics {
     }
 }
 
-/// Foreign origins one [`WalCrypto`] keeps derived keys for. A
-/// replica opens one (its primary's), a carver of a fleet's logs a few;
-/// past this many the oldest entry makes room.
-const FOREIGN_ORIGINS: usize = 8;
-
 /// The sealing state of an encrypted WAL: the (fleet-shared) log key,
 /// this node's [`OriginKeys`] derived once from it, and the keys of the
-/// foreign origins whose records it has opened. Every record seals and
-/// opens under keys derived at most once per origin, and the derived
+/// last foreign origin whose record it opened (on a replica, its
+/// primary's). Every record seals and opens under held keys except the
+/// first of each run of records from another origin, and the derived
 /// state lives here only. `Debug` output (engine dumps, test failures)
 /// never prints key material.
 pub struct WalCrypto {
     key: edb_crypto::Key,
     local: OriginKeys,
-    /// Derived keys of other origins, oldest first, at most
-    /// [`FOREIGN_ORIGINS`].
-    foreign: Mutex<Vec<Arc<OriginKeys>>>,
+    /// Keys of the last foreign origin whose record authenticated.
+    foreign: Mutex<Option<Arc<OriginKeys>>>,
 }
 
 impl WalCrypto {
@@ -418,7 +413,7 @@ impl WalCrypto {
         WalCrypto {
             local: OriginKeys::derive(&key, origin),
             key,
-            foreign: Mutex::new(Vec::new()),
+            foreign: Mutex::new(None),
         }
     }
 
@@ -433,25 +428,26 @@ impl WalCrypto {
     pub fn open(&self, sealed: &[u8]) -> Option<(u64, u8, u64, Vec<u8>)> {
         let record = SealedRecord::parse(sealed).ok()?;
         let plain = if record.origin == self.local.origin() {
-            self.local.open(&record)
+            self.local.open(&record).ok()?
         } else {
-            self.foreign(record.origin).open(&record)
+            self.open_foreign(&record)?
         };
-        Some((record.origin, record.stream, record.seq, plain.ok()?))
+        Some((record.origin, record.stream, record.seq, plain))
     }
 
-    /// Foreign `origin`'s keys, derived on its first record.
-    fn foreign(&self, origin: u64) -> Arc<OriginKeys> {
-        let mut memo = self.foreign.lock();
-        if let Some(keys) = memo.iter().find(|k| k.origin() == origin) {
-            return Arc::clone(keys);
+    /// Opens a record another origin sealed. The origin in the header
+    /// is unauthenticated, so its keys replace the held ones only once
+    /// the record opens under them: a damaged header costs one
+    /// derivation and leaves the primary's keys in place.
+    fn open_foreign(&self, record: &SealedRecord<'_>) -> Option<Vec<u8>> {
+        let held = self.foreign.lock().clone();
+        if let Some(keys) = held.filter(|k| k.origin() == record.origin) {
+            return keys.open(record).ok();
         }
-        let keys = Arc::new(OriginKeys::derive(&self.key, origin));
-        if memo.len() >= FOREIGN_ORIGINS {
-            memo.remove(0);
-        }
-        memo.push(Arc::clone(&keys));
-        keys
+        let keys = OriginKeys::derive(&self.key, record.origin);
+        let plain = keys.open(record).ok()?;
+        *self.foreign.lock() = Some(Arc::new(keys));
+        Some(plain)
     }
 }
 
@@ -1279,8 +1275,8 @@ mod tests {
             let local = rng.gen_range(0..4u64);
             let node = WalCrypto::new(raw, local);
             for i in 0..40 {
-                // The local origin, twelve small ones (more than the
-                // memo holds, so some come back after eviction), or any.
+                // The local origin, twelve small ones (so an origin
+                // comes back after others took the slot), or any.
                 let origin = [local, rng.gen_range(0..12), rng.gen()][i % 3];
                 let stream = [STREAM_REDO, STREAM_UNDO, STREAM_BINLOG][i % 3];
                 let len = [0usize, 1, 63, 64, 65, 6500][(case + i) % 6];
@@ -1298,8 +1294,28 @@ mod tests {
                 other[rng.gen_range(0..32)] ^= 1;
                 assert_eq!(WalCrypto::new(other, origin).open(&sealed), None);
             }
-            assert!(node.foreign.lock().len() <= FOREIGN_ORIGINS);
         }
+    }
+
+    #[test]
+    fn a_damaged_origin_never_displaces_the_held_keys() {
+        use edb_crypto::logenc::{self, STREAM_BINLOG};
+        let key = [0x51u8; 32];
+        let replica = WalCrypto::new(key, 2);
+        let held = || replica.foreign.lock().as_ref().map(|k| k.origin());
+        let relayed = logenc::seal(&edb_crypto::Key(key), 1, STREAM_BINLOG, 7, b"stmt");
+        assert!(replica.open(&relayed).is_some());
+        assert_eq!(held(), Some(1));
+        // The origin follows the header's stream byte: name another.
+        let mut forged = relayed.clone();
+        forged[1] ^= 0x04;
+        assert_eq!(replica.open(&forged), None);
+        assert_eq!(held(), Some(1));
+        let other = logenc::seal(&edb_crypto::Key(key), 3, STREAM_BINLOG, 7, b"stmt");
+        assert!(replica.open(&other).is_some());
+        assert_eq!(held(), Some(3));
+        assert!(replica.open(&relayed).is_some());
+        assert_eq!(held(), Some(1));
     }
 
     #[test]
