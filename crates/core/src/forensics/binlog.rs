@@ -45,7 +45,7 @@ pub fn extract_hex_literals(statement: &str) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     let mut i = 0;
     while i + 2 < bytes.len() {
-        if (bytes[i] == b'X' || bytes[i] == b'x') && bytes[i + 1] == b'\'' {
+        if let Some([b'X' | b'x', b'\'', ..]) = bytes.get(i..) {
             if let Some(end) = statement[i + 2..].find('\'') {
                 let hex = &statement[i + 2..i + 2 + end];
                 if hex.len().is_multiple_of(2) {
@@ -65,10 +65,8 @@ pub fn extract_hex_literals(statement: &str) -> Vec<Vec<u8>> {
 fn decode_hex(s: &str) -> Result<Vec<u8>, ()> {
     let b = s.as_bytes();
     let mut out = Vec::with_capacity(b.len() / 2);
-    for pair in b.chunks_exact(2) {
-        let hi = hex_val(pair[0])?;
-        let lo = hex_val(pair[1])?;
-        out.push(hi << 4 | lo);
+    for &[hi, lo] in b.as_chunks().0 {
+        out.push(hex_val(hi)? << 4 | hex_val(lo)?);
     }
     Ok(out)
 }

@@ -6,6 +6,7 @@
 //! and reads off *which key ranges recent `SELECT`s traversed* — read
 //! queries leaking from persistent state alone.
 
+use minidb::storage::btree::node_keys;
 use minidb::storage::PAGE_SIZE;
 use minidb::value::Value;
 
@@ -58,56 +59,24 @@ impl CarvedNode {
     }
 }
 
-/// Carves every B+ tree node out of a raw index file. Uses only the
-/// storage engine's public page format (the forensic analogue of InnoDB
-/// page carving).
+/// Carves every B+ tree node out of a raw index file. Each page is read
+/// by minidb's own node reader ([`node_keys`]): the layout is public
+/// knowledge (the forensic analogue of InnoDB page carving), and a page
+/// that holds no node, or a damaged one, is skipped.
 pub fn carve_index_file(raw: &[u8]) -> Vec<CarvedNode> {
-    let mut out = Vec::new();
-    for (page_no, page) in raw.chunks(PAGE_SIZE).enumerate() {
-        if page.len() < 16 {
-            continue;
-        }
-        // Node layout: [12-byte page header][u16 node_len][node bytes].
-        let node_len = u16::from_le_bytes([page[12], page[13]]) as usize;
-        let Some(node) = page.get(14..14 + node_len) else {
-            continue;
-        };
-        if let Some(parsed) = parse_node(node) {
-            out.push(CarvedNode {
+    let (pages, _) = raw.as_chunks::<PAGE_SIZE>();
+    pages
+        .iter()
+        .enumerate()
+        .filter_map(|(page_no, page)| {
+            let (is_leaf, keys) = node_keys(page).ok()?;
+            Some(CarvedNode {
                 page_no: page_no as u32,
-                is_leaf: parsed.0,
-                keys: parsed.1,
-            });
-        }
-    }
-    out
-}
-
-fn parse_node(buf: &[u8]) -> Option<(bool, Vec<Value>)> {
-    let tag = *buf.first()?;
-    let n = u16::from_le_bytes([*buf.get(1)?, *buf.get(2)?]) as usize;
-    let mut pos = 3;
-    match tag {
-        1 => {
-            // Internal: n+1 children then n keys.
-            pos += (n + 1) * 4;
-            let mut keys = Vec::with_capacity(n);
-            for _ in 0..n {
-                keys.push(Value::decode(buf, &mut pos).ok()?);
-            }
-            Some((false, keys))
-        }
-        2 => {
-            pos += 4; // Next-leaf pointer.
-            let mut keys = Vec::with_capacity(n);
-            for _ in 0..n {
-                keys.push(Value::decode(buf, &mut pos).ok()?);
-                pos += 8; // Row id.
-            }
-            Some((true, keys))
-        }
-        _ => None,
-    }
+                is_leaf,
+                keys,
+            })
+        })
+        .collect()
 }
 
 /// The §3 read-inference attack: given the LRU dump and the raw index
@@ -124,15 +93,9 @@ pub fn recently_read_ranges(
     dump.iter()
         .filter(|e| e.file == index_file_name)
         .filter_map(|e| {
-            let node = by_page.get(&e.page_no)?;
-            if !node.is_leaf || node.keys.is_empty() {
-                return None;
-            }
-            Some((
-                e.page_no,
-                node.min_key().unwrap().clone(),
-                node.max_key().unwrap().clone(),
-            ))
+            let node = by_page.get(&e.page_no).filter(|n| n.is_leaf)?;
+            let (min, max) = (node.min_key()?, node.max_key()?);
+            Some((e.page_no, min.clone(), max.clone()))
         })
         .collect()
 }

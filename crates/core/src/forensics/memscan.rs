@@ -14,30 +14,15 @@ pub struct CarvedString {
 /// `strings(1)` pass over a core dump).
 pub fn carve_strings(dump: &[u8], min_len: usize) -> Vec<CarvedString> {
     let mut out = Vec::new();
-    let mut start: Option<usize> = None;
-    for (i, &b) in dump.iter().enumerate() {
-        let printable = (0x20..0x7F).contains(&b);
-        match (printable, start) {
-            (true, None) => start = Some(i),
-            (false, Some(s)) => {
-                if i - s >= min_len {
-                    out.push(CarvedString {
-                        offset: s,
-                        text: String::from_utf8_lossy(&dump[s..i]).into_owned(),
-                    });
-                }
-                start = None;
-            }
-            _ => {}
-        }
-    }
-    if let Some(s) = start {
-        if dump.len() - s >= min_len {
+    let mut offset = 0;
+    for run in dump.split(|b| !(0x20..0x7F).contains(b)) {
+        if !run.is_empty() && run.len() >= min_len {
             out.push(CarvedString {
-                offset: s,
-                text: String::from_utf8_lossy(&dump[s..]).into_owned(),
+                offset,
+                text: String::from_utf8_lossy(run).into_owned(),
             });
         }
+        offset += run.len() + 1;
     }
     out
 }
@@ -64,7 +49,7 @@ pub fn count_occurrences(dump: &[u8], needle: &[u8]) -> usize {
     let mut count = 0;
     let mut i = 0;
     while i + needle.len() <= dump.len() {
-        if &dump[i..i + needle.len()] == needle {
+        if dump.get(i..i + needle.len()) == Some(needle) {
             count += 1;
             i += needle.len();
         } else {

@@ -12,25 +12,16 @@
 //! stay carvable. Only `DbConfig::scrub_before_images` makes vacuum
 //! physically rewrite the file.
 //!
-//! Like every carver here, this parses raw bytes with public knowledge
-//! of the record format — no engine structs, no live engine.
+//! Like every carver here, this reads raw bytes with public knowledge
+//! of the record format and no live engine: each record is read by
+//! minidb's own record codec ([`VersionRecord::parse`]), the one reader
+//! of the layout, so the carver and the engine cannot disagree on it.
 
 use std::collections::BTreeMap;
 
-use minidb::mvcc::{STATE_COMMITTED, STATE_PENDING, STATE_VACUUMED, VERSIONS_FILE};
-use minidb::row::Row;
+use minidb::mvcc::{VersionRecord, STATE_COMMITTED, STATE_PENDING, STATE_VACUUMED, VERSIONS_FILE};
 use minidb::snapshot::{DiskImage, MemoryImage};
 use minidb::value::Value;
-
-/// Record-format knowledge, restated from the storage format docs:
-/// `"MVER" | state u8 | op u8 | xmin u64 | xmax u64 | row_id u64 |
-/// name_len u16 | row_len u32 | name | row`.
-const MAGIC: &[u8; 4] = b"MVER";
-const HEADER_LEN: usize = 36;
-/// Sanity bounds: a table name over 4 KiB or a row over 16 MiB is
-/// garbage, not a record.
-const MAX_NAME: usize = 4096;
-const MAX_ROW: usize = 16 * 1024 * 1024;
 
 /// One version record carved from raw bytes.
 #[derive(Clone, Debug, PartialEq)]
@@ -69,56 +60,27 @@ impl CarvedVersion {
 pub fn carve_bytes(data: &[u8]) -> Vec<CarvedVersion> {
     let mut out = Vec::new();
     let mut pos = 0;
-    while pos + HEADER_LEN <= data.len() {
-        if &data[pos..pos + 4] != MAGIC {
+    while pos < data.len() {
+        let parsed = VersionRecord::parse(data, pos);
+        let Some((rec, len, row)) =
+            parsed.and_then(|(rec, len)| Some((rec, len, rec.decode_row()?)))
+        else {
             pos += 1;
             continue;
-        }
-        match parse_record(data, pos) {
-            Some((v, len)) => {
-                out.push(v);
-                pos += len;
-            }
-            None => pos += 1,
-        }
-    }
-    out
-}
-
-fn parse_record(data: &[u8], pos: usize) -> Option<(CarvedVersion, usize)> {
-    let h = &data[pos..pos + HEADER_LEN];
-    let state = h[4];
-    let op = h[5];
-    if state > STATE_VACUUMED || !(1..=2).contains(&op) {
-        return None;
-    }
-    let xmin = u64::from_le_bytes(h[6..14].try_into().unwrap());
-    let xmax = u64::from_le_bytes(h[14..22].try_into().unwrap());
-    let row_id = u64::from_le_bytes(h[22..30].try_into().unwrap());
-    let name_len = u16::from_le_bytes(h[30..32].try_into().unwrap()) as usize;
-    let row_len = u32::from_le_bytes(h[32..36].try_into().unwrap()) as usize;
-    if name_len > MAX_NAME || row_len > MAX_ROW {
-        return None;
-    }
-    let body = data.get(pos + HEADER_LEN..pos + HEADER_LEN + name_len + row_len)?;
-    let table = std::str::from_utf8(&body[..name_len]).ok()?.to_string();
-    let row = Row::decode(&body[name_len..]).ok()?;
-    if row.id != row_id {
-        return None;
-    }
-    Some((
-        CarvedVersion {
-            table,
-            row_id,
-            xmin,
-            xmax,
-            state,
-            op,
+        };
+        out.push(CarvedVersion {
+            table: rec.table.to_string(),
+            row_id: rec.row_id,
+            xmin: rec.xmin,
+            xmax: rec.xmax,
+            state: rec.state,
+            op: rec.op,
             values: row.values,
             offset: pos,
-        },
-        HEADER_LEN + name_len + row_len,
-    ))
+        });
+        pos += len;
+    }
+    out
 }
 
 /// Carves the version store out of a disk image.
@@ -176,13 +138,14 @@ pub fn column_history(
     row_id: u64,
     col: usize,
 ) -> Vec<Value> {
-    let mut chain: Vec<&CarvedVersion> = versions
+    let mut chain: Vec<(usize, &Value)> = versions
         .iter()
-        .filter(|v| v.table == table && v.row_id == row_id && v.values.len() > col)
+        .filter(|v| v.table == table && v.row_id == row_id)
         .filter(|v| v.state == STATE_COMMITTED || v.state == STATE_VACUUMED)
+        .filter_map(|v| Some((v.offset, v.values.get(col)?)))
         .collect();
-    chain.sort_by_key(|v| v.offset);
-    chain.iter().map(|v| v.values[col].clone()).collect()
+    chain.sort_by_key(|(offset, _)| *offset);
+    chain.into_iter().map(|(_, value)| value.clone()).collect()
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use minidb::snapshot::{DiskImage, MemoryImage};
-use minidb::storage::{PAGE_SIZE, SYN_MAX_COLS};
+use minidb::storage::{Page, PageSynopsis, PAGE_SIZE};
 
 /// Where a recovered synopsis was carved from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,46 +41,13 @@ pub struct RecoveredZoneMap {
     pub source: ZoneMapSource,
 }
 
-// Page-header offsets, public knowledge of the storage format (the
-// header is documented in minidb's `storage::page`). Duplicated here by
-// design: the attacker parses raw bytes, not engine structs.
-const HDR_SYN_VALID: usize = 12;
-const HDR_SYN_NCOLS: usize = 13;
-const HDR_SYN_ROWS: usize = 14;
-const HDR_SYN_ENTRIES: usize = 16;
-const SYN_ENTRY_SIZE: usize = 2 + 8 + 8;
-
-/// A carved synopsis: the page's live row count plus its
-/// `(column, min, max)` entries.
-pub type CarvedSynopsis = (u64, Vec<(u16, i64, i64)>);
-
 /// Carves the synopsis out of one raw 16 KiB page, if the valid bit is
 /// set and the entries pass sanity checks (`ncols` within capacity,
-/// `min <= max` per entry).
-pub fn carve_page(page: &[u8]) -> Option<CarvedSynopsis> {
-    if page.len() < HDR_SYN_ENTRIES + SYN_MAX_COLS * SYN_ENTRY_SIZE {
-        return None;
-    }
-    if page[HDR_SYN_VALID] != 1 {
-        return None;
-    }
-    let ncols = page[HDR_SYN_NCOLS] as usize;
-    if ncols > SYN_MAX_COLS {
-        return None;
-    }
-    let rows = u16::from_le_bytes([page[HDR_SYN_ROWS], page[HDR_SYN_ROWS + 1]]) as u64;
-    let mut columns = Vec::with_capacity(ncols);
-    for i in 0..ncols {
-        let off = HDR_SYN_ENTRIES + i * SYN_ENTRY_SIZE;
-        let col = u16::from_le_bytes([page[off], page[off + 1]]);
-        let min = i64::from_le_bytes(page[off + 2..off + 10].try_into().unwrap());
-        let max = i64::from_le_bytes(page[off + 10..off + 18].try_into().unwrap());
-        if min > max {
-            return None;
-        }
-        columns.push((col, min, max));
-    }
-    Some((rows, columns))
+/// `min <= max` per entry). The header is read by minidb's own page
+/// reader ([`Page::synopsis`]): the layout is public knowledge, and
+/// one reader of it is the one the engine prunes with.
+pub fn carve_page(page: &[u8]) -> Option<PageSynopsis> {
+    Page::new(<&[u8; PAGE_SIZE]>::try_from(page).ok()?).synopsis()
 }
 
 /// Carves every valid page synopsis out of the heap tablespace files in
@@ -93,12 +60,12 @@ pub fn carve_disk(disk: &DiskImage) -> Vec<RecoveredZoneMap> {
             continue;
         }
         for (page_no, page) in data.chunks(PAGE_SIZE).enumerate() {
-            if let Some((rows, columns)) = carve_page(page) {
+            if let Some(syn) = carve_page(page) {
                 out.push(RecoveredZoneMap {
                     file: name.clone(),
                     page_no: page_no as u32,
-                    rows,
-                    columns,
+                    rows: u64::from(syn.rows),
+                    columns: syn.cols().iter().map(|c| (c.col, c.min, c.max)).collect(),
                     source: ZoneMapSource::Disk,
                 });
             }
@@ -292,6 +259,9 @@ mod tests {
 
     #[test]
     fn rejects_garbage_pages() {
+        const HDR_SYN_VALID: usize = 12;
+        const HDR_SYN_NCOLS: usize = 13;
+        const HDR_SYN_ENTRIES: usize = 16;
         assert!(carve_page(&[0u8; 32]).is_none());
         let mut page = vec![0u8; PAGE_SIZE];
         page[HDR_SYN_VALID] = 1;

@@ -20,11 +20,6 @@
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
-/// Computes `HMAC-SHA256(key, message)`.
-pub fn hmac(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
-    hmac_parts(key, &[message])
-}
-
 /// Computes HMAC over several length-framed segments.
 ///
 /// Framing makes `(["ab","c"])` and `(["a","bc"])` produce different tags,
@@ -124,19 +119,6 @@ impl Prf {
     pub fn eval_u64(&self, parts: &[&[u8]]) -> u64 {
         let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = self.eval(parts);
         u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
-    }
-
-    /// PRF output reduced modulo `n` (requires `n > 0`).
-    ///
-    /// The bias from the modular reduction is negligible for the domain
-    /// sizes used here (`n` ≤ 2³²  ≪  2⁶⁴).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn eval_mod(&self, parts: &[&[u8]], n: u64) -> u64 {
-        assert!(n > 0, "modulus must be positive");
-        self.eval_u64(parts) % n
     }
 }
 
@@ -290,20 +272,6 @@ mod tests {
     fn debug_never_prints_pad_states() {
         let s = format!("{:?}", HmacKey::new(&[0xAB; 32]));
         assert_eq!(s, "HmacKey(<redacted>)");
-    }
-
-    #[test]
-    fn keys_matter() {
-        assert_ne!(hmac(&[1u8; 32], b"m"), hmac(&[2u8; 32], b"m"));
-    }
-
-    #[test]
-    fn prf_mod_in_range() {
-        let prf = Prf::new(&[3u8; 32]);
-        for i in 0u64..200 {
-            let v = prf.eval_mod(&[&i.to_le_bytes()], 7);
-            assert!(v < 7);
-        }
     }
 
     #[test]

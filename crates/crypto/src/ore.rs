@@ -24,7 +24,7 @@
 use core::cmp::Ordering;
 
 use crate::feistel::SmallPrp;
-use crate::hmac::{hmac_parts, Prf};
+use crate::hmac::{hmac_parts, HmacKey, Prf};
 use crate::kdf;
 use crate::CryptoError;
 use crate::Key;
@@ -84,7 +84,7 @@ pub struct OreKey {
     /// PRF used for slot-unblinding keys (k₁ in the paper).
     prf1: Prf,
     /// PRF used to key the per-prefix slot permutations (k₂ in the paper).
-    prf2: [u8; 32],
+    prf2: HmacKey,
 }
 
 /// A left ciphertext — the query token delegated to the server.
@@ -142,7 +142,7 @@ impl OreKey {
         Ok(OreKey {
             params,
             prf1: Prf::new(&kdf::derive_key(&master.0, b"ore-k1")),
-            prf2: kdf::derive_key(&master.0, b"ore-k2"),
+            prf2: HmacKey::new(&kdf::derive_key(&master.0, b"ore-k2")),
         })
     }
 
@@ -160,7 +160,9 @@ impl OreKey {
 
     /// Permutation over block values for `(block_idx, prefix)`.
     fn slot_prp(&self, block_idx: u32, prefix: &[u8; 8]) -> SmallPrp {
-        let k = hmac_parts(&self.prf2, &[b"ore-perm", &block_idx.to_le_bytes(), prefix]);
+        let k = self
+            .prf2
+            .mac(&[b"ore-perm", &block_idx.to_le_bytes(), prefix]);
         SmallPrp::new(&k, self.params.block_space())
     }
 
@@ -403,6 +405,73 @@ mod tests {
         let leak = compare_leak(&left, &right).unwrap();
         assert_eq!(leak.ordering, Ordering::Equal);
         assert_eq!(leak.msdb, None);
+    }
+
+    /// The left and right ciphertexts of `x` under `master`, with every
+    /// key derived and every pad hashed afresh per MAC (the reference
+    /// HMAC), the right one under `nonce`.
+    fn reference_encrypt(
+        master: &Key,
+        params: OreParams,
+        x: u64,
+        nonce: &[u8; 16],
+    ) -> (LeftCiphertext, RightCiphertext) {
+        let mac = crate::hmac::reference::hmac_parts;
+        let k1 = mac(&master.0, &[b"edb-kdf-v1", b"ore-k1"]);
+        let k2 = mac(&master.0, &[b"edb-kdf-v1", b"ore-k2"]);
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        for i in 0..params.num_blocks() {
+            let prefix = prefix_bytes(x, i, &params);
+            let xi = block_value(x, i, &params);
+            let slot_key = |b: u64| {
+                mac(
+                    &k1,
+                    &[b"ore-slot", &i.to_le_bytes(), &prefix, &b.to_le_bytes()],
+                )
+            };
+            let perm = mac(&k2, &[b"ore-perm", &i.to_le_bytes(), &prefix]);
+            let prp = SmallPrp::new(&perm, params.block_space());
+            left.push((slot_key(xi), prp.permute(xi) as u16));
+            let mut slots = vec![0u8; params.block_space() as usize];
+            for b in 0..params.block_space() {
+                let cmp = match b.cmp(&xi) {
+                    Ordering::Equal => CMP_EQ,
+                    Ordering::Less => CMP_LT,
+                    Ordering::Greater => CMP_GT,
+                };
+                let d = mac(&slot_key(b), &[b"ore-blind", nonce]);
+                let blind = u64::from_le_bytes(d[..8].try_into().unwrap()) % 3;
+                slots[prp.permute(b) as usize] = (cmp + blind as u8) % 3;
+            }
+            right.push(slots);
+        }
+        let right = RightCiphertext {
+            nonce: *nonce,
+            blocks: right,
+        };
+        (LeftCiphertext { blocks: left }, right)
+    }
+
+    #[test]
+    fn held_keys_encrypt_as_the_per_call_reference() {
+        let master = Key([0x33; 32]);
+        let mut rng = StdRng::seed_from_u64(11);
+        let params = [
+            OreParams::PAPER,
+            OreParams {
+                width: 16,
+                block_bits: 4,
+            },
+        ];
+        for params in params {
+            let k = OreKey::new(&master, params).unwrap();
+            for x in [0u64, 1, 0x1234, 0xFFFF, 0xBEEF] {
+                let left = k.encrypt_left(x).unwrap();
+                let right = k.encrypt_right(x, &mut rng).unwrap();
+                let want = reference_encrypt(&master, params, x, &right.nonce);
+                assert_eq!((left, right), want, "{params:?}, x = {x:#x}");
+            }
+        }
     }
 
     #[test]

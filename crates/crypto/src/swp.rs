@@ -18,7 +18,7 @@
 //!   (Cash et al., CCS'15) converts into plaintext recovery, and §6 of the
 //!   paper shows trapdoors are recoverable from any realistic snapshot.
 
-use crate::hmac::{ct_eq, hmac_parts};
+use crate::hmac::{ct_eq, hmac_parts, HmacKey};
 use crate::kdf;
 use crate::Key;
 
@@ -86,27 +86,28 @@ impl Trapdoor {
 /// Client-side state for an SWP-searchable column.
 #[derive(Clone)]
 pub struct SwpClient {
-    k_word: [u8; 32],
-    k_derive: [u8; 32],
-    k_stream: [u8; 32],
+    k_word: HmacKey,
+    k_derive: HmacKey,
+    k_stream: HmacKey,
 }
 
 impl SwpClient {
     /// Creates a client from a master key.
     pub fn new(master: &Key) -> Self {
+        let key = |label: &[u8]| HmacKey::new(&kdf::derive_key(&master.0, label));
         SwpClient {
-            k_word: kdf::derive_key(&master.0, b"swp-word"),
-            k_derive: kdf::derive_key(&master.0, b"swp-derive"),
-            k_stream: kdf::derive_key(&master.0, b"swp-stream"),
+            k_word: key(b"swp-word"),
+            k_derive: key(b"swp-derive"),
+            k_stream: key(b"swp-stream"),
         }
     }
 
     fn word_encoding(&self, word: &str) -> [u8; WORD_ENC_LEN] {
-        hmac_parts(&self.k_word, &[word.as_bytes()])
+        self.k_word.mac(&[word.as_bytes()])
     }
 
     fn match_key_for(&self, word_enc: &[u8; WORD_ENC_LEN]) -> [u8; 32] {
-        hmac_parts(&self.k_derive, &[&word_enc[..16]])
+        self.k_derive.mac(&[&word_enc[..16]])
     }
 
     /// Encrypts the word at `(doc_id, position)`.
@@ -114,10 +115,9 @@ impl SwpClient {
         let x = self.word_encoding(word);
         let k_x = self.match_key_for(&x);
         // Per-position pseudorandomness S (16 bytes).
-        let s_full = hmac_parts(
-            &self.k_stream,
-            &[&doc_id.to_le_bytes(), &position.to_le_bytes()],
-        );
+        let s_full = self
+            .k_stream
+            .mac(&[&doc_id.to_le_bytes(), &position.to_le_bytes()]);
         let s = &s_full[..16];
         let t_full = hmac_parts(&k_x, &[s]);
         let t = &t_full[..16];
@@ -232,6 +232,34 @@ mod tests {
             .map(|(d, _)| *d)
             .collect();
         assert_eq!(matching_docs.into_iter().collect::<Vec<_>>(), vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn held_keys_encrypt_as_the_per_call_reference() {
+        let mac = crate::hmac::reference::hmac_parts;
+        let master = [0x77; 32];
+        let key = |label: &[u8]| mac(&master, &[b"edb-kdf-v1", label]);
+        let c = client();
+        for (doc, pos, word) in [(0u64, 0u32, "energy"), (7, 3, ""), (u64::MAX, 9, "né")] {
+            let x = mac(&key(b"swp-word"), &[word.as_bytes()]);
+            let k_x = mac(&key(b"swp-derive"), &[&x[..16]]);
+            let s = mac(
+                &key(b"swp-stream"),
+                &[&doc.to_le_bytes(), &pos.to_le_bytes()],
+            );
+            let t = mac(&k_x, &[&s[..16]]);
+            let mut want = [0u8; CIPHERTEXT_LEN];
+            for (i, b) in want.iter_mut().enumerate() {
+                *b = [&s[..16], &t[..16]].concat()[i] ^ x[i];
+            }
+            assert_eq!(
+                c.encrypt_word(doc, pos, word),
+                WordCiphertext(want),
+                "{word}"
+            );
+            let td = c.trapdoor(word);
+            assert_eq!((td.word_enc, td.match_key), (x, k_x), "{word}");
+        }
     }
 
     #[test]

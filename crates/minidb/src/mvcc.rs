@@ -39,7 +39,22 @@
 //! carver can distinguish pending, committed, aborted, and tombstoned
 //! history without any engine cooperation.
 
+// The version file is read off disk at every open: a record that lies
+// ends the read, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use std::collections::{HashMap, HashSet};
+
+use mdb_trace::codec::Reader;
 
 use crate::error::{DbError, DbResult};
 use crate::row::Row;
@@ -69,9 +84,92 @@ pub const OP_DELETE: u8 = 2;
 const STATE_OFF: usize = 4;
 const XMIN_OFF: usize = 6;
 const XMAX_OFF: usize = 14;
-const NAME_LEN_OFF: usize = 30;
-const ROW_LEN_OFF: usize = 32;
 const HEADER_LEN: usize = 36;
+/// Sanity bounds: a table name over 4 KiB or a row over 16 MiB is
+/// garbage, not a record.
+const MAX_NAME: usize = 4096;
+const MAX_ROW: usize = 16 * 1024 * 1024;
+
+/// One record of [`VERSIONS_FILE`] (layout in the module docs), its
+/// name and row borrowed from the bytes it was read from: the one codec
+/// of the format. The store writes records with its `encode`; restart
+/// ([`max_csn`]) and the version-store carver read them with `parse`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VersionRecord<'a> {
+    /// Lifecycle state (`STATE_*`).
+    pub state: u8,
+    /// How the image was superseded (`OP_*`).
+    pub op: u8,
+    /// CSN that created the image (0 = predates tracking).
+    pub xmin: u64,
+    /// CSN that superseded it (0 = still pending).
+    pub xmax: u64,
+    /// Row id whose before-image this is.
+    pub row_id: u64,
+    /// Table the row belongs to.
+    pub table: &'a str,
+    /// The before-image, as [`Row::encode`] wrote it.
+    pub row: &'a [u8],
+}
+
+impl<'a> VersionRecord<'a> {
+    /// The bytes of the record of `v`, a version of a row of `table`.
+    fn encode(table: &str, v: &Version) -> Vec<u8> {
+        let (name, row) = (table.as_bytes(), v.row.encode());
+        let mut out = Vec::with_capacity(HEADER_LEN + name.len() + row.len());
+        out.extend_from_slice(VERSION_MAGIC);
+        out.extend_from_slice(&[v.state, v.op]);
+        for field in [v.xmin, v.xmax, v.row.id] {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
+        out.extend_from_slice(name);
+        out.extend_from_slice(&row);
+        out
+    }
+
+    /// The record at `buf[pos..]` and its length, or `None` unless the
+    /// magic, a known state and op, a name and row within the sanity
+    /// bounds, both inside `buf`, and a UTF-8 name are all there. The
+    /// row image is not decoded ([`Self::decode_row`] does that).
+    pub fn parse(buf: &'a [u8], pos: usize) -> Option<(VersionRecord<'a>, usize)> {
+        let mut r = Reader::new(buf.get(pos..)?);
+        if r.take(VERSION_MAGIC.len()).ok()? != VERSION_MAGIC {
+            return None;
+        }
+        let (state, op) = (r.u8().ok()?, r.u8().ok()?);
+        if state > STATE_VACUUMED || !(OP_UPDATE..=OP_DELETE).contains(&op) {
+            return None;
+        }
+        let (xmin, xmax, row_id) = (r.u64().ok()?, r.u64().ok()?, r.u64().ok()?);
+        let name_len = usize::from(r.u16().ok()?);
+        let row_len = r.u32().ok()? as usize;
+        if name_len > MAX_NAME || row_len > MAX_ROW {
+            return None;
+        }
+        let table = std::str::from_utf8(r.take(name_len).ok()?).ok()?;
+        let row = r.take(row_len).ok()?;
+        let record = VersionRecord {
+            state,
+            op,
+            xmin,
+            xmax,
+            row_id,
+            table,
+            row,
+        };
+        Some((record, r.pos()))
+    }
+
+    /// The before-image decoded, or `None` unless it decodes and
+    /// carries the record's row id.
+    pub fn decode_row(&self) -> Option<Row> {
+        Row::decode(self.row)
+            .ok()
+            .filter(|row| row.id == self.row_id)
+    }
+}
 
 /// One archived row version in a chain.
 #[derive(Clone, Debug, PartialEq)]
@@ -122,41 +220,19 @@ pub struct VersionStore {
     pending: HashMap<u64, Vec<Pending>>,
 }
 
-fn encode_record(state: u8, op: u8, xmin: u64, xmax: u64, key: &Key, row: &Row) -> Vec<u8> {
-    let name = key.0.as_bytes();
-    let row_bytes = row.encode();
-    let mut out = Vec::with_capacity(HEADER_LEN + name.len() + row_bytes.len());
-    out.extend_from_slice(VERSION_MAGIC);
-    out.push(state);
-    out.push(op);
-    out.extend_from_slice(&xmin.to_le_bytes());
-    out.extend_from_slice(&xmax.to_le_bytes());
-    out.extend_from_slice(&key.1.to_le_bytes());
-    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(row_bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(name);
-    out.extend_from_slice(&row_bytes);
-    out
-}
-
 /// The highest CSN stamped into any record of [`VERSIONS_FILE`] (0 when
 /// there is none): a restarted process numbers its commits past it.
 /// A commit that superseded nothing (an INSERT-only one) stamps no
 /// record, so this can trail the dead process's counter — harmlessly:
 /// no byte on disk carries the CSNs in between, and a restarted
 /// process's chains start empty, so every row it reads is visible.
+/// Records are read up to the first that does not parse; no row is decoded.
 pub fn max_csn(vdisk: &VDisk) -> u64 {
     let raw = vdisk.read(VERSIONS_FILE).unwrap_or_default();
-    let le = |at: usize, len: usize| {
-        raw[at..at + len]
-            .iter()
-            .rev()
-            .fold(0, |v, b| v << 8 | *b as u64)
-    };
     let (mut pos, mut max) = (0, 0);
-    while pos + HEADER_LEN <= raw.len() && &raw[pos..pos + 4] == VERSION_MAGIC {
-        max = max.max(le(pos + XMIN_OFF, 8)).max(le(pos + XMAX_OFF, 8));
-        pos += HEADER_LEN + le(pos + NAME_LEN_OFF, 2) as usize + le(pos + ROW_LEN_OFF, 4) as usize;
+    while let Some((rec, len)) = VersionRecord::parse(raw, pos) {
+        max = max.max(rec.xmin).max(rec.xmax);
+        pos += len;
     }
     max
 }
@@ -184,6 +260,12 @@ impl VersionStore {
         op: u8,
         txn: u64,
     ) -> DbResult<()> {
+        // Write no record that `VersionRecord::parse` refuses.
+        if table.len() > MAX_NAME {
+            return Err(DbError::Storage(format!(
+                "table name over {MAX_NAME} bytes: no version record holds it"
+            )));
+        }
         let key = (table.to_string(), old_row.id);
         let intra_txn = match self.pending_owner.get(&key) {
             Some(&owner) if owner != txn => {
@@ -196,16 +278,16 @@ impl VersionStore {
         };
         let xmin = self.row_xmin.get(&key).copied().unwrap_or(0);
         let offset = vdisk.len(VERSIONS_FILE);
-        let rec = encode_record(STATE_PENDING, op, xmin, 0, &key, old_row);
-        vdisk.append(VERSIONS_FILE, &rec);
-        self.chains.entry(key.clone()).or_default().push(Version {
+        let version = Version {
             xmin,
             xmax: 0,
             state: STATE_PENDING,
             op,
             row: old_row.clone(),
             offset,
-        });
+        };
+        vdisk.append(VERSIONS_FILE, &VersionRecord::encode(table, &version));
+        self.chains.entry(key.clone()).or_default().push(version);
         self.pending
             .entry(txn)
             .or_default()
@@ -449,11 +531,10 @@ impl VersionStore {
         survivors.sort_by_key(|(_, v)| v.offset);
         let mut file = Vec::new();
         let mut remap: HashMap<usize, usize> = HashMap::new();
-        for (key, v) in survivors {
-            let rec = encode_record(v.state, v.op, v.xmin, v.xmax, key, &v.row);
+        for ((table, _), v) in survivors {
             remap.insert(v.offset, file.len());
             v.offset = file.len();
-            file.extend_from_slice(&rec);
+            file.extend_from_slice(&VersionRecord::encode(table, v));
         }
         for stamps in self.pending.values_mut() {
             for s in stamps.iter_mut() {
@@ -516,6 +597,59 @@ mod tests {
             id,
             values: vec![Value::Int(n)],
         }
+    }
+
+    #[test]
+    fn records_parse_as_they_were_encoded() {
+        let mut vs = VersionStore::default();
+        let mut vd = VDisk::new();
+        vs.record_insert("t", 1, 10);
+        vs.commit(&mut vd, 10, 4);
+        vs.record_supersession(&mut vd, "t", &row(1, 100), OP_UPDATE, 11)
+            .unwrap();
+        vs.commit(&mut vd, 11, 9);
+        vs.record_supersession(&mut vd, "accounts", &row(7, -5), OP_DELETE, 12)
+            .unwrap();
+        let raw = vd.read(VERSIONS_FILE).unwrap().to_vec();
+        let (first, len) = VersionRecord::parse(&raw, 0).unwrap();
+        let encoded = row(1, 100).encode();
+        let want = VersionRecord {
+            state: STATE_COMMITTED,
+            op: OP_UPDATE,
+            xmin: 4,
+            xmax: 9,
+            row_id: 1,
+            table: "t",
+            row: &encoded,
+        };
+        assert_eq!(first, want);
+        assert_eq!(
+            len,
+            VersionRecord::encode("t", &vs.chains()[&("t".into(), 1)][0]).len()
+        );
+        assert_eq!(first.decode_row(), Some(row(1, 100)));
+        let (second, end) = VersionRecord::parse(&raw, len).unwrap();
+        assert_eq!(
+            (second.table, second.state, len + end),
+            ("accounts", STATE_PENDING, raw.len())
+        );
+        assert_eq!(max_csn(&vd), 9);
+        // Every truncation, and a state or op out of range, is refused;
+        // `max_csn` reads up to the first record that does not parse.
+        assert!((0..len).all(|cut| VersionRecord::parse(&raw[..cut], 0).is_none()));
+        for (at, v) in [(0, b'm'), (STATE_OFF, STATE_VACUUMED + 1), (5, 0), (5, 3)] {
+            let mut bad = raw.clone();
+            bad[at] = v;
+            assert_eq!(VersionRecord::parse(&bad, 0), None, "byte {at} = {v}");
+            vd.write(VERSIONS_FILE, bad);
+            assert_eq!(max_csn(&vd), 0);
+        }
+        // A row image under another row id does not decode as this one.
+        let moved = VersionRecord { row_id: 2, ..want };
+        assert_eq!(moved.decode_row(), None);
+        let long = "t".repeat(MAX_NAME + 1);
+        let err = vs.record_supersession(&mut vd, &long, &row(1, 1), OP_UPDATE, 13);
+        assert!(matches!(err, Err(DbError::Storage(_))), "{err:?}");
     }
 
     #[test]

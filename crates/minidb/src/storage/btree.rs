@@ -252,6 +252,15 @@ impl<'a> Walk<'a> {
         Ok(self.pos)
     }
 
+    /// The keys left, owned, in order.
+    fn keys(mut self) -> DbResult<Vec<Value>> {
+        let mut keys = Vec::with_capacity(self.n - self.done);
+        while let Some((key, _)) = self.step()? {
+            keys.push(key.to_value());
+        }
+        Ok(keys)
+    }
+
     /// The bytes of each entry left (a key, and a leaf's row id), in
     /// order, with room for one more.
     fn entries(mut self) -> DbResult<Vec<&'a [u8]>> {
@@ -264,6 +273,18 @@ impl<'a> Walk<'a> {
             out.push(self.node.get(at..self.pos).unwrap_or_default());
         }
     }
+}
+
+/// Whether the node in `page` is a leaf, and its keys: an internal
+/// node's separators, a leaf's entry keys. The node is checked as the
+/// tree reads it (`NodeRef`, `Walk`), so a node that lies is a
+/// [`DbError::Storage`]. The index-page carver reads pages through
+/// this, not through a copy of the layout.
+pub fn node_keys(page: &[u8; PAGE_SIZE]) -> DbResult<(bool, Vec<Value>)> {
+    Ok(match NodeRef::read(page)? {
+        NodeRef::Internal { keys, .. } => (false, keys.keys()?),
+        NodeRef::Leaf { entries, .. } => (true, entries.keys()?),
+    })
 }
 
 /// A node's bytes: the tag (1 internal, 2 leaf), the entry count, the
@@ -759,15 +780,11 @@ impl Check<'_> {
         // or its next leaf.
         let file = &self.tree.file;
         let (keys, children, next) = self.bufpool.with_page(self.vdisk, file, page_no, |b| {
-            let (children, next, mut walk) = match NodeRef::read(b)? {
+            let (children, next, walk) = match NodeRef::read(b)? {
                 NodeRef::Internal { children, keys } => (Some(pages(children)), None, keys),
                 NodeRef::Leaf { next, entries } => (None, next, entries),
             };
-            let mut keys = Vec::with_capacity(walk.n);
-            while let Some((key, _)) = walk.step()? {
-                keys.push(key.to_value());
-            }
-            Ok::<_, DbError>((keys, children, next))
+            Ok::<_, DbError>((walk.keys()?, children, next))
         })??;
         if !keys.is_sorted() {
             return Err(broken("keys out of order"));
@@ -881,16 +898,10 @@ mod tests {
         /// then every entry.
         fn decode(node: &[u8]) -> DbResult<Node> {
             Ok(match NodeRef::parse(node)? {
-                NodeRef::Internal { children, mut keys } => {
-                    let mut out = Vec::with_capacity(keys.n);
-                    while let Some((key, _)) = keys.step()? {
-                        out.push(key.to_value());
-                    }
-                    Node::Internal {
-                        keys: out,
-                        children: pages(children),
-                    }
-                }
+                NodeRef::Internal { children, keys } => Node::Internal {
+                    keys: keys.keys()?,
+                    children: pages(children),
+                },
                 NodeRef::Leaf { next, mut entries } => {
                     let mut out = Vec::with_capacity(entries.n);
                     while let Some((key, rid)) = entries.step()? {
@@ -1149,6 +1160,7 @@ mod tests {
     /// node exactly when `Node::decode` does: for every byte of a leaf
     /// and of an internal node with keys of each type, set to each of a
     /// few values, whether the probe lands early, late or not at all.
+    /// [`node_keys`] reads the keys `Node::decode` reads, or refuses.
     #[test]
     fn reads_in_place_refuse_what_decode_refuses() {
         let keys = [
@@ -1173,13 +1185,23 @@ mod tests {
             Some(Value::Int(0)),
             Some(Value::Bytes(vec![9])),
         ];
+        let mut page = Box::new([0u8; PAGE_SIZE]);
         for node in nodes {
             let clean = node.encode();
+            page[NODE_OFF..NODE].copy_from_slice(&(clean.len() as u16).to_le_bytes());
             for at in 0..clean.len() {
                 for v in [0x00, 0x01, 0x02, 0x04, 0x7F, 0xC3, 0xFF] {
                     let mut bytes = clean.clone();
                     bytes[at] = v;
-                    let refused = Node::decode(&bytes).is_err();
+                    let decoded = Node::decode(&bytes).ok().map(|node| match node {
+                        Node::Internal { keys, .. } => (false, keys),
+                        Node::Leaf { entries, .. } => {
+                            (true, entries.into_iter().map(|e| e.0).collect())
+                        }
+                    });
+                    page[NODE..NODE + bytes.len()].copy_from_slice(&bytes);
+                    assert_eq!(node_keys(&page).ok(), decoded, "byte {at} = {v}");
+                    let refused = decoded.is_none();
                     for probe in &probes {
                         let walk = || -> DbResult<usize> {
                             let mut walk = match NodeRef::parse(&bytes)? {

@@ -297,17 +297,25 @@ impl<B: Deref<Target = [u8; PAGE_SIZE]>> Page<B> {
         u16::from_le_bytes([b[HDR_SYN_ROWS], b[HDR_SYN_ROWS + 1]])
     }
 
-    /// Decodes the synopsis, or `None` when it is invalid.
+    /// Decodes the synopsis, or `None` when it is invalid or lies (more
+    /// than [`SYN_MAX_COLS`] columns, or a `min > max`): no heap write
+    /// leaves that, so such bounds never prune, nor are they carved.
     pub fn synopsis(&self) -> Option<PageSynopsis> {
         if !self.synopsis_valid() {
             return None;
         }
         let b = self.bytes();
+        let ncols = usize::from(b[HDR_SYN_NCOLS]);
+        if ncols > SYN_MAX_COLS {
+            return None;
+        }
         let entries = b[HDR_SYN_ENTRIES..HDR_SIZE].as_chunks().0.iter();
-        let ncols = usize::from(b[HDR_SYN_NCOLS]).min(SYN_MAX_COLS);
         let mut cols = [ColumnStats::default(); SYN_MAX_COLS];
         for (slot, e) in cols.iter_mut().zip(entries).take(ncols) {
             *slot = ColumnStats::decode(e);
+            if slot.min > slot.max {
+                return None;
+            }
         }
         Some(PageSynopsis {
             rows: self.syn_rows(),
@@ -638,6 +646,21 @@ mod tests {
         // Untracked columns never exclude.
         use std::ops::Bound::*;
         assert!(!syn.excludes(7, &Included(100), &Unbounded));
+    }
+
+    #[test]
+    fn a_synopsis_that_lies_reads_as_none() {
+        let mut buf = fresh();
+        Page::new(&mut *buf).synopsis_note_insert(&[(0, 3), (1, 8)]);
+        assert_eq!(Page::new(&*buf).synopsis().unwrap().cols().len(), 2);
+        // More columns than the header holds.
+        buf[HDR_SYN_NCOLS] = SYN_MAX_COLS as u8 + 1;
+        assert_eq!(Page::new(&*buf).synopsis(), None);
+        // The second column's min above its max.
+        buf[HDR_SYN_NCOLS] = 2;
+        let min = HDR_SYN_ENTRIES + SYN_ENTRY_SIZE + 2;
+        buf[min..min + 8].copy_from_slice(&9i64.to_le_bytes());
+        assert_eq!(Page::new(&*buf).synopsis(), None);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::ops::Bound;
 use crate::error::{DbError, DbResult};
 use crate::predicate::{EncodedRow, Predicate};
 use crate::row::{Row, RowId};
-use crate::storage::page::{Page, PageSynopsis, SlotNo};
+use crate::storage::page::{Page, PageSynopsis, SlotNo, PAGE_SIZE};
 use crate::storage::shardpool::{KeyMap, ShardedBufferPool};
 use crate::value::{RowBlock, Value};
 use crate::vdisk::VDisk;
@@ -668,23 +668,42 @@ impl TableHeap {
     // ------------------------------------------------------------------
     // Redo-replay entry points: apply a logged physical change to a page
     // iff the page has not already seen it (pageLSN check), then stamp the
-    // record's LSN. These are value-blind byte ops, so they leave the
-    // page synopsis invalid (and drop the mirror entry); the first
-    // pruning scan after recovery rebuilds it. The locator follows the
+    // record's LSN. These are value-blind byte ops, so a record that
+    // applies leaves the page synopsis invalid (and drops the mirror
+    // entry); the first pruning scan after recovery rebuilds it. A
+    // record the page has seen leaves both alone. The locator follows the
     // pages: `open` read it off them, so a record changes it only when it
     // changes its page.
     // ------------------------------------------------------------------
 
-    fn ensure_page(
-        &self,
+    /// Applies `change` to page `page_no` (allocated if the file is
+    /// shorter) iff the page has not seen `lsn`, then stamps `lsn` and
+    /// drops the page's mirror entry. `None` when the page had seen it.
+    fn replay<T>(
+        &mut self,
         bufpool: &ShardedBufferPool,
         vdisk: &mut VDisk,
+        lsn: u64,
         page_no: u32,
-    ) -> DbResult<()> {
+        change: impl FnOnce(&mut Page<&mut [u8; PAGE_SIZE]>) -> DbResult<T>,
+    ) -> DbResult<Option<T>> {
         while ShardedBufferPool::page_count(vdisk, &self.file) <= page_no {
             bufpool.allocate_page(vdisk, &self.file);
         }
-        Ok(())
+        let applied =
+            bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| -> DbResult<_> {
+                let mut p = Page::new(buf);
+                if p.lsn() >= lsn {
+                    return Ok(None);
+                }
+                let out = change(&mut p)?;
+                p.set_lsn(lsn);
+                Ok(Some(out))
+            })??;
+        if applied.is_some() {
+            self.note_page(page_no, None);
+        }
+        Ok(applied)
     }
 
     /// Decodes a replayed row image, refusing a doctored row id before
@@ -706,19 +725,10 @@ impl TableHeap {
         row_bytes: &[u8],
     ) -> DbResult<()> {
         let row_id = self.replayed_row_id(row_bytes)?;
-        self.ensure_page(bufpool, vdisk, page_no)?;
-        let applied =
-            bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| -> DbResult<bool> {
-                let mut p = Page::new(buf);
-                if p.lsn() >= lsn {
-                    return Ok(false);
-                }
-                p.insert_at(slot, row_bytes)?;
-                p.set_lsn(lsn);
-                Ok(true)
-            })??;
-        if applied {
-            self.note_page(page_no, None);
+        let applied = self.replay(bufpool, vdisk, lsn, page_no, |p| {
+            p.insert_at(slot, row_bytes)
+        })?;
+        if applied.is_some() {
             self.set_location(row_id, (page_no, slot))?;
         }
         Ok(())
@@ -735,19 +745,10 @@ impl TableHeap {
         row_bytes: &[u8],
     ) -> DbResult<()> {
         let row_id = self.replayed_row_id(row_bytes)?;
-        self.ensure_page(bufpool, vdisk, page_no)?;
-        let applied =
-            bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| -> DbResult<bool> {
-                let mut p = Page::new(buf);
-                if p.lsn() >= lsn {
-                    return Ok(false);
-                }
-                p.update_in_place(slot, row_bytes)?;
-                p.set_lsn(lsn);
-                Ok(true)
-            })??;
-        self.note_page(page_no, None);
-        if applied {
+        let applied = self.replay(bufpool, vdisk, lsn, page_no, |p| {
+            p.update_in_place(slot, row_bytes)
+        })?;
+        if applied.is_some() {
             self.set_location(row_id, (page_no, slot))?;
         }
         Ok(())
@@ -764,27 +765,20 @@ impl TableHeap {
         page_no: u32,
         slot: SlotNo,
     ) -> DbResult<()> {
-        self.ensure_page(bufpool, vdisk, page_no)?;
-        let gone = bufpool.with_page_mut(vdisk, &self.file, page_no, |buf| {
-            let mut p = Page::new(buf);
-            if p.lsn() >= lsn {
+        let gone = self.replay(bufpool, vdisk, lsn, page_no, |p| {
+            // The slot may already be missing if the delete raced a
+            // crash; tolerate that (idempotent replay).
+            let Some(cell) = p.get(slot)? else {
                 return Ok(None);
-            }
-            // The slot may already be missing if the delete raced a crash;
-            // tolerate that (idempotent replay).
-            let gone = match p.get(slot)? {
-                Some(cell) => {
-                    let gone = Row::decode_header(cell).ok().map(|(row_id, _)| row_id);
-                    p.delete(slot)?;
-                    gone
-                }
-                None => None,
             };
-            p.set_lsn(lsn);
-            Ok::<_, DbError>(gone)
-        })??;
-        self.note_page(page_no, None);
-        if let Some(row_id) = gone.filter(|&id| self.locate(id) == Some((page_no, slot))) {
+            let gone = Row::decode_header(cell).ok().map(|(row_id, _)| row_id);
+            p.delete(slot)?;
+            Ok(gone)
+        })?;
+        if let Some(row_id) = gone
+            .flatten()
+            .filter(|&id| self.locate(id) == Some((page_no, slot)))
+        {
             self.locations.remove(row_id);
         }
         Ok(())
@@ -965,10 +959,18 @@ mod tests {
             .unwrap();
         h.replay_update(&bp, &mut vd, 6, 0, 0, &row(1, 2).encode())
             .unwrap();
-        // Stale update (lower LSN) must not regress the page.
+        // A pruning check rebuilds the page's synopsis into the mirror.
+        h.page_prunable(&bp, &mut vd, 0, 0, &Bound::Included(50), &Bound::Unbounded)
+            .unwrap();
+        let mirror: Vec<_> = h.zone_map().map(|(p, s)| (p, *s)).collect();
+        assert_eq!(mirror.len(), 1);
+        // Stale update (lower LSN) must not regress the page, and a stale
+        // update or delete leaves the page, so the mirror keeps its entry.
         h.replay_update(&bp, &mut vd, 4, 0, 0, &row(1, 9).encode())
             .unwrap();
+        h.replay_delete(&bp, &mut vd, 6, 0, 0).unwrap();
         assert_eq!(h.read(&bp, &mut vd, 1).unwrap(), row(1, 2));
+        assert!(h.zone_map().map(|(p, s)| (p, *s)).eq(mirror));
     }
 
     #[test]
